@@ -30,8 +30,11 @@ let lb_tests () =
     Test.make ~name:"lb-mis" (Staged.stage (fun () -> ignore (Lowerbound.Mis.compute engine)));
     Test.make ~name:"lb-lgr"
       (Staged.stage (fun () -> ignore (Lowerbound.Lgr.compute engine ~cap)));
+    (* a fresh LP context per run: one cold LP solve, as at the first
+       evaluation of a search *)
     Test.make ~name:"lb-lpr"
-      (Staged.stage (fun () -> ignore (Lowerbound.Lpr.compute engine ~cap)));
+      (Staged.stage (fun () ->
+           ignore (Lowerbound.Lpr.compute_inc (Lowerbound.Lpr.make engine) ~cap)));
   ]
 
 let propagation_tests () =

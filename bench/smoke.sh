@@ -90,6 +90,18 @@ grep -q '"schema":"bsolo-run-report/1"' "$tmpdir/report.json" || {
   echo "FAIL: report schema marker missing"; exit 1;
 }
 
+echo "== MILP baseline proves knap-s1 (warm node LPs) =="
+# The MILP baseline re-solves one LP warm from node to node; solving each
+# node from scratch took about 32 s here, so the hard timeout catches a
+# regression to cold re-solves.
+timeout 60 ./_build/default/bin/bsolo_main.exe --engine milp benchmarks/knap-s1.opb \
+  >"$tmpdir/milp.txt" 2>&1 || {
+  echo "FAIL: milp solve failed or hit the hard timeout"; cat "$tmpdir/milp.txt"; exit 1;
+}
+grep -q '^s OPTIMUM FOUND$' "$tmpdir/milp.txt" && grep -q '^o 300$' "$tmpdir/milp.txt" || {
+  echo "FAIL: milp did not prove the optimum 300"; grep -v '^v ' "$tmpdir/milp.txt"; exit 1;
+}
+
 echo "== parallel portfolio solve (--jobs 2) =="
 # Hard timeout so a hung worker domain fails the check instead of
 # wedging it; the instance solves in well under the budget.
@@ -178,9 +190,15 @@ done
 grep -q '"schema":"bsolo-status/1"' "$tmpdir/status.json" || {
   echo "FAIL: /status schema marker missing"; cat "$tmpdir/status.json"; exit 1;
 }
-"$bsolo" top --connect "127.0.0.1:$port" --get /metrics >"$tmpdir/scrape.prom" || {
-  echo "FAIL: /metrics scrape failed"; exit 1;
-}
+# Members register with the server as the portfolio starts them, which can
+# lag the listen announcement: poll until their metrics show up.
+for _ in $(seq 1 50); do
+  "$bsolo" top --connect "127.0.0.1:$port" --get /metrics >"$tmpdir/scrape.prom" || {
+    echo "FAIL: /metrics scrape failed"; exit 1;
+  }
+  grep -q '^bsolo_portfolio_' "$tmpdir/scrape.prom" && break
+  sleep 0.1
+done
 echo "== scraped exposition is lint-clean (inspect --metrics) =="
 "$bsolo" inspect --metrics "$tmpdir/scrape.prom" || {
   echo "FAIL: scraped /metrics exposition failed lint"; exit 1;

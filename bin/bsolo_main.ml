@@ -63,7 +63,7 @@ let make_run_id () =
 
 let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cut_rounds
     no_presolve no_lp_branching no_preprocess
-    cold_lpr no_adaptive_lb portfolio jobs verify verbosity stats trace_file json_file
+    no_adaptive_lb portfolio jobs verify verbosity stats trace_file json_file
     proof_file progress_every span_file heartbeat_file heartbeat_every profile_hz metrics_file
     record_file record_ring listen =
   (match verbosity with
@@ -151,6 +151,29 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
       want_report || trace_file <> None || progress_every > 0 || observing
       || record_file <> None
     in
+    (* The solve's options, built once: the recorder header snapshots
+       them and the solve runs them, with the telemetry context and the
+       proof logger added below. *)
+    let base =
+      {
+        (Bsolo.Options.with_lb lb) with
+        bcp;
+        time_limit;
+        conflict_limit;
+        knapsack_cuts = not no_cuts;
+        cardinality_inference = not no_cuts;
+        cuts = cuts_mode;
+        cut_rounds;
+        presolve = not no_presolve;
+        lp_guided_branching = not no_lp_branching;
+        preprocess = not no_preprocess;
+        lb_adaptive = not no_adaptive_lb;
+        restarts =
+          (match engine with
+          | Pbs_engine | Galena_engine -> true
+          | Bsolo_engine | Milp_engine -> false);
+      }
+    in
     (* Flight recorder: opened before the telemetry context so the context
        owns it and every engine emits through it.  The header flags
        snapshot the tree-shaping options exactly as `bsolo replay` will
@@ -161,23 +184,7 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
       match record_file with
       | Some f when not portfolio ->
         let flags =
-          Bsolo.Replay.flags_of_options
-            {
-              (Bsolo.Options.with_lb lb) with
-              knapsack_cuts = not no_cuts;
-              cardinality_inference = not no_cuts;
-              cuts = cuts_mode;
-              cut_rounds;
-              presolve = not no_presolve;
-              lp_guided_branching = not no_lp_branching;
-              preprocess = not no_preprocess;
-              lpr_warm = not cold_lpr;
-              lb_adaptive = not no_adaptive_lb;
-              restarts =
-                (match engine with
-                | Pbs_engine | Galena_engine -> true
-                | Bsolo_engine | Milp_engine -> false);
-            }
+          Bsolo.Replay.flags_of_options base
           lor if proof_sink <> None then Bsolo.Replay.flag_proof else 0
         in
         let header =
@@ -189,8 +196,8 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
             h_nvars = Pbo.Problem.nvars problem;
             h_nconstraints = Array.length (Pbo.Problem.constraints problem);
             h_flags = flags;
-            h_lb_every = Bsolo.Options.default.lb_every;
-            h_lgr_iters = Bsolo.Options.default.lgr_iters;
+            h_lb_every = base.lb_every;
+            h_lgr_iters = base.lgr_iters;
           }
         in
         (try Some (Telemetry.Recorder.open_file ?ring:record_ring f header)
@@ -399,19 +406,7 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
     end;
     let options =
       {
-        (Bsolo.Options.with_lb lb) with
-        bcp;
-        time_limit;
-        conflict_limit;
-        knapsack_cuts = not no_cuts;
-        cardinality_inference = not no_cuts;
-        cuts = cuts_mode;
-        cut_rounds;
-        presolve = not no_presolve;
-        lp_guided_branching = not no_lp_branching;
-        preprocess = not no_preprocess;
-        lpr_warm = not cold_lpr;
-        lb_adaptive = not no_adaptive_lb;
+        base with
         telemetry = tel;
         proof = Option.map (fun s -> Proof.create s problem) proof_sink;
       }
@@ -513,11 +508,8 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
           Bsolo.Solver.solve_with_incumbent_hook ~options
             ~on_incumbent:(fun _ cost -> note_incumbent cost)
             problem
-        | Pbs_engine ->
-          Bsolo.Linear_search.solve ~options:{ options with restarts = true } problem
-        | Galena_engine ->
-          Bsolo.Linear_search.solve ~options:{ options with restarts = true } ~pb_learning:true
-            problem
+        | Pbs_engine -> Bsolo.Linear_search.solve ~options problem
+        | Galena_engine -> Bsolo.Linear_search.solve ~options ~pb_learning:true problem
         | Milp_engine -> Milp.Branch_and_bound.solve ~options problem
     in
     (* Join the monitor domains before reports are assembled: the final
@@ -717,13 +709,6 @@ let no_lp_branching_arg =
 let no_preprocess_arg =
   let doc = "Disable probing preprocessing." in
   Arg.(value & flag & info [ "no-preprocess" ] ~doc)
-
-let cold_lpr_arg =
-  let doc =
-    "Rebuild and re-solve the LPR lower-bound LP from scratch at every node instead of \
-     keeping one LP alive and warm-starting the dual simplex from the previous basis."
-  in
-  Arg.(value & flag & info [ "cold-lpr" ] ~doc)
 
 let no_adaptive_lb_arg =
   let doc =
@@ -1388,7 +1373,7 @@ let solve_term =
   Term.(
     const solve_file $ file_arg $ engine_arg $ lb_arg $ bcp_arg $ time_arg $ conflict_arg $ no_cuts_arg
     $ cuts_mode_arg $ cut_rounds_arg $ no_presolve_arg
-    $ no_lp_branching_arg $ no_preprocess_arg $ cold_lpr_arg $ no_adaptive_lb_arg
+    $ no_lp_branching_arg $ no_preprocess_arg $ no_adaptive_lb_arg
     $ portfolio_arg $ jobs_arg $ verify_arg $ verbose_arg $ stats_arg $ trace_arg $ json_arg
     $ proof_file_arg $ progress_arg $ span_file_arg $ heartbeat_arg $ heartbeat_every_arg
     $ profile_hz_arg $ metrics_arg $ record_arg $ record_ring_arg $ listen_arg)

@@ -24,7 +24,6 @@ type t = {
   restarts : bool;
   lgr_iters : int;
   lb_every : int;
-  lpr_warm : bool;
   lb_adaptive : bool;
   reduce_db : bool;
   conflict_limit : int option;
@@ -54,7 +53,6 @@ let default =
     restarts = false;
     lgr_iters = 50;
     lb_every = 1;
-    lpr_warm = true;
     lb_adaptive = true;
     reduce_db = true;
     conflict_limit = None;

@@ -50,10 +50,6 @@ type t = {
       (** evaluate the lower bound only at every n-th eligible node
           (default 1 = the paper's every-node policy); sparser evaluation
           trades pruning for time per decision *)
-  lpr_warm : bool;
-      (** LPR only: keep one LP alive across nodes and re-solve it with a
-          warm-started dual simplex ({!Lowerbound.Lpr.compute_inc})
-          instead of rebuilding from scratch per node (default [true]) *)
   lb_adaptive : bool;
       (** scale the effective [lb_every] up (to 8x) while lower-bound
           evaluations keep failing to prune, resetting on the first prune

@@ -26,7 +26,10 @@ module R = Telemetry.Recorder
 (* Header flag bits: every boolean option that shapes the search tree.
    Bit 10 records that proof logging was on, which matters because
    certificate validation gates pruning (a failing certificate
-   downgrades the prune to a plain decision). *)
+   downgrades the prune to a plain decision).  Bit 7 once selected the
+   warm (set) or the removed cold (clear) LPR path; it is still written
+   on every recording so headers keep their layout, and an LPR
+   recording with it clear cannot be replayed. *)
 let flag_bcl = 0x1
 let flag_knapsack = 0x2
 let flag_cardinality = 0x4
@@ -53,7 +56,7 @@ let flags_of_options (o : Options.t) =
   lor b o.preprocess flag_preprocess
   lor b o.constraint_strengthening flag_strengthen
   lor b o.restarts flag_restarts
-  lor b o.lpr_warm flag_lpr_warm
+  lor flag_lpr_warm
   lor b o.lb_adaptive flag_lb_adaptive
   lor b o.reduce_db flag_reduce_db
   lor b (Option.is_some o.proof) flag_proof
@@ -87,7 +90,6 @@ let options_of_header (h : R.header) =
         preprocess = has flag_preprocess;
         constraint_strengthening = has flag_strengthen;
         restarts = has flag_restarts;
-        lpr_warm = has flag_lpr_warm;
         lb_adaptive = has flag_lb_adaptive;
         reduce_db = has flag_reduce_db;
         presolve = has flag_presolve;
@@ -130,6 +132,8 @@ let validate problem (rc : R.recording) =
          not --record-ring)"
     else if has_event (function R.Section _ -> true | _ -> false) rc then
       Error "stitched portfolio recording: replay a single member's .part file instead"
+    else if String.lowercase_ascii h.h_lb_method = "lpr" && h.h_flags land flag_lpr_warm = 0
+    then Error "recorded under the removed --cold-lpr: the cold LPR path no longer exists"
     else if Pbo.Problem.nvars problem <> h.h_nvars then
       Error
         (Printf.sprintf "problem mismatch: header says %d variables, problem has %d"

@@ -24,7 +24,9 @@
 
 val flags_of_options : Options.t -> int
 (** Option bitmask stored in the recording header — every boolean that
-    shapes the search tree, plus whether proof logging was on. *)
+    shapes the search tree, plus whether proof logging was on.  Bit
+    [0x80] is always set: it marks the warm LPR path, the only one left
+    (see [docs/FORMATS.md]). *)
 
 val flag_proof : int
 (** The proof-mode bit, exposed so a caller that only holds a proof
@@ -62,8 +64,9 @@ val run :
     determinism check.
 
     [Error] for recordings that cannot be replayed at all (no header,
-    wrong engine, ring or stitched recording, problem dimensions that
-    do not match the header).  Divergence during replay is not an
+    wrong engine, ring or stitched recording, an LPR recording made
+    under the removed cold LP path, problem dimensions that do not
+    match the header).  Divergence during replay is not an
     [Error]: it lands in [report.mismatch].
 
     [proof_out] keeps the replay's regenerated proof log at the given

@@ -48,20 +48,17 @@ let lb_compute st =
       | Options.Mis -> Lowerbound.Mis.compute st.engine
       | Options.Lgr -> Lowerbound.Lgr.compute ~iters:st.options.lgr_iters st.engine ~cap
       | Options.Lpr ->
-        if st.options.lpr_warm then begin
-          let inc =
-            match st.lpr_inc with
-            | Some inc -> inc
-            | None ->
-              (* created at the first evaluation, i.e. after preprocessing
-                 settled the constraint set *)
-              let inc = Lowerbound.Lpr.make ?cuts:st.cuts st.engine in
-              st.lpr_inc <- Some inc;
-              inc
-          in
-          Lowerbound.Lpr.compute_inc inc ~cap
-        end
-        else Lowerbound.Lpr.compute st.engine ~cap)
+        let inc =
+          match st.lpr_inc with
+          | Some inc -> inc
+          | None ->
+            (* created at the first evaluation, i.e. after preprocessing
+               settled the constraint set *)
+            let inc = Lowerbound.Lpr.make ?cuts:st.cuts st.engine in
+            st.lpr_inc <- Some inc;
+            inc
+        in
+        Lowerbound.Lpr.compute_inc inc ~cap)
 
 let out_of_budget st =
   let stats = Core.stats st.engine in
@@ -616,7 +613,7 @@ let solve_with_incumbent_hook ?(options = Options.default) ~on_incumbent problem
       (* Build the cut pool once preprocessing settled the level-0 state:
          implications are mined by root probing, cover/clique cuts are
          separated lazily against each fractional LP optimum. *)
-      (if (not st.satisfaction) && options.lb_method = Options.Lpr && options.lpr_warm then
+      (if (not st.satisfaction) && options.lb_method = Options.Lpr then
          match options.cuts with
          | Options.Cuts_off -> ()
          | Options.Cuts_root | Options.Cuts_tree ->

@@ -4,97 +4,6 @@ module Core = Engine.Solver_core
 let omega_of_cids engine cids =
   List.sort_uniq Lit.compare (List.concat_map (Core.false_lits_of engine) cids)
 
-let fractional_hint (res : Residual.t) x =
-  let best = ref None in
-  let consider col v =
-    let frac = abs_float (v -. 0.5) in
-    if v > 1e-6 && v < 1. -. 1e-6 then begin
-      match !best with
-      | Some (f, _) when f <= frac -> ()
-      | Some _ | None -> best := Some (frac, res.cols.(col))
-    end
-  in
-  Array.iteri consider x;
-  match !best with
-  | None -> None
-  | Some (_, v) -> Some v
-
-let compute engine ~cap =
-  let tel = Core.telemetry engine in
-  Instr.add tel.Telemetry.Ctx.registry "lpr.calls" 1;
-  let res = Residual.extract engine in
-  if Array.length res.rows = 0 then Bound.none
-  else begin
-    let rows =
-      Array.map
-        (fun (r : Residual.row) -> { Simplex.coeffs = r.coeffs; rel = Simplex.Ge; rhs = r.rhs })
-        res.rows
-    in
-    let lp =
-      {
-        Simplex.ncols = res.ncols;
-        lower = Array.make res.ncols 0.;
-        upper = Array.make res.ncols 1.;
-        objective = res.obj;
-        rows;
-      }
-    in
-    let sstats = Simplex.stats () in
-    let outcome =
-      Telemetry.Ctx.with_phase tel Telemetry.Phase.Simplex (fun () ->
-          Simplex.solve ~should_stop:(fun () -> Core.interrupt_requested engine) ~stats:sstats
-            lp)
-    in
-    Instr.flush_simplex tel.registry sstats;
-    let all_cids () = Array.to_list (Array.map (fun (r : Residual.row) -> r.cid) res.rows) in
-    match outcome with
-    | Simplex.Optimal sol ->
-      let value = Bound.trusted_value (sol.value +. res.obj_offset) in
-      let tight =
-        List.filteri
-          (fun i _ -> sol.row_activity.(i) <= res.rows.(i).rhs +. 1e-6)
-          (Array.to_list res.rows)
-      in
-      let cids = List.map (fun (r : Residual.row) -> r.cid) tight in
-      let cert =
-        lazy
-          (let refs = ref [] in
-           Array.iteri
-             (fun i (r : Residual.row) ->
-               if abs_float sol.duals.(i) > 1e-9 then refs := (r.cid, sol.duals.(i)) :: !refs)
-             res.rows;
-           Proof.Cert_bound !refs)
-      in
-      {
-        Bound.value;
-        omega_pl = lazy (omega_of_cids engine cids);
-        branch_hint = fractional_hint res sol.x;
-        cert;
-      }
-    | Simplex.Infeasible witness ->
-      let refs = List.map (fun (i, m) -> (res.rows.(i).cid, m)) witness in
-      let cids = match refs with [] -> all_cids () | _ -> List.map fst refs in
-      {
-        Bound.value = cap;
-        omega_pl = lazy (omega_of_cids engine cids);
-        branch_hint = None;
-        cert = lazy (Proof.Cert_farkas refs);
-      }
-    | Simplex.Iteration_limit (Some z) when Bound.trusted_value (z +. res.obj_offset) > 0 ->
-      (* truncated but dual feasible: the dual objective is still a valid
-         bound; the explanation must pin the false literals of every row,
-         since any of them could have relaxed the dual value *)
-      {
-        Bound.value = Bound.trusted_value (z +. res.obj_offset);
-        omega_pl = lazy (omega_of_cids engine (all_cids ()));
-        branch_hint = None;
-        cert = lazy Proof.Cert_path;
-      }
-    | Simplex.Unbounded | Simplex.Iteration_limit _ -> Bound.none
-  end
-
-(* --- incremental path ----------------------------------------------------- *)
-
 type last =
   | Last_none
   | Last_opt of {

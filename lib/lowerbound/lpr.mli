@@ -2,23 +2,16 @@
     the bound-conflict explanation of Section 4.2 and the LP-guided
     branching hint of Section 5.
 
-    The residual problem is relaxed to [0 <= x <= 1] and solved with the
-    {!Simplex} substrate.  [ceil] of the LP optimum (plus the residual
-    objective offset) lower-bounds the cost of any completion.  The
-    explanation is built from the rows that are tight at the LP optimum
-    (rows with zero surplus); when the LP is infeasible, from the rows of
-    the phase-1 infeasibility witness, and the bound is [cap]. *)
+    The problem is relaxed to [0 <= x <= 1] and solved with the
+    {!Simplex} substrate.  [ceil] of the LP optimum (plus the objective
+    offset, minus the path cost) lower-bounds the cost of any completion.
+    The explanation is built from the rows that are tight at the LP
+    optimum (rows with zero surplus); when the LP is infeasible, from the
+    rows of the infeasibility witness, and the bound is [cap].
 
-val compute : Engine.Solver_core.t -> cap:int -> Bound.t
-(** [cap] is the value reported when the relaxation is infeasible; pass
-    at least [upper - path] so the node prunes.  Cold path: re-extracts
-    the residual problem and solves from scratch on every call. *)
-
-(** {1 Incremental path}
-
-    Persistent state for warm-started re-solves across search nodes: one
-    fixed-structure LP ({!Residual.Full}) whose column bounds track the
-    trail via {!Engine.Solver_core.drain_changed_vars}, re-optimized by
+    One persistent LP serves the whole search: a fixed-structure
+    relaxation ({!Residual.Full}) whose column bounds track the trail via
+    {!Engine.Solver_core.drain_changed_vars}, re-optimized by
     {!Simplex.Incremental}'s dual simplex from the previous basis.  A
     solve is skipped entirely when the cached outcome is provably still
     valid (no effective edits; fixes landing exactly on the previous LP
@@ -33,7 +26,7 @@ val make : ?cuts:Cuts.config -> Engine.Solver_core.t -> inc
 (** Snapshot the engine's lower-bounding constraint set and current
     assignment.  Create once per search (after preprocessing); the
     constraint rows are fixed from then on — later learned constraints
-    never join the LP, matching the cold path's [in_lb] view.
+    never join the LP.
 
     With [cuts], each {!compute_inc} evaluation runs a bounded
     separation loop on top of the fixed rows: solve, separate violated
@@ -47,6 +40,8 @@ val make : ?cuts:Cuts.config -> Engine.Solver_core.t -> inc
     literals into bound-conflict certificates and explanations. *)
 
 val compute_inc : inc -> cap:int -> Bound.t
-(** Same contract as {!compute}, warm.  Equal bound values to {!compute}
-    on every node (the full LP optimum minus the path contribution equals
-    the residual optimum). *)
+(** [cap] is the value reported when the relaxation is infeasible; pass
+    at least [upper - path] so the node prunes.  Without cuts the bound
+    equals the ceiling of the residual LP optimum over
+    {!Residual.extract}'s rows (the full LP optimum minus the path
+    contribution equals the residual optimum). *)

@@ -68,11 +68,28 @@ let extract engine =
   let cols = Array.of_list (List.rev !cols) in
   { cols; ncols = !ncols; obj; obj_offset = !obj_offset; rows }
 
-let col_of_var t v =
-  let rec find i = if i >= Array.length t.cols then None else if t.cols.(i) = v then Some i else find (i + 1) in
-  find 0
-
 (* --- fixed-structure relaxation for incremental re-solving --------------- *)
+
+(* Objective over columns = variables in signed form: [c * ~x] is
+   [c - c * x], so a negative literal subtracts [c] from its column and
+   adds [c] to the returned constant. *)
+let signed_objective ~ncols problem =
+  let obj = Array.make ncols 0. in
+  let shift = ref 0. in
+  (match Problem.objective problem with
+  | None -> ()
+  | Some o ->
+    Array.iter
+      (fun (ct : Problem.cost_term) ->
+        let v = Lit.var ct.lit in
+        let c = float_of_int ct.cost in
+        if Lit.is_pos ct.lit then obj.(v) <- obj.(v) +. c
+        else begin
+          obj.(v) <- obj.(v) -. c;
+          shift := !shift +. c
+        end)
+      o.cost_terms);
+  obj, !shift
 
 module Full = struct
   type t = {
@@ -101,40 +118,9 @@ module Full = struct
     let constrs = Core.lb_constraints engine in
     if constrs = [] then None
     else begin
-      let row_of (_, c) =
-        let rhs = ref (float_of_int (Constr.degree c)) in
-        let coeffs =
-          Array.map
-            (fun { Constr.coeff; lit } ->
-              let a = float_of_int coeff in
-              if Lit.is_pos lit then (Lit.var lit, a)
-              else begin
-                (* a * ~x = a - a * x *)
-                rhs := !rhs -. a;
-                (Lit.var lit, -.a)
-              end)
-            (Constr.terms c)
-        in
-        { Simplex.coeffs; rel = Simplex.Ge; rhs = !rhs }
-      in
-      let rows = Array.of_list (List.map row_of constrs) in
+      let rows = Array.of_list (List.map (fun (_, c) -> Cuts.lp_row c) constrs) in
       let cids = Array.of_list (List.map fst constrs) in
-      let obj = Array.make nvars 0. in
-      let obj_offset = ref 0. in
-      (match Problem.objective (Core.problem engine) with
-      | None -> ()
-      | Some o ->
-        Array.iter
-          (fun (ct : Problem.cost_term) ->
-            let v = Lit.var ct.lit in
-            let c = float_of_int ct.cost in
-            if Lit.is_pos ct.lit then obj.(v) <- obj.(v) +. c
-            else begin
-              (* c * ~x = c - c * x *)
-              obj.(v) <- obj.(v) -. c;
-              obj_offset := !obj_offset +. c
-            end)
-          o.cost_terms);
+      let obj, obj_offset = signed_objective ~ncols:nvars (Core.problem engine) in
       let lp =
         {
           Simplex.ncols = nvars;
@@ -150,7 +136,7 @@ module Full = struct
       done;
       (* absorb change notifications predating the snapshot *)
       Core.drain_changed_vars engine (fun _ -> ());
-      Some { cids; lp; obj_offset = !obj_offset; mirror }
+      Some { cids; lp; obj_offset; mirror }
     end
 
   (* Push the assignment delta since the last drain into the incremental

@@ -24,7 +24,13 @@ type t = {
 
 val extract : Engine.Solver_core.t -> t
 
-val col_of_var : t -> Lit.var -> int option
+val signed_objective : ncols:int -> Problem.t -> float array * float
+(** [(obj, shift)]: the problem objective over columns = variables with
+    [~x] rewritten as [1 - x], so that cost = [obj . x + shift + offset]
+    for the problem's own [offset] (not included in [shift]).  [ncols]
+    is the array length (at least the number of variables).  The LP
+    objective of both {!Full} and the MILP baseline; each constraint row
+    comes from {!Cuts.lp_row}. *)
 
 (** Fixed-structure LP relaxation for incremental re-solving: one LP over
     {e all} problem variables (column [j] = variable [j]) and every

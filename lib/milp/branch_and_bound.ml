@@ -59,91 +59,39 @@ module Heap = struct
     top
 end
 
-(* The problem in signed x-variable form. *)
-type relaxation = {
-  nvars : int;
-  obj : float array;
-  obj_offset : float;
-  rows : Simplex.row array;
-}
-
+(* The LP relaxation over columns = variables in signed x-variable form;
+   [obj_offset] includes the problem's own offset. *)
 let relaxation_of problem =
   let nvars = Problem.nvars problem in
-  let obj = Array.make (max nvars 1) 0. in
-  let obj_offset = ref 0. in
-  (match Problem.objective problem with
-  | None -> ()
-  | Some o ->
-    obj_offset := float_of_int o.offset;
-    let add (ct : Problem.cost_term) =
-      let v = Lit.var ct.lit in
-      if Lit.is_pos ct.lit then obj.(v) <- obj.(v) +. float_of_int ct.cost
-      else begin
-        obj.(v) <- obj.(v) -. float_of_int ct.cost;
-        obj_offset := !obj_offset +. float_of_int ct.cost
-      end
-    in
-    Array.iter add o.cost_terms);
-  let row_of c =
-    let rhs = ref (float_of_int (Constr.degree c)) in
-    let term { Constr.coeff; lit } =
-      let v = Lit.var lit in
-      if Lit.is_pos lit then v, float_of_int coeff
-      else begin
-        rhs := !rhs -. float_of_int coeff;
-        v, -.float_of_int coeff
-      end
-    in
-    let coeffs = Array.map term (Constr.terms c) in
-    { Simplex.coeffs; rel = Simplex.Ge; rhs = !rhs }
+  let ncols = max nvars 1 in
+  let objective, shift = Lowerbound.Residual.signed_objective ~ncols problem in
+  let offset = match Problem.objective problem with None -> 0 | Some o -> o.offset in
+  let lp =
+    {
+      Simplex.ncols = nvars;
+      lower = Array.make ncols 0.;
+      upper = Array.make ncols 1.;
+      objective;
+      rows = Array.map Cuts.lp_row (Problem.constraints problem);
+    }
   in
-  let rows = Array.map row_of (Problem.constraints problem) in
-  { nvars; obj; obj_offset = !obj_offset; rows }
+  lp, float_of_int offset +. shift
 
-let lp_for relax fixings =
-  let lower = Array.make (max relax.nvars 1) 0. in
-  let upper = Array.make (max relax.nvars 1) 1. in
-  List.iter
-    (fun (v, b) ->
-      if b then lower.(v) <- 1. else upper.(v) <- 0.)
-    fixings;
-  { Simplex.ncols = relax.nvars; lower; upper; objective = relax.obj; rows = relax.rows }
-
-let most_fractional x fixings nvars =
-  let fixed = Hashtbl.create 16 in
-  List.iter (fun (v, _) -> Hashtbl.replace fixed v ()) fixings;
+(* Fixed columns sit exactly at their bound in the LP solution, so only
+   free variables can be fractional. *)
+let most_fractional x nvars =
   let best = ref None in
   for v = 0 to nvars - 1 do
-    if not (Hashtbl.mem fixed v) then begin
-      let frac = abs_float (x.(v) -. 0.5) in
-      match !best with
-      | Some (f, _) when f <= frac -> ()
-      | Some _ | None -> if x.(v) > 1e-6 && x.(v) < 1. -. 1e-6 then best := Some (frac, v)
-    end
+    let frac = abs_float (x.(v) -. 0.5) in
+    match !best with
+    | Some (f, _) when f <= frac -> ()
+    | Some _ | None -> if x.(v) > 1e-6 && x.(v) < 1. -. 1e-6 then best := Some (frac, v)
   done;
   !best
 
 let first_unfixed fixings nvars =
-  let fixed = Hashtbl.create 16 in
-  List.iter (fun (v, _) -> Hashtbl.replace fixed v ()) fixings;
-  let rec go v = if v >= nvars then None else if Hashtbl.mem fixed v then go (v + 1) else Some v in
+  let rec go v = if v >= nvars then None else if List.mem_assoc v fixings then go (v + 1) else Some v in
   go 0
-
-let model_of_rounding x fixings nvars =
-  let a = Array.init nvars (fun v -> x.(v) >= 0.5) in
-  List.iter (fun (v, b) -> a.(v) <- b) fixings;
-  Model.of_array a
-
-let flush_simplex reg (s : Simplex.stats) =
-  let add name n =
-    if n <> 0 then Telemetry.Counter.add (Telemetry.Registry.counter reg name) n
-  in
-  add "simplex.calls" s.calls;
-  add "simplex.iterations" s.iterations;
-  add "simplex.phase1_iters" s.phase1_iters;
-  add "simplex.phase2_iters" s.phase2_iters;
-  add "simplex.pivots" s.pivots;
-  add "simplex.refreshes" s.refreshes
 
 let solve ?(options = Bsolo.Options.default) problem =
   let start = Unix.gettimeofday () in
@@ -155,7 +103,17 @@ let solve ?(options = Bsolo.Options.default) problem =
   let lp_calls_c = Telemetry.Registry.counter tel.registry "search.lb_calls" in
   let decisions_c = Telemetry.Registry.counter tel.registry "engine.decisions" in
   let recorder = tel.Telemetry.Ctx.recorder in
-  let relax = relaxation_of problem in
+  let lp, obj_offset = relaxation_of problem in
+  let nvars = lp.Simplex.ncols in
+  (* One LP for the whole tree: each node only changes column bounds, so
+     the dual simplex re-solves it warm from the previous node's basis. *)
+  let sx = Simplex.Incremental.create lp in
+  let fixed = ref [] in
+  let move_to fixings =
+    List.iter (fun (v, _) -> Simplex.Incremental.unfix sx v) !fixed;
+    List.iter (fun (v, b) -> Simplex.Incremental.fix sx v (if b then 1. else 0.)) fixings;
+    fixed := fixings
+  in
   let heap = Heap.create () in
   let best = ref None in
   let upper = ref max_int in
@@ -227,13 +185,14 @@ let solve ?(options = Bsolo.Options.default) problem =
         Telemetry.Counter.incr lp_calls_c;
         let sstats = Simplex.stats () in
         let t0 = Unix.gettimeofday () in
+        move_to node.fixings;
         let lp_outcome =
           Telemetry.Ctx.with_phase tel Telemetry.Phase.Simplex (fun () ->
-              Simplex.solve ~max_iters:2000 ~should_stop:lp_should_stop ~stats:sstats
-                (lp_for relax node.fixings))
+              Simplex.Incremental.reoptimize ~max_iters:2000 ~should_stop:lp_should_stop
+                ~stats:sstats sx)
         in
         let lp_elapsed_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-        flush_simplex tel.registry sstats;
+        Lowerbound.Instr.flush_simplex tel.registry sstats;
         (* One Lb_eval frame per LP relaxation solve: proc "lp", the
            rounded-up bound as the value (path cost is folded into the
            relaxation, so path = 0), pruned when the node closes. *)
@@ -244,20 +203,20 @@ let solve ?(options = Bsolo.Options.default) problem =
         match lp_outcome with
         | Simplex.Infeasible _ -> record_lp ~value:!upper ~pruned:true
         | Simplex.Optimal sol ->
-          let bound_int = int_of_float (ceil (sol.value +. relax.obj_offset -. 1e-6)) in
+          let bound_int = int_of_float (ceil (sol.value +. obj_offset -. 1e-6)) in
           let pruned = !upper < max_int && bound_int >= !upper in
           record_lp ~value:bound_int ~pruned;
           if pruned then ()
           else begin
-            try_incumbent (model_of_rounding sol.x node.fixings relax.nvars);
-            match most_fractional sol.x node.fixings relax.nvars with
+            try_incumbent (Model.of_array (Array.init nvars (fun v -> sol.x.(v) >= 0.5)));
+            match most_fractional sol.x nvars with
             | None ->
               (* LP solution is integral; the rounding above recorded it *)
               ()
             | Some (_, v) ->
               let child b =
                 {
-                  bound = sol.value +. relax.obj_offset;
+                  bound = sol.value +. obj_offset;
                   depth = node.depth + 1;
                   fixings = (v, b) :: node.fixings;
                 }
@@ -268,7 +227,7 @@ let solve ?(options = Bsolo.Options.default) problem =
         | Simplex.Unbounded | Simplex.Iteration_limit _ ->
           record_lp ~value:0 ~pruned:false;
           (* cannot prune: branch blindly on the first unfixed variable *)
-          (match first_unfixed node.fixings relax.nvars with
+          (match first_unfixed node.fixings nvars with
           | None -> ()
           | Some v ->
             let child b = { bound = node.bound; depth = node.depth + 1; fixings = (v, b) :: node.fixings } in

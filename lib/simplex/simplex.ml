@@ -380,9 +380,10 @@ let extract_solution st (p : problem) cost =
   Array.iteri (fun j c -> if c <> 0. then value := !value +. (c *. x.(j))) p.objective;
   Optimal { value = !value; x; row_activity = activity; duals = duals_for st cost }
 
-(* Two-phase primal from a fresh state.  On every phase-1 completion the
-   artificial columns are pinned to 0 so that a later warm restart never
-   re-opens them. *)
+(* Two-phase primal from a fresh state: the cold start and rebuild path of
+   [Incremental.reoptimize].  On every phase-1 completion the artificial
+   columns are pinned to 0 so that a later warm restart never re-opens
+   them. *)
 let two_phase st (p : problem) ~max_iters ~iters ~phase1_iters ~should_stop =
   let phase1_cost = Array.make st.ntotal 0. in
   for i = 0 to st.m - 1 do
@@ -439,17 +440,6 @@ let flush_stats stats st ~iters ~phase1_iters ~pivots0 ~refresh0 =
     s.refreshes <- s.refreshes + (st.nrefresh - refresh0)
 
 let never_stop () = false
-
-let solve ?(eps = 1e-7) ?max_iters ?(should_stop = never_stop) ?stats (p : problem) =
-  let st = init_state ~eps p in
-  let max_iters =
-    match max_iters with Some k -> k | None -> default_max_iters ~m:st.m ~n:st.n
-  in
-  let iters = ref 0 in
-  let phase1_iters = ref 0 in
-  let result = two_phase st p ~max_iters ~iters ~phase1_iters ~should_stop in
-  flush_stats stats st ~iters:!iters ~phase1_iters:!phase1_iters ~pivots0:0 ~refresh0:0;
-  result
 
 (* ------------------------------------------------------------------ *)
 (* Incremental re-solving: bounded-variable dual simplex warm-started  *)
@@ -554,7 +544,6 @@ module Incremental = struct
   type info = {
     warm : bool;
     iters : int;
-    rebuilt : bool;
   }
 
   type t = {
@@ -584,11 +573,10 @@ module Incremental = struct
       st;
       cost = phase2_cost_of st base;
       have_basis = false;
-      info = { warm = false; iters = 0; rebuilt = false };
+      info = { warm = false; iters = 0 };
       pivots_at_rebuild = 0;
     }
 
-  let ncols t = t.base.ncols
   let nrows t = Array.length t.base.rows
   let last_info t = t.info
   let invalidate t = t.have_basis <- false
@@ -904,7 +892,7 @@ module Incremental = struct
       end
     in
     if not warm then t.pivots_at_rebuild <- t.st.npivots;
-    t.info <- { warm; iters = !iters; rebuilt = not warm };
+    t.info <- { warm; iters = !iters };
     flush_stats stats t.st ~iters:!iters ~phase1_iters:!phase1_iters ~pivots0 ~refresh0;
     outcome
 end

@@ -1,5 +1,6 @@
-(** Dense two-phase primal simplex with variable bounds, plus an
-    incremental bounded-variable dual simplex for warm re-solves.
+(** Dense bounded-variable simplex with persistent state: a
+    bounded-variable dual simplex for warm re-solves over a two-phase
+    primal cold start.
 
     Solves
 
@@ -11,12 +12,14 @@
     substrate of the paper's LPR lower bound (Section 3.1) and of the MILP
     baseline standing in for CPLEX.
 
-    The implementation is the textbook bounded-variable simplex on a dense
-    tableau: each row gets a slack/surplus column, phase 1 minimizes the
+    {!Incremental} is the only entry point.  It keeps a dense tableau and
+    basis alive between calls and re-optimizes after column-bound and row
+    edits with a dual simplex from the previous basis.  Its cold start
+    (first call, rebuilds) is the textbook bounded-variable two-phase
+    primal: each row gets a slack/surplus column, phase 1 minimizes the
     sum of artificial columns, nonbasic variables rest at one of their
-    bounds, and the ratio test allows bound flips.  {!Incremental} keeps
-    the tableau and basis alive between calls and re-optimizes after
-    column-bound edits with a dual simplex from the previous basis. *)
+    bounds, and the ratio test allows bound flips.  A one-shot solve is
+    [reoptimize (create p)]. *)
 
 type rel =
   | Ge
@@ -63,7 +66,7 @@ type outcome =
           dual-feasible iterate was available *)
 
 type stats = {
-  mutable calls : int;  (** [solve]/[Incremental.reoptimize] invocations *)
+  mutable calls : int;  (** [Incremental.reoptimize] invocations *)
   mutable iterations : int;  (** simplex steps, bound flips included *)
   mutable phase1_iters : int;
   mutable phase2_iters : int;  (** phase-2 primal and dual-simplex steps *)
@@ -72,21 +75,9 @@ type stats = {
 }
 
 val stats : unit -> stats
-(** Fresh all-zero record.  Pass the same record to successive [solve]
-    calls to accumulate across them; the library itself stays free of
-    global state. *)
-
-val solve :
-  ?eps:float -> ?max_iters:int -> ?should_stop:(unit -> bool) -> ?stats:stats -> problem -> outcome
-(** [eps] defaults to [1e-7]; [max_iters] defaults to
-    [200 + 20 * (m + ncols)].  When [stats] is given, the call's work
-    figures are added to it on every exit path.
-
-    [should_stop] is polled every 64 iterations; when it fires, the call
-    exits through the {!Iteration_limit} path, so a cancelled solve still
-    reports the safe truncated dual bound when one is available.  This is
-    the cooperative-cancellation poll point for long LP solves (parallel
-    portfolio stop flag, wall-clock deadlines). *)
+(** Fresh all-zero record.  Pass the same record to successive
+    [reoptimize] calls to accumulate across them; the library itself
+    stays free of global state. *)
 
 (** Persistent LP state for sequences of re-solves that differ only in
     column bounds — the B&B lower-bounding workload.  After [fix]/[unfix]
@@ -102,14 +93,11 @@ module Incremental : sig
   type info = {
     warm : bool;  (** last call reused the previous basis *)
     iters : int;  (** simplex iterations spent by the last call *)
-    rebuilt : bool;  (** last call rebuilt the tableau from scratch *)
   }
 
   val create : ?eps:float -> problem -> t
   (** Snapshot [problem] (bounds are copied).  The first [reoptimize] is
-      necessarily cold. *)
-
-  val ncols : t -> int
+      necessarily cold.  [eps] defaults to [1e-7]. *)
 
   val fix : t -> int -> float -> unit
   (** [fix t j v] pins column [j] to value [v] (both bounds). *)
@@ -140,10 +128,18 @@ module Incremental : sig
   val reoptimize :
     ?max_iters:int -> ?should_stop:(unit -> bool) -> ?stats:stats -> t -> outcome
   (** Re-solve under the current bounds.  [Infeasible] witnesses index
-      rows of the base problem.  Warm calls that hit the iteration limit
+      rows of the base problem.  Calls that hit the iteration limit
       report [Iteration_limit (Some z)] with the dual objective reached,
       which is a valid lower bound under the current bounds.
-      [should_stop] is polled as in {!Simplex.solve}. *)
+
+      [max_iters] defaults to [200 + 20 * (m + ncols)].  When [stats] is
+      given, the call's work figures are added to it on every exit path.
+      [should_stop] is polled every 64 iterations; when it fires, the
+      call exits through the {!Iteration_limit} path, so a cancelled
+      solve still reports the safe truncated dual bound when one is
+      available.  This is the cooperative-cancellation poll point for
+      long LP solves (parallel portfolio stop flag, wall-clock
+      deadlines). *)
 
   val last_info : t -> info
   (** Telemetry for the most recent [reoptimize] call. *)

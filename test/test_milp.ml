@@ -57,9 +57,29 @@ let objective_offsets () =
   let o = Milp.Branch_and_bound.solve p in
   Alcotest.(check (option int)) "optimum" (Some (-3)) (Bsolo.Outcome.best_cost o)
 
+(* Every node re-solves one persistent LP warm from the previous node's
+   basis, so phase 1 (run only by cold starts and periodic rebuilds) is a
+   small share of the simplex work.  Solving each node from scratch spends
+   well over half of it there. *)
+let warm_node_solves () =
+  match Test_benchmark_files.benchmarks_dir () with
+  | None -> ()  (* tolerated when running from an install tree *)
+  | Some dir ->
+    let problem = Opb.parse_file (Filename.concat dir "knap-s1.opb") in
+    let tel = Telemetry.Ctx.create () in
+    let options = { Bsolo.Options.default with node_limit = Some 500; telemetry = Some tel } in
+    ignore (Milp.Branch_and_bound.solve ~options problem);
+    let get name =
+      Option.value ~default:0 (Telemetry.Registry.find_counter tel.Telemetry.Ctx.registry name)
+    in
+    let phase1 = get "simplex.phase1_iters" and iters = get "simplex.iterations" in
+    if phase1 * 4 >= iters then
+      Alcotest.failf "phase 1 took %d of %d simplex iterations" phase1 iters
+
 let suite =
   [
     Alcotest.test_case "satisfaction verdicts" `Quick satisfaction_verdicts;
+    Alcotest.test_case "warm node re-solves" `Quick warm_node_solves;
     Alcotest.test_case "models satisfy" `Quick reports_model_that_satisfies;
     Alcotest.test_case "anytime under budget" `Quick anytime_bound_under_budget;
     Alcotest.test_case "objective offsets" `Quick objective_offsets;

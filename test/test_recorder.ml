@@ -250,6 +250,31 @@ let test_replay_rejects_ring () =
     | Error _ -> ()
     | Ok _ -> Alcotest.fail "replay accepted a dropped-prefix ring recording")
 
+(* Header bit 0x80 once selected the warm (set) or cold (clear) LPR path.
+   Every recording still sets it; an LPR recording with it clear was made
+   under the removed cold path, which replay can no longer re-execute. *)
+let test_replay_rejects_cold_lpr () =
+  List.iter
+    (fun lb ->
+      let flags = Bsolo.Replay.flags_of_options (Bsolo.Options.with_lb lb) in
+      Alcotest.(check bool) "bit 0x80 always written" true (flags land 0x80 <> 0))
+    [ Bsolo.Options.Plain; Bsolo.Options.Mis; Bsolo.Options.Lgr; Bsolo.Options.Lpr ];
+  let problem = Gen.problem 3 in
+  let path = tmp ".rec" in
+  let flags = Bsolo.Replay.flags_of_options Bsolo.Options.default land lnot 0x80 in
+  let w = R.open_file path (header ~flags ~nvars:(Pbo.Problem.nvars problem) ()) in
+  R.close w;
+  match R.read_file path with
+  | Error msg -> Alcotest.fail msg
+  | Ok rc -> (
+    match Bsolo.Replay.run problem rc with
+    | Error msg ->
+      Alcotest.(check bool)
+        ("names the removed option: " ^ msg)
+        true
+        (String.starts_with ~prefix:"recorded under the removed --cold-lpr" msg)
+    | Ok _ -> Alcotest.fail "replay accepted a cold-LPR recording")
+
 let suite =
   [
     Alcotest.test_case "codec: all events round-trip" `Quick test_codec_round_trip;
@@ -261,4 +286,5 @@ let suite =
     Alcotest.test_case "forensics: blame accounts for all nodes" `Quick test_forensics_accounting;
     Alcotest.test_case "replay: recorded runs replay exactly" `Quick test_replay_matches;
     Alcotest.test_case "replay: rejects ring recordings" `Quick test_replay_rejects_ring;
+    Alcotest.test_case "replay: rejects cold-LPR recordings" `Quick test_replay_rejects_cold_lpr;
   ]

@@ -10,6 +10,9 @@ let expect_optimal = function
   | Simplex.Unbounded -> Alcotest.fail "unexpected unbounded"
   | Simplex.Iteration_limit _ -> Alcotest.fail "unexpected iteration limit"
 
+(* One-shot cold solve: the first reoptimize of a fresh state. *)
+let cold p = Simplex.Incremental.reoptimize (Simplex.Incremental.create p)
+
 let lp ?(lower = fun _ -> 0.) ?(upper = fun _ -> 1.) ncols objective rows =
   {
     Simplex.ncols;
@@ -25,14 +28,14 @@ let lp ?(lower = fun _ -> 0.) ?(upper = fun _ -> 1.) ncols objective rows =
 
 let simple_cover () =
   (* min x + y  s.t.  x + y >= 1  ->  1 at any vertex of the face *)
-  let sol = expect_optimal (Simplex.solve (lp 2 [ 1.; 1. ] [ [ 0, 1.; 1, 1. ], Simplex.Ge, 1. ])) in
+  let sol = expect_optimal (cold (lp 2 [ 1.; 1. ] [ [ 0, 1.; 1, 1. ], Simplex.Ge, 1. ])) in
   check_float "objective" 1. sol.value
 
 let fractional_optimum () =
   (* min x + y  s.t.  2x + y >= 2, x + 2y >= 2  ->  x=y=2/3, z=4/3 *)
   let sol =
     expect_optimal
-      (Simplex.solve
+      (cold
          (lp 2 [ 1.; 1. ]
             [
               [ 0, 2.; 1, 1. ], Simplex.Ge, 2.;
@@ -45,7 +48,7 @@ let fractional_optimum () =
 
 let upper_bounds_bind () =
   (* min -x (i.e. max x) with x <= 1 bound: x = 1 *)
-  let sol = expect_optimal (Simplex.solve (lp 1 [ -1. ] [])) in
+  let sol = expect_optimal (cold (lp 1 [ -1. ] [])) in
   check_float "x at upper bound" 1. sol.x.(0);
   check_float "objective" (-1.) sol.value
 
@@ -53,7 +56,7 @@ let le_rows () =
   (* min -x - y s.t. x + y <= 1.5: optimum 1.5 split anywhere *)
   let sol =
     expect_optimal
-      (Simplex.solve (lp 2 [ -1.; -1. ] [ [ 0, 1.; 1, 1. ], Simplex.Le, 1.5 ]))
+      (cold (lp 2 [ -1.; -1. ] [ [ 0, 1.; 1, 1. ], Simplex.Le, 1.5 ]))
   in
   check_float "objective" (-1.5) sol.value
 
@@ -61,7 +64,7 @@ let eq_rows () =
   (* min x s.t. x + y = 1, y <= 0.25  ->  x = 0.75 *)
   let sol =
     expect_optimal
-      (Simplex.solve
+      (cold
          (lp 2
             ~upper:(fun j -> if j = 1 then 0.25 else 1.)
             [ 1.; 0. ]
@@ -72,7 +75,7 @@ let eq_rows () =
 let infeasible_detected () =
   (* x >= 1 and x <= 0.25 (as a row) *)
   match
-    Simplex.solve
+    cold
       (lp 1 [ 0. ]
          [ [ (0, 1.) ], Simplex.Ge, 1.; [ (0, 1.) ], Simplex.Le, 0.25 ])
   with
@@ -81,7 +84,7 @@ let infeasible_detected () =
     Alcotest.fail "expected infeasible"
 
 let row_activity_reported () =
-  let sol = expect_optimal (Simplex.solve (lp 2 [ 1.; 2. ] [ [ 0, 1.; 1, 1. ], Simplex.Ge, 1. ])) in
+  let sol = expect_optimal (cold (lp 2 [ 1.; 2. ] [ [ 0, 1.; 1, 1. ], Simplex.Ge, 1. ])) in
   check_float "activity = 1 (tight)" 1. sol.row_activity.(0);
   check_float "cheapest var used" 1. sol.x.(0)
 
@@ -94,11 +97,11 @@ let degenerate_ok () =
       [ 0, 1. ], Simplex.Ge, 0.;
     ]
   in
-  let sol = expect_optimal (Simplex.solve (lp 2 [ 1.; 1. ] rows)) in
+  let sol = expect_optimal (cold (lp 2 [ 1.; 1. ] rows)) in
   check_float "objective" 1. sol.value
 
 let empty_problem () =
-  let sol = expect_optimal (Simplex.solve (lp 2 [ 1.; 1. ] [])) in
+  let sol = expect_optimal (cold (lp 2 [ 1.; 1. ] [])) in
   check_float "objective" 0. sol.value
 
 (* qcheck: on random 0-1 covering LPs, the LP optimum never exceeds the
@@ -146,7 +149,7 @@ let qcheck_lp_bounds_ip =
           | Some _ | None -> ip_best := Some cost
         end
       done;
-      match Simplex.solve problem, !ip_best with
+      match cold problem, !ip_best with
       | Simplex.Optimal sol, Some ip -> sol.value <= float_of_int ip +. feps
       | Simplex.Optimal _, None -> true  (* LP feasible, IP not: fine *)
       | Simplex.Infeasible _, None -> true
@@ -185,7 +188,7 @@ let qcheck_solution_consistent =
           (fun (terms, rhs) -> List.fold_left (fun acc (_, a) -> acc + a) 0 terms >= rhs)
           raw_rows
       in
-      match Simplex.solve problem with
+      match cold problem with
       | Simplex.Optimal sol ->
         let bounds_ok = Array.for_all (fun v -> v >= -.feps && v <= 1. +. feps) sol.x in
         let rows_ok =
@@ -233,7 +236,12 @@ let incremental_basics () =
   (match Simplex.Incremental.reoptimize sx with
   | Simplex.Optimal s -> check_float "recovered after unfix" 1. s.value
   | _ -> Alcotest.fail "expected optimal");
-  Alcotest.(check bool) "still warm after infeasible" true (Simplex.Incremental.last_info sx).warm
+  Alcotest.(check bool) "still warm after infeasible" true (Simplex.Incremental.last_info sx).warm;
+  Simplex.Incremental.invalidate sx;
+  (match Simplex.Incremental.reoptimize sx with
+  | Simplex.Optimal s -> check_float "same optimum after invalidate" 1. s.value
+  | _ -> Alcotest.fail "expected optimal");
+  Alcotest.(check bool) "invalidate forces a cold solve" false (Simplex.Incremental.last_info sx).warm
 
 (* qcheck: random 0/1 LPs with random fix/unfix scripts must give the same
    outcome from the incremental solver and from cold solves under the same
@@ -270,10 +278,8 @@ let qcheck_warm_equals_cold =
       let lower = Array.make nvars 0. in
       let upper = Array.make nvars 1. in
       let agree () =
-        let cold =
-          Simplex.solve { problem with lower = Array.copy lower; upper = Array.copy upper }
-        in
-        match Simplex.Incremental.reoptimize sx, cold with
+        let reference = cold { problem with lower = Array.copy lower; upper = Array.copy upper } in
+        match Simplex.Incremental.reoptimize sx, reference with
         | Simplex.Optimal a, Simplex.Optimal b -> abs_float (a.value -. b.value) <= feps
         | Simplex.Infeasible w, Simplex.Infeasible _ -> w <> []
         | _, _ -> false
@@ -359,8 +365,8 @@ let qcheck_cut_rows_warm_equals_cold =
       let sx = Simplex.Incremental.create problem in
       let live = ref (List.map mk base_rows) in
       let agree () =
-        let cold = Simplex.solve { problem with rows = Array.of_list !live } in
-        match Simplex.Incremental.reoptimize sx, cold with
+        let reference = cold { problem with rows = Array.of_list !live } in
+        match Simplex.Incremental.reoptimize sx, reference with
         | Simplex.Optimal a, Simplex.Optimal b -> abs_float (a.value -. b.value) <= feps
         | Simplex.Infeasible w, Simplex.Infeasible _ -> w <> []
         | _, _ -> false

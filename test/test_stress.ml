@@ -137,6 +137,9 @@ let heap_random_ops () =
     done
   done
 
+(* One-shot cold solve: the first reoptimize of a fresh state. *)
+let cold p = Simplex.Incremental.reoptimize (Simplex.Incremental.create p)
+
 (* Mixed-relation LPs: feasibility must match 0-1 enumeration relaxed to
    reals only in the safe direction (integer-feasible => LP feasible). *)
 let simplex_mixed_relations () =
@@ -178,7 +181,7 @@ let simplex_mixed_relations () =
       in
       if List.for_all ok rows then int_feasible := true
     done;
-    match Simplex.solve problem with
+    match cold problem with
     | Simplex.Optimal _ -> ()
     | Simplex.Infeasible _ ->
       if !int_feasible then Alcotest.failf "seed %d: LP infeasible but IP feasible" seed
