@@ -61,6 +61,7 @@ trap 'save_artifacts; rm -rf "$tmpdir"' EXIT
 ./_build/default/bin/bsolo_main.exe benchmarks/synth-s1.opb \
   --timeout 10 --stats \
   --trace "$tmpdir/trace.jsonl" --json "$tmpdir/report.json" \
+  --record "$tmpdir/synth.rec" \
   >"$tmpdir/stdout.txt" 2>"$tmpdir/stderr.txt"
 
 grep -q '^s OPTIMUM FOUND$' "$tmpdir/stdout.txt" || {
@@ -71,19 +72,50 @@ grep -q '^c phase times' "$tmpdir/stderr.txt" || {
 }
 
 echo "== validate JSONL trace =="
+# The trace is the recorder's JSONL rendering: a bsolo-trace/2 header,
+# then one line per recorded event.  Every search node is a decision or
+# a prune, so their lines add up to the fin event's node count — the
+# identity `inspect forensics` checks on the recording.
 [ -s "$tmpdir/trace.jsonl" ] || { echo "FAIL: empty trace"; exit 1; }
 awk '
   !/^\{"t":/ { print "FAIL: bad trace line " NR ": " $0; bad = 1; exit 1 }
   !/\}$/     { print "FAIL: bad trace line " NR ": " $0; bad = 1; exit 1 }
+  NR == 1 && !/"ev":"header","schema":"bsolo-trace\/2"/ {
+    print "FAIL: first line is not a bsolo-trace/2 header: " $0; bad = 1; exit 1
+  }
+  /"ev":"decision"/ { nodes++ }
+  /"ev":"prune"/ { nodes++ }
+  /"ev":"fin"/ {
+    if (match($0, /"nodes":[0-9]+/)) fin = substr($0, RSTART + 8, RLENGTH - 8) + 0
+  }
   /"ev":"incumbent"/ {
     if (match($0, /"cost":-?[0-9]+/)) {
       cost = substr($0, RSTART + 7, RLENGTH - 7) + 0
-      if (seen && cost >= prev) { print "FAIL: incumbent trajectory not decreasing at line " NR; exit 1 }
+      if (seen && cost >= prev) { print "FAIL: incumbent trajectory not decreasing at line " NR; bad = 1; exit 1 }
       prev = cost; seen = 1
     }
   }
-  END { if (!bad) print "trace: " NR " events, incumbents strictly decreasing" }
+  END {
+    if (bad) exit 1
+    if (fin == "" || nodes != fin) { print "FAIL: decisions + prunes = " nodes ", fin.nodes = " fin; exit 1 }
+    print "trace: " NR " events, incumbents strictly decreasing, decisions + prunes = fin.nodes = " fin
+  }
 ' "$tmpdir/trace.jsonl"
+./_build/default/bin/bsolo_main.exe replay benchmarks/synth-s1.opb "$tmpdir/synth.rec" --check \
+  >"$tmpdir/synth-replay.out" 2>&1 || {
+  echo "FAIL: replay --check of the instrumented solve diverged"; cat "$tmpdir/synth-replay.out"; exit 1;
+}
+grep -q '^s REPLAY OK' "$tmpdir/synth-replay.out" || {
+  echo "FAIL: no REPLAY OK verdict for the instrumented solve"; cat "$tmpdir/synth-replay.out"; exit 1;
+}
+
+echo "== oversized OPB coefficient is unsupported, not a crash =="
+printf 'min: +1 x1 ;\n+12345678901234567890 x1 >= 1 ;\n' >"$tmpdir/big.opb"
+rc=0
+./_build/default/bin/bsolo_main.exe "$tmpdir/big.opb" >"$tmpdir/big.out" 2>&1 || rc=$?
+[ "$rc" = 2 ] && grep -q '^s UNSUPPORTED$' "$tmpdir/big.out" || {
+  echo "FAIL: 20-digit coefficient: exit $rc"; cat "$tmpdir/big.out"; exit 1;
+}
 
 echo "== validate JSON report =="
 grep -q '"schema":"bsolo-run-report/1"' "$tmpdir/report.json" || {

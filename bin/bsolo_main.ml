@@ -174,34 +174,35 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
           | Bsolo_engine | Milp_engine -> false);
       }
     in
+    (* The run header: the flight recording's header frame and, rendered
+       as JSON, the trace's first line.  Its flags snapshot the
+       tree-shaping options exactly as `bsolo replay` will reconstruct
+       them. *)
+    let header =
+      {
+        Telemetry.Recorder.h_run_id = run_id;
+        h_engine = (if portfolio then "portfolio" else engine_name engine);
+        h_lb_method = String.lowercase_ascii (Bsolo.Options.lb_method_name lb);
+        h_started = started;
+        h_nvars = Pbo.Problem.nvars problem;
+        h_nconstraints = Array.length (Pbo.Problem.constraints problem);
+        h_flags =
+          Bsolo.Replay.flags_of_options base
+          lor if proof_sink <> None then Bsolo.Replay.flag_proof else 0;
+        h_lb_every = base.lb_every;
+        h_lgr_iters = base.lgr_iters;
+      }
+    in
     (* Flight recorder: opened before the telemetry context so the context
-       owns it and every engine emits through it.  The header flags
-       snapshot the tree-shaping options exactly as `bsolo replay` will
-       reconstruct them.  The portfolio manages its own per-member part
-       recordings and stitches the final file itself, so none is opened
-       here in that mode. *)
+       owns it (and tees it onto the trace) and every engine emits through
+       it.  The portfolio manages its own per-member part recordings and
+       stitches the final file itself, so none is opened here in that
+       mode. *)
     let recorder =
       match record_file with
-      | Some f when not portfolio ->
-        let flags =
-          Bsolo.Replay.flags_of_options base
-          lor if proof_sink <> None then Bsolo.Replay.flag_proof else 0
-        in
-        let header =
-          {
-            Telemetry.Recorder.h_run_id = run_id;
-            h_engine = engine_name engine;
-            h_lb_method = String.lowercase_ascii (Bsolo.Options.lb_method_name lb);
-            h_started = started;
-            h_nvars = Pbo.Problem.nvars problem;
-            h_nconstraints = Array.length (Pbo.Problem.constraints problem);
-            h_flags = flags;
-            h_lb_every = base.lb_every;
-            h_lgr_iters = base.lgr_iters;
-          }
-        in
-        (try Some (Telemetry.Recorder.open_file ?ring:record_ring f header)
-         with Sys_error msg -> fatal ("cannot open recording file: " ^ msg))
+      | Some f when not portfolio -> (
+        try Some (Telemetry.Recorder.open_file ?ring:record_ring f header)
+        with Sys_error msg -> fatal ("cannot open recording file: " ^ msg))
       | Some _ | None -> None
     in
     let tel =
@@ -213,12 +214,7 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
           | Some f -> (
             try
               let tr = Telemetry.Trace.open_file f in
-              Telemetry.Trace.event tr "header"
-                [
-                  "schema", Telemetry.Json.String "bsolo-trace/1";
-                  "run_id", Telemetry.Json.String run_id;
-                  "started", Telemetry.Json.Float started;
-                ];
+              Telemetry.Recorder.trace_header tr header;
               Some tr
             with Sys_error msg -> fatal ("cannot open trace file: " ^ msg))
         in
@@ -377,10 +373,7 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
        at_exit.  All closes are idempotent, so the normal shutdown path is
        unaffected. *)
     let close_sinks () =
-      (match tel with
-      | Some tel when trace_file <> None || span_file <> None || Option.is_some recorder ->
-        Telemetry.Ctx.close tel
-      | Some _ | None -> ());
+      Option.iter Telemetry.Ctx.close tel;
       (match heartbeat with Some hb -> Telemetry.Snapshot.close hb | None -> ());
       (* Connected /events subscribers get the final "end" frame within
          the server's drain grace window before the sockets close. *)

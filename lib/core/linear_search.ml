@@ -18,7 +18,6 @@ type state = {
   satisfaction : bool;
   mutable upper : int;
   mutable best : (Model.t * int) option;
-  imports : Telemetry.Counter.t;  (* external incumbents that tightened [upper] *)
   mutable imported : bool;
   mutable max_learned : int;
   mutable restart_budget : int;
@@ -99,10 +98,7 @@ let record_model st =
     if cost < st.upper then st.upper <- cost;
     let m = Core.model st.engine in
     st.best <- Some (m, cost + st.offset);
-    Telemetry.Trace.incumbent st.tel.trace ~cost:(cost + st.offset)
-      ~conflicts:(Telemetry.Counter.get (Core.stats st.engine).Core.conflicts);
-    Telemetry.Recorder.incumbent st.recorder ~cost:(cost + st.offset);
-    Telemetry.Profile.Cell.update_ub ~self:true st.tel.cell (float_of_int (cost + st.offset));
+    Telemetry.Ctx.incumbent st.tel ~cost:(cost + st.offset);
     match st.options.on_incumbent with
     | Some broadcast -> broadcast m (cost + st.offset)
     | None -> ()
@@ -120,9 +116,7 @@ let poll_external st =
     | Some (ext, member) when ext - st.offset < st.upper ->
       st.upper <- ext - st.offset;
       st.imported <- true;
-      Telemetry.Counter.incr st.imports;
-      Telemetry.Profile.Cell.update_ub ~self:false st.tel.cell (float_of_int ext);
-      Telemetry.Recorder.import st.recorder ~cost:ext ~member;
+      Telemetry.Ctx.import st.tel ~cost:ext ~member;
       (match Knapsack.upper_cut (Core.problem st.engine) ~upper:st.upper with
       | Constr.Trivial_false -> `Stop
       | Constr.Trivial_true -> `Continue
@@ -222,6 +216,12 @@ let solve ?(options = pbs_like) ?(pb_learning = false) ?(cutting_planes = false)
   let tel = match options.telemetry with Some t -> t | None -> Telemetry.Ctx.silent () in
   let engine = Core.create ~telemetry:tel ~bcp:options.bcp problem in
   Option.iter (Core.set_interrupt engine) options.should_stop;
+  (* the same learned-clause hook the bsolo driver installs: [level] is
+     the level the clause was learned at, before its backjump *)
+  if Telemetry.Recorder.enabled tel.recorder then
+    Core.set_on_learned engine (fun clause ->
+        Telemetry.Recorder.learned tel.recorder ~size:(List.length clause)
+          ~level:(Core.decision_level engine));
   let offset = match Problem.objective problem with None -> 0 | Some o -> o.offset in
   let st =
     {
@@ -235,7 +235,6 @@ let solve ?(options = pbs_like) ?(pb_learning = false) ?(cutting_planes = false)
       satisfaction = Problem.is_satisfaction problem;
       upper = Problem.max_cost_sum problem + 1;
       best = None;
-      imports = Telemetry.Registry.counter tel.registry "search.incumbent_imports";
       imported = false;
       max_learned = 4000;
       restart_budget = 100;

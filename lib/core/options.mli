@@ -41,7 +41,7 @@ type t = {
           separated against the fractional LP optimum and managed by an
           aging pool (default [Cuts_tree]) *)
   cut_rounds : int;
-      (** maximum separate/re-solve rounds per LP evaluation (default 4) *)
+      (** maximum separate/re-solve rounds per LP evaluation (default 2) *)
   constraint_strengthening : bool;
       (** probing-based constraint strengthening (Section 6 / {!Strengthen}) *)
   restarts : bool;  (** Luby restarts (used by the linear-search drivers) *)

@@ -146,6 +146,8 @@ let normalize = function
   | R.Lb_eval e -> R.Lb_eval { e with elapsed_us = 0 }
   | e -> e
 
+let show ev = Telemetry.Json.to_string (R.to_json ev)
+
 let run ?proof_out ?bcp problem (rc : R.recording) =
   match validate problem rc with
   | Error _ as e -> e
@@ -181,7 +183,7 @@ let run ?proof_out ?bcp problem (rc : R.recording) =
           if !pos >= total then begin
             if complete then
               mism :=
-                Some { at = total; expected = "end of recording"; got = R.event_to_string ev }
+                Some { at = total; expected = "end of recording"; got = show ev }
           end
           else begin
             let exp = snd expected.(!pos) in
@@ -194,8 +196,8 @@ let run ?proof_out ?bcp problem (rc : R.recording) =
                 Some
                   {
                     at = !pos;
-                    expected = R.event_to_string exp;
-                    got = R.event_to_string ev;
+                    expected = show exp;
+                    got = show ev;
                   }
           end
       in

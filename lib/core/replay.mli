@@ -40,7 +40,7 @@ val options_of_header : Telemetry.Recorder.header -> (Options.t, string) result
 
 type mismatch = {
   at : int;  (** index into the recording's event list *)
-  expected : string;  (** {!Telemetry.Recorder.event_to_string} rendering *)
+  expected : string;  (** {!Telemetry.Recorder.to_json} rendering, without ["t"] *)
   got : string;
 }
 

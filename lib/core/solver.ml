@@ -18,7 +18,6 @@ type search_state = {
   nodes : Telemetry.Counter.t;
   lb_calls : Telemetry.Counter.t;
   lb_skips : Telemetry.Counter.t;  (* evaluations suppressed by the adaptive policy *)
-  imports : Telemetry.Counter.t;  (* external incumbents that tightened [upper] *)
   mutable imported : bool;  (* an import is (or was) the active upper bound *)
   track : Lowerbound.Track.t;  (* bound-quality instruments for lb_method *)
   mutable lpr_inc : Lowerbound.Lpr.inc option;  (* warm LP state, created lazily *)
@@ -84,9 +83,7 @@ let poll_external st =
     | Some (ext, member) when ext - st.offset < st.upper ->
       st.upper <- ext - st.offset;
       st.imported <- true;
-      Telemetry.Counter.incr st.imports;
-      Telemetry.Profile.Cell.update_ub ~self:false st.tel.cell (float_of_int ext);
-      Telemetry.Recorder.import st.recorder ~cost:ext ~member;
+      Telemetry.Ctx.import st.tel ~cost:ext ~member;
       (match st.options.proof with
       | Some proof -> Proof.log_import proof ~cost:ext ~member
       | None -> ())
@@ -136,15 +133,13 @@ let record_incumbent st =
     (match st.options.proof with
     | Some proof -> Proof.log_solution proof ~cost:(cost + st.offset) m
     | None -> ());
-    let conflicts = Telemetry.Counter.get (Core.stats st.engine).Core.conflicts in
-    Telemetry.Trace.incumbent st.tel.trace ~cost:(cost + st.offset) ~conflicts;
-    Telemetry.Recorder.incumbent st.recorder ~cost:(cost + st.offset);
-    Telemetry.Profile.Cell.update_ub ~self:true st.tel.cell (float_of_int (cost + st.offset));
+    Telemetry.Ctx.incumbent st.tel ~cost:(cost + st.offset);
     Lowerbound.Track.gap_sample_now st.track
       ~at:(Unix.gettimeofday () -. st.start)
       ~lb:(st.last_lb + st.offset) ~ub:(cost + st.offset);
     Log.info (fun k ->
-        k "incumbent %d after %d conflicts (%.2fs)" (cost + st.offset) conflicts
+        k "incumbent %d after %d conflicts (%.2fs)" (cost + st.offset)
+          (Telemetry.Counter.get (Core.stats st.engine).Core.conflicts)
           (Unix.gettimeofday () -. st.start));
     st.on_incumbent m (cost + st.offset)
   end
@@ -189,7 +184,6 @@ let add_incumbent_cuts st =
           Some `Root
         | Constr.Constr c ->
           Telemetry.Counter.incr (Telemetry.Registry.counter st.tel.registry ("cuts." ^ kind));
-          Telemetry.Trace.cut st.tel.trace ~kind ~size:(Constr.size c) ~degree:(Constr.degree c);
           (match conflict, Core.add_constraint_dynamic st.engine ~in_lb:false c with
           | (Some _ as found), _ -> found
           | None, Some ci -> Some (`Cid ci)
@@ -215,7 +209,6 @@ let handle_bound_conflict st (lower : Lowerbound.Bound.t) omega =
   let from_level = Core.decision_level st.engine in
   let path = Core.path_cost st.engine in
   let upper = st.upper in
-  Telemetry.Trace.bound_conflict st.tel.trace ~lb:lower.value ~path ~upper ~level:from_level;
   let analysis =
     Telemetry.Ctx.with_phase st.tel Telemetry.Phase.Analyze (fun () ->
         Core.learn_false_clause st.engine omega)
@@ -577,7 +570,6 @@ let solve_with_incumbent_hook ?(options = Options.default) ~on_incumbent problem
       nodes = Telemetry.Registry.counter tel.registry "search.nodes";
       lb_calls = Telemetry.Registry.counter tel.registry "search.lb_calls";
       lb_skips = Telemetry.Registry.counter tel.registry "search.lb_skips";
-      imports = Telemetry.Registry.counter tel.registry "search.incumbent_imports";
       imported = false;
       lpr_inc = None;
       cuts = None;

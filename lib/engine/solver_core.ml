@@ -405,15 +405,12 @@ let backjump_to t lvl =
 
 let restart t =
   Telemetry.Counter.incr t.stats.restarts;
-  Telemetry.Trace.restart t.tel.trace ~conflicts:(Telemetry.Counter.get t.stats.conflicts);
   backjump_to t 0
 
 let decide t l =
   Telemetry.Counter.incr t.stats.decisions;
   Vec.push t.trail_lim (Vec.size t.trail);
   Telemetry.Histogram.observe t.stats.depth (decision_level t);
-  Telemetry.Trace.decision t.tel.trace ~level:(decision_level t) ~var:(Lit.var l)
-    ~value:(Lit.is_pos l);
   assign t l Decision
 
 (* --- propagation --------------------------------------------------------- *)
@@ -919,14 +916,11 @@ let analyze_false_clause t lits =
     in
     let clause = asserting :: minimized in
     Telemetry.Histogram.observe t.stats.backjump_len (dl - back_level);
-    Telemetry.Trace.backjump t.tel.trace ~from_level:dl ~to_level:back_level
-      ~conflicts:(Telemetry.Counter.get t.stats.conflicts);
     backjump_to t back_level;
     (match Constr.clause clause with
     | Constr.Constr c ->
       Telemetry.Counter.incr t.stats.learned_total;
       Telemetry.Histogram.observe t.stats.learned_size (List.length clause);
-      Telemetry.Trace.learned t.tel.trace ~size:(List.length clause) ~level:back_level;
       let terms = Constr.terms c in
       let ci =
         if Array.length terms < 2 || t.bcp = Counting then

@@ -42,8 +42,9 @@ val create : ?telemetry:Telemetry.Ctx.t -> ?bcp:bcp_mode -> Problem.t -> t
 (** Loads every problem constraint.  Check {!root_unsat} before searching:
     it is set when the problem is trivially unsatisfiable.  Search
     counters are registered against the telemetry context's registry
-    (default: a fresh silent context), and decisions / backjumps /
-    restarts are streamed to its trace sink when one is attached. *)
+    (default: a fresh silent context).  The engine emits no search
+    events itself: the search drivers record them through the context's
+    recorder (probing decisions are not recorded). *)
 
 val problem : t -> Problem.t
 val root_unsat : t -> bool

@@ -278,7 +278,8 @@ let node_fate (rc : R.recording) n =
     let subtree = ref 0 in
     let close_to ~to_level ev =
       (match !target, !closed with
-      | Some (_, lvl, _, _), None when to_level < lvl -> closed := Some (R.event_to_string ev)
+      | Some (_, lvl, _, _), None when to_level < lvl ->
+        closed := Some (Telemetry.Json.to_string (R.to_json ev))
       | _ -> ());
       stack := List.filter (fun (lvl, _) -> lvl <= to_level) !stack
     in

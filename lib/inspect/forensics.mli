@@ -59,10 +59,11 @@ type node_fate = {
   n_index : int;  (** 1-based index among the recording's decisions *)
   n_t_us : int;
   n_level : int;
-  n_lit : string;  (** OPB-style literal, as {!Telemetry.Recorder} prints it *)
+  n_lit : string;  (** OPB-style literal, e.g. [~x3] *)
   n_path : (int * string) list;  (** (level, literal) from the root, incl. self *)
   n_closed_by : string option;
-      (** rendering of the event that removed it; [None] = still open *)
+      (** JSON rendering ({!Telemetry.Recorder.to_json}) of the event that
+          removed it; [None] = still open *)
   n_subtree : int;  (** decisions opened below it before it closed *)
 }
 

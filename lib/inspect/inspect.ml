@@ -630,40 +630,11 @@ let trace_summary events ~skipped =
         | _ -> None)
       events
   in
-  (* LP re-solve behaviour: warm/cold/cache split and iteration totals
-     from the `simplex` events, when the trace has any. *)
-  let lp_modes = Hashtbl.create 4 in
-  List.iter
-    (fun e ->
-      match Option.bind (Json.member "ev" e) Json.to_string_opt with
-      | Some "simplex" ->
-        let mode =
-          Option.value ~default:"?" (Option.bind (Json.member "mode" e) Json.to_string_opt)
-        in
-        let iters = Option.value ~default:0 (Option.bind (Json.member "iters" e) Json.to_int) in
-        let calls, total = Option.value ~default:(0, 0) (Hashtbl.find_opt lp_modes mode) in
-        Hashtbl.replace lp_modes mode (calls + 1, total + iters)
-      | _ -> ())
-    events;
   let header =
     Printf.sprintf "%d events over %.3fs%s" (List.length events) !last_t
       (if skipped > 0 then Printf.sprintf " (%d unparseable line(s) skipped)" skipped else "")
   in
   let count_lines = List.map (fun (k, v) -> Printf.sprintf "  %-16s %d" k v) counts in
-  let lp_lines =
-    if Hashtbl.length lp_modes = 0 then []
-    else begin
-      let modes =
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) lp_modes []
-        |> List.sort (fun (a, _) (b, _) -> compare a b)
-      in
-      "lp re-solves:"
-      :: List.map
-           (fun (mode, (calls, iters)) ->
-             Printf.sprintf "  %-8s %6d calls  %8d iters" mode calls iters)
-           modes
-    end
-  in
   let inc_lines =
     match incumbents with
     | [] -> []
@@ -671,7 +642,7 @@ let trace_summary events ~skipped =
       "incumbent trajectory:"
       :: List.map (fun (t, c) -> Printf.sprintf "  %10.3fs  cost %d" t c) incumbents
   in
-  (header :: count_lines) @ lp_lines @ inc_lines
+  (header :: count_lines) @ inc_lines
 
 (* --- sampling-profile view ------------------------------------------------- *)
 

@@ -164,6 +164,9 @@ end
 (** {1 Trace summary} *)
 
 val trace_summary : Json.t list -> skipped:int -> string list
+(** Summary of a [--trace] stream ({!load_trace}): the event count and
+    time span (plus the [skipped] unparseable lines), a tally per ["ev"]
+    name, and the incumbent trajectory (time and cost). *)
 
 (** {1 Sampling-profile view}
 

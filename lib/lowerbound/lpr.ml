@@ -30,6 +30,8 @@ type inc = {
   c_warm_iters : Telemetry.Counter.t;
   c_cold_falls : Telemetry.Counter.t;
   c_cache_hits : Telemetry.Counter.t;
+  c_infeasible : Telemetry.Counter.t;
+  c_iteration_limits : Telemetry.Counter.t;
   mutable last : last;
 }
 
@@ -60,6 +62,8 @@ let make ?cuts engine =
     c_warm_iters = Telemetry.Registry.counter reg "lpr.warm_iters";
     c_cold_falls = Telemetry.Registry.counter reg "lpr.cold_falls";
     c_cache_hits = Telemetry.Registry.counter reg "lpr.cache_hits";
+    c_infeasible = Telemetry.Registry.counter reg "lpr.infeasible";
+    c_iteration_limits = Telemetry.Registry.counter reg "lpr.iteration_limits";
     last = Last_none;
   }
 
@@ -205,12 +209,9 @@ let compute_inc inc ~cap =
       Telemetry.Counter.incr inc.c_cache_hits;
       match inc.last with
       | Last_opt o ->
-        Telemetry.Trace.simplex tel.trace ~mode:"cache" ~iters:0 ~outcome:"optimal";
         bound_of_opt inc full ~path ~z:o.z ~x:o.x ~tight:o.tight ~ctight:o.ctight
           ~duals:o.duals
-      | Last_inf { refs; cids; cuts } ->
-        Telemetry.Trace.simplex tel.trace ~mode:"cache" ~iters:0 ~outcome:"infeasible";
-        inf_bound inc ~cap ~refs ~cids ~cuts
+      | Last_inf { refs; cids; cuts } -> inf_bound inc ~cap ~refs ~cids ~cuts
       | Last_none -> assert false
     end
     else begin
@@ -229,17 +230,6 @@ let compute_inc inc ~cap =
           | Cuts.Off -> false
           | Cuts.Tree -> true
           | Cuts.Root -> Core.decision_level inc.engine = 0)
-      in
-      let finalize () =
-        Instr.flush_simplex tel.registry sstats;
-        let info = Simplex.Incremental.last_info sx in
-        if info.warm then begin
-          Telemetry.Counter.incr inc.c_warm_hits;
-          Telemetry.Counter.add inc.c_warm_iters info.iters
-        end
-        else Telemetry.Counter.incr inc.c_cold_falls;
-        let mode = if info.warm then "warm" else "cold" in
-        fun outcome -> Telemetry.Trace.simplex tel.trace ~mode ~iters:info.iters ~outcome
       in
       (* Separation loop: solve, separate violated cuts against the
          fractional optimum, splice them in as extra rows, re-solve warm
@@ -265,10 +255,15 @@ let compute_inc inc ~cap =
             go (rounds + 1) (solve ()))
         | outcome -> finish outcome
       and finish outcome =
-        let trace = finalize () in
+        Instr.flush_simplex tel.registry sstats;
+        let info = Simplex.Incremental.last_info sx in
+        if info.warm then begin
+          Telemetry.Counter.incr inc.c_warm_hits;
+          Telemetry.Counter.add inc.c_warm_iters info.iters
+        end
+        else Telemetry.Counter.incr inc.c_cold_falls;
         match outcome with
         | Simplex.Optimal sol ->
-          trace "optimal";
           let tight = tight_cids full sol in
           let duals = dual_refs full sol in
           let ctight, cduals =
@@ -291,12 +286,12 @@ let compute_inc inc ~cap =
           inc.last <- Last_opt { z = sol.value; x = sol.x; tight; ctight; duals };
           bound_of_opt inc full ~path ~z:sol.value ~x:sol.x ~tight ~ctight ~duals
         | Simplex.Infeasible witness ->
-          trace "infeasible";
+          Telemetry.Counter.incr inc.c_infeasible;
           let refs, cids, cuts = split_witness inc full witness in
           inc.last <- Last_inf { refs; cids; cuts };
           inf_bound inc ~cap ~refs ~cids ~cuts
         | Simplex.Iteration_limit zo ->
-          trace "limit";
+          Telemetry.Counter.incr inc.c_iteration_limits;
           inc.last <- Last_none;
           let value =
             match zo with
@@ -312,7 +307,6 @@ let compute_inc inc ~cap =
             }
           else Bound.none
         | Simplex.Unbounded ->
-          trace "unbounded";
           inc.last <- Last_none;
           Bound.none
       in

@@ -18,7 +18,9 @@
     optimum; pure tightenings of an infeasible system).
 
     Telemetry: [lpr.warm_hits] / [lpr.warm_iters] / [lpr.cold_falls] /
-    [lpr.cache_hits] counters and one [simplex] trace event per call. *)
+    [lpr.cache_hits] counters, and [lpr.infeasible] /
+    [lpr.iteration_limits] for the LP solves (cache hits excluded) that
+    ended infeasible or at the iteration limit. *)
 
 type inc
 

@@ -1,7 +1,7 @@
 (* Bound-quality tracking: per-procedure tightness histograms, bound-
    conflict backjump attribution and the LB/UB gap trajectory.  All
    instruments are bound once per run against the shared registry, so the
-   per-call cost is a few stores plus (when tracing) one JSONL line.
+   per-call cost is a few stores.
 
    Tightness is recorded per mille of the gap the bound had to close:
    1000 * lb / (upper - path), clamped to [0, 1000].  A call scoring 1000
@@ -17,7 +17,6 @@ type t = {
   path_conflicts : Telemetry.Counter.t;  (* lb.path.bound_conflicts *)
   path_backjump : Telemetry.Histogram.t;  (* lb.path.bc_backjump *)
   gap : Telemetry.Series.t;  (* search.gap: (lb, ub) trajectory *)
-  trace : Telemetry.Trace.t;
   cell : Telemetry.Profile.Cell.t;  (* live lb for heartbeat monitors *)
   recorder : Telemetry.Recorder.t;  (* flight recorder: Prune frames with blame *)
 }
@@ -38,7 +37,6 @@ let create (tel : Telemetry.Ctx.t) ~proc =
     path_conflicts = c "lb.path.bound_conflicts";
     path_backjump = h "lb.path.bc_backjump";
     gap = Telemetry.Registry.series reg ~fields:gap_fields gap_series_name;
-    trace = tel.trace;
     cell = tel.cell;
     recorder = tel.recorder;
   }
@@ -48,8 +46,7 @@ let tightness_pm ~value ~need =
 
 let note_call t ~value ~path ~upper =
   Telemetry.Histogram.observe t.tightness_pm (tightness_pm ~value ~need:(upper - path));
-  Telemetry.Histogram.observe t.values value;
-  Telemetry.Trace.lb t.trace ~proc:t.proc ~value ~path ~upper
+  Telemetry.Histogram.observe t.values value
 
 (* A bound conflict fired; [lb_driven] tells whether the LB procedure
    contributed (value > 0) or the path cost alone reached the incumbent,

@@ -23,8 +23,9 @@ val tightness_pm : value:int -> need:int -> int
     [need <= 0] counts as fully closed. *)
 
 val note_call : t -> value:int -> path:int -> upper:int -> unit
-(** Record one LB evaluation: tightness and raw-value histograms, plus an
-    ["lb"] trace event when tracing. *)
+(** Record one LB evaluation: tightness and raw-value histograms.  (The
+    evaluation's search event is the driver's [lb_eval] recorder
+    event.) *)
 
 val note_bound_conflict :
   t -> lb_driven:bool -> lb:int -> path:int -> upper:int -> from_level:int -> to_level:int -> unit

@@ -119,16 +119,13 @@ let solve ?(options = Bsolo.Options.default) problem =
   let upper = ref max_int in
   let imported = ref false in
   let nodes = ref 0 in
-  let imports_c = Telemetry.Registry.counter tel.registry "search.incumbent_imports" in
   let try_incumbent m =
     if Model.satisfies problem m then begin
       let c = Model.cost problem m in
       if c < !upper then begin
         upper := c;
         best := Some (m, c);
-        Telemetry.Trace.incumbent tel.trace ~cost:c ~conflicts:!nodes;
-        Telemetry.Recorder.incumbent recorder ~cost:c;
-        Telemetry.Profile.Cell.update_ub ~self:true tel.Telemetry.Ctx.cell (float_of_int c);
+        Telemetry.Ctx.incumbent tel ~cost:c;
         match options.on_incumbent with Some broadcast -> broadcast m c | None -> ()
       end
     end
@@ -144,9 +141,7 @@ let solve ?(options = Bsolo.Options.default) problem =
       | Some (ext, member) when ext < !upper ->
         upper := ext;
         imported := true;
-        Telemetry.Counter.incr imports_c;
-        Telemetry.Profile.Cell.update_ub ~self:false tel.Telemetry.Ctx.cell (float_of_int ext);
-        Telemetry.Recorder.import recorder ~cost:ext ~member
+        Telemetry.Ctx.import tel ~cost:ext ~member
       | Some _ | None -> ())
   in
   let out_of_budget () =

@@ -59,9 +59,11 @@ let coefficient_limit = 1 lsl 40
 let make_ge raw rhs =
   List.iter
     (fun (c, _) ->
-      if abs c > coefficient_limit then invalid_arg "Constr.make_ge: coefficient too large")
+      if c > coefficient_limit || c < -coefficient_limit then
+        invalid_arg "Constr.make_ge: coefficient too large")
     raw;
-  if abs rhs > coefficient_limit * 4 then invalid_arg "Constr.make_ge: degree too large";
+  if rhs > coefficient_limit * 4 || rhs < -coefficient_limit * 4 then
+    invalid_arg "Constr.make_ge: degree too large";
   let merged, rhs = merge_by_var raw rhs in
   if rhs <= 0 then Trivial_true
   else begin

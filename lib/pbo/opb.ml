@@ -17,6 +17,12 @@ let tokenize_line ~lineno line =
   let tokens = ref [] in
   let emit t = tokens := t :: !tokens in
   let is_digit c = c >= '0' && c <= '9' in
+  let number i stop =
+    let digits = String.sub line i (stop - i) in
+    match int_of_string_opt digits with
+    | Some n -> n
+    | None -> fail (Printf.sprintf "integer %s out of range" digits)
+  in
   let rec go i =
     if i >= n then ()
     else
@@ -43,11 +49,11 @@ let tokenize_line ~lineno line =
       | '+' | '-' ->
         let stop = number_end (i + 1) in
         if stop = i + 1 then fail "sign without digits";
-        emit (Int (int_of_string (String.sub line i (stop - i))));
+        emit (Int (number i stop));
         go stop
       | '0' .. '9' ->
         let stop = number_end i in
-        emit (Int (int_of_string (String.sub line i (stop - i))));
+        emit (Int (number i stop));
         go stop
       | '~' -> variable (i + 1) ~negated:true
       | 'x' -> variable i ~negated:false
@@ -63,7 +69,7 @@ let tokenize_line ~lineno line =
     if i >= n || line.[i] <> 'x' then fail "expected variable after '~'";
     let stop = number_end (i + 1) in
     if stop = i + 1 then fail "variable without index";
-    let idx = int_of_string (String.sub line (i + 1) (stop - i - 1)) in
+    let idx = number (i + 1) stop in
     if idx < 1 then fail "variable indices start at 1";
     emit (Var (Lit.make (idx - 1) (not negated)));
     go stop
@@ -85,6 +91,13 @@ let product_var builder cache lits =
 
 let parse_tokens builder cache ~lineno tokens =
   let fail msg = raise (Parse_error (Printf.sprintf "line %d: %s" lineno msg)) in
+  (* Coefficients beyond the engine's limit could overflow slack sums;
+     reject them here, with the line, instead of deep in the solver. *)
+  let coeff c =
+    if c > Constr.coefficient_limit || c < -Constr.coefficient_limit then
+      fail (Printf.sprintf "coefficient %d exceeds the limit 2^40" c);
+    c
+  in
   let rec product acc = function
     | Var l :: rest -> product (l :: acc) rest
     | rest -> List.rev acc, rest
@@ -92,6 +105,7 @@ let parse_tokens builder cache ~lineno tokens =
   let rec terms acc tokens =
     match tokens with
     | Int c :: (Var _ :: _ as rest) ->
+      let c = coeff c in
       let lits, rest = product [] rest in
       (match lits with
       | [ l ] -> terms ((c, l) :: acc) rest
@@ -109,12 +123,16 @@ let parse_tokens builder cache ~lineno tokens =
   | [] -> ()
   | Min :: rest ->
     (match terms [] rest with
-    | raw, [ Semi ] -> Problem.Builder.set_objective builder raw
+    | raw, [ Semi ] -> (
+      try Problem.Builder.set_objective builder raw
+      with Invalid_argument _ -> fail "second objective")
     | _, _ -> fail "malformed objective")
   | rest ->
     (match terms [] rest with
-    | raw, [ Rel rel; Int rhs; Semi ] ->
-      List.iter (Problem.Builder.add_norm builder) (Constr.of_relation raw rel rhs)
+    | raw, [ Rel rel; Int rhs; Semi ] -> (
+      match Constr.of_relation raw rel rhs with
+      | norms -> List.iter (Problem.Builder.add_norm builder) norms
+      | exception Invalid_argument _ -> fail (Printf.sprintf "right-hand side %d too large" rhs))
     | _, _ -> fail "malformed constraint")
 
 (* Two passes: statements are split first and the builder is pre-sized to

@@ -232,26 +232,32 @@ let stitch_proof ?run_id ~base problem names runs =
    with per-member [Section] frames after the members finish.  Member
    parts carry the member name as their engine tag; the stitched file is
    tagged "portfolio".  (Stitched recordings serve forensics, not
-   replay: the interleaving between members is not recorded.) *)
-let member_recorder ?run_id ~record_file ~started problem name =
-  match record_file with
-  | None -> Telemetry.Recorder.disabled ()
-  | Some base -> (
-    let header =
-      {
-        Telemetry.Recorder.h_run_id = Option.value ~default:"" run_id;
-        h_engine = name;
-        h_lb_method = "";
-        h_started = started;
-        h_nvars = Problem.nvars problem;
-        h_nconstraints = Array.length (Problem.constraints problem);
-        h_flags = 0;
-        h_lb_every = 0;
-        h_lgr_iters = 0;
-      }
-    in
-    try Telemetry.Recorder.open_file (part_path base name) header
-    with Sys_error _ -> Telemetry.Recorder.disabled ())
+   replay: the interleaving between members is not recorded.)  Every
+   member's recorder is teed onto the run's trace sink with its name as
+   the "member" field, so the shared trace attributes each line. *)
+let member_recorder ?run_id tel ~record_file ~started problem name =
+  let r =
+    match record_file with
+    | None -> Telemetry.Recorder.disabled ()
+    | Some base -> (
+      let header =
+        {
+          Telemetry.Recorder.h_run_id = Option.value ~default:"" run_id;
+          h_engine = name;
+          h_lb_method = "";
+          h_started = started;
+          h_nvars = Problem.nvars problem;
+          h_nconstraints = Array.length (Problem.constraints problem);
+          h_flags = 0;
+          h_lb_every = 0;
+          h_lgr_iters = 0;
+        }
+      in
+      try Telemetry.Recorder.open_file (part_path base name) header
+      with Sys_error _ -> Telemetry.Recorder.disabled ())
+  in
+  Telemetry.Recorder.tee r ~member:name tel.Telemetry.Ctx.trace;
+  r
 
 let stitch_recording ?run_id ~base ~started problem names =
   let header =
@@ -300,7 +306,7 @@ let solve_sequential ?run_id tel entries ~budget ~proof_file ~record_file proble
         let psink =
           Option.map (fun base -> Proof.Sink.open_file (part_path base e.pname)) proof_file
         in
-        let wrec = member_recorder ?run_id ~record_file ~started problem e.pname in
+        let wrec = member_recorder ?run_id tel ~record_file ~started problem e.pname in
         let options =
           {
             Bsolo.Options.default with
@@ -381,17 +387,10 @@ let solve_parallel ?run_id ~observe ~on_member_start ~on_member_done tel entries
     let wcell = Telemetry.Profile.Cell.make ~observed:observe ~name:e.pname () in
     let wtrack = Telemetry.Profile.Cell.track wcell in
     Telemetry.Span.name_track tel.Telemetry.Ctx.spans ~track:wtrack e.pname;
-    let wrec = member_recorder ?run_id ~record_file ~started:start problem e.pname in
+    let wrec = member_recorder ?run_id tel ~record_file ~started:start problem e.pname in
     let wtel =
-      {
-        Telemetry.Ctx.timer = Telemetry.Timer.create ~enabled:false ();
-        registry = Telemetry.Registry.create ();
-        trace = tel.Telemetry.Ctx.trace;
-        spans = tel.spans;
-        cell = wcell;
-        progress = Telemetry.Progress.disabled ();
-        recorder = wrec;
-      }
+      Telemetry.Ctx.create ~timing:false ~spans:tel.Telemetry.Ctx.spans ~cell:wcell ~recorder:wrec
+        ()
     in
     let psink =
       Option.map (fun base -> Proof.Sink.open_file (part_path base e.pname)) proof_file

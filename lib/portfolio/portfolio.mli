@@ -77,7 +77,10 @@ val solve :
     When [telemetry] is given, each member run is attributed in the
     shared registry — counters [portfolio.<name>.<counter>] and gauge
     [portfolio.<name>.seconds] — and [portfolio_member] /
-    [portfolio_result] events are traced.  Parallel runs additionally
+    [portfolio_result] events are traced.  Every member's recorder is
+    teed onto the trace sink with its name as the ["member"] field, so
+    members' search events land in the same trace, attributed (with
+    one job or several).  Parallel runs additionally
     merge each worker's private registry as
     [portfolio.<name>.<instrument>] and set the portfolio-level counters
     [portfolio.incumbent_broadcasts], [portfolio.incumbent_imports] and

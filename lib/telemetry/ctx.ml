@@ -1,6 +1,7 @@
 (* One telemetry context per solver run: phase timer, counter registry,
-   trace sink, span sink, profile cell and progress reporter travel
-   together.  [silent] is the default used when the caller asked for
+   trace sink, span sink, profile cell, progress reporter and flight
+   recorder travel together; the recorder renders its events onto the
+   trace sink.  [silent] is the default used when the caller asked for
    nothing: counters still accumulate (they back the outcome snapshot)
    but the timer is off, no trace/spans are written, the cell is inert
    and no progress is printed. *)
@@ -13,29 +14,38 @@ type t = {
   cell : Profile.Cell.t;
   progress : Progress.t;
   recorder : Recorder.t;
+  imports : Counter.t;  (* search.incumbent_imports *)
 }
 
-let silent () =
-  {
-    timer = Timer.create ();
-    registry = Registry.create ();
-    trace = Trace.disabled ();
-    spans = Span.disabled ();
-    cell = Profile.Cell.disabled ();
-    progress = Progress.disabled ();
-    recorder = Recorder.disabled ();
-  }
-
 let create ?(timing = true) ?trace ?spans ?cell ?progress ?recorder () =
+  let registry = Registry.create () in
+  let recorder = match recorder with Some r -> r | None -> Recorder.disabled () in
+  Option.iter (Recorder.tee recorder) trace;
+  let trace = match trace with Some t -> t | None -> Trace.disabled () in
   {
     timer = Timer.create ~enabled:timing ();
-    registry = Registry.create ();
-    trace = (match trace with Some t -> t | None -> Trace.disabled ());
+    registry;
+    trace;
     spans = (match spans with Some s -> s | None -> Span.disabled ());
     cell = (match cell with Some c -> c | None -> Profile.Cell.disabled ());
     progress = (match progress with Some p -> p | None -> Progress.disabled ());
-    recorder = (match recorder with Some r -> r | None -> Recorder.disabled ());
+    recorder;
+    imports = Registry.counter registry "search.incumbent_imports";
   }
+
+let silent () = create ~timing:false ()
+
+(* The engines' incumbent and import bookkeeping, one call each: the
+   recorder frame (and so the trace line), the live cell's upper bound
+   and, for imports, the import counter. *)
+let incumbent t ~cost =
+  Recorder.incumbent t.recorder ~cost;
+  Profile.Cell.update_ub ~self:true t.cell (float_of_int cost)
+
+let import t ~cost ~member =
+  Counter.incr t.imports;
+  Recorder.import t.recorder ~cost ~member;
+  Profile.Cell.update_ub ~self:false t.cell (float_of_int cost)
 
 (* Phase attribution for the whole observability stack in one call:
    exact self-time (timer), sampled visibility (cell push/pop), and —

@@ -1,18 +1,22 @@
 (** One telemetry context per solver run.
 
     Phase timer, instrument registry, trace sink, span sink, profile
-    cell and progress reporter travel together.  {!silent} is the
+    cell, progress reporter and flight recorder travel together.  The
+    recorder is the only producer of search events; {!create} tees it
+    onto the trace sink, so [--trace] is the JSONL rendering of what the
+    recorder sees.  {!silent} is the
     default used when the caller asked for nothing: counters still
     accumulate (they back the outcome snapshot) but the timer is off, no
     trace or spans are written, the cell is inert and no progress is
     printed.
 
     Domain-safety: a context is single-domain except for its trace and
-    span sinks (mutex-guarded) and its profile cell (single writer, any
-    readers).  Parallel portfolio workers each get a private context —
-    own registry, own timer, own cell, disabled progress — that may
-    share the parent's trace and span sinks; per-worker registries are
-    merged after the domains are joined. *)
+    span sinks and recorder (mutex-guarded) and its profile cell (single
+    writer, any readers).  Parallel portfolio workers each get a private
+    context — own registry, own timer, own cell, own recorder teed onto
+    the parent's trace sink, disabled progress — that may share the
+    parent's span sink; per-worker registries are merged after the
+    domains are joined. *)
 
 type t = {
   timer : Timer.t;
@@ -22,6 +26,7 @@ type t = {
   cell : Profile.Cell.t;
   progress : Progress.t;
   recorder : Recorder.t;
+  imports : Counter.t;  (** [search.incumbent_imports] *)
 }
 
 val silent : unit -> t
@@ -37,7 +42,17 @@ val create :
   t
 (** [timing] defaults to [true]; omitted [trace]/[spans]/[progress] are
     disabled, an omitted [cell] is inert and an omitted [recorder] is
-    disabled. *)
+    disabled.  A given [trace] gets the recorder teed onto it
+    ({!Recorder.tee}). *)
+
+val incumbent : t -> cost:int -> unit
+(** A new own incumbent of cost [cost] (offset included): the recorder's
+    [incumbent] event and the live cell's upper bound. *)
+
+val import : t -> cost:int -> member:string -> unit
+(** An external incumbent from portfolio member [member] tightened the
+    search's upper bound: [search.incumbent_imports], the recorder's
+    [import] event and the live cell's (imported) upper bound. *)
 
 val with_phase : t -> Phase.t -> (unit -> 'a) -> 'a
 (** Run [f] attributed to the phase across the whole observability

@@ -243,15 +243,29 @@ type mode =
 
 type t = {
   mode : mode;
+  mutable jsonl : Trace.t;  (* JSONL rendering target, see [tee] *)
+  mutable member : (string * Json.t) list;  (* [] or the "member" field *)
+  mutable on : bool;  (* a binary target or a live JSONL sink *)
   mutable nevents : int;
   mutable dropped : int;
   mutable closed : bool;
   mutex : Mutex.t;
 }
 
-let make mode = { mode; nevents = 0; dropped = 0; closed = false; mutex = Mutex.create () }
+let make mode =
+  {
+    mode;
+    jsonl = Trace.disabled ();
+    member = [];
+    on = (match mode with Disabled -> false | _ -> true);
+    nevents = 0;
+    dropped = 0;
+    closed = false;
+    mutex = Mutex.create ();
+  }
+
 let disabled () = make Disabled
-let enabled t = match t.mode with Disabled -> false | _ -> true
+let enabled t = t.on
 
 let open_file ?(ring = 0) path hdr =
   let oc = open_out_bin path in
@@ -266,15 +280,97 @@ let open_file ?(ring = 0) path hdr =
 let observer f = make (Observer f)
 let memory () = make (Memory (ref []))
 
+let tee t ?member sink =
+  t.jsonl <- sink;
+  t.member <- (match member with Some m -> [ "member", Json.String m ] | None -> []);
+  t.on <- t.on || Trace.enabled sink
+
 let collected t =
   match t.mode with Memory l -> List.rev !l | _ -> []
 
 let now_us () = int_of_float (Epoch.now () *. 1e6)
+let seconds t_us = float_of_int t_us /. 1e6
 
+(* --- rendering -------------------------------------------------------------- *)
+
+let event_name = function
+  | Section _ -> "section"
+  | Decision _ -> "decision"
+  | Backjump _ -> "backjump"
+  | Lb_eval _ -> "lb_eval"
+  | Prune _ -> "prune"
+  | Learned _ -> "learned"
+  | Incumbent _ -> "incumbent"
+  | Import _ -> "import"
+  | Restart -> "restart"
+  | Gap _ -> "gap"
+  | Fin _ -> "fin"
+
+(* The one JSON rendering of an event's payload: the JSONL sink, the
+   recording renderer [to_json] and every textual report use it. *)
+let fields =
+  let i n = Json.Int n and s x = Json.String x and b x = Json.Bool x in
+  function
+  | Section m -> [ "name", s m ]
+  | Decision { level; var; value } -> [ "level", i level; "var", i var; "value", b value ]
+  | Backjump { from_level; to_level } -> [ "from_level", i from_level; "to_level", i to_level ]
+  | Lb_eval { proc; value; path; upper; elapsed_us; pruned } ->
+    [
+      "proc", s proc;
+      "value", i value;
+      "path", i path;
+      "upper", i upper;
+      "elapsed_us", i elapsed_us;
+      "pruned", b pruned;
+    ]
+  | Prune { blame; lb; path; upper; from_level; to_level } ->
+    [
+      "blame", s blame;
+      "lb", i lb;
+      "path", i path;
+      "upper", i upper;
+      "from_level", i from_level;
+      "to_level", i to_level;
+    ]
+  | Learned { size; level } -> [ "size", i size; "level", i level ]
+  | Incumbent { cost } -> [ "cost", i cost ]
+  | Import { cost; member } -> [ "cost", i cost; "from", s member ]
+  | Restart -> []
+  | Gap { dropped } -> [ "dropped", i dropped ]
+  | Fin { status; nodes; decisions; conflicts } ->
+    [ "status", s status; "nodes", i nodes; "decisions", i decisions; "conflicts", i conflicts ]
+
+let to_json ?member ?t_us ev =
+  Json.Obj
+    ((match t_us with Some t_us -> [ "t", Json.Float (seconds t_us) ] | None -> [])
+    @ (("ev", Json.String (event_name ev))
+      :: (match member with Some m -> [ "member", Json.String m ] | None -> [])
+      @ fields ev))
+
+let trace_schema = "bsolo-trace/2"
+
+let trace_header sink h =
+  Trace.event sink "header"
+    [
+      "schema", Json.String trace_schema;
+      "run_id", Json.String h.h_run_id;
+      "engine", Json.String h.h_engine;
+      "lb_method", Json.String h.h_lb_method;
+      "started", Json.Float h.h_started;
+      "nvars", Json.Int h.h_nvars;
+      "nconstraints", Json.Int h.h_nconstraints;
+      "flags", Json.Int h.h_flags;
+      "lb_every", Json.Int h.h_lb_every;
+      "lgr_iters", Json.Int h.h_lgr_iters;
+    ]
+
+(* --- emitting --------------------------------------------------------------- *)
+
+(* Each event is stamped once; the binary frame and the JSONL line carry
+   the same [t_us], and both are written under the recorder's lock, so
+   the two streams agree event for event. *)
 let emit t ev =
-  match t.mode with
-  | Disabled -> ()
-  | _ ->
+  if t.on then begin
     let t_us = now_us () in
     Mutex.lock t.mutex;
     Fun.protect
@@ -282,7 +378,7 @@ let emit t ev =
       (fun () ->
         if not t.closed then begin
           t.nevents <- t.nevents + 1;
-          match t.mode with
+          (match t.mode with
           | Disabled -> ()
           | Direct oc ->
             output_string oc (event_frame ~t_us ev);
@@ -292,28 +388,31 @@ let emit t ev =
             r.slots.(r.next) <- event_frame ~t_us ev;
             r.next <- (r.next + 1) mod Array.length r.slots
           | Observer f -> f t_us ev
-          | Memory l -> l := (t_us, ev) :: !l
+          | Memory l -> l := (t_us, ev) :: !l);
+          if Trace.enabled t.jsonl then
+            Trace.event ~t:(seconds t_us) t.jsonl (event_name ev) (t.member @ fields ev)
         end)
+  end
 
 let decision t ~level ~var ~value =
-  if enabled t then emit t (Decision { level; var; value })
+  if t.on then emit t (Decision { level; var; value })
 
 let backjump t ~from_level ~to_level =
-  if enabled t then emit t (Backjump { from_level; to_level })
+  if t.on then emit t (Backjump { from_level; to_level })
 
 let lb_eval t ~proc ~value ~path ~upper ~elapsed_us ~pruned =
-  if enabled t then emit t (Lb_eval { proc; value; path; upper; elapsed_us; pruned })
+  if t.on then emit t (Lb_eval { proc; value; path; upper; elapsed_us; pruned })
 
 let prune t ~blame ~lb ~path ~upper ~from_level ~to_level =
-  if enabled t then emit t (Prune { blame; lb; path; upper; from_level; to_level })
+  if t.on then emit t (Prune { blame; lb; path; upper; from_level; to_level })
 
-let learned t ~size ~level = if enabled t then emit t (Learned { size; level })
-let incumbent t ~cost = if enabled t then emit t (Incumbent { cost })
-let import t ~cost ~member = if enabled t then emit t (Import { cost; member })
-let restart t = if enabled t then emit t Restart
+let learned t ~size ~level = if t.on then emit t (Learned { size; level })
+let incumbent t ~cost = if t.on then emit t (Incumbent { cost })
+let import t ~cost ~member = if t.on then emit t (Import { cost; member })
+let restart t = if t.on then emit t Restart
 
 let fin t ~status ~nodes ~decisions ~conflicts =
-  if enabled t then emit t (Fin { status; nodes; decisions; conflicts })
+  if t.on then emit t (Fin { status; nodes; decisions; conflicts })
 
 let events_written t = t.nevents
 let ring_dropped t = t.dropped
@@ -332,18 +431,6 @@ let write_ring t r =
     if frame <> "" then output_string r.oc frame
   done;
   flush r.oc
-
-let flush t =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
-      if not t.closed then begin
-        match t.mode with
-        | Direct oc -> flush oc
-        | Ring r -> write_ring t r
-        | Disabled | Observer _ | Memory _ -> ()
-      end)
 
 let close t =
   Mutex.lock t.mutex;
@@ -505,37 +592,3 @@ let stitch base hdr parts =
                 r.r_events)
           parts;
         Ok ())
-
-(* --- rendering -------------------------------------------------------------- *)
-
-let event_name = function
-  | Section _ -> "section"
-  | Decision _ -> "decision"
-  | Backjump _ -> "backjump"
-  | Lb_eval _ -> "lb_eval"
-  | Prune _ -> "prune"
-  | Learned _ -> "learned"
-  | Incumbent _ -> "incumbent"
-  | Import _ -> "import"
-  | Restart -> "restart"
-  | Gap _ -> "gap"
-  | Fin _ -> "fin"
-
-let event_to_string = function
-  | Section m -> Printf.sprintf "section %s" m
-  | Decision { level; var; value } ->
-    Printf.sprintf "decision level=%d %sx%d" level (if value then "" else "~") (var + 1)
-  | Backjump { from_level; to_level } -> Printf.sprintf "backjump %d -> %d" from_level to_level
-  | Lb_eval { proc; value; path; upper; elapsed_us; pruned } ->
-    Printf.sprintf "lb_eval %s value=%d path=%d upper=%d %dus%s" proc value path upper elapsed_us
-      (if pruned then " pruned" else "")
-  | Prune { blame; lb; path; upper; from_level; to_level } ->
-    Printf.sprintf "prune blame=%s lb=%d path=%d upper=%d %d -> %d" blame lb path upper from_level
-      to_level
-  | Learned { size; level } -> Printf.sprintf "learned size=%d level=%d" size level
-  | Incumbent { cost } -> Printf.sprintf "incumbent cost=%d" cost
-  | Import { cost; member } -> Printf.sprintf "import cost=%d from=%s" cost member
-  | Restart -> "restart"
-  | Gap { dropped } -> Printf.sprintf "gap dropped=%d" dropped
-  | Fin { status; nodes; decisions; conflicts } ->
-    Printf.sprintf "fin %s nodes=%d decisions=%d conflicts=%d" status nodes decisions conflicts

@@ -21,6 +21,11 @@
     The reader tolerates truncated tails (a run killed mid-write): all
     intact frames are returned and the recording is flagged truncated.
 
+    The recorder is also the only producer of the [--trace] JSONL
+    stream: {!tee} attaches a {!Trace} sink, and every event recorded
+    from then on is written there too, rendered by {!to_json} with the
+    same timestamp as its binary frame.
+
     Domain-safety: the writer is mutex-guarded, like the trace sink. *)
 
 type header = {
@@ -88,11 +93,19 @@ val observer : (int -> event -> unit) -> t
 val memory : unit -> t
 (** Collecting recorder for tests; read back with {!collected}. *)
 
+val tee : t -> ?member:string -> Trace.t -> unit
+(** [tee r ?member sink] also writes every later event of [r] to [sink]
+    as one JSONL line, [{"t":..,"ev":..,"member":..,<fields>}]: the
+    {!to_json} rendering, with ["member"] only when given (portfolio
+    members).  A disabled recorder with a live sink becomes enabled.
+    Call it before the first event. *)
+
 val collected : t -> (int * event) list
 (** Events collected by a {!memory} recorder, in emission order. *)
 
 val emit : t -> event -> unit
-(** Stamp [event] with the current epoch time and record it. *)
+(** Stamp [event] with the current epoch time and record it (binary
+    target and JSONL sink alike). *)
 
 (* Typed emitters: free when the recorder is disabled (the event is not
    even constructed). *)
@@ -118,7 +131,6 @@ val events_written : t -> int
 val ring_dropped : t -> int
 (** Events pushed out of the ring so far (0 in direct mode). *)
 
-val flush : t -> unit
 val close : t -> unit
 (** Flush and close; in ring mode, write the retained tail. Idempotent. *)
 
@@ -143,6 +155,21 @@ val stitch : string -> header -> (string * string) list -> (unit, string) result
 (** {1 Rendering} *)
 
 val event_name : event -> string
-val event_to_string : event -> string
-(** Stable one-line rendering, used by replay mismatch reports and the
-    forensics drill-down. *)
+(** The ["ev"] value: [decision], [prune], ... — the tag names of the
+    format description. *)
+
+val to_json : ?member:string -> ?t_us:int -> event -> Json.t
+(** The one JSON rendering of an event:
+    [{"t":..,"ev":..,"member":..,<fields>}], with ["t"] (seconds,
+    [t_us / 1e6]) and ["member"] only when given.  A [--trace] line
+    parses to exactly this value; replay mismatch reports and the
+    forensics drill-down print it without ["t"]. *)
+
+val trace_schema : string
+(** ["bsolo-trace/2"]. *)
+
+val trace_header : Trace.t -> header -> unit
+(** Write the trace's first line: [{"t":..,"ev":"header","schema":..}]
+    followed by the header's fields ([run_id], [engine], [lb_method],
+    [started], [nvars], [nconstraints], [flags], [lb_every],
+    [lgr_iters]). *)

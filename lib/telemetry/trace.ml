@@ -1,12 +1,13 @@
-(* JSONL search-event sink.  Every emitter takes immediate (unboxed)
-   arguments and starts with a match on the sink, so a disabled trace
-   costs one branch and allocates nothing.  One event per line:
+(* JSONL event sink.  One event per line:
 
      {"t":0.004512,"ev":"decision","level":3,"var":17,"value":true}
 
    [t] is seconds on the process-wide shared Epoch — NOT since this sink
    was opened — so events from sinks opened at different moments (and
-   spans, and heartbeats) line up on one timeline with no skew.
+   spans, and heartbeats) line up on one timeline with no skew.  Search
+   events reach the sink through the flight recorder, which passes the
+   timestamp it stamped the event with; free-form events are stamped
+   here.
 
    Unlike the rest of the telemetry layer, the sink is domain-safe: a
    mutex serializes every line, so portfolio workers on several domains
@@ -15,7 +16,6 @@
 
 type sink = {
   oc : out_channel;
-  owned : bool;  (* close_out on [close] *)
   buf : Buffer.t;
   lock : Mutex.t;
   mutable nevents : int;
@@ -25,144 +25,46 @@ type t = { mutable sink : sink option }
 
 let disabled () = { sink = None }
 
-let of_channel ?(owned = false) oc =
+let open_file path =
   (* Fix the shared epoch no later than sink creation, so [t] offsets
      start near zero for the first sink of the process. *)
   ignore (Epoch.t0 ());
-  {
-    sink =
-      Some
-        { oc; owned; buf = Buffer.create 256; lock = Mutex.create (); nevents = 0 };
-  }
+  let oc = open_out path in
+  { sink = Some { oc; buf = Buffer.create 256; lock = Mutex.create (); nevents = 0 } }
 
-let open_file path = of_channel ~owned:true (open_out path)
 let enabled t = t.sink <> None
 let events t = match t.sink with None -> 0 | Some s -> s.nevents
-
-let flush t =
-  match t.sink with
-  | None -> ()
-  | Some s ->
-    Mutex.lock s.lock;
-    Stdlib.flush s.oc;
-    Mutex.unlock s.lock
 
 let close t =
   match t.sink with
   | None -> ()
   | Some s ->
     Mutex.lock s.lock;
-    Stdlib.flush s.oc;
-    if s.owned then close_out s.oc;
+    close_out s.oc;
     Mutex.unlock s.lock;
     t.sink <- None
 
-let write s fields =
-  Mutex.lock s.lock;
-  Buffer.clear s.buf;
-  let t = Epoch.now () in
-  Buffer.add_string s.buf (Printf.sprintf "{\"t\":%.6f" t);
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char s.buf ',';
-      Json.escape_to s.buf k;
-      Buffer.add_char s.buf ':';
-      Json.to_buffer s.buf v)
-    fields;
-  Buffer.add_string s.buf "}\n";
-  Buffer.output_buffer s.oc s.buf;
-  s.nevents <- s.nevents + 1;
-  (* Periodic flush keeps a trace readable after an abnormal exit
-     (signal, kill, crash) at the cost of one syscall per 64 events; the
-     last partial line, if any, is skipped by the inspect reader. *)
-  if s.nevents land 63 = 0 then Stdlib.flush s.oc;
-  Mutex.unlock s.lock
-
-let event t name fields =
-  match t.sink with
-  | None -> ()
-  | Some s -> write s (("ev", Json.String name) :: fields)
-
-(* --- typed emitters ------------------------------------------------------- *)
-
-let decision t ~level ~var ~value =
+let event ?t:at t name fields =
   match t.sink with
   | None -> ()
   | Some s ->
-    write s
-      [ "ev", Json.String "decision"; "level", Json.Int level; "var", Json.Int var; "value", Json.Bool value ]
-
-let backjump t ~from_level ~to_level ~conflicts =
-  match t.sink with
-  | None -> ()
-  | Some s ->
-    write s
-      [
-        "ev", Json.String "backjump";
-        "from", Json.Int from_level;
-        "to", Json.Int to_level;
-        "conflicts", Json.Int conflicts;
-      ]
-
-let bound_conflict t ~lb ~path ~upper ~level =
-  match t.sink with
-  | None -> ()
-  | Some s ->
-    write s
-      [
-        "ev", Json.String "bound_conflict";
-        "lb", Json.Int lb;
-        "path", Json.Int path;
-        "upper", Json.Int upper;
-        "level", Json.Int level;
-      ]
-
-let lb t ~proc ~value ~path ~upper =
-  match t.sink with
-  | None -> ()
-  | Some s ->
-    write s
-      [
-        "ev", Json.String "lb";
-        "proc", Json.String proc;
-        "lb", Json.Int value;
-        "path", Json.Int path;
-        "upper", Json.Int upper;
-      ]
-
-let simplex t ~mode ~iters ~outcome =
-  match t.sink with
-  | None -> ()
-  | Some s ->
-    write s
-      [
-        "ev", Json.String "simplex";
-        "mode", Json.String mode;
-        "iters", Json.Int iters;
-        "outcome", Json.String outcome;
-      ]
-
-let incumbent t ~cost ~conflicts =
-  match t.sink with
-  | None -> ()
-  | Some s ->
-    write s
-      [ "ev", Json.String "incumbent"; "cost", Json.Int cost; "conflicts", Json.Int conflicts ]
-
-let restart t ~conflicts =
-  match t.sink with
-  | None -> ()
-  | Some s -> write s [ "ev", Json.String "restart"; "conflicts", Json.Int conflicts ]
-
-let cut t ~kind ~size ~degree =
-  match t.sink with
-  | None -> ()
-  | Some s ->
-    write s
-      [ "ev", Json.String "cut"; "kind", Json.String kind; "size", Json.Int size; "degree", Json.Int degree ]
-
-let learned t ~size ~level =
-  match t.sink with
-  | None -> ()
-  | Some s ->
-    write s [ "ev", Json.String "learned"; "size", Json.Int size; "level", Json.Int level ]
+    let at = match at with Some at -> at | None -> Epoch.now () in
+    Mutex.lock s.lock;
+    Buffer.clear s.buf;
+    Printf.bprintf s.buf "{\"t\":%.6f,\"ev\":" at;
+    Json.escape_to s.buf name;
+    List.iter
+      (fun (k, v) ->
+        Buffer.add_char s.buf ',';
+        Json.escape_to s.buf k;
+        Buffer.add_char s.buf ':';
+        Json.to_buffer s.buf v)
+      fields;
+    Buffer.add_string s.buf "}\n";
+    Buffer.output_buffer s.oc s.buf;
+    s.nevents <- s.nevents + 1;
+    (* Periodic flush keeps a trace readable after an abnormal exit
+       (signal, kill, crash) at the cost of one syscall per 64 events; the
+       last partial line, if any, is skipped by the inspect reader. *)
+    if s.nevents land 63 = 0 then Stdlib.flush s.oc;
+    Mutex.unlock s.lock

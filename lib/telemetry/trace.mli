@@ -1,14 +1,17 @@
-(** JSONL search-event sink.
+(** JSONL event sink.
 
     One event per line, e.g.
     [{"t":0.004512,"ev":"decision","level":3,"var":17,"value":true}];
     ["t"] is seconds on the process-wide shared {!Epoch} (fixed at the
     first sink's creation), so sinks opened at different moments — and
-    span / heartbeat artifacts — share one timeline.  Every emitter takes
-    immediate (unboxed) arguments and starts with a match on the sink, so
-    a disabled trace costs one branch and allocates nothing.  The sink
-    flushes every 64 events, keeping traces parseable (minus at most one
-    partial trailing line) after an abnormal exit.
+    span / heartbeat artifacts — share one timeline.  The sink flushes
+    every 64 events, keeping traces parseable (minus at most one partial
+    trailing line) after an abnormal exit.
+
+    Search events are not emitted here: the flight recorder
+    ({!Recorder.tee}) renders each event it records onto a sink.  What
+    remains is free-form {!event}, used for the trace header and the
+    portfolio scheduling lines.
 
     Domain-safety: unlike the rest of the telemetry layer, a trace sink
     MAY be shared across domains — a mutex serializes each emitted line,
@@ -20,38 +23,19 @@ type t
 
 val disabled : unit -> t
 
-val of_channel : ?owned:bool -> out_channel -> t
-(** [owned] (default [false]) closes the channel on {!close}. *)
-
 val open_file : string -> t
+(** Raises [Sys_error] if the file cannot be created. *)
+
 val enabled : t -> bool
 
 val events : t -> int
 (** Events written so far. *)
 
-val flush : t -> unit
 val close : t -> unit
-(** Flush, close the channel when owned, and disable the sink. *)
+(** Flush and close the file, and disable the sink (idempotent). *)
 
-val event : t -> string -> (string * Json.t) list -> unit
-(** Free-form event: [event t name fields] writes [{"t":..,"ev":name,..}]. *)
-
-(** {1 Typed emitters} *)
-
-val decision : t -> level:int -> var:int -> value:bool -> unit
-val backjump : t -> from_level:int -> to_level:int -> conflicts:int -> unit
-val bound_conflict : t -> lb:int -> path:int -> upper:int -> level:int -> unit
-
-val lb : t -> proc:string -> value:int -> path:int -> upper:int -> unit
-(** One lower-bound evaluation: procedure name, bound value, current path
-    cost and incumbent. *)
-
-val simplex : t -> mode:string -> iters:int -> outcome:string -> unit
-(** One LP (re-)solve on the lower-bounding path: [mode] is ["warm"],
-    ["cold"] or ["cache"], [iters] the simplex iterations spent, [outcome]
-    the LP outcome constructor in lowercase. *)
-
-val incumbent : t -> cost:int -> conflicts:int -> unit
-val restart : t -> conflicts:int -> unit
-val cut : t -> kind:string -> size:int -> degree:int -> unit
-val learned : t -> size:int -> level:int -> unit
+val event : ?t:float -> t -> string -> (string * Json.t) list -> unit
+(** [event t name fields] writes [{"t":..,"ev":name,..}], with ["t"]
+    printed to the microsecond.  [?t] is the event's time in seconds on
+    the shared {!Epoch} (default: now).  A disabled sink costs one
+    branch. *)

@@ -52,10 +52,37 @@ let opb_structured_fuzz () =
     | exception Pbo.Opb.Parse_error e -> Alcotest.failf "seed %d: %s" seed e
   done
 
+(* Inputs past the integer range or the engine's coefficient limit are
+   rejected with the offending line, not an exception from deep inside
+   the parser or the constraint builder. *)
+let opb_oversized () =
+  List.iter
+    (fun (text, line) ->
+      match Pbo.Opb.parse_string text with
+      | (_ : Pbo.Problem.t) -> Alcotest.failf "accepted %S" text
+      | exception Pbo.Opb.Parse_error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S names line %d: %s" text line e)
+          true
+          (String.starts_with ~prefix:(Printf.sprintf "line %d:" line) e))
+    [
+      "min: +1 x1 ;\n+12345678901234567890 x1 >= 1 ;", 2;
+      "+1 x12345678901234567890 >= 1 ;", 1;
+      "+1 x1 >= 99999999999999999999 ;", 1;
+      "min: +1 x1 ;\n+2000000000000 x1 +1 x2 >= 1 ;", 2;
+      "min: +2000000000000 x1 ;\n+1 x1 >= 1 ;", 1;
+      "-4611686018427387904 x1 >= 1 ;", 1;
+      "+1 x1 >= 5000000000000 ;", 1;
+      "min: +1 x1 ;\nmin: +1 x2 ;", 2;
+    ];
+  (* the limit itself is accepted *)
+  ignore (Pbo.Opb.parse_string "+1099511627776 x1 +1 x2 >= 1 ;")
+
 let suite =
   [
     Alcotest.test_case "opb fuzz" `Quick opb_fuzz;
     Alcotest.test_case "dimacs fuzz" `Quick dimacs_fuzz;
     Alcotest.test_case "wcnf fuzz" `Quick wcnf_fuzz;
     Alcotest.test_case "opb whitespace robustness" `Quick opb_structured_fuzz;
+    Alcotest.test_case "opb oversized integers" `Quick opb_oversized;
   ]

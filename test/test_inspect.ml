@@ -301,6 +301,40 @@ let test_bench_missing_instance () =
        (fun (e : Inspect.diff_entry) -> e.key = "x:2.missing" && e.regression)
        entries)
 
+(* --- trace summary ------------------------------------------------------------ *)
+
+let test_trace_summary () =
+  let ev ?member t name fields =
+    Json.Obj
+      ((("t", Json.Float t) :: ("ev", Json.String name) :: fields)
+      @ match member with Some m -> [ "member", Json.String m ] | None -> [])
+  in
+  let events =
+    [
+      ev 0.001 "header" [ "schema", Json.String "bsolo-trace/2" ];
+      ev 0.010 "decision" [ "level", Json.Int 1 ];
+      ev 0.020 "incumbent" [ "cost", Json.Int 42 ];
+      ev 0.030 "decision" [ "level", Json.Int 2 ];
+      ev 0.040 "prune" [ "lb", Json.Int 3 ];
+      ev ~member:"bsolo-mis" 1.250 "incumbent" [ "cost", Json.Int 40 ];
+      Json.Obj [ "no_ev", Json.Int 1 ];
+    ]
+  in
+  Alcotest.(check (list string)) "summary"
+    [
+      "7 events over 1.250s (2 unparseable line(s) skipped)";
+      "  decision         2";
+      "  header           1";
+      "  incumbent        2";
+      "  prune            1";
+      "incumbent trajectory:";
+      "       0.020s  cost 42";
+      "       1.250s  cost 40";
+    ]
+    (Inspect.trace_summary events ~skipped:2);
+  Alcotest.(check (list string)) "empty trace" [ "0 events over 0.000s" ]
+    (Inspect.trace_summary [] ~skipped:0)
+
 let suite =
   [
     Alcotest.test_case "series bounded decimation" `Quick test_series_bounded;
@@ -316,4 +350,5 @@ let suite =
     Alcotest.test_case "bench golden file" `Quick test_bench_golden;
     Alcotest.test_case "bench schema round-trip" `Quick test_bench_roundtrip;
     Alcotest.test_case "bench missing instance" `Quick test_bench_missing_instance;
+    Alcotest.test_case "trace summary" `Quick test_trace_summary;
   ]

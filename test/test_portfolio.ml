@@ -231,6 +231,43 @@ let crash_isolation () =
   | s -> Alcotest.failf "portfolio did not recover from crash: %s" (Bsolo.Outcome.status_name s));
   Alcotest.(check (option string)) "no disagreement" None r.disagreement
 
+(* Every member's recorder is teed onto the shared trace: with one job or
+   two, each member that ran leaves search events tagged with its name. *)
+let trace_attributes_members () =
+  let problem = Gen.covering 3 in
+  List.iter
+    (fun jobs ->
+      let path = Filename.temp_file "bsolo-portfolio" ".jsonl" in
+      let tel = Telemetry.Ctx.create ~timing:false ~trace:(Telemetry.Trace.open_file path) () in
+      let r = Portfolio.solve ~telemetry:tel ~jobs ~budget:20.0 problem in
+      Telemetry.Ctx.close tel;
+      let ic = open_in path in
+      let rec lines acc =
+        match input_line ic with l -> lines (l :: acc) | exception End_of_file -> List.rev acc
+      in
+      let lines = lines [] in
+      close_in ic;
+      Sys.remove path;
+      let str k json = Option.bind (Telemetry.Json.member k json) Telemetry.Json.to_string_opt in
+      let search_members =
+        List.filter_map
+          (fun line ->
+            match Telemetry.Json.of_string line with
+            | Error e -> Alcotest.failf "jobs=%d: bad trace line %S: %s" jobs line e
+            | Ok json -> (
+              match str "ev" json, str "member" json with
+              | Some ev, Some m when not (String.starts_with ~prefix:"portfolio_" ev) -> Some (m, ev)
+              | _ -> None))
+          lines
+      in
+      if r.runs = [] then Alcotest.fail "no member ran";
+      List.iter
+        (fun (name, _) ->
+          if not (List.mem (name, "fin") search_members) then
+            Alcotest.failf "jobs=%d: member %s ran but traced no search events" jobs name)
+        r.runs)
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "solves each family" `Slow solves_each_family;
@@ -242,4 +279,5 @@ let suite =
     QCheck_alcotest.to_alcotest ~long:true jobs_equivalence;
     Alcotest.test_case "oracle broadcast prunes" `Slow oracle_broadcast_prunes;
     Alcotest.test_case "crash isolation" `Slow crash_isolation;
+    Alcotest.test_case "trace attributes members" `Quick trace_attributes_members;
   ]

@@ -58,8 +58,9 @@ let test_codec_round_trip () =
     Alcotest.(check int) "event count" (List.length all_events) (List.length rc.r_events);
     List.iter2
       (fun expected got ->
-        Alcotest.(check string) "event round-trips" (R.event_to_string expected)
-          (R.event_to_string got);
+        Alcotest.(check string) "event round-trips"
+          (Telemetry.Json.to_string (R.to_json expected))
+          (Telemetry.Json.to_string (R.to_json got));
         Alcotest.(check bool) "event equal" true (expected = got))
       all_events (events_of rc)
 
@@ -185,6 +186,87 @@ let record_solve ?(lb = Bsolo.Options.Lpr) problem path =
   Telemetry.Ctx.close tel;
   outcome
 
+(* --- the JSONL rendering ------------------------------------------------------ *)
+
+let read_lines path =
+  let ic = open_in path in
+  let rec go acc = match input_line ic with l -> go (l :: acc) | exception End_of_file -> List.rev acc in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> go [])
+
+(* Write rendered events through a fresh sink, so the comparison is on
+   the exact bytes the trace holds. *)
+let rendered_lines events =
+  let path = tmp ".jsonl" in
+  let sink = Telemetry.Trace.open_file path in
+  List.iter
+    (fun (t_us, ev) ->
+      match R.to_json ~t_us ev with
+      | Telemetry.Json.Obj (("t", Telemetry.Json.Float t) :: ("ev", Telemetry.Json.String name) :: fields)
+        ->
+        Telemetry.Trace.event ~t sink name fields
+      | _ -> Alcotest.fail "to_json: expected t and ev first")
+    events;
+  Telemetry.Trace.close sink;
+  read_lines path
+
+(* A solve with a recorder teed onto a trace sink: the trace's search
+   lines are exactly the rendering of the recorded events, "t" included,
+   after the bsolo-trace/2 header. *)
+let check_trace_matches ~recorder ~events () =
+  let problem = Benchgen.Synthesis.generate 1 in
+  let trace_path = tmp ".jsonl" in
+  let trace = Telemetry.Trace.open_file trace_path in
+  let h = header ~nvars:(Pbo.Problem.nvars problem) () in
+  R.trace_header trace h;
+  let tel = Telemetry.Ctx.create ~timing:false ~trace ~recorder () in
+  let outcome = Bsolo.Solver.solve ~options:{ Bsolo.Options.default with telemetry = Some tel } problem in
+  Telemetry.Ctx.close tel;
+  Alcotest.(check string) "solved" "OPTIMAL" (Bsolo.Outcome.status_name outcome.status);
+  match read_lines trace_path with
+  | [] -> Alcotest.fail "empty trace"
+  | first :: search ->
+    (match Telemetry.Json.of_string first with
+    | Ok json ->
+      Alcotest.(check (option string)) "header schema" (Some R.trace_schema)
+        (Option.bind (Telemetry.Json.member "schema" json) Telemetry.Json.to_string_opt);
+      Alcotest.(check (option string)) "header run id" (Some h.h_run_id)
+        (Option.bind (Telemetry.Json.member "run_id" json) Telemetry.Json.to_string_opt)
+    | Error e -> Alcotest.failf "header does not parse: %s" e);
+    let events = events () in
+    Alcotest.(check bool) "events recorded" true (List.length events > 100);
+    Alcotest.(check (list string)) "trace = rendered recording, line for line"
+      (rendered_lines events) search
+
+let test_trace_is_memory_rendering () =
+  let recorder = R.memory () in
+  check_trace_matches ~recorder ~events:(fun () -> R.collected recorder) ()
+
+let test_trace_is_file_rendering () =
+  let path = tmp ".rec" in
+  let recorder = R.open_file path (header ()) in
+  check_trace_matches ~recorder
+    ~events:(fun () ->
+      match R.read_file path with Ok rc -> rc.r_events | Error msg -> Alcotest.fail msg)
+    ()
+
+(* The linear-search drivers (pbs, galena) record learned clauses too,
+   through the same hook the bsolo driver installs. *)
+let test_linear_search_learned () =
+  List.iter
+    (fun pb_learning ->
+      let recorder = R.memory () in
+      let tel = Telemetry.Ctx.create ~timing:false ~recorder () in
+      let options = { Bsolo.Linear_search.pbs_like with telemetry = Some tel } in
+      let outcome =
+        Bsolo.Linear_search.solve ~options ~pb_learning (Benchgen.Two_level.generate 1)
+      in
+      let learned =
+        List.length (List.filter (function _, R.Learned _ -> true | _ -> false) (R.collected recorder))
+      in
+      Alcotest.(check bool) "conflicts were analysed" true (outcome.counters.conflicts > 0);
+      Alcotest.(check bool) "learned clauses recorded" true (learned > 0))
+    [ false; true ]
+
 (* The forensics invariant: every decision is closed by exactly one
    later conflict/prune (or stays open), and each prune is itself a
    node, so blame totals reconcile with the engine's node counter. *)
@@ -283,6 +365,9 @@ let suite =
     Alcotest.test_case "reader: torn tail recovered" `Quick test_truncated_tail;
     Alcotest.test_case "reader: torn header tolerated" `Quick test_truncated_header;
     Alcotest.test_case "stitch: member sections" `Quick test_stitch_sections;
+    Alcotest.test_case "trace: memory recording rendered" `Quick test_trace_is_memory_rendering;
+    Alcotest.test_case "trace: file recording rendered" `Quick test_trace_is_file_rendering;
+    Alcotest.test_case "linear search records learned" `Quick test_linear_search_learned;
     Alcotest.test_case "forensics: blame accounts for all nodes" `Quick test_forensics_accounting;
     Alcotest.test_case "replay: recorded runs replay exactly" `Quick test_replay_matches;
     Alcotest.test_case "replay: rejects ring recordings" `Quick test_replay_rejects_ring;

@@ -117,14 +117,13 @@ let trace_round_trip () =
   let path = Filename.temp_file "bsolo_trace" ".jsonl" in
   let tr = T.Trace.open_file path in
   Alcotest.(check bool) "enabled after open" true (T.Trace.enabled tr);
-  T.Trace.decision tr ~level:1 ~var:3 ~value:true;
-  T.Trace.bound_conflict tr ~lb:5 ~path:2 ~upper:7 ~level:4;
-  T.Trace.incumbent tr ~cost:9 ~conflicts:12;
-  T.Trace.backjump tr ~from_level:6 ~to_level:2 ~conflicts:13;
-  T.Trace.restart tr ~conflicts:20;
-  T.Trace.cut tr ~kind:"knapsack" ~size:4 ~degree:2;
-  Alcotest.(check int) "event count" 6 (T.Trace.events tr);
+  T.Trace.event tr "header" [ "schema", T.Json.String "bsolo-trace/2" ];
+  T.Trace.event ~t:1.5 tr "decision" [ "level", T.Json.Int 1; "var", T.Json.Int 3 ];
+  T.Trace.event tr "portfolio_member" [ "name", T.Json.String "a \"b\""; "slice", T.Json.Float 0.5 ];
+  Alcotest.(check int) "event count" 3 (T.Trace.events tr);
   T.Trace.close tr;
+  Alcotest.(check bool) "disabled after close" false (T.Trace.enabled tr);
+  T.Trace.event tr "late" [];
   let ic = open_in path in
   let lines = ref [] in
   (try
@@ -133,7 +132,7 @@ let trace_round_trip () =
      done
    with End_of_file -> close_in ic);
   let lines = List.rev !lines in
-  Alcotest.(check int) "one line per event" 6 (List.length lines);
+  Alcotest.(check int) "one line per event, none after close" 3 (List.length lines);
   let evs =
     List.map
       (fun line ->
@@ -148,30 +147,37 @@ let trace_round_trip () =
       lines
   in
   Alcotest.(check (list string)) "event names in order"
-    [ "decision"; "bound_conflict"; "incumbent"; "backjump"; "restart"; "cut" ] evs;
-  (match T.Json.of_string (List.nth lines 1) with
+    [ "header"; "decision"; "portfolio_member" ] evs;
+  Alcotest.(check string) "explicit time, to the microsecond"
+    "{\"t\":1.500000,\"ev\":\"decision\",\"level\":1,\"var\":3}" (List.nth lines 1);
+  (match T.Json.of_string (List.nth lines 2) with
   | Ok json ->
-    Alcotest.(check (option int)) "bound_conflict carries the lb" (Some 5)
-      (Option.bind (T.Json.member "lb" json) T.Json.to_int)
+    Alcotest.(check (option string)) "strings are escaped" (Some "a \"b\"")
+      (Option.bind (T.Json.member "name" json) T.Json.to_string_opt)
   | Error _ -> assert false);
   Sys.remove path
 
+(* Search events come from the flight recorder, so a disabled recorder
+   is what a run without --record and --trace pays for them. *)
 let trace_disabled_no_alloc () =
-  let tr = T.Trace.disabled () in
+  let r = T.Recorder.disabled () in
   (* warm up so any one-off allocation is out of the measured window *)
-  T.Trace.decision tr ~level:0 ~var:0 ~value:false;
+  T.Recorder.decision r ~level:0 ~var:0 ~value:false;
   let before = Gc.minor_words () in
   for i = 1 to 10_000 do
-    T.Trace.decision tr ~level:i ~var:i ~value:true;
-    T.Trace.restart tr ~conflicts:i;
-    T.Trace.incumbent tr ~cost:i ~conflicts:i
+    T.Recorder.decision r ~level:i ~var:i ~value:true;
+    T.Recorder.lb_eval r ~proc:"lpr" ~value:i ~path:i ~upper:i ~elapsed_us:i ~pruned:false;
+    T.Recorder.prune r ~blame:"lpr" ~lb:i ~path:i ~upper:i ~from_level:i ~to_level:0;
+    T.Recorder.backjump r ~from_level:i ~to_level:0;
+    T.Recorder.restart r;
+    T.Recorder.incumbent r ~cost:i
   done;
   let delta = Gc.minor_words () -. before in
   (* allow only the measurement's own boxing, not per-event allocation *)
   Alcotest.(check bool)
-    (Printf.sprintf "disabled sink allocates nothing observable (delta=%.0f)" delta)
+    (Printf.sprintf "disabled recorder allocates nothing observable (delta=%.0f)" delta)
     true (delta < 256.);
-  Alcotest.(check int) "no events recorded" 0 (T.Trace.events tr)
+  Alcotest.(check int) "no events recorded" 0 (T.Recorder.events_written r)
 
 let progress_ticks () =
   let fired = ref [] in
