@@ -9,15 +9,17 @@
 # The flight recorder is exercised end to end: a --record run replayed
 # deterministically with `bsolo replay --check`, its forensics node
 # accounting reconciled, a --record-ring run killed with SIGTERM whose
-# tail must still parse, and a stitched --portfolio recording.  The
+# tail must still parse, and stitched --portfolio recordings (--jobs 2
+# and --jobs 1, whose forensics accounting must reconcile).  The
 # three --bcp propagation modes must produce identical optima and a
 # hybrid recording must replay cleanly under all three.
 # Exits non-zero on the first failure.
 #
 # With --proof, each smoke instance is additionally solved under
 # certified proof logging and the log replayed through `bsolo
-# checkproof` (including one --portfolio --jobs 2 stitched proof); at
-# least one run must carry certified LPR bound-conflict steps.
+# checkproof` (including --portfolio --jobs 2 and --jobs 1 stitched
+# proofs); at least one run must carry certified LPR bound-conflict
+# steps.
 #
 # When SMOKE_ARTIFACTS_DIR is set, the run's artifacts (span/heartbeat/
 # metrics files, reports, proofs) are copied there on exit for CI upload.
@@ -115,6 +117,14 @@ rc=0
 ./_build/default/bin/bsolo_main.exe "$tmpdir/big.opb" >"$tmpdir/big.out" 2>&1 || rc=$?
 [ "$rc" = 2 ] && grep -q '^s UNSUPPORTED$' "$tmpdir/big.out" || {
   echo "FAIL: 20-digit coefficient: exit $rc"; cat "$tmpdir/big.out"; exit 1;
+}
+
+echo "== huge OPB variable index is unsupported, not a crash =="
+printf '+1 x1 +1 x99999999999 >= 1 ;\n' >"$tmpdir/hugevar.opb"
+rc=0
+timeout 20 ./_build/default/bin/bsolo_main.exe "$tmpdir/hugevar.opb" >"$tmpdir/hugevar.out" 2>&1 || rc=$?
+[ "$rc" = 2 ] && grep -q '^s UNSUPPORTED$' "$tmpdir/hugevar.out" || {
+  echo "FAIL: huge variable index: exit $rc"; cat "$tmpdir/hugevar.out"; exit 1;
 }
 
 echo "== validate JSON report =="
@@ -354,6 +364,21 @@ grep -q '^member ' "$tmpdir/pforensics.out" || {
   echo "FAIL: stitched recording has no member sections"; cat "$tmpdir/pforensics.out"; exit 1;
 }
 
+echo "== one-job portfolio recording reconciles its node accounting =="
+timeout 120 "$bsolo" benchmarks/synth-s1.opb \
+  --portfolio --jobs 1 --timeout 60 --record "$tmpdir/portfolio1.rec" \
+  >"$tmpdir/prec1.out" 2>&1 || {
+  echo "FAIL: recorded --jobs 1 portfolio solve failed"; cat "$tmpdir/prec1.out"; exit 1;
+}
+"$bsolo" inspect forensics "$tmpdir/portfolio1.rec" >"$tmpdir/pforensics1.out" 2>&1 || {
+  echo "FAIL: forensics failed on the --jobs 1 recording"; cat "$tmpdir/pforensics1.out"; exit 1;
+}
+grep -q 'matches recorded fin' "$tmpdir/pforensics1.out" \
+  && ! grep -q 'MISMATCH' "$tmpdir/pforensics1.out" || {
+  echo "FAIL: --jobs 1 forensics node accounting does not match the recorded fin";
+  cat "$tmpdir/pforensics1.out"; exit 1;
+}
+
 echo "== cut separation modes agree (--cuts=off / root / tree) =="
 # Cuts shape the bound, never the answer: all three modes (and a
 # presolve-disabled run) must print identical s/o lines on the
@@ -436,6 +461,23 @@ if [ "$with_proof" = 1 ]; then
     echo "FAIL: no VERIFIED verdict for the portfolio proof"; cat "$tmpdir/pproof.check"; exit 1;
   }
   echo "portfolio: $(grep '^s VERIFIED' "$tmpdir/pproof.check")"
+
+  echo "== proof-checked one-job portfolio (--jobs 1) =="
+  timeout 120 "$bsolo" benchmarks/synth-s1.opb \
+    --portfolio --jobs 1 --timeout 60 --proof "$tmpdir/portfolio1.pbp" \
+    >"$tmpdir/pproof1.out" 2>&1 || {
+    echo "FAIL: proof-logged --jobs 1 portfolio solve failed"; cat "$tmpdir/pproof1.out"; exit 1;
+  }
+  "$bsolo" checkproof benchmarks/synth-s1.opb "$tmpdir/portfolio1.pbp" \
+    >"$tmpdir/pproof1.check" 2>&1 || {
+    echo "FAIL: checkproof rejected the stitched --jobs 1 portfolio proof";
+    cat "$tmpdir/pproof1.check"; exit 1;
+  }
+  grep -q '^s VERIFIED' "$tmpdir/pproof1.check" || {
+    echo "FAIL: no VERIFIED verdict for the --jobs 1 portfolio proof";
+    cat "$tmpdir/pproof1.check"; exit 1;
+  }
+  echo "portfolio (jobs 1): $(grep '^s VERIFIED' "$tmpdir/pproof1.check")"
 
   echo "== certified cut separation (--cuts=tree --proof) =="
   # The knapsack instance has general coefficients, so cover cuts and

@@ -397,11 +397,17 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
           try Sys.set_signal signal (close_and_exit n) with Invalid_argument _ | Sys_error _ -> ())
         [ Sys.sigint, 2; Sys.sigterm, 15; Sys.sighup, 1 ]
     end;
+    let start = Unix.gettimeofday () in
+    let incumbents = ref [] in
+    let note_incumbent cost =
+      incumbents := { Bsolo.Report.at = Unix.gettimeofday () -. start; cost } :: !incumbents
+    in
     let options =
       {
         base with
         telemetry = tel;
         proof = Option.map (fun s -> Proof.create s problem) proof_sink;
+        on_incumbent = Some (fun _ cost -> note_incumbent cost);
       }
     in
     (* Correlate the proof log with the run's other artifacts, and trace
@@ -419,11 +425,6 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
           (engine_name engine)
           (match time_limit with None -> "none" | Some s -> Printf.sprintf "%.0fs" s)
           (not no_cuts) (not no_lp_branching) (not no_preprocess) (tel <> None));
-    let start = Unix.gettimeofday () in
-    let incumbents = ref [] in
-    let note_incumbent cost =
-      incumbents := { Bsolo.Report.at = Unix.gettimeofday () -. start; cost } :: !incumbents
-    in
     (* Live monitors: the heartbeat ticker (periodic + SIGUSR1-triggered
        snapshots, each refreshing the metrics file) and the sampling
        phase profiler, both on their own domains for the solve's
@@ -497,10 +498,7 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
       end
       else
         match engine with
-        | Bsolo_engine ->
-          Bsolo.Solver.solve_with_incumbent_hook ~options
-            ~on_incumbent:(fun _ cost -> note_incumbent cost)
-            problem
+        | Bsolo_engine -> Bsolo.Solver.solve ~options problem
         | Pbs_engine -> Bsolo.Linear_search.solve ~options problem
         | Galena_engine -> Bsolo.Linear_search.solve ~options ~pb_learning:true problem
         | Milp_engine -> Milp.Branch_and_bound.solve ~options problem
@@ -523,11 +521,10 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
       stop_server ();
       Printf.printf "c obsd: served %d requests, %d SSE frames dropped\n" st.Obsd.Server.served
         st.dropped);
-    (* Engines without the hook still contribute their final incumbent, so
-       every report carries a (possibly one-point) trajectory. *)
-    (match (if portfolio then None else Some engine), outcome.best with
-    | Some Bsolo_engine, _ | _, None -> ()
-    | _, Some (_, c) -> note_incumbent c);
+    (* Portfolio members publish into their shared incumbent cell, not
+       into [options.on_incumbent]: the portfolio's trajectory is its
+       final incumbent. *)
+    if portfolio then Option.iter (fun (_, c) -> note_incumbent c) outcome.best;
     (* Output in the PB-competition style. *)
     (match outcome.status with
     | Bsolo.Outcome.Optimal ->
@@ -739,8 +736,9 @@ let stats_arg =
 
 let trace_arg =
   let doc =
-    "Stream search events (decisions, backjumps, bound conflicts, incumbents, restarts, cuts) \
-     as JSON lines to $(docv)."
+    "Stream search events as JSON lines (schema bsolo-trace/2) to $(docv): decision, \
+     backjump, lb_eval, prune, learned, incumbent, import, restart and fin, plus the \
+     portfolio scheduling lines."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 

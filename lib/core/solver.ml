@@ -31,7 +31,6 @@ type search_state = {
   luby : Engine.Luby.t;
   start : float;
   deadline : float option;
-  on_incumbent : Model.t -> int -> unit;
 }
 
 (* Search outcome before packaging. *)
@@ -141,7 +140,9 @@ let record_incumbent st =
         k "incumbent %d after %d conflicts (%.2fs)" (cost + st.offset)
           (Telemetry.Counter.get (Core.stats st.engine).Core.conflicts)
           (Unix.gettimeofday () -. st.start));
-    st.on_incumbent m (cost + st.offset)
+    match st.options.on_incumbent with
+    | Some broadcast -> broadcast m (cost + st.offset)
+    | None -> ()
   end
 
 (* Push the knapsack cut (10) and the cardinality-inference cuts (13) for
@@ -489,7 +490,7 @@ let package st verdict =
     elapsed = Unix.gettimeofday () -. st.start;
   }
 
-let solve_with_incumbent_hook ?(options = Options.default) ~on_incumbent problem =
+let solve ?(options = Options.default) problem =
   let start = Unix.gettimeofday () in
   (* strengthened constraints have no cutting-planes derivation in the
      log, and the checker replays against the input problem's constraint
@@ -547,14 +548,6 @@ let solve_with_incumbent_hook ?(options = Options.default) ~on_incumbent problem
         Telemetry.Recorder.learned tel.recorder ~size:(List.length clause)
           ~level:(Core.decision_level engine));
   let offset = match Problem.objective problem with None -> 0 | Some o -> o.offset in
-  let on_incumbent =
-    match options.on_incumbent with
-    | None -> on_incumbent
-    | Some broadcast ->
-      fun m c ->
-        broadcast m c;
-        on_incumbent m c
-  in
   let proc = String.lowercase_ascii (Options.lb_method_name options.lb_method) in
   let st =
     {
@@ -583,7 +576,6 @@ let solve_with_incumbent_hook ?(options = Options.default) ~on_incumbent problem
       luby = Engine.Luby.create ~base:100;
       start;
       deadline = Option.map (fun l -> start +. l) options.time_limit;
-      on_incumbent;
     }
   in
   if Core.root_unsat engine then package st Exhausted
@@ -622,12 +614,6 @@ let solve_with_incumbent_hook ?(options = Options.default) ~on_incumbent problem
       package st verdict
     end
   end
-
-let solve ?options problem =
-  let on_incumbent _ _ = () in
-  match options with
-  | None -> solve_with_incumbent_hook ~on_incumbent problem
-  | Some options -> solve_with_incumbent_hook ~options ~on_incumbent problem
 
 let solve_under_assumptions ?options ~assumptions problem =
   let units =

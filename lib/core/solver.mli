@@ -17,15 +17,11 @@ val solve : ?options:Options.t -> Problem.t -> Outcome.t
     lower external cost tightens the upper bound in place; when
     [options.should_stop] is set the engine polls it during propagation
     and the run exits with [Unknown] once it fires;
-    [options.on_incumbent] is invoked on every improving local model.
+    [options.on_incumbent] is invoked on every improving local model
+    with its total cost (offset included) — the anytime behaviour the
+    paper's "ub" columns rely on.
     See {!Outcome.t.proved_lb} for how proofs completed under imported
     bounds are reported. *)
-
-val solve_with_incumbent_hook :
-  ?options:Options.t -> on_incumbent:(Model.t -> int -> unit) -> Problem.t -> Outcome.t
-(** Like {!solve} but reports every improving solution (model, total cost)
-    as it is found — the anytime behaviour the paper's "ub" columns rely
-    on.  [options.on_incumbent], when also set, is called first. *)
 
 val solve_under_assumptions :
   ?options:Options.t -> assumptions:Lit.t list -> Problem.t -> Outcome.t

@@ -1404,33 +1404,44 @@ let derive_pb_resolvent t ci =
               0 (Constr.terms r)
           in
           assert (a > 0 && b > 0);
-          let lam = a / gcd_int a b * b in
-          let candidate = Cp.copy g in
-          let ka = lam / a and kb = lam / b in
-          (* scale the resolvent itself *)
-          if ka > 1 then begin
-            Hashtbl.iter
-              (fun l c -> Hashtbl.replace candidate.Cp.coeffs l (c * ka))
-              (Hashtbl.copy candidate.Cp.coeffs);
-            candidate.Cp.degree <- candidate.Cp.degree * ka
-          end;
-          Cp.add_scaled candidate kb r;
-          Cp.saturate candidate;
-          if Cp.slack t candidate < 0 then begin
-            Hashtbl.reset g.Cp.coeffs;
-            Hashtbl.iter (Hashtbl.replace g.Cp.coeffs) candidate.Cp.coeffs;
-            g.Cp.degree <- candidate.Cp.degree
-          end
+          (* multipliers to the lcm of [a] and [b], computed without
+             forming the lcm itself, which can overflow *)
+          let gab = gcd_int a b in
+          let ka = b / gab and kb = a / gab in
+          (* Coefficients reach 2^40 and so do the multipliers.  [g] and
+             [r] are saturated with a positive degree (no coefficient
+             above it), so bounding each scaled degree by the degree limit
+             bounds every product before it is formed: give up rather
+             than let one wrap. *)
+          let fits k d = k = 1 || d <= degree_limit / k in
+          if not (fits ka g.Cp.degree && fits kb (Constr.degree r)) then give_up := true
           else begin
-            (* weaken the reason to its certificate clause: adding
-               [a * (p ∨ certificate)] cancels ~p exactly and the clause
-               has slack 0, so the conflict is preserved *)
-            let cert = implication_certificate t rci p in
-            Cp.add_scaled_clause g a (p :: cert);
-            Cp.saturate g
-          end;
-          if Cp.size g > size_limit || g.Cp.degree > degree_limit || g.Cp.degree < 0 then
-            give_up := true
+            let candidate = Cp.copy g in
+            (* scale the resolvent itself *)
+            if ka > 1 then begin
+              Hashtbl.iter
+                (fun l c -> Hashtbl.replace candidate.Cp.coeffs l (c * ka))
+                (Hashtbl.copy candidate.Cp.coeffs);
+              candidate.Cp.degree <- candidate.Cp.degree * ka
+            end;
+            Cp.add_scaled candidate kb r;
+            Cp.saturate candidate;
+            if Cp.slack t candidate < 0 then begin
+              Hashtbl.reset g.Cp.coeffs;
+              Hashtbl.iter (Hashtbl.replace g.Cp.coeffs) candidate.Cp.coeffs;
+              g.Cp.degree <- candidate.Cp.degree
+            end
+            else begin
+              (* weaken the reason to its certificate clause: adding
+                 [a * (p ∨ certificate)] cancels ~p exactly and the clause
+                 has slack 0, so the conflict is preserved *)
+              let cert = implication_certificate t rci p in
+              Cp.add_scaled_clause g a (p :: cert);
+              Cp.saturate g
+            end;
+            if Cp.size g > size_limit || g.Cp.degree > degree_limit || g.Cp.degree <= 0 then
+              give_up := true
+          end
       end
     end
   done;

@@ -10,8 +10,11 @@
     +3 x1 -2 x3 = 2 ;
     v}
 
-    Variables are written [xN] with [N >= 1]; [~xN] is negation.  The
-    objective line is optional.
+    Variables are written [xN] with [1 <= N <= 2^24]; [~xN] is negation.
+    Variables are allocated densely up to the largest index, so a larger
+    index is a {!Parse_error} rather than an attempt to allocate that many
+    variables; the cap is far above any real instance.  The objective
+    line is optional.
 
     Non-linear product terms in the PB07 style ([+2 x1 x2] meaning
     2*(x1 AND x2)) are accepted and linearized with cached Tseitin

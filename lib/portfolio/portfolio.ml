@@ -235,44 +235,33 @@ let stitch_proof ?run_id ~base problem names runs =
    replay: the interleaving between members is not recorded.)  Every
    member's recorder is teed onto the run's trace sink with its name as
    the "member" field, so the shared trace attributes each line. *)
+let recording_header ?run_id ~engine ~started problem =
+  {
+    Telemetry.Recorder.h_run_id = Option.value ~default:"" run_id;
+    h_engine = engine;
+    h_lb_method = "";
+    h_started = started;
+    h_nvars = Problem.nvars problem;
+    h_nconstraints = Array.length (Problem.constraints problem);
+    h_flags = 0;
+    h_lb_every = 0;
+    h_lgr_iters = 0;
+  }
+
 let member_recorder ?run_id tel ~record_file ~started problem name =
   let r =
     match record_file with
     | None -> Telemetry.Recorder.disabled ()
     | Some base -> (
-      let header =
-        {
-          Telemetry.Recorder.h_run_id = Option.value ~default:"" run_id;
-          h_engine = name;
-          h_lb_method = "";
-          h_started = started;
-          h_nvars = Problem.nvars problem;
-          h_nconstraints = Array.length (Problem.constraints problem);
-          h_flags = 0;
-          h_lb_every = 0;
-          h_lgr_iters = 0;
-        }
-      in
-      try Telemetry.Recorder.open_file (part_path base name) header
+      try
+        Telemetry.Recorder.open_file (part_path base name)
+          (recording_header ?run_id ~engine:name ~started problem)
       with Sys_error _ -> Telemetry.Recorder.disabled ())
   in
   Telemetry.Recorder.tee r ~member:name tel.Telemetry.Ctx.trace;
   r
 
 let stitch_recording ?run_id ~base ~started problem names =
-  let header =
-    {
-      Telemetry.Recorder.h_run_id = Option.value ~default:"" run_id;
-      h_engine = "portfolio";
-      h_lb_method = "";
-      h_started = started;
-      h_nvars = Problem.nvars problem;
-      h_nconstraints = Array.length (Problem.constraints problem);
-      h_flags = 0;
-      h_lb_every = 0;
-      h_lgr_iters = 0;
-    }
-  in
   let parts =
     List.filter_map
       (fun name ->
@@ -280,77 +269,20 @@ let stitch_recording ?run_id ~base ~started problem names =
         if Sys.file_exists p then Some (name, p) else None)
       names
   in
-  (match Telemetry.Recorder.stitch base header parts with
+  (match
+     Telemetry.Recorder.stitch base
+       (recording_header ?run_id ~engine:"portfolio" ~started problem)
+       parts
+   with
   | Ok () -> ()
   | Error _ -> ());
   List.iter (fun (_, p) -> try Sys.remove p with Sys_error _ -> ()) parts
 
-(* --- sequential portfolio -------------------------------------------------- *)
+(* --- the worker pool -------------------------------------------------------- *)
 
-(* One entry after the other.  An entry's slice is its fair share of the
-   budget *still unspent*, so an early unproved finisher (conflict/node
-   limit, trivial instance) donates its remainder to later entries
-   instead of letting it evaporate. *)
-let solve_sequential ?run_id tel entries ~budget ~proof_file ~record_file problem =
-  let started = Unix.gettimeofday () in
-  let runs = ref [] in
-  let finished = ref false in
-  let spent = ref 0. in
-  let remaining = ref (List.length entries) in
-  List.iter
-    (fun e ->
-      if not !finished then begin
-        let slice = Float.max 0.05 ((budget -. !spent) /. float_of_int (max 1 !remaining)) in
-        Telemetry.Trace.event tel.Telemetry.Ctx.trace "portfolio_member"
-          [ "name", Telemetry.Json.String e.pname; "slice", Telemetry.Json.Float slice ];
-        let psink =
-          Option.map (fun base -> Proof.Sink.open_file (part_path base e.pname)) proof_file
-        in
-        let wrec = member_recorder ?run_id tel ~record_file ~started problem e.pname in
-        let options =
-          {
-            Bsolo.Options.default with
-            time_limit = Some slice;
-            telemetry =
-              (if Telemetry.Recorder.enabled wrec then
-                 Some (Telemetry.Ctx.create ~timing:false ~recorder:wrec ())
-               else None);
-            proof = Option.map (fun s -> Proof.create ~header:false s problem) psink;
-          }
-        in
-        (* Sequential members share the caller's context (and so its
-           track): the member span nests around the engine-phase spans
-           the run emits. *)
-        let o =
-          Telemetry.Span.with_span ~cat:"member" tel.spans
-            ~track:(Telemetry.Profile.Cell.track tel.cell)
-            ("member:" ^ e.pname)
-            (fun () -> e.psolve ~options problem)
-        in
-        Option.iter Proof.Sink.close psink;
-        Telemetry.Recorder.close wrec;
-        spent := !spent +. o.elapsed;
-        attribute tel e.pname o;
-        runs := (e.pname, o) :: !runs;
-        if proved o then finished := true
-      end;
-      decr remaining)
-    entries;
-  let runs = List.rev !runs in
-  (match proof_file with
-  | Some base -> stitch_proof ?run_id ~base problem (List.map (fun e -> e.pname) entries) runs
-  | None -> ());
-  (match record_file with
-  | Some base ->
-    stitch_recording ?run_id ~base ~started problem (List.map (fun e -> e.pname) entries)
-  | None -> ());
-  runs
-
-(* --- parallel portfolio ---------------------------------------------------- *)
-
-(* The shared-incumbent cell: best (cost, model, finder) any worker has
+(* The shared-incumbent cell: best (cost, model, finder) any member has
    found, offset included.  CAS-published so a stale broadcast never
-   overwrites a better one; polled by workers through
+   overwrites a better one; polled by members through
    Options.external_incumbent as a plain Atomic.get.  The finder name
    tags proof-log import steps with the member the bound came from. *)
 let rec publish cell cost model name =
@@ -361,16 +293,15 @@ let rec publish cell cost model name =
     if Atomic.compare_and_set cell cur (Some (cost, model, name)) then true
     else publish cell cost model name
 
-type worker_result = {
+type member_result = {
   windex : int;  (* entry index, the determinism anchor *)
   wname : string;
   wrun : (Bsolo.Outcome.t, string) result;  (* Error = exception barrier *)
   wregistry : Telemetry.Registry.t;
-  wcancelled : bool;  (* finished unproved after the stop flag was up *)
 }
 
-let solve_parallel ?run_id ~observe ~on_member_start ~on_member_done tel entries ~jobs
-    ~budget ~proof_file ~record_file problem =
+let run_pool ?run_id ~observe ~on_member_start ~on_member_done tel entries ~jobs ~budget
+    ~proof_file ~record_file problem =
   let entries = Array.of_list entries in
   let n = Array.length entries in
   let jobs = max 1 (min jobs n) in
@@ -378,27 +309,26 @@ let solve_parallel ?run_id ~observe ~on_member_start ~on_member_done tel entries
   let deadline = start +. budget in
   let cell : (int * Model.t * string) option Atomic.t = Atomic.make None in
   let stop = Atomic.make false in
-  let broadcasts = Atomic.make 0 in
-  let run_one index =
+  let broadcasts = Atomic.make 0 and cancelled = Atomic.make 0 in
+  let run_one index ~slice =
     let e = entries.(index) in
+    Telemetry.Trace.event tel.Telemetry.Ctx.trace "portfolio_member"
+      [ "name", Telemetry.Json.String e.pname; "slice", Telemetry.Json.Float slice ];
     (* Each member gets its own profile cell — and so its own span track
        — live (registered) exactly for the duration of its run, so
        monitors see members come and go. *)
     let wcell = Telemetry.Profile.Cell.make ~observed:observe ~name:e.pname () in
     let wtrack = Telemetry.Profile.Cell.track wcell in
-    Telemetry.Span.name_track tel.Telemetry.Ctx.spans ~track:wtrack e.pname;
+    Telemetry.Span.name_track tel.spans ~track:wtrack e.pname;
     let wrec = member_recorder ?run_id tel ~record_file ~started:start problem e.pname in
-    let wtel =
-      Telemetry.Ctx.create ~timing:false ~spans:tel.Telemetry.Ctx.spans ~cell:wcell ~recorder:wrec
-        ()
-    in
+    let wtel = Telemetry.Ctx.create ~timing:false ~spans:tel.spans ~cell:wcell ~recorder:wrec () in
     let psink =
       Option.map (fun base -> Proof.Sink.open_file (part_path base e.pname)) proof_file
     in
     let options =
       {
         Bsolo.Options.default with
-        time_limit = Some (Float.max 0.01 (deadline -. Unix.gettimeofday ()));
+        time_limit = Some slice;
         telemetry = Some wtel;
         external_incumbent =
           Some
@@ -413,10 +343,10 @@ let solve_parallel ?run_id ~observe ~on_member_start ~on_member_done tel entries
       }
     in
     Telemetry.Profile.register wcell;
-    (* Expose the worker's private registry for the member's lifetime:
-       the observability server scrapes it live under the same
-       [portfolio.<name>.] prefix its post-join merge will use, so
-       metric names stay stable across the member's finish. *)
+    (* Expose the member's private registry for its lifetime: the
+       observability server scrapes it live under the same
+       [portfolio.<name>.] prefix the post-join merge will use, so metric
+       names stay stable across the member's finish. *)
     on_member_start e.pname wtel.registry;
     let wrun =
       match
@@ -428,9 +358,9 @@ let solve_parallel ?run_id ~observe ~on_member_start ~on_member_done tel entries
       | exception exn -> Error (Printexc.to_string exn)
     in
     Telemetry.Profile.unregister wcell;
-    (* Withdraw the live source before the main domain merges the
-       registry after the join — a scrape between the two sees the
-       member's counters in neither place rather than in both. *)
+    (* Withdraw the live source before the registry is merged after the
+       join — a scrape between the two sees the member's counters in
+       neither place rather than in both. *)
     on_member_done e.pname;
     Option.iter Proof.Sink.close psink;
     Telemetry.Recorder.close wrec;
@@ -447,30 +377,39 @@ let solve_parallel ?run_id ~observe ~on_member_start ~on_member_done tel entries
            | Some f, Some (c, _, _) -> c <= f
            | _ -> false)
     in
-    if self_proof then Atomic.set stop true;
-    {
-      windex = index;
-      wname = e.pname;
-      wrun;
-      wregistry = wtel.registry;
-      wcancelled = stopped_by_peer && not self_proof;
-    }
+    if self_proof then Atomic.set stop true
+    else if stopped_by_peer then Atomic.incr cancelled;
+    { windex = index; wname = e.pname; wrun; wregistry = wtel.registry }
   in
-  (* Round-robin entry assignment: worker [w] runs entries w, w+jobs, ...
-     sequentially, each against the shared wall-clock deadline.  With
-     jobs >= n every entry gets its own domain. *)
+  (* Round-robin assignment: worker [w] runs entries w, w+jobs, ... one
+     after another.  A member's slice is its fair share of the time left
+     to the deadline, (deadline - now) / members this worker has not yet
+     run, so an early finisher donates its remainder to the worker's later
+     members; with jobs >= n every member gets the whole budget.  Once the
+     stop flag is up a worker starts no further member: the members it
+     skips are not run and count as cancelled. *)
   let worker w =
-    List.filter_map
-      (fun i -> if i mod jobs = w then Some (run_one i) else None)
-      (List.init n Fun.id)
+    let rec go acc = function
+      | [] -> List.rev acc
+      | pending when Atomic.get stop ->
+        ignore (Atomic.fetch_and_add cancelled (List.length pending));
+        List.rev acc
+      | i :: rest ->
+        let left = float_of_int (1 + List.length rest) in
+        let slice = Float.max 0.01 ((deadline -. Unix.gettimeofday ()) /. left) in
+        go (run_one i ~slice :: acc) rest
+    in
+    go [] (List.filter (fun i -> i mod jobs = w) (List.init n Fun.id))
   in
-  let domains = List.init jobs (fun w -> Domain.spawn (fun () -> worker w)) in
+  (* The calling domain is worker 0; the other jobs - 1 get a domain each. *)
+  let others = List.init (jobs - 1) (fun w -> Domain.spawn (fun () -> worker (w + 1))) in
+  let own = worker 0 in
   let results =
-    List.concat_map Domain.join domains
+    List.concat (own :: List.map Domain.join others)
     |> List.sort (fun a b -> compare a.windex b.windex)
   in
   let reg = tel.Telemetry.Ctx.registry in
-  let imports = ref 0 and cancelled = ref 0 in
+  let imports = ref 0 in
   let runs = ref [] and failures = ref [] in
   List.iter
     (fun r ->
@@ -478,7 +417,6 @@ let solve_parallel ?run_id ~observe ~on_member_start ~on_member_done tel entries
         !imports
         + Option.value ~default:0
             (Telemetry.Registry.find_counter r.wregistry "search.incumbent_imports");
-      if r.wcancelled then incr cancelled;
       match r.wrun with
       | Ok o ->
         attribute tel r.wname o;
@@ -493,30 +431,25 @@ let solve_parallel ?run_id ~observe ~on_member_start ~on_member_done tel entries
         failures := (r.wname, msg) :: !failures)
     results;
   let runs = List.rev !runs and failures = List.rev !failures in
+  let names = List.map (fun e -> e.pname) (Array.to_list entries) in
   (* Stitch before the combined-proof upgrade: the final [F] claim must be
      derived from the raw member outcomes — the upgrade rewrites a run to
      Optimal on the strength of *another* member's witness, a cost the
      rewritten section never verified, and checkproof would reject it. *)
-  (match proof_file with
-  | Some base ->
-    stitch_proof ?run_id ~base problem
-      (List.map (fun e -> e.pname) (Array.to_list entries))
-      runs
-  | None -> ());
-  (match record_file with
-  | Some base ->
-    stitch_recording ?run_id ~base ~started:start problem
-      (List.map (fun e -> e.pname) (Array.to_list entries))
-  | None -> ());
+  Option.iter (fun base -> stitch_proof ?run_id ~base problem names runs) proof_file;
+  Option.iter
+    (fun base -> stitch_recording ?run_id ~base ~started:start problem names)
+    record_file;
   Telemetry.Counter.add
     (Telemetry.Registry.counter reg "portfolio.incumbent_broadcasts")
     (Atomic.get broadcasts);
   Telemetry.Counter.add (Telemetry.Registry.counter reg "portfolio.incumbent_imports") !imports;
-  Telemetry.Counter.add (Telemetry.Registry.counter reg "portfolio.cancelled") !cancelled;
+  Telemetry.Counter.add (Telemetry.Registry.counter reg "portfolio.cancelled")
+    (Atomic.get cancelled);
   (* Combined optimality proof: one run exhausted its search under an
      imported bound f ("no solution costs < f") while the incumbent cell
      holds a model of cost c <= f found by another run — together that is
-     optimality of c, even though no single worker proved it alone. *)
+     optimality of c, even though no single member proved it alone. *)
   let combined =
     let floor =
       List.fold_left
@@ -537,7 +470,7 @@ let solve_parallel ?run_id ~observe ~on_member_start ~on_member_done tel entries
     | Some (c, m) ->
       Telemetry.Trace.event tel.trace "portfolio_combined_proof"
         [ "cost", Telemetry.Json.Int c ];
-      (* Upgrade the run holding the optimal incumbent (or, if its worker
+      (* Upgrade the run holding the optimal incumbent (or, if its member
          crashed after broadcasting, the run that completed the proof)
          to the Optimal status the runs jointly established. *)
       let holds_best (_, (o : Bsolo.Outcome.t)) =
@@ -576,11 +509,8 @@ let solve ?telemetry ?run_id ?(observe = false) ?(on_member_start = fun _ _ -> (
   if entries = [] then invalid_arg "Portfolio.solve: no entries";
   let observe = observe || Telemetry.Span.enabled tel.Telemetry.Ctx.spans in
   let runs, failures =
-    if jobs <= 1 then
-      solve_sequential ?run_id tel entries ~budget ~proof_file ~record_file problem, []
-    else
-      solve_parallel ?run_id ~observe ~on_member_start ~on_member_done tel entries ~jobs
-        ~budget ~proof_file ~record_file problem
+    run_pool ?run_id ~observe ~on_member_start ~on_member_done tel entries ~jobs ~budget
+      ~proof_file ~record_file problem
   in
   if runs = [] then begin
     let detail =

@@ -6,17 +6,15 @@ open Pbo
     that no single configuration dominates every family — a portfolio is
     the practical consequence.
 
-    With [jobs > 1] the entries run on OCaml 5 domains with a shared
-    incumbent cell and cooperative cancellation (see docs/PARALLEL.md);
-    with [jobs = 1] (the default) they run one after another exactly as
-    before. *)
+    The entries run on a pool of OCaml 5 domains with a shared incumbent
+    cell and cooperative cancellation (see docs/PARALLEL.md); one job is
+    a pool of one worker that runs every entry in order. *)
 
 type entry = {
   pname : string;
   psolve : options:Bsolo.Options.t -> Problem.t -> Bsolo.Outcome.t;
       (** The portfolio supplies [options] carrying the time budget,
-          telemetry context and (in parallel mode) the shared-incumbent
-          hooks; the entry overrides only strategy fields on top. *)
+          telemetry context and the shared-incumbent hooks; the entry overrides only strategy fields on top. *)
 }
 
 val default_entries : entry list
@@ -58,49 +56,50 @@ val solve :
     best outcome: proved results beat bounds, lower costs beat higher
     ones, ties go to the earlier entry.
 
-    [jobs <= 1] (default): sequential.  Each entry's slice is its fair
-    share of the still-unspent budget, so early finishers donate their
-    remainder to later entries; stops early once an entry returns a
-    proved result.
+    The entries run on [max 1 (min jobs n)] workers — the calling domain
+    and one spawned domain per further job — with entry [i] assigned to
+    worker [i mod jobs].  A worker runs its entries one after another;
+    each gets as its time limit its fair share of the time left,
+    [(deadline - now) / entries the worker has not yet run], so an early
+    unproved finisher donates its remainder to the worker's later entries
+    and with [jobs >= n] every entry gets the whole [budget].
 
-    [jobs > 1]: each entry runs on its own domain (at most [jobs]
-    domains; extra entries are assigned round-robin), all against the
-    full [budget].  Workers share one incumbent cell — every improving
-    model is CAS-published and imported by the others as an upper bound —
-    and a stop flag raised on the first completed proof.  A run that
-    exhausted its search under an imported bound contributes a proved
-    lower bound ({!Bsolo.Outcome.proved_lb}); combined with the incumbent
-    cell this can establish optimality jointly even when no single worker
-    proved it alone.  An exception in one worker is reported in
-    [failures] and does not abort the others.
+    All members share one incumbent cell — every improving model is
+    CAS-published and imported by the others as an upper bound — and a
+    stop flag raised on the first completed proof.  Once the flag is up a
+    worker starts no further entry; skipped entries are not listed in
+    [runs] and count in [portfolio.cancelled].  A run that exhausted its
+    search under an imported bound contributes a proved lower bound
+    ({!Bsolo.Outcome.proved_lb}); combined with the incumbent cell this
+    can establish optimality jointly even when no single member proved
+    it alone.  An exception in one member is reported in [failures] and
+    does not abort the others.
 
     When [telemetry] is given, each member run is attributed in the
     shared registry — counters [portfolio.<name>.<counter>] and gauge
     [portfolio.<name>.seconds] — and [portfolio_member] /
     [portfolio_result] events are traced.  Every member's recorder is
     teed onto the trace sink with its name as the ["member"] field, so
-    members' search events land in the same trace, attributed (with
-    one job or several).  Parallel runs additionally
-    merge each worker's private registry as
-    [portfolio.<name>.<instrument>] and set the portfolio-level counters
+    members' search events land in the same trace, attributed.  Each
+    member's private registry is merged after the join as
+    [portfolio.<name>.<instrument>], and the portfolio-level counters
     [portfolio.incumbent_broadcasts], [portfolio.incumbent_imports] and
-    [portfolio.cancelled].
+    [portfolio.cancelled] are set.
 
     Observability: with [telemetry] given, each member run is wrapped in
-    a [member:<name>] span on the member's own track (parallel mode) or
-    the caller's track (sequential).  Parallel workers each publish a
-    {!Telemetry.Profile.Cell} — named after the member, registered for
-    exactly the run's duration — which the sampling profiler and
-    heartbeat ticker observe; [observe] forces the cells' phase stacks
-    on even when no span sink is attached (the heartbeat/profiler case).
+    a [member:<name>] span on the member's own track.  Each member
+    publishes a {!Telemetry.Profile.Cell} — named after the member,
+    registered for exactly the run's duration — which the sampling
+    profiler and heartbeat ticker observe; [observe] forces the cells'
+    phase stacks on even when no span sink is attached (the
+    heartbeat/profiler case).
 
     [on_member_start name registry] / [on_member_done name] bracket each
-    parallel member's run from the worker domain, handing out its
-    private registry so the observability server can scrape live members
-    under the same [portfolio.<name>.] prefix the post-join merge uses.
-    The registry must only be read racy-but-tear-free while live (it is
-    written by the worker).  Sequential members share the caller's
-    context and do not fire the hooks.
+    member's run from its worker's domain, handing out its private
+    registry so the observability server can scrape live members under
+    the same [portfolio.<name>.] prefix the post-join merge uses.  The
+    registry must only be read racy-but-tear-free while live (it is
+    written by the worker).
 
     With [record_file] each member writes a flight recording into
     [<record_file>.<member>.part] and the parts are stitched — like the

@@ -131,3 +131,45 @@ let galena_cp_exact_on_covering () =
 
 let suite =
   suite @ [ Alcotest.test_case "galena-cp exact on covering" `Slow galena_cp_exact_on_covering ]
+
+(* Coefficients near the parser's limit make the resolvent multipliers
+   themselves reach 2^40: the resolution must give up rather than wrap
+   around, and the galena engine (with and without the resolvents) must
+   still find the exact optimum.  Each constraint needs a fifth to a half
+   of its weight, so conflicts, and so resolution steps, are common. *)
+let near_limit_problem seed =
+  let rng = Random.State.make [| seed; 0x2545f491 |] in
+  let nvars = 10 in
+  let b = Problem.Builder.create ~nvars () in
+  let half = Constr.coefficient_limit / 2 in
+  for _ = 1 to 10 do
+    let arity = 3 + Random.State.int rng 2 in
+    let terms =
+      List.init arity (fun _ -> half + Random.State.full_int rng half, Gen.lit_of rng nvars)
+    in
+    let total = List.fold_left (fun acc (c, _) -> acc + c) 0 terms in
+    Problem.Builder.add_ge b terms ((total / 5) + Random.State.full_int rng (total / 3))
+  done;
+  Problem.Builder.set_objective b
+    (List.init nvars (fun v -> 1 + Random.State.int rng 6, Lit.pos v));
+  Problem.Builder.build b
+
+let galena_near_limit_exact =
+  QCheck2.Test.make ~name:"galena exact with coefficients near the limit" ~count:100
+    QCheck2.Gen.(int_bound 100_000)
+    (fun seed ->
+      let problem = near_limit_problem seed in
+      let reference = Option.map snd (Bsolo.Exhaustive.optimum problem) in
+      List.for_all
+        (fun cutting_planes ->
+          let o = Bsolo.Linear_search.solve ~pb_learning:true ~cutting_planes problem in
+          let cost = Bsolo.Outcome.best_cost o in
+          if cost <> reference then
+            QCheck2.Test.fail_reportf "seed %d (cutting_planes %b): galena %s, exhaustive %s"
+              seed cutting_planes
+              (Option.fold ~none:"-" ~some:string_of_int cost)
+              (Option.fold ~none:"-" ~some:string_of_int reference);
+          true)
+        [ false; true ])
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest galena_near_limit_exact ]

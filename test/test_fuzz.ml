@@ -74,6 +74,8 @@ let opb_oversized () =
       "-4611686018427387904 x1 >= 1 ;", 1;
       "+1 x1 >= 5000000000000 ;", 1;
       "min: +1 x1 ;\nmin: +1 x2 ;", 2;
+      "+1 x1 +1 x99999999999 >= 1 ;", 1;
+      "min: +1 x1 ;\n+1 x1 >= 1 ;\n+1 ~x16777217 >= 1 ;", 3;
     ];
   (* the limit itself is accepted *)
   ignore (Pbo.Opb.parse_string "+1099511627776 x1 +1 x2 >= 1 ;")

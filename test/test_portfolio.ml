@@ -231,6 +231,71 @@ let crash_isolation () =
   | s -> Alcotest.failf "portfolio did not recover from crash: %s" (Bsolo.Outcome.status_name s));
   Alcotest.(check (option string)) "no disagreement" None r.disagreement
 
+(* With fewer jobs than entries a worker runs several members one after
+   another; each must get its fair share of the time its worker has left,
+   not whatever the first member leaves of the shared deadline.  Worker 0
+   runs entries 0 and 2: entry 0 sleeps out its whole slice (half the
+   budget), so entry 2 inherits the other half. *)
+let worker_fair_share () =
+  let seen = ref None in
+  let entry pname psolve = { Portfolio.pname; psolve } in
+  let instant = entry "instant" (fun ~options:_ _ -> outcome Bsolo.Outcome.Unknown) in
+  let sleeper =
+    entry "sleeper" (fun ~options _ ->
+        Option.iter Unix.sleepf options.Bsolo.Options.time_limit;
+        outcome Bsolo.Outcome.Unknown)
+  in
+  let recorder =
+    entry "recorder" (fun ~options _ ->
+        seen := options.Bsolo.Options.time_limit;
+        outcome Bsolo.Outcome.Unknown)
+  in
+  let r =
+    Portfolio.solve
+      ~entries:[ sleeper; instant; recorder; { instant with pname = "instant-2" } ]
+      ~jobs:2 ~budget:2.0 (Gen.covering 1)
+  in
+  Alcotest.(check int) "all ran" 4 (List.length r.runs);
+  match !seen with
+  | None -> Alcotest.fail "third entry saw no time limit"
+  | Some slice ->
+    if slice < 0.8 then Alcotest.failf "third entry starved: slice %.3f < 0.8" slice
+
+(* One job is a pool of one worker: a raising entry is isolated there too,
+   and the later entries still prove the optimum. *)
+let crash_isolation_one_job () =
+  let boom =
+    { Portfolio.pname = "boom"; psolve = (fun ~options:_ _ -> failwith "kaboom") }
+  in
+  let problem = Gen.covering 2 in
+  let r =
+    Portfolio.solve ~entries:(boom :: Portfolio.default_entries) ~jobs:1 ~budget:20.0 problem
+  in
+  (match List.assoc_opt "boom" r.failures with
+  | Some msg when String.length msg > 0 -> ()
+  | _ -> Alcotest.fail "crash not reported in failures");
+  let reference = Option.map snd (Bsolo.Exhaustive.optimum problem) in
+  (match r.outcome.status with
+  | Bsolo.Outcome.Optimal -> ()
+  | s -> Alcotest.failf "portfolio did not recover from crash: %s" (Bsolo.Outcome.status_name s));
+  Alcotest.(check (option int)) "optimum" reference (Bsolo.Outcome.best_cost r.outcome)
+
+(* The live-member hooks bracket every member's run whatever the job
+   count, and each member's registry is handed out exactly once. *)
+let member_hooks_one_job () =
+  let started = ref [] and finished = ref [] in
+  let entry pname = { Portfolio.pname; psolve = (fun ~options:_ _ -> outcome Bsolo.Outcome.Unknown) } in
+  let names = [ "a"; "b"; "c" ] in
+  let r =
+    Portfolio.solve ~entries:(List.map entry names) ~jobs:1 ~budget:2.0
+      ~on_member_start:(fun name _ -> started := name :: !started)
+      ~on_member_done:(fun name -> finished := name :: !finished)
+      (Gen.covering 1)
+  in
+  Alcotest.(check int) "all ran" 3 (List.length r.runs);
+  Alcotest.(check (list string)) "start once each" names (List.rev !started);
+  Alcotest.(check (list string)) "done once each" names (List.rev !finished)
+
 (* Every member's recorder is teed onto the shared trace: with one job or
    two, each member that ran leaves search events tagged with its name. *)
 let trace_attributes_members () =
@@ -280,4 +345,7 @@ let suite =
     Alcotest.test_case "oracle broadcast prunes" `Slow oracle_broadcast_prunes;
     Alcotest.test_case "crash isolation" `Slow crash_isolation;
     Alcotest.test_case "trace attributes members" `Quick trace_attributes_members;
+    Alcotest.test_case "worker fair share" `Quick worker_fair_share;
+    Alcotest.test_case "crash isolation (one job)" `Slow crash_isolation_one_job;
+    Alcotest.test_case "member hooks (one job)" `Quick member_hooks_one_job;
   ]

@@ -70,8 +70,9 @@ let incumbent_hook_decreasing () =
   let p = Gen.covering ~nvars:12 ~nclauses:14 9 in
   let seen = ref [] in
   let o =
-    Bsolo.Solver.solve_with_incumbent_hook
-      ~on_incumbent:(fun _ c -> seen := c :: !seen)
+    Bsolo.Solver.solve
+      ~options:
+        { Bsolo.Options.default with on_incumbent = Some (fun _ c -> seen := c :: !seen) }
       p
   in
   let rec decreasing = function
