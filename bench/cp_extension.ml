@@ -5,28 +5,17 @@
    exactly how the PB-solving state of the art evolved. *)
 
 let solvers =
-  [
-    ( "pbs",
-      fun ~time_limit p ->
-        Bsolo.Linear_search.solve
-          ~options:{ Bsolo.Linear_search.pbs_like with time_limit = Some time_limit }
-          p );
-    ( "galena-2003",
-      fun ~time_limit p ->
-        Bsolo.Linear_search.solve
-          ~options:{ Bsolo.Linear_search.pbs_like with time_limit = Some time_limit }
-          ~pb_learning:true p );
-    ( "galena-cp",
-      fun ~time_limit p ->
-        Bsolo.Linear_search.solve
-          ~options:{ Bsolo.Linear_search.pbs_like with time_limit = Some time_limit }
-          ~pb_learning:true ~cutting_planes:true p );
-    ( "bsolo-LPR",
-      fun ~time_limit p ->
-        Bsolo.Solver.solve
-          ~options:{ Bsolo.Options.default with time_limit = Some time_limit }
-          p );
-  ]
+  List.map
+    (fun (name, (base : Bsolo.Options.t)) ->
+      ( name,
+        fun ~time_limit p ->
+          Bsolo.Solver.solve ~options:{ base with time_limit = Some time_limit } p ))
+    [
+      "pbs", Bsolo.Options.pbs;
+      "galena-2003", Bsolo.Options.galena;
+      "galena-cp", { Bsolo.Options.galena with learning = Bsolo.Options.Cutting_planes };
+      "bsolo-LPR", Bsolo.Options.default;
+    ]
 
 let run ~limit ~scale ~per_family () =
   let instances = Benchgen.Suite.instances ~scale ~per_family () in

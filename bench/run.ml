@@ -5,23 +5,12 @@ type solver = {
   run : time_limit:float -> ?telemetry:Telemetry.Ctx.t -> Pbo.Problem.t -> Bsolo.Outcome.t;
 }
 
-let bsolo_with lb ~time_limit ?telemetry problem =
-  let options =
-    { (Bsolo.Options.with_lb lb) with time_limit = Some time_limit; telemetry }
-  in
-  Bsolo.Solver.solve ~options problem
+let solve_with (base : Bsolo.Options.t) ~time_limit ?telemetry problem =
+  Bsolo.Solver.solve ~options:{ base with time_limit = Some time_limit; telemetry } problem
 
-let pbs ~time_limit ?telemetry problem =
-  let options =
-    { Bsolo.Linear_search.pbs_like with time_limit = Some time_limit; telemetry }
-  in
-  Bsolo.Linear_search.solve ~options problem
-
-let galena ~time_limit ?telemetry problem =
-  let options =
-    { Bsolo.Linear_search.pbs_like with time_limit = Some time_limit; telemetry }
-  in
-  Bsolo.Linear_search.solve ~options ~pb_learning:true problem
+let bsolo_with lb = solve_with (Bsolo.Options.with_lb lb)
+let pbs = solve_with Bsolo.Options.pbs
+let galena = solve_with Bsolo.Options.galena
 
 let cplex_like ~time_limit ?telemetry problem =
   let options = { Bsolo.Options.default with time_limit = Some time_limit; telemetry } in

@@ -10,16 +10,17 @@
 # deterministically with `bsolo replay --check`, its forensics node
 # accounting reconciled, a --record-ring run killed with SIGTERM whose
 # tail must still parse, and stitched --portfolio recordings (--jobs 2
-# and --jobs 1, whose forensics accounting must reconcile).  The
+# and --jobs 1, whose forensics accounting must reconcile); pbs and
+# galena recordings replay and reconcile the same way.  The
 # three --bcp propagation modes must produce identical optima and a
 # hybrid recording must replay cleanly under all three.
 # Exits non-zero on the first failure.
 #
 # With --proof, each smoke instance is additionally solved under
 # certified proof logging and the log replayed through `bsolo
-# checkproof` (including --portfolio --jobs 2 and --jobs 1 stitched
-# proofs); at least one run must carry certified LPR bound-conflict
-# steps.
+# checkproof` (including an --engine pbs proof and --portfolio --jobs 2
+# and --jobs 1 stitched proofs); at least one run must carry certified
+# LPR bound-conflict steps.
 #
 # When SMOKE_ARTIFACTS_DIR is set, the run's artifacts (span/heartbeat/
 # metrics files, reports, proofs) are copied there on exit for CI upload.
@@ -125,6 +126,14 @@ rc=0
 timeout 20 ./_build/default/bin/bsolo_main.exe "$tmpdir/hugevar.opb" >"$tmpdir/hugevar.out" 2>&1 || rc=$?
 [ "$rc" = 2 ] && grep -q '^s UNSUPPORTED$' "$tmpdir/hugevar.out" || {
   echo "FAIL: huge variable index: exit $rc"; cat "$tmpdir/hugevar.out"; exit 1;
+}
+
+echo "== huge DIMACS variable index is unsupported, not a crash =="
+printf 'p cnf 3 1\n1 99999999999 0\n' >"$tmpdir/hugevar.cnf"
+rc=0
+timeout 20 ./_build/default/bin/bsolo_main.exe "$tmpdir/hugevar.cnf" >"$tmpdir/hugevar-cnf.out" 2>&1 || rc=$?
+[ "$rc" = 2 ] && grep -q '^s UNSUPPORTED$' "$tmpdir/hugevar-cnf.out" || {
+  echo "FAIL: huge DIMACS variable index: exit $rc"; cat "$tmpdir/hugevar-cnf.out"; exit 1;
 }
 
 echo "== validate JSON report =="
@@ -308,6 +317,29 @@ grep -q 'matches recorded fin' "$tmpdir/forensics.out" || {
   cat "$tmpdir/forensics.out"; exit 1;
 }
 
+echo "== pbs and galena recordings replay and account (one search driver) =="
+for engine in pbs galena; do
+  timeout 120 "$bsolo" benchmarks/synth-s1.opb --engine "$engine" --timeout 60 \
+    --record "$tmpdir/$engine.rec" >"$tmpdir/$engine-rec.out" 2>&1 || {
+    echo "FAIL: recorded --engine $engine solve failed"; cat "$tmpdir/$engine-rec.out"; exit 1;
+  }
+  timeout 120 "$bsolo" replay benchmarks/synth-s1.opb "$tmpdir/$engine.rec" --check \
+    >"$tmpdir/$engine-replay.out" 2>&1 || {
+    echo "FAIL: replay --check of the $engine recording diverged"; cat "$tmpdir/$engine-replay.out"; exit 1;
+  }
+  grep -q '^s REPLAY OK' "$tmpdir/$engine-replay.out" || {
+    echo "FAIL: no REPLAY OK verdict for the $engine recording"; cat "$tmpdir/$engine-replay.out"; exit 1;
+  }
+  "$bsolo" inspect forensics "$tmpdir/$engine.rec" >"$tmpdir/$engine-forensics.out" 2>&1 || {
+    echo "FAIL: forensics failed on the $engine recording"; cat "$tmpdir/$engine-forensics.out"; exit 1;
+  }
+  grep -q 'matches recorded fin' "$tmpdir/$engine-forensics.out" || {
+    echo "FAIL: $engine forensics node accounting does not match the recorded fin";
+    cat "$tmpdir/$engine-forensics.out"; exit 1;
+  }
+  echo "$engine: $(grep '^c replay:' "$tmpdir/$engine-replay.out")"
+done
+
 echo "== ring recording leaves a parseable tail after SIGTERM =="
 timeout -s TERM 0.2 "$bsolo" benchmarks/synth-s2.opb \
   --lb lpr --record "$tmpdir/ring.rec" --record-ring 256 >/dev/null 2>&1 || true
@@ -445,6 +477,19 @@ if [ "$with_proof" = 1 ]; then
     echo "FAIL: no run exercised certified LPR bound-conflict steps";
     grep -h '^c proof:' "$tmpdir"/*.check; exit 1;
   }
+
+  echo "== proof-checked pbs (--engine pbs --proof) =="
+  timeout 120 "$bsolo" benchmarks/synth-s1.opb --engine pbs --timeout 60 \
+    --proof "$tmpdir/pbs.pbp" >"$tmpdir/pbs-proof.out" 2>&1 || {
+    echo "FAIL: proof-logged pbs solve failed"; cat "$tmpdir/pbs-proof.out"; exit 1;
+  }
+  "$bsolo" checkproof benchmarks/synth-s1.opb "$tmpdir/pbs.pbp" >"$tmpdir/pbs-proof.check" 2>&1 || {
+    echo "FAIL: checkproof rejected the pbs proof"; cat "$tmpdir/pbs-proof.check"; exit 1;
+  }
+  grep -q '^s VERIFIED' "$tmpdir/pbs-proof.check" || {
+    echo "FAIL: no VERIFIED verdict for the pbs proof"; cat "$tmpdir/pbs-proof.check"; exit 1;
+  }
+  echo "pbs: $(grep '^s VERIFIED' "$tmpdir/pbs-proof.check")"
 
   echo "== proof-checked parallel portfolio (--jobs 2) =="
   timeout 120 "$bsolo" benchmarks/synth-s1.opb \

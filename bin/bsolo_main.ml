@@ -74,16 +74,19 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
   | _ ->
     Logs.set_reporter (Logs_fmt.reporter ());
     Logs.set_level (Some Logs.Debug));
-  (* Only the bsolo branch-and-bound engine (and the portfolio, whose
-     bsolo members log and whose stitcher drops the others) produces
-     derivation steps; a silently step-free "proof" from pbs/galena/milp
-     would be worse than an error. *)
-  (match proof_file with
-  | Some _ when (not portfolio) && engine <> Bsolo_engine ->
+  (* Only the search driver produces derivation steps, and only while it
+     learns clauses: bsolo and pbs log, the portfolio stitches its
+     logging members.  Galena's cardinality reductions and the MILP
+     baseline's LP prunes have no steps, and a silently step-free or
+     learning-free "proof" from them would be worse than an error. *)
+  (match proof_file, engine with
+  | Some _, (Galena_engine | Milp_engine) when not portfolio ->
     fatal
-      (Printf.sprintf "--proof is only supported by the bsolo engine and --portfolio (got --engine %s)"
+      (Printf.sprintf
+         "--proof is only supported by the bsolo and pbs engines and --portfolio (got \
+          --engine %s)"
          (engine_name engine))
-  | Some _ | None -> ());
+  | _ -> ());
   (* Validate the listen address before any work: a typo'd --listen must
      fail fast, not after a long parse. *)
   let listen_addr =
@@ -153,26 +156,30 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
     in
     (* The solve's options, built once: the recorder header snapshots
        them and the solve runs them, with the telemetry context and the
-       proof logger added below. *)
+       proof logger added below.  The linear searches start from their
+       presets and take only the flags that apply to them. *)
+    let linear_search (preset : Bsolo.Options.t) =
+      { preset with bcp; time_limit; conflict_limit; preprocess = not no_preprocess }
+    in
     let base =
-      {
-        (Bsolo.Options.with_lb lb) with
-        bcp;
-        time_limit;
-        conflict_limit;
-        knapsack_cuts = not no_cuts;
-        cardinality_inference = not no_cuts;
-        cuts = cuts_mode;
-        cut_rounds;
-        presolve = not no_presolve;
-        lp_guided_branching = not no_lp_branching;
-        preprocess = not no_preprocess;
-        lb_adaptive = not no_adaptive_lb;
-        restarts =
-          (match engine with
-          | Pbs_engine | Galena_engine -> true
-          | Bsolo_engine | Milp_engine -> false);
-      }
+      match engine with
+      | Pbs_engine -> linear_search Bsolo.Options.pbs
+      | Galena_engine -> linear_search Bsolo.Options.galena
+      | Bsolo_engine | Milp_engine ->
+        {
+          (Bsolo.Options.with_lb lb) with
+          bcp;
+          time_limit;
+          conflict_limit;
+          knapsack_cuts = not no_cuts;
+          cardinality_inference = not no_cuts;
+          cuts = cuts_mode;
+          cut_rounds;
+          presolve = not no_presolve;
+          lp_guided_branching = not no_lp_branching;
+          preprocess = not no_preprocess;
+          lb_adaptive = not no_adaptive_lb;
+        }
     in
     (* The run header: the flight recording's header frame and, rendered
        as JSON, the trace's first line.  Its flags snapshot the
@@ -182,14 +189,14 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
       {
         Telemetry.Recorder.h_run_id = run_id;
         h_engine = (if portfolio then "portfolio" else engine_name engine);
-        h_lb_method = String.lowercase_ascii (Bsolo.Options.lb_method_name lb);
+        h_lb_method = String.lowercase_ascii (Bsolo.Options.lb_method_name base.lb_method);
         h_started = started;
         h_nvars = Pbo.Problem.nvars problem;
         h_nconstraints = Array.length (Pbo.Problem.constraints problem);
         h_flags =
           Bsolo.Replay.flags_of_options base
           lor if proof_sink <> None then Bsolo.Replay.flag_proof else 0;
-        h_lb_every = base.lb_every;
+        h_lb_every = 1;
         h_lgr_iters = base.lgr_iters;
       }
     in
@@ -498,9 +505,7 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
       end
       else
         match engine with
-        | Bsolo_engine -> Bsolo.Solver.solve ~options problem
-        | Pbs_engine -> Bsolo.Linear_search.solve ~options problem
-        | Galena_engine -> Bsolo.Linear_search.solve ~options ~pb_learning:true problem
+        | Bsolo_engine | Pbs_engine | Galena_engine -> Bsolo.Solver.solve ~options problem
         | Milp_engine -> Milp.Branch_and_bound.solve ~options problem
     in
     (* Join the monitor domains before reports are assembled: the final
@@ -622,7 +627,13 @@ let engine_arg =
       "milp", Milp_engine;
     ]
   in
-  let doc = "Solver engine: bsolo (branch-and-bound + SAT), pbs, galena, or milp." in
+  let doc =
+    "Solver engine: bsolo (branch-and-bound + SAT), pbs, galena, or milp.  pbs and galena \
+     are the same SAT-style search as bsolo without lower bounding: every new incumbent \
+     is blocked by the knapsack cut (10) in the constraint store, and galena also learns \
+     the cardinality reduction of PB conflict constraints.  They honour only $(b,--bcp), \
+     $(b,--timeout), $(b,--conflicts) and $(b,--no-preprocess) among the search flags."
+  in
   Arg.(value & opt (enum choices) Bsolo_engine & info [ "engine" ] ~doc)
 
 let lb_arg =
@@ -702,8 +713,9 @@ let no_preprocess_arg =
 
 let no_adaptive_lb_arg =
   let doc =
-    "Disable the adaptive lower-bound schedule (which stretches the effective --lb-every \
-     while evaluations keep failing to prune)."
+    "Disable the adaptive lower-bound schedule, which evaluates the bound only at every \
+     2nd, 4th or 8th node while evaluations keep failing to prune; the bound is then \
+     evaluated at every node."
   in
   Arg.(value & flag & info [ "no-adaptive-lb" ] ~doc)
 
@@ -751,7 +763,9 @@ let proof_file_arg =
     "Stream a certified derivation log (format $(b,bsolo-pbp 1), see docs/PROOFS.md) to \
      $(docv): RUP steps for learned clauses, explicit multiplier certificates for \
      bound-based prunes, verified incumbents, and a terminating conclusion.  Re-check with \
-     $(b,bsolo checkproof).  Supported by the bsolo engine and $(b,--portfolio)."
+     $(b,bsolo checkproof).  Supported by the bsolo and pbs engines and $(b,--portfolio) \
+     (pbs logs the same steps as bsolo: RUP clauses, verified solutions and objective \
+     cuts); refused for galena and milp."
   in
   Arg.(value & opt (some string) None & info [ "proof" ] ~docv:"FILE" ~doc)
 
@@ -1243,7 +1257,10 @@ let replay_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"PROBLEM" ~doc)
   in
   let rec_arg =
-    let doc = "Flight recording written by $(b,--record) (not $(b,--record-ring))." in
+    let doc =
+      "Flight recording written by $(b,--record) (not $(b,--record-ring)) with \
+       $(b,--engine) bsolo, pbs or galena."
+    in
     Arg.(required & pos 1 (some file) None & info [] ~docv:"RECORDING" ~doc)
   in
   let check_arg =

@@ -5,33 +5,20 @@
 
 let () =
   let limit = 3.0 in
+  let search (base : Bsolo.Options.t) p =
+    Bsolo.Solver.solve ~options:{ base with time_limit = Some limit } p
+  in
   let solvers =
     [
-      ( "pbs",
-        fun p ->
-          Bsolo.Linear_search.solve
-            ~options:{ Bsolo.Linear_search.pbs_like with time_limit = Some limit }
-            p );
-      ( "galena",
-        fun p ->
-          Bsolo.Linear_search.solve
-            ~options:{ Bsolo.Linear_search.pbs_like with time_limit = Some limit }
-            ~pb_learning:true p );
+      "pbs", search Bsolo.Options.pbs;
+      "galena", search Bsolo.Options.galena;
       ( "cplex*",
         fun p ->
           Milp.Branch_and_bound.solve
             ~options:{ Bsolo.Options.default with time_limit = Some limit }
             p );
-      ( "bsolo-plain",
-        fun p ->
-          Bsolo.Solver.solve
-            ~options:{ (Bsolo.Options.with_lb Bsolo.Options.Plain) with time_limit = Some limit }
-            p );
-      ( "bsolo-LPR",
-        fun p ->
-          Bsolo.Solver.solve
-            ~options:{ Bsolo.Options.default with time_limit = Some limit }
-            p );
+      "bsolo-plain", search (Bsolo.Options.with_lb Bsolo.Options.Plain);
+      "bsolo-LPR", search Bsolo.Options.default;
     ]
   in
   let instances =

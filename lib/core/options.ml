@@ -9,6 +9,11 @@ type cuts_mode =
   | Cuts_root
   | Cuts_tree
 
+type learning =
+  | Clauses
+  | Cardinality
+  | Cutting_planes
+
 type t = {
   lb_method : lb_method;
   bcp : Engine.Solver_core.bcp_mode;
@@ -22,8 +27,8 @@ type t = {
   cut_rounds : int;
   constraint_strengthening : bool;
   restarts : bool;
+  learning : learning;
   lgr_iters : int;
-  lb_every : int;
   lb_adaptive : bool;
   reduce_db : bool;
   conflict_limit : int option;
@@ -51,8 +56,8 @@ let default =
     cut_rounds = 2;
     constraint_strengthening = true;
     restarts = false;
+    learning = Clauses;
     lgr_iters = 50;
-    lb_every = 1;
     lb_adaptive = true;
     reduce_db = true;
     conflict_limit = None;
@@ -67,6 +72,20 @@ let default =
   }
 
 let with_lb m = { default with lb_method = m }
+
+let pbs =
+  {
+    default with
+    lb_method = Plain;
+    restarts = true;
+    cardinality_inference = false;
+    presolve = false;
+    constraint_strengthening = false;
+    cuts = Cuts_off;
+    lp_guided_branching = false;
+  }
+
+let galena = { pbs with learning = Cardinality }
 
 let lb_method_name = function
   | Plain -> "plain"

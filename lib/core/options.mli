@@ -18,6 +18,24 @@ type cuts_mode =
   | Cuts_root
   | Cuts_tree
 
+(** What a propagation conflict teaches the search besides its 1UIP
+    clause. *)
+type learning =
+  | Clauses  (** the 1UIP clause only (bsolo, PBS) *)
+  | Cardinality
+      (** Galena's 2003 learning: when a conflict involves a genuine
+          (non-cardinality) PB constraint, its cardinality reduction
+          [sum l_i >= r], with [r] the least number of true literals in
+          any satisfying assignment, is learned once per constraint
+          (the memo resets when the learned database is reduced) *)
+  | Cutting_planes
+      (** [Cardinality] plus a full cutting-planes PB resolvent at every
+          conflict ({!Engine.Solver_core.derive_pb_resolvent},
+          RoundingSat-style), which then seeds the 1UIP analysis.  Not
+          part of the Table 1 galena configuration: it post-dates the
+          paper and is strong enough to change who wins (the
+          [extension-cp] benchmark). *)
+
 type t = {
   lb_method : lb_method;
   bcp : Engine.Solver_core.bcp_mode;
@@ -44,14 +62,14 @@ type t = {
       (** maximum separate/re-solve rounds per LP evaluation (default 2) *)
   constraint_strengthening : bool;
       (** probing-based constraint strengthening (Section 6 / {!Strengthen}) *)
-  restarts : bool;  (** Luby restarts (used by the linear-search drivers) *)
+  restarts : bool;  (** Luby restarts (on in the linear-search presets) *)
+  learning : learning;
+      (** conflict learning beyond the 1UIP clause (default [Clauses]);
+          proof mode forces [Clauses] *)
   lgr_iters : int;  (** subgradient iterations per LGR evaluation *)
-  lb_every : int;
-      (** evaluate the lower bound only at every n-th eligible node
-          (default 1 = the paper's every-node policy); sparser evaluation
-          trades pruning for time per decision *)
   lb_adaptive : bool;
-      (** scale the effective [lb_every] up (to 8x) while lower-bound
+      (** evaluate the lower bound at every eligible node (the paper's
+          policy), but stretch the interval (up to every 8th node) while
           evaluations keep failing to prune, resetting on the first prune
           (default [true]) *)
   reduce_db : bool;  (** periodic learned-clause deletion *)
@@ -96,8 +114,9 @@ type t = {
           this logger: verified solutions, RUP steps for learned clauses,
           explicit Lagrangian/Farkas justifications for bound conflicts,
           objective cuts and a terminating conclusion.  Implies
-          [constraint_strengthening = false] (strengthened constraints
-          have no cutting-planes derivation in the log).  In proof mode a
+          [constraint_strengthening = false] and [learning = Clauses]
+          (strengthened constraints and learned PB constraints have no
+          cutting-planes derivation in the log).  In proof mode a
           bound-based prune whose certificate fails exact validation is
           skipped rather than logged unsoundly. *)
 }
@@ -107,6 +126,17 @@ val default : t
 
 val with_lb : lb_method -> t
 (** {!default} with the given lower-bound method. *)
+
+val pbs : t
+(** The PBS baseline (Section 3): SAT-style linear search on the cost
+    function.  No lower bound ([Plain]); every new incumbent is blocked
+    by the knapsack cut (10) in the constraint store, so the next model
+    must cost strictly less, until unsatisfiability proves optimality.
+    Luby restarts on; cardinality inference, presolve, strengthening,
+    LP cuts and LP-guided branching off. *)
+
+val galena : t
+(** The Galena baseline: {!pbs} with [learning = Cardinality]. *)
 
 val lb_method_name : lb_method -> string
 

@@ -74,10 +74,22 @@ let lb_method_of_name = function
   | "lpr" -> Some Options.Lpr
   | _ -> None
 
+(* The engines replay can drive: all three run {!Solver.solve} and
+   differ in options only, the learning mode being the one setting the
+   header flags do not carry. *)
+let learning_of_engine = function
+  | "bsolo" | "pbs" -> Some Options.Clauses
+  | "galena" -> Some Options.Cardinality
+  | _ -> None
+
 let options_of_header (h : R.header) =
-  match lb_method_of_name (String.lowercase_ascii h.h_lb_method) with
-  | None -> Error (Printf.sprintf "unknown lower-bound method %S in header" h.h_lb_method)
-  | Some lb_method ->
+  match
+    ( lb_method_of_name (String.lowercase_ascii h.h_lb_method),
+      learning_of_engine h.h_engine )
+  with
+  | None, _ -> Error (Printf.sprintf "unknown lower-bound method %S in header" h.h_lb_method)
+  | _, None -> Error (Printf.sprintf "replay cannot drive engine %S" h.h_engine)
+  | Some lb_method, Some learning ->
     let has bit = h.h_flags land bit <> 0 in
     Ok
       {
@@ -90,6 +102,7 @@ let options_of_header (h : R.header) =
         preprocess = has flag_preprocess;
         constraint_strengthening = has flag_strengthen;
         restarts = has flag_restarts;
+        learning;
         lb_adaptive = has flag_lb_adaptive;
         reduce_db = has flag_reduce_db;
         presolve = has flag_presolve;
@@ -100,7 +113,6 @@ let options_of_header (h : R.header) =
         (* cut_rounds is not recorded; replays of runs made with a
            non-default --cut-rounds will diverge at the first LP bound *)
         lgr_iters = h.h_lgr_iters;
-        lb_every = h.h_lb_every;
       }
 
 type mismatch = {
@@ -122,9 +134,10 @@ let validate problem (rc : R.recording) =
   match rc.r_header with
   | None -> Error "recording has no header (file broke before the header frame)"
   | Some h ->
-    if h.h_engine <> "bsolo" then
+    if learning_of_engine h.h_engine = None then
       Error
-        (Printf.sprintf "replay drives the bsolo engine only; this recording is from %S"
+        (Printf.sprintf
+           "replay drives the bsolo, pbs and galena engines only; this recording is from %S"
            h.h_engine)
     else if has_event (function R.Gap _ -> true | _ -> false) rc then
       Error

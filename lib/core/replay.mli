@@ -1,9 +1,11 @@
 (** Deterministic replay of a flight recording ({!Telemetry.Recorder}).
 
     [run problem recording] re-executes the recorded decision sequence
-    through the bsolo engine — the recorded options are reconstructed
-    from the header, branching is driven by the recorded decisions,
-    portfolio imports are released at their exact recorded positions —
+    through {!Solver.solve} — the recorded options are reconstructed
+    from the header (the learning mode from the engine name, [galena]
+    being the only one that learns beyond clauses), branching is driven
+    by the recorded decisions, portfolio imports are released at their
+    exact recorded positions —
     and cross-checks every event the replayed engine emits against the
     recording: decisions with their levels, backjumps, lower-bound
     evaluations (elapsed times excluded), prunes with blame, learned
@@ -14,8 +16,9 @@
     Replay needs the complete event stream from the root, so it rejects
     ring-buffer recordings (dropped prefix), stitched portfolio
     recordings (interleaving lost; replay one member's part instead)
-    and recordings made by other engines.  A truncated direct recording
-    (run killed mid-write) replays and checks the surviving prefix.
+    and recordings made by engines other than bsolo, pbs and galena.  A
+    truncated direct recording (run killed mid-write) replays and checks
+    the surviving prefix.
 
     Recordings made in proof mode are replayed with a throwaway proof
     logger, because certificate validation gates pruning: a bound

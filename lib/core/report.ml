@@ -53,7 +53,6 @@ let options_json (o : Options.t) =
       "constraint_strengthening", Json.Bool o.constraint_strengthening;
       "restarts", Json.Bool o.restarts;
       "lgr_iters", Json.Int o.lgr_iters;
-      "lb_every", Json.Int o.lb_every;
       "reduce_db", Json.Bool o.reduce_db;
       "conflict_limit", opt_int o.conflict_limit;
       "node_limit", opt_int o.node_limit;

@@ -22,13 +22,14 @@ type search_state = {
   track : Lowerbound.Track.t;  (* bound-quality instruments for lb_method *)
   mutable lpr_inc : Lowerbound.Lpr.inc option;  (* warm LP state, created lazily *)
   mutable cuts : Cuts.config option;  (* separation pool, built after preprocessing *)
-  mutable lb_skip : int;  (* adaptive multiplier on lb_every, 1..8 *)
+  mutable lb_skip : int;  (* adaptive lower-bound interval, 1..8 nodes *)
   mutable lb_noprune : int;  (* consecutive evaluations that failed to prune *)
   mutable last_lb : int;  (* most recent lower-bound estimate, for progress *)
   mutable max_learned : int;
   mutable restart_budget : int;
   mutable conflicts_since_restart : int;
   luby : Engine.Luby.t;
+  reduced : (Core.cid, unit) Hashtbl.t;  (* constraints already cardinality-reduced *)
   start : float;
   deadline : float option;
 }
@@ -92,8 +93,45 @@ let maybe_reduce_db st =
   if st.options.reduce_db && Core.num_learned st.engine > st.max_learned then begin
     Telemetry.Ctx.with_phase st.tel Telemetry.Phase.Reduce_db (fun () ->
         Core.reduce_db st.engine);
+    Hashtbl.reset st.reduced;
     st.max_learned <- st.max_learned + (st.max_learned / 2)
   end
+
+(* Galena-style learning ({!Options.learning}) on a propagation conflict,
+   ahead of its 1UIP analysis: the cardinality reduction of a genuine PB
+   conflict constraint, memoized per constraint, and with
+   [Cutting_planes] a PB resolvent of the conflict.  Returns the conflict
+   to analyze: the resolvent when one was learned (it is violated by
+   construction, so at least as strong a start as the original). *)
+let learn_cardinality_reduction st ci =
+  if not (Hashtbl.mem st.reduced ci) then begin
+    Hashtbl.replace st.reduced ci ();
+    let c = Core.constr_of st.engine ci in
+    if not (Constr.is_cardinality c) then begin
+      let lits = Constr.fold_lits List.cons c [] in
+      match Constr.cardinality lits (Constr.min_true_count c) with
+      | Constr.Constr card -> ignore (Core.add_constraint_dynamic st.engine card)
+      | Constr.Trivial_true | Constr.Trivial_false -> ()
+    end
+  end
+
+let learn_pb_resolvent st ci =
+  match Core.derive_pb_resolvent st.engine ci with
+  | None -> ci
+  | Some resolvent ->
+    (* [None] cannot happen: the resolvent is violated under the current
+       assignment *)
+    Option.value (Core.add_constraint_dynamic st.engine resolvent) ~default:ci
+
+let learn_from_conflict st ci =
+  match st.options.learning with
+  | Options.Clauses -> ci
+  | Options.Cardinality ->
+    learn_cardinality_reduction st ci;
+    ci
+  | Options.Cutting_planes ->
+    learn_cardinality_reduction st ci;
+    learn_pb_resolvent st ci
 
 let progress_line st () =
   let stats = Core.stats st.engine in
@@ -271,7 +309,7 @@ let rec search st =
         match
           record_backjump st ~from_level
             (Telemetry.Ctx.with_phase st.tel Telemetry.Phase.Analyze (fun () ->
-                 Core.resolve_conflict st.engine ci))
+                 Core.resolve_conflict st.engine (learn_from_conflict st ci)))
         with
         | Core.Root_conflict -> Exhausted
         | Core.Backjump _ ->
@@ -288,22 +326,17 @@ let rec search st =
         Telemetry.Profile.Cell.bump_nodes st.tel.cell;
         (* Before any incumbent exists, [upper] is above the worst cost
            and no bound can prune, so the search dives for a first
-           solution without paying for lower bounds.  [lb_every] thins
-           the evaluations further when configured, and the adaptive
-           policy widens the effective interval (up to 8x) while
+           solution without paying for lower bounds.  After that the
+           bound is evaluated at every node, except that the adaptive
+           policy widens the interval (up to every 8th node) while
            evaluations keep failing to prune. *)
         let eligible = (not st.satisfaction) && (st.best <> None || st.imported) in
-        let every = st.options.lb_every * st.lb_skip in
         let lower, evaluated, lb_elapsed_us =
           if
             (not eligible)
-            || (every > 1 && Telemetry.Counter.get st.nodes mod every <> 0)
+            || (st.lb_skip > 1 && Telemetry.Counter.get st.nodes mod st.lb_skip <> 0)
           then begin
-            if
-              eligible && st.lb_skip > 1
-              && (st.options.lb_every <= 1
-                 || Telemetry.Counter.get st.nodes mod st.options.lb_every = 0)
-            then Telemetry.Counter.incr st.lb_skips;
+            if eligible && st.lb_skip > 1 then Telemetry.Counter.incr st.lb_skips;
             Lowerbound.Bound.none, false, 0
           end
           else begin
@@ -492,12 +525,13 @@ let package st verdict =
 
 let solve ?(options = Options.default) problem =
   let start = Unix.gettimeofday () in
-  (* strengthened constraints have no cutting-planes derivation in the
-     log, and the checker replays against the input problem's constraint
-     indices: proof mode forces strengthening off *)
+  (* strengthened constraints and learned PB constraints have no
+     cutting-planes derivation in the log, and the checker replays
+     against the input problem's constraint indices: proof mode forces
+     strengthening off and learns clauses only *)
   let options =
-    if Option.is_some options.proof && options.constraint_strengthening then
-      { options with constraint_strengthening = false }
+    if Option.is_some options.proof then
+      { options with constraint_strengthening = false; learning = Options.Clauses }
     else options
   in
   let tel = match options.telemetry with Some t -> t | None -> Telemetry.Ctx.silent () in
@@ -574,6 +608,7 @@ let solve ?(options = Options.default) problem =
       restart_budget = 100;
       conflicts_since_restart = 0;
       luby = Engine.Luby.create ~base:100;
+      reduced = Hashtbl.create 64;
       start;
       deadline = Option.map (fun l -> start +. l) options.time_limit;
     }

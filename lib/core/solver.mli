@@ -9,7 +9,12 @@ open Pbo
     [omega_bc = omega_pp ∪ omega_pl] (eqs. 8, 9) is built and fed to the
     regular conflict-analysis machinery, yielding non-chronological
     backtracking.  New incumbents generate the knapsack cut (10) and the
-    cardinality inferences (13). *)
+    cardinality inferences (13).
+
+    The same loop runs the PBS and Galena baselines ({!Options.pbs},
+    {!Options.galena}): with no lower bound, the knapsack cut in the
+    constraint store is their only pruning, and {!Options.t.learning}
+    adds Galena's learning to the conflict analysis. *)
 
 val solve : ?options:Options.t -> Problem.t -> Outcome.t
 (** Cooperative hooks: when [options.external_incumbent] is set it is

@@ -10,6 +10,10 @@ let parse_lines lines =
       match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
       | [ "p"; "cnf"; nv; _nc ] ->
         (match int_of_string_opt nv with
+        | Some n when n > Problem.max_variable_index ->
+          raise
+            (Parse_error
+               (Printf.sprintf "line %d: variable count %d exceeds the limit 2^24" lineno n))
         | Some n when n >= 0 ->
           for _ = Problem.Builder.nvars builder + 1 to n do
             ignore (Problem.Builder.fresh_var builder)
@@ -29,8 +33,12 @@ let parse_lines lines =
           Problem.Builder.add_clause builder (List.rev !pending);
           pending := []
         | Some k ->
-          let v = abs k - 1 in
-          pending := Lit.make v (k > 0) :: !pending
+          (* compared on both sides: [abs min_int] overflows *)
+          if k > Problem.max_variable_index || k < -Problem.max_variable_index then
+            raise
+              (Parse_error
+                 (Printf.sprintf "line %d: literal %d exceeds the variable limit 2^24" lineno k));
+          pending := Lit.make (abs k - 1) (k > 0) :: !pending
       in
       List.iter feed_token tokens
     end

@@ -1,10 +1,5 @@
 exception Parse_error of string
 
-(* Variables are allocated densely up to the largest index a file
-   mentions, so a huge index would allocate (or fail to allocate) arrays
-   of that size before any constraint is read. *)
-let max_variable_index = 1 lsl 24
-
 type token =
   | Int of int
   | Var of Lit.t
@@ -76,7 +71,7 @@ let tokenize_line ~lineno line =
     if stop = i + 1 then fail "variable without index";
     let idx = number (i + 1) stop in
     if idx < 1 then fail "variable indices start at 1";
-    if idx > max_variable_index then
+    if idx > Problem.max_variable_index then
       fail (Printf.sprintf "variable index %d exceeds the limit 2^24" idx);
     emit (Var (Lit.make (idx - 1) (not negated)));
     go stop

@@ -15,6 +15,7 @@ type t = {
   trivially_unsat : bool;
 }
 
+let max_variable_index = 1 lsl 24
 let nvars p = p.nvars
 let constraints p = p.constraints
 let objective p = p.objective

@@ -26,6 +26,13 @@ type t = private {
       (** set when a constraint normalized to [Trivial_false] *)
 }
 
+val max_variable_index : int
+(** [2^24], the largest 1-based variable index the file readers
+    ({!Opb}, {!Dimacs}) accept.  Variables are allocated densely up to
+    the largest index a file mentions, so a huge index would allocate
+    (or fail to allocate) arrays of that size before any constraint is
+    read; the cap is far above any real instance. *)
+
 val nvars : t -> int
 val constraints : t -> Constr.t array
 val objective : t -> objective option

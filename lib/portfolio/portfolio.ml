@@ -21,8 +21,17 @@ let default_entries =
       pname = "pbs-like";
       psolve =
         (fun ~options problem ->
-          Bsolo.Linear_search.solve
-            ~options:{ options with lb_method = Bsolo.Options.Plain; restarts = true }
+          Bsolo.Solver.solve
+            ~options:
+              {
+                Bsolo.Options.pbs with
+                time_limit = options.time_limit;
+                telemetry = options.telemetry;
+                external_incumbent = options.external_incumbent;
+                should_stop = options.should_stop;
+                on_incumbent = options.on_incumbent;
+                proof = options.proof;
+              }
             problem);
     };
     {
@@ -144,8 +153,9 @@ let read_lines path =
 
 (* A member's part joins the stitched log only when it terminates with
    its section conclusion: a crashed worker or a proof-unaware member
-   (linear search, MILP) leaves an empty or truncated part, which must
-   not invalidate the other members' sections. *)
+   (the MILP baseline) leaves an empty or truncated part, which must not
+   invalidate the other members' sections.  Every [Bsolo.Solver] member,
+   pbs-like included, logs its derivation. *)
 let concluded_part lines =
   let last =
     List.fold_left (fun acc l -> if String.trim l = "" then acc else Some l) None lines

@@ -114,6 +114,6 @@ val solve :
     derivation into a private [FILE.<member>.part] log; after the join
     the parts are stitched into [FILE] as [m]-delimited sections with a
     final [F] claim computed from the raw member outcomes, checkable
-    with [bsolo checkproof].  Members that do not log proofs (linear
-    search, MILP) or crash mid-run leave truncated parts, which are
-    dropped from the stitched log rather than invalidating it. *)
+    with [bsolo checkproof].  Members that do not log proofs (MILP) or
+    crash mid-run leave truncated parts, which are dropped from the
+    stitched log rather than invalidating it. *)

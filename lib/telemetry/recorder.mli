@@ -37,6 +37,9 @@ type header = {
   h_nconstraints : int;
   h_flags : int;  (** option bitmask; see {!Bsolo.Replay.flags_of_options} *)
   h_lb_every : int;
+      (** always 1 (0 in portfolio headers): the lower bound's node
+          interval is no longer an option; the slot keeps the frame
+          layout and replay ignores it *)
   h_lgr_iters : int;
 }
 

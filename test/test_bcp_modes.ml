@@ -176,7 +176,7 @@ let record_solve ~bcp problem path =
       h_nvars = Problem.nvars problem;
       h_nconstraints = Array.length (Problem.constraints problem);
       h_flags = Bsolo.Replay.flags_of_options base;
-      h_lb_every = base.lb_every;
+      h_lb_every = 1;
       h_lgr_iters = base.lgr_iters;
     }
   in

@@ -97,11 +97,13 @@ let hand_resolution () =
       done)
 
 (* Galena with the resolvent learning must stay exact. *)
+let galena_cp = { Bsolo.Options.galena with learning = Bsolo.Options.Cutting_planes }
+
 let galena_still_exact () =
   for seed = 200 to 260 do
     let problem = Gen.problem seed in
     let reference = Bsolo.Exhaustive.optimum problem in
-    let o = Bsolo.Linear_search.solve ~pb_learning:true ~cutting_planes:true problem in
+    let o = Bsolo.Solver.solve ~options:galena_cp problem in
     match reference, Bsolo.Outcome.best_cost o with
     | None, None -> ()
     | Some (_, opt), Some c ->
@@ -122,7 +124,7 @@ let galena_cp_exact_on_covering () =
   for seed = 300 to 340 do
     let problem = Gen.covering seed in
     let reference = Bsolo.Exhaustive.optimum problem in
-    let o = Bsolo.Linear_search.solve ~pb_learning:true ~cutting_planes:true problem in
+    let o = Bsolo.Solver.solve ~options:galena_cp problem in
     match reference, Bsolo.Outcome.best_cost o with
     | None, None -> ()
     | Some (_, opt), Some c -> if c <> opt then Alcotest.failf "seed %d: %d <> %d" seed c opt
@@ -162,7 +164,8 @@ let galena_near_limit_exact =
       let reference = Option.map snd (Bsolo.Exhaustive.optimum problem) in
       List.for_all
         (fun cutting_planes ->
-          let o = Bsolo.Linear_search.solve ~pb_learning:true ~cutting_planes problem in
+          let options = if cutting_planes then galena_cp else Bsolo.Options.galena in
+          let o = Bsolo.Solver.solve ~options problem in
           let cost = Bsolo.Outcome.best_cost o in
           if cost <> reference then
             QCheck2.Test.fail_reportf "seed %d (cutting_planes %b): galena %s, exhaustive %s"

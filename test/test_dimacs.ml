@@ -44,6 +44,25 @@ let variables_beyond_header () =
   let p = Dimacs.parse_string "p cnf 1 1\n1 5 0\n" in
   Alcotest.(check int) "vars grow" 5 (Problem.nvars p)
 
+(* Indices past the 2^24 cap, including ones whose [abs] overflows,
+   are parse errors naming their line, not an allocation or an
+   exception escaping from [Lit]. *)
+let oversized_indices () =
+  let expect ~line text =
+    match Dimacs.parse_string text with
+    | exception Dimacs.Parse_error msg ->
+      let prefix = Printf.sprintf "line %d:" line in
+      if not (String.starts_with ~prefix msg) then
+        Alcotest.failf "%S: message %S does not start with %S" text msg prefix
+    | _ -> Alcotest.failf "expected parse error on %S" text
+  in
+  expect ~line:2 "p cnf 3 1\n1 99999999999 0\n";
+  expect ~line:2 "p cnf 3 1\n-16777217 0\n";
+  expect ~line:1 "p cnf 99999999999 1\n";
+  expect ~line:1 "p cnf 16777217 1\n";
+  (* -2^62 = min_int *)
+  expect ~line:3 (Printf.sprintf "p cnf 3 1\nc comment\n1 %d 0\n" min_int)
+
 let suite =
   [
     Alcotest.test_case "basic" `Quick parse_basic;
@@ -52,4 +71,5 @@ let suite =
     Alcotest.test_case "unsat" `Quick detects_unsat;
     Alcotest.test_case "errors" `Quick errors;
     Alcotest.test_case "variables beyond header" `Quick variables_beyond_header;
+    Alcotest.test_case "oversized indices" `Quick oversized_indices;
   ]

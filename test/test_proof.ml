@@ -57,6 +57,22 @@ let roundtrip_lb_methods () =
       done)
     [ Bsolo.Options.Plain; Bsolo.Options.Mis; Bsolo.Options.Lgr; Bsolo.Options.Lpr ]
 
+(* pbs is the bsolo driver without lower bounds, so it logs the same
+   steps (RUP clauses, verified solutions, objective cuts).  galena under
+   proof is forced down to clause learning and must check as well. *)
+let roundtrip_linear_search () =
+  List.iter
+    (fun (preset : Bsolo.Options.t) ->
+      let check problem =
+        let o, text = solve_with_proof ~options:preset problem in
+        verdict_matches o (check_ok problem text)
+      in
+      for seed = 0 to 9 do
+        check (Gen.problem seed);
+        check (Gen.covering seed)
+      done)
+    [ Bsolo.Options.pbs; Bsolo.Options.galena ]
+
 (* qcheck: arbitrary generator seeds, both instance families. *)
 let qcheck_roundtrip =
   QCheck2.Test.make ~name:"solver proofs replay through the checker" ~count:60
@@ -306,6 +322,7 @@ let suite =
     Alcotest.test_case "random instances round-trip" `Quick roundtrip_random;
     Alcotest.test_case "covering instances round-trip" `Quick roundtrip_covering_instances;
     Alcotest.test_case "all lb methods round-trip" `Slow roundtrip_lb_methods;
+    Alcotest.test_case "pbs and galena round-trip" `Quick roundtrip_linear_search;
     QCheck_alcotest.to_alcotest qcheck_roundtrip;
     Alcotest.test_case "dropped solution step rejected" `Quick mutation_dropped_solution;
     Alcotest.test_case "weakened conclusion rejected" `Quick mutation_weakened_conclusion;

@@ -165,18 +165,25 @@ let test_stitch_sections () =
 
 (* --- recorded solver runs -------------------------------------------------- *)
 
-let record_solve ?(lb = Bsolo.Options.Lpr) problem path =
-  let base = Bsolo.Options.with_lb lb in
+(* [engine] is the header's engine name, as the CLI writes it: "pbs"
+   and "galena" run their presets, "bsolo" the [lb] configuration. *)
+let record_solve ?(engine = "bsolo") ?(lb = Bsolo.Options.Lpr) problem path =
+  let base =
+    match engine with
+    | "pbs" -> Bsolo.Options.pbs
+    | "galena" -> Bsolo.Options.galena
+    | _ -> Bsolo.Options.with_lb lb
+  in
   let h =
     {
       R.h_run_id = "test";
-      h_engine = "bsolo";
-      h_lb_method = String.lowercase_ascii (Bsolo.Options.lb_method_name lb);
+      h_engine = engine;
+      h_lb_method = String.lowercase_ascii (Bsolo.Options.lb_method_name base.lb_method);
       h_started = Unix.gettimeofday ();
       h_nvars = Pbo.Problem.nvars problem;
       h_nconstraints = Array.length (Pbo.Problem.constraints problem);
       h_flags = Bsolo.Replay.flags_of_options base;
-      h_lb_every = base.lb_every;
+      h_lb_every = 1;
       h_lgr_iters = base.lgr_iters;
     }
   in
@@ -249,73 +256,89 @@ let test_trace_is_file_rendering () =
       match R.read_file path with Ok rc -> rc.r_events | Error msg -> Alcotest.fail msg)
     ()
 
-(* The linear-search drivers (pbs, galena) record learned clauses too,
-   through the same hook the bsolo driver installs. *)
+(* The linear-search presets (pbs, galena) record learned clauses too,
+   through the same hook as bsolo. *)
 let test_linear_search_learned () =
   List.iter
-    (fun pb_learning ->
+    (fun (preset : Bsolo.Options.t) ->
       let recorder = R.memory () in
       let tel = Telemetry.Ctx.create ~timing:false ~recorder () in
-      let options = { Bsolo.Linear_search.pbs_like with telemetry = Some tel } in
-      let outcome =
-        Bsolo.Linear_search.solve ~options ~pb_learning (Benchgen.Two_level.generate 1)
-      in
+      let options = { preset with telemetry = Some tel } in
+      let outcome = Bsolo.Solver.solve ~options (Benchgen.Two_level.generate 1) in
       let learned =
         List.length (List.filter (function _, R.Learned _ -> true | _ -> false) (R.collected recorder))
       in
       Alcotest.(check bool) "conflicts were analysed" true (outcome.counters.conflicts > 0);
       Alcotest.(check bool) "learned clauses recorded" true (learned > 0))
-    [ false; true ]
+    [ Bsolo.Options.pbs; Bsolo.Options.galena ]
 
 (* The forensics invariant: every decision is closed by exactly one
    later conflict/prune (or stays open), and each prune is itself a
    node, so blame totals reconcile with the engine's node counter. *)
+let check_forensics ?engine label problem =
+  let path = tmp ".rec" in
+  ignore (record_solve ?engine problem path);
+  match R.read_file path with
+  | Error msg -> Alcotest.fail msg
+  | Ok rc -> (
+    match Inspect.Forensics.analyze rc with
+    | [ a ] -> (
+      match a.Inspect.Forensics.a_fin with
+      | Some (_, nodes) ->
+        Alcotest.(check int) (label ^ ": blame accounts for every node") nodes a.a_accounted
+      | None -> Alcotest.fail "recording has no fin frame")
+    | l -> Alcotest.failf "expected one section, got %d" (List.length l))
+
 let test_forensics_accounting () =
   List.iter
-    (fun seed ->
-      let problem = Gen.problem seed in
-      let path = tmp ".rec" in
-      ignore (record_solve problem path);
-      match R.read_file path with
-      | Error msg -> Alcotest.fail msg
-      | Ok rc -> (
-        match Inspect.Forensics.analyze rc with
-        | [ a ] -> (
-          match a.Inspect.Forensics.a_fin with
-          | Some (_, nodes) ->
-            Alcotest.(check int)
-              (Printf.sprintf "seed %d: blame accounts for every node" seed)
-              nodes a.a_accounted
-          | None -> Alcotest.fail "recording has no fin frame")
-        | l -> Alcotest.failf "expected one section, got %d" (List.length l)))
+    (fun seed -> check_forensics (Printf.sprintf "seed %d" seed) (Gen.problem seed))
     [ 0; 3; 7; 12; 23 ]
+
+(* pbs counts search nodes, not engine decisions (which include the
+   probing decisions), so its recordings account exactly too. *)
+let test_forensics_pbs () =
+  check_forensics ~engine:"pbs" "pbs two-level" (Benchgen.Two_level.generate 1);
+  List.iter
+    (fun seed -> check_forensics ~engine:"pbs" (Printf.sprintf "pbs seed %d" seed) (Gen.problem seed))
+    [ 0; 3; 7 ]
 
 (* Deterministic replay: re-executing the recorded decision sequence
    reproduces the recorded event stream byte for byte. *)
+let check_replay ?engine ?lb label problem =
+  let path = tmp ".rec" in
+  let recorded = record_solve ?engine ?lb problem path in
+  match R.read_file path with
+  | Error msg -> Alcotest.fail msg
+  | Ok rc -> (
+    match Bsolo.Replay.run problem rc with
+    | Error msg -> Alcotest.fail msg
+    | Ok rep ->
+      (match rep.Bsolo.Replay.mismatch with
+      | Some m ->
+        Alcotest.failf "%s: diverged at event %d: recorded %s, replayed %s" label m.at
+          m.expected m.got
+      | None -> ());
+      Alcotest.(check int) (label ^ ": every event checked") rep.total rep.checked;
+      Alcotest.(check string) "same status"
+        (Bsolo.Outcome.status_name recorded.Bsolo.Outcome.status)
+        (Bsolo.Outcome.status_name rep.outcome.Bsolo.Outcome.status))
+
 let test_replay_matches () =
   List.iter
-    (fun (lb, seed) ->
-      let problem = Gen.problem seed in
-      let path = tmp ".rec" in
-      let recorded = record_solve ~lb problem path in
-      match R.read_file path with
-      | Error msg -> Alcotest.fail msg
-      | Ok rc -> (
-        match Bsolo.Replay.run problem rc with
-        | Error msg -> Alcotest.fail msg
-        | Ok rep ->
-          (match rep.Bsolo.Replay.mismatch with
-          | Some m ->
-            Alcotest.failf "seed %d: diverged at event %d: recorded %s, replayed %s" seed m.at
-              m.expected m.got
-          | None -> ());
-          Alcotest.(check int)
-            (Printf.sprintf "seed %d: every event checked" seed)
-            rep.total rep.checked;
-          Alcotest.(check string) "same status"
-            (Bsolo.Outcome.status_name recorded.Bsolo.Outcome.status)
-            (Bsolo.Outcome.status_name rep.outcome.Bsolo.Outcome.status)))
+    (fun (lb, seed) -> check_replay ~lb (Printf.sprintf "seed %d" seed) (Gen.problem seed))
     [ Bsolo.Options.Lpr, 3; Bsolo.Options.Mis, 11; Bsolo.Options.Plain, 17; Bsolo.Options.Lgr, 29 ]
+
+(* pbs and galena run the same driver, so their recordings replay too;
+   galena's learning mode comes back from the engine name. *)
+let test_replay_linear_search () =
+  List.iter
+    (fun engine ->
+      check_replay ~engine (engine ^ " two-level") (Benchgen.Two_level.generate 1);
+      List.iter
+        (fun seed ->
+          check_replay ~engine (Printf.sprintf "%s seed %d" engine seed) (Gen.problem seed))
+        [ 5; 17 ])
+    [ "pbs"; "galena" ]
 
 let test_replay_rejects_ring () =
   let problem = Gen.problem 3 in
@@ -369,7 +392,9 @@ let suite =
     Alcotest.test_case "trace: file recording rendered" `Quick test_trace_is_file_rendering;
     Alcotest.test_case "linear search records learned" `Quick test_linear_search_learned;
     Alcotest.test_case "forensics: blame accounts for all nodes" `Quick test_forensics_accounting;
+    Alcotest.test_case "forensics: pbs accounts for all nodes" `Quick test_forensics_pbs;
     Alcotest.test_case "replay: recorded runs replay exactly" `Quick test_replay_matches;
+    Alcotest.test_case "replay: pbs and galena replay exactly" `Quick test_replay_linear_search;
     Alcotest.test_case "replay: rejects ring recordings" `Quick test_replay_rejects_ring;
     Alcotest.test_case "replay: rejects cold-LPR recordings" `Quick test_replay_rejects_cold_lpr;
   ]

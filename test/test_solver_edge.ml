@@ -18,7 +18,7 @@ let trivially_unsat () =
         (Bsolo.Outcome.status_name o.Bsolo.Outcome.status))
     [
       Bsolo.Solver.solve ?options:None;
-      Bsolo.Linear_search.solve ?options:None ?pb_learning:None;
+      Bsolo.Solver.solve ~options:Bsolo.Options.pbs;
       Milp.Branch_and_bound.solve ?options:None;
     ]
 
@@ -47,7 +47,7 @@ let objective_offset_reported () =
   let p = Problem.Builder.build b in
   let o = Bsolo.Solver.solve p in
   Alcotest.(check (option int)) "negative optimum" (Some (-2)) (Bsolo.Outcome.best_cost o);
-  let o2 = Bsolo.Linear_search.solve p in
+  let o2 = Bsolo.Solver.solve ~options:Bsolo.Options.pbs p in
   Alcotest.(check (option int)) "linear search agrees" (Some (-2)) (Bsolo.Outcome.best_cost o2);
   let o3 = Milp.Branch_and_bound.solve p in
   Alcotest.(check (option int)) "milp agrees" (Some (-2)) (Bsolo.Outcome.best_cost o3)
@@ -145,22 +145,8 @@ let exhaustive_size_guard () =
     (Invalid_argument "Exhaustive: too many variables") (fun () ->
       ignore (Bsolo.Exhaustive.optimum p))
 
-let lb_every_stays_exact () =
-  for seed = 0 to 20 do
-    let problem = Gen.covering seed in
-    let reference = Bsolo.Exhaustive.optimum problem in
-    let o =
-      Bsolo.Solver.solve ~options:{ Bsolo.Options.default with lb_every = 4 } problem
-    in
-    match reference, Bsolo.Outcome.best_cost o with
-    | None, None -> ()
-    | Some (_, opt), Some c -> if c <> opt then Alcotest.failf "seed %d: %d <> %d" seed c opt
-    | None, Some _ | Some _, None -> Alcotest.failf "seed %d: status" seed
-  done
-
 let suite =
   suite
   @ [
       Alcotest.test_case "exhaustive size guard" `Quick exhaustive_size_guard;
-      Alcotest.test_case "lb_every stays exact" `Quick lb_every_stays_exact;
     ]

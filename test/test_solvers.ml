@@ -25,8 +25,8 @@ let solvers =
     "bsolo-mis", (fun p -> Bsolo.Solver.solve ~options:(Bsolo.Options.with_lb Bsolo.Options.Mis) p);
     "bsolo-lgr", (fun p -> Bsolo.Solver.solve ~options:(Bsolo.Options.with_lb Bsolo.Options.Lgr) p);
     "bsolo-lpr", (fun p -> Bsolo.Solver.solve ~options:(Bsolo.Options.with_lb Bsolo.Options.Lpr) p);
-    "pbs-like", (fun p -> Bsolo.Linear_search.solve p);
-    "galena-like", (fun p -> Bsolo.Linear_search.solve ~pb_learning:true p);
+    "pbs-like", (fun p -> Bsolo.Solver.solve ~options:Bsolo.Options.pbs p);
+    "galena-like", (fun p -> Bsolo.Solver.solve ~options:Bsolo.Options.galena p);
     "milp", (fun p -> Milp.Branch_and_bound.solve p);
   ]
 
