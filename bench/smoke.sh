@@ -19,8 +19,9 @@
 # With --proof, each smoke instance is additionally solved under
 # certified proof logging and the log replayed through `bsolo
 # checkproof` (including an --engine pbs proof and --portfolio --jobs 2
-# and --jobs 1 stitched proofs); at least one run must carry certified
-# LPR bound-conflict steps.
+# and --jobs 1 stitched proofs, and a generated knap --scale 1.5 proof
+# with thousands of RUP steps, checked under a 60 s timeout); at least
+# one run must carry certified LPR bound-conflict steps.
 #
 # When SMOKE_ARTIFACTS_DIR is set, the run's artifacts (span/heartbeat/
 # metrics files, reports, proofs) are copied there on exit for CI upload.
@@ -543,6 +544,24 @@ if [ "$with_proof" = 1 ]; then
     echo "FAIL: no VERIFIED verdict for the cuts proof"; cat "$tmpdir/cuts-proof.check"; exit 1;
   }
   echo "cuts: $(grep '^s VERIFIED' "$tmpdir/cuts-proof.check") ($(grep -c '^j ' "$tmpdir/cuts.pbp") j steps)"
+
+  echo "== proof-checked generated instance (knap --scale 1.5 --seed 1) =="
+  # The slowest certified check of the perf tier: thousands of RUP
+  # steps, not just the tiny committed instances.  Its optimum is the
+  # reference answer in bench/perf/optima.txt.
+  ./_build/default/bin/genpb.exe knap --scale 1.5 --seed 1 -o "$tmpdir/knap15.opb" >/dev/null
+  timeout 120 "$bsolo" "$tmpdir/knap15.opb" --timeout 60 --proof "$tmpdir/knap15.pbp" \
+    >"$tmpdir/knap15.out" 2>&1 || {
+    echo "FAIL: proof-logged solve failed on knap@1.5"; cat "$tmpdir/knap15.out"; exit 1;
+  }
+  timeout 60 "$bsolo" checkproof "$tmpdir/knap15.opb" "$tmpdir/knap15.pbp" \
+    >"$tmpdir/knap15.check" 2>&1 || {
+    echo "FAIL: checkproof rejected (or timed out on) knap@1.5"; cat "$tmpdir/knap15.check"; exit 1;
+  }
+  grep -q '^s VERIFIED OPTIMAL 358$' "$tmpdir/knap15.check" || {
+    echo "FAIL: knap@1.5 not verified at its optimum 358"; cat "$tmpdir/knap15.check"; exit 1;
+  }
+  echo "knap@1.5: $(grep '^s VERIFIED' "$tmpdir/knap15.check") ($(grep '^c check:' "$tmpdir/knap15.check"))"
 fi
 
 echo "smoke: OK"

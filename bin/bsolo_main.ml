@@ -1159,6 +1159,7 @@ let checkproof_run problem_path proof_path =
   | exception Pbo.Dimacs.Parse_error msg -> error ("parse error: " ^ msg)
   | exception Sys_error msg -> error msg
   | problem -> (
+    let t0 = Unix.gettimeofday () in
     match Proof.Check.check_file problem proof_path with
     | exception Sys_error msg -> error msg
     | Error msg ->
@@ -1166,9 +1167,12 @@ let checkproof_run problem_path proof_path =
       print_string "s NOT VERIFIED\n";
       1
     | Ok s ->
+      let check_s = Unix.gettimeofday () -. t0 in
       Printf.printf
         "c proof: %d steps (%d rup, %d bound, %d farkas, %d solutions, %d imports, %d cuts)\n"
         s.Proof.Check.steps s.rup s.bound s.farkas s.solutions s.imports s.cuts;
+      Printf.printf "c check: %.3f s, %.1f us/step\n" check_s
+        (check_s *. 1e6 /. float_of_int (max 1 s.steps));
       (match s.sections with
       | [] | [ "" ] -> ()
       | names -> Printf.printf "c sections: %s\n" (String.concat " " names));

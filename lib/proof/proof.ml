@@ -540,56 +540,148 @@ module Check = struct
 
   let failf fmt = Printf.ksprintf (fun msg -> raise (Fail msg)) fmt
 
-  (* Minimal slack-based propagation engine over a growing constraint
-     database.  Derived constraints are only ever added at the root;
-     RUP checks assume literals on top of the root state and undo. *)
+  (* Propagation engine over a growing constraint database, hybrid in
+     the style of Müssig & Johannsen (arXiv 2511.21417): a constraint
+     whose normal form is a clause gets two watched literals, every other
+     constraint a slack counter.  Constraints are only ever added (and
+     superseded) at the root; RUP checks assume literals on top of the
+     root state and undo.  Literals are {!Lit.to_index} values, so the
+     negation of [l] is [l lxor 1]. *)
+
+  (* Growable flat int vector. *)
+  type ivec = {
+    mutable a : int array;
+    mutable n : int;
+  }
+
+  let ivec () = { a = [||]; n = 0 }
+
+  let ipush v x =
+    if v.n = Array.length v.a then begin
+      let a = Array.make (max 4 (2 * v.n)) 0 in
+      Array.blit v.a 0 a 0 v.n;
+      v.a <- a
+    end;
+    v.a.(v.n) <- x;
+    v.n <- v.n + 1
+
   type eng = {
     nvars : int;
-    mutable constrs : Constr.t array;
-    mutable nconstrs : int;
-    occs : (int * int) list array;  (* lit index -> (constraint, coeff) *)
-    mutable slack : int array;
-    value : Value.t array;  (* per variable *)
-    trail : Lit.t array;
+    value : int array;  (* per literal: 1 true, -1 false, 0 unassigned *)
+    trail : int array;
     mutable ntrail : int;
     mutable qhead : int;
+    watches : ivec array;  (* literal -> clauses watching it *)
+    occs : ivec array;  (* literal -> interleaved (constraint, coeff) pairs *)
+    (* Per constraint: a clause's unassigned-at-root literals, watched at
+       positions 0 and 1, or a counting constraint's interleaved
+       (coeff, literal) terms in decreasing coefficient order. *)
+    mutable body : int array array;
+    mutable slack : int array;
+    mutable dead : bool array;
+    mutable ncons : int;
     mutable closed : bool;  (* root state conflicting: everything follows *)
   }
 
-  let lit_value eng l =
-    let v = eng.value.(Lit.var l) in
-    if Lit.is_pos l then v else Value.negate v
-
   let assign eng l =
-    eng.value.(Lit.var l) <- (if Lit.is_pos l then Value.True else Value.False);
+    eng.value.(l) <- 1;
+    eng.value.(l lxor 1) <- -1;
     eng.trail.(eng.ntrail) <- l;
     eng.ntrail <- eng.ntrail + 1
 
-  (* Slack updates always complete for a processed literal so that
-     [undo_to] can reverse exactly the processed prefix. *)
+  (* A clause watching the falsified [f] moves the watch to another
+     non-false literal, or propagates / conflicts on its other watch. *)
+  let visit_watches eng f =
+    let w = eng.watches.(f) in
+    let conflict = ref false in
+    let i = ref 0 and j = ref 0 in
+    while !i < w.n do
+      let ci = w.a.(!i) in
+      incr i;
+      if not eng.dead.(ci) then begin
+        let c = eng.body.(ci) in
+        if c.(0) = f then begin
+          c.(0) <- c.(1);
+          c.(1) <- f
+        end;
+        let first = c.(0) in
+        if eng.value.(first) = 1 then begin
+          w.a.(!j) <- ci;
+          incr j
+        end
+        else begin
+          let len = Array.length c in
+          let k = ref 2 in
+          while !k < len && eng.value.(c.(!k)) = -1 do
+            incr k
+          done;
+          if !k < len then begin
+            let l = c.(!k) in
+            c.(1) <- l;
+            c.(!k) <- f;
+            ipush eng.watches.(l) ci
+          end
+          else begin
+            w.a.(!j) <- ci;
+            incr j;
+            if eng.value.(first) = 0 then assign eng first
+            else begin
+              conflict := true;
+              while !i < w.n do
+                w.a.(!j) <- w.a.(!i);
+                incr i;
+                incr j
+              done
+            end
+          end
+        end
+      end
+    done;
+    w.n <- !j;
+    !conflict
+
+  (* Counting constraints: every live occurrence of [f] loses its
+     coefficient from the slack (always completed, so that [undo_to]
+     reverses exactly the processed prefix; dead entries are dropped
+     here), then each one implies its unassigned literals whose
+     coefficient exceeds the slack. *)
+  let visit_occs eng f =
+    let o = eng.occs.(f) in
+    let conflict = ref false in
+    let j = ref 0 in
+    for k = 0 to (o.n / 2) - 1 do
+      let ci = o.a.(2 * k) in
+      if not eng.dead.(ci) then begin
+        let a = o.a.((2 * k) + 1) in
+        o.a.(!j) <- ci;
+        o.a.(!j + 1) <- a;
+        j := !j + 2;
+        let s = eng.slack.(ci) - a in
+        eng.slack.(ci) <- s;
+        if s < 0 then conflict := true
+      end
+    done;
+    o.n <- !j;
+    if not !conflict then
+      for k = 0 to (o.n / 2) - 1 do
+        let ci = o.a.(2 * k) in
+        let s = eng.slack.(ci) in
+        let t = eng.body.(ci) in
+        let m = ref 0 in
+        while !m < Array.length t && t.(!m) > s do
+          let l = t.(!m + 1) in
+          if eng.value.(l) = 0 then assign eng l;
+          m := !m + 2
+        done
+      done;
+    !conflict
+
   let propagate eng =
     let conflict = ref false in
-    let scan ci =
-      let s = eng.slack.(ci) in
-      let terms = Constr.terms eng.constrs.(ci) in
-      try
-        Array.iter
-          (fun (t : Constr.term) ->
-            if t.coeff <= s then raise Exit
-            else if Value.equal (lit_value eng t.lit) Value.Unknown then assign eng t.lit)
-          terms
-      with Exit -> ()
-    in
     while (not !conflict) && eng.qhead < eng.ntrail do
-      let l = eng.trail.(eng.qhead) in
+      let f = eng.trail.(eng.qhead) lxor 1 in
       eng.qhead <- eng.qhead + 1;
-      let falsified = Lit.to_index (Lit.negate l) in
-      List.iter
-        (fun (ci, a) ->
-          eng.slack.(ci) <- eng.slack.(ci) - a;
-          if eng.slack.(ci) < 0 then conflict := true)
-        eng.occs.(falsified);
-      if not !conflict then List.iter (fun (ci, _) -> scan ci) eng.occs.(falsified)
+      conflict := visit_occs eng f || visit_watches eng f
     done;
     !conflict
 
@@ -597,97 +689,153 @@ module Check = struct
     while eng.ntrail > mark do
       eng.ntrail <- eng.ntrail - 1;
       let l = eng.trail.(eng.ntrail) in
-      eng.value.(Lit.var l) <- Value.Unknown;
-      if eng.ntrail < eng.qhead then
-        List.iter
-          (fun (ci, a) -> eng.slack.(ci) <- eng.slack.(ci) + a)
-          eng.occs.(Lit.to_index (Lit.negate l))
+      eng.value.(l) <- 0;
+      eng.value.(l lxor 1) <- 0;
+      if eng.ntrail < eng.qhead then begin
+        let o = eng.occs.(l lxor 1) in
+        for k = 0 to (o.n / 2) - 1 do
+          let ci = o.a.(2 * k) in
+          eng.slack.(ci) <- eng.slack.(ci) + o.a.((2 * k) + 1)
+        done
+      end
     done;
     eng.qhead <- min eng.qhead eng.ntrail
 
-  let grow eng =
-    if eng.nconstrs = Array.length eng.constrs then begin
-      let cap = max 16 (2 * eng.nconstrs) in
-      let constrs = Array.make cap eng.constrs.(0) in
-      Array.blit eng.constrs 0 constrs 0 eng.nconstrs;
-      let slack = Array.make cap 0 in
-      Array.blit eng.slack 0 slack 0 eng.nconstrs;
-      eng.constrs <- constrs;
-      eng.slack <- slack
+  let new_id eng body slack =
+    let ci = eng.ncons in
+    if ci = Array.length eng.body then begin
+      let cap = max 16 (2 * ci) in
+      let grow a d =
+        let b = Array.make cap d in
+        Array.blit a 0 b 0 ci;
+        b
+      in
+      eng.body <- grow eng.body [||];
+      eng.slack <- grow eng.slack 0;
+      eng.dead <- grow eng.dead false
+    end;
+    eng.body.(ci) <- body;
+    eng.slack.(ci) <- slack;
+    eng.ncons <- ci + 1;
+    ci
+
+  (* Watch a clause on its first two literals, or index a counting
+     constraint's terms by literal.  A unit clause is not attached: its
+     caller asserts the literal at the root. *)
+  let attach eng ~clause free slack =
+    if clause then begin
+      match free with
+      | [] | [ _ ] -> -1
+      | _ :: _ :: _ ->
+        let body = Array.of_list (List.map (fun (t : Constr.term) -> Lit.to_index t.lit) free) in
+        let ci = new_id eng body 0 in
+        ipush eng.watches.(body.(0)) ci;
+        ipush eng.watches.(body.(1)) ci;
+        ci
+    end
+    else begin
+      let body = Array.make (2 * List.length free) 0 in
+      List.iteri
+        (fun k (t : Constr.term) ->
+          body.(2 * k) <- t.coeff;
+          body.((2 * k) + 1) <- Lit.to_index t.lit)
+        free;
+      let ci = new_id eng body slack in
+      List.iter
+        (fun (t : Constr.term) ->
+          let o = eng.occs.(Lit.to_index t.lit) in
+          ipush o ci;
+          ipush o t.coeff)
+        free;
+      ci
     end
 
-  (* Root-level addition: attach, then propagate to fixpoint; a conflict
-     latches [closed]. *)
+  (* Root-level addition, then propagation to fixpoint; a conflict
+     latches [closed].  Root assignments are never undone within a
+     section, so a root-satisfied constraint is not attached and
+     root-assigned literals are left out of the stored body.  Returns
+     the attached constraint's id, or -1. *)
   let add_root eng c =
-    if not eng.closed then begin
-      if Array.length eng.constrs = 0 then begin
-        eng.constrs <- Array.make 16 c;
-        eng.slack <- Array.make 16 0
+    if eng.closed then -1
+    else begin
+      let deg = Constr.degree c in
+      let sat, free =
+        Array.fold_right
+          (fun (t : Constr.term) (sat, free) ->
+            match eng.value.(Lit.to_index t.lit) with
+            | 1 -> sat + t.coeff, free
+            | 0 -> sat, t :: free
+            | _ -> sat, free)
+          (Constr.terms c) (0, [])
+      in
+      let slack = List.fold_left (fun acc (t : Constr.term) -> acc + t.coeff) (sat - deg) free in
+      if sat >= deg then -1
+      else if slack < 0 then begin
+        eng.closed <- true;
+        -1
       end
-      else grow eng;
-      let ci = eng.nconstrs in
-      eng.constrs.(ci) <- c;
-      eng.nconstrs <- ci + 1;
-      eng.slack.(ci) <- Constr.slack_under (lit_value eng) c;
-      Array.iter
-        (fun (t : Constr.term) ->
-          let i = Lit.to_index t.lit in
-          eng.occs.(i) <- (ci, t.coeff) :: eng.occs.(i))
-        (Constr.terms c);
-      if eng.slack.(ci) < 0 then eng.closed <- true
       else begin
-        let s = eng.slack.(ci) in
-        let implied = ref [] in
-        (try
-           Array.iter
-             (fun (t : Constr.term) ->
-               if t.coeff <= s then raise Exit
-               else if Value.equal (lit_value eng t.lit) Value.Unknown then
-                 implied := t.lit :: !implied)
-             (Constr.terms c)
-         with Exit -> ());
+        let ci = attach eng ~clause:(deg = 1) free slack in
         List.iter
-          (fun l -> if Value.equal (lit_value eng l) Value.Unknown then assign eng l)
-          !implied;
-        if propagate eng then eng.closed <- true
+          (fun (t : Constr.term) ->
+            let l = Lit.to_index t.lit in
+            if t.coeff > slack && eng.value.(l) = 0 then assign eng l)
+          free;
+        if propagate eng then eng.closed <- true;
+        ci
       end
     end
 
   let add_norm eng = function
-    | Constr.Trivial_true -> ()
-    | Constr.Trivial_false -> eng.closed <- true
+    | Constr.Trivial_true -> -1
+    | Constr.Trivial_false ->
+      eng.closed <- true;
+      -1
     | Constr.Constr c -> add_root eng c
+
+  (* Retire a constraint entailed by a later one.  Only at the root: the
+     id is flagged and its watch and occurrence entries are dropped
+     lazily by the next visit. *)
+  let kill eng ci =
+    if ci >= 0 then begin
+      eng.dead.(ci) <- true;
+      eng.body.(ci) <- [||]
+    end
 
   let fresh_eng problem =
     let nvars = Problem.nvars problem in
     let eng =
       {
         nvars;
-        constrs = [||];
-        nconstrs = 0;
-        occs = Array.make (2 * nvars) [];
-        slack = [||];
-        value = Array.make nvars Value.Unknown;
-        trail = Array.make (max nvars 1) (Lit.pos 0);
+        value = Array.make (2 * nvars) 0;
+        trail = Array.make (max nvars 1) 0;
         ntrail = 0;
         qhead = 0;
+        watches = Array.init (2 * nvars) (fun _ -> ivec ());
+        occs = Array.init (2 * nvars) (fun _ -> ivec ());
+        body = [||];
+        slack = [||];
+        dead = [||];
+        ncons = 0;
         closed = Problem.trivially_unsat problem;
       }
     in
-    Array.iter (fun c -> add_root eng c) (Problem.constraints problem);
+    Array.iter (fun c -> ignore (add_root eng c)) (Problem.constraints problem);
     eng
 
   (* RUP: assume every clause literal false on top of the root state and
      propagate; the check passes iff a conflict is reached (or the
-     clause is already root-satisfied / the root is closed). *)
+     clause is already root-satisfied / the root is closed).  Callers
+     pass non-tautological clauses. *)
   let rup_holds eng clause =
     if eng.closed then true
-    else if List.exists (fun l -> Value.equal (lit_value eng l) Value.True) clause then true
+    else if List.exists (fun l -> eng.value.(Lit.to_index l) = 1) clause then true
     else begin
       let mark = eng.ntrail in
       List.iter
         (fun l ->
-          if Value.equal (lit_value eng l) Value.Unknown then assign eng (Lit.negate l))
+          let i = Lit.to_index l in
+          if eng.value.(i) = 0 then assign eng (i lxor 1))
         clause;
       let conflict = propagate eng in
       undo_to eng mark;
@@ -794,10 +942,6 @@ module Check = struct
        referenced as [x<k>]; reset together with the engine. *)
     let dt = ref [||] in
     let ndt = ref 0 in
-    let dt_reset () =
-      dt := [||];
-      ndt := 0
-    in
     let dt_push c =
       let cap = Array.length !dt in
       if !ndt = cap then begin
@@ -809,6 +953,29 @@ module Check = struct
       incr ndt
     in
     let dt_get k = if k >= 0 && k < !ndt then Some !dt.(k) else None in
+    (* Supersession slots, reset with the engine: the objective cut of
+       the current bound and each cid's latest [d] cut, as (upper, id).
+       A cut at a lower bound has the same left-hand side and a degree
+       at least as high, so it entails the one in the slot, which is
+       then killed. *)
+    let obj_slot = ref (max_int, -1) in
+    let card_slots = Hashtbl.create 16 in
+    let supersede slot upper norm =
+      let prev_upper, prev = slot in
+      if upper >= prev_upper then slot
+      else begin
+        let ci = add_norm !eng norm in
+        kill !eng prev;
+        upper, ci
+      end
+    in
+    let reset_engine () =
+      eng := fresh_eng problem;
+      obj_slot := (max_int, -1);
+      Hashtbl.reset card_slots;
+      dt := [||];
+      ndt := 0
+    in
     let fresh_section name =
       {
         member = name;
@@ -841,7 +1008,7 @@ module Check = struct
       if internal < s.u_active then s.u_active <- internal;
       (match objective_cut problem ~upper:s.u_active with
       | None -> ()
-      | Some n -> add_norm !eng n);
+      | Some n -> obj_slot := supersede !obj_slot s.u_active n);
       s.nsteps <- s.nsteps + 1
     in
     let handle_line line =
@@ -892,10 +1059,14 @@ module Check = struct
         require_open ();
         incr stats_rup;
         let lits = parse_lits !eng rest in
-        if not (rup_holds !eng lits) then failf "RUP check failed";
-        let norm = Constr.clause lits in
-        add_norm !eng norm;
-        (match norm with Constr.Constr c -> dt_push c | _ -> ());
+        (* A tautology holds without propagation and, like the logger,
+           gets no derived-table entry. *)
+        (match Constr.clause lits with
+        | Constr.Trivial_true -> ()
+        | norm ->
+          if not (rup_holds !eng lits) then failf "RUP check failed";
+          ignore (add_norm !eng norm);
+          (match norm with Constr.Constr c -> dt_push c | _ -> ()));
         (!sec).nsteps <- (!sec).nsteps + 1
       | kind :: rest when kind = "b" || kind = "y" ->
         require_open ();
@@ -910,7 +1081,7 @@ module Check = struct
                ~upper:(!sec).u_active
             || (!eng).closed)
         then failf "%s certificate does not justify the clause" kind;
-        add_norm !eng (Constr.clause omega);
+        ignore (add_norm !eng (Constr.clause omega));
         (!sec).nsteps <- (!sec).nsteps + 1
       | "j" :: rest ->
         require_open ();
@@ -933,16 +1104,19 @@ module Check = struct
           (!eng).closed <- true;
           (!sec).nsteps <- (!sec).nsteps + 1
         | Some (Constr.Constr c) ->
-          add_norm !eng (Constr.Constr c);
+          ignore (add_norm !eng (Constr.Constr c));
           dt_push c;
           (!sec).nsteps <- (!sec).nsteps + 1)
       | [ "d"; cid ] ->
         require_open ();
         incr stats_cuts;
         let cid = int_of cid in
-        (match cardinality_cut problem ~cid ~upper:(!sec).u_active with
+        let upper = (!sec).u_active in
+        (match cardinality_cut problem ~cid ~upper with
         | None -> if not (!eng).closed then failf "no cardinality cut derivable from cid %d" cid
-        | Some n -> add_norm !eng n);
+        | Some n ->
+          let slot = Option.value (Hashtbl.find_opt card_slots cid) ~default:(max_int, -1) in
+          Hashtbl.replace card_slots cid (supersede slot upper n));
         (!sec).nsteps <- (!sec).nsteps + 1
       | "m" :: [ name ] ->
         if not !saw_f then failf "'m' before 'f'";
@@ -950,14 +1124,12 @@ module Check = struct
         let s = !sec in
         if s.concluded <> None then begin
           done_secs := s :: !done_secs;
-          eng := fresh_eng problem;
-          dt_reset ();
+          reset_engine ();
           sec := fresh_section name
         end
         else if s.nsteps = 0 then begin
           (* pristine implicit section: replaced by the first member *)
-          eng := fresh_eng problem;
-          dt_reset ();
+          reset_engine ();
           sec := fresh_section name
         end
         else failf "member section %S starts before previous section concluded" name

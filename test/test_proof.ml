@@ -296,6 +296,271 @@ let mutation_weakened_derivation () =
   Alcotest.(check int) "every zeroed divisor caught" !with_j !zeroed_caught;
   Alcotest.(check int) "every dangling reference caught" !with_j !dropped_caught
 
+(* --- the checker's propagation engine --------------------------------------- *)
+
+let proof_of steps nconstrs =
+  unlines (("p " ^ Proof.version) :: Printf.sprintf "f %d" nconstrs :: steps @ [ "c NONE"; "" ])
+
+(* [reject_at problem steps k]: the proof fails exactly at step [k]
+   (0-based), i.e. at line [k + 3] of the log. *)
+let reject_at problem steps k what =
+  let n = Array.length (Problem.constraints problem) in
+  match Proof.Check.check_string problem (proof_of steps n) with
+  | Ok _ -> Alcotest.failf "%s accepted" what
+  | Error msg ->
+    let prefix = Printf.sprintf "line %d:" (k + 3) in
+    if not (String.starts_with ~prefix msg) then
+      Alcotest.failf "%s rejected at the wrong place: %s" what msg
+
+let accept problem steps what =
+  let n = Array.length (Problem.constraints problem) in
+  match Proof.Check.check_string problem (proof_of steps n) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "%s rejected: %s" what msg
+
+(* [u 1 -1 0] normalizes to a tautology: the logger writes it without
+   numbering it, so the checker must accept it and add no derived
+   constraint (an [x0] reference after it dangles). *)
+let tautological_rup () =
+  let b = Problem.Builder.create ~nvars:2 () in
+  Problem.Builder.add_clause b [ Lit.pos 0; Lit.pos 1 ];
+  let problem = Problem.Builder.build b in
+  accept problem [ "u 1 -1 0" ] "tautological u step";
+  accept problem [ "u 2 1 -2 0"; "u 1 2 0"; "j x0:1 ; 1" ] "numbering after a tautology";
+  reject_at problem [ "u 1 -1 0"; "j x0:1 ; 1" ] 1 "reference to a tautology's number"
+
+(* min 2x1 + x2 + x3 + x4 s.t. x1 v x2, x3 v x4.  Under the cut of
+   bound 3 (cost <= 2), x1 forces x3 and x4 false, so ~x1 is RUP; under
+   the cut of bound 4 nothing propagates.  A later, looser incumbent
+   must not bring the weaker cut back. *)
+let objective_cut_order () =
+  let b = Problem.Builder.create ~nvars:4 () in
+  Problem.Builder.add_clause b [ Lit.pos 0; Lit.pos 1 ];
+  Problem.Builder.add_clause b [ Lit.pos 2; Lit.pos 3 ];
+  Problem.Builder.set_objective b [ (2, Lit.pos 0); (1, Lit.pos 1); (1, Lit.pos 2); (1, Lit.pos 3) ];
+  let problem = Problem.Builder.build b in
+  accept problem [ "s 4 1011"; "s 3 1010"; "u -1 0" ] "u after the tighter cut";
+  accept problem [ "s 3 1010"; "s 4 1011"; "u -1 0" ] "u after a looser incumbent";
+  reject_at problem [ "s 4 1011"; "u -1 0"; "s 3 1010" ] 1 "u before the tighter cut"
+
+(* min x1 + ... + x5 s.t. x1 + x2 + x5 >= 2.  The row's cardinality cut
+   at bound 3 (cost <= 2) is x3 + x4 <= 0, which fixes ~x3 at the root;
+   the cut at bound 4 and the objective cut at bound 3 do not imply it. *)
+let cardinality_cut_order () =
+  let b = Problem.Builder.create ~nvars:5 () in
+  Problem.Builder.add_cardinality b [ Lit.pos 0; Lit.pos 1; Lit.pos 4 ] 2;
+  Problem.Builder.set_objective b (List.init 5 (fun v -> 1, Lit.pos v));
+  let problem = Problem.Builder.build b in
+  accept problem [ "s 4 11110"; "d 0"; "s 3 11100"; "d 0"; "u -3 0" ] "u after the tighter d cut";
+  reject_at problem [ "s 4 11110"; "d 0"; "u -3 0"; "s 3 11100"; "d 0" ] 2
+    "u before the tighter d cut";
+  reject_at problem [ "s 4 11110"; "d 0"; "s 3 11100"; "u -3 0" ] 3 "u without the tighter d cut"
+
+(* A real proof with thousands of RUP steps (genpb knap --scale 1.5
+   --seed 1): dropping one literal from a learned clause so that it is
+   no longer RUP must be rejected at that clause's line.  Mutations the
+   checker still accepts are strengthenings that do propagate. *)
+let knap_dropped_literal () =
+  let problem =
+    Benchgen.Knapsack.generate
+      ~params:{ Benchgen.Knapsack.default with items = 99; rows = 47 }
+      1
+  in
+  let _, text = solve_with_proof problem in
+  Alcotest.(check string) "unmutated proof" "OPTIMAL 358" (check_ok problem text).verdict;
+  let ls = Array.of_list (lines text) in
+  let caught = ref None in
+  let i = ref 0 in
+  while !caught = None && !i < Array.length ls do
+    (match String.split_on_char ' ' ls.(!i) with
+    | "u" :: _ :: _ :: _ :: _ as toks ->
+      (* drop the first literal of a clause of at least two *)
+      let mutated = Array.copy ls in
+      mutated.(!i) <- String.concat " " ("u" :: List.tl (List.tl toks));
+      (match Proof.Check.check_string problem (unlines (Array.to_list mutated)) with
+      | Ok _ -> ()
+      | Error msg ->
+        let prefix = Printf.sprintf "line %d: RUP check failed" (!i + 1) in
+        if not (String.starts_with ~prefix msg) then
+          Alcotest.failf "mutated line %d rejected elsewhere: %s" (!i + 1) msg;
+        caught := Some !i)
+    | _ -> ());
+    incr i
+  done;
+  if !caught = None then Alcotest.fail "no dropped literal was caught"
+
+(* Differential oracle: the checker's former engine, counting
+   propagation over [(constraint, coeff)] occurrence lists of the whole
+   database with nothing ever retired, rebuilt from scratch per query. *)
+let reference_rup ~nvars db clause =
+  let value = Array.make nvars Value.Unknown in
+  let lit_value l =
+    let v = value.(Lit.var l) in
+    if Lit.is_pos l then v else Value.negate v
+  in
+  let pending = Queue.create () in
+  let assign l =
+    value.(Lit.var l) <- (if Lit.is_pos l then Value.True else Value.False);
+    Queue.add l pending
+  in
+  let constrs = Array.of_list db in
+  let occs = Array.make (2 * nvars) [] in
+  let slack = Array.map (Constr.slack_under lit_value) constrs in
+  Array.iteri
+    (fun ci c ->
+      Array.iter
+        (fun (t : Constr.term) ->
+          let i = Lit.to_index t.lit in
+          occs.(i) <- (ci, t.coeff) :: occs.(i))
+        (Constr.terms c))
+    constrs;
+  let scan ci =
+    Array.iter
+      (fun (t : Constr.term) ->
+        if t.coeff > slack.(ci) && Value.equal (lit_value t.lit) Value.Unknown then assign t.lit)
+      (Constr.terms constrs.(ci))
+  in
+  let propagate () =
+    let conflict = ref false in
+    while (not !conflict) && not (Queue.is_empty pending) do
+      let falsified = Lit.to_index (Lit.negate (Queue.pop pending)) in
+      List.iter
+        (fun (ci, a) ->
+          slack.(ci) <- slack.(ci) - a;
+          if slack.(ci) < 0 then conflict := true)
+        occs.(falsified);
+      if not !conflict then List.iter (fun (ci, _) -> scan ci) occs.(falsified)
+    done;
+    !conflict
+  in
+  (* root state first, then the clause's negation on top of it *)
+  let root_conflict =
+    Array.exists (fun s -> s < 0) slack
+    || begin
+      Array.iteri (fun ci _ -> scan ci) constrs;
+      propagate ()
+    end
+  in
+  root_conflict
+  || List.exists (fun l -> Value.equal (lit_value l) Value.True) clause
+  || begin
+    List.iter (fun l -> if Value.equal (lit_value l) Value.Unknown then assign (Lit.negate l)) clause;
+    propagate ()
+  end
+
+let gen_problem rng =
+  let nvars = 3 + Random.State.int rng 8 in
+  let lit () = Lit.make (Random.State.int rng nvars) (Random.State.bool rng) in
+  let lits k = List.init (1 + Random.State.int rng k) (fun _ -> lit ()) in
+  let b = Problem.Builder.create ~nvars () in
+  for _ = 1 to 1 + Random.State.int rng 4 do
+    Problem.Builder.add_clause b (lits 3)
+  done;
+  for _ = 1 to Random.State.int rng 3 do
+    let ls = List.init (2 + Random.State.int rng 3) (fun _ -> Lit.pos (Random.State.int rng nvars)) in
+    Problem.Builder.add_cardinality b ls (1 + Random.State.int rng (List.length ls - 1))
+  done;
+  for _ = 1 to Random.State.int rng 3 do
+    let terms = List.map (fun l -> 1 + Random.State.int rng 5, l) (lits 4) in
+    let total = List.fold_left (fun acc (c, _) -> acc + c) 0 terms in
+    Problem.Builder.add_ge b terms (1 + Random.State.int rng total)
+  done;
+  Problem.Builder.set_objective b
+    (List.init nvars (fun v -> 1 + Random.State.int rng 3, Lit.make v (Random.State.bool rng)));
+  Problem.Builder.build b, lit
+
+let all_models problem =
+  let n = Problem.nvars problem in
+  List.init (1 lsl n) (fun bits -> Model.of_array (Array.init n (fun v -> bits land (1 lsl v) <> 0)))
+  |> List.filter (Model.satisfies problem)
+
+let model_bits m =
+  String.concat "" (List.map (fun b -> if b then "1" else "0") (Array.to_list (Model.to_array m)))
+
+(* Random step sequences replayed one step at a time: after each
+   accepted step the proof so far must check, a [u] step must get the
+   reference's verdict (a rejected one is dropped again), and every
+   accepted [u] clause must hold in every model below the current
+   bound. *)
+let differential seed =
+  let rng = Random.State.make [| seed; 0x5eed |] in
+  let problem, lit = gen_problem rng in
+  let nvars = Problem.nvars problem in
+  let offset = match Problem.objective problem with Some o -> o.offset | None -> 0 in
+  let models = Array.of_list (all_models problem) in
+  let cardinality_cids =
+    List.filter
+      (fun cid -> Constr.is_cardinality (Problem.constraints problem).(cid))
+      (List.init (Array.length (Problem.constraints problem)) Fun.id)
+  in
+  let upper = ref (Problem.max_cost_sum problem + 1) in
+  let db =
+    ref (if Problem.trivially_unsat problem then [] else Array.to_list (Problem.constraints problem))
+  in
+  let closed = ref (Problem.trivially_unsat problem) in
+  let add = function
+    | Some (Constr.Constr c) -> db := c :: !db
+    | Some Constr.Trivial_false -> closed := true
+    | Some Constr.Trivial_true | None -> ()
+  in
+  let steps = ref [] in
+  let check_prefix extra =
+    Proof.Check.check_string problem
+      (proof_of (List.rev_append !steps extra) (Array.length (Problem.constraints problem)))
+  in
+  let commit step = steps := step :: !steps in
+  for _ = 1 to 25 do
+    match Random.State.int rng 6 with
+    | 0 when Array.length models > 0 ->
+      let m =
+        match Random.State.int rng 6, Bsolo.Exhaustive.optimum problem with
+        | 0, Some (m, _) -> m
+        | _ -> models.(Random.State.int rng (Array.length models))
+      in
+      let cost = Model.cost problem m in
+      upper := min !upper (cost - offset);
+      add (Proof.objective_cut problem ~upper:!upper);
+      commit (Printf.sprintf "s %d %s" cost (model_bits m))
+    | 1 when cardinality_cids <> [] -> (
+      let cid = List.nth cardinality_cids (Random.State.int rng (List.length cardinality_cids)) in
+      match Proof.cardinality_cut problem ~cid ~upper:!upper with
+      | None -> ()
+      | Some n ->
+        add (Some n);
+        commit (Printf.sprintf "d %d" cid))
+    | _ ->
+      let len = if Random.State.int rng 8 = 0 then 0 else 1 + Random.State.int rng 3 in
+      let clause = List.init len (fun _ -> lit ()) in
+      let step = String.concat " " (("u" :: List.map (fun l -> string_of_int (Proof.lit_to_int l)) clause) @ [ "0" ]) in
+      let expected =
+        match Constr.clause clause with
+        | Constr.Trivial_true -> true
+        | Constr.Trivial_false | Constr.Constr _ ->
+          !closed || reference_rup ~nvars (List.rev !db) clause
+      in
+      let got = Result.is_ok (check_prefix [ step ]) in
+      if got <> expected then
+        QCheck2.Test.fail_reportf "%s: checker %b, reference %b after:\n%s" step got expected
+          (String.concat "\n" (List.rev !steps))
+      else if got then begin
+        add (Some (Constr.clause clause));
+        commit step;
+        Array.iter
+          (fun m ->
+            if Model.cost problem m - offset < !upper && not (List.exists (Model.lit_true m) clause)
+            then QCheck2.Test.fail_reportf "%s accepted but a model below %d falsifies it" step !upper)
+          models
+      end
+  done;
+  match check_prefix [] with
+  | Ok _ -> true
+  | Error msg -> QCheck2.Test.fail_reportf "final proof rejected: %s" msg
+
+let qcheck_differential =
+  QCheck2.Test.make ~name:"checker agrees with the counting reference" ~count:150
+    QCheck2.Gen.(int_bound 1_000_000)
+    differential
+
 (* --- portfolio stitching ---------------------------------------------------- *)
 
 let portfolio_proof jobs () =
@@ -331,6 +596,11 @@ let suite =
     Alcotest.test_case "cardinality cuts mirror knapsack" `Quick cardinality_cut_matches;
     Alcotest.test_case "j steps round-trip" `Quick j_step_roundtrip;
     Alcotest.test_case "weakened derivation rejected" `Quick mutation_weakened_derivation;
+    Alcotest.test_case "tautological u step accepted" `Quick tautological_rup;
+    Alcotest.test_case "u step needs the tighter objective cut" `Quick objective_cut_order;
+    Alcotest.test_case "u step needs the tighter d cut" `Quick cardinality_cut_order;
+    Alcotest.test_case "knap dropped literal rejected at its line" `Slow knap_dropped_literal;
+    QCheck_alcotest.to_alcotest qcheck_differential;
     Alcotest.test_case "sequential portfolio proof stitches" `Quick (portfolio_proof 1);
     Alcotest.test_case "parallel portfolio proof stitches" `Quick (portfolio_proof 2);
   ]
