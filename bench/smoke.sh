@@ -384,6 +384,25 @@ for mode in watched counting hybrid; do
 done
 echo "bcp modes: identical optima, cross-mode replay OK"
 
+echo "== pinned search tree (genpb synth --scale 1 --seed 1) =="
+# The search tree is deterministic: a propagation or cut-storage change
+# that is meant to be invisible must leave these counters exactly as
+# they are, in every BCP mode.  A deliberate tree change updates them.
+./_build/default/bin/genpb.exe synth --scale 1 --seed 1 -o "$tmpdir/synth1.opb" >/dev/null
+pinned='1348 decisions, 1026 conflicts, 790 bound conflicts, 1836 lb calls'
+for mode in hybrid watched counting; do
+  timeout 120 "$bsolo" "$tmpdir/synth1.opb" --timeout 60 --stats --bcp "$mode" \
+    >"$tmpdir/pinned-$mode.out" 2>&1 || {
+    echo "FAIL: pinned synth@1 solve failed under --bcp $mode"
+    cat "$tmpdir/pinned-$mode.out"; exit 1;
+  }
+  grep -q "^c OPTIMAL cost=5511 (.*s, $pinned)\$" "$tmpdir/pinned-$mode.out" || {
+    echo "FAIL: synth@1 seed 1 under --bcp $mode left the pinned tree ($pinned)";
+    grep '^c OPTIMAL\|^c UNKNOWN' "$tmpdir/pinned-$mode.out" || true; exit 1;
+  }
+done
+echo "pinned tree: $pinned"
+
 echo "== portfolio recording stitches member sections =="
 timeout 120 "$bsolo" benchmarks/synth-s1.opb \
   --portfolio --jobs 2 --timeout 60 --record "$tmpdir/portfolio.rec" \

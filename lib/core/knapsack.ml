@@ -1,54 +1,51 @@
 open Pbo
 
+type row = {
+  cid : int option;
+  mandatory : int;
+  family : Constr.family;
+}
+
 let cost_terms p =
   match Problem.objective p with
   | None -> [||]
   | Some o -> o.cost_terms
 
-let upper_cut p ~upper =
-  let raw =
-    Array.to_list (Array.map (fun (ct : Problem.cost_term) -> ct.cost, ct.lit) (cost_terms p))
-  in
-  match Constr.of_relation raw Constr.Le (upper - 1) with
-  | [ n ] -> n
-  | [] | _ :: _ :: _ -> assert false
+let raw_of terms = List.map (fun (ct : Problem.cost_term) -> ct.cost, ct.lit) terms
 
-let lit_cost p l =
-  let v = Lit.var l in
-  match Problem.cost_of_var p v with
-  | Some (c, cl) when Lit.equal cl l -> c
-  | Some _ | None -> 0
+let knapsack_row p =
+  { cid = None; mandatory = 0; family = Constr.family (raw_of (Array.to_list (cost_terms p))) }
 
-(* V of eq. (12): the U smallest costs of making literals of K true. *)
-let min_mandatory_cost p c =
-  let costs = Constr.fold_lits (fun l acc -> lit_cost p l :: acc) c [] in
-  let sorted = List.sort compare costs in
-  let rec take k acc = function
-    | [] -> acc
-    | x :: rest -> if k = 0 then acc else take (k - 1) (acc + x) rest
-  in
-  take (Constr.degree c) 0 sorted
-
-let cardinality_inferences_cids p ~upper =
-  let infer cid c =
+let cardinality_rows p =
+  let nvars = Problem.nvars p in
+  let terms = cost_terms p in
+  let lit_cost = Array.make (2 * max nvars 1) 0 in
+  Array.iter (fun (ct : Problem.cost_term) -> lit_cost.(Lit.to_index ct.lit) <- ct.cost) terms;
+  let in_k = Array.make (max nvars 1) false in
+  let row cid c =
     if not (Constr.is_cardinality c) then None
     else begin
-      let v = min_mandatory_cost p c in
+      (* V of eq. (12): the U smallest costs of making literals of K true *)
+      let costs = Constr.fold_lits (fun l acc -> lit_cost.(Lit.to_index l) :: acc) c [] in
+      let rec take k acc = function
+        | [] -> acc
+        | x :: rest -> if k = 0 then acc else take (k - 1) (acc + x) rest
+      in
+      let v = take (Constr.degree c) 0 (List.sort compare costs) in
       if v <= 0 then None
       else begin
-        let in_k = Constr.fold_lits (fun l acc -> Lit.var l :: acc) c [] in
-        let outside (ct : Problem.cost_term) = not (List.mem (Lit.var ct.lit) in_k) in
-        let raw =
-          Array.to_list (cost_terms p)
-          |> List.filter outside
-          |> List.map (fun (ct : Problem.cost_term) -> ct.cost, ct.lit)
+        let mark b = Constr.fold_lits (fun l () -> in_k.(Lit.var l) <- b) c () in
+        mark true;
+        let outside =
+          Array.fold_right
+            (fun (ct : Problem.cost_term) acc -> if in_k.(Lit.var ct.lit) then acc else ct :: acc)
+            terms []
         in
-        match Constr.of_relation raw Constr.Le (upper - 1 - v) with
-        | [ n ] -> Some (cid, n)
-        | [] | _ :: _ :: _ -> assert false
+        mark false;
+        Some { cid = Some cid; mandatory = v; family = Constr.family (raw_of outside) }
       end
     end
   in
-  Array.to_list (Problem.constraints p) |> List.mapi infer |> List.filter_map Fun.id
+  Array.to_list (Problem.constraints p) |> List.mapi row |> List.filter_map Fun.id
 
-let cardinality_inferences p ~upper = List.map snd (cardinality_inferences_cids p ~upper)
+let cut row ~upper = Constr.family_at row.family (upper - 1 - row.mandatory)

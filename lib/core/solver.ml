@@ -5,6 +5,15 @@ let log_src = Logs.Src.create "bsolo" ~doc:"bsolo search progress"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* One source of incumbent cuts — the knapsack row (10) or one
+   cardinality row (11)-(13) — with the engine row its latest cut joined
+   (the next one starts a new row if saturation changes its terms). *)
+type cut_source = {
+  krow : Knapsack.row;
+  kind : string;  (* counter suffix: "knapsack" or "cardinality" *)
+  mutable erow : Core.row option;
+}
+
 type search_state = {
   engine : Core.t;
   tel : Telemetry.Ctx.t;
@@ -22,6 +31,7 @@ type search_state = {
   track : Lowerbound.Track.t;  (* bound-quality instruments for lb_method *)
   mutable lpr_inc : Lowerbound.Lpr.inc option;  (* warm LP state, created lazily *)
   mutable cuts : Cuts.config option;  (* separation pool, built after preprocessing *)
+  mutable cut_sources : cut_source list option;  (* prepared at the first incumbent *)
   mutable lb_skip : int;  (* adaptive lower-bound interval, 1..8 nodes *)
   mutable lb_noprune : int;  (* consecutive evaluations that failed to prune *)
   mutable last_lb : int;  (* most recent lower-bound estimate, for progress *)
@@ -183,52 +193,60 @@ let record_incumbent st =
     | None -> ()
   end
 
+let cut_sources st =
+  match st.cut_sources with
+  | Some sources -> sources
+  | None ->
+    let problem = Core.problem st.engine in
+    let source kind krow = { krow; kind; erow = None } in
+    let sources =
+      (if st.options.knapsack_cuts then [ source "knapsack" (Knapsack.knapsack_row problem) ]
+       else [])
+      @
+      if st.options.cardinality_inference then
+        List.map (source "cardinality") (Knapsack.cardinality_rows problem)
+      else []
+    in
+    st.cut_sources <- Some sources;
+    sources
+
 (* Push the knapsack cut (10) and the cardinality-inference cuts (13) for
-   the new upper bound; returns a conflicting cut if any (expected: the
-   knapsack cut is violated by the incumbent assignment itself). *)
+   the new upper bound, each as a member of its source's row; returns a
+   conflicting cut if any (expected: the knapsack cut is violated by the
+   incumbent assignment itself). *)
 let add_incumbent_cuts st =
   Telemetry.Ctx.with_phase st.tel Telemetry.Phase.Cut_generation (fun () ->
-      let problem = Core.problem st.engine in
-      let cuts =
-        (* the knapsack cut (10) needs no proof step: it is exactly the
+      let add conflict src =
+        (* The knapsack cut (10) needs no proof step: it is exactly the
            objective cut the checker introduces on its own at every
-           verified solution or import *)
-        (if st.options.knapsack_cuts then
-           [ "knapsack", None, Knapsack.upper_cut problem ~upper:st.upper ]
-         else [])
-        @
-        if st.options.cardinality_inference then
-          List.map
-            (fun (cid, c) -> "cardinality", Some cid, c)
-            (Knapsack.cardinality_inferences_cids problem ~upper:st.upper)
-        else []
-      in
-      let add conflict (kind, cid, norm) =
-        (* In proof mode a cardinality cut is only usable when its [d]
-           step can reference the untouched original constraint; a cid
-           aliased to a presolve tightening has no checker-side cut, so
-           the inference is skipped rather than trusted. *)
+           verified solution or import.  In proof mode a cardinality cut
+           is only usable when its [d] step can reference the untouched
+           original constraint; a cid aliased to a presolve tightening
+           has no checker-side cut, so the inference is skipped rather
+           than trusted. *)
         let loggable =
-          match st.options.proof, cid with
+          match st.options.proof, src.krow.Knapsack.cid with
           | Some proof, Some cid -> Proof.log_cardinality_cut proof ~cid
           | Some _, None | None, _ -> true
         in
         if not loggable then conflict
         else
-        match norm with
+        match Knapsack.cut src.krow ~upper:st.upper with
         | Constr.Trivial_true -> conflict
         | Constr.Trivial_false ->
           (* no strictly better solution can exist; close the search by
              learning the empty bound *)
           Some `Root
         | Constr.Constr c ->
-          Telemetry.Counter.incr (Telemetry.Registry.counter st.tel.registry ("cuts." ^ kind));
-          (match conflict, Core.add_constraint_dynamic st.engine ~in_lb:false c with
+          Telemetry.Counter.incr (Telemetry.Registry.counter st.tel.registry ("cuts." ^ src.kind));
+          let row, added = Core.add_cut st.engine ?row:src.erow c in
+          src.erow <- Some row;
+          (match conflict, added with
           | (Some _ as found), _ -> found
           | None, Some ci -> Some (`Cid ci)
           | None, None -> None)
       in
-      List.fold_left add None cuts)
+      List.fold_left add None (cut_sources st))
 
 (* A bound conflict (eq. 7) fired: build omega_bc and run conflict
    analysis on it.  With [bound_conflict_learning] off, the explanation
@@ -600,6 +618,7 @@ let solve ?(options = Options.default) problem =
       imported = false;
       lpr_inc = None;
       cuts = None;
+      cut_sources = None;
       lb_skip = 1;
       lb_noprune = 0;
       track = Lowerbound.Track.create tel ~proc;

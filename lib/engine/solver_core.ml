@@ -36,6 +36,22 @@ type cstate = {
   mutable base : int;  (* arena offset of this constraint's block *)
 }
 
+type row = int  (* index into [rows] *)
+
+(* A cut row: one term block shared by every member, plus one lagged
+   sum of the coefficients of its non-false terms.  Each member is a
+   constraint of its own (cid, arena block, activity, [Constr.t]) that
+   keeps only its degree; its slack is [rsum - degree].  Members are
+   kept in ascending degree, so a visit walks them from the tightest
+   down and stops at the first one with slack >= maxcoeff. *)
+type rowstate = {
+  rterms : int array;  (* (literal index, coefficient) pairs, decreasing coefficient *)
+  rconstr : Constr.t;  (* every member's [Constr.t] shares its term array *)
+  rmax : int;
+  mutable rsum : int;
+  rmembers : int Vec.t;  (* stride 2: (arena base, degree) of each member *)
+}
+
 (* Search counters, declared once against the run's telemetry registry so
    every driver exports them uniformly (names are "engine.*").  Each field
    is a handle whose increment is a single store, exactly as cheap as the
@@ -110,7 +126,10 @@ type t = {
      lists index into it; propagation never chases a pointer. *)
   mutable arena : int array;
   mutable arena_top : int;
-  occs : int Vec.t array;  (* per literal index, stride 2: (base, coeff) of counting constraints *)
+  occs : int Vec.t array;
+  (* per literal index, stride 2: (base, coeff) of counting constraints,
+     and (-1 - row index, coeff) of live cut rows *)
+  rows : rowstate Vec.t;
   watches : int Vec.t array;
   (* per literal index: packed [base lsl wshift lor term_idx] entries of
      watched constraints — one word per watch keeps the visit and
@@ -166,6 +185,15 @@ let dummy_cstate =
     base = 0;
   }
 
+let dummy_row =
+  {
+    rterms = [||];
+    rconstr = dummy_cstate.constr;
+    rmax = 0;
+    rsum = 0;
+    rmembers = Vec.create ~capacity:1 ~dummy:0 ();
+  }
+
 (* --- arena layout ---------------------------------------------------------
 
    Each constraint owns one block:
@@ -182,7 +210,11 @@ let dummy_cstate =
    pops a dequeued assignment).  Lagging makes the examined slack depend
    only on which literal is being dequeued, never on how earlier
    candidates of the same dequeue reacted, which is what keeps the three
-   BCP modes byte-identical. *)
+   BCP modes byte-identical.
+
+   A cut-row member's block is the header alone ([nterms] is 0): its
+   terms are the row's, [slack] holds the row index and [flags] is
+   [flag_member]. *)
 
 let h_cid = 0
 let h_n = 1
@@ -194,6 +226,7 @@ let h_flags = 6
 let hdr_size = 7
 let flag_watched = 1
 let flag_watch_all = 2
+let flag_member = 4
 
 (* Watch entries pack (arena base, term index) into one word; term
    indices are bounded by [wshift] bits (checked at allocation — a
@@ -370,7 +403,12 @@ let restore_falsified t q =
   let i = ref 0 in
   while !i < on do
     let base = Vec.unsafe_get olist !i in
-    a.(base + h_slack) <- a.(base + h_slack) + Vec.unsafe_get olist (!i + 1);
+    let coeff = Vec.unsafe_get olist (!i + 1) in
+    if base >= 0 then a.(base + h_slack) <- a.(base + h_slack) + coeff
+    else begin
+      let r = Vec.unsafe_get t.rows (-1 - base) in
+      r.rsum <- r.rsum + coeff
+    end;
     i := !i + 2
   done;
   let wlist = t.watches.(qi) in
@@ -419,15 +457,12 @@ let decide t l =
    are sorted by decreasing coefficient, so stop at the first
    coefficient <= s.  Callers only pass a slack equal to the lagged
    slack of the constraint, so this acts identically in every mode. *)
-let scan_implications_arena t base s =
-  let a = t.arena in
-  let n = a.(base + h_n) in
-  let ci = a.(base + h_cid) in
+let scan_terms t terms off n ci s =
   let rec go i =
     if i < n then begin
-      let coeff = a.(base + hdr_size + (2 * i) + 1) land coeff_mask in
+      let coeff = terms.(off + (2 * i) + 1) land coeff_mask in
       if coeff > s then begin
-        let lit = Lit.of_index a.(base + hdr_size + (2 * i)) in
+        let lit = Lit.of_index terms.(off + (2 * i)) in
         if Value.equal (value_lit t lit) Value.Unknown then begin
           Telemetry.Counter.incr t.stats.propagations;
           Telemetry.Counter.incr t.bstats.b_props;
@@ -438,6 +473,30 @@ let scan_implications_arena t base s =
     end
   in
   go 0
+
+let scan_implications_arena t base s =
+  let a = t.arena in
+  scan_terms t a (base + hdr_size) a.(base + h_n) a.(base + h_cid) s
+
+(* A member acts through its row's term block under its own cid. *)
+let scan_member t r base s =
+  scan_terms t r.rterms 0 (Array.length r.rterms / 2) t.arena.(base + h_cid) s
+
+(* Visit of a row on the dequeue of one of its literals: one decrement
+   of the shared sum, then the members whose slack fell below maxcoeff
+   join the actors — the tightest first, stopping at the first member
+   that still covers maxcoeff (every looser one does too). *)
+let visit_row t ri coeff =
+  Telemetry.Counter.incr t.bstats.b_visits;
+  let r = Vec.unsafe_get t.rows ri in
+  let sum = r.rsum - coeff in
+  r.rsum <- sum;
+  let m = r.rmembers in
+  let k = ref (Vec.size m - 2) in
+  while !k >= 0 && sum - Vec.unsafe_get m (!k + 1) < r.rmax do
+    Vec.push t.actors (Vec.unsafe_get m !k);
+    k := !k - 2
+  done
 
 (* Candidates of one dequeue must be examined in ascending arena-base
    (= constraint id) order in every mode, or the modes would enqueue
@@ -505,10 +564,13 @@ let process_falsified t q conflict =
     let ob = Vec.unsafe_get olist !oi in
     let coeff = Vec.unsafe_get olist (!oi + 1) in
     oi := !oi + 2;
-    Telemetry.Counter.incr t.bstats.b_visits;
-    let s = a.(ob + h_slack) - coeff in
-    a.(ob + h_slack) <- s;
-    if s < a.(ob + h_max) then Vec.push actors ob
+    if ob >= 0 then begin
+      Telemetry.Counter.incr t.bstats.b_visits;
+      let s = a.(ob + h_slack) - coeff in
+      a.(ob + h_slack) <- s;
+      if s < a.(ob + h_max) then Vec.push actors ob
+    end
+    else visit_row t (-1 - ob) coeff
   done;
   (* phase 1b: watch entries, compacting retirements in place *)
   let wn = Vec.size wlist in
@@ -615,12 +677,17 @@ let process_falsified t q conflict =
     while !conflict = None && !k < na do
       let base = Vec.unsafe_get actors !k in
       incr k;
-      let s =
-        if a.(base + h_flags) land flag_watched <> 0 then a.(base + h_wslack)
-        else a.(base + h_slack)
-      in
-      if s < 0 then conflict := Some a.(base + h_cid)
-      else scan_implications_arena t base s
+      let flags = a.(base + h_flags) in
+      if flags land flag_member <> 0 then begin
+        let r = Vec.unsafe_get t.rows a.(base + h_slack) in
+        let s = r.rsum - a.(base + h_deg) in
+        if s < 0 then conflict := Some a.(base + h_cid) else scan_member t r base s
+      end
+      else begin
+        let s = if flags land flag_watched <> 0 then a.(base + h_wslack) else a.(base + h_slack) in
+        if s < 0 then conflict := Some a.(base + h_cid)
+        else scan_implications_arena t base s
+      end
     done;
     Vec.clear actors
   end
@@ -762,6 +829,94 @@ let add_constraint_dynamic t ?(in_lb = false) c =
       scan_implications_arena t (Vec.get t.constrs ci).base s;
     None
   end
+
+(* --- cut rows ----------------------------------------------------------------- *)
+
+let new_row t c =
+  let terms = Constr.terms c in
+  assert (Array.length terms <= wmask);
+  let rterms = Array.make (2 * Array.length terms) 0 in
+  Array.iteri
+    (fun i { Constr.coeff; lit } ->
+      rterms.(2 * i) <- Lit.to_index lit;
+      rterms.((2 * i) + 1) <- coeff)
+    terms;
+  Vec.push t.rows
+    {
+      rterms;
+      rconstr = c;
+      rmax = Constr.max_coeff c;
+      rsum = 0;
+      rmembers = Vec.create ~capacity:8 ~dummy:0 ();
+    };
+  Vec.size t.rows - 1
+
+(* A row is on the occurrence lists exactly while it has members; its
+   sum is seeded like a counting slack. *)
+let register_row t ri =
+  let r = Vec.get t.rows ri in
+  let sum = ref 0 in
+  for i = 0 to (Array.length r.rterms / 2) - 1 do
+    let li = r.rterms.(2 * i) and coeff = r.rterms.((2 * i) + 1) in
+    if not (lagged_false t (Lit.of_index li)) then sum := !sum + coeff;
+    Vec.push t.occs.(li) (-1 - ri);
+    Vec.push t.occs.(li) coeff
+  done;
+  r.rsum <- !sum
+
+(* [c]'s terms are the row's; its stored form shares the row's array. *)
+let add_member t ri c =
+  let r = Vec.get t.rows ri in
+  let degree = Constr.degree c in
+  let constr =
+    if Constr.terms c == Constr.terms r.rconstr then c else Constr.with_degree r.rconstr degree
+  in
+  let ci = Vec.size t.constrs in
+  arena_ensure t hdr_size;
+  let base = t.arena_top in
+  t.arena_top <- t.arena_top + hdr_size;
+  let a = t.arena in
+  a.(base + h_cid) <- ci;
+  a.(base + h_n) <- 0;
+  a.(base + h_deg) <- degree;
+  a.(base + h_max) <- r.rmax;
+  a.(base + h_slack) <- ri;
+  a.(base + h_wslack) <- 0;
+  a.(base + h_flags) <- flag_member;
+  Vec.push t.constrs { constr; learned = true; in_lb = false; cactivity = 0.; base };
+  let m = r.rmembers in
+  if Vec.size m = 0 then register_row t ri;
+  (* insert in ascending degree; cuts tighten, so this is an append *)
+  Vec.push m 0;
+  Vec.push m 0;
+  let k = ref (Vec.size m - 2) in
+  while !k > 0 && Vec.get m (!k - 1) > degree do
+    Vec.set m !k (Vec.get m (!k - 2));
+    Vec.set m (!k + 1) (Vec.get m (!k - 1));
+    k := !k - 2
+  done;
+  Vec.set m !k base;
+  Vec.set m (!k + 1) degree;
+  let s = r.rsum - degree in
+  if s < 0 then begin
+    if decision_level t = 0 then t.unsat <- true;
+    Some ci
+  end
+  else begin
+    if s < r.rmax then scan_member t r base s;
+    None
+  end
+
+let add_cut t ?row c =
+  let ri =
+    match row with
+    | Some ri
+      when let rc = (Vec.get t.rows ri).rconstr in
+           Constr.terms rc == Constr.terms c || Constr.terms rc = Constr.terms c ->
+      ri
+    | Some _ | None -> new_row t c
+  in
+  ri, add_member t ri c
 
 (* --- activities ----------------------------------------------------------- *)
 
@@ -1069,6 +1224,25 @@ let reduce_db t =
   let ndrop = List.length victims / 2 in
   let dropped = Array.make n false in
   List.iteri (fun k i -> if k < ndrop then dropped.(i) <- true) victims;
+  (* Members leave their rows with their constraints; the survivors'
+     entries hold their old cid until the arena has been compacted. *)
+  let a = t.arena in
+  Vec.iter
+    (fun r ->
+      let m = r.rmembers in
+      let keep = ref 0 in
+      let k = ref 0 in
+      while !k < Vec.size m do
+        let ci = a.(Vec.get m !k + h_cid) in
+        if not dropped.(ci) then begin
+          Vec.set m !keep ci;
+          Vec.set m (!keep + 1) (Vec.get m (!k + 1));
+          keep := !keep + 2
+        end;
+        k := !k + 2
+      done;
+      Vec.shrink m !keep)
+    t.rows;
   let remap = Array.make n (-1) in
   let kept = Vec.create ~dummy:dummy_cstate () in
   let keep i cs =
@@ -1083,7 +1257,6 @@ let reduce_db t =
   (* Slide surviving arena blocks left, in order — sources are ascending
      and destinations never overtake them, so the in-place blits are
      safe.  Ids are rewritten in the headers as the blocks move. *)
-  let a = t.arena in
   let top = ref 0 in
   Vec.iteri
     (fun i cs ->
@@ -1094,6 +1267,15 @@ let reduce_db t =
       top := !top + len)
     t.constrs;
   t.arena_top <- !top;
+  Vec.iter
+    (fun r ->
+      let m = r.rmembers in
+      let k = ref 0 in
+      while !k < Vec.size m do
+        Vec.set m !k (Vec.get t.constrs remap.(Vec.get m !k)).base;
+        k := !k + 2
+      done)
+    t.rows;
   Array.iter Vec.clear t.occs;
   Array.iter Vec.clear t.watches;
   (* Re-register every constraint, re-evaluating the BCP mode of the
@@ -1182,7 +1364,8 @@ let reduce_db t =
   in
   Vec.iter
     (fun cs ->
-      if not (wants_watched t cs.constr) then register_counting cs
+      if a.(cs.base + h_flags) land flag_member <> 0 then ()
+      else if not (wants_watched t cs.constr) then register_counting cs
       else begin
         let flags = a.(cs.base + h_flags) in
         if flags land flag_watched <> 0 && flags land flag_watch_all = 0 then
@@ -1190,6 +1373,7 @@ let reduce_db t =
         else register_fresh_watched cs
       end)
     t.constrs;
+  Vec.iteri (fun ri r -> if Vec.size r.rmembers > 0 then register_row t ri) t.rows;
   Telemetry.Counter.set t.bstats.b_nwatched !nwatched;
   Telemetry.Counter.set t.bstats.b_ncounting !ncounting;
   Telemetry.Counter.set t.bstats.b_nwatchall !nwatchall;
@@ -1230,6 +1414,7 @@ let create ?telemetry ?(bcp = Hybrid) p =
       arena = Array.make arena_guess 0;
       arena_top = 0;
       occs = Array.init (2 * nvars) (fun _ -> Vec.create ~dummy:0 ());
+      rows = Vec.create ~dummy:dummy_row ();
       watches = Array.init (2 * nvars) (fun _ -> Vec.create ~dummy:0 ());
       lfalse = Bytes.make (2 * nvars) '\000';
       actors = Vec.create ~dummy:0 ();
@@ -1281,6 +1466,11 @@ let create ?telemetry ?(bcp = Hybrid) p =
   t
 
 let constr_of t ci = (Vec.get t.constrs ci).constr
+
+let trail t =
+  List.init (Vec.size t.trail) (fun i ->
+      let l = Vec.get t.trail i in
+      match t.var_reason.(Lit.var l) with Decision -> l, None | Implied ci -> l, Some ci)
 
 let decisions t =
   List.init (decision_level t) (fun lvl -> Vec.get t.trail (Vec.get t.trail_lim lvl))
@@ -1464,14 +1654,27 @@ let check_invariants t =
   (* Arena bookkeeping, valid at every moment: counting slacks and
      watch-set slacks must equal their lagged recomputation, and the
      header must agree with the boxed constraint. *)
+  let nmembers = ref 0 in
   Vec.iteri
     (fun ci cs ->
       let base = cs.base in
       let terms = Constr.terms cs.constr in
       let n = a.(base + h_n) in
       if a.(base + h_cid) <> ci then fail "constraint %d: arena cid %d" ci a.(base + h_cid);
-      if n <> Array.length terms then fail "constraint %d: arena nterms %d" ci n;
-      if a.(base + h_flags) land flag_watched = 0 then begin
+      if a.(base + h_flags) land flag_member <> 0 then begin
+        incr nmembers;
+        let ri = a.(base + h_slack) in
+        if ri < 0 || ri >= Vec.size t.rows then fail "member %d: row %d" ci ri
+        else begin
+          let r = Vec.get t.rows ri in
+          if terms != Constr.terms r.rconstr then fail "member %d: terms not shared" ci;
+          if a.(base + h_deg) <> Constr.degree cs.constr || a.(base + h_max) <> r.rmax then
+            fail "member %d: header disagrees with its constraint" ci;
+          if not cs.learned then fail "member %d: not learned" ci
+        end
+      end
+      else if n <> Array.length terms then fail "constraint %d: arena nterms %d" ci n
+      else if a.(base + h_flags) land flag_watched = 0 then begin
         if a.(base + h_slack) <> lagged_slack_now t cs.constr then
           fail "constraint %d: slack %d, lagged recompute %d" ci
             a.(base + h_slack) (lagged_slack_now t cs.constr)
@@ -1507,6 +1710,32 @@ let check_invariants t =
             ci !ws a.(base + h_max)
       end)
     t.constrs;
+  (* Rows: a live row's sum is its lagged recomputation, and its member
+     list names exactly its members, in ascending degree. *)
+  let listed = ref 0 in
+  Vec.iteri
+    (fun ri r ->
+      let m = r.rmembers in
+      listed := !listed + (Vec.size m / 2);
+      if Vec.size m > 0 then begin
+        let sum = ref 0 in
+        for i = 0 to (Array.length r.rterms / 2) - 1 do
+          if not (lagged_false t (Lit.of_index r.rterms.(2 * i))) then
+            sum := !sum + r.rterms.((2 * i) + 1)
+        done;
+        if r.rsum <> !sum then fail "row %d: sum %d, lagged recompute %d" ri r.rsum !sum
+      end;
+      let k = ref 0 in
+      while !k < Vec.size m do
+        let base = Vec.get m !k and degree = Vec.get m (!k + 1) in
+        if a.(base + h_flags) land flag_member = 0 || a.(base + h_slack) <> ri then
+          fail "row %d: entry %d is not its member" ri (!k / 2)
+        else if a.(base + h_deg) <> degree then fail "row %d: entry %d degree" ri (!k / 2);
+        if !k > 0 && Vec.get m (!k - 1) > degree then fail "row %d: degrees not ascending" ri;
+        k := !k + 2
+      done)
+    t.rows;
+  if !listed <> !nmembers then fail "rows list %d members, store has %d" !listed !nmembers;
   (* trail levels are monotone and values consistent *)
   let last_level = ref 0 in
   Vec.iter

@@ -137,6 +137,28 @@ val add_constraint_dynamic : t -> ?in_lb:bool -> Constr.t -> cid option
     propagated on the next {!propagate}.  [in_lb] (default [false])
     includes it in the lower-bounding view. *)
 
+(** {1 Cut rows}
+
+    The incumbent cuts (eqs. 10-13) are, per source, one fixed term list
+    whose degree rises with every new incumbent.  A {e row} stores that
+    term list once with one lagged sum of its non-false coefficients;
+    each cut is a {e member} of the row that keeps only its degree.
+    Propagation visits a row once per dequeue of one of its literals and
+    derives every member's slack from the shared sum.  A member is
+    otherwise an ordinary learned constraint — its own cid, activity and
+    [Constr.t] (sharing the row's term array) — so reasons, conflicts,
+    analysis and {!reduce_db} treat it exactly as the same constraint
+    added with {!add_constraint_dynamic}, and the search is identical. *)
+
+type row
+
+val add_cut : t -> ?row:row -> Constr.t -> row * cid option
+(** [add_cut s ?row c] adds [c] as a member of [row] when [c]'s terms
+    are the row's, and otherwise (or without [row]) as the first member
+    of a new row; returns the row [c] joined.  The result is the same
+    contract as {!add_constraint_dynamic} (not in the lower-bounding
+    view): [Some cid] when [c] is conflicting. *)
+
 val backjump_to : t -> int -> unit
 (** Undo decisions above the given level (for restarts; analysis
     backjumps internally). *)
@@ -242,6 +264,10 @@ val telemetry : t -> Telemetry.Ctx.t
 val constr_of : t -> cid -> Constr.t
 (** The stored constraint under an identifier (for explanation builders). *)
 
+val trail : t -> (Lit.t * cid option) list
+(** The trail in assignment order, each literal with its reason
+    ([None] for a decision) — for lockstep tests. *)
+
 val decisions : t -> Lit.t list
 (** Current decision literals, outermost first (for the chronological
     bound-conflict ablation). *)
@@ -279,4 +305,6 @@ val check_invariants : t -> (unit, string) result
     watched non-false terms, the watch invariant holds (the watch set
     covers maxcoeff, or every non-false term is watched, or a watched
     falsified term marks an allowed transient state), trail levels are
-    monotone, and the path cost matches the assigned cost literals. *)
+    monotone, and the path cost matches the assigned cost literals.
+    Cut rows: a live row's sum matches its lagged recomputation, and its
+    member list names exactly its members, in ascending degree. *)

@@ -92,6 +92,54 @@ let of_relation raw rel rhs =
   | Le -> [ negated () ]
   | Eq -> [ make_ge raw rhs; negated () ]
 
+(* [sum a_i l_i <= r] normalizes to [sum a_i ~l_i >= total - r] (with
+   distinct variables and positive [a_i]); while [total - r] is at least
+   the largest [a_i] nothing saturates, so the normal form is the fixed
+   term array [base] divided by the gcd [g] with degree
+   [ceil ((total - r) / g)].  [base] is [None] when that shortcut does
+   not apply and every query goes through {!of_relation}. *)
+type family = {
+  raw : (int * Lit.t) list;
+  base : t option;
+  total : int;
+  max_raw : int;
+  g : int;
+}
+
+let family raw =
+  let vars = Hashtbl.create 16 in
+  let plain =
+    raw <> []
+    && List.for_all
+         (fun (c, l) ->
+           let fresh = not (Hashtbl.mem vars (Lit.var l)) in
+           Hashtbl.replace vars (Lit.var l) ();
+           fresh && c > 0 && c <= coefficient_limit)
+         raw
+  in
+  let total = List.fold_left (fun acc (c, _) -> acc + c) 0 raw in
+  let max_raw = List.fold_left (fun acc (c, _) -> max acc c) 0 raw in
+  let g = List.fold_left (fun acc (c, _) -> gcd acc c) 0 raw in
+  let base =
+    if not (plain && total <= coefficient_limit * 4) then None
+    else match of_relation raw Le 0 with [ Constr c ] -> Some c | _ -> None
+  in
+  { raw; base; total; max_raw; g }
+
+let family_at f r =
+  let fallback () =
+    match of_relation f.raw Le r with [ n ] -> n | [] | _ :: _ :: _ -> assert false
+  in
+  let rhs = f.total - r in
+  match f.base with
+  | None -> fallback ()
+  | Some b ->
+    if r > coefficient_limit * 4 || r < -(coefficient_limit * 4) then fallback ()
+    else if rhs <= 0 then Trivial_true
+    else if rhs > f.total then Trivial_false
+    else if rhs >= f.max_raw then Constr { b with degree = (rhs + f.g - 1) / f.g }
+    else (* some coefficient saturates *) fallback ()
+
 let clause lits = make_ge (List.map (fun l -> 1, l) lits) 1
 let cardinality lits k = make_ge (List.map (fun l -> 1, l) lits) k
 let terms c = c.terms
@@ -103,6 +151,10 @@ let is_cardinality c =
   Array.length c.terms = 0 || c.terms.(0).coeff = c.terms.(Array.length c.terms - 1).coeff
 
 let max_coeff c = if Array.length c.terms = 0 then 0 else c.terms.(0).coeff
+
+let with_degree c degree =
+  if degree < max_coeff c || degree < 1 then invalid_arg "Constr.with_degree";
+  { c with degree }
 
 let coeff_sum c = Array.fold_left (fun acc t -> acc + t.coeff) 0 c.terms
 

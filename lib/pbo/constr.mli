@@ -46,6 +46,32 @@ val make_ge : (int * Lit.t) list -> int -> norm
 val of_relation : (int * Lit.t) list -> relation -> int -> norm list
 (** Like {!make_ge} but for any relation; [Eq] yields two results. *)
 
+(** {1 Constraint families}
+
+    The incumbent cuts of the paper (eqs. 10 and 13) are one fixed sum
+    [sum a_i l_i <= r] whose bound [r] tightens at every new incumbent.
+    A family normalizes the sum once, so that each bound costs a little
+    arithmetic instead of a full {!make_ge}. *)
+
+type family
+
+val family : (int * Lit.t) list -> family
+(** Prepares [sum terms <= r] for repeated queries over [r].  Positive
+    coefficients on pairwise distinct variables take the fast path;
+    anything else is accepted and answered by {!of_relation}. *)
+
+val family_at : family -> int -> norm
+(** [family_at f r] is the single result of [of_relation terms Le r].
+    While no coefficient saturates ([r] at most the coefficient sum
+    minus the largest coefficient) the result is computed in constant
+    time and shares one term array across every [r]; otherwise it is
+    {!of_relation}'s own. *)
+
+val with_degree : t -> int -> t
+(** [with_degree c d] is [c] with degree [d], sharing [c]'s term array.
+    Raises [Invalid_argument] unless [d >= max_coeff c] (so the result
+    is still saturated) and [d >= 1]. *)
+
 val clause : Lit.t list -> norm
 (** [clause lits] is the propositional clause "at least one of [lits]". *)
 

@@ -177,51 +177,70 @@ let derive_combination ~nvars ~resolve ~refs ~divisor =
 
 (* --- objective cuts (checker-side recomputation) --------------------------- *)
 
-let single_norm = function [ n ] -> Some n | [] | _ :: _ :: _ -> None
+let objective_family problem =
+  Option.map
+    (fun (o : Problem.objective) ->
+      Constr.family
+        (Array.to_list (Array.map (fun (ct : Problem.cost_term) -> ct.cost, ct.lit) o.cost_terms)))
+    (Problem.objective problem)
 
 let objective_cut problem ~upper =
-  match Problem.objective problem with
-  | None -> None
-  | Some o ->
-    let raw =
-      Array.to_list (Array.map (fun (ct : Problem.cost_term) -> ct.cost, ct.lit) o.cost_terms)
-    in
-    single_norm (Constr.of_relation raw Constr.Le (upper - 1))
+  Option.map (fun f -> Constr.family_at f (upper - 1)) (objective_family problem)
 
-let cardinality_cut problem ~cid ~upper =
+(* The eq. (11-13) cut of a cid as [V] plus the family of its outside-[K]
+   cost terms, prepared at most once per cid: a [d] step then only
+   evaluates the degree. *)
+let cardinality_rows problem =
   let constraints = Problem.constraints problem in
-  if cid < 0 || cid >= Array.length constraints then None
-  else begin
-    let c = constraints.(cid) in
-    if not (Constr.is_cardinality c) then None
+  let nvars = max 1 (Problem.nvars problem) in
+  let cost_terms =
+    match Problem.objective problem with None -> [||] | Some o -> o.cost_terms
+  in
+  let lit_cost = Array.make (2 * nvars) 0 in
+  Array.iter (fun (ct : Problem.cost_term) -> lit_cost.(Lit.to_index ct.lit) <- ct.cost) cost_terms;
+  let in_k = Array.make nvars false in
+  let prepare cid =
+    if cid < 0 || cid >= Array.length constraints then None
     else begin
-      let lit_cost l =
-        match Problem.cost_of_var problem (Lit.var l) with
-        | Some (cost, cl) when Lit.equal cl l -> cost
-        | Some _ | None -> 0
-      in
-      let costs = Constr.fold_lits (fun l acc -> lit_cost l :: acc) c [] in
-      let sorted = List.sort compare costs in
-      let rec take k acc = function
-        | [] -> acc
-        | x :: rest -> if k = 0 then acc else take (k - 1) (acc + x) rest
-      in
-      let v = take (Constr.degree c) 0 sorted in
-      if v <= 0 then None
+      let c = constraints.(cid) in
+      if not (Constr.is_cardinality c) then None
       else begin
-        match Problem.objective problem with
-        | None -> None
-        | Some o ->
-          let in_k = Constr.fold_lits (fun l acc -> Lit.var l :: acc) c [] in
+        let costs =
+          Array.map (fun (t : Constr.term) -> lit_cost.(Lit.to_index t.lit)) (Constr.terms c)
+        in
+        Array.sort compare costs;
+        let v = ref 0 in
+        for i = 0 to min (Constr.degree c) (Array.length costs) - 1 do
+          v := !v + costs.(i)
+        done;
+        if !v <= 0 then None
+        else begin
+          Array.iter (fun (t : Constr.term) -> in_k.(Lit.var t.lit) <- true) (Constr.terms c);
           let raw =
-            Array.to_list o.cost_terms
-            |> List.filter (fun (ct : Problem.cost_term) -> not (List.mem (Lit.var ct.lit) in_k))
-            |> List.map (fun (ct : Problem.cost_term) -> ct.cost, ct.lit)
+            Array.fold_right
+              (fun (ct : Problem.cost_term) acc ->
+                if in_k.(Lit.var ct.lit) then acc else (ct.cost, ct.lit) :: acc)
+              cost_terms []
           in
-          single_norm (Constr.of_relation raw Constr.Le (upper - 1 - v))
+          Array.iter (fun (t : Constr.term) -> in_k.(Lit.var t.lit) <- false) (Constr.terms c);
+          Some (!v, Constr.family raw)
+        end
       end
     end
-  end
+  in
+  let cache = Hashtbl.create 16 in
+  fun cid ->
+    match Hashtbl.find_opt cache cid with
+    | Some row -> row
+    | None ->
+      let row = prepare cid in
+      Hashtbl.add cache cid row;
+      row
+
+let cardinality_cut problem ~cid ~upper =
+  Option.map
+    (fun (v, f) -> Constr.family_at f (upper - 1 - v))
+    (cardinality_rows problem cid)
 
 (* --- sinks ----------------------------------------------------------------- *)
 
@@ -960,6 +979,8 @@ module Check = struct
        then killed. *)
     let obj_slot = ref (max_int, -1) in
     let card_slots = Hashtbl.create 16 in
+    let obj_family = objective_family problem in
+    let card_row = cardinality_rows problem in
     let supersede slot upper norm =
       let prev_upper, prev = slot in
       if upper >= prev_upper then slot
@@ -1006,9 +1027,9 @@ module Check = struct
       let s = !sec in
       let internal = cost - offset in
       if internal < s.u_active then s.u_active <- internal;
-      (match objective_cut problem ~upper:s.u_active with
+      (match obj_family with
       | None -> ()
-      | Some n -> obj_slot := supersede !obj_slot s.u_active n);
+      | Some f -> obj_slot := supersede !obj_slot s.u_active (Constr.family_at f (s.u_active - 1)));
       s.nsteps <- s.nsteps + 1
     in
     let handle_line line =
@@ -1112,9 +1133,10 @@ module Check = struct
         incr stats_cuts;
         let cid = int_of cid in
         let upper = (!sec).u_active in
-        (match cardinality_cut problem ~cid ~upper with
+        (match card_row cid with
         | None -> if not (!eng).closed then failf "no cardinality cut derivable from cid %d" cid
-        | Some n ->
+        | Some (v, f) ->
+          let n = Constr.family_at f (upper - 1 - v) in
           let slot = Option.value (Hashtbl.find_opt card_slots cid) ~default:(max_int, -1) in
           Hashtbl.replace card_slots cid (supersede slot upper n));
         (!sec).nsteps <- (!sec).nsteps + 1

@@ -71,15 +71,17 @@ val objective_cut : Problem.t -> upper:int -> Constr.norm option
 (** The incumbent knapsack constraint (paper eq. 10):
     [sum c_j l_j <= upper - 1] over the objective cost literals,
     [upper] offset-free.  [None] for satisfaction instances.  Must
-    stay semantically identical to [Bsolo.Knapsack.upper_cut] (a test
-    asserts this). *)
+    stay semantically identical to the cut of
+    [Bsolo.Knapsack.knapsack_row] (a test asserts this). *)
 
 val cardinality_cut : Problem.t -> cid:int -> upper:int -> Constr.norm option
 (** The cardinality inference (paper eqs. 11-13) for original
     constraint [cid] at incumbent bound [upper]; [None] when [cid] is
     out of range, not a cardinality constraint, or yields no cut
-    ([V <= 0]).  Must stay semantically identical to
-    [Bsolo.Knapsack.cardinality_inferences] (a test asserts this). *)
+    ([V <= 0]).  Must stay semantically identical to the cut of the
+    matching [Bsolo.Knapsack.cardinality_rows] entry (a test asserts
+    this).  The checker prepares [V] and the outside-[K] terms once per
+    cid, so each [d] step only evaluates the degree. *)
 
 (** {1 Sinks} *)
 

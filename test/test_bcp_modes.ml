@@ -11,21 +11,9 @@ let modes = [ Core.Watched, "watched"; Core.Counting, "counting"; Core.Hybrid, "
 
 (* Drive one engine per mode through the identical decision sequence and
    compare the full propagation fixpoint after every step: trail
-   contents (order included), conflict verdicts, analysis results.  The
-   hybrid engine picks the decisions; its VSIDS state stays in step with
-   the others exactly because everything else does. *)
-let trail_of engine =
-  let lits = ref [] in
-  (* no trail iterator in the API: recover the assignment from values +
-     levels, which determines the trail up to within-level order *)
-  for v = Core.nvars engine - 1 downto 0 do
-    match Core.value_var engine v with
-    | Value.True -> lits := (v, true, Core.level_of_var engine v) :: !lits
-    | Value.False -> lits := (v, false, Core.level_of_var engine v) :: !lits
-    | Value.Unknown -> ()
-  done;
-  !lits
-
+   contents (order and reasons included), conflict verdicts, analysis
+   results.  The hybrid engine picks the decisions; its VSIDS state
+   stays in step with the others exactly because everything else does. *)
 let check_engine seed engine name =
   match Core.check_invariants engine with
   | Ok () -> ()
@@ -38,13 +26,13 @@ let lockstep_walk () =
     let lead = fst (List.hd engines) in
     let rng = Random.State.make [| seed; 0xbc9 |] in
     let compare_states where =
-      let ref_trail = trail_of lead in
+      let ref_trail = Core.trail lead in
       List.iter
         (fun (e, name) ->
           check_engine seed e name;
           if Core.root_unsat e <> Core.root_unsat lead then
             Alcotest.failf "seed %d %s (%s): root_unsat differs" seed where name;
-          if trail_of e <> ref_trail then
+          if Core.trail e <> ref_trail then
             Alcotest.failf "seed %d %s (%s): assignment differs from watched engine" seed
               where name;
           if Core.decision_level e <> Core.decision_level lead then
@@ -224,6 +212,104 @@ let cross_mode_replay () =
         modes)
     [ 3; 9; 17 ]
 
+(* --- cut rows against plain constraints -------------------------------------- *)
+
+(* Engine A adds every incumbent-style cut as a plain constraint with
+   [add_constraint_dynamic]; engine B adds the same cuts with [add_cut]
+   to one row per source, which starts a new row whenever a cut's
+   normalized terms change (a saturated cut).  Cuts come from two sources
+   — the whole objective and a random part of it — at a falling bound.
+   Random propagations, decisions, backjumps, cut additions and
+   [reduce_db] calls then run on both; at every step the trails (with
+   reasons), conflict cids, analyses and the engine invariants (row sums
+   included) must agree. *)
+let rows_lockstep bcp seed =
+  let config = { Gen.default with nvars = 12; nconstrs = 12; max_cost = 6 } in
+  let problem = Gen.problem ~config seed in
+  let rng = Random.State.make [| seed; 0x70ad |] in
+  let cost_terms =
+    match Problem.objective problem with
+    | None -> []
+    | Some o ->
+      Array.to_list (Array.map (fun (ct : Problem.cost_term) -> ct.cost, ct.lit) o.cost_terms)
+  in
+  let part = List.filter (fun _ -> Random.State.bool rng) cost_terms in
+  let sources = Array.of_list (List.map Constr.family [ cost_terms; part ]) in
+  let total = List.fold_left (fun acc (c, _) -> acc + c) 0 cost_terms in
+  let bounds = Array.map (fun _ -> ref total) sources in
+  let rows = Array.map (fun _ -> ref None) sources in
+  let a = Core.create ~bcp problem and b = Core.create ~bcp problem in
+  let fail fmt = Printf.ksprintf (fun m -> QCheck2.Test.fail_reportf "seed %d: %s" seed m) fmt in
+  let same where =
+    (match Core.check_invariants a, Core.check_invariants b with
+    | Ok (), Ok () -> ()
+    | Error e, _ -> fail "%s: plain engine invariant: %s" where e
+    | _, Error e -> fail "%s: row engine invariant: %s" where e);
+    if Core.trail a <> Core.trail b then fail "%s: trails or reasons differ" where;
+    if Core.root_unsat a <> Core.root_unsat b then fail "%s: root_unsat differs" where;
+    if Core.decision_level a <> Core.decision_level b then fail "%s: levels differ" where
+  in
+  let resolve ca cb =
+    if ca <> cb then fail "conflict cids %d vs %d" ca cb;
+    let ra = Core.resolve_conflict a ca and rb = Core.resolve_conflict b cb in
+    if ra <> rb then fail "analyses differ";
+    same "after analysis"
+  in
+  let add_cut () =
+    let i = Random.State.int rng (Array.length sources) in
+    let bound = bounds.(i) in
+    bound := !bound - 1 - Random.State.int rng 3;
+    match Constr.family_at sources.(i) !bound with
+    | Constr.Trivial_true | Constr.Trivial_false -> ()
+    | Constr.Constr c ->
+      let ra = Core.add_constraint_dynamic a c in
+      let row, rb = Core.add_cut b ?row:!(rows.(i)) c in
+      rows.(i) := Some row;
+      same "after cut";
+      (match ra, rb with
+      | None, None -> ()
+      | Some ca, Some cb -> if not (Core.root_unsat a) then resolve ca cb
+      | _ -> fail "cut conflict verdicts differ")
+  in
+  let rec walk fuel =
+    if fuel > 0 && not (Core.root_unsat a) then begin
+      (match Core.propagate a, Core.propagate b with
+      | Some ca, Some cb ->
+        same "at conflict";
+        if not (Core.root_unsat a) then resolve ca cb
+      | None, None -> (
+        same "at fixpoint";
+        match Random.State.int rng 10 with
+        | 0 | 1 | 2 -> add_cut ()
+        | 3 ->
+          Core.reduce_db a;
+          Core.reduce_db b;
+          same "after reduce_db"
+        | 4 when Core.decision_level a > 0 ->
+          let lvl = Random.State.int rng (Core.decision_level a) in
+          Core.backjump_to a lvl;
+          Core.backjump_to b lvl;
+          same "after backjump"
+        | _ -> (
+          match Core.next_branch_var a, Core.next_branch_var b with
+          | None, None -> ()
+          | Some v, Some w when v = w ->
+            let l = Lit.make v (Random.State.bool rng) in
+            Core.decide a l;
+            Core.decide b l
+          | _ -> fail "branching differs"))
+      | _ -> fail "conflict verdicts differ");
+      walk (fuel - 1)
+    end
+  in
+  walk 120;
+  true
+
+let qcheck_rows_lockstep =
+  QCheck2.Test.make ~name:"cut rows propagate like plain constraints in every mode" ~count:60
+    QCheck2.Gen.(int_bound 100_000)
+    (fun seed -> List.for_all (fun (m, _) -> rows_lockstep m seed) modes)
+
 (* --- per-mode population sanity -------------------------------------------- *)
 
 (* Forced modes must register every (multi-literal) constraint in their
@@ -253,4 +339,5 @@ let suite =
       solver_equivalence_covering;
     Alcotest.test_case "recordings replay across modes" `Slow cross_mode_replay;
     Alcotest.test_case "forced modes register accordingly" `Quick mode_populations;
+    QCheck_alcotest.to_alcotest qcheck_rows_lockstep;
   ]

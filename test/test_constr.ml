@@ -249,3 +249,44 @@ let qcheck_normal_form =
         && Constr.coeff_sum c >= Constr.degree c)
 
 let suite = suite @ [ QCheck_alcotest.to_alcotest qcheck_normal_form ]
+
+(* A family answers every bound exactly as [of_relation ... Le], on the
+   constant-time path (distinct variables, positive coefficients) and on
+   the fallback (repeated variables, non-positive coefficients), at
+   bounds on both sides of the saturation threshold. *)
+let qcheck_family =
+  let gen =
+    QCheck2.Gen.(
+      let term = pair (int_range (-3) 12) (map2 Lit.make (int_range 0 7) bool) in
+      pair (list_size (int_range 0 8) term) (list_size (int_range 1 12) (int_range (-5) 60)))
+  in
+  QCheck2.Test.make ~name:"family_at agrees with of_relation" ~count:1000 gen (fun (terms, rs) ->
+      let f = Constr.family terms in
+      List.for_all
+        (fun r ->
+          match Constr.family_at f r, Constr.of_relation terms Constr.Le r with
+          | Constr.Trivial_true, [ Constr.Trivial_true ]
+          | Constr.Trivial_false, [ Constr.Trivial_false ] ->
+            true
+          | Constr.Constr a, [ Constr.Constr b ] -> Constr.equal a b
+          | _ -> false)
+        rs)
+
+(* Unsaturated bounds share one term array; [with_degree] shares too
+   and refuses to break saturation. *)
+let family_shares_terms () =
+  let f = Constr.family [ 4, Lit.pos 0; 6, Lit.pos 1; 2, Lit.neg 2 ] in
+  let a = expect_constr (Constr.family_at f 2) and b = expect_constr (Constr.family_at f 5) in
+  Alcotest.(check bool) "shared" true (Constr.terms a == Constr.terms b);
+  Alcotest.(check int) "degree at 2" 5 (Constr.degree a);
+  let c = Constr.with_degree a 6 in
+  Alcotest.(check bool) "with_degree shares" true (Constr.terms c == Constr.terms a);
+  Alcotest.check_raises "below maxcoeff" (Invalid_argument "Constr.with_degree") (fun () ->
+      ignore (Constr.with_degree a 2))
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest qcheck_family;
+      Alcotest.test_case "family shares terms" `Quick family_shares_terms;
+    ]

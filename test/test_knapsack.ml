@@ -1,5 +1,10 @@
 open Pbo
 
+let upper_cut p ~upper = Bsolo.Knapsack.(cut (knapsack_row p) ~upper)
+
+let cardinality_inferences p ~upper =
+  List.map (fun row -> Bsolo.Knapsack.cut row ~upper) (Bsolo.Knapsack.cardinality_rows p)
+
 let norm_sat norm m =
   match norm with
   | Constr.Trivial_true -> true
@@ -14,7 +19,7 @@ let upper_cut_semantics () =
     let offset = match Problem.objective problem with None -> 0 | Some o -> o.offset in
     let max_cost = Problem.max_cost_sum problem in
     let upper = 1 + (seed mod (max_cost + 1)) in
-    let cut = Bsolo.Knapsack.upper_cut problem ~upper in
+    let cut = upper_cut problem ~upper in
     for mask = 0 to 255 do
       let m = Model.of_array (Array.init 8 (fun v -> (mask lsr v) land 1 = 1)) in
       let cheap = Model.cost problem m - offset <= upper - 1 in
@@ -31,7 +36,7 @@ let cardinality_inference_sound () =
     let offset = match Problem.objective problem with None -> 0 | Some o -> o.offset in
     let max_cost = Problem.max_cost_sum problem in
     let upper = 1 + (seed mod (max_cost + 1)) in
-    let cuts = Bsolo.Knapsack.cardinality_inferences problem ~upper in
+    let cuts = cardinality_inferences problem ~upper in
     for mask = 0 to 255 do
       let m = Model.of_array (Array.init 8 (fun v -> (mask lsr v) land 1 = 1)) in
       if Model.satisfies problem m && Model.cost problem m - offset <= upper - 1 then
@@ -49,21 +54,78 @@ let inference_requires_cardinality_with_cost () =
   Problem.Builder.add_cardinality b [ Lit.pos 0; Lit.pos 1 ] 1;
   Problem.Builder.set_objective b [ 5, Lit.pos 2; 7, Lit.pos 3 ];
   let p = Problem.Builder.build b in
-  Alcotest.(check int) "no cuts" 0 (List.length (Bsolo.Knapsack.cardinality_inferences p ~upper:10));
+  Alcotest.(check int) "no cuts" 0 (List.length (cardinality_inferences p ~upper:10));
   (* with costs inside the group, a cut appears *)
   let b2 = Problem.Builder.create ~nvars:4 () in
   Problem.Builder.add_cardinality b2 [ Lit.pos 0; Lit.pos 1 ] 1;
   Problem.Builder.set_objective b2 [ 2, Lit.pos 0; 3, Lit.pos 1; 5, Lit.pos 2 ];
   let p2 = Problem.Builder.build b2 in
-  Alcotest.(check int) "one cut" 1 (List.length (Bsolo.Knapsack.cardinality_inferences p2 ~upper:10))
+  Alcotest.(check int) "one cut" 1 (List.length (cardinality_inferences p2 ~upper:10))
 
 let upper_cut_at_zero () =
   let b = Problem.Builder.create ~nvars:2 () in
   Problem.Builder.set_objective b [ 1, Lit.pos 0 ];
   let p = Problem.Builder.build b in
-  match Bsolo.Knapsack.upper_cut p ~upper:0 with
+  match upper_cut p ~upper:0 with
   | Constr.Trivial_false -> ()
   | Constr.Trivial_true | Constr.Constr _ -> Alcotest.fail "upper 0 admits nothing"
+
+(* The prepared rows give, at every bound, exactly the cuts of the
+   direct definition: [V] by sorting the costs inside [K], the
+   outside-[K] terms by list membership, and a full normalization. *)
+let rows_match_definition () =
+  for seed = 0 to 81 do
+    let problem = if seed mod 2 = 0 then Gen.problem seed else Gen.covering seed in
+    let terms = match Problem.objective problem with None -> [||] | Some o -> o.cost_terms in
+    let raw ts = List.map (fun (ct : Problem.cost_term) -> ct.cost, ct.lit) ts in
+    let direct_cardinality cid c ~upper =
+      let cost l =
+        match Problem.cost_of_var problem (Lit.var l) with
+        | Some (k, cl) when Lit.equal cl l -> k
+        | Some _ | None -> 0
+      in
+      let costs = List.sort compare (Constr.fold_lits (fun l acc -> cost l :: acc) c []) in
+      let v = List.fold_left ( + ) 0 (List.filteri (fun i _ -> i < Constr.degree c) costs) in
+      if (not (Constr.is_cardinality c)) || v <= 0 then None
+      else begin
+        let in_k = Constr.fold_lits (fun l acc -> Lit.var l :: acc) c [] in
+        let outside =
+          List.filter
+            (fun (ct : Problem.cost_term) -> not (List.mem (Lit.var ct.lit) in_k))
+            (Array.to_list terms)
+        in
+        Some (cid, List.hd (Constr.of_relation (raw outside) Constr.Le (upper - 1 - v)))
+      end
+    in
+    let rows = Bsolo.Knapsack.cardinality_rows problem in
+    for upper = -1 to Problem.max_cost_sum problem + 1 do
+      let direct =
+        List.filter_map Fun.id
+          (List.mapi
+             (fun cid c -> direct_cardinality cid c ~upper)
+             (Array.to_list (Problem.constraints problem)))
+      in
+      let prepared =
+        List.map
+          (fun (row : Bsolo.Knapsack.row) -> Option.get row.cid, Bsolo.Knapsack.cut row ~upper)
+          rows
+      in
+      let same (c1, n1) (c2, n2) =
+        c1 = c2
+        &&
+        match n1, n2 with
+        | Constr.Constr a, Constr.Constr b -> Constr.equal a b
+        | Constr.Trivial_true, Constr.Trivial_true | Constr.Trivial_false, Constr.Trivial_false ->
+          true
+        | _ -> false
+      in
+      if not (List.length direct = List.length prepared && List.for_all2 same direct prepared) then
+        Alcotest.failf "seed %d upper %d: cardinality rows differ from the definition" seed upper;
+      let knap = List.hd (Constr.of_relation (raw (Array.to_list terms)) Constr.Le (upper - 1)) in
+      if not (same (0, knap) (0, upper_cut problem ~upper)) then
+        Alcotest.failf "seed %d upper %d: knapsack row differs from the definition" seed upper
+    done
+  done
 
 let suite =
   [
@@ -71,4 +133,5 @@ let suite =
     Alcotest.test_case "cardinality inference sound" `Quick cardinality_inference_sound;
     Alcotest.test_case "inference requires costs in group" `Quick inference_requires_cardinality_with_cost;
     Alcotest.test_case "upper cut at zero" `Quick upper_cut_at_zero;
+    Alcotest.test_case "rows match the direct definition" `Quick rows_match_definition;
   ]

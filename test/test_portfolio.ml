@@ -214,14 +214,40 @@ let oracle_broadcast_prunes () =
       alone.counters.decisions
 
 (* A crashing entry is isolated: reported under [failures], everyone else
-   still runs and the portfolio still proves the optimum. *)
+   still runs and the portfolio still proves the optimum.  The other
+   members are held until the crashing one has run: otherwise a member on
+   the spawned worker can prove the optimum and raise the stop flag
+   before worker 0 starts [boom], which is then skipped and never fails.
+   The hold gives up after 10 s so a regression fails the assertions
+   below instead of hanging. *)
 let crash_isolation () =
+  let boom_ran = Atomic.make false in
   let boom =
-    { Portfolio.pname = "boom"; psolve = (fun ~options:_ _ -> failwith "kaboom") }
+    {
+      Portfolio.pname = "boom";
+      psolve =
+        (fun ~options:_ _ ->
+          Atomic.set boom_ran true;
+          failwith "kaboom");
+    }
+  in
+  let held (e : Portfolio.entry) =
+    {
+      e with
+      psolve =
+        (fun ~options p ->
+          let give_up = Unix.gettimeofday () +. 10.0 in
+          while (not (Atomic.get boom_ran)) && Unix.gettimeofday () < give_up do
+            Unix.sleepf 0.001
+          done;
+          e.psolve ~options p);
+    }
   in
   let problem = Gen.covering 2 in
   let r =
-    Portfolio.solve ~entries:(boom :: Portfolio.default_entries) ~jobs:2 ~budget:20.0 problem
+    Portfolio.solve
+      ~entries:(boom :: List.map held Portfolio.default_entries)
+      ~jobs:2 ~budget:20.0 problem
   in
   (match List.assoc_opt "boom" r.failures with
   | Some msg when String.length msg > 0 -> ()

@@ -173,7 +173,7 @@ let objective_cut_matches () =
         | None, false -> Alcotest.fail "objective cut missing on optimization instance"
         | Some _, true -> Alcotest.fail "objective cut on satisfaction instance"
         | Some n, false ->
-          let k = Bsolo.Knapsack.upper_cut problem ~upper in
+          let k = Bsolo.Knapsack.(cut (knapsack_row problem) ~upper) in
           if not (norm_equal n k) then
             Alcotest.failf "objective cut mismatch at upper=%d: %s vs %s" upper (pp_norm n)
               (pp_norm k))
@@ -187,7 +187,11 @@ let cardinality_cut_matches () =
     let hi = Pbo.Problem.max_cost_sum problem in
     List.iter
       (fun upper ->
-        let expected = Bsolo.Knapsack.cardinality_inferences_cids problem ~upper in
+        let expected =
+          List.map
+            (fun (row : Bsolo.Knapsack.row) -> Option.get row.cid, Bsolo.Knapsack.cut row ~upper)
+            (Bsolo.Knapsack.cardinality_rows problem)
+        in
         for cid = 0 to ncons - 1 do
           match Proof.cardinality_cut problem ~cid ~upper, List.assoc_opt cid expected with
           | None, None -> ()
