@@ -403,6 +403,28 @@ for mode in hybrid watched counting; do
 done
 echo "pinned tree: $pinned"
 
+echo "== pinned LP path (genpb mcnc --scale 2 --seed 1) =="
+# Every simplex pivot moves the LP vertex that drives branching and the
+# proof's b/y/j steps, so an engine change meant to keep pivots
+# bit-identical must leave these counters exactly as they are.  A
+# deliberate pivot-rule change updates them.
+./_build/default/bin/genpb.exe mcnc --scale 2 --seed 1 -o "$tmpdir/mcnc2.opb" >/dev/null
+timeout 120 "$bsolo" "$tmpdir/mcnc2.opb" --timeout 60 --stats \
+  >"$tmpdir/pinned-lp.out" 2>&1 || {
+  echo "FAIL: pinned mcnc@2 solve failed"; cat "$tmpdir/pinned-lp.out"; exit 1;
+}
+grep -q '^c OPTIMAL cost=50 (.*s, 843 decisions, ' "$tmpdir/pinned-lp.out" || {
+  echo "FAIL: mcnc@2 seed 1 left the pinned tree (843 decisions)";
+  grep '^c OPTIMAL\|^c UNKNOWN' "$tmpdir/pinned-lp.out" || true; exit 1;
+}
+for counter in 'simplex.iterations +12495' 'simplex.pivots +11647'; do
+  grep -Eq "^c   $counter\$" "$tmpdir/pinned-lp.out" || {
+    echo "FAIL: mcnc@2 seed 1 left the pinned LP path (want $counter)";
+    grep '^c   simplex\.' "$tmpdir/pinned-lp.out" || true; exit 1;
+  }
+done
+echo "pinned LP path: 843 decisions, simplex.iterations 12495, simplex.pivots 11647"
+
 echo "== portfolio recording stitches member sections =="
 timeout 120 "$bsolo" benchmarks/synth-s1.opb \
   --portfolio --jobs 2 --timeout 60 --record "$tmpdir/portfolio.rec" \

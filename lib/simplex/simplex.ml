@@ -44,23 +44,28 @@ let stats () =
 
 (* Internal state: every row is an equality over [ntotal] columns
    (structural, then one slack per row, then one artificial per row).
-   [tab] is the current tableau B^-1 A; [xval] holds the value of every
-   column, nonbasic ones resting at a bound.  [rhs] keeps the original
-   right-hand sides so dual objective values and warm restarts can be
-   computed without the problem record. *)
+   [tab] is the current tableau B^-1 A over the first [n + m] columns
+   only: artificial k's column is [asign.(k)] (+1 or -1) times slack k's
+   column, so it is derived on read (see [stored_col]) rather than stored.
+   [rc], [lb], [ub], [xval] and [in_basis] cover all [ntotal] columns.
+   [xval] holds the value of every column, nonbasic ones resting at a
+   bound.  [rhs] keeps the original right-hand sides so dual objective
+   values and warm restarts can be computed without the problem record. *)
 type state = {
   m : int;
   n : int;  (* structural columns *)
   ntotal : int;
-  tab : float array array;
+  tab : float array array;  (* m rows of n + m stored columns *)
   lb : float array;
   ub : float array;
   xval : float array;
   basis : int array;  (* column basic in each row *)
   in_basis : bool array;
   sigma : float array;  (* artificial sign per row *)
+  asign : float array;  (* artificial column = asign * slack column, per row *)
   rc : float array;  (* reduced costs, kept in sync by pivots *)
   rhs : float array;
+  nz : int array;  (* scratch: nonzero columns of the current pivot row *)
   mutable pivots_since_refresh : int;
   mutable npivots : int;
   mutable nrefresh : int;
@@ -74,10 +79,18 @@ type step =
 
 let art_col st i = st.n + st.m + i
 
+(* Where column [j]'s tableau entries live: the stored column and the
+   sign to apply.  Artificial k reads slack k ([n + k]) times [asign.(k)];
+   multiplying by +1 or -1 is exact, so a derived entry equals the one a
+   stored artificial column would hold, up to the sign of a zero. *)
+let stored_col st j = if j < st.n + st.m then j else j - st.m
+let col_sign st j = if j < st.n + st.m then 1. else st.asign.(j - st.n - st.m)
+
 (* Recompute the reduced-cost row from scratch: rc_j = c_j - cB B^-1 A_j.
    Done once per phase and periodically to flush numerical drift; pivots
    keep it in sync incrementally. *)
 let refresh_reduced_costs st cost =
+  let ns = st.n + st.m in
   for j = 0 to st.ntotal - 1 do
     st.rc.(j) <- cost.(j)
   done;
@@ -85,8 +98,11 @@ let refresh_reduced_costs st cost =
     let cb = cost.(st.basis.(i)) in
     if cb <> 0. then begin
       let row = st.tab.(i) in
-      for j = 0 to st.ntotal - 1 do
+      for j = 0 to ns - 1 do
         st.rc.(j) <- st.rc.(j) -. (cb *. row.(j))
+      done;
+      for k = 0 to st.m - 1 do
+        st.rc.(ns + k) <- st.rc.(ns + k) -. (cb *. (st.asign.(k) *. row.(st.n + k)))
       done
     end
   done;
@@ -123,28 +139,50 @@ let choose_entering st ~bland =
   !best
 
 (* Pivot column [j] into the basis on row [r]: eliminate it from every
-   other row and from the reduced-cost row, swap basis bookkeeping. *)
+   other row and from the reduced-cost row, swap basis bookkeeping.  The
+   pivot row is divided once and its nonzero columns collected into
+   [st.nz]; the updates then touch those columns only, since a zero
+   pivot-row entry would leave [x -. f *. 0.] = [x]. *)
 let pivot_tableau st r j =
-  let piv = st.tab.(r).(j) in
+  let ns = st.n + st.m in
+  let js = stored_col st j and jsg = col_sign st j in
   let row_r = st.tab.(r) in
-  for c = 0 to st.ntotal - 1 do
-    row_r.(c) <- row_r.(c) /. piv
+  let piv = jsg *. row_r.(js) in
+  let nz = st.nz in
+  let cnt = ref 0 in
+  for c = 0 to ns - 1 do
+    let x = row_r.(c) in
+    if x <> 0. then begin
+      let v = x /. piv in
+      row_r.(c) <- v;
+      if v <> 0. then begin
+        nz.(!cnt) <- c;
+        incr cnt
+      end
+    end
   done;
+  let cnt = !cnt in
   for i = 0 to st.m - 1 do
     if i <> r then begin
-      let f = st.tab.(i).(j) in
-      if f <> 0. then begin
-        let row_i = st.tab.(i) in
-        for c = 0 to st.ntotal - 1 do
-          row_i.(c) <- row_i.(c) -. (f *. row_r.(c))
+      let row_i = st.tab.(i) in
+      let f = jsg *. row_i.(js) in
+      if f <> 0. then
+        for t = 0 to cnt - 1 do
+          let c = Array.unsafe_get nz t in
+          Array.unsafe_set row_i c (Array.unsafe_get row_i c -. (f *. Array.unsafe_get row_r c))
         done
-      end
     end
   done;
   let rcj = st.rc.(j) in
   if rcj <> 0. then
-    for c = 0 to st.ntotal - 1 do
-      st.rc.(c) <- st.rc.(c) -. (rcj *. row_r.(c))
+    for t = 0 to cnt - 1 do
+      let c = nz.(t) in
+      st.rc.(c) <- st.rc.(c) -. (rcj *. row_r.(c));
+      if c >= st.n then begin
+        (* slack k = c - n: artificial k's entry is asign_k times it *)
+        let k = c - st.n in
+        st.rc.(ns + k) <- st.rc.(ns + k) -. (rcj *. (st.asign.(k) *. row_r.(c)))
+      end
     done;
   let leaving = st.basis.(r) in
   st.basis.(r) <- j;
@@ -161,12 +199,13 @@ let step st cost ~bland =
   else begin
     let at_lower = st.xval.(j) <= st.lb.(j) +. st.eps in
     let dir = if at_lower then 1. else -1. in
+    let js = stored_col st j and jsg = col_sign st j in
     (* entering moves by [dir * delta], basic i by [-dir * tab[i][j] * delta] *)
     let delta = ref (st.ub.(j) -. st.lb.(j)) in
     let blocking = ref (-1) in
     let blocking_to_upper = ref false in
     for i = 0 to st.m - 1 do
-      let rate = -.dir *. st.tab.(i).(j) in
+      let rate = -.dir *. (jsg *. st.tab.(i).(js)) in
       let k = st.basis.(i) in
       if rate > st.eps && st.ub.(k) < infinity then begin
         let room = (st.ub.(k) -. st.xval.(k)) /. rate in
@@ -191,7 +230,7 @@ let step st cost ~bland =
       (* apply the move *)
       for i = 0 to st.m - 1 do
         let k = st.basis.(i) in
-        st.xval.(k) <- st.xval.(k) -. (dir *. st.tab.(i).(j) *. d)
+        st.xval.(k) <- st.xval.(k) -. (dir *. (jsg *. st.tab.(i).(js)) *. d)
       done;
       st.xval.(j) <- st.xval.(j) +. (dir *. d);
       (match !blocking with
@@ -236,15 +275,21 @@ let objective_value st cost =
 
 (* Row dual values for a cost vector: pi_i = (sum_k cB_k tab[k][art_i]) / sigma_i,
    since the artificial column of row i is sigma_i * e_i in the original
-   matrix and the tableau holds B^-1 applied to it. *)
+   matrix and the tableau holds B^-1 applied to it.  The sums are
+   accumulated a basic row at a time, skipping rows of zero cost; each
+   pi_i still adds its terms in row order. *)
 let duals_for st cost =
-  Array.init st.m (fun i ->
-      let s = ref 0. in
-      for k = 0 to st.m - 1 do
-        let cb = cost.(st.basis.(k)) in
-        if cb <> 0. then s := !s +. (cb *. st.tab.(k).(art_col st i))
-      done;
-      !s /. st.sigma.(i))
+  let s = Array.make st.m 0. in
+  for k = 0 to st.m - 1 do
+    let cb = cost.(st.basis.(k)) in
+    if cb <> 0. then begin
+      let row = st.tab.(k) in
+      for i = 0 to st.m - 1 do
+        s.(i) <- s.(i) +. (cb *. (st.asign.(i) *. row.(st.n + i)))
+      done
+    end
+  done;
+  Array.mapi (fun i v -> v /. st.sigma.(i)) s
 
 (* Lagrangian bound from the current simplex multipliers.  In equality
    form, z(y) = y.b + sum_j min over [lb_j, ub_j] of rc_j x_j is a valid
@@ -299,13 +344,14 @@ let init_state ~eps (p : problem) =
     if lb.(j) = neg_infinity && ub.(j) = infinity then
       invalid_arg "Simplex: free structural variables are not supported"
   done;
-  let tab = Array.make_matrix m ntotal 0. in
+  let tab = Array.make_matrix m (n + m) 0. in
   let xval = Array.make ntotal 0. in
   (* nonbasic structural variables start at a finite bound *)
   for j = 0 to n - 1 do
     xval.(j) <- (if lb.(j) > neg_infinity then lb.(j) else ub.(j))
   done;
   let sigma = Array.make m 1. in
+  let asign = Array.make m 1. in
   let basis = Array.init m (fun i -> n + m + i) in
   let in_basis = Array.make ntotal false in
   let rhs = Array.map (fun (r : row) -> r.rhs) p.rows in
@@ -315,7 +361,11 @@ let init_state ~eps (p : problem) =
       match r.rel with
       | Ge -> tab.(i).(n + i) <- -1.
       | Le -> tab.(i).(n + i) <- 1.
-      | Eq -> ub.(n + i) <- 0.)
+      | Eq ->
+        (* a unit slack fixed at 0: it never enters, but keeps the
+           artificial column a signed copy of the slack column *)
+        tab.(i).(n + i) <- 1.;
+        ub.(n + i) <- 0.)
     p.rows;
   let st =
     {
@@ -329,8 +379,10 @@ let init_state ~eps (p : problem) =
       basis;
       in_basis;
       sigma;
+      asign;
       rc = Array.make ntotal 0.;
       rhs;
+      nz = Array.make (n + m) 0;
       pivots_since_refresh = 0;
       npivots = 0;
       nrefresh = 0;
@@ -343,14 +395,16 @@ let init_state ~eps (p : problem) =
     Array.iter (fun (j, a) -> residual := !residual -. (a *. xval.(j))) p.rows.(i).coeffs;
     (* slack starts at 0, so it does not contribute *)
     sigma.(i) <- (if !residual >= 0. then 1. else -1.);
-    tab.(i).(art_col st i) <- sigma.(i);
+    (* the artificial column is sigma_i * e_i, the slack column
+       tab[i][n+i] * e_i, so the former is asign_i times the latter *)
+    asign.(i) <- tab.(i).(n + i) *. sigma.(i);
     basis.(i) <- art_col st i;
     in_basis.(art_col st i) <- true;
     xval.(art_col st i) <- abs_float !residual;
     (* normalize the row so the basic artificial column is +1 *)
     if sigma.(i) < 0. then begin
       let row = tab.(i) in
-      for c = 0 to ntotal - 1 do
+      for c = 0 to n + m - 1 do
         row.(c) <- -.row.(c)
       done
     end
@@ -486,7 +540,7 @@ let dual_step st =
     let best_alpha = ref 0. in
     for j = 0 to st.ntotal - 1 do
       if (not st.in_basis.(j)) && st.lb.(j) < st.ub.(j) then begin
-        let a = row.(j) in
+        let a = col_sign st j *. row.(stored_col st j) in
         if abs_float a > st.eps then begin
           let at_lower = st.xval.(j) <= st.lb.(j) +. st.eps in
           let eligible =
@@ -511,12 +565,13 @@ let dual_step st =
     if !best < 0 then DInfeasible r
     else begin
       let j = !best in
-      let a = row.(j) in
+      let a = !best_alpha in
+      let js = stored_col st j and jsg = col_sign st j in
       let target = if below then st.lb.(k) else st.ub.(k) in
       let t = (st.xval.(k) -. target) /. a in
       for i = 0 to st.m - 1 do
         let b = st.basis.(i) in
-        st.xval.(b) <- st.xval.(b) -. (st.tab.(i).(j) *. t)
+        st.xval.(b) <- st.xval.(b) -. (jsg *. st.tab.(i).(js) *. t)
       done;
       st.xval.(j) <- st.xval.(j) +. t;
       st.xval.(k) <- target;
@@ -559,7 +614,7 @@ module Incremental = struct
   }
 
   (* Periodically refactor from scratch to flush accumulated numerical
-     drift in the dense tableau. *)
+     drift in the tableau. *)
   let rebuild_period = 2000
 
   let create ?(eps = 1e-7) (p : problem) =
@@ -607,6 +662,7 @@ module Incremental = struct
       let st = t.st in
       let n = st.n and m = st.m in
       let m' = m + 1 in
+      let ns' = n + m' in
       let ntotal' = n + (2 * m') in
       let map j = if j < n + m then j else j + 1 in
       let slack_new = n + m in
@@ -624,39 +680,35 @@ module Incremental = struct
       done;
       (match r.rel with Ge | Le -> () | Eq -> ub.(slack_new) <- 0.);
       ub.(art_new) <- 0.;
-      let tab = Array.make_matrix m' ntotal' 0. in
+      let tab = Array.make_matrix m' ns' 0. in
       for i = 0 to m - 1 do
-        let src = st.tab.(i) and dst = tab.(i) in
-        for j = 0 to st.ntotal - 1 do
-          dst.(map j) <- src.(j)
-        done
+        Array.blit st.tab.(i) 0 tab.(i) 0 (n + m)
       done;
       let basis = Array.init m' (fun i -> if i < m then map st.basis.(i) else slack_new) in
-      let sigma = Array.make m' 1. in
-      Array.blit st.sigma 0 sigma 0 m;
-      let rhs = Array.make m' 0. in
-      Array.blit st.rhs 0 rhs 0 m;
-      rhs.(m) <- r.rhs;
+      let c_s = match r.rel with Ge -> -1. | Le | Eq -> 1. in
+      let sigma = Array.append st.sigma [| c_s |] in
+      (* slack and artificial both carry c_s, so asign = 1 *)
+      let asign = Array.append st.asign [| 1. |] in
+      let rhs = Array.append st.rhs [| r.rhs |] in
       let d = tab.(m) in
       Array.iter (fun (j, a) -> d.(j) <- d.(j) +. a) r.coeffs;
-      let c_s = match r.rel with Ge -> -1. | Le | Eq -> 1. in
       d.(slack_new) <- c_s;
-      d.(art_new) <- c_s;
-      sigma.(m) <- c_s;
       (* Basic columns are unit vectors across the tableau, so the
-         elimination order is immaterial. *)
+         elimination order is immaterial.  A basic artificial's entry in
+         [d] is read through its slack, like any other. *)
       for i = 0 to m - 1 do
-        let f = d.(basis.(i)) in
+        let b = basis.(i) in
+        let f = if b < ns' then d.(b) else asign.(b - ns') *. d.(b - m') in
         if f <> 0. then begin
           let row_i = tab.(i) in
-          for c = 0 to ntotal' - 1 do
+          for c = 0 to ns' - 1 do
             d.(c) <- d.(c) -. (f *. row_i.(c))
           done
         end
       done;
       (* normalize so the basic slack column carries +1 *)
       if c_s < 0. then
-        for c = 0 to ntotal' - 1 do
+        for c = 0 to ns' - 1 do
           d.(c) <- -.d.(c)
         done;
       in_basis.(slack_new) <- true;
@@ -672,8 +724,10 @@ module Incremental = struct
           basis;
           in_basis;
           sigma;
+          asign;
           rc = Array.make ntotal' 0.;
           rhs;
+          nz = Array.make ns' 0;
           pivots_since_refresh = st.pivots_since_refresh;
           npivots = st.npivots;
           nrefresh = st.nrefresh;
@@ -690,10 +744,11 @@ module Incremental = struct
      with the slack basic in its own row, the basis matrix is block
      triangular in that row/column pair, so deleting the row together with
      its slack and artificial columns leaves a valid basis (and unchanged
-     reduced costs) for the remaining system.  Falls back to a cold
-     rebuild when the pivot entry is numerically unusable or the slack or
-     artificial is basic in a different row.  Rows above [i] shift down by
-     one. *)
+     reduced costs) for the remaining system.  Every row, [Eq] rows
+     included, has a unit slack column, so this pivot is available unless
+     the entry is numerically unusable or the slack or artificial is basic
+     in a different row; those cases fall back to a cold rebuild.  Rows
+     above [i] shift down by one. *)
   let drop_row t i =
     let nr = Array.length t.base.rows in
     if i < 0 || i >= nr then invalid_arg "Simplex.Incremental.drop_row";
@@ -720,6 +775,7 @@ module Incremental = struct
       if (not ok) || st.in_basis.(art_i) then resync_cold t
       else begin
         let m' = m - 1 in
+        let ns' = n + m' in
         let ntotal' = n + (2 * m') in
         let map j = if j < slack_i then j else if j < art_i then j - 1 else j - 2 in
         let lb = Array.make ntotal' 0. in
@@ -735,22 +791,14 @@ module Incremental = struct
             in_basis.(j') <- st.in_basis.(j)
           end
         done;
-        let tab = Array.make_matrix m' ntotal' 0. in
-        let basis = Array.make (max m' 1) 0 in
-        let sigma = Array.make (max m' 1) 1. in
-        let rhs = Array.make (max m' 1) 0. in
-        for k = 0 to m - 1 do
-          if k <> i then begin
-            let k' = if k < i then k else k - 1 in
-            let src = st.tab.(k) and dst = tab.(k') in
-            for j = 0 to st.ntotal - 1 do
-              if j <> slack_i && j <> art_i then dst.(map j) <- src.(j)
-            done;
-            basis.(k') <- map st.basis.(k);
-            sigma.(k') <- st.sigma.(k);
-            rhs.(k') <- st.rhs.(k)
-          end
-        done;
+        let keep k = if k < i then k else k + 1 in
+        let tab =
+          Array.init m' (fun k' ->
+              let src = st.tab.(keep k') and dst = Array.make ns' 0. in
+              Array.blit src 0 dst 0 slack_i;
+              Array.blit src (slack_i + 1) dst slack_i (ns' - slack_i);
+              dst)
+        in
         let st' =
           {
             m = m';
@@ -760,11 +808,13 @@ module Incremental = struct
             lb;
             ub;
             xval;
-            basis = (if m' = 0 then [||] else basis);
+            basis = Array.init m' (fun k' -> map st.basis.(keep k'));
             in_basis;
-            sigma = (if m' = 0 then [||] else sigma);
-            rhs = (if m' = 0 then [||] else rhs);
+            sigma = Array.init m' (fun k' -> st.sigma.(keep k'));
+            asign = Array.init m' (fun k' -> st.asign.(keep k'));
+            rhs = Array.init m' (fun k' -> st.rhs.(keep k'));
             rc = Array.make ntotal' 0.;
+            nz = Array.make ns' 0;
             pivots_since_refresh = st.pivots_since_refresh;
             npivots = st.npivots;
             nrefresh = st.nrefresh;
@@ -827,17 +877,26 @@ module Incremental = struct
        done
      with Exit -> ());
     if !ok then begin
+      (* nonbasic columns off zero, in column order: the only ones that
+         move a basic value *)
+      let off = ref [] in
+      for j = st.ntotal - 1 downto 0 do
+        if (not st.in_basis.(j)) && st.xval.(j) <> 0. then
+          off := (stored_col st j, col_sign st j, st.xval.(j)) :: !off
+      done;
+      let off = Array.of_list !off in
+      (* B^-1 b: artificial k's entry over sigma_k, times rhs_k, equals
+         slack k's entry times [w.(k)], since the +-1 factors are exact *)
+      let w = Array.init st.m (fun k -> st.asign.(k) *. st.sigma.(k) *. st.rhs.(k)) in
+      let n = st.n in
       for i = 0 to st.m - 1 do
         let row = st.tab.(i) in
         let s = ref 0. in
         for k = 0 to st.m - 1 do
-          let a = row.(art_col st k) in
-          if a <> 0. then s := !s +. (a /. st.sigma.(k) *. st.rhs.(k))
+          let a = Array.unsafe_get row (n + k) in
+          if a <> 0. then s := !s +. (a *. Array.unsafe_get w k)
         done;
-        for j = 0 to st.ntotal - 1 do
-          if (not st.in_basis.(j)) && st.xval.(j) <> 0. then
-            s := !s -. (row.(j) *. st.xval.(j))
-        done;
+        Array.iter (fun (js, sg, x) -> s := !s -. (sg *. row.(js) *. x)) off;
         if not (Float.is_finite !s) then ok := false;
         st.xval.(st.basis.(i)) <- !s
       done
@@ -867,7 +926,7 @@ module Incremental = struct
                rescaled to original row units as in [duals_for] *)
             let witness = ref [] in
             for i = st.m - 1 downto 0 do
-              let a = st.tab.(vr).(art_col st i) in
+              let a = st.asign.(i) *. st.tab.(vr).(st.n + i) in
               if abs_float a > st.eps then witness := (i, a /. st.sigma.(i)) :: !witness
             done;
             Infeasible !witness

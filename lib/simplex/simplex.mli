@@ -1,4 +1,4 @@
-(** Dense bounded-variable simplex with persistent state: a
+(** Tableau bounded-variable simplex with persistent state: a
     bounded-variable dual simplex for warm re-solves over a two-phase
     primal cold start.
 
@@ -12,14 +12,28 @@
     substrate of the paper's LPR lower bound (Section 3.1) and of the MILP
     baseline standing in for CPLEX.
 
-    {!Incremental} is the only entry point.  It keeps a dense tableau and
+    {!Incremental} is the only entry point.  It keeps a tableau and
     basis alive between calls and re-optimizes after column-bound and row
     edits with a dual simplex from the previous basis.  Its cold start
     (first call, rebuilds) is the textbook bounded-variable two-phase
     primal: each row gets a slack/surplus column, phase 1 minimizes the
     sum of artificial columns, nonbasic variables rest at one of their
     bounds, and the ratio test allows bound flips.  A one-shot solve is
-    [reoptimize (create p)]. *)
+    [reoptimize (create p)].
+
+    Layout.  Over [n] structural columns and [m] rows there are [n + 2m]
+    columns: structural, one slack per row ([Ge] coefficient -1, [Le]
+    +1, [Eq] +1 with both bounds 0, so it never enters), then one
+    artificial per row.  The tableau stores only the first [n + m]
+    columns, one dense row each.  Artificial k's column is always +1 or
+    -1 times slack k's column (both are multiples of the unit vector
+    e_k before any pivot, and row operations keep the ratio), so it is
+    derived on read.  A pivot divides the pivot row once, collects its
+    nonzero columns and updates the other rows and the reduced costs on
+    those columns only.  Multiplying by +-1 is exact and IEEE rounding is
+    sign-symmetric, so every pivot, vertex, dual and witness equals that
+    of the textbook dense tableau that stores the artificial block; only
+    the sign of a zero entry may differ, which no comparison sees. *)
 
 type rel =
   | Ge
@@ -86,7 +100,7 @@ val stats : unit -> stats
     bounded-variable dual simplex; it falls back to a cold two-phase
     primal rebuild when no usable basis exists, when the warm restart
     cannot reach a dual-feasible resting point, or periodically to flush
-    numerical drift from the dense tableau. *)
+    numerical drift from the tableau. *)
 module Incremental : sig
   type t
 
@@ -122,8 +136,11 @@ module Incremental : sig
   (** Remove row [i] from the base problem.  Indices of later rows shift
       down by one.  The basis is kept warm when the row's slack can be
       (re)made basic in the row — the common case for a slack or evicted
-      cut row — and dropped (cold rebuild on next [reoptimize])
-      otherwise. *)
+      cut row, and for [Eq] rows too, whose slack column is a unit
+      column fixed at 0 — and dropped (cold rebuild on next
+      [reoptimize]) when the slack's entry in the row is numerically
+      unusable or the row's slack or artificial is basic in another
+      row. *)
 
   val reoptimize :
     ?max_iters:int -> ?should_stop:(unit -> bool) -> ?stats:stats -> t -> outcome
