@@ -425,6 +425,22 @@ for counter in 'simplex.iterations +12495' 'simplex.pivots +11647'; do
 done
 echo "pinned LP path: 843 decisions, simplex.iterations 12495, simplex.pivots 11647"
 
+echo "== pinned MIS path (genpb mcnc --scale 1.5 --seed 2, --lb mis) =="
+# The MIS bound decides every prune and its certificate feeds the bound
+# conflicts, so a change to the MIS procedure meant to return the same
+# value, rows and multipliers must leave this tree exactly as it is.
+./_build/default/bin/genpb.exe mcnc --scale 1.5 --seed 2 -o "$tmpdir/mcnc15.opb" >/dev/null
+pinned_mis='12949 decisions, 12040 conflicts, 11804 bound conflicts, 24601 lb calls'
+timeout 120 "$bsolo" "$tmpdir/mcnc15.opb" --lb mis --timeout 60 --stats \
+  >"$tmpdir/pinned-mis.out" 2>&1 || {
+  echo "FAIL: pinned mcnc@1.5 seed 2 MIS solve failed"; cat "$tmpdir/pinned-mis.out"; exit 1;
+}
+grep -q "^c OPTIMAL cost=39 (.*s, $pinned_mis)\$" "$tmpdir/pinned-mis.out" || {
+  echo "FAIL: mcnc@1.5 seed 2 under --lb mis left the pinned tree ($pinned_mis)";
+  grep '^c OPTIMAL\|^c UNKNOWN' "$tmpdir/pinned-mis.out" || true; exit 1;
+}
+echo "pinned MIS path: $pinned_mis"
+
 echo "== portfolio recording stitches member sections =="
 timeout 120 "$bsolo" benchmarks/synth-s1.opb \
   --portfolio --jobs 2 --timeout 60 --record "$tmpdir/portfolio.rec" \

@@ -10,7 +10,7 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
    (the next one starts a new row if saturation changes its terms). *)
 type cut_source = {
   krow : Knapsack.row;
-  kind : string;  (* counter suffix: "knapsack" or "cardinality" *)
+  cuts : Lowerbound.Instr.counter;  (* cuts.knapsack or cuts.cardinality *)
   mutable erow : Core.row option;
 }
 
@@ -30,6 +30,7 @@ type search_state = {
   mutable imported : bool;  (* an import is (or was) the active upper bound *)
   track : Lowerbound.Track.t;  (* bound-quality instruments for lb_method *)
   mutable lpr_inc : Lowerbound.Lpr.inc option;  (* warm LP state, created lazily *)
+  mutable mis : Lowerbound.Mis.t option;  (* prepared MIS rows, created lazily *)
   mutable cuts : Cuts.config option;  (* separation pool, built after preprocessing *)
   mutable cut_sources : cut_source list option;  (* prepared at the first incumbent *)
   mutable lb_skip : int;  (* adaptive lower-bound interval, 1..8 nodes *)
@@ -54,7 +55,16 @@ let lb_compute st =
   Telemetry.Ctx.with_phase st.tel Telemetry.Phase.Lower_bound (fun () ->
       match st.options.lb_method with
       | Options.Plain -> Lowerbound.Bound.none
-      | Options.Mis -> Lowerbound.Mis.compute st.engine
+      | Options.Mis ->
+        let mis =
+          match st.mis with
+          | Some mis -> mis
+          | None ->
+            let mis = Lowerbound.Mis.create st.engine in
+            st.mis <- Some mis;
+            mis
+        in
+        Lowerbound.Mis.compute mis
       | Options.Lgr -> Lowerbound.Lgr.compute ~iters:st.options.lgr_iters st.engine ~cap
       | Options.Lpr ->
         let inc =
@@ -198,7 +208,10 @@ let cut_sources st =
   | Some sources -> sources
   | None ->
     let problem = Core.problem st.engine in
-    let source kind krow = { krow; kind; erow = None } in
+    let source kind =
+      let cuts = Lowerbound.Instr.counter st.tel.registry ("cuts." ^ kind) in
+      fun krow -> { krow; cuts; erow = None }
+    in
     let sources =
       (if st.options.knapsack_cuts then [ source "knapsack" (Knapsack.knapsack_row problem) ]
        else [])
@@ -238,7 +251,7 @@ let add_incumbent_cuts st =
              learning the empty bound *)
           Some `Root
         | Constr.Constr c ->
-          Telemetry.Counter.incr (Telemetry.Registry.counter st.tel.registry ("cuts." ^ src.kind));
+          Lowerbound.Instr.add src.cuts 1;
           let row, added = Core.add_cut st.engine ?row:src.erow c in
           src.erow <- Some row;
           (match conflict, added with
@@ -617,6 +630,7 @@ let solve ?(options = Options.default) problem =
       lb_skips = Telemetry.Registry.counter tel.registry "search.lb_skips";
       imported = false;
       lpr_inc = None;
+      mis = None;
       cuts = None;
       cut_sources = None;
       lb_skip = 1;

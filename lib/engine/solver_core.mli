@@ -268,6 +268,11 @@ val trail : t -> (Lit.t * cid option) list
 (** The trail in assignment order, each literal with its reason
     ([None] for a decision) — for lockstep tests. *)
 
+val iter_trail_above : t -> int -> (Lit.t -> unit) -> unit
+(** [iter_trail_above s lvl f] applies [f] to the literals assigned above
+    decision level [lvl], in assignment order: every literal a probe
+    decided at level [lvl + 1] made true. *)
+
 val decisions : t -> Lit.t list
 (** Current decision literals, outermost first (for the chronological
     bound-conflict ablation). *)

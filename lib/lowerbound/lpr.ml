@@ -32,6 +32,8 @@ type inc = {
   c_cache_hits : Telemetry.Counter.t;
   c_infeasible : Telemetry.Counter.t;
   c_iteration_limits : Telemetry.Counter.t;
+  c_calls : Instr.counter;
+  c_simplex : Instr.simplex_counters;
   mutable last : last;
 }
 
@@ -64,6 +66,8 @@ let make ?cuts engine =
     c_cache_hits = Telemetry.Registry.counter reg "lpr.cache_hits";
     c_infeasible = Telemetry.Registry.counter reg "lpr.infeasible";
     c_iteration_limits = Telemetry.Registry.counter reg "lpr.iteration_limits";
+    c_calls = Instr.counter reg "lpr.calls";
+    c_simplex = Instr.simplex_counters reg;
     last = Last_none;
   }
 
@@ -199,7 +203,7 @@ let inf_bound inc ~cap ~refs ~cids ~cuts =
 
 let compute_inc inc ~cap =
   let tel = Core.telemetry inc.engine in
-  Instr.add tel.Telemetry.Ctx.registry "lpr.calls" 1;
+  Instr.add inc.c_calls 1;
   match inc.full, inc.sx with
   | None, _ | _, None -> Bound.none
   | Some full, Some sx ->
@@ -255,7 +259,7 @@ let compute_inc inc ~cap =
             go (rounds + 1) (solve ()))
         | outcome -> finish outcome
       and finish outcome =
-        Instr.flush_simplex tel.registry sstats;
+        Instr.flush_simplex inc.c_simplex sstats;
         let info = Simplex.Incremental.last_info sx in
         if info.warm then begin
           Telemetry.Counter.incr inc.c_warm_hits;

@@ -12,4 +12,14 @@
     The explanation [omega_pl] is the set of currently-false literals of
     the selected constraints. *)
 
-val compute : Engine.Solver_core.t -> Bound.t
+type t
+(** Prepared rows: the engine's lower-bound-eligible constraints
+    ({!Engine.Solver_core.lb_constraints}, whose cids survive
+    [reduce_db]) as flat literal/coefficient/cost arrays, pre-sorted by
+    cost/weight ratio, plus per-call scratch arrays.  Create once per
+    search, after preprocessing; it holds no global state. *)
+
+val create : Engine.Solver_core.t -> t
+
+val compute : t -> Bound.t
+(** The bound at the engine's current assignment.  Counts [mis.calls]. *)

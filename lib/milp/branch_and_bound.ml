@@ -102,6 +102,7 @@ let solve ?(options = Bsolo.Options.default) problem =
   let nodes_c = Telemetry.Registry.counter tel.registry "search.nodes" in
   let lp_calls_c = Telemetry.Registry.counter tel.registry "search.lb_calls" in
   let decisions_c = Telemetry.Registry.counter tel.registry "engine.decisions" in
+  let simplex_c = Lowerbound.Instr.simplex_counters tel.registry in
   let recorder = tel.Telemetry.Ctx.recorder in
   let lp, obj_offset = relaxation_of problem in
   let nvars = lp.Simplex.ncols in
@@ -187,7 +188,7 @@ let solve ?(options = Bsolo.Options.default) problem =
                 ~stats:sstats sx)
         in
         let lp_elapsed_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-        Lowerbound.Instr.flush_simplex tel.registry sstats;
+        Lowerbound.Instr.flush_simplex simplex_c sstats;
         (* One Lb_eval frame per LP relaxation solve: proc "lp", the
            rounded-up bound as the value (path cost is folded into the
            relaxation, so path = 0), pruned when the node closes. *)

@@ -52,3 +52,27 @@ let covering ?(nvars = 10) ?(nclauses = 14) seed =
   let costs = List.init nvars (fun v -> 1 + Random.State.int rng 4, Lit.pos v) in
   Problem.Builder.set_objective b costs;
   Problem.Builder.build b
+
+(* Satisfiable by construction: every constraint is drawn over random
+   literals with general coefficients, and its degree is at most the
+   weight a hidden random model gives it.  Rich in implications, failed
+   literals and ties in cost/weight ratios. *)
+let planted ?(nvars = 16) ?(nconstrs = 30) ?(max_arity = 5) ?(max_coeff = 5) seed =
+  let rng = Random.State.make [| seed; 0x57e9 |] in
+  let model = Array.init nvars (fun _ -> Random.State.bool rng) in
+  let b = Problem.Builder.create ~nvars () in
+  for _ = 1 to nconstrs do
+    let arity = 2 + Random.State.int rng (max_arity - 1) in
+    let terms =
+      List.init arity (fun _ -> 1 + Random.State.int rng max_coeff, lit_of rng nvars)
+    in
+    let weight =
+      List.fold_left
+        (fun acc (a, l) -> if model.(Lit.var l) = Lit.is_pos l then acc + a else acc)
+        0 terms
+    in
+    if weight > 0 then Problem.Builder.add_ge b terms (1 + Random.State.int rng weight)
+  done;
+  Problem.Builder.set_objective b
+    (List.init nvars (fun v -> 1 + Random.State.int rng 5, Lit.pos v));
+  Problem.Builder.build b

@@ -83,7 +83,7 @@ let residual_lp_bound engine ~cap =
 
 let methods =
   [
-    "mis", (fun engine ~cap -> ignore cap; Lowerbound.Mis.compute engine);
+    "mis", (fun engine ~cap -> ignore cap; Lowerbound.Mis.compute (Lowerbound.Mis.create engine));
     "lgr", (fun engine ~cap -> Lowerbound.Lgr.compute engine ~cap);
     "lpr", lpr_fresh;
   ]
@@ -171,7 +171,7 @@ let lpr_at_least_mis_often () =
     | Some engine ->
       let cap = Problem.max_cost_sum problem + 1 in
       let lpr = (lpr_fresh engine ~cap).value in
-      let mis = (Lowerbound.Mis.compute engine).value in
+      let mis = (Lowerbound.Mis.compute (Lowerbound.Mis.create engine)).value in
       incr total;
       if lpr >= mis then incr wins
   done;
@@ -383,3 +383,107 @@ let suite =
         lpr_inc_flip_invalidates_infeasibility_cache;
       Alcotest.test_case "lpr warm end-to-end" `Quick lpr_warm_end_to_end;
     ]
+
+(* The list-based MIS procedure the prepared rows replaced, kept as an
+   oracle: residual constraints from [Core.active_constraints], sorted
+   per call. *)
+module Mis_ref = struct
+  let contribution engine (a : Core.active) =
+    let weighted =
+      List.map (fun (w, l) -> float_of_int (Core.cost_of_lit engine l), float_of_int w) a.aterms
+    in
+    let by_ratio (c1, w1) (c2, w2) = compare (c1 *. w2) (c2 *. w1) in
+    let rec take need acc last_mu = function
+      | [] -> acc, last_mu
+      | (c, w) :: rest ->
+        if need <= 0. then acc, last_mu
+        else if w >= need then acc +. (c *. need /. w), c /. w
+        else take (need -. w) (acc +. c) (c /. w) rest
+    in
+    take (float_of_int a.aresidual) 0. 0. (List.sort by_ratio weighted)
+
+  (* value, Cert_bound multipliers, omega_pl *)
+  let compute engine =
+    let scored =
+      List.map
+        (fun a ->
+          let c, mu = contribution engine a in
+          c, mu, a)
+        (Core.active_constraints engine)
+    in
+    let positive = List.filter (fun (c, _, _) -> c > 1e-9) scored in
+    let ordered = List.sort (fun (c1, _, _) (c2, _, _) -> compare c2 c1) positive in
+    let used = Hashtbl.create 64 in
+    let independent (a : Core.active) =
+      List.for_all (fun (_, l) -> not (Hashtbl.mem used (Lit.var l))) a.aterms
+    in
+    let select (total, chosen) (c, mu, (a : Core.active)) =
+      if independent a then begin
+        List.iter (fun (_, l) -> Hashtbl.replace used (Lit.var l) ()) a.aterms;
+        total +. c, (a.acid, mu) :: chosen
+      end
+      else total, chosen
+    in
+    let total, chosen = List.fold_left select (0., []) ordered in
+    let omega_pl =
+      List.sort_uniq Lit.compare (List.concat_map (Core.false_lits_of engine) (List.map fst chosen))
+    in
+    Lowerbound.Bound.trusted_value total, chosen, omega_pl
+end
+
+(* One prepared MIS context across a randomized search walk (decisions,
+   conflict backjumps, restarts to random levels, learned-database
+   reductions) must agree exactly with the per-call oracle at every
+   fixpoint: value, certificate cids and float multipliers, omega_pl. *)
+let mis_matches_reference =
+  let gen = QCheck2.Gen.(pair (int_bound 100_000) (int_bound 2)) in
+  QCheck2.Test.make ~name:"prepared mis = list-based reference" ~count:150 gen
+    (fun (seed, kind) ->
+      let problem =
+        match kind with
+        | 0 -> Gen.planted seed
+        | 1 -> Gen.planted ~nvars:24 ~nconstrs:40 ~max_arity:6 ~max_coeff:3 seed
+        | _ -> Gen.covering ~nvars:14 ~nclauses:24 seed
+      in
+      let engine = Core.create problem in
+      let rng = Random.State.make [| seed; 0x315 |] in
+      match Core.propagate engine with
+      | Some _ -> true
+      | None ->
+        let compared = ref 0 in
+        let mis = Lowerbound.Mis.create engine in
+        let compare_here () =
+          incr compared;
+          let b = Lowerbound.Mis.compute mis in
+          let value, chosen, omega_pl = Mis_ref.compute engine in
+          if b.value <> value then
+            QCheck2.Test.fail_reportf "seed %d: value %d, reference %d" seed b.value value;
+          (match Lazy.force b.cert with
+          | Proof.Cert_bound got when got = chosen -> ()
+          | _ -> QCheck2.Test.fail_reportf "seed %d: certificate differs" seed);
+          if Lazy.force b.omega_pl <> omega_pl then
+            QCheck2.Test.fail_reportf "seed %d: omega_pl differs" seed
+        in
+        let rec walk fuel =
+          if fuel > 0 && not (Core.root_unsat engine) then begin
+            match Core.propagate engine with
+            | Some ci -> (
+              match Core.resolve_conflict engine ci with
+              | Core.Root_conflict -> ()
+              | Core.Backjump _ -> walk (fuel - 1))
+            | None ->
+              compare_here ();
+              if Random.State.int rng 6 = 0 then
+                Core.backjump_to engine (Random.State.int rng (Core.decision_level engine + 1));
+              if Random.State.int rng 8 = 0 then Core.reduce_db engine;
+              (match Core.next_branch_var engine with
+              | None -> Core.backjump_to engine 0
+              | Some v -> Core.decide engine (Lit.make v (Random.State.bool rng)));
+              walk (fuel - 1)
+          end
+        in
+        walk 60;
+        !compared > 0)
+
+let suite =
+  suite @ [ QCheck_alcotest.to_alcotest mis_matches_reference ]

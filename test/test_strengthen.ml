@@ -61,6 +61,188 @@ let empty_problem () =
   Alcotest.(check int) "nothing to do" 0 report.strengthened;
   Alcotest.(check int) "no vars" 0 (Problem.nvars p')
 
+(* The quadratic probing procedure [Strengthen] replaced, kept as an
+   oracle: after every successful probe it rescans every constraint whose
+   variables exclude the probe's.  [Strengthen.apply] must produce the
+   identical problem and report. *)
+module Strengthen_ref = struct
+  module Core = Engine.Solver_core
+
+  let probe_all problem =
+    let engine = Core.create problem in
+    let m = Array.length (Problem.constraints problem) in
+    let best = Array.make m None in
+    let fixed = ref [] in
+    let vars_of =
+      Array.map
+        (fun c -> Constr.fold_lits (fun l acc -> Lit.var l :: acc) c [])
+        (Problem.constraints problem)
+    in
+    (match Core.propagate engine with
+    | Some _ -> ()
+    | None ->
+      let record_surpluses probe =
+        for ci = 0 to m - 1 do
+          if not (List.mem (Lit.var probe) vars_of.(ci)) then begin
+            let c = Core.constr_of engine ci in
+            let true_weight =
+              Array.fold_left
+                (fun acc { Constr.coeff; lit } ->
+                  match Core.value_lit engine lit with
+                  | Value.True -> acc + coeff
+                  | Value.False | Value.Unknown -> acc)
+                0 (Constr.terms c)
+            in
+            let surplus = true_weight - Constr.degree c in
+            if surplus >= 1 then begin
+              match best.(ci) with
+              | Some (_, s) when s >= surplus -> ()
+              | Some _ | None -> best.(ci) <- Some (probe, surplus)
+            end
+          end
+        done
+      in
+      let nvars = Core.nvars engine in
+      let v = ref 0 in
+      while !v < nvars && not (Core.root_unsat engine) do
+        let try_probe positive =
+          if Value.equal (Core.value_var engine !v) Value.Unknown && not (Core.root_unsat engine)
+          then begin
+            let probe = Lit.make !v positive in
+            Core.decide engine probe;
+            match Core.propagate engine with
+            | Some _ ->
+              Core.backjump_to engine 0;
+              fixed := Lit.negate probe :: !fixed;
+              (match Constr.clause [ Lit.negate probe ] with
+              | Constr.Constr c ->
+                (match Core.add_constraint_dynamic engine c with
+                | None ->
+                  (match Core.propagate engine with
+                  | None -> ()
+                  | Some ci -> ignore (Core.resolve_conflict engine ci))
+                | Some ci -> ignore (Core.resolve_conflict engine ci))
+              | Constr.Trivial_true | Constr.Trivial_false -> ())
+            | None ->
+              record_surpluses probe;
+              Core.backjump_to engine 0
+          end
+        in
+        try_probe true;
+        try_probe false;
+        incr v
+      done);
+    best, !fixed
+
+  let apply problem =
+    if Problem.trivially_unsat problem || Problem.nvars problem = 0 then problem, (0, 0)
+    else begin
+      let best, fixed = probe_all problem in
+      let strengthened = ref 0 in
+      let b = Problem.Builder.create ~nvars:(Problem.nvars problem) () in
+      Array.iteri
+        (fun ci c ->
+          let raw =
+            Array.to_list (Array.map (fun t -> t.Constr.coeff, t.Constr.lit) (Constr.terms c))
+          in
+          match best.(ci) with
+          | None -> Problem.Builder.add_norm b (Constr.Constr c)
+          | Some (probe, surplus) ->
+            incr strengthened;
+            Problem.Builder.add_ge b ((surplus, Lit.negate probe) :: raw) (Constr.degree c + surplus))
+        (Problem.constraints problem);
+      List.iter (fun l -> Problem.Builder.add_clause b [ l ]) fixed;
+      (match Problem.objective problem with
+      | None -> ()
+      | Some o ->
+        Problem.Builder.set_objective b ~offset:o.offset
+          (Array.to_list (Array.map (fun (ct : Problem.cost_term) -> ct.cost, ct.lit) o.cost_terms)));
+      Problem.Builder.build b, (!strengthened, List.length fixed)
+    end
+end
+
+(* [Strengthen.apply] against the oracle; returns the report. *)
+let check_against_ref name problem =
+  let p', (r : Bsolo.Strengthen.report) = Bsolo.Strengthen.apply problem in
+  let q', (strengthened, fixed) = Strengthen_ref.apply problem in
+  Alcotest.(check int) (name ^ ": strengthened") strengthened r.strengthened;
+  Alcotest.(check int) (name ^ ": fixed literals") fixed r.fixed_literals;
+  if p' <> q' then
+    Alcotest.failf "%s: strengthened problem differs@.got:@.%a@.want:@.%a" name Problem.pp p'
+      Problem.pp q';
+  r
+
+let matches_reference () =
+  let strengthened = ref 0 and fixed = ref 0 in
+  let tally name problem =
+    let r = check_against_ref name problem in
+    strengthened := !strengthened + r.strengthened;
+    fixed := !fixed + r.fixed_literals
+  in
+  for seed = 0 to 150 do
+    tally (Printf.sprintf "problem %d" seed) (Gen.problem seed);
+    tally (Printf.sprintf "planted %d" seed) (Gen.planted seed);
+    tally (Printf.sprintf "clausal %d" seed)
+      (Gen.planted ~nvars:20 ~nconstrs:50 ~max_arity:3 ~max_coeff:1 seed);
+    tally (Printf.sprintf "covering %d" seed) (Gen.covering ~nvars:14 ~nclauses:24 seed)
+  done;
+  (* the comparison means something only if both paths are exercised *)
+  Alcotest.(check bool) "some constraints strengthened" true (!strengthened > 0);
+  Alcotest.(check bool) "some literals fixed" true (!fixed > 0)
+
+let has_constraint problem terms degree =
+  let b = Problem.Builder.create ~nvars:(Problem.nvars problem) () in
+  Problem.Builder.add_ge b terms degree;
+  let want = (Problem.Builder.build b).constraints.(0) in
+  Array.exists (Constr.equal want) (Problem.constraints problem)
+
+(* C: x0 + x1 >= 1 with both literals fixed true at the root has surplus
+   1 before any probe.  The first foreign probe, x2, propagates nothing
+   into C and must still be recorded for it. *)
+let over_satisfied_at_root () =
+  let b = Problem.Builder.create ~nvars:4 () in
+  Problem.Builder.add_clause b [ Lit.pos 0 ];
+  Problem.Builder.add_clause b [ Lit.pos 1 ];
+  Problem.Builder.add_clause b [ Lit.pos 0; Lit.pos 1 ];
+  Problem.Builder.add_clause b [ Lit.pos 2; Lit.pos 3 ];
+  let p = Problem.Builder.build b in
+  ignore (check_against_ref "over-satisfied at root" p);
+  let p', _ = Bsolo.Strengthen.apply p in
+  Alcotest.(check bool) "C gets ~x2" true
+    (has_constraint p' [ 1, Lit.pos 0; 1, Lit.pos 1; 1, Lit.neg 2 ] 2)
+
+(* x0 fails (x0 -> x1, x0 -> ~x1), which fixes ~x0 at the root and
+   over-satisfies C: x4 + ~x0 >= 1 (x4 is a unit).  No later probe
+   propagates into C, so only a root set recomputed after the failed
+   literal lets x1, the next probe, strengthen it. *)
+let failed_literal_changes_root () =
+  let b = Problem.Builder.create ~nvars:5 () in
+  Problem.Builder.add_clause b [ Lit.neg 0; Lit.pos 1 ];
+  Problem.Builder.add_clause b [ Lit.neg 0; Lit.neg 1 ];
+  Problem.Builder.add_clause b [ Lit.pos 4 ];
+  Problem.Builder.add_clause b [ Lit.pos 4; Lit.neg 0 ];
+  Problem.Builder.add_clause b [ Lit.pos 2; Lit.pos 3 ];
+  let p = Problem.Builder.build b in
+  let r = check_against_ref "failed literal" p in
+  Alcotest.(check int) "x0 fixed" 1 r.fixed_literals;
+  let p', _ = Bsolo.Strengthen.apply p in
+  Alcotest.(check bool) "C gets ~x1" true
+    (has_constraint p' [ 1, Lit.pos 4; 1, Lit.neg 0; 1, Lit.neg 1 ] 2)
+
+(* C: x0 + x1 + x2 >= 1 with x0 -> x1 and x0 -> x2: probing x0 forces
+   weight 3 into C, but x0 is C's own variable, so that probe is skipped
+   and C stays as it is. *)
+let own_variable_probe_skipped () =
+  let b = Problem.Builder.create ~nvars:3 () in
+  Problem.Builder.add_clause b [ Lit.neg 0; Lit.pos 1 ];
+  Problem.Builder.add_clause b [ Lit.neg 0; Lit.pos 2 ];
+  Problem.Builder.add_clause b [ Lit.pos 0; Lit.pos 1; Lit.pos 2 ];
+  let p = Problem.Builder.build b in
+  ignore (check_against_ref "own variable" p);
+  let p', _ = Bsolo.Strengthen.apply p in
+  Alcotest.(check bool) "C unchanged" true
+    (has_constraint p' [ 1, Lit.pos 0; 1, Lit.pos 1; 1, Lit.pos 2 ] 1)
+
 let suite =
   [
     Alcotest.test_case "model equivalence" `Slow model_equivalence;
@@ -68,4 +250,9 @@ let suite =
     Alcotest.test_case "reports fixed literals" `Quick reports_fixed_literals;
     Alcotest.test_case "optimum preserved" `Slow optimum_preserved_under_solving;
     Alcotest.test_case "empty problem" `Quick empty_problem;
+    Alcotest.test_case "matches the quadratic reference" `Slow matches_reference;
+    Alcotest.test_case "root over-satisfied gets first foreign probe" `Quick
+      over_satisfied_at_root;
+    Alcotest.test_case "failed literal changes the root" `Quick failed_literal_changes_root;
+    Alcotest.test_case "own-variable probe skipped" `Quick own_variable_probe_skipped;
   ]
