@@ -14,8 +14,7 @@
    throughput comparison.
 
    With --min-ratio, exits non-zero unless hybrid reaches at least R x
-   the counting throughput on the clause-heavy suite — the acceptance
-   gate the regress baseline carries forward. *)
+   the counting throughput on the clause-heavy suite. *)
 
 open Pbo
 module Core = Engine.Solver_core

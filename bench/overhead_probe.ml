@@ -1,5 +1,4 @@
-(* Observability overhead measurement shared by obsd_overhead.exe (the
-   standalone gate) and regress.exe (the obsd_overhead_pct column).
+(* Observability overhead measurement behind obsd_overhead.exe.
 
    Two arms solve the same node-limited instance, so both do identical
    search work, under IDENTICAL process topology — observed profile

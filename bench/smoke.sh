@@ -137,6 +137,19 @@ timeout 20 ./_build/default/bin/bsolo_main.exe "$tmpdir/hugevar.cnf" >"$tmpdir/h
   echo "FAIL: huge DIMACS variable index: exit $rc"; cat "$tmpdir/hugevar-cnf.out"; exit 1;
 }
 
+echo "== non-positive --heartbeat-every is rejected before any sink opens =="
+# A zero period would snapshot on every ticker turn; a negative one has
+# no meaning.  Both must be refused up front, leaving no heartbeat file.
+for every in 0 -1; do
+  rc=0
+  ./_build/default/bin/bsolo_main.exe benchmarks/synth-s1.opb \
+    --heartbeat "$tmpdir/hb-bad.jsonl" --heartbeat-every="$every" \
+    >"$tmpdir/hb-bad.out" 2>&1 || rc=$?
+  [ "$rc" = 2 ] && [ ! -e "$tmpdir/hb-bad.jsonl" ] || {
+    echo "FAIL: --heartbeat-every $every: exit $rc"; cat "$tmpdir/hb-bad.out"; exit 1;
+  }
+done
+
 echo "== validate JSON report =="
 grep -q '"schema":"bsolo-run-report/1"' "$tmpdir/report.json" || {
   echo "FAIL: report schema marker missing"; exit 1;

@@ -97,6 +97,10 @@ let solve_file path engine lb bcp time_limit conflict_limit no_cuts cuts_mode cu
       | Ok (host, port) -> Some (host, port)
       | Error msg -> fatal ("--listen: " ^ msg))
   in
+  (* A zero or negative cadence would spin the heartbeat ticker (a
+     snapshot every loop turn) and collapse --listen's stall window. *)
+  if not (Float.is_finite heartbeat_every && heartbeat_every > 0.) then
+    fatal "--heartbeat-every needs a positive, finite number of seconds";
   (match record_ring with
   | Some _ when record_file = None -> fatal "--record-ring needs --record FILE"
   | Some n when n <= 0 -> fatal "--record-ring needs a positive event count"
@@ -790,7 +794,7 @@ let heartbeat_arg =
   Arg.(value & opt (some string) None & info [ "heartbeat" ] ~docv:"FILE" ~doc)
 
 let heartbeat_every_arg =
-  let doc = "Heartbeat period in seconds." in
+  let doc = "Heartbeat period in seconds; must be positive." in
   Arg.(value & opt float 1.0 & info [ "heartbeat-every" ] ~docv:"SECONDS" ~doc)
 
 let profile_hz_arg =
@@ -874,23 +878,6 @@ let inspect_report path json =
   print_newline ();
   print_endline "cut pool and presolve:";
   print_lines (Inspect.render_cuts json);
-  print_newline ()
-
-let inspect_bench path json =
-  Printf.printf "== %s (bench regression report) ==\n" path;
-  let rev = Option.bind (Inspect.Json.member "rev" json) Inspect.Json.to_string_opt in
-  Printf.printf "rev=%s\n\n" (Option.value ~default:"?" rev);
-  Printf.printf "%-28s %-12s %-14s %10s %10s %10s %10s %8s %11s %6s %6s %8s\n" "instance" "solver"
-    "status" "cost" "elapsed" "nodes" "conflicts" "imports" "props/s" "cuts" "active" "presolve";
-  List.iter
-    (fun (r : Inspect.Bench.row) ->
-      Printf.printf "%-28s %-12s %-14s %10s %10.3f %10d %10d %8d %11s %6d %6d %8d\n" r.name
-        r.solver r.status
-        (match r.cost with None -> "-" | Some c -> string_of_int c)
-        r.elapsed r.nodes r.conflicts r.imports
-        (if r.props_per_sec > 0. then Printf.sprintf "%.0f" r.props_per_sec else "-")
-        r.cuts_separated r.cuts_active r.presolve_reductions)
-    (Inspect.Bench.rows_of_json json);
   print_newline ()
 
 (* Tail a heartbeat JSONL file, re-rendering the status view as
@@ -1062,18 +1049,16 @@ let inspect_run files diff_mode trace_file spans_file live_file follow check pro
       | [] -> 0
       | path :: rest ->
         load path (fun json ->
-            (match Inspect.schema_of json with
-            | Some s when s = Inspect.Bench.schema -> inspect_bench path json
-            | Some _ | None -> inspect_report path json);
+            inspect_report path json;
             go rest)
     in
     go files
 
 let inspect_files_arg =
   let doc =
-    "Run report(s) (--json output) or bench regression reports to analyse; or \
-     $(b,forensics) $(i,RECORDING) to reconstruct the search tree from a --record flight \
-     recording (per-procedure subtree blame by depth band, wasted work, gap stalls)."
+    "Run report(s) (--json output) to analyse; or $(b,forensics) $(i,RECORDING) to \
+     reconstruct the search tree from a --record flight recording (per-procedure subtree \
+     blame by depth band, wasted work, gap stalls)."
   in
   Arg.(value & pos_all string [] & info [] ~docv:"REPORT" ~doc)
 

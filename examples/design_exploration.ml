@@ -1,6 +1,6 @@
 (* Design-space exploration on top of the solver API: enumerate all
-   optimal configurations, re-optimize under assumptions (what-if
-   queries), and solve a soft-constraint variant via the MaxSAT layer.
+   optimal configurations and re-optimize under assumptions (what-if
+   queries).
 
    The scenario: mapping four accelerator kernels onto two compute tiles
    with a shared-memory conflict and per-tile energy costs.
@@ -39,30 +39,6 @@ let () =
   let assumed =
     Bsolo.Solver.solve_under_assumptions ~assumptions:[ Lit.pos k.(0) ] problem
   in
-  (match Bsolo.Outcome.best_cost assumed with
+  match Bsolo.Outcome.best_cost assumed with
   | Some c -> Format.printf "@.with k0 pinned to the fast tile: slowdown %d@." c
-  | None -> Format.printf "@.k0 cannot run on the fast tile@.");
-
-  (* 3. soft-constraint variant via MaxSAT: the bank conflict becomes a
-     soft preference with weight 3 *)
-  let hard =
-    [
-      (* at-most-two as clauses over triples *)
-      [ Lit.neg k.(0); Lit.neg k.(1); Lit.neg k.(2) ];
-      [ Lit.neg k.(0); Lit.neg k.(1); Lit.neg k.(3) ];
-      [ Lit.neg k.(0); Lit.neg k.(2); Lit.neg k.(3) ];
-      [ Lit.neg k.(1); Lit.neg k.(2); Lit.neg k.(3) ];
-    ]
-  in
-  let soft =
-    (3, [ Lit.neg k.(0); Lit.neg k.(1) ])
-    :: List.init 4 (fun i -> penalty.(i), [ Lit.pos k.(i) ])
-  in
-  let wpm = Maxsat.Wpm.make ~nvars:4 ~hard ~soft in
-  match Maxsat.Wpm.solve wpm with
-  | Maxsat.Wpm.Optimum { model; falsified_weight } ->
-    Format.printf "@.soft variant: violated preference weight %d; fast tile runs" falsified_weight;
-    Array.iteri (fun j v -> if Model.value model v then Format.printf " k%d" j) k;
-    Format.printf "@."
-  | Maxsat.Wpm.Unsatisfiable -> Format.printf "@.soft variant infeasible@."
-  | Maxsat.Wpm.Unknown_result -> Format.printf "@.soft variant: no result@."
+  | None -> Format.printf "@.k0 cannot run on the fast tile@."

@@ -1,11 +1,11 @@
 (** Derived analyses over the observability artifacts.
 
     Consumes the [--json] run reports and [--trace] JSONL streams written
-    by the solvers (see [docs/OBSERVABILITY.md]) and the bench regression
-    reports ([BENCH_*.json]), and produces the derived views behind
-    [bsolo inspect]: per-procedure effectiveness, gap-closure timeline,
-    search-tree shape, report diffs and trace summaries.  Pure functions
-    from parsed JSON so everything is unit-testable. *)
+    by the solvers (see [docs/OBSERVABILITY.md]), and produces the
+    derived views behind [bsolo inspect]: per-procedure effectiveness,
+    gap-closure timeline, search-tree shape, report diffs and trace
+    summaries.  Pure functions from parsed JSON so everything is
+    unit-testable. *)
 
 module Json = Telemetry.Json
 
@@ -92,74 +92,11 @@ type diff_entry = {
 }
 
 val diff : threshold:float -> Json.t -> Json.t -> diff_entry list
-(** Compare two reports; flags counter/time increases beyond
-    [1 + threshold] (above small noise floors).  Two bench reports are
-    compared instance-wise, anything else as run reports. *)
+(** Compare two run reports; flags counter/time increases beyond
+    [1 + threshold] (above small noise floors). *)
 
 val render_diff : ?all:bool -> diff_entry list -> string list
 val has_regression : diff_entry list -> bool
-
-(** {1 Bench regression reports} *)
-
-module Bench : sig
-  val schema : string
-  (** ["bsolo-bench-regress/1"]. *)
-
-  type row = {
-    name : string;
-    solver : string;
-    status : string;
-    cost : int option;
-    elapsed : float;
-    nodes : int;
-    conflicts : int;
-    bound_conflicts : int;
-    lb_calls : int;
-    simplex_iters : int;  (** total simplex pivots, warm + cold ([simplex.iterations]) *)
-    warm_hits : int;  (** warm-started LP re-solves ([lpr.warm_hits]) *)
-    imports : int;
-        (** shared-incumbent imports ([portfolio.incumbent_imports]) on
-            portfolio rows; 0 on single-engine rows and in reports written
-            before the field existed *)
-    proof_steps : int;
-        (** derivation steps in the run's checked proof log; 0 when the
-            report was produced without [--proof], which gates the diff
-            exactly like [simplex_iters] *)
-    check_ms : float;  (** [checkproof] replay time in milliseconds *)
-    props_per_sec : float;
-        (** propagation throughput (implied assignments per second of
-            solve wall time); 0 = not measured; higher is better, the
-            diff flags drops *)
-    cuts_separated : int;
-        (** LP cuts separated across all families ([cuts.*.separated]);
-            0 on baselines written before cut separation existed, which
-            gates the diff exactly like [props_per_sec] *)
-    cuts_active : int;  (** cuts still pooled at the end (applied minus evicted) *)
-    presolve_reductions : int;  (** exact presolve reductions ([presolve.reductions]) *)
-  }
-
-  val row_json : row -> Json.t
-
-  val make :
-    ?obsd_overhead_pct:float ->
-    rev:string ->
-    limit:float ->
-    scale:float ->
-    per_family:int ->
-    row list ->
-    Json.t
-  (** [obsd_overhead_pct], when measured (bench/obsd_overhead), is the
-      CPU cost of serving live /metrics + /status + /events during a
-      solve as a percentage of the solve itself.  {!diff} gates it
-      absolutely (candidate above 2%), not against the baseline value:
-      the measurement is noise-centred near zero, so a ratio between two
-      near-zero numbers would be meaningless.  Reports without the field
-      skip the comparison, like the other late-added columns. *)
-
-  val rows_of_json : Json.t -> row list
-  val solved : string -> bool
-  val diff : threshold:float -> Json.t -> Json.t -> diff_entry list
-end
 
 (** {1 Trace summary} *)
 

@@ -3,93 +3,57 @@
    on the hot path. *)
 
 type t =
-  | Parse
   | Preprocess
   | Propagate
-  | Decide
   | Analyze
   | Reduce_db
   | Lower_bound
   | Simplex
   | Subgradient
   | Cut_generation
-  | Certify
-  | Report
-  | Other
 
-let count = 13
+let count = 8
 
 let index = function
-  | Parse -> 0
-  | Preprocess -> 1
-  | Propagate -> 2
-  | Decide -> 3
-  | Analyze -> 4
-  | Reduce_db -> 5
-  | Lower_bound -> 6
-  | Simplex -> 7
-  | Subgradient -> 8
-  | Cut_generation -> 9
-  | Certify -> 10
-  | Report -> 11
-  | Other -> 12
+  | Preprocess -> 0
+  | Propagate -> 1
+  | Analyze -> 2
+  | Reduce_db -> 3
+  | Lower_bound -> 4
+  | Simplex -> 5
+  | Subgradient -> 6
+  | Cut_generation -> 7
 
 let name = function
-  | Parse -> "parse"
   | Preprocess -> "preprocess"
   | Propagate -> "propagate"
-  | Decide -> "decide"
   | Analyze -> "analyze"
   | Reduce_db -> "reduce_db"
   | Lower_bound -> "lower_bound"
   | Simplex -> "simplex"
   | Subgradient -> "subgradient"
   | Cut_generation -> "cut_generation"
-  | Certify -> "certify"
-  | Report -> "report"
-  | Other -> "other"
 
 (* Inverse of [index]; out-of-range indices answer [None] so decoders of
    externally sampled stacks (Profile cells) never raise. *)
 let of_index = function
-  | 0 -> Some Parse
-  | 1 -> Some Preprocess
-  | 2 -> Some Propagate
-  | 3 -> Some Decide
-  | 4 -> Some Analyze
-  | 5 -> Some Reduce_db
-  | 6 -> Some Lower_bound
-  | 7 -> Some Simplex
-  | 8 -> Some Subgradient
-  | 9 -> Some Cut_generation
-  | 10 -> Some Certify
-  | 11 -> Some Report
-  | 12 -> Some Other
+  | 0 -> Some Preprocess
+  | 1 -> Some Propagate
+  | 2 -> Some Analyze
+  | 3 -> Some Reduce_db
+  | 4 -> Some Lower_bound
+  | 5 -> Some Simplex
+  | 6 -> Some Subgradient
+  | 7 -> Some Cut_generation
   | _ -> None
 
 (* Phases coarse enough to emit one tracing span per entry.  The inner
-   search phases (propagate/decide/analyze) fire thousands of times per
-   second: span-tracing them would swamp any trace file, so they are
-   visible to the sampling profiler (phase cells) but not to Span. *)
+   search phases (propagate/analyze) fire thousands of times per second:
+   span-tracing them would swamp any trace file, so they are visible to
+   the sampling profiler (phase cells) but not to Span. *)
 let coarse = function
-  | Parse | Preprocess | Reduce_db | Lower_bound | Simplex | Subgradient | Cut_generation
-  | Certify | Report ->
-    true
-  | Propagate | Decide | Analyze | Other -> false
+  | Preprocess | Reduce_db | Lower_bound | Simplex | Subgradient | Cut_generation -> true
+  | Propagate | Analyze -> false
 
 let all =
-  [
-    Parse;
-    Preprocess;
-    Propagate;
-    Decide;
-    Analyze;
-    Reduce_db;
-    Lower_bound;
-    Simplex;
-    Subgradient;
-    Cut_generation;
-    Certify;
-    Report;
-    Other;
-  ]
+  [ Preprocess; Propagate; Analyze; Reduce_db; Lower_bound; Simplex; Subgradient; Cut_generation ]

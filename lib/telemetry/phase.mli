@@ -4,19 +4,14 @@
     accumulate into a flat array without hashing on the hot path. *)
 
 type t =
-  | Parse
   | Preprocess
   | Propagate
-  | Decide
   | Analyze
   | Reduce_db
   | Lower_bound
   | Simplex
   | Subgradient
   | Cut_generation
-  | Certify
-  | Report
-  | Other
 
 val count : int
 (** Number of phases; [index] is a bijection onto [0 .. count - 1]. *)
@@ -29,7 +24,7 @@ val of_index : int -> t option
 
 val coarse : t -> bool
 (** Whether the phase is coarse enough for one {!Span} per entry.  The
-    hot inner-search phases (propagate, decide, analyze) answer [false]:
+    hot inner-search phases (propagate, analyze) answer [false]:
     they fire thousands of times per second and are observed by the
     sampling profiler instead. *)
 

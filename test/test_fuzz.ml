@@ -24,16 +24,6 @@ let dimacs_fuzz () =
     | exception Pbo.Dimacs.Parse_error _ -> ()
   done
 
-let wcnf_fuzz () =
-  let rng = Random.State.make [| 0x3c |] in
-  let alphabet = "0123456789 -pc wcnf\n" in
-  for _ = 1 to 3000 do
-    let text = random_text rng (Random.State.int rng 60) alphabet in
-    match Maxsat.Wpm.parse_wcnf_string text with
-    | (_ : Maxsat.Wpm.t) -> ()
-    | exception Maxsat.Wpm.Parse_error _ -> ()
-  done
-
 (* Structured fuzz: parse output of the printer with random mutations that
    keep the token structure valid. *)
 let opb_structured_fuzz () =
@@ -84,7 +74,6 @@ let suite =
   [
     Alcotest.test_case "opb fuzz" `Quick opb_fuzz;
     Alcotest.test_case "dimacs fuzz" `Quick dimacs_fuzz;
-    Alcotest.test_case "wcnf fuzz" `Quick wcnf_fuzz;
     Alcotest.test_case "opb whitespace robustness" `Quick opb_structured_fuzz;
     Alcotest.test_case "opb oversized integers" `Quick opb_oversized;
   ]

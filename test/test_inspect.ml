@@ -197,110 +197,6 @@ let test_diff_noise_floor () =
   let entries = Inspect.diff ~threshold:0.25 base cand in
   Alcotest.(check bool) "noise not flagged" false (Inspect.has_regression entries)
 
-(* --- bench regression schema ----------------------------------------------- *)
-
-let bench_row name elapsed nodes : Inspect.Bench.row =
-  {
-    name;
-    solver = "LPR";
-    status = "OPTIMAL";
-    cost = Some 9;
-    elapsed;
-    nodes;
-    conflicts = nodes / 2;
-    bound_conflicts = nodes / 3;
-    lb_calls = nodes / 3;
-    simplex_iters = nodes * 2;
-    warm_hits = nodes / 4;
-    imports = 0;
-    proof_steps = nodes * 3;
-    check_ms = float_of_int nodes;
-    props_per_sec = (if elapsed > 0. then float_of_int nodes /. elapsed else 0.);
-    cuts_separated = nodes / 5;
-    cuts_active = nodes / 10;
-    presolve_reductions = 2;
-  }
-
-let test_bench_golden () =
-  let report =
-    Inspect.Bench.make ~rev:"abc1234" ~limit:1.0 ~scale:0.25 ~per_family:2
-      [ bench_row "grout-2-2:1" 0.5 120 ]
-  in
-  let expected =
-    "{\"schema\":\"bsolo-bench-regress/1\",\"rev\":\"abc1234\",\"limit\":1.0,\
-     \"scale\":0.25,\"per_family\":2,\"instances\":[{\"name\":\"grout-2-2:1\",\
-     \"solver\":\"LPR\",\"status\":\"OPTIMAL\",\"cost\":9,\"elapsed\":0.5,\
-     \"nodes\":120,\"conflicts\":60,\"bound_conflicts\":40,\"lb_calls\":40,\
-     \"simplex_iters\":240,\"warm_hits\":30,\"imports\":0,\
-     \"proof_steps\":360,\"check_ms\":120.0,\"props_per_sec\":240.0,\"cuts_separated\":24,\"cuts_active\":12,\"presolve_reductions\":2}]}"
-  in
-  Alcotest.(check string) "golden serialization" expected (Json.to_string report)
-
-let test_bench_roundtrip () =
-  let rows = [ bench_row "a:1" 0.25 200; { (bench_row "a:2" 1.5 64) with cost = None; status = "UNKNOWN" } ] in
-  let json = Inspect.Bench.make ~rev:"dev" ~limit:1.0 ~scale:0.5 ~per_family:1 rows in
-  let reparsed =
-    match Json.of_string (Json.to_string json) with
-    | Ok v -> v
-    | Error msg -> Alcotest.failf "reparse: %s" msg
-  in
-  Alcotest.(check (option string)) "schema" (Some Inspect.Bench.schema)
-    (Inspect.schema_of reparsed);
-  let rows' = Inspect.Bench.rows_of_json reparsed in
-  Alcotest.(check int) "row count" 2 (List.length rows');
-  List.iter2
-    (fun (a : Inspect.Bench.row) (b : Inspect.Bench.row) ->
-      Alcotest.(check string) "name" a.name b.name;
-      Alcotest.(check (option int)) "cost" a.cost b.cost;
-      check_float "elapsed" a.elapsed b.elapsed;
-      Alcotest.(check int) "nodes" a.nodes b.nodes;
-      Alcotest.(check int) "lb_calls" a.lb_calls b.lb_calls)
-    rows rows';
-  (* A report diffed against itself is clean... *)
-  let entries = Inspect.diff ~threshold:0.25 reparsed reparsed in
-  Alcotest.(check bool) "self-diff clean" false (Inspect.has_regression entries);
-  (* ...and a doctored slowdown/status-loss is caught instance-wise. *)
-  let doctored =
-    Inspect.Bench.make ~rev:"dev" ~limit:1.0 ~scale:0.5 ~per_family:1
-      [
-        { (bench_row "a:1" 0.9 500) with status = "UNKNOWN"; cost = None };
-        List.nth rows 1;
-      ]
-  in
-  let entries = Inspect.diff ~threshold:0.25 reparsed doctored in
-  Alcotest.(check bool) "doctored flagged" true (Inspect.has_regression entries);
-  let regressed =
-    List.filter_map
-      (fun (e : Inspect.diff_entry) -> if e.regression then Some e.key else None)
-      entries
-  in
-  Alcotest.(check (list string)) "regressed keys"
-    [
-      "a:1.status";
-      "a:1.cost";
-      "a:1.elapsed";
-      "a:1.nodes";
-      "a:1.simplex_iters";
-      "a:1.proof_steps";
-      "a:1.check_ms";
-      "a:1.props_per_sec";
-    ]
-    regressed
-
-let test_bench_missing_instance () =
-  let base =
-    Inspect.Bench.make ~rev:"a" ~limit:1.0 ~scale:0.5 ~per_family:1
-      [ bench_row "x:1" 0.1 10; bench_row "x:2" 0.1 10 ]
-  in
-  let cand =
-    Inspect.Bench.make ~rev:"b" ~limit:1.0 ~scale:0.5 ~per_family:1 [ bench_row "x:1" 0.1 10 ]
-  in
-  let entries = Inspect.Bench.diff ~threshold:0.25 base cand in
-  Alcotest.(check bool) "missing instance is a regression" true
-    (List.exists
-       (fun (e : Inspect.diff_entry) -> e.key = "x:2.missing" && e.regression)
-       entries)
-
 (* --- trace summary ------------------------------------------------------------ *)
 
 let test_trace_summary () =
@@ -347,8 +243,5 @@ let suite =
     Alcotest.test_case "diff flags 2x slowdown" `Quick test_diff_flags_slowdown;
     Alcotest.test_case "diff below threshold" `Quick test_diff_below_threshold;
     Alcotest.test_case "diff noise floor" `Quick test_diff_noise_floor;
-    Alcotest.test_case "bench golden file" `Quick test_bench_golden;
-    Alcotest.test_case "bench schema round-trip" `Quick test_bench_roundtrip;
-    Alcotest.test_case "bench missing instance" `Quick test_bench_missing_instance;
     Alcotest.test_case "trace summary" `Quick test_trace_summary;
   ]

@@ -27,7 +27,7 @@ let timer_nesting () =
   let total = T.Timer.total_seconds t in
   let sum = List.fold_left (fun acc (_, s) -> acc +. s) 0. (T.Timer.snapshot t) in
   Alcotest.(check (float 1e-9)) "snapshot partitions total" total sum;
-  Alcotest.(check (float 0.)) "unused phase is zero" 0. (T.Timer.self_seconds t T.Phase.Parse)
+  Alcotest.(check (float 0.)) "unused phase is zero" 0. (T.Timer.self_seconds t T.Phase.Subgradient)
 
 let timer_accumulates () =
   let t = T.Timer.create ~enabled:true () in
