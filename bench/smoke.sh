@@ -11,7 +11,8 @@
 # accounting reconciled, a --record-ring run killed with SIGTERM whose
 # tail must still parse, and stitched --portfolio recordings (--jobs 2
 # and --jobs 1, whose forensics accounting must reconcile); pbs and
-# galena recordings replay and reconcile the same way.  The
+# galena recordings replay and reconcile the same way, and so do runs
+# under non-default search flags.  The
 # three --bcp propagation modes must produce identical optima and a
 # hybrid recording must replay cleanly under all three.
 # Exits non-zero on the first failure.
@@ -352,6 +353,28 @@ for engine in pbs galena; do
     cat "$tmpdir/$engine-forensics.out"; exit 1;
   }
   echo "$engine: $(grep '^c replay:' "$tmpdir/$engine-replay.out")"
+done
+
+echo "== recordings under non-default search flags replay =="
+# Every search flag must land in the recording header: a run made with
+# flags off their preset values replays only if replay rebuilds them.
+# On knap-s2 the first case searches 2038 decisions, the default 504.
+for case in "knap-s2 --cuts root --no-lp-branching --no-adaptive-lb --no-presolve" \
+            "synth-s1 --engine pbs --lb lpr"; do
+  instance="benchmarks/${case%% *}.opb"
+  flags="${case#* }"
+  timeout 120 "$bsolo" "$instance" $flags --timeout 60 \
+    --record "$tmpdir/flags.rec" >"$tmpdir/flags-rec.out" 2>&1 || {
+    echo "FAIL: recorded solve with $flags failed"; cat "$tmpdir/flags-rec.out"; exit 1;
+  }
+  timeout 120 "$bsolo" replay "$instance" "$tmpdir/flags.rec" --check \
+    >"$tmpdir/flags-replay.out" 2>&1 || {
+    echo "FAIL: replay --check of the run with $flags diverged"; cat "$tmpdir/flags-replay.out"; exit 1;
+  }
+  grep -q '^s REPLAY OK' "$tmpdir/flags-replay.out" || {
+    echo "FAIL: no REPLAY OK verdict for the run with $flags"; cat "$tmpdir/flags-replay.out"; exit 1;
+  }
+  echo "$case: $(grep '^c replay:' "$tmpdir/flags-replay.out")"
 done
 
 echo "== ring recording leaves a parseable tail after SIGTERM =="

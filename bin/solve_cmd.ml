@@ -1,0 +1,838 @@
+(* `bsolo solve` (the default command): solve an OPB/CNF instance with
+   one engine or the portfolio, optionally observed by any of the
+   telemetry sinks.  The search flags are generated from the settings
+   table in {!Bsolo.Options}. *)
+
+open Cmdliner
+
+let parse path =
+  if Filename.check_suffix path ".cnf" || Filename.check_suffix path ".dimacs" then
+    Pbo.Dimacs.parse_file path
+  else Pbo.Opb.parse_file path
+
+(* Phase table and counter dump, PB-competition comment style, on stderr
+   so the `s`/`o`/`v` protocol lines on stdout stay machine-parsable. *)
+let print_stats tel elapsed =
+  let phases = Telemetry.Timer.snapshot tel.Telemetry.Ctx.timer in
+  let covered = List.fold_left (fun acc (_, s) -> acc +. s) 0. phases in
+  Printf.eprintf "c phase times (self seconds):\n";
+  List.iter
+    (fun (p, s) ->
+      Printf.eprintf "c   %-12s %8.3f  %5.1f%%\n" (Telemetry.Phase.name p) s
+        (if elapsed > 0. then 100. *. s /. elapsed else 0.))
+    phases;
+  Printf.eprintf "c   %-12s %8.3f  (elapsed %.3f, covered %.1f%%)\n" "total" covered elapsed
+    (if elapsed > 0. then 100. *. covered /. elapsed else 0.);
+  let counters = Telemetry.Registry.counters tel.registry in
+  if counters <> [] then begin
+    Printf.eprintf "c counters:\n";
+    List.iter (fun (name, v) -> Printf.eprintf "c   %-28s %d\n" name v) counters
+  end;
+  let gauges = Telemetry.Registry.gauges tel.registry in
+  if gauges <> [] then begin
+    Printf.eprintf "c gauges:\n";
+    List.iter (fun (name, v) -> Printf.eprintf "c   %-28s %g\n" name v) gauges
+  end
+
+let unsupported msg =
+  Printf.eprintf "c parse error: %s\n" msg;
+  print_string "s UNSUPPORTED\n";
+  2
+
+let fatal msg =
+  Printf.eprintf "c error: %s\n%!" msg;
+  exit 2
+
+(* Random hex run id: correlates every artifact (report, trace, spans,
+   heartbeats, proof log) a single invocation leaves behind. *)
+let make_run_id () =
+  let st = Random.State.make_self_init () in
+  String.concat "" (List.init 4 (fun _ -> Printf.sprintf "%04x" (Random.State.bits st land 0xffff)))
+
+(* Where a solve reports: logging, the run report, and every telemetry
+   and certificate sink. *)
+type sinks = {
+  verbosity : int;
+  stats : bool;
+  trace_file : string option;
+  json_file : string option;
+  proof_file : string option;
+  progress_every : int;
+  span_file : string option;
+  heartbeat_file : string option;
+  heartbeat_every : float;
+  profile_hz : float;
+  metrics_file : string option;
+  record_file : string option;
+  record_ring : int option;
+  listen : string option;
+}
+
+(* [engine] names the preset [options] started from, or "milp". *)
+let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t) sinks =
+  let { verbosity; stats; trace_file; json_file; proof_file; progress_every; span_file;
+        heartbeat_file; heartbeat_every; profile_hz; metrics_file; record_file; record_ring;
+        listen } =
+    sinks
+  in
+  if verbosity > 0 then begin
+    Logs.set_reporter (Logs_fmt.reporter ());
+    Logs.set_level (Some (if verbosity = 1 then Logs.Info else Logs.Debug))
+  end;
+  (* Only the search driver produces derivation steps, and only while it
+     learns clauses: bsolo and pbs log, the portfolio stitches its
+     logging members.  Galena's cardinality reductions and the MILP
+     baseline's LP prunes have no steps, and a silently step-free or
+     learning-free "proof" from them would be worse than an error. *)
+  if proof_file <> None && (engine = "galena" || engine = "milp") && not portfolio then
+    fatal
+      ("--proof is only supported by the bsolo and pbs engines and --portfolio (got --engine "
+      ^ engine ^ ")");
+  (* Validate the listen address before any work: a typo'd --listen must
+     fail fast, not after a long parse. *)
+  let listen_addr =
+    Option.map
+      (fun spec ->
+        match Obsd.Client.parse_addr spec with
+        | Ok addr -> addr
+        | Error msg -> fatal ("--listen: " ^ msg))
+      listen
+  in
+  (* A zero or negative cadence would spin the heartbeat ticker (a
+     snapshot every loop turn) and collapse --listen's stall window. *)
+  if not (Float.is_finite heartbeat_every && heartbeat_every > 0.) then
+    fatal "--heartbeat-every needs a positive, finite number of seconds";
+  (match record_ring with
+  | Some _ when record_file = None -> fatal "--record-ring needs --record FILE"
+  | Some n when n <= 0 -> fatal "--record-ring needs a positive event count"
+  | Some _ when portfolio ->
+    fatal "--record-ring is not supported with --portfolio (members stream direct recordings)"
+  | Some _ | None -> ());
+  (* Open the sink before parsing so a bad --proof path fails fast.  The
+     portfolio manages its own per-member part sinks and stitches the
+     final file itself, so no sink is opened here in that mode. *)
+  let proof_sink =
+    match proof_file with
+    | Some f when not portfolio -> (
+      try Some (Proof.Sink.open_file f)
+      with Sys_error msg -> fatal ("cannot open proof file: " ^ msg))
+    | Some _ | None -> None
+  in
+  (* A parse abort must not leave a truncated proof log behind: terminate
+     whatever was requested with a well-formed empty derivation and the
+     NONE conclusion, then close (flush) the sink. *)
+  let unsupported msg =
+    (match proof_sink with
+    | Some sink ->
+      Proof.Sink.write sink ("p " ^ Proof.version);
+      Proof.Sink.write sink "f 0";
+      Proof.Sink.write sink "c NONE";
+      Proof.Sink.close sink
+    | None -> (
+      match proof_file with
+      | Some f -> (
+        try
+          let oc = open_out f in
+          Printf.fprintf oc "p %s\nf 0\nc NONE\n" Proof.version;
+          close_out oc
+        with Sys_error _ -> ())
+      | None -> ()));
+    unsupported msg
+  in
+  match parse path with
+  | exception (Pbo.Opb.Parse_error msg | Pbo.Dimacs.Parse_error msg | Sys_error msg) ->
+    unsupported msg
+  | problem ->
+    Logs.debug (fun m ->
+        m "parsed %s: %d vars, %d constraints%s" path (Pbo.Problem.nvars problem)
+          (Array.length (Pbo.Problem.constraints problem))
+          (if Pbo.Problem.is_satisfaction problem then " (satisfaction)" else ""));
+    let options = { options with proof = Option.map (fun s -> Proof.create s problem) proof_sink } in
+    let run_id = make_run_id () in
+    let started = Unix.gettimeofday () in
+    let want_report = stats || json_file <> None in
+    let observing =
+      span_file <> None || heartbeat_file <> None || profile_hz > 0. || metrics_file <> None
+      || listen_addr <> None
+    in
+    let want_telemetry =
+      want_report || trace_file <> None || progress_every > 0 || observing
+      || record_file <> None
+    in
+    (* The run header: the flight recording's header frame and, rendered
+       as JSON, the trace's first line.  Its flags snapshot the
+       tree-shaping options exactly as `bsolo replay` will reconstruct
+       them. *)
+    let header =
+      {
+        Telemetry.Recorder.h_run_id = run_id;
+        h_engine = (if portfolio then "portfolio" else engine);
+        h_lb_method = Bsolo.Options.name Bsolo.Options.lb_methods options.lb_method;
+        h_started = started;
+        h_nvars = Pbo.Problem.nvars problem;
+        h_nconstraints = Array.length (Pbo.Problem.constraints problem);
+        h_flags = Bsolo.Replay.flags_of_options options;
+        h_lb_every = 1;
+        h_lgr_iters = options.lgr_iters;
+      }
+    in
+    (* Flight recorder: opened before the telemetry context so the context
+       owns it (and tees it onto the trace) and every engine emits through
+       it.  The portfolio manages its own per-member part recordings and
+       stitches the final file itself, so none is opened here in that
+       mode. *)
+    let recorder =
+      match record_file with
+      | Some f when not portfolio -> (
+        try Some (Telemetry.Recorder.open_file ?ring:record_ring f header)
+        with Sys_error msg -> fatal ("cannot open recording file: " ^ msg))
+      | Some _ | None -> None
+    in
+    let tel =
+      if not want_telemetry then None
+      else begin
+        let trace =
+          match trace_file with
+          | None -> None
+          | Some f -> (
+            try
+              let tr = Telemetry.Trace.open_file f in
+              Telemetry.Recorder.trace_header tr header;
+              Some tr
+            with Sys_error msg -> fatal ("cannot open trace file: " ^ msg))
+        in
+        let spans =
+          match span_file with
+          | None -> None
+          | Some f -> (
+            try
+              let sp = Telemetry.Span.open_file f in
+              Telemetry.Span.header sp ~run_id ~started;
+              Some sp
+            with Sys_error msg -> fatal ("cannot open span file: " ^ msg))
+        in
+        (* The main-context cell: observed whenever anything samples it
+           (spans, profiler, heartbeats, metrics), inert otherwise so
+           silent runs keep the zero-cost hot path. *)
+        let cell =
+          if observing then begin
+            let name = if portfolio then "main" else engine in
+            let c = Telemetry.Profile.Cell.make ~observed:true ~name () in
+            (match spans with
+            | Some sp -> Telemetry.Span.name_track sp ~track:(Telemetry.Profile.Cell.track c) name
+            | None -> ());
+            Telemetry.Profile.register c;
+            Some c
+          end
+          else None
+        in
+        let progress =
+          if progress_every > 0 then
+            Some
+              (Telemetry.Progress.make ~every:progress_every ~out:(fun line ->
+                   Printf.eprintf "c %s\n%!" line))
+          else None
+        in
+        Some (Telemetry.Ctx.create ~timing:want_report ?trace ?spans ?cell ?progress ?recorder ())
+      end
+    in
+    (* Heartbeat writer: opened before the solve so even an instant run
+       gets its header plus the start/stop snapshot pair. *)
+    let heartbeat =
+      match heartbeat_file, tel with
+      | Some f, Some _ -> (
+        try Some (Telemetry.Snapshot.open_file f ~run_id ~started ~every:heartbeat_every)
+        with Sys_error msg -> fatal ("cannot open heartbeat file: " ^ msg))
+      | _ -> None
+    in
+    (* Every Prometheus consumer — the --metrics textfile and the
+       server's GET /metrics — renders the same source list through the
+       same renderer, so the two outputs are byte-identical.  Live
+       parallel portfolio members contribute their private registries
+       under the [portfolio.<name>.] prefix their post-join merge will
+       use, so metric names are stable across a member finishing. *)
+    let member_lock = Mutex.create () in
+    let member_sources = ref [] in
+    let on_member_start name reg =
+      Mutex.lock member_lock;
+      member_sources := (name, reg) :: !member_sources;
+      Mutex.unlock member_lock
+    in
+    let on_member_done name =
+      Mutex.lock member_lock;
+      member_sources := List.filter (fun (n, _) -> n <> name) !member_sources;
+      Mutex.unlock member_lock
+    in
+    let metrics_sources () =
+      let mine =
+        match tel with Some t -> [ "", t.Telemetry.Ctx.registry ] | None -> []
+      in
+      Mutex.lock member_lock;
+      let members = List.rev !member_sources in
+      Mutex.unlock member_lock;
+      mine @ List.map (fun (name, reg) -> "portfolio." ^ name ^ ".", reg) members
+    in
+    let write_metrics () =
+      match metrics_file, tel with
+      | Some f, Some _ -> (
+        try Telemetry.Promtext.write_file_sources f (metrics_sources ())
+        with Sys_error _ -> ())
+      | _ -> ()
+    in
+    (* The observability server: /metrics, /status, /healthz and the
+       /events SSE stream, live for the duration of the solve.  /status
+       snapshots through its own collector, so its node rates measure
+       the interval between consecutive /status requests without
+       disturbing the heartbeat ticker's deltas. *)
+    let server_ref = ref None in
+    let status_coll = Telemetry.Snapshot.collector ?registry:(Option.map (fun t -> t.Telemetry.Ctx.registry) tel) () in
+    let status_json () =
+      let snap = Telemetry.Snapshot.take status_coll in
+      let server_stats =
+        match !server_ref with
+        | None -> []
+        | Some srv ->
+          let st = Obsd.Server.stats srv in
+          [
+            ( "server",
+              Telemetry.Json.Obj
+                [
+                  "clients", Telemetry.Json.Int st.Obsd.Server.clients;
+                  "served", Telemetry.Json.Int st.served;
+                  "dropped_frames", Telemetry.Json.Int st.dropped;
+                ] );
+          ]
+      in
+      Telemetry.Json.to_string
+        (Telemetry.Json.Obj
+           ([
+              "schema", Telemetry.Json.String "bsolo-status/1";
+              "run_id", Telemetry.Json.String run_id;
+              "engine",
+                Telemetry.Json.String (if portfolio then "portfolio" else engine);
+              "instance", Telemetry.Json.String path;
+              "started", Telemetry.Json.Float started;
+              "uptime", Telemetry.Json.Float (Unix.gettimeofday () -. started);
+              "snapshot", Telemetry.Snapshot.encode snap;
+            ]
+           @ server_stats))
+    in
+    (match listen_addr with
+    | None -> ()
+    | Some (host, port) ->
+      let srv =
+        try
+          Obsd.Server.create ~host ~port
+            ~metrics:(fun () -> Telemetry.Promtext.render_sources (metrics_sources ()))
+            ~status:status_json
+            ~stall_after:((3. *. heartbeat_every) +. 1.)
+            ()
+        with Unix.Unix_error (e, _, _) ->
+          fatal
+            (Printf.sprintf "--listen %s:%d: %s" host port (Unix.error_message e))
+      in
+      server_ref := Some srv;
+      (* Machine-parsed by the smoke harness; with port 0 this is the
+         only place the chosen port is reported. *)
+      Printf.printf "c obsd: listening on http://%s:%d\n%!" (Obsd.Server.host srv)
+        (Obsd.Server.port srv));
+    let stop_server () =
+      match !server_ref with
+      | None -> ()
+      | Some srv ->
+        server_ref := None;
+        let final =
+          Telemetry.Json.to_string
+            (Telemetry.Json.Obj
+               [
+                 "run_id", Telemetry.Json.String run_id;
+                 "t", Telemetry.Json.Float (Telemetry.Epoch.now ());
+               ])
+        in
+        Obsd.Server.stop ~final_event:("end", final) srv
+    in
+    (* Keep a trace / span file / heartbeat (and a proof log) parseable on
+       abnormal exit: close (flush) the sinks from signal handlers and
+       at_exit.  All closes are idempotent, so the normal shutdown path is
+       unaffected. *)
+    let close_sinks () =
+      Option.iter Telemetry.Ctx.close tel;
+      (match heartbeat with Some hb -> Telemetry.Snapshot.close hb | None -> ());
+      (* Connected /events subscribers get the final "end" frame within
+         the server's drain grace window before the sockets close. *)
+      stop_server ();
+      match proof_sink with Some s -> Proof.Sink.close s | None -> ()
+    in
+    if
+      (Option.is_some tel && (trace_file <> None || span_file <> None))
+      || Option.is_some heartbeat || Option.is_some proof_sink || Option.is_some recorder
+      || listen_addr <> None
+    then begin
+      at_exit close_sinks;
+      let close_and_exit n =
+        Sys.Signal_handle
+          (fun _ ->
+            close_sinks ();
+            exit (128 + n))
+      in
+      List.iter
+        (fun (signal, n) ->
+          try Sys.set_signal signal (close_and_exit n) with Invalid_argument _ | Sys_error _ -> ())
+        [ Sys.sigint, 2; Sys.sigterm, 15; Sys.sighup, 1 ]
+    end;
+    let start = Unix.gettimeofday () in
+    let incumbents = ref [] in
+    let note_incumbent cost =
+      incumbents := { Bsolo.Report.at = Unix.gettimeofday () -. start; cost } :: !incumbents
+    in
+    let options =
+      {
+        options with
+        telemetry = tel;
+        on_incumbent = Some (fun _ cost -> note_incumbent cost);
+      }
+    in
+    (* Correlate the proof log with the run's other artifacts, and trace
+       its periodic flushes as spans on the main track. *)
+    Option.iter (fun logger -> Proof.log_comment logger ("run " ^ run_id)) options.proof;
+    (match proof_sink, tel with
+    | Some sink, Some tel when span_file <> None ->
+      let track = Telemetry.Profile.Cell.track tel.Telemetry.Ctx.cell in
+      Proof.Sink.set_flush_hook sink (fun ~lines:_ ~seconds ->
+          Telemetry.Span.complete ~cat:"io" tel.spans ~track ~name:"proof_flush"
+            ~start:(Telemetry.Epoch.now () -. seconds) ~dur:seconds)
+    | _ -> ());
+    Logs.debug (fun m ->
+        m "engine=%s telemetry=%b options=%s" engine (tel <> None)
+          (Telemetry.Json.to_string (Bsolo.Report.options_json options)));
+    (* Live monitors: the heartbeat ticker (periodic + SIGUSR1-triggered
+       snapshots, each refreshing the metrics file) and the sampling
+       phase profiler, both on their own domains for the solve's
+       duration. *)
+    let ticker =
+      if heartbeat = None && !server_ref = None then None
+      else begin
+        let registry = Option.map (fun t -> t.Telemetry.Ctx.registry) tel in
+        (* One emit fans each snapshot out to every live consumer: the
+           heartbeat file (which owns file-order sequence numbers), the
+           SSE subscribers (with their own stream-order numbering), the
+           server's liveness beat, and an "incumbent" event whenever the
+           best bound improved since the previous snapshot. *)
+        let sse_seq = ref 0 in
+        let last_best = ref None in
+        let publish_snap snap =
+          (match heartbeat with
+          | Some hb -> Telemetry.Snapshot.write hb snap
+          | None -> ());
+          match !server_ref with
+          | None -> ()
+          | Some srv ->
+            Obsd.Server.beat srv;
+            let s = { snap with Telemetry.Snapshot.s_seq = !sse_seq } in
+            incr sse_seq;
+            Obsd.Server.publish srv ~event:"heartbeat"
+              ~data:(Telemetry.Json.to_string (Telemetry.Snapshot.encode s));
+            (match snap.Telemetry.Snapshot.s_best with
+            | Some (cost, from) when !last_best <> Some cost ->
+              last_best := Some cost;
+              Obsd.Server.publish srv ~event:"incumbent"
+                ~data:
+                  (Telemetry.Json.to_string
+                     (Telemetry.Json.Obj
+                        [
+                          "cost", Telemetry.Json.Float cost;
+                          "from", Telemetry.Json.String from;
+                          "t", Telemetry.Json.Float snap.Telemetry.Snapshot.s_t;
+                        ]))
+            | _ -> ())
+        in
+        let tk =
+          Telemetry.Snapshot.Ticker.start_emit ?registry ~on_tick:write_metrics
+            ~emit:publish_snap ~every:heartbeat_every ()
+        in
+        (try Sys.set_signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> Telemetry.Snapshot.Ticker.request tk))
+         with Invalid_argument _ | Sys_error _ -> ());
+        Some tk
+      end
+    in
+    let sampler =
+      if profile_hz > 0. then Some (Telemetry.Profile.Sampler.start ~hz:profile_hz ())
+      else None
+    in
+    let portfolio_run = ref None in
+    let outcome =
+      if portfolio then begin
+        let jobs =
+          match jobs with
+          | Some j -> max 1 j
+          | None -> Domain.recommended_domain_count ()
+        in
+        let budget = match options.time_limit with Some t -> t | None -> infinity in
+        Logs.debug (fun m -> m "portfolio: jobs=%d budget=%g" jobs budget);
+        let r =
+          Portfolio.solve ?telemetry:tel ~run_id ~observe:observing ~on_member_start
+            ~on_member_done ?proof_file ?record_file ~jobs ~budget problem
+        in
+        portfolio_run := Some (r, jobs);
+        r.outcome
+      end
+      else if engine = "milp" then Milp.Branch_and_bound.solve ~options problem
+      else Bsolo.Solver.solve ~options problem
+    in
+    (* Join the monitor domains before reports are assembled: the final
+       heartbeat and the profile result must reflect the whole solve. *)
+    let profile_result = Option.map Telemetry.Profile.Sampler.stop sampler in
+    (match ticker with
+    | None -> ()
+    | Some tk ->
+      Telemetry.Snapshot.Ticker.stop tk;
+      (try Sys.set_signal Sys.sigusr1 Sys.Signal_default
+       with Invalid_argument _ | Sys_error _ -> ()));
+    (match heartbeat with Some hb -> Telemetry.Snapshot.close hb | None -> ());
+    write_metrics ();
+    (match !server_ref with
+    | None -> ()
+    | Some srv ->
+      let st = Obsd.Server.stats srv in
+      stop_server ();
+      Printf.printf "c obsd: served %d requests, %d SSE frames dropped\n" st.Obsd.Server.served
+        st.dropped);
+    (* Portfolio members publish into their shared incumbent cell, not
+       into [options.on_incumbent]: the portfolio's trajectory is its
+       final incumbent. *)
+    if portfolio then Option.iter (fun (_, c) -> note_incumbent c) outcome.best;
+    (* Output in the PB-competition style. *)
+    (match outcome.status with
+    | Bsolo.Outcome.Optimal ->
+      (match outcome.best with
+      | Some (_, c) -> Printf.printf "o %d\ns OPTIMUM FOUND\n" c
+      | None -> Printf.printf "s OPTIMUM FOUND\n")
+    | Bsolo.Outcome.Satisfiable -> Printf.printf "s SATISFIABLE\n"
+    | Bsolo.Outcome.Unsatisfiable -> Printf.printf "s UNSATISFIABLE\n"
+    | Bsolo.Outcome.Unknown ->
+      (match outcome.best with
+      | Some (_, c) -> Printf.printf "o %d\ns UNKNOWN\n" c
+      | None -> Printf.printf "s UNKNOWN\n"));
+    (match outcome.best with
+    | Some (m, _) ->
+      let buf = Buffer.create 256 in
+      for v = 0 to Pbo.Model.nvars m - 1 do
+        if v > 0 then Buffer.add_char buf ' ';
+        if not (Pbo.Model.value m v) then Buffer.add_char buf '-';
+        Buffer.add_string buf ("x" ^ string_of_int (v + 1))
+      done;
+      Printf.printf "v %s\n" (Buffer.contents buf)
+    | None -> ());
+    Printf.printf "c %s\n" (Format.asprintf "%a" Bsolo.Outcome.pp outcome);
+    (match options.proof, proof_file with
+    | Some logger, Some f ->
+      Proof.Sink.close (Option.get proof_sink);
+      Printf.printf "c proof: %s (%d steps, %d uncertified prunes avoided)\n" f
+        (Proof.steps logger) (Proof.uncertified logger)
+    | _, Some f when portfolio -> Printf.printf "c proof: %s (stitched portfolio log)\n" f
+    | _, _ -> ());
+    (match recorder, record_file with
+    | Some r, Some f ->
+      let dropped = Telemetry.Recorder.ring_dropped r in
+      Printf.printf "c recording: %s (%d events%s)\n" f
+        (Telemetry.Recorder.events_written r)
+        (if dropped > 0 then Printf.sprintf ", %d dropped by the ring" dropped else "")
+    | None, Some f when portfolio ->
+      Printf.printf "c recording: %s (stitched portfolio recording)\n" f
+    | _, _ -> ());
+    (match !portfolio_run with
+    | None -> ()
+    | Some (r, jobs) ->
+      Printf.printf "c portfolio: jobs=%d winner=%s\n" jobs r.Portfolio.winner;
+      List.iter
+        (fun (name, o) ->
+          Printf.printf "c   %-10s %s\n" name (Format.asprintf "%a" Bsolo.Outcome.pp o))
+        r.runs;
+      List.iter
+        (fun (name, msg) -> Printf.printf "c   %-10s CRASHED: %s\n" name msg)
+        r.failures;
+      (match r.disagreement with
+      | None -> ()
+      | Some d -> Printf.printf "c portfolio DISAGREEMENT: %s\n" d));
+    (match tel with
+    | None -> ()
+    | Some tel ->
+      if stats then print_stats tel outcome.elapsed;
+      (match json_file with
+      | None -> ()
+      | Some out ->
+        let report =
+          Bsolo.Report.make ~instance:path
+            ~engine:(if portfolio then "portfolio" else engine)
+            ~run_id ~started
+            ?profile:(Option.map Telemetry.Profile.Sampler.result_json profile_result)
+            ~problem ~options
+            ~incumbents:(List.rev !incumbents) ~telemetry:tel outcome
+        in
+        (try Bsolo.Report.write_file out report
+         with Sys_error msg -> fatal ("cannot write report: " ^ msg)));
+      Telemetry.Ctx.close tel);
+    (if verify then
+       match Bsolo.Certify.check problem outcome with
+       | Ok () -> Printf.printf "c verification: OK\n"
+       | Error e ->
+         Printf.printf "c verification: FAILED (%s)\n" e;
+         exit 3);
+    (match !portfolio_run with
+    | Some ({ Portfolio.disagreement = Some _; _ }, _) -> 3
+    | Some _ | None -> (
+      match outcome.status with
+      | Bsolo.Outcome.Optimal | Bsolo.Outcome.Satisfiable | Bsolo.Outcome.Unsatisfiable -> 0
+      | Bsolo.Outcome.Unknown -> 1))
+
+let file_arg =
+  let doc = "OPB instance file." in
+  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
+
+(* --- the search settings, generated from the Options table -------------- *)
+
+module O = Bsolo.Options
+
+(* What a flag overrides: the setting's value in each preset, e.g.
+   "lpr with bsolo, plain with pbs and galena". *)
+let preset_values show =
+  let shown = List.map (fun (engine, o) -> engine, show o) O.presets in
+  let values =
+    List.fold_left (fun vs (_, v) -> if List.mem v vs then vs else vs @ [ v ]) [] shown
+  in
+  let engines v = List.filter_map (fun (e, v') -> if v = v' then Some e else None) shown in
+  match values with
+  | [ v ] -> v
+  | _ ->
+    String.concat ", " (List.map (fun v -> v ^ " with " ^ String.concat " and " (engines v)) values)
+
+let setting_arg table name ~docv ~doc get =
+  let absent = preset_values (fun o -> O.name table (get o)) in
+  Arg.(value & opt (some (enum table)) None & info [ name ] ~docv ~doc ~absent)
+
+(* One flag per distinct [Options.switch] flag; it clears every switch
+   that names it. *)
+let switch_flags =
+  let flags = List.sort_uniq compare (List.filter_map (fun (s : O.switch) -> s.flag) O.switches) in
+  List.fold_left
+    (fun edit (name, doc) ->
+      let members = List.filter (fun (s : O.switch) -> s.flag = Some (name, doc)) O.switches in
+      let absent =
+        String.concat "; "
+          (List.map
+             (fun (s : O.switch) ->
+               s.key ^ " " ^ preset_values (fun o -> if s.get o then "on" else "off"))
+             members)
+      in
+      let clear on o =
+        if on then List.fold_left (fun o (s : O.switch) -> s.set o false) o members else o
+      in
+      let arg = Arg.(value & flag & info [ name ] ~doc ~absent) in
+      Term.(const (fun edit on o -> clear on (edit o)) $ edit $ arg))
+    (Term.const Fun.id) flags
+
+(* The engine's preset, edited by every search flag the same way for
+   every engine; the engine's name comes along. *)
+let options_term =
+  let engine =
+    let choices =
+      List.map (fun (name, o) -> name, (name, o)) O.presets @ [ "milp", ("milp", O.default) ]
+    in
+    let doc =
+      "Solver engine: a preset of the search settings below, or milp.  bsolo is \
+       branch-and-bound with SAT-style learning and lower bounding; pbs and galena are the \
+       same search without lower bounding: every new incumbent is blocked by the knapsack \
+       cut (10) in the constraint store, and galena also learns the cardinality reduction \
+       of PB conflict constraints.  Every search flag edits the chosen preset.  milp is the \
+       LP-based branch-and-bound baseline; of the search flags it uses $(b,--timeout) alone."
+    in
+    let default = snd (List.hd choices) in
+    Arg.(value & opt (enum choices) default & info [ "engine" ] ~docv:"ENGINE" ~doc)
+  in
+  let lb =
+    setting_arg O.lb_methods "lb" ~docv:"METHOD"
+      ~doc:"Lower-bound procedure: plain, mis, lgr or lpr." (fun o -> o.lb_method)
+  in
+  let bcp =
+    setting_arg O.bcp_modes "bcp" ~docv:"MODE"
+      ~doc:
+        "Boolean constraint propagation strategy: hybrid (per-constraint watched/counting \
+         selection), watched, or counting.  All three explore the identical search tree; \
+         only propagation throughput differs."
+      (fun o -> o.bcp)
+  in
+  let cuts =
+    setting_arg O.cuts_modes "cuts" ~docv:"MODE"
+      ~doc:
+        "LP cut separation mode: $(b,off), $(b,root) (separate cover/clique/implied-bound \
+         cuts against the fractional LPR optimum at decision level 0 only) or $(b,tree) \
+         (separate at every LP evaluation).  Cuts live only in the LP relaxation, managed \
+         by an activity-aged pool; in proof mode every cut is certified before use."
+      (fun o -> o.cuts)
+  in
+  let time_limit =
+    let doc = "Wall-clock time limit in seconds." in
+    Arg.(value & opt (some float) None & info [ "timeout"; "t" ] ~doc)
+  in
+  let conflict_limit =
+    let doc = "Conflict limit." in
+    Arg.(value & opt (some int) None & info [ "conflicts" ] ~doc)
+  in
+  let make (engine, (preset : O.t)) lb bcp cuts time_limit conflict_limit edit =
+    let pick v default = Option.value v ~default in
+    ( engine,
+      edit
+        {
+          preset with
+          lb_method = pick lb preset.lb_method;
+          bcp = pick bcp preset.bcp;
+          cuts = pick cuts preset.cuts;
+          time_limit;
+          conflict_limit;
+        } )
+  in
+  Term.(const make $ engine $ lb $ bcp $ cuts $ time_limit $ conflict_limit $ switch_flags)
+
+(* --- the other solve flags -------------------------------------------------- *)
+
+let portfolio_arg =
+  let doc =
+    "Run the solver portfolio (bsolo-lpr, bsolo-mis, pbs-like, milp) instead of a single \
+     engine; see $(b,--jobs) for parallelism.  $(b,--engine) and $(b,--lb) are ignored."
+  in
+  Arg.(value & flag & info [ "portfolio" ] ~doc)
+
+let jobs_arg =
+  let doc =
+    "With $(b,--portfolio): number of worker domains.  Defaults to the number of cores \
+     (Domain.recommended_domain_count); $(b,--jobs 1) runs the members sequentially under \
+     split time slices."
+  in
+  Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+
+let verify_arg =
+  let doc = "Independently re-check the reported model and cost." in
+  Arg.(value & flag & info [ "verify" ] ~doc)
+
+let verbose_arg =
+  let doc = "Verbose logging; repeat ($(b,-vv)) for debug output." in
+  Arg.(value & flag_all & info [ "verbose"; "v" ] ~doc)
+
+let stats_arg =
+  let doc = "Print a per-phase time table and the counter registry to stderr." in
+  Arg.(value & flag & info [ "stats" ] ~doc)
+
+let trace_arg =
+  let doc =
+    "Stream search events as JSON lines (schema bsolo-trace/2) to $(docv): decision, \
+     backjump, lb_eval, prune, learned, incumbent, import, restart and fin, plus the \
+     portfolio scheduling lines."
+  in
+  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
+
+let json_arg =
+  let doc = "Write a machine-readable run report (see docs/OBSERVABILITY.md) to $(docv)." in
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+
+let proof_file_arg =
+  let doc =
+    "Stream a certified derivation log (format $(b,bsolo-pbp 1), see docs/PROOFS.md) to \
+     $(docv): RUP steps for learned clauses, explicit multiplier certificates for \
+     bound-based prunes, verified incumbents, and a terminating conclusion.  Re-check with \
+     $(b,bsolo checkproof).  Supported by the bsolo and pbs engines and $(b,--portfolio) \
+     (pbs logs the same steps as bsolo: RUP clauses, verified solutions and objective \
+     cuts); refused for galena and milp."
+  in
+  Arg.(value & opt (some string) None & info [ "proof" ] ~docv:"FILE" ~doc)
+
+let progress_arg =
+  let doc = "Print a progress line to stderr every $(docv) conflicts (0 disables)." in
+  Arg.(value & opt int 0 & info [ "progress" ] ~docv:"N" ~doc)
+
+let span_file_arg =
+  let doc =
+    "Write engine-phase / lower-bounding / proof-flush / portfolio-member spans as a Chrome \
+     trace-event JSON file to $(docv), loadable in Perfetto (one track per solver context, \
+     timestamps on one shared epoch across domains).  Validate with $(b,bsolo inspect --spans)."
+  in
+  Arg.(value & opt (some string) None & info [ "trace-spans" ] ~docv:"FILE" ~doc)
+
+let heartbeat_arg =
+  let doc =
+    "Append a JSONL heartbeat snapshot (per-member phase, bounds, gap, node rate, incumbent \
+     provenance, counter deltas) to $(docv) every $(b,--heartbeat-every) seconds; SIGUSR1 \
+     forces an immediate snapshot.  Tail live with $(b,bsolo inspect --live)."
+  in
+  Arg.(value & opt (some string) None & info [ "heartbeat" ] ~docv:"FILE" ~doc)
+
+let heartbeat_every_arg =
+  let doc = "Heartbeat period in seconds; must be positive." in
+  Arg.(value & opt float 1.0 & info [ "heartbeat-every" ] ~docv:"SECONDS" ~doc)
+
+let profile_hz_arg =
+  let doc =
+    "Run the sampling phase profiler at $(docv) samples per second (0 disables).  The folded \
+     stacks and self-time table land in the $(b,--json) report; render with \
+     $(b,bsolo inspect --profile)."
+  in
+  Arg.(value & opt float 0. & info [ "profile-hz" ] ~docv:"HZ" ~doc)
+
+let metrics_arg =
+  let doc =
+    "Write the counter/gauge/histogram registry in Prometheus text exposition format to \
+     $(docv) (atomically, on every heartbeat tick and at exit) — for the node_exporter \
+     textfile collector or any file scraper."
+  in
+  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
+
+let record_arg =
+  let doc =
+    "Record the complete search — decisions, backjumps, lower-bound evaluations, prunes with \
+     blame, learned constraints, incumbents, imports, restarts — as a compact binary flight \
+     recording (format $(b,bsolo-rec/1), see docs/FORMATS.md) to $(docv).  Analyse with \
+     $(b,bsolo inspect forensics), re-execute and cross-check with $(b,bsolo replay).  With \
+     $(b,--portfolio), each member records a .part file and the final file is stitched from \
+     them like a portfolio proof log."
+  in
+  Arg.(value & opt (some string) None & info [ "record" ] ~docv:"FILE" ~doc)
+
+let record_ring_arg =
+  let doc =
+    "With $(b,--record): keep only the last $(docv) events in a bounded in-memory ring, \
+     written out at close (also from the signal handlers), so an arbitrarily long run leaves \
+     a small recording of its final moments.  A ring recording supports forensics but not \
+     $(b,bsolo replay) — the dropped prefix makes the decision sequence incomplete."
+  in
+  Arg.(value & opt (some int) None & info [ "record-ring" ] ~docv:"N" ~doc)
+
+let listen_arg =
+  let doc =
+    "Serve live observability over HTTP on $(docv) (e.g. 127.0.0.1:8080; port 0 picks a \
+     free port, reported on a $(b,c obsd:) line): $(b,/metrics) Prometheus exposition \
+     (byte-identical to the $(b,--metrics) textfile), $(b,/status) in-progress run report \
+     JSON, $(b,/healthz) liveness, $(b,/events) SSE heartbeat/incumbent stream.  Watch \
+     with $(b,bsolo top --connect).  Bind 127.0.0.1 unless the endpoint really must be \
+     reachable remotely — the server is unauthenticated."
+  in
+  Arg.(value & opt (some string) None & info [ "listen" ] ~docv:"HOST:PORT" ~doc)
+
+
+let sinks_term =
+  let make verbose stats trace_file json_file proof_file progress_every span_file heartbeat_file
+      heartbeat_every profile_hz metrics_file record_file record_ring listen =
+    { verbosity = List.length verbose; stats; trace_file; json_file; proof_file; progress_every;
+      span_file; heartbeat_file; heartbeat_every; profile_hz; metrics_file; record_file;
+      record_ring; listen }
+  in
+  Term.(
+    const make $ verbose_arg $ stats_arg $ trace_arg $ json_arg $ proof_file_arg $ progress_arg
+    $ span_file_arg $ heartbeat_arg $ heartbeat_every_arg $ profile_hz_arg $ metrics_arg
+    $ record_arg $ record_ring_arg $ listen_arg)
+
+let term =
+  let run path portfolio jobs verify (engine, options) sinks =
+    solve_file ~path ~engine ~portfolio ~jobs ~verify options sinks
+  in
+  Term.(const run $ file_arg $ portfolio_arg $ jobs_arg $ verify_arg $ options_term $ sinks_term)
+
+let cmd = Cmd.v (Cmd.info "solve" ~doc:"solve an OPB/CNF instance (default)") term

@@ -24,7 +24,6 @@ type t = {
   preprocess : bool;
   presolve : bool;
   cuts : cuts_mode;
-  cut_rounds : int;
   constraint_strengthening : bool;
   restarts : bool;
   learning : learning;
@@ -53,7 +52,6 @@ let default =
     preprocess = true;
     presolve = true;
     cuts = Cuts_tree;
-    cut_rounds = 2;
     constraint_strengthening = true;
     restarts = false;
     learning = Clauses;
@@ -87,30 +85,69 @@ let pbs =
 
 let galena = { pbs with learning = Cardinality }
 
+(* --- the table every other copy of the settings derives from ------------- *)
+
+let name table v = fst (List.find (fun (_, v') -> v' = v) table)
+let lb_methods = [ "plain", Plain; "mis", Mis; "lgr", Lgr; "lpr", Lpr ]
+
+let bcp_modes =
+  [
+    "hybrid", Engine.Solver_core.Hybrid;
+    "watched", Engine.Solver_core.Watched;
+    "counting", Engine.Solver_core.Counting;
+  ]
+
+let cuts_modes = [ "off", Cuts_off; "root", Cuts_root; "tree", Cuts_tree ]
+
+let learnings =
+  [ "clauses", Clauses; "cardinality", Cardinality; "cutting-planes", Cutting_planes ]
+
+let presets = [ "bsolo", default; "pbs", pbs; "galena", galena ]
+
 let lb_method_name = function
   | Plain -> "plain"
-  | Mis -> "MIS"
-  | Lgr -> "LGR"
-  | Lpr -> "LPR"
+  | m -> String.uppercase_ascii (name lb_methods m)
 
-let bcp_mode_name = function
-  | Engine.Solver_core.Watched -> "watched"
-  | Engine.Solver_core.Counting -> "counting"
-  | Engine.Solver_core.Hybrid -> "hybrid"
+type switch = {
+  key : string;
+  bit : int;
+  get : t -> bool;
+  set : t -> bool -> t;
+  flag : (string * string) option;
+}
 
-let bcp_mode_of_string = function
-  | "watched" -> Some Engine.Solver_core.Watched
-  | "counting" -> Some Engine.Solver_core.Counting
-  | "hybrid" -> Some Engine.Solver_core.Hybrid
-  | _ -> None
+let switch ?flag key bit get set = { key; bit; get; set; flag }
+let no_cuts = ("no-cuts", "Disable the knapsack and cardinality incumbent cuts (Section 5).")
 
-let cuts_mode_name = function
-  | Cuts_off -> "off"
-  | Cuts_root -> "root"
-  | Cuts_tree -> "tree"
-
-let cuts_mode_of_string = function
-  | "off" -> Some Cuts_off
-  | "root" -> Some Cuts_root
-  | "tree" -> Some Cuts_tree
-  | _ -> None
+let switches =
+  [
+    switch "bound_conflict_learning" 0x1
+      (fun o -> o.bound_conflict_learning) (fun o b -> { o with bound_conflict_learning = b });
+    switch "knapsack_cuts" 0x2 ~flag:no_cuts
+      (fun o -> o.knapsack_cuts) (fun o b -> { o with knapsack_cuts = b });
+    switch "cardinality_inference" 0x4 ~flag:no_cuts
+      (fun o -> o.cardinality_inference) (fun o b -> { o with cardinality_inference = b });
+    switch "lp_guided_branching" 0x8
+      ~flag:("no-lp-branching", "Disable LP-guided branching (Section 5).")
+      (fun o -> o.lp_guided_branching) (fun o b -> { o with lp_guided_branching = b });
+    switch "preprocess" 0x10
+      ~flag:("no-preprocess", "Disable probing preprocessing.")
+      (fun o -> o.preprocess) (fun o b -> { o with preprocess = b });
+    switch "constraint_strengthening" 0x20
+      (fun o -> o.constraint_strengthening) (fun o b -> { o with constraint_strengthening = b });
+    switch "restarts" 0x40 (fun o -> o.restarts) (fun o b -> { o with restarts = b });
+    switch "lb_adaptive" 0x100
+      ~flag:
+        ( "no-adaptive-lb",
+          "Disable the adaptive lower-bound schedule, which evaluates the bound only at every \
+           2nd, 4th or 8th node while evaluations keep failing to prune; the bound is then \
+           evaluated at every node." )
+      (fun o -> o.lb_adaptive) (fun o b -> { o with lb_adaptive = b });
+    switch "reduce_db" 0x200 (fun o -> o.reduce_db) (fun o b -> { o with reduce_db = b });
+    switch "presolve" 0x800
+      ~flag:
+        ( "no-presolve",
+          "Disable the exact constraint-level presolve (subset-sum coefficient tightening and \
+           dominated-constraint removal)." )
+      (fun o -> o.presolve) (fun o b -> { o with presolve = b });
+  ]

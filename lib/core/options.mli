@@ -58,8 +58,6 @@ type t = {
       (** LPR cut separation: cover, clique and implied-bound cuts
           separated against the fractional LP optimum and managed by an
           aging pool (default [Cuts_tree]) *)
-  cut_rounds : int;
-      (** maximum separate/re-solve rounds per LP evaluation (default 2) *)
   constraint_strengthening : bool;
       (** probing-based constraint strengthening (Section 6 / {!Strengthen}) *)
   restarts : bool;  (** Luby restarts (on in the linear-search presets) *)
@@ -138,14 +136,47 @@ val pbs : t
 val galena : t
 (** The Galena baseline: {!pbs} with [learning = Cardinality]. *)
 
+(** {2 The settings table}
+
+    Every other copy of the search settings derives from the lists
+    below: the solve command's flags and their documented defaults,
+    the recording header's flag bits ({!Replay.flags_of_options}), the
+    run report's [options] object ({!Report}) and replay's
+    reconstruction of a recorded run. *)
+
+val name : (string * 'a) list -> 'a -> string
+(** [name table v] is [v]'s name in [table]. *)
+
+val lb_methods : (string * lb_method) list
+(** ["plain" | "mis" | "lgr" | "lpr"]: the [--lb] values and the
+    recording header's lower-bound name. *)
+
+val bcp_modes : (string * Engine.Solver_core.bcp_mode) list
+(** The [--bcp] values. *)
+
+val cuts_modes : (string * cuts_mode) list
+(** ["off" | "root" | "tree"]: the [--cuts] values. *)
+
+val learnings : (string * learning) list
+
+val presets : (string * t) list
+(** The engines that run {!Solver.solve}, each a starting point the
+    search flags edit: ["bsolo"] ({!default}), ["pbs"] and ["galena"].
+    A recording header names its preset as the engine. *)
+
 val lb_method_name : lb_method -> string
+(** The paper's spelling: ["plain" | "MIS" | "LGR" | "LPR"]. *)
 
-val bcp_mode_name : Engine.Solver_core.bcp_mode -> string
-(** ["watched" | "counting" | "hybrid"] — the [--bcp] flag values. *)
+(** An on/off setting that shapes the search tree. *)
+type switch = {
+  key : string;  (** the record field's name, the run report's key *)
+  bit : int;  (** its recording-header flag bit *)
+  get : t -> bool;
+  set : t -> bool -> t;
+  flag : (string * string) option;
+      (** the [--no-...] flag (name without dashes) that clears it, and
+          the flag's doc; switches that share a flag clear together *)
+}
 
-val bcp_mode_of_string : string -> Engine.Solver_core.bcp_mode option
-
-val cuts_mode_name : cuts_mode -> string
-(** ["off" | "root" | "tree"] — the [--cuts] flag values. *)
-
-val cuts_mode_of_string : string -> cuts_mode option
+val switches : switch list
+(** The ten switches, in header-bit order. *)

@@ -23,97 +23,45 @@
 
 module R = Telemetry.Recorder
 
-(* Header flag bits: every boolean option that shapes the search tree.
-   Bit 10 records that proof logging was on, which matters because
-   certificate validation gates pruning (a failing certificate
-   downgrades the prune to a plain decision).  Bit 7 once selected the
-   warm (set) or the removed cold (clear) LPR path; it is still written
-   on every recording so headers keep their layout, and an LPR
-   recording with it clear cannot be replayed. *)
-let flag_bcl = 0x1
-let flag_knapsack = 0x2
-let flag_cardinality = 0x4
-let flag_lp_branching = 0x8
-let flag_preprocess = 0x10
-let flag_strengthen = 0x20
-let flag_restarts = 0x40
+(* Header flag bits: one per {!Options.switches} entry, plus two for the
+   LP cut separation mode (both clear = off).  Bit 10 records that proof
+   logging was on, which matters because certificate validation gates
+   pruning (a failing certificate downgrades the prune to a plain
+   decision).  Bit 7 once selected the warm (set) or the removed cold
+   (clear) LPR path; it is still written on every recording so headers
+   keep their layout, and an LPR recording with it clear cannot be
+   replayed. *)
 let flag_lpr_warm = 0x80
-let flag_lb_adaptive = 0x100
-let flag_reduce_db = 0x200
 let flag_proof = 0x400
-let flag_presolve = 0x800
-
-(* LP cut separation mode uses two bits: both clear = off. *)
-let flag_cuts_root = 0x1000
-let flag_cuts_tree = 0x2000
+let cuts_bits = [ Options.Cuts_off, 0; Options.Cuts_root, 0x1000; Options.Cuts_tree, 0x2000 ]
 
 let flags_of_options (o : Options.t) =
-  let b on bit = if on then bit else 0 in
-  b o.bound_conflict_learning flag_bcl
-  lor b o.knapsack_cuts flag_knapsack
-  lor b o.cardinality_inference flag_cardinality
-  lor b o.lp_guided_branching flag_lp_branching
-  lor b o.preprocess flag_preprocess
-  lor b o.constraint_strengthening flag_strengthen
-  lor b o.restarts flag_restarts
-  lor flag_lpr_warm
-  lor b o.lb_adaptive flag_lb_adaptive
-  lor b o.reduce_db flag_reduce_db
-  lor b (Option.is_some o.proof) flag_proof
-  lor b o.presolve flag_presolve
-  lor
-  (match o.cuts with
-  | Options.Cuts_off -> 0
-  | Options.Cuts_root -> flag_cuts_root
-  | Options.Cuts_tree -> flag_cuts_tree)
+  List.fold_left
+    (fun acc (s : Options.switch) -> if s.get o then acc lor s.bit else acc)
+    (flag_lpr_warm lor List.assoc o.cuts cuts_bits
+    lor if Option.is_some o.proof then flag_proof else 0)
+    Options.switches
 
-let lb_method_of_name = function
-  | "plain" -> Some Options.Plain
-  | "mis" -> Some Options.Mis
-  | "lgr" -> Some Options.Lgr
-  | "lpr" -> Some Options.Lpr
-  | _ -> None
-
-(* The engines replay can drive: all three run {!Solver.solve} and
-   differ in options only, the learning mode being the one setting the
-   header flags do not carry. *)
-let learning_of_engine = function
-  | "bsolo" | "pbs" -> Some Options.Clauses
-  | "galena" -> Some Options.Cardinality
-  | _ -> None
-
+(* The header names the preset the run started from (its engine) and its
+   lower-bound method; the flags carry every switch and the cuts mode.
+   The preset supplies the rest, the learning mode included. *)
 let options_of_header (h : R.header) =
   match
-    ( lb_method_of_name (String.lowercase_ascii h.h_lb_method),
-      learning_of_engine h.h_engine )
+    ( List.assoc_opt (String.lowercase_ascii h.h_lb_method) Options.lb_methods,
+      List.assoc_opt h.h_engine Options.presets )
   with
   | None, _ -> Error (Printf.sprintf "unknown lower-bound method %S in header" h.h_lb_method)
   | _, None -> Error (Printf.sprintf "replay cannot drive engine %S" h.h_engine)
-  | Some lb_method, Some learning ->
+  | Some lb_method, Some preset ->
     let has bit = h.h_flags land bit <> 0 in
-    Ok
-      {
-        Options.default with
-        lb_method;
-        bound_conflict_learning = has flag_bcl;
-        knapsack_cuts = has flag_knapsack;
-        cardinality_inference = has flag_cardinality;
-        lp_guided_branching = has flag_lp_branching;
-        preprocess = has flag_preprocess;
-        constraint_strengthening = has flag_strengthen;
-        restarts = has flag_restarts;
-        learning;
-        lb_adaptive = has flag_lb_adaptive;
-        reduce_db = has flag_reduce_db;
-        presolve = has flag_presolve;
-        cuts =
-          (if has flag_cuts_tree then Options.Cuts_tree
-           else if has flag_cuts_root then Options.Cuts_root
-           else Options.Cuts_off);
-        (* cut_rounds is not recorded; replays of runs made with a
-           non-default --cut-rounds will diverge at the first LP bound *)
-        lgr_iters = h.h_lgr_iters;
-      }
+    let o =
+      List.fold_left (fun o (s : Options.switch) -> s.set o (has s.bit)) preset Options.switches
+    in
+    (* the later bit wins: tree over root *)
+    let cuts =
+      List.fold_left (fun m (mode, bit) -> if has bit then mode else m) Options.Cuts_off cuts_bits
+    in
+    Ok { o with lb_method; cuts; lgr_iters = h.h_lgr_iters }
 
 type mismatch = {
   at : int;
@@ -134,10 +82,11 @@ let validate problem (rc : R.recording) =
   match rc.r_header with
   | None -> Error "recording has no header (file broke before the header frame)"
   | Some h ->
-    if learning_of_engine h.h_engine = None then
+    if not (List.mem_assoc h.h_engine Options.presets) then
       Error
         (Printf.sprintf
-           "replay drives the bsolo, pbs and galena engines only; this recording is from %S"
+           "replay drives the %s engines only; this recording is from %S"
+           (String.concat ", " (List.map fst Options.presets))
            h.h_engine)
     else if has_event (function R.Gap _ -> true | _ -> false) rc then
       Error

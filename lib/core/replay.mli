@@ -2,8 +2,9 @@
 
     [run problem recording] re-executes the recorded decision sequence
     through {!Solver.solve} — the recorded options are reconstructed
-    from the header (the learning mode from the engine name, [galena]
-    being the only one that learns beyond clauses), branching is driven
+    from the header (the {!Options.presets} entry it names as the
+    engine, edited by its {!Options.switches} bits, cuts mode,
+    lower-bound method and LGR iteration count), branching is driven
     by the recorded decisions, portfolio imports are released at their
     exact recorded positions —
     and cross-checks every event the replayed engine emits against the
@@ -26,14 +27,10 @@
     a plain decision, and replay must take the identical branches. *)
 
 val flags_of_options : Options.t -> int
-(** Option bitmask stored in the recording header — every boolean that
-    shapes the search tree, plus whether proof logging was on.  Bit
-    [0x80] is always set: it marks the warm LPR path, the only one left
-    (see [docs/FORMATS.md]). *)
-
-val flag_proof : int
-(** The proof-mode bit, exposed so a caller that only holds a proof
-    sink (not yet a logger) can set it in a header. *)
+(** Option bitmask stored in the recording header — the bit of every
+    {!Options.switches} entry that is on, the cuts mode's bit, and
+    whether proof logging was on.  Bit [0x80] is always set: it marks
+    the warm LPR path, the only one left (see [docs/FORMATS.md]). *)
 
 val options_of_header : Telemetry.Recorder.header -> (Options.t, string) result
 (** Reconstruct solver options from a recording header.  Limits stay

@@ -42,25 +42,19 @@ let pstats_json p =
 let options_json (o : Options.t) =
   let opt_int = function None -> Json.Null | Some i -> Json.Int i in
   Json.Obj
-    [
-      "lb_method", Json.String (Options.lb_method_name o.lb_method);
-      "bcp", Json.String (Options.bcp_mode_name o.bcp);
-      "bound_conflict_learning", Json.Bool o.bound_conflict_learning;
-      "knapsack_cuts", Json.Bool o.knapsack_cuts;
-      "cardinality_inference", Json.Bool o.cardinality_inference;
-      "lp_guided_branching", Json.Bool o.lp_guided_branching;
-      "preprocess", Json.Bool o.preprocess;
-      "constraint_strengthening", Json.Bool o.constraint_strengthening;
-      "restarts", Json.Bool o.restarts;
-      "lgr_iters", Json.Int o.lgr_iters;
-      "reduce_db", Json.Bool o.reduce_db;
-      "conflict_limit", opt_int o.conflict_limit;
-      "node_limit", opt_int o.node_limit;
-      ( "time_limit",
-        match o.time_limit with
-        | None -> Json.Null
-        | Some t -> Json.Float t );
-    ]
+    ([
+       "lb_method", Json.String (Options.lb_method_name o.lb_method);
+       "bcp", Json.String (Options.name Options.bcp_modes o.bcp);
+       "cuts", Json.String (Options.name Options.cuts_modes o.cuts);
+       "learning", Json.String (Options.name Options.learnings o.learning);
+       "lgr_iters", Json.Int o.lgr_iters;
+     ]
+    @ List.map (fun (s : Options.switch) -> s.key, Json.Bool (s.get o)) Options.switches
+    @ [
+        "conflict_limit", opt_int o.conflict_limit;
+        "node_limit", opt_int o.node_limit;
+        "time_limit", Option.fold ~none:Json.Null ~some:(fun t -> Json.Float t) o.time_limit;
+      ])
 
 let histogram_json h =
   Json.Obj

@@ -34,6 +34,11 @@ val make :
     the same run; [profile] embeds a sampling-profiler result
     ({!Telemetry.Profile.Sampler.result_json}). *)
 
+val options_json : Options.t -> Telemetry.Json.t
+(** The report's ["options"] object: the lower-bound method, the BCP,
+    cuts and learning modes, the LGR iteration count, every
+    {!Options.switches} entry under its key, and the limits. *)
+
 val to_string : Telemetry.Json.t -> string
 val write_file : string -> Telemetry.Json.t -> unit
 

@@ -613,7 +613,7 @@ let solve ?(options = Options.default) problem =
         Telemetry.Recorder.learned tel.recorder ~size:(List.length clause)
           ~level:(Core.decision_level engine));
   let offset = match Problem.objective problem with None -> 0 | Some o -> o.offset in
-  let proc = String.lowercase_ascii (Options.lb_method_name options.lb_method) in
+  let proc = Options.name Options.lb_methods options.lb_method in
   let st =
     {
       engine;
@@ -677,7 +677,7 @@ let solve ?(options = Options.default) problem =
            let pool = Cuts.Pool.create ?proof:options.proof tel in
            Telemetry.Ctx.with_phase tel Telemetry.Phase.Preprocess (fun () ->
                Cuts.Pool.note_implications pool (Cuts.mine_implications engine));
-           st.cuts <- Some { Cuts.pool; mode; rounds = max 1 options.cut_rounds });
+           st.cuts <- Some { Cuts.pool; mode });
       let verdict = search st in
       package st verdict
     end

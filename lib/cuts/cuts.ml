@@ -430,5 +430,4 @@ end
 type config = {
   pool : Pool.t;
   mode : mode;
-  rounds : int;
 }

@@ -136,5 +136,4 @@ end
 type config = {
   pool : Pool.t;
   mode : mode;
-  rounds : int;  (** separation/re-solve rounds per LP evaluation *)
 }

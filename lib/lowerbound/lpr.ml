@@ -244,7 +244,7 @@ let compute_inc inc ~cap =
         match outcome with
         | Simplex.Optimal sol
           when separation_allowed
-               && (match inc.cuts with Some cfg -> rounds < cfg.rounds | None -> false) -> (
+               && inc.cuts <> None && rounds < 2 (* separation rounds per call *) -> (
           let cfg = Option.get inc.cuts in
           let fresh =
             Cuts.Pool.separate cfg.pool inc.engine ~xval:(fun v -> sol.Simplex.x.(v))

@@ -35,7 +35,7 @@ val make : ?cuts:Cuts.config -> Engine.Solver_core.t -> inc
     cover/clique/implied-bound cuts against the fractional optimum
     ({!Cuts.Pool.separate}), splice them in as extra rows
     ({!Simplex.Incremental.add_row}) and re-solve warm, up to
-    [cuts.rounds] times ([Root] mode separates at decision level 0
+    twice ([Root] mode separates at decision level 0
     only).  After the final optimal solve the pool ages its rows
     against the duals and stale zero-dual cut rows are dropped from the
     live tableau.  Cut rows carry their own proof references and false

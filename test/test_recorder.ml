@@ -165,20 +165,16 @@ let test_stitch_sections () =
 
 (* --- recorded solver runs -------------------------------------------------- *)
 
-(* [engine] is the header's engine name, as the CLI writes it: "pbs"
-   and "galena" run their presets, "bsolo" the [lb] configuration. *)
-let record_solve ?(engine = "bsolo") ?(lb = Bsolo.Options.Lpr) problem path =
-  let base =
-    match engine with
-    | "pbs" -> Bsolo.Options.pbs
-    | "galena" -> Bsolo.Options.galena
-    | _ -> Bsolo.Options.with_lb lb
-  in
+(* [engine] is the header's engine name, as the CLI writes it: the
+   preset the run starts from, [lb] overriding its lower-bound method. *)
+let record_solve ?(engine = "bsolo") ?lb problem path =
+  let base = List.assoc engine Bsolo.Options.presets in
+  let base = match lb with Some lb_method -> { base with lb_method } | None -> base in
   let h =
     {
       R.h_run_id = "test";
       h_engine = engine;
-      h_lb_method = String.lowercase_ascii (Bsolo.Options.lb_method_name base.lb_method);
+      h_lb_method = Bsolo.Options.name Bsolo.Options.lb_methods base.lb_method;
       h_started = Unix.gettimeofday ();
       h_nvars = Pbo.Problem.nvars problem;
       h_nconstraints = Array.length (Pbo.Problem.constraints problem);
@@ -380,6 +376,96 @@ let test_replay_rejects_cold_lpr () =
         (String.starts_with ~prefix:"recorded under the removed --cold-lpr" msg)
     | Ok _ -> Alcotest.fail "replay accepted a cold-LPR recording")
 
+(* --- the options table ------------------------------------------------------ *)
+
+(* The header flags written before the options table existed, as
+   literals: the table must reproduce them bit for bit. *)
+let test_header_flags_pinned () =
+  let module O = Bsolo.Options in
+  let proof = Proof.create (Proof.Sink.of_buffer (Buffer.create 64)) (Gen.problem 0) in
+  List.iter
+    (fun (label, expected, options) ->
+      Alcotest.(check int) label expected (Bsolo.Replay.flags_of_options options))
+    [
+      "default", 11199, O.default;
+      "pbs", 979, O.pbs;
+      "galena", 979, O.galena;
+      "default with a proof logger", 12223, { O.default with proof = Some proof };
+      ( "root cuts, no LP branching",
+        7095,
+        { O.default with cuts = Cuts_root; lp_guided_branching = false } );
+      ( "no incumbent cuts, presolve or adaptive LB",
+        8889,
+        {
+          O.default with
+          knapsack_cuts = false;
+          cardinality_inference = false;
+          presolve = false;
+          lb_adaptive = false;
+        } );
+      "lgr, cuts off", 3007, { (O.with_lb Lgr) with cuts = Cuts_off };
+      "pbs, no preprocessing", 963, { O.pbs with preprocess = false };
+    ]
+
+let without_limits json =
+  match json with
+  | Telemetry.Json.Obj fields ->
+    Telemetry.Json.Obj
+      (List.filter
+         (fun (k, _) -> not (List.mem k [ "conflict_limit"; "node_limit"; "time_limit" ]))
+         fields)
+  | j -> j
+
+(* Any preset, any value of every switch, cuts mode and lower-bound
+   method: the header written for the options reconstructs them, as far
+   as the run report can tell (limits aside: replay leaves them unset). *)
+let qcheck_header_round_trip =
+  let module O = Bsolo.Options in
+  let gen =
+    QCheck2.Gen.(
+      tup5 (oneofl O.presets)
+        (list_repeat (List.length O.switches) bool)
+        (oneofl O.cuts_modes) (oneofl O.lb_methods) (opt (int_bound 1000)))
+  in
+  QCheck2.Test.make ~name:"header flags round-trip every options-table setting" ~count:200 gen
+    (fun ((engine, preset), bits, (_, cuts), (lb_name, lb_method), conflict_limit) ->
+      let o =
+        List.fold_left2 (fun o (s : O.switch) b -> s.set o b) preset O.switches bits
+      in
+      let o = { o with cuts; lb_method; conflict_limit } in
+      let h =
+        {
+          (header ~engine ~lb:lb_name ~flags:(Bsolo.Replay.flags_of_options o) ()) with
+          h_lgr_iters = o.lgr_iters;
+        }
+      in
+      match Bsolo.Replay.options_of_header h with
+      | Error msg -> QCheck2.Test.fail_report msg
+      | Ok o' ->
+        without_limits (Bsolo.Report.options_json o)
+        = without_limits (Bsolo.Report.options_json o'))
+
+(* The report's options object names every setting: flipping any switch,
+   or picking another value of any enumerated setting, changes it. *)
+let test_report_options_complete () =
+  let module O = Bsolo.Options in
+  let d = O.default in
+  let others table get set =
+    List.filter_map (fun (_, v) -> if v = get d then None else Some (set v)) table
+  in
+  let variants =
+    d
+    :: List.map (fun (s : O.switch) -> s.set d (not (s.get d))) O.switches
+    @ others O.lb_methods (fun o -> o.O.lb_method) (fun lb_method -> { d with lb_method })
+    @ others O.bcp_modes (fun o -> o.O.bcp) (fun bcp -> { d with bcp })
+    @ others O.cuts_modes (fun o -> o.O.cuts) (fun cuts -> { d with cuts })
+    @ others O.learnings (fun o -> o.O.learning) (fun learning -> { d with learning })
+    @ [ { d with lgr_iters = d.lgr_iters + 1 } ]
+  in
+  let jsons = List.map (fun o -> Telemetry.Json.to_string (Bsolo.Report.options_json o)) variants in
+  Alcotest.(check int) "every variant reports differently" (List.length variants)
+    (List.length (List.sort_uniq compare jsons))
+
 let suite =
   [
     Alcotest.test_case "codec: all events round-trip" `Quick test_codec_round_trip;
@@ -397,4 +483,7 @@ let suite =
     Alcotest.test_case "replay: pbs and galena replay exactly" `Quick test_replay_linear_search;
     Alcotest.test_case "replay: rejects ring recordings" `Quick test_replay_rejects_ring;
     Alcotest.test_case "replay: rejects cold-LPR recordings" `Quick test_replay_rejects_cold_lpr;
+    Alcotest.test_case "options: header flags pinned" `Quick test_header_flags_pinned;
+    QCheck_alcotest.to_alcotest qcheck_header_round_trip;
+    Alcotest.test_case "options: report names every setting" `Quick test_report_options_complete;
   ]
