@@ -477,6 +477,29 @@ grep -q "^c OPTIMAL cost=39 (.*s, $pinned_mis)\$" "$tmpdir/pinned-mis.out" || {
 }
 echo "pinned MIS path: $pinned_mis"
 
+echo "== pinned separator path (genpb knap --scale 1.5 --seed 1) =="
+# Cover, clique and implied-bound cuts reach the LP here, so a
+# separation change meant to return the same cuts (a skip filter, a
+# dedup key) must leave the cut counters and the LP path exactly as
+# they are.  A filter that drops a cut changes them.
+./_build/default/bin/genpb.exe knap --scale 1.5 --seed 1 -o "$tmpdir/knap15.opb" >/dev/null
+timeout 120 "$bsolo" "$tmpdir/knap15.opb" --timeout 60 --stats \
+  >"$tmpdir/pinned-sep.out" 2>&1 || {
+  echo "FAIL: pinned knap@1.5 seed 1 solve failed"; cat "$tmpdir/pinned-sep.out"; exit 1;
+}
+grep -q '^c OPTIMAL cost=358 (.*s, 1615 decisions, ' "$tmpdir/pinned-sep.out" || {
+  echo "FAIL: knap@1.5 seed 1 left the pinned tree (1615 decisions)";
+  grep '^c OPTIMAL\|^c UNKNOWN' "$tmpdir/pinned-sep.out" || true; exit 1;
+}
+for counter in 'cuts\.cover\.separated +183' 'cuts\.clique\.separated +2' \
+  'cuts\.implied\.separated +8' 'simplex\.iterations +24049'; do
+  grep -Eq "^c   $counter\$" "$tmpdir/pinned-sep.out" || {
+    echo "FAIL: knap@1.5 seed 1 left the pinned separator path (want $counter)";
+    grep '^c   cuts\.\|^c   simplex\.iterations' "$tmpdir/pinned-sep.out" || true; exit 1;
+  }
+done
+echo "pinned separator path: 1615 decisions, cuts.cover/clique/implied.separated 183/2/8, simplex.iterations 24049"
+
 echo "== portfolio recording stitches member sections =="
 timeout 120 "$bsolo" benchmarks/synth-s1.opb \
   --portfolio --jobs 2 --timeout 60 --record "$tmpdir/portfolio.rec" \

@@ -258,9 +258,44 @@ let implied_cut xval (l, m) =
 
 (* --- the pool ---------------------------------------------------------- *)
 
+(* The violation of [~l \/ m] is [v_l - v_m] up to a few ulps of
+   rounding; below [min_violation] by more than [rounding_margin] it
+   cannot clear the threshold, so the clause need not be built.  Every
+   other pair goes to [implied_cut], which decides it exactly. *)
+let rounding_margin = 1e-9
+
+let implication_may_cut xval (l, m) =
+  lit_value xval l -. lit_value xval m >= min_violation -. rounding_margin
+
+(* A row whose support is integral at the point, with the point
+   satisfying it, yields no violated cover or clique cut: those cuts
+   hold at every 0/1 point satisfying the row, and at an integral point
+   their LP value is an exact integer sum. *)
+let integral_and_satisfied xval (c : Constr.t) =
+  let ts = Constr.terms c in
+  let n = Array.length ts in
+  let rec go i sum =
+    if i = n then sum >= Constr.degree c
+    else
+      let t = ts.(i) in
+      let v = xval (Lit.var t.Constr.lit) in
+      if v = 0. then go (i + 1) (if Lit.is_pos t.Constr.lit then sum else sum + t.Constr.coeff)
+      else if v = 1. then go (i + 1) (if Lit.is_pos t.Constr.lit then sum + t.Constr.coeff else sum)
+      else false
+  in
+  go 0 0
+
+module Seen = Hashtbl.Make (struct
+  type t = Constr.t
+
+  let equal = Constr.equal
+  let hash c = Hashtbl.hash_param 64 256 c
+end)
+
 module Pool = struct
   type entry = {
     cut : cut;
+    lp : Simplex.row;  (* [lp_row cut.constr], built once *)
     mutable row : int;  (* LP row index while active, -1 otherwise *)
     mutable idle : int;  (* consecutive optimal solves with a zero dual *)
   }
@@ -283,7 +318,7 @@ module Pool = struct
            >= 2.  All-unit rows divide by 1, so their cover/clique
            "cuts" are LP-implied and never violated — scanning them
            every solve is pure waste on clause-dominated instances. *)
-    seen : (string, unit) Hashtbl.t;
+    seen : unit Seen.t;
     mutable entries : entry list;  (* active (row >= 0) entries *)
     cover : fam;
     clique : fam;
@@ -304,7 +339,7 @@ module Pool = struct
       stale_after;
       implications = [];
       sources = None;
-      seen = Hashtbl.create 64;
+      seen = Seen.create 64;
       entries = [];
       cover = fam_counters reg "cover";
       clique = fam_counters reg "clique";
@@ -360,17 +395,18 @@ module Pool = struct
         let consider family (constr, recipe) =
           if !budget <= 0 then false
           else begin
-            let key = Constr.to_string constr in
-            if Hashtbl.mem pool.seen key then true
+            if Seen.mem pool.seen constr then true
             else begin
-              Hashtbl.add pool.seen key ();
+              Seen.add pool.seen constr ();
               Telemetry.Counter.incr (counters pool family).separated;
               (match certify pool constr recipe with
               | None -> () (* uncertifiable: never enters the LP *)
               | Some proof_ref ->
                 decr budget;
                 Telemetry.Counter.incr (counters pool family).applied;
-                let e = { cut = { family; constr; proof_ref }; row = -1; idle = 0 } in
+                let e =
+                  { cut = { family; constr; proof_ref }; lp = lp_row constr; row = -1; idle = 0 }
+                in
                 pool.entries <- e :: pool.entries;
                 out := e :: !out);
               true
@@ -383,14 +419,18 @@ module Pool = struct
         pool.implications <-
           List.filter
             (fun imp ->
-              match implied_cut xval imp with
-              | None -> true
-              | Some cand -> not (consider Implied cand))
+              if not (implication_may_cut xval imp) then true
+              else
+                match implied_cut xval imp with
+                | None -> true
+                | Some cand -> not (consider Implied cand))
             pool.implications;
         List.iter
-          (fun src ->
-            Option.iter (fun cand -> ignore (consider Clique cand)) (clique_cut xval src);
-            Option.iter (fun cand -> ignore (consider Cover cand)) (cover_cut xval src))
+          (fun ((_, c) as src) ->
+            if not (integral_and_satisfied xval c) then begin
+              Option.iter (fun cand -> ignore (consider Clique cand)) (clique_cut xval src);
+              Option.iter (fun cand -> ignore (consider Cover cand)) (cover_cut xval src)
+            end)
           sources;
         List.rev !out
       end

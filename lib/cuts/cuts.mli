@@ -96,6 +96,7 @@ val implied_cut : (Lit.var -> float) -> Lit.t * Lit.t -> (Constr.t * recipe) opt
 module Pool : sig
   type entry = {
     cut : cut;
+    lp : Simplex.row;  (** [lp_row cut.constr], built once when the entry is made *)
     mutable row : int;  (** LP row index while active, [-1] otherwise *)
     mutable idle : int;  (** consecutive optimal solves with a zero dual *)
   }
@@ -105,7 +106,7 @@ module Pool : sig
   val create :
     ?proof:Proof.t -> ?max_active:int -> ?max_per_round:int -> ?stale_after:int ->
     Telemetry.Ctx.t -> t
-  (** Defaults: at most 64 active rows, 8 new cuts per separation
+  (** Defaults: at most 32 active rows, 8 new cuts per separation
       round, eviction after 50 consecutive idle solves. *)
 
   val note_implications : t -> (Lit.t * Lit.t) list -> unit
@@ -116,7 +117,12 @@ module Pool : sig
     t -> Engine.Solver_core.t -> xval:(Lit.var -> float) -> entry list
   (** Fresh violated cuts at the fractional point: deduplicated,
       certified (proof mode — uncertifiable candidates are dropped),
-      capped per round and by pool size.  The caller must add each
+      capped per round and by pool size.  Sources and implications that
+      provably yield no violated cut are skipped before any candidate is
+      built (an implication whose two LP values differ by clearly less
+      than the violation threshold; a row whose support is integral at
+      the point, which satisfies it), so the result equals that of
+      trying every candidate.  The caller must add each
       entry's row to the LP and store the index in [entry.row]. *)
 
   val active : t -> entry list

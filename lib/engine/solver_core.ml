@@ -43,13 +43,17 @@ type row = int  (* index into [rows] *)
    constraint of its own (cid, arena block, activity, [Constr.t]) that
    keeps only its degree; its slack is [rsum - degree].  Members are
    kept in ascending degree, so a visit walks them from the tightest
-   down and stops at the first one with slack >= maxcoeff. *)
+   down and stops at the first one with slack >= maxcoeff.  [rcursor]
+   is where the last member scan of the current phase 2 (stamped by
+   [rstamp]) stopped: every term before it is assigned. *)
 type rowstate = {
   rterms : int array;  (* (literal index, coefficient) pairs, decreasing coefficient *)
   rconstr : Constr.t;  (* every member's [Constr.t] shares its term array *)
   rmax : int;
   mutable rsum : int;
   rmembers : int Vec.t;  (* stride 2: (arena base, degree) of each member *)
+  mutable rstamp : int;
+  mutable rcursor : int;
 }
 
 (* Search counters, declared once against the run's telemetry registry so
@@ -142,6 +146,7 @@ type t = {
   (* scratch for [process_falsified]: bases of the constraints of the
      current dequeue whose final slack fell below maxcoeff, acted on in
      ascending arena order after all decrements are in *)
+  mutable scan_stamp : int;  (* bumped per phase 2; stamps row scan cursors *)
   lit_cost : int array;  (* per literal index *)
   mutable path : int;
   heap : Idheap.t;
@@ -192,6 +197,8 @@ let dummy_row =
     rmax = 0;
     rsum = 0;
     rmembers = Vec.create ~capacity:1 ~dummy:0 ();
+    rstamp = 0;
+    rcursor = 0;
   }
 
 (* --- arena layout ---------------------------------------------------------
@@ -453,15 +460,18 @@ let decide t l =
 
 (* --- propagation --------------------------------------------------------- *)
 
-(* Scan the block at [base] for implied literals under slack [s]: terms
-   are sorted by decreasing coefficient, so stop at the first
-   coefficient <= s.  Callers only pass a slack equal to the lagged
-   slack of the constraint, so this acts identically in every mode. *)
-let scan_terms t terms off n ci s =
+(* Scan the block at [base] from term [i0] for implied literals under
+   slack [s]: terms are sorted by decreasing coefficient, so stop at the
+   first coefficient <= s, and return its index.  Callers only pass a
+   slack equal to the lagged slack of the constraint, so this acts
+   identically in every mode. *)
+let scan_terms t terms off n ci s i0 =
   let rec go i =
-    if i < n then begin
+    if i >= n then i
+    else begin
       let coeff = terms.(off + (2 * i) + 1) land coeff_mask in
-      if coeff > s then begin
+      if coeff <= s then i
+      else begin
         let lit = Lit.of_index terms.(off + (2 * i)) in
         if Value.equal (value_lit t lit) Value.Unknown then begin
           Telemetry.Counter.incr t.stats.propagations;
@@ -472,15 +482,15 @@ let scan_terms t terms off n ci s =
       end
     end
   in
-  go 0
+  go i0
 
 let scan_implications_arena t base s =
   let a = t.arena in
-  scan_terms t a (base + hdr_size) a.(base + h_n) a.(base + h_cid) s
+  ignore (scan_terms t a (base + hdr_size) a.(base + h_n) a.(base + h_cid) s 0)
 
 (* A member acts through its row's term block under its own cid. *)
-let scan_member t r base s =
-  scan_terms t r.rterms 0 (Array.length r.rterms / 2) t.arena.(base + h_cid) s
+let scan_member t r base s i0 =
+  scan_terms t r.rterms 0 (Array.length r.rterms / 2) t.arena.(base + h_cid) s i0
 
 (* Visit of a row on the dequeue of one of its literals: one decrement
    of the shared sum, then the members whose slack fell below maxcoeff
@@ -659,20 +669,13 @@ let process_falsified t q conflict =
     end
   done;
   Vec.shrink wlist !wkeep;
-  (* phase 2: act in ascending arena order *)
+  (* phase 2: act in ascending arena order.  Every incumbent adds a
+     member to each source row, so a dequeue that reaches several rows
+     collects interleaved descending runs: sort in O(na log na). *)
   let na = Vec.size actors in
   if na > 0 then begin
-    let k = ref 1 in
-    while !k < na do
-      let b = Vec.unsafe_get actors !k in
-      let j = ref (!k - 1) in
-      while !j >= 0 && Vec.unsafe_get actors !j > b do
-        Vec.unsafe_set actors (!j + 1) (Vec.unsafe_get actors !j);
-        decr j
-      done;
-      Vec.unsafe_set actors (!j + 1) b;
-      incr k
-    done;
+    Vec.sort_int actors;
+    t.scan_stamp <- t.scan_stamp + 1;
     let k = ref 0 in
     while !conflict = None && !k < na do
       let base = Vec.unsafe_get actors !k in
@@ -681,7 +684,19 @@ let process_falsified t q conflict =
       if flags land flag_member <> 0 then begin
         let r = Vec.unsafe_get t.rows a.(base + h_slack) in
         let s = r.rsum - a.(base + h_deg) in
-        if s < 0 then conflict := Some a.(base + h_cid) else scan_member t r base s
+        if s < 0 then conflict := Some a.(base + h_cid)
+        else begin
+          (* Within one phase 2 the row's sum is fixed and every term
+             before its cursor is assigned, so scanning from the cursor
+             assigns exactly what a scan from term 0 would, in the same
+             order: a looser member stops at the cursor at once, a
+             tighter one carries on from it. *)
+          if r.rstamp <> t.scan_stamp then begin
+            r.rstamp <- t.scan_stamp;
+            r.rcursor <- 0
+          end;
+          r.rcursor <- scan_member t r base s r.rcursor
+        end
       end
       else begin
         let s = if flags land flag_watched <> 0 then a.(base + h_wslack) else a.(base + h_slack) in
@@ -848,6 +863,8 @@ let new_row t c =
       rmax = Constr.max_coeff c;
       rsum = 0;
       rmembers = Vec.create ~capacity:8 ~dummy:0 ();
+      rstamp = 0;
+      rcursor = 0;
     };
   Vec.size t.rows - 1
 
@@ -903,7 +920,7 @@ let add_member t ri c =
     Some ci
   end
   else begin
-    if s < r.rmax then scan_member t r base s;
+    if s < r.rmax then ignore (scan_member t r base s 0);
     None
   end
 
@@ -1418,6 +1435,7 @@ let create ?telemetry ?(bcp = Hybrid) p =
       watches = Array.init (2 * nvars) (fun _ -> Vec.create ~dummy:0 ());
       lfalse = Bytes.make (2 * nvars) '\000';
       actors = Vec.create ~dummy:0 ();
+      scan_stamp = 0;
       lit_cost = Array.make (2 * nvars) 0;
       path = 0;
       heap = Idheap.create nvars;

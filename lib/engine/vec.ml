@@ -49,6 +49,41 @@ let shrink v n =
 
 let clear v = shrink v 0
 
+(* Heapsort on the live prefix: O(n log n) whatever the input, nothing
+   allocated, and next to free on the one- and two-element vectors that
+   dominate propagation. *)
+let sort_int (v : int t) =
+  let a = v.data in
+  let sift i n =
+    let x = Array.unsafe_get a i in
+    let rec go i =
+      let l = (2 * i) + 1 in
+      if l >= n then Array.unsafe_set a i x
+      else begin
+        let c =
+          if l + 1 < n && Array.unsafe_get a (l + 1) > Array.unsafe_get a l then l + 1 else l
+        in
+        let y = Array.unsafe_get a c in
+        if y > x then begin
+          Array.unsafe_set a i y;
+          go c
+        end
+        else Array.unsafe_set a i x
+      end
+    in
+    go i
+  in
+  let n = v.size in
+  for i = (n / 2) - 1 downto 0 do
+    sift i n
+  done;
+  for k = n - 1 downto 1 do
+    let t = Array.unsafe_get a 0 in
+    Array.unsafe_set a 0 (Array.unsafe_get a k);
+    Array.unsafe_set a k t;
+    sift 0 k
+  done
+
 let iter f v =
   for i = 0 to v.size - 1 do
     f v.data.(i)

@@ -25,6 +25,10 @@ val shrink : 'a t -> int -> unit
 (** [shrink v n] truncates [v] to its first [n] elements. *)
 
 val clear : 'a t -> unit
+val sort_int : int t -> unit
+(** Sorts the elements in ascending order, in place and without
+    allocating (heapsort). *)
+
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b

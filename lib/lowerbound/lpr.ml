@@ -148,7 +148,7 @@ let cut_solve_refs (cfg : Cuts.config) (sol : Simplex.solution) =
   List.iter
     (fun (e : Cuts.Pool.entry) ->
       if e.row >= 0 && e.row < Array.length sol.duals then begin
-        if sol.row_activity.(e.row) <= (Cuts.lp_row e.cut.constr).Simplex.rhs +. 1e-6 then
+        if sol.row_activity.(e.row) <= e.lp.Simplex.rhs +. 1e-6 then
           ctight := e.cut.constr :: !ctight;
         match e.cut.proof_ref with
         | Some r when abs_float sol.duals.(e.row) > 1e-9 ->
@@ -254,7 +254,7 @@ let compute_inc inc ~cap =
           | entries ->
             List.iter
               (fun (e : Cuts.Pool.entry) ->
-                e.row <- Simplex.Incremental.add_row sx (Cuts.lp_row e.cut.constr))
+                e.row <- Simplex.Incremental.add_row sx e.lp)
               entries;
             go (rounds + 1) (solve ()))
         | outcome -> finish outcome

@@ -217,15 +217,13 @@ let cross_mode_replay () =
 (* Engine A adds every incumbent-style cut as a plain constraint with
    [add_constraint_dynamic]; engine B adds the same cuts with [add_cut]
    to one row per source, which starts a new row whenever a cut's
-   normalized terms change (a saturated cut).  Cuts come from two sources
-   — the whole objective and a random part of it — at a falling bound.
-   Random propagations, decisions, backjumps, cut additions and
-   [reduce_db] calls then run on both; at every step the trails (with
-   reasons), conflict cids, analyses and the engine invariants (row sums
-   included) must agree. *)
-let rows_lockstep bcp seed =
-  let config = { Gen.default with nvars = 12; nconstrs = 12; max_cost = 6 } in
-  let problem = Gen.problem ~config seed in
+   normalized terms change (a saturated cut).  Cuts come from [nsources]
+   sources — the whole objective and random parts of it — at a falling
+   bound.  Random propagations, decisions, backjumps, cut additions and
+   [reduce_db] calls then run on both for [fuel] steps; at every step
+   the trails (with reasons), conflict cids, analyses and the engine
+   invariants (row sums included) must agree. *)
+let rows_lockstep ?(nsources = 2) ?(fuel = 120) problem bcp seed =
   let rng = Random.State.make [| seed; 0x70ad |] in
   let cost_terms =
     match Problem.objective problem with
@@ -233,8 +231,10 @@ let rows_lockstep bcp seed =
     | Some o ->
       Array.to_list (Array.map (fun (ct : Problem.cost_term) -> ct.cost, ct.lit) o.cost_terms)
   in
-  let part = List.filter (fun _ -> Random.State.bool rng) cost_terms in
-  let sources = Array.of_list (List.map Constr.family [ cost_terms; part ]) in
+  let parts =
+    List.init (nsources - 1) (fun _ -> List.filter (fun _ -> Random.State.bool rng) cost_terms)
+  in
+  let sources = Array.of_list (List.map Constr.family (cost_terms :: parts)) in
   let total = List.fold_left (fun acc (c, _) -> acc + c) 0 cost_terms in
   let bounds = Array.map (fun _ -> ref total) sources in
   let rows = Array.map (fun _ -> ref None) sources in
@@ -302,13 +302,28 @@ let rows_lockstep bcp seed =
       walk (fuel - 1)
     end
   in
-  walk 120;
+  walk fuel;
   true
 
 let qcheck_rows_lockstep =
   QCheck2.Test.make ~name:"cut rows propagate like plain constraints in every mode" ~count:60
     QCheck2.Gen.(int_bound 100_000)
-    (fun seed -> List.for_all (fun (m, _) -> rows_lockstep m seed) modes)
+    (fun seed ->
+      let config = { Gen.default with nvars = 12; nconstrs = 12; max_cost = 6 } in
+      let problem = Gen.problem ~config seed in
+      List.for_all (fun (m, _) -> rows_lockstep problem m seed) modes)
+
+(* Many overlapping sources and a long walk on satisfiable problems: one
+   dequeue then reaches several rows at once and acts on many members of
+   each, interleaved in arena order, and each row is scanned again on
+   later dequeues and after backjumps. *)
+let qcheck_many_rows_lockstep =
+  QCheck2.Test.make ~name:"many cut rows per dequeue propagate like plain constraints"
+    ~count:30
+    QCheck2.Gen.(int_bound 100_000)
+    (fun seed ->
+      let problem = Gen.planted seed in
+      List.for_all (fun (m, _) -> rows_lockstep ~nsources:10 ~fuel:600 problem m seed) modes)
 
 (* --- per-mode population sanity -------------------------------------------- *)
 
@@ -340,4 +355,5 @@ let suite =
     Alcotest.test_case "recordings replay across modes" `Slow cross_mode_replay;
     Alcotest.test_case "forced modes register accordingly" `Quick mode_populations;
     QCheck_alcotest.to_alcotest qcheck_rows_lockstep;
+    QCheck_alcotest.to_alcotest qcheck_many_rows_lockstep;
   ]

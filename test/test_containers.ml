@@ -35,6 +35,17 @@ let vec_fold_iter () =
   Engine.Vec.iteri (fun i x -> seen := (i, x) :: !seen) v;
   Alcotest.(check int) "iteri count" 4 (List.length !seen)
 
+(* [sort_int] sorts the live prefix only, whatever its length and the
+   capacity behind it, and leaves exactly the same elements. *)
+let qcheck_vec_sort_int =
+  QCheck2.Test.make ~name:"vec sort_int agrees with List.sort" ~count:300
+    QCheck2.Gen.(pair (list_size (int_bound 40) (int_range (-50) 50)) (int_bound 8))
+    (fun (l, extra) ->
+      let v = Engine.Vec.of_list ~dummy:0 (l @ List.init extra (fun i -> -1000 - i)) in
+      Engine.Vec.shrink v (List.length l);
+      Engine.Vec.sort_int v;
+      Engine.Vec.to_list v = List.sort compare l)
+
 let heap_pops_in_priority_order () =
   let h = Engine.Idheap.create 50 in
   let rng = Random.State.make [| 7 |] in
@@ -92,6 +103,7 @@ let suite =
     Alcotest.test_case "vec basics" `Quick vec_basics;
     Alcotest.test_case "vec bounds" `Quick vec_bounds;
     Alcotest.test_case "vec fold/iter" `Quick vec_fold_iter;
+    QCheck_alcotest.to_alcotest qcheck_vec_sort_int;
     Alcotest.test_case "heap priority order" `Quick heap_pops_in_priority_order;
     Alcotest.test_case "heap update reorders" `Quick heap_update_reorders;
     Alcotest.test_case "heap insert idempotent" `Quick heap_insert_idempotent;

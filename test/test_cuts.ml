@@ -144,6 +144,176 @@ let pooled_cuts_certified () =
     | Error msg -> Alcotest.failf "seed %d: cut derivations rejected: %s" seed msg
   done
 
+(* The separation loop without its skip filters: every implication goes
+   through [implied_cut], every source row through [clique_cut] and
+   [cover_cut], and candidates are deduplicated by their printed form.
+   [Pool.separate] must return exactly what this returns, round after
+   round, with the same per-family counters and (in proof mode) the
+   same proof log. *)
+module Separate_ref = struct
+  type t = {
+    proof : Proof.t option;
+    max_active : int;
+    max_per_round : int;
+    sources : (int * Constr.t) list;
+    mutable implications : (Lit.t * Lit.t) list;
+    seen : (string, unit) Hashtbl.t;
+    mutable active : int;
+    counts : (string, int) Hashtbl.t;  (* "cuts.<family>.<separated|applied>" *)
+  }
+
+  let create ?proof ~max_active engine implications =
+    {
+      proof;
+      max_active;
+      max_per_round = 8;
+      sources = List.filter (fun (_, c) -> Constr.max_coeff c >= 2) (Core.lb_constraints engine);
+      implications;
+      seen = Hashtbl.create 64;
+      active = 0;
+      counts = Hashtbl.create 8;
+    }
+
+  let bump r family what =
+    let key = Printf.sprintf "cuts.%s.%s" (Cuts.family_name family) what in
+    Hashtbl.replace r.counts key (1 + Option.value ~default:0 (Hashtbl.find_opt r.counts key))
+
+  let certify r constr recipe =
+    match r.proof, recipe with
+    | None, _ -> Some None
+    | Some proof, Cuts.Division { refs; divisor } -> (
+      match Proof.log_derived proof ~refs ~divisor with
+      | Some (k, c) when Constr.equal c constr -> Some (Some (-(k + 1)))
+      | Some _ | None -> None)
+    | Some proof, Cuts.Rup lits -> (
+      match Proof.log_rup proof lits with
+      | Some (k, c) when Constr.equal c constr -> Some (Some (-(k + 1)))
+      | Some _ | None -> None)
+
+  let separate r ~xval =
+    if r.active >= r.max_active || (r.sources = [] && r.implications = []) then []
+    else begin
+      let budget = ref r.max_per_round in
+      let out = ref [] in
+      let consider family (constr, recipe) =
+        if !budget <= 0 then false
+        else begin
+          let key = Constr.to_string constr in
+          if not (Hashtbl.mem r.seen key) then begin
+            Hashtbl.add r.seen key ();
+            bump r family "separated";
+            match certify r constr recipe with
+            | None -> ()
+            | Some proof_ref ->
+              decr budget;
+              bump r family "applied";
+              r.active <- r.active + 1;
+              out := (family, constr, proof_ref) :: !out
+          end;
+          true
+        end
+      in
+      r.implications <-
+        List.filter
+          (fun imp ->
+            match Cuts.implied_cut xval imp with
+            | None -> true
+            | Some cand -> not (consider Cuts.Implied cand))
+          r.implications;
+      List.iter
+        (fun src ->
+          Option.iter (fun cand -> ignore (consider Cuts.Clique cand)) (Cuts.clique_cut xval src);
+          Option.iter (fun cand -> ignore (consider Cuts.Cover cand)) (Cuts.cover_cut xval src))
+        r.sources;
+      List.rev !out
+    end
+end
+
+(* A point for one separation round: each variable is integral with
+   probability [p_int] (so whole rows are often integral, satisfied or
+   not), fractional otherwise; then a few mined implications [l -> m]
+   are placed on the violation threshold, [v_l - v_m = 0.01 + delta]
+   with [delta] within a few float steps of zero on either side. *)
+let separation_point rng ~nvars ~p_int imps =
+  let x =
+    Array.init nvars (fun _ ->
+        if Random.State.float rng 1. < p_int then if Random.State.bool rng then 1. else 0.
+        else Random.State.float rng 1.)
+  in
+  let set l value = x.(Lit.var l) <- (if Lit.is_pos l then value else 1. -. value) in
+  let deltas = [| 0.; 1e-12; -1e-12; 1e-15; -1e-15; 5e-10; -5e-10; 2e-9; -2e-9; 1e-3; -1e-3 |] in
+  let imps = Array.of_list imps in
+  if Array.length imps > 0 then
+    for _ = 1 to 1 + Random.State.int rng 4 do
+      let l, m = imps.(Random.State.int rng (Array.length imps)) in
+      let vl = 0.011 +. Random.State.float rng 0.98 in
+      set l vl;
+      set m (vl -. 0.01 -. deltas.(Random.State.int rng (Array.length deltas)))
+    done;
+  x
+
+let separate_matches_reference seed =
+  let rng = Random.State.make [| seed; 0x5e9a |] in
+  let config =
+    {
+      Gen.default with
+      nvars = 8 + Random.State.int rng 7;
+      nconstrs = 8 + Random.State.int rng 10;
+      max_arity = 3 + Random.State.int rng 4;
+      max_coeff = 2 + Random.State.int rng 6;
+    }
+  in
+  let problem = Gen.problem ~config seed in
+  let nvars = Problem.nvars problem in
+  let proof_mode = Random.State.bool rng in
+  let make_proof () =
+    let buf = Buffer.create 256 in
+    (buf, Proof.create (Proof.Sink.of_buffer buf) problem)
+  in
+  let pbuf, proof = make_proof () and rbuf, rproof = make_proof () in
+  let proof = if proof_mode then Some proof else None in
+  let rproof = if proof_mode then Some rproof else None in
+  let engine = Core.create problem in
+  let imps = Cuts.mine_implications engine in
+  let tel = Telemetry.Ctx.create () in
+  let max_active = 4 + Random.State.int rng 40 in
+  let pool = Cuts.Pool.create ?proof ~max_active tel in
+  Cuts.Pool.note_implications pool imps;
+  let oracle = Separate_ref.create ?proof:rproof ~max_active engine imps in
+  let fail fmt = Printf.ksprintf (fun m -> QCheck2.Test.fail_reportf "seed %d: %s" seed m) fmt in
+  for round = 1 to 12 do
+    let p_int = [| 0.; 0.5; 0.8; 0.95; 1. |].(Random.State.int rng 5) in
+    let x = separation_point rng ~nvars ~p_int imps in
+    let xval v = x.(v) in
+    let got =
+      List.map
+        (fun (e : Cuts.Pool.entry) -> (e.cut.Cuts.family, e.cut.Cuts.constr, e.cut.Cuts.proof_ref))
+        (Cuts.Pool.separate pool engine ~xval)
+    in
+    let want = Separate_ref.separate oracle ~xval in
+    if got <> want then
+      fail "round %d: cuts differ from the unfiltered loop's (%d against %d)" round
+        (List.length got) (List.length want);
+    let counters = Telemetry.Registry.counters tel.registry in
+    List.iter
+      (fun family ->
+        List.iter
+          (fun what ->
+            let key = Printf.sprintf "cuts.%s.%s" (Cuts.family_name family) what in
+            let have = Option.value ~default:0 (List.assoc_opt key counters) in
+            let ref_n = Option.value ~default:0 (Hashtbl.find_opt oracle.counts key) in
+            if have <> ref_n then fail "round %d: %s = %d, the unfiltered loop %d" round key have ref_n)
+          [ "separated"; "applied" ])
+      [ Cuts.Cover; Cuts.Clique; Cuts.Implied ]
+  done;
+  if Buffer.contents pbuf <> Buffer.contents rbuf then fail "proof logs differ";
+  true
+
+let qcheck_separate_matches_reference =
+  QCheck2.Test.make ~name:"filtered separation returns the unfiltered loop's cuts" ~count:200
+    QCheck2.Gen.(int_bound 100_000)
+    separate_matches_reference
+
 (* End-to-end: --cuts=tree and --cuts=off must land on identical
    optima (cuts shape the bound, never the answer). *)
 let cuts_preserve_optimum () =
@@ -170,5 +340,6 @@ let suite =
     Alcotest.test_case "implied cuts valid" `Quick implied_cuts_valid;
     Alcotest.test_case "pool separation sound" `Slow pool_separation_sound;
     Alcotest.test_case "pooled cuts certified" `Quick pooled_cuts_certified;
+    QCheck_alcotest.to_alcotest qcheck_separate_matches_reference;
     Alcotest.test_case "cut modes agree on optimum" `Slow cuts_preserve_optimum;
   ]
