@@ -436,8 +436,15 @@ for mode in hybrid watched counting; do
     echo "FAIL: synth@1 seed 1 under --bcp $mode left the pinned tree ($pinned)";
     grep '^c OPTIMAL\|^c UNKNOWN' "$tmpdir/pinned-$mode.out" || true; exit 1;
   }
+  # the LP path of the same run, which a pivot-identical simplex change keeps
+  for counter in 'simplex.iterations +3784' 'simplex.pivots +2458' 'lpr.warm_hits +1314'; do
+    grep -Eq "^c   $counter\$" "$tmpdir/pinned-$mode.out" || {
+      echo "FAIL: synth@1 seed 1 under --bcp $mode left the pinned LP path (want $counter)";
+      grep '^c   simplex\.\|^c   lpr\.' "$tmpdir/pinned-$mode.out" || true; exit 1;
+    }
+  done
 done
-echo "pinned tree: $pinned"
+echo "pinned tree: $pinned; simplex.iterations 3784, simplex.pivots 2458, lpr.warm_hits 1314"
 
 echo "== pinned LP path (genpb mcnc --scale 2 --seed 1) =="
 # Every simplex pivot moves the LP vertex that drives branching and the

@@ -29,12 +29,16 @@ type inc = {
   c_warm_hits : Telemetry.Counter.t;
   c_warm_iters : Telemetry.Counter.t;
   c_cold_falls : Telemetry.Counter.t;
+  c_cold_drop : Telemetry.Counter.t;
+  c_cold_period : Telemetry.Counter.t;
   c_cache_hits : Telemetry.Counter.t;
   c_infeasible : Telemetry.Counter.t;
   c_iteration_limits : Telemetry.Counter.t;
   c_calls : Instr.counter;
   c_simplex : Instr.simplex_counters;
   mutable last : last;
+  mutable drops_seen : int;  (* [drop_fallbacks] already flushed *)
+  mutable periods_seen : int;  (* [period_rebuilds] already flushed *)
 }
 
 let make ?cuts engine =
@@ -63,13 +67,27 @@ let make ?cuts engine =
     c_warm_hits = Telemetry.Registry.counter reg "lpr.warm_hits";
     c_warm_iters = Telemetry.Registry.counter reg "lpr.warm_iters";
     c_cold_falls = Telemetry.Registry.counter reg "lpr.cold_falls";
+    c_cold_drop = Telemetry.Registry.counter reg "lpr.cold.drop_fallback";
+    c_cold_period = Telemetry.Registry.counter reg "lpr.cold.period";
     c_cache_hits = Telemetry.Registry.counter reg "lpr.cache_hits";
     c_infeasible = Telemetry.Registry.counter reg "lpr.infeasible";
     c_iteration_limits = Telemetry.Registry.counter reg "lpr.iteration_limits";
     c_calls = Instr.counter reg "lpr.calls";
     c_simplex = Instr.simplex_counters reg;
     last = Last_none;
+    drops_seen = 0;
+    periods_seen = 0;
   }
+
+(* Why the LP went cold: the simplex counts drop fallbacks and periodic
+   rebuilds over its lifetime; add what is new since the last flush. *)
+let flush_cold inc sx =
+  let drops = Simplex.Incremental.drop_fallbacks sx
+  and periods = Simplex.Incremental.period_rebuilds sx in
+  Telemetry.Counter.add inc.c_cold_drop (drops - inc.drops_seen);
+  Telemetry.Counter.add inc.c_cold_period (periods - inc.periods_seen);
+  inc.drops_seen <- drops;
+  inc.periods_seen <- periods
 
 (* Branch hint over the full LP: column index = variable. *)
 let full_hint (full : Residual.Full.t) x =
@@ -314,5 +332,7 @@ let compute_inc inc ~cap =
           inc.last <- Last_none;
           Bound.none
       in
-      go 0 (solve ())
+      let bound = go 0 (solve ()) in
+      flush_cold inc sx;
+      bound
     end

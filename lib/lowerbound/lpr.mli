@@ -18,7 +18,9 @@
     optimum; pure tightenings of an infeasible system).
 
     Telemetry: [lpr.warm_hits] / [lpr.warm_iters] / [lpr.cold_falls] /
-    [lpr.cache_hits] counters, and [lpr.infeasible] /
+    [lpr.cache_hits] counters, [lpr.cold.drop_fallback] /
+    [lpr.cold.period] for two causes of cold solves (a cut-row eviction
+    that lost the basis, the periodic rebuild), and [lpr.infeasible] /
     [lpr.iteration_limits] for the LP solves (cache hits excluded) that
     ended infeasible or at the iteration limit. *)
 

@@ -50,7 +50,16 @@ let stats () =
    [rc], [lb], [ub], [xval] and [in_basis] cover all [ntotal] columns.
    [xval] holds the value of every column, nonbasic ones resting at a
    bound.  [rhs] keeps the original right-hand sides so dual objective
-   values and warm restarts can be computed without the problem record. *)
+   values and warm restarts can be computed without the problem record.
+
+   Stamps.  Once a state is built, [pivot_tableau] is the only writer of
+   [tab].  It stamps the rows it updates and the stored columns where
+   the pivot row is nonzero with the new pivot count, so the three
+   vectors a warm re-solve derives from the tableau — basic values,
+   reduced costs, duals — are cached with the pivot count they were
+   computed at and only their stale entries are recomputed, with the
+   same per-entry arithmetic in the same order.  A cache count of -1
+   means "never computed": every entry is stale. *)
 type state = {
   m : int;
   n : int;  (* structural columns *)
@@ -65,12 +74,65 @@ type state = {
   asign : float array;  (* artificial column = asign * slack column, per row *)
   rc : float array;  (* reduced costs, kept in sync by pivots *)
   rhs : float array;
+  w : float array;  (* asign * sigma * rhs per row: B^-1 b is the slack block times [w] *)
   nz : int array;  (* scratch: nonzero columns of the current pivot row *)
+  row_stamp : int array;  (* per row: pivot count of its last update *)
+  col_stamp : int array;  (* per stored column: pivot count of the last pivot row nonzero there *)
+  bval : float array;  (* per row: B^-1 b - B^-1 N x_N at [bval_at] *)
+  contrib : float array;  (* per column: the x_N entry [bval] used, 0 if basic *)
+  mutable bval_at : int;
+  mutable rc_cost : float array;  (* cost vector of the last refresh *)
+  mutable rc_at : int;
+  dual : float array;  (* per row: [duals_for dual_cost] at [dual_at] *)
+  mutable dual_cost : float array;
+  mutable dual_at : int;
+  dirty : int array;  (* scratch: stale stored columns *)
+  off : int array;  (* scratch: nonbasic columns off zero *)
+  chg : int array;  (* scratch: stored columns whose contribution changed *)
   mutable pivots_since_refresh : int;
   mutable npivots : int;
   mutable nrefresh : int;
   eps : float;
 }
+
+(* A state over a freshly built tableau, with every cache stale. *)
+let make_state ~eps ~m ~n ~tab ~lb ~ub ~xval ~basis ~in_basis ~sigma ~asign ~rhs ~npivots
+    ~nrefresh ~pivots_since_refresh =
+  let ntotal = n + (2 * m) in
+  {
+    m;
+    n;
+    ntotal;
+    tab;
+    lb;
+    ub;
+    xval;
+    basis;
+    in_basis;
+    sigma;
+    asign;
+    rc = Array.make ntotal 0.;
+    rhs;
+    w = Array.init m (fun k -> asign.(k) *. sigma.(k) *. rhs.(k));
+    nz = Array.make (n + m) 0;
+    row_stamp = Array.make m 0;
+    col_stamp = Array.make (n + m) 0;
+    bval = Array.make m 0.;
+    contrib = Array.make ntotal 0.;
+    bval_at = -1;
+    rc_cost = [||];
+    rc_at = -1;
+    dual = Array.make m 0.;
+    dual_cost = [||];
+    dual_at = -1;
+    dirty = Array.make (n + m) 0;
+    off = Array.make ntotal 0;
+    chg = Array.make ntotal 0;
+    pivots_since_refresh;
+    npivots;
+    nrefresh;
+    eps;
+  }
 
 type step =
   | Moved  (* a pivot or bound flip happened *)
@@ -86,26 +148,42 @@ let art_col st i = st.n + st.m + i
 let stored_col st j = if j < st.n + st.m then j else j - st.m
 let col_sign st j = if j < st.n + st.m then 1. else st.asign.(j - st.n - st.m)
 
-(* Recompute the reduced-cost row from scratch: rc_j = c_j - cB B^-1 A_j.
-   Done once per phase and periodically to flush numerical drift; pivots
-   keep it in sync incrementally. *)
+(* Recompute the reduced-cost row: rc_j = c_j - cB B^-1 A_j.  Done once
+   per phase and periodically to flush numerical drift; pivots keep it in
+   sync incrementally.  Under the cost vector of the last refresh only
+   the columns stamped since then (and their artificial twins) are
+   recomputed: a pivot writes [rc] only on the columns it stamps, and
+   any other column has the same entries as at the last refresh and a
+   zero in every pivot row, the only rows whose cB changed.  Each entry
+   subtracts its terms in row order, as the full pass does. *)
 let refresh_reduced_costs st cost =
-  let ns = st.n + st.m in
-  for j = 0 to st.ntotal - 1 do
-    st.rc.(j) <- cost.(j)
-  done;
-  for i = 0 to st.m - 1 do
-    let cb = cost.(st.basis.(i)) in
-    if cb <> 0. then begin
-      let row = st.tab.(i) in
-      for j = 0 to ns - 1 do
-        st.rc.(j) <- st.rc.(j) -. (cb *. row.(j))
-      done;
-      for k = 0 to st.m - 1 do
-        st.rc.(ns + k) <- st.rc.(ns + k) -. (cb *. (st.asign.(k) *. row.(st.n + k)))
-      done
+  let all = not (cost == st.rc_cost && st.rc_at >= 0) in
+  let d = ref 0 in
+  for c = 0 to st.n + st.m - 1 do
+    if all || st.col_stamp.(c) > st.rc_at then begin
+      st.dirty.(!d) <- c;
+      incr d;
+      st.rc.(c) <- cost.(c);
+      (* artificial k = c - n sits at n + m + k = c + m *)
+      if c >= st.n then st.rc.(c + st.m) <- cost.(c + st.m)
     end
   done;
+  let d = !d in
+  if d > 0 then
+    for i = 0 to st.m - 1 do
+      let cb = cost.(st.basis.(i)) in
+      if cb <> 0. then begin
+        let row = st.tab.(i) in
+        for t = 0 to d - 1 do
+          let c = Array.unsafe_get st.dirty t in
+          st.rc.(c) <- st.rc.(c) -. (cb *. row.(c));
+          if c >= st.n then
+            st.rc.(c + st.m) <- st.rc.(c + st.m) -. (cb *. (st.asign.(c - st.n) *. row.(c)))
+        done
+      end
+    done;
+  st.rc_cost <- cost;
+  st.rc_at <- st.npivots;
   st.pivots_since_refresh <- 0;
   st.nrefresh <- st.nrefresh + 1
 
@@ -142,17 +220,22 @@ let choose_entering st ~bland =
    other row and from the reduced-cost row, swap basis bookkeeping.  The
    pivot row is divided once and its nonzero columns collected into
    [st.nz]; the updates then touch those columns only, since a zero
-   pivot-row entry would leave [x -. f *. 0.] = [x]. *)
+   pivot-row entry would leave [x -. f *. 0.] = [x].  The rows written
+   and the columns where the pivot row is nonzero before the division
+   (a quotient may underflow to 0) get the new pivot count as stamp. *)
 let pivot_tableau st r j =
   let ns = st.n + st.m in
+  let stamp = st.npivots + 1 in
   let js = stored_col st j and jsg = col_sign st j in
   let row_r = st.tab.(r) in
   let piv = jsg *. row_r.(js) in
   let nz = st.nz in
   let cnt = ref 0 in
+  st.row_stamp.(r) <- stamp;
   for c = 0 to ns - 1 do
     let x = row_r.(c) in
     if x <> 0. then begin
+      st.col_stamp.(c) <- stamp;
       let v = x /. piv in
       row_r.(c) <- v;
       if v <> 0. then begin
@@ -166,11 +249,13 @@ let pivot_tableau st r j =
     if i <> r then begin
       let row_i = st.tab.(i) in
       let f = jsg *. row_i.(js) in
-      if f <> 0. then
+      if f <> 0. then begin
+        st.row_stamp.(i) <- stamp;
         for t = 0 to cnt - 1 do
           let c = Array.unsafe_get nz t in
           Array.unsafe_set row_i c (Array.unsafe_get row_i c -. (f *. Array.unsafe_get row_r c))
         done
+      end
     end
   done;
   let rcj = st.rc.(j) in
@@ -189,7 +274,7 @@ let pivot_tableau st r j =
   st.in_basis.(j) <- true;
   st.in_basis.(leaving) <- false;
   st.pivots_since_refresh <- st.pivots_since_refresh + 1;
-  st.npivots <- st.npivots + 1
+  st.npivots <- stamp
 
 (* One primal simplex step for the given cost vector. *)
 let step st cost ~bland =
@@ -277,19 +362,51 @@ let objective_value st cost =
    since the artificial column of row i is sigma_i * e_i in the original
    matrix and the tableau holds B^-1 applied to it.  The sums are
    accumulated a basic row at a time, skipping rows of zero cost; each
-   pi_i still adds its terms in row order. *)
+   pi_i still adds its terms in row order.  Under the cost vector of the
+   previous call only the rows whose slack column was stamped since then
+   are recomputed, by the argument of [refresh_reduced_costs].  Returns
+   a fresh array. *)
 let duals_for st cost =
-  let s = Array.make st.m 0. in
-  for k = 0 to st.m - 1 do
-    let cb = cost.(st.basis.(k)) in
-    if cb <> 0. then begin
-      let row = st.tab.(k) in
-      for i = 0 to st.m - 1 do
-        s.(i) <- s.(i) +. (cb *. (st.asign.(i) *. row.(st.n + i)))
-      done
-    end
-  done;
-  Array.mapi (fun i v -> v /. st.sigma.(i)) s
+  let n = st.n in
+  let s = st.dual in
+  let d = ref 0 in
+  if cost == st.dual_cost && st.dual_at >= 0 then begin
+    for i = 0 to st.m - 1 do
+      if st.col_stamp.(n + i) > st.dual_at then begin
+        st.dirty.(!d) <- i;
+        incr d
+      end
+    done
+  end
+  else begin
+    for i = 0 to st.m - 1 do
+      st.dirty.(i) <- i
+    done;
+    d := st.m;
+    st.dual_cost <- cost
+  end;
+  let d = !d in
+  if d > 0 then begin
+    for t = 0 to d - 1 do
+      s.(st.dirty.(t)) <- 0.
+    done;
+    for k = 0 to st.m - 1 do
+      let cb = cost.(st.basis.(k)) in
+      if cb <> 0. then begin
+        let row = st.tab.(k) in
+        for t = 0 to d - 1 do
+          let i = Array.unsafe_get st.dirty t in
+          s.(i) <- s.(i) +. (cb *. (st.asign.(i) *. row.(n + i)))
+        done
+      end
+    done;
+    for t = 0 to d - 1 do
+      let i = st.dirty.(t) in
+      s.(i) <- s.(i) /. st.sigma.(i)
+    done
+  end;
+  st.dual_at <- st.npivots;
+  Array.copy s
 
 (* Lagrangian bound from the current simplex multipliers.  In equality
    form, z(y) = y.b + sum_j min over [lb_j, ub_j] of rc_j x_j is a valid
@@ -367,28 +484,6 @@ let init_state ~eps (p : problem) =
         tab.(i).(n + i) <- 1.;
         ub.(n + i) <- 0.)
     p.rows;
-  let st =
-    {
-      m;
-      n;
-      ntotal;
-      tab;
-      lb;
-      ub;
-      xval;
-      basis;
-      in_basis;
-      sigma;
-      asign;
-      rc = Array.make ntotal 0.;
-      rhs;
-      nz = Array.make (n + m) 0;
-      pivots_since_refresh = 0;
-      npivots = 0;
-      nrefresh = 0;
-      eps;
-    }
-  in
   (* artificial columns and initial basic values *)
   for i = 0 to m - 1 do
     let residual = ref p.rows.(i).rhs in
@@ -398,9 +493,8 @@ let init_state ~eps (p : problem) =
     (* the artificial column is sigma_i * e_i, the slack column
        tab[i][n+i] * e_i, so the former is asign_i times the latter *)
     asign.(i) <- tab.(i).(n + i) *. sigma.(i);
-    basis.(i) <- art_col st i;
-    in_basis.(art_col st i) <- true;
-    xval.(art_col st i) <- abs_float !residual;
+    in_basis.(n + m + i) <- true;
+    xval.(n + m + i) <- abs_float !residual;
     (* normalize the row so the basic artificial column is +1 *)
     if sigma.(i) < 0. then begin
       let row = tab.(i) in
@@ -409,7 +503,8 @@ let init_state ~eps (p : problem) =
       done
     end
   done;
-  st
+  make_state ~eps ~m ~n ~tab ~lb ~ub ~xval ~basis ~in_basis ~sigma ~asign ~rhs ~npivots:0
+    ~nrefresh:0 ~pivots_since_refresh:0
 
 let phase2_cost_of st (p : problem) =
   let cost = Array.make st.ntotal 0. in
@@ -425,13 +520,21 @@ let extract_solution st (p : problem) cost =
     if x.(j) < st.lb.(j) then x.(j) <- st.lb.(j);
     if x.(j) > st.ub.(j) then x.(j) <- st.ub.(j)
   done;
-  let activity =
-    Array.map
-      (fun r -> Array.fold_left (fun acc (j, a) -> acc +. (a *. x.(j))) 0. r.coeffs)
-      p.rows
-  in
+  let activity = Array.make (Array.length p.rows) 0. in
+  for i = 0 to Array.length p.rows - 1 do
+    let coeffs = p.rows.(i).coeffs in
+    let acc = ref 0. in
+    for t = 0 to Array.length coeffs - 1 do
+      let j, a = coeffs.(t) in
+      acc := !acc +. (a *. x.(j))
+    done;
+    activity.(i) <- !acc
+  done;
   let value = ref 0. in
-  Array.iteri (fun j c -> if c <> 0. then value := !value +. (c *. x.(j))) p.objective;
+  for j = 0 to Array.length p.objective - 1 do
+    let c = p.objective.(j) in
+    if c <> 0. then value := !value +. (c *. x.(j))
+  done;
   Optimal { value = !value; x; row_activity = activity; duals = duals_for st cost }
 
 (* Two-phase primal from a fresh state: the cold start and rebuild path of
@@ -611,6 +714,8 @@ module Incremental = struct
     mutable have_basis : bool;
     mutable info : info;
     mutable pivots_at_rebuild : int;
+    mutable drop_fallbacks : int;
+    mutable period_rebuilds : int;
   }
 
   (* Periodically refactor from scratch to flush accumulated numerical
@@ -630,10 +735,14 @@ module Incremental = struct
       have_basis = false;
       info = { warm = false; iters = 0 };
       pivots_at_rebuild = 0;
+      drop_fallbacks = 0;
+      period_rebuilds = 0;
     }
 
   let nrows t = Array.length t.base.rows
   let last_info t = t.info
+  let drop_fallbacks t = t.drop_fallbacks
+  let period_rebuilds t = t.period_rebuilds
   let invalidate t = t.have_basis <- false
 
   (* Rebuild the state for the edited base problem without a usable
@@ -713,26 +822,8 @@ module Incremental = struct
         done;
       in_basis.(slack_new) <- true;
       let st' =
-        {
-          m = m';
-          n;
-          ntotal = ntotal';
-          tab;
-          lb;
-          ub;
-          xval;
-          basis;
-          in_basis;
-          sigma;
-          asign;
-          rc = Array.make ntotal' 0.;
-          rhs;
-          nz = Array.make ns' 0;
-          pivots_since_refresh = st.pivots_since_refresh;
-          npivots = st.npivots;
-          nrefresh = st.nrefresh;
-          eps = st.eps;
-        }
+        make_state ~eps:st.eps ~m:m' ~n ~tab ~lb ~ub ~xval ~basis ~in_basis ~sigma ~asign ~rhs
+          ~npivots:st.npivots ~nrefresh:st.nrefresh ~pivots_since_refresh:st.pivots_since_refresh
       in
       t.st <- st';
       t.cost <- phase2_cost_of st' t.base
@@ -772,7 +863,10 @@ module Incremental = struct
         end
         else false
       in
-      if (not ok) || st.in_basis.(art_i) then resync_cold t
+      if (not ok) || st.in_basis.(art_i) then begin
+        t.drop_fallbacks <- t.drop_fallbacks + 1;
+        resync_cold t
+      end
       else begin
         let m' = m - 1 in
         let ns' = n + m' in
@@ -800,26 +894,14 @@ module Incremental = struct
               dst)
         in
         let st' =
-          {
-            m = m';
-            n;
-            ntotal = ntotal';
-            tab;
-            lb;
-            ub;
-            xval;
-            basis = Array.init m' (fun k' -> map st.basis.(keep k'));
-            in_basis;
-            sigma = Array.init m' (fun k' -> st.sigma.(keep k'));
-            asign = Array.init m' (fun k' -> st.asign.(keep k'));
-            rhs = Array.init m' (fun k' -> st.rhs.(keep k'));
-            rc = Array.make ntotal' 0.;
-            nz = Array.make ns' 0;
-            pivots_since_refresh = st.pivots_since_refresh;
-            npivots = st.npivots;
-            nrefresh = st.nrefresh;
-            eps = st.eps;
-          }
+          make_state ~eps:st.eps ~m:m' ~n ~tab ~lb ~ub ~xval
+            ~basis:(Array.init m' (fun k' -> map st.basis.(keep k')))
+            ~in_basis
+            ~sigma:(Array.init m' (fun k' -> st.sigma.(keep k')))
+            ~asign:(Array.init m' (fun k' -> st.asign.(keep k')))
+            ~rhs:(Array.init m' (fun k' -> st.rhs.(keep k')))
+            ~npivots:st.npivots ~nrefresh:st.nrefresh
+            ~pivots_since_refresh:st.pivots_since_refresh
         in
         t.st <- st';
         t.cost <- phase2_cost_of st' t.base
@@ -877,29 +959,53 @@ module Incremental = struct
        done
      with Exit -> ());
     if !ok then begin
-      (* nonbasic columns off zero, in column order: the only ones that
-         move a basic value *)
-      let off = ref [] in
-      for j = st.ntotal - 1 downto 0 do
-        if (not st.in_basis.(j)) && st.xval.(j) <> 0. then
-          off := (stored_col st j, col_sign st j, st.xval.(j)) :: !off
+      (* The nonbasic columns off zero, in column order, are the only ones
+         that move a basic value.  A row keeps its cached value unless a
+         pivot wrote it or it has a nonzero entry in a column whose
+         contribution changed: the skipped terms would subtract zeros. *)
+      let fresh = st.bval_at < 0 in
+      let noff = ref 0 and nchg = ref 0 in
+      for j = 0 to st.ntotal - 1 do
+        let x = if st.in_basis.(j) then 0. else st.xval.(j) in
+        if x <> 0. then begin
+          st.off.(!noff) <- j;
+          incr noff
+        end;
+        if x <> st.contrib.(j) then begin
+          st.contrib.(j) <- x;
+          st.chg.(!nchg) <- stored_col st j;
+          incr nchg
+        end
       done;
-      let off = Array.of_list !off in
-      (* B^-1 b: artificial k's entry over sigma_k, times rhs_k, equals
-         slack k's entry times [w.(k)], since the +-1 factors are exact *)
-      let w = Array.init st.m (fun k -> st.asign.(k) *. st.sigma.(k) *. st.rhs.(k)) in
+      let noff = !noff and nchg = !nchg in
       let n = st.n in
       for i = 0 to st.m - 1 do
         let row = st.tab.(i) in
-        let s = ref 0. in
-        for k = 0 to st.m - 1 do
-          let a = Array.unsafe_get row (n + k) in
-          if a <> 0. then s := !s +. (a *. Array.unsafe_get w k)
+        let stale = ref (fresh || st.row_stamp.(i) > st.bval_at) in
+        let c = ref 0 in
+        while (not !stale) && !c < nchg do
+          if Array.unsafe_get row (Array.unsafe_get st.chg !c) <> 0. then stale := true;
+          incr c
         done;
-        Array.iter (fun (js, sg, x) -> s := !s -. (sg *. row.(js) *. x)) off;
-        if not (Float.is_finite !s) then ok := false;
-        st.xval.(st.basis.(i)) <- !s
-      done
+        if !stale then begin
+          (* B^-1 b: artificial k's entry over sigma_k, times rhs_k, equals
+             slack k's entry times [w.(k)], since the +-1 factors are exact *)
+          let s = ref 0. in
+          for k = 0 to st.m - 1 do
+            let a = Array.unsafe_get row (n + k) in
+            if a <> 0. then s := !s +. (a *. Array.unsafe_get st.w k)
+          done;
+          for q = 0 to noff - 1 do
+            let j = Array.unsafe_get st.off q in
+            s := !s -. (col_sign st j *. row.(stored_col st j) *. st.xval.(j))
+          done;
+          st.bval.(i) <- !s
+        end;
+        let s = st.bval.(i) in
+        if not (Float.is_finite s) then ok := false;
+        st.xval.(st.basis.(i)) <- s
+      done;
+      st.bval_at <- st.npivots
     end;
     !ok
 
@@ -911,9 +1017,9 @@ module Incremental = struct
     in
     let iters = ref 0 in
     let phase1_iters = ref 0 in
-    let warm_usable =
-      t.have_basis && t.st.npivots - t.pivots_at_rebuild < rebuild_period
-    in
+    let due = t.st.npivots - t.pivots_at_rebuild >= rebuild_period in
+    if t.have_basis && due then t.period_rebuilds <- t.period_rebuilds + 1;
+    let warm_usable = t.have_basis && not due in
     let outcome, warm, pivots0, refresh0 =
       if warm_usable && warm_start t then begin
         let st = t.st in

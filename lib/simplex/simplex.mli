@@ -100,7 +100,14 @@ val stats : unit -> stats
     bounded-variable dual simplex; it falls back to a cold two-phase
     primal rebuild when no usable basis exists, when the warm restart
     cannot reach a dual-feasible resting point, or periodically to flush
-    numerical drift from the tableau. *)
+    numerical drift from the tableau.
+
+    A warm re-solve pays only for what changed: the basic values, the
+    reduced-cost row and the duals are cached in the state, and a pivot
+    stamps the tableau rows it writes and the columns its pivot row is
+    nonzero in, so each re-solve recomputes only the stale entries —
+    with the same arithmetic in the same order, so every result equals
+    the full recomputation up to the sign of a zero. *)
 module Incremental : sig
   type t
 
@@ -160,6 +167,15 @@ module Incremental : sig
 
   val last_info : t -> info
   (** Telemetry for the most recent [reoptimize] call. *)
+
+  val drop_fallbacks : t -> int
+  (** [drop_row] calls so far that held a basis but could not keep it
+      (the row's slack or artificial basic in another row, or an
+      unusable slack entry), so the next [reoptimize] solves cold. *)
+
+  val period_rebuilds : t -> int
+  (** [reoptimize] calls so far that held a basis but solved cold because
+      the periodic rebuild against numerical drift was due. *)
 
   val invalidate : t -> unit
   (** Drop the stored basis; the next [reoptimize] solves cold. *)

@@ -222,7 +222,8 @@ let cross_mode_replay () =
    bound.  Random propagations, decisions, backjumps, cut additions and
    [reduce_db] calls then run on both for [fuel] steps; at every step
    the trails (with reasons), conflict cids, analyses and the engine
-   invariants (row sums included) must agree. *)
+   invariants (row sums included) must agree.  Returns whether the walk
+   took a step at all, that is, the instance was not refuted at the root. *)
 let rows_lockstep ?(nsources = 2) ?(fuel = 120) problem bcp seed =
   let rng = Random.State.make [| seed; 0x70ad |] in
   let cost_terms =
@@ -301,17 +302,32 @@ let rows_lockstep ?(nsources = 2) ?(fuel = 120) problem bcp seed =
       | _ -> fail "conflict verdicts differ");
       walk (fuel - 1)
     end
+    else fuel
   in
-  walk fuel;
-  true
+  walk fuel < fuel
 
 let qcheck_rows_lockstep =
   QCheck2.Test.make ~name:"cut rows propagate like plain constraints in every mode" ~count:60
     QCheck2.Gen.(int_bound 100_000)
     (fun seed ->
-      let config = { Gen.default with nvars = 12; nconstrs = 12; max_cost = 6 } in
-      let problem = Gen.problem ~config seed in
-      List.for_all (fun (m, _) -> rows_lockstep problem m seed) modes)
+      let problem = Gen.planted ~nvars:12 ~nconstrs:12 seed in
+      List.iter (fun (m, _) -> ignore (rows_lockstep problem m seed)) modes;
+      true)
+
+(* The lockstep check only runs on instances that are not refuted at
+   the root, so the instances it draws must mostly get that far. *)
+let rows_lockstep_walks () =
+  let runs = ref 0 and walked = ref 0 in
+  for seed = 0 to 19 do
+    let problem = Gen.planted ~nvars:12 ~nconstrs:12 seed in
+    List.iter
+      (fun (m, _) ->
+        incr runs;
+        if rows_lockstep problem m seed then incr walked)
+      modes
+  done;
+  if 10 * !walked < 9 * !runs then
+    Alcotest.failf "the lockstep walk ran in only %d of %d runs" !walked !runs
 
 (* Many overlapping sources and a long walk on satisfiable problems: one
    dequeue then reaches several rows at once and acts on many members of
@@ -323,7 +339,8 @@ let qcheck_many_rows_lockstep =
     QCheck2.Gen.(int_bound 100_000)
     (fun seed ->
       let problem = Gen.planted seed in
-      List.for_all (fun (m, _) -> rows_lockstep ~nsources:10 ~fuel:600 problem m seed) modes)
+      List.iter (fun (m, _) -> ignore (rows_lockstep ~nsources:10 ~fuel:600 problem m seed)) modes;
+      true)
 
 (* --- per-mode population sanity -------------------------------------------- *)
 
@@ -355,5 +372,6 @@ let suite =
     Alcotest.test_case "recordings replay across modes" `Slow cross_mode_replay;
     Alcotest.test_case "forced modes register accordingly" `Quick mode_populations;
     QCheck_alcotest.to_alcotest qcheck_rows_lockstep;
+    Alcotest.test_case "cut-row lockstep reaches its walk" `Quick rows_lockstep_walks;
     QCheck_alcotest.to_alcotest qcheck_many_rows_lockstep;
   ]

@@ -629,6 +629,761 @@ module Dense_ref = struct
     | _, _ -> false
 end
 
+(* The warm path before cached basic values, reduced costs and duals:
+   every warm re-solve refreshes the whole reduced-cost row, recomputes
+   every basic value from B^-1 b and every dual in full.  This is the
+   engine's code at that point with its comments stripped, kept as the
+   oracle the cached engine must match bit for bit (up to the sign of a
+   zero) on any script of edits. *)
+module Incremental_ref = struct
+  open Simplex
+
+  type state = {
+    m : int; n : int; ntotal : int; tab : float array array; lb : float array;
+    ub : float array; xval : float array; basis : int array; in_basis : bool array;
+    sigma : float array; asign : float array; rc : float array; rhs : float array;
+    nz : int array; mutable pivots_since_refresh : int; mutable npivots : int;
+    mutable nrefresh : int; eps : float;
+  }
+
+  type step =
+    | Moved
+    | Opt
+    | Unbd
+
+  let art_col st i = st.n + st.m + i
+
+  let stored_col st j = if j < st.n + st.m then j else j - st.m
+  let col_sign st j = if j < st.n + st.m then 1. else st.asign.(j - st.n - st.m)
+
+  let refresh_reduced_costs st cost =
+    let ns = st.n + st.m in
+    for j = 0 to st.ntotal - 1 do
+      st.rc.(j) <- cost.(j)
+    done;
+    for i = 0 to st.m - 1 do
+      let cb = cost.(st.basis.(i)) in
+      if cb <> 0. then begin
+        let row = st.tab.(i) in
+        for j = 0 to ns - 1 do
+          st.rc.(j) <- st.rc.(j) -. (cb *. row.(j))
+        done;
+        for k = 0 to st.m - 1 do
+          st.rc.(ns + k) <- st.rc.(ns + k) -. (cb *. (st.asign.(k) *. row.(st.n + k)))
+        done
+      end
+    done;
+    st.pivots_since_refresh <- 0;
+    st.nrefresh <- st.nrefresh + 1
+
+  let choose_entering st ~bland =
+    let best = ref (-1) in
+    let best_score = ref st.eps in
+    let consider j =
+      if (not st.in_basis.(j)) && st.lb.(j) < st.ub.(j) then begin
+        let r = st.rc.(j) in
+        let at_lower = st.xval.(j) <= st.lb.(j) +. st.eps in
+        let score =
+          if at_lower && r < -.st.eps then -.r
+          else if (not at_lower) && r > st.eps then r
+          else 0.
+        in
+        if score > !best_score then begin
+          best := j;
+          best_score := score;
+          if bland then raise Exit
+        end
+      end
+    in
+    (try
+       for j = 0 to st.ntotal - 1 do
+         consider j
+       done
+     with Exit -> ());
+    !best
+
+  let pivot_tableau st r j =
+    let ns = st.n + st.m in
+    let js = stored_col st j and jsg = col_sign st j in
+    let row_r = st.tab.(r) in
+    let piv = jsg *. row_r.(js) in
+    let nz = st.nz in
+    let cnt = ref 0 in
+    for c = 0 to ns - 1 do
+      let x = row_r.(c) in
+      if x <> 0. then begin
+        let v = x /. piv in
+        row_r.(c) <- v;
+        if v <> 0. then begin
+          nz.(!cnt) <- c;
+          incr cnt
+        end
+      end
+    done;
+    let cnt = !cnt in
+    for i = 0 to st.m - 1 do
+      if i <> r then begin
+        let row_i = st.tab.(i) in
+        let f = jsg *. row_i.(js) in
+        if f <> 0. then
+          for t = 0 to cnt - 1 do
+            let c = Array.unsafe_get nz t in
+            Array.unsafe_set row_i c (Array.unsafe_get row_i c -. (f *. Array.unsafe_get row_r c))
+          done
+      end
+    done;
+    let rcj = st.rc.(j) in
+    if rcj <> 0. then
+      for t = 0 to cnt - 1 do
+        let c = nz.(t) in
+        st.rc.(c) <- st.rc.(c) -. (rcj *. row_r.(c));
+        if c >= st.n then begin
+
+          let k = c - st.n in
+          st.rc.(ns + k) <- st.rc.(ns + k) -. (rcj *. (st.asign.(k) *. row_r.(c)))
+        end
+      done;
+    let leaving = st.basis.(r) in
+    st.basis.(r) <- j;
+    st.in_basis.(j) <- true;
+    st.in_basis.(leaving) <- false;
+    st.pivots_since_refresh <- st.pivots_since_refresh + 1;
+    st.npivots <- st.npivots + 1
+
+  let step st cost ~bland =
+    if st.pivots_since_refresh > 100 then refresh_reduced_costs st cost;
+    let j = choose_entering st ~bland in
+    if j < 0 then Opt
+    else begin
+      let at_lower = st.xval.(j) <= st.lb.(j) +. st.eps in
+      let dir = if at_lower then 1. else -1. in
+      let js = stored_col st j and jsg = col_sign st j in
+
+      let delta = ref (st.ub.(j) -. st.lb.(j)) in
+      let blocking = ref (-1) in
+      let blocking_to_upper = ref false in
+      for i = 0 to st.m - 1 do
+        let rate = -.dir *. (jsg *. st.tab.(i).(js)) in
+        let k = st.basis.(i) in
+        if rate > st.eps && st.ub.(k) < infinity then begin
+          let room = (st.ub.(k) -. st.xval.(k)) /. rate in
+          if room < !delta -. st.eps || (room < !delta +. st.eps && !blocking < 0) then begin
+            delta := max room 0.;
+            blocking := i;
+            blocking_to_upper := true
+          end
+        end
+        else if rate < -.st.eps && st.lb.(k) > neg_infinity then begin
+          let room = (st.xval.(k) -. st.lb.(k)) /. -.rate in
+          if room < !delta -. st.eps || (room < !delta +. st.eps && !blocking < 0) then begin
+            delta := max room 0.;
+            blocking := i;
+            blocking_to_upper := false
+          end
+        end
+      done;
+      if !delta = infinity then Unbd
+      else begin
+        let d = !delta in
+
+        for i = 0 to st.m - 1 do
+          let k = st.basis.(i) in
+          st.xval.(k) <- st.xval.(k) -. (dir *. (jsg *. st.tab.(i).(js)) *. d)
+        done;
+        st.xval.(j) <- st.xval.(j) +. (dir *. d);
+        (match !blocking with
+        | -1 ->
+
+          st.xval.(j) <- (if at_lower then st.ub.(j) else st.lb.(j))
+        | r ->
+          let leaving = st.basis.(r) in
+          st.xval.(leaving) <- (if !blocking_to_upper then st.ub.(leaving) else st.lb.(leaving));
+          pivot_tableau st r j);
+        Moved
+      end
+    end
+
+  let stop_poll_mask = 63
+
+  let optimize st cost ~max_iters ~iters ~should_stop =
+    refresh_reduced_costs st cost;
+    let bland_after = max 100 (max_iters / 2) in
+    let rec go () =
+      if !iters >= max_iters || (!iters land stop_poll_mask = stop_poll_mask && should_stop ())
+      then Iteration_limit None
+      else begin
+        incr iters;
+        match step st cost ~bland:(!iters > bland_after) with
+        | Moved -> go ()
+        | Opt -> Optimal { value = 0.; x = [||]; row_activity = [||]; duals = [||] }
+        | Unbd -> Unbounded
+      end
+    in
+    go ()
+
+  let objective_value st cost =
+    let z = ref 0. in
+    for j = 0 to st.ntotal - 1 do
+      if cost.(j) <> 0. then z := !z +. (cost.(j) *. st.xval.(j))
+    done;
+    !z
+
+  let duals_for st cost =
+    let s = Array.make st.m 0. in
+    for k = 0 to st.m - 1 do
+      let cb = cost.(st.basis.(k)) in
+      if cb <> 0. then begin
+        let row = st.tab.(k) in
+        for i = 0 to st.m - 1 do
+          s.(i) <- s.(i) +. (cb *. (st.asign.(i) *. row.(st.n + i)))
+        done
+      end
+    done;
+    Array.mapi (fun i v -> v /. st.sigma.(i)) s
+
+  let safe_dual_bound st cost =
+    refresh_reduced_costs st cost;
+    let y = duals_for st cost in
+    let z = ref 0. in
+    for i = 0 to st.m - 1 do
+      z := !z +. (y.(i) *. st.rhs.(i))
+    done;
+    let ok = ref true in
+    (try
+       for j = 0 to st.ntotal - 1 do
+         let r = st.rc.(j) in
+         if r > 0. then begin
+           if st.lb.(j) = neg_infinity then begin
+             ok := false;
+             raise Exit
+           end;
+           z := !z +. (r *. st.lb.(j))
+         end
+         else if r < 0. then begin
+           if st.ub.(j) = infinity then begin
+             ok := false;
+             raise Exit
+           end;
+           z := !z +. (r *. st.ub.(j))
+         end
+       done
+     with Exit -> ());
+    if !ok && Float.is_finite !z then Some !z else None
+
+  let init_state ~eps (p : problem) =
+    let m = Array.length p.rows in
+    let n = p.ncols in
+    let ntotal = n + (2 * m) in
+    let lb = Array.make ntotal 0. in
+    let ub = Array.make ntotal infinity in
+    Array.blit p.lower 0 lb 0 n;
+    Array.blit p.upper 0 ub 0 n;
+    for j = 0 to n - 1 do
+      if lb.(j) = neg_infinity && ub.(j) = infinity then
+        invalid_arg "Simplex: free structural variables are not supported"
+    done;
+    let tab = Array.make_matrix m (n + m) 0. in
+    let xval = Array.make ntotal 0. in
+
+    for j = 0 to n - 1 do
+      xval.(j) <- (if lb.(j) > neg_infinity then lb.(j) else ub.(j))
+    done;
+    let sigma = Array.make m 1. in
+    let asign = Array.make m 1. in
+    let basis = Array.init m (fun i -> n + m + i) in
+    let in_basis = Array.make ntotal false in
+    let rhs = Array.map (fun (r : row) -> r.rhs) p.rows in
+    Array.iteri
+      (fun i r ->
+        Array.iter (fun (j, a) -> tab.(i).(j) <- tab.(i).(j) +. a) r.coeffs;
+        match r.rel with
+        | Ge -> tab.(i).(n + i) <- -1.
+        | Le -> tab.(i).(n + i) <- 1.
+        | Eq ->
+
+          tab.(i).(n + i) <- 1.;
+          ub.(n + i) <- 0.)
+      p.rows;
+    let st =
+      {
+        m; n; ntotal; tab; lb; ub; xval; basis; in_basis; sigma; asign;
+        rc = Array.make ntotal 0.; rhs; nz = Array.make (n + m) 0; pivots_since_refresh = 0;
+        npivots = 0; nrefresh = 0; eps;
+      }
+    in
+
+    for i = 0 to m - 1 do
+      let residual = ref p.rows.(i).rhs in
+      Array.iter (fun (j, a) -> residual := !residual -. (a *. xval.(j))) p.rows.(i).coeffs;
+
+      sigma.(i) <- (if !residual >= 0. then 1. else -1.);
+
+      asign.(i) <- tab.(i).(n + i) *. sigma.(i);
+      basis.(i) <- art_col st i;
+      in_basis.(art_col st i) <- true;
+      xval.(art_col st i) <- abs_float !residual;
+
+      if sigma.(i) < 0. then begin
+        let row = tab.(i) in
+        for c = 0 to n + m - 1 do
+          row.(c) <- -.row.(c)
+        done
+      end
+    done;
+    st
+
+  let phase2_cost_of st (p : problem) =
+    let cost = Array.make st.ntotal 0. in
+    Array.blit p.objective 0 cost 0 st.n;
+    cost
+
+  let extract_solution st (p : problem) cost =
+    let x = Array.sub st.xval 0 st.n in
+    for j = 0 to st.n - 1 do
+      if x.(j) < st.lb.(j) then x.(j) <- st.lb.(j);
+      if x.(j) > st.ub.(j) then x.(j) <- st.ub.(j)
+    done;
+    let activity =
+      Array.map
+        (fun r -> Array.fold_left (fun acc (j, a) -> acc +. (a *. x.(j))) 0. r.coeffs)
+        p.rows
+    in
+    let value = ref 0. in
+    Array.iteri (fun j c -> if c <> 0. then value := !value +. (c *. x.(j))) p.objective;
+    Optimal { value = !value; x; row_activity = activity; duals = duals_for st cost }
+
+  let two_phase st (p : problem) ~max_iters ~iters ~phase1_iters ~should_stop =
+    let phase1_cost = Array.make st.ntotal 0. in
+    for i = 0 to st.m - 1 do
+      phase1_cost.(art_col st i) <- 1.
+    done;
+    let r1 = optimize st phase1_cost ~max_iters ~iters ~should_stop in
+    phase1_iters := !iters;
+    match r1 with
+    | Iteration_limit _ -> Iteration_limit None
+    | Unbounded ->
+
+      Iteration_limit None
+    | Infeasible _ -> assert false
+    | Optimal _ ->
+      let z1 = objective_value st phase1_cost in
+      if z1 > 1e-6 *. float_of_int (max 1 st.m) then begin
+        let pi = duals_for st phase1_cost in
+        let certificate = ref [] in
+        for i = st.m - 1 downto 0 do
+          if abs_float pi.(i) > st.eps then certificate := (i, pi.(i)) :: !certificate
+        done;
+        for i = 0 to st.m - 1 do
+          st.ub.(art_col st i) <- 0.
+        done;
+        Infeasible !certificate
+      end
+      else begin
+
+        for i = 0 to st.m - 1 do
+          st.ub.(art_col st i) <- 0.;
+          st.xval.(art_col st i) <- min st.xval.(art_col st i) 0.
+        done;
+        let cost = phase2_cost_of st p in
+        match optimize st cost ~max_iters ~iters ~should_stop with
+        | Iteration_limit _ -> Iteration_limit (safe_dual_bound st cost)
+        | Unbounded -> Unbounded
+        | Infeasible _ ->
+
+          assert false
+        | Optimal _ -> extract_solution st p cost
+      end
+
+  let default_max_iters ~m ~n = 200 + (20 * (m + n))
+
+  let flush_stats stats st ~iters ~phase1_iters ~pivots0 ~refresh0 =
+    match stats with
+    | None -> ()
+    | Some s ->
+      s.calls <- s.calls + 1;
+      s.iterations <- s.iterations + iters;
+      s.phase1_iters <- s.phase1_iters + phase1_iters;
+      s.phase2_iters <- s.phase2_iters + (iters - phase1_iters);
+      s.pivots <- s.pivots + (st.npivots - pivots0);
+      s.refreshes <- s.refreshes + (st.nrefresh - refresh0)
+
+  let never_stop () = false
+
+  type dual_step =
+    | DMoved
+    | DOpt
+    | DInfeasible of int
+
+  let dual_step st =
+    let r = ref (-1) in
+    let viol = ref st.eps in
+    let below = ref false in
+    for i = 0 to st.m - 1 do
+      let k = st.basis.(i) in
+      let v = st.xval.(k) in
+      if v < st.lb.(k) -. !viol then begin
+        r := i;
+        viol := st.lb.(k) -. v;
+        below := true
+      end
+      else if v > st.ub.(k) +. !viol then begin
+        r := i;
+        viol := v -. st.ub.(k);
+        below := false
+      end
+    done;
+    if !r < 0 then DOpt
+    else begin
+      let r = !r in
+      let below = !below in
+      let k = st.basis.(r) in
+      let row = st.tab.(r) in
+      let best = ref (-1) in
+      let best_ratio = ref infinity in
+      let best_alpha = ref 0. in
+      for j = 0 to st.ntotal - 1 do
+        if (not st.in_basis.(j)) && st.lb.(j) < st.ub.(j) then begin
+          let a = col_sign st j *. row.(stored_col st j) in
+          if abs_float a > st.eps then begin
+            let at_lower = st.xval.(j) <= st.lb.(j) +. st.eps in
+            let eligible =
+              if below then if at_lower then a < 0. else a > 0.
+              else if at_lower then a > 0.
+              else a < 0.
+            in
+            if eligible then begin
+              let ratio = abs_float (st.rc.(j) /. a) in
+              if
+                ratio < !best_ratio -. st.eps
+                || (ratio < !best_ratio +. st.eps && abs_float a > abs_float !best_alpha)
+              then begin
+                best := j;
+                best_ratio := ratio;
+                best_alpha := a
+              end
+            end
+          end
+        end
+      done;
+      if !best < 0 then DInfeasible r
+      else begin
+        let j = !best in
+        let a = !best_alpha in
+        let js = stored_col st j and jsg = col_sign st j in
+        let target = if below then st.lb.(k) else st.ub.(k) in
+        let t = (st.xval.(k) -. target) /. a in
+        for i = 0 to st.m - 1 do
+          let b = st.basis.(i) in
+          st.xval.(b) <- st.xval.(b) -. (jsg *. st.tab.(i).(js) *. t)
+        done;
+        st.xval.(j) <- st.xval.(j) +. t;
+        st.xval.(k) <- target;
+        pivot_tableau st r j;
+        DMoved
+      end
+    end
+
+  let dual_optimize st cost ~max_iters ~iters ~should_stop =
+    let rec go () =
+      if !iters >= max_iters || (!iters land stop_poll_mask = stop_poll_mask && should_stop ())
+      then `Limit
+      else begin
+        if st.pivots_since_refresh > 100 then refresh_reduced_costs st cost;
+        incr iters;
+        match dual_step st with
+        | DMoved -> go ()
+        | DOpt -> `Opt
+        | DInfeasible r -> `Infeasible r
+      end
+    in
+    go ()
+
+  type info = {
+    warm : bool; iters : int;
+  }
+
+  type t = {
+    mutable base : problem; cur_lower : float array; cur_upper : float array; eps : float;
+    mutable st : state; mutable cost : float array; mutable have_basis : bool;
+    mutable info : info; mutable pivots_at_rebuild : int;
+  }
+
+  let rebuild_period = 2000
+
+  let create ?(eps = 1e-7) (p : problem) =
+    let base = { p with lower = Array.copy p.lower; upper = Array.copy p.upper } in
+    let st = init_state ~eps base in
+    {
+      base; cur_lower = Array.copy base.lower; cur_upper = Array.copy base.upper; eps; st;
+      cost = phase2_cost_of st base; have_basis = false;
+      info = { warm = false; iters = 0 };
+      pivots_at_rebuild = 0;
+    }
+
+  let nrows t = Array.length t.base.rows
+  let last_info t = t.info
+  let invalidate t = t.have_basis <- false
+
+  let resync_cold t =
+    t.have_basis <- false;
+    let st = init_state ~eps:t.eps t.base in
+    t.st <- st;
+    t.cost <- phase2_cost_of st t.base;
+    t.pivots_at_rebuild <- 0
+
+  let add_row t (r : row) =
+    let idx = Array.length t.base.rows in
+    t.base <- { t.base with rows = Array.append t.base.rows [| r |] };
+    if not t.have_basis then resync_cold t
+    else begin
+      let st = t.st in
+      let n = st.n and m = st.m in
+      let m' = m + 1 in
+      let ns' = n + m' in
+      let ntotal' = n + (2 * m') in
+      let map j = if j < n + m then j else j + 1 in
+      let slack_new = n + m in
+      let art_new = ntotal' - 1 in
+      let lb = Array.make ntotal' 0. in
+      let ub = Array.make ntotal' infinity in
+      let xval = Array.make ntotal' 0. in
+      let in_basis = Array.make ntotal' false in
+      for j = 0 to st.ntotal - 1 do
+        let j' = map j in
+        lb.(j') <- st.lb.(j);
+        ub.(j') <- st.ub.(j);
+        xval.(j') <- st.xval.(j);
+        in_basis.(j') <- st.in_basis.(j)
+      done;
+      (match r.rel with Ge | Le -> () | Eq -> ub.(slack_new) <- 0.);
+      ub.(art_new) <- 0.;
+      let tab = Array.make_matrix m' ns' 0. in
+      for i = 0 to m - 1 do
+        Array.blit st.tab.(i) 0 tab.(i) 0 (n + m)
+      done;
+      let basis = Array.init m' (fun i -> if i < m then map st.basis.(i) else slack_new) in
+      let c_s = match r.rel with Ge -> -1. | Le | Eq -> 1. in
+      let sigma = Array.append st.sigma [| c_s |] in
+
+      let asign = Array.append st.asign [| 1. |] in
+      let rhs = Array.append st.rhs [| r.rhs |] in
+      let d = tab.(m) in
+      Array.iter (fun (j, a) -> d.(j) <- d.(j) +. a) r.coeffs;
+      d.(slack_new) <- c_s;
+
+      for i = 0 to m - 1 do
+        let b = basis.(i) in
+        let f = if b < ns' then d.(b) else asign.(b - ns') *. d.(b - m') in
+        if f <> 0. then begin
+          let row_i = tab.(i) in
+          for c = 0 to ns' - 1 do
+            d.(c) <- d.(c) -. (f *. row_i.(c))
+          done
+        end
+      done;
+
+      if c_s < 0. then
+        for c = 0 to ns' - 1 do
+          d.(c) <- -.d.(c)
+        done;
+      in_basis.(slack_new) <- true;
+      let st' =
+        {
+          m = m'; n; ntotal = ntotal'; tab; lb; ub; xval; basis; in_basis; sigma; asign;
+          rc = Array.make ntotal' 0.; rhs; nz = Array.make ns' 0;
+          pivots_since_refresh = st.pivots_since_refresh; npivots = st.npivots;
+          nrefresh = st.nrefresh; eps = st.eps;
+        }
+      in
+      t.st <- st';
+      t.cost <- phase2_cost_of st' t.base
+    end;
+    idx
+
+  let drop_row t i =
+    let nr = Array.length t.base.rows in
+    if i < 0 || i >= nr then invalid_arg "Simplex.Incremental.drop_row";
+    let rows' =
+      Array.init (nr - 1) (fun k -> if k < i then t.base.rows.(k) else t.base.rows.(k + 1))
+    in
+    t.base <- { t.base with rows = rows' };
+    if not t.have_basis then resync_cold t
+    else begin
+      let st = t.st in
+      let n = st.n and m = st.m in
+      let slack_i = n + i and art_i = n + m + i in
+      let ok =
+        if st.basis.(i) = slack_i then true
+        else if (not st.in_basis.(slack_i)) && abs_float st.tab.(i).(slack_i) > st.eps then begin
+
+          pivot_tableau st i slack_i;
+          true
+        end
+        else false
+      in
+      if (not ok) || st.in_basis.(art_i) then resync_cold t
+      else begin
+        let m' = m - 1 in
+        let ns' = n + m' in
+        let ntotal' = n + (2 * m') in
+        let map j = if j < slack_i then j else if j < art_i then j - 1 else j - 2 in
+        let lb = Array.make ntotal' 0. in
+        let ub = Array.make ntotal' infinity in
+        let xval = Array.make ntotal' 0. in
+        let in_basis = Array.make ntotal' false in
+        for j = 0 to st.ntotal - 1 do
+          if j <> slack_i && j <> art_i then begin
+            let j' = map j in
+            lb.(j') <- st.lb.(j);
+            ub.(j') <- st.ub.(j);
+            xval.(j') <- st.xval.(j);
+            in_basis.(j') <- st.in_basis.(j)
+          end
+        done;
+        let keep k = if k < i then k else k + 1 in
+        let tab =
+          Array.init m' (fun k' ->
+              let src = st.tab.(keep k') and dst = Array.make ns' 0. in
+              Array.blit src 0 dst 0 slack_i;
+              Array.blit src (slack_i + 1) dst slack_i (ns' - slack_i);
+              dst)
+        in
+        let st' =
+          {
+            m = m'; n; ntotal = ntotal'; tab; lb; ub; xval;
+            basis = Array.init m' (fun k' -> map st.basis.(keep k')); in_basis;
+            sigma = Array.init m' (fun k' -> st.sigma.(keep k'));
+            asign = Array.init m' (fun k' -> st.asign.(keep k'));
+            rhs = Array.init m' (fun k' -> st.rhs.(keep k')); rc = Array.make ntotal' 0.;
+            nz = Array.make ns' 0; pivots_since_refresh = st.pivots_since_refresh;
+            npivots = st.npivots; nrefresh = st.nrefresh; eps = st.eps;
+          }
+        in
+        t.st <- st';
+        t.cost <- phase2_cost_of st' t.base
+      end
+    end
+
+  let fix t j v =
+    t.cur_lower.(j) <- v;
+    t.cur_upper.(j) <- v
+
+  let unfix t j =
+    t.cur_lower.(j) <- t.base.lower.(j);
+    t.cur_upper.(j) <- t.base.upper.(j)
+
+  let warm_start t =
+    let st = t.st in
+    Array.blit t.cur_lower 0 st.lb 0 st.n;
+    Array.blit t.cur_upper 0 st.ub 0 st.n;
+    refresh_reduced_costs st t.cost;
+    let ok = ref true in
+    (try
+       for j = 0 to st.ntotal - 1 do
+         if not st.in_basis.(j) then begin
+           let lo = st.lb.(j) and up = st.ub.(j) in
+           if lo = up then st.xval.(j) <- lo
+           else begin
+             let r = st.rc.(j) in
+             if r > st.eps then
+               if lo = neg_infinity then begin
+                 ok := false;
+                 raise Exit
+               end
+               else st.xval.(j) <- lo
+             else if r < -.st.eps then
+               if up = infinity then begin
+                 ok := false;
+                 raise Exit
+               end
+               else st.xval.(j) <- up
+             else begin
+
+               let x = st.xval.(j) in
+               if up < infinity && abs_float (x -. up) <= st.eps then st.xval.(j) <- up
+               else if lo > neg_infinity then st.xval.(j) <- lo
+               else st.xval.(j) <- up
+             end
+           end
+         end
+       done
+     with Exit -> ());
+    if !ok then begin
+
+      let off = ref [] in
+      for j = st.ntotal - 1 downto 0 do
+        if (not st.in_basis.(j)) && st.xval.(j) <> 0. then
+          off := (stored_col st j, col_sign st j, st.xval.(j)) :: !off
+      done;
+      let off = Array.of_list !off in
+
+      let w = Array.init st.m (fun k -> st.asign.(k) *. st.sigma.(k) *. st.rhs.(k)) in
+      let n = st.n in
+      for i = 0 to st.m - 1 do
+        let row = st.tab.(i) in
+        let s = ref 0. in
+        for k = 0 to st.m - 1 do
+          let a = Array.unsafe_get row (n + k) in
+          if a <> 0. then s := !s +. (a *. Array.unsafe_get w k)
+        done;
+        Array.iter (fun (js, sg, x) -> s := !s -. (sg *. row.(js) *. x)) off;
+        if not (Float.is_finite !s) then ok := false;
+        st.xval.(st.basis.(i)) <- !s
+      done
+    end;
+    !ok
+
+  let reoptimize ?max_iters ?(should_stop = never_stop) ?stats t =
+    let max_iters =
+      match max_iters with
+      | Some k -> k
+      | None -> default_max_iters ~m:t.st.m ~n:t.st.n
+    in
+    let iters = ref 0 in
+    let phase1_iters = ref 0 in
+    let warm_usable =
+      t.have_basis && t.st.npivots - t.pivots_at_rebuild < rebuild_period
+    in
+    let outcome, warm, pivots0, refresh0 =
+      if warm_usable && warm_start t then begin
+        let st = t.st in
+        let pivots0 = st.npivots and refresh0 = st.nrefresh in
+        let r =
+          match dual_optimize st t.cost ~max_iters ~iters ~should_stop with
+          | `Opt -> extract_solution st t.base t.cost
+          | `Infeasible vr ->
+
+            let witness = ref [] in
+            for i = st.m - 1 downto 0 do
+              let a = st.asign.(i) *. st.tab.(vr).(st.n + i) in
+              if abs_float a > st.eps then witness := (i, a /. st.sigma.(i)) :: !witness
+            done;
+            Infeasible !witness
+          | `Limit -> Iteration_limit (safe_dual_bound st t.cost)
+        in
+
+        r, true, pivots0, refresh0
+      end
+      else begin
+        let p =
+          { t.base with lower = Array.copy t.cur_lower; upper = Array.copy t.cur_upper }
+        in
+        let st = init_state ~eps:t.eps p in
+        t.st <- st;
+        t.pivots_at_rebuild <- 0;
+        let r = two_phase st p ~max_iters ~iters ~phase1_iters ~should_stop in
+        (match r with
+        | Optimal _ | Infeasible _ -> t.have_basis <- true
+        | Unbounded | Iteration_limit _ -> t.have_basis <- false);
+        r, false, 0, 0
+      end
+    in
+    if not warm then t.pivots_at_rebuild <- t.st.npivots;
+    t.info <- { warm; iters = !iters };
+    flush_stats stats t.st ~iters:!iters ~phase1_iters:!phase1_iters ~pivots0 ~refresh0;
+    outcome
+end
+
 (* Lagrangian value of row multipliers [y] over the box [lower, upper]:
    y.b + sum_j min over the box of (c_j - (yA)_j) x_j.  [None] when a
    multiplier has the wrong sign for its row, so the value is no bound. *)
@@ -776,6 +1531,173 @@ let qcheck_mixed_rows_certified =
         script;
       !ok && Simplex.Incremental.nrows sx = Array.length !live)
 
+(* Bitwise float equality, except that +0 and -0 are equal: a cached
+   entry may differ from the full recomputation in the sign of a zero. *)
+let same_float a b = Int64.bits_of_float a = Int64.bits_of_float b || (a = 0. && b = 0.)
+let same_floats a b = Array.length a = Array.length b && Array.for_all2 same_float a b
+
+let same_outcome (a : Simplex.outcome) (b : Simplex.outcome) =
+  match a, b with
+  | Simplex.Optimal a, Simplex.Optimal b ->
+    same_float a.value b.value && same_floats a.x b.x
+    && same_floats a.row_activity b.row_activity
+    && same_floats a.duals b.duals
+  | Simplex.Infeasible a, Simplex.Infeasible b ->
+    List.length a = List.length b
+    && List.for_all2 (fun (i, u) (k, v) -> i = k && same_float u v) a b
+  | Simplex.Unbounded, Simplex.Unbounded -> true
+  | Simplex.Iteration_limit a, Simplex.Iteration_limit b -> (
+    match a, b with
+    | None, None -> true
+    | Some u, Some v -> same_float u v
+    | _, _ -> false)
+  | _, _ -> false
+
+(* qcheck: the cached engine and [Incremental_ref] walk the same script
+   of fix/unfix/add_row/drop_row edits over LPs of 20-60 mixed-relation
+   rows (right-hand sides planted around a fractional point, so most
+   solves are feasible until fixings cut it off).  Every re-solve must
+   agree bit for bit: outcome, vertex, activities, duals, witness,
+   warm/cold, iterations, pivots and refreshes. *)
+let qcheck_cached_equals_reference =
+  let nvars = 16 in
+  let gen =
+    QCheck2.Gen.(
+      let coeff = map (fun a -> if a >= 0 then a + 1 else a) (int_range (-4) 3) in
+      let rel = oneofl [ Simplex.Ge; Simplex.Ge; Simplex.Le; Simplex.Eq ] in
+      let row =
+        triple (list_size (int_range 2 6) (pair (int_range 0 (nvars - 1)) coeff)) rel (int_range 0 3)
+      in
+      let op =
+        frequency
+          [
+            4, map2 (fun v b -> `Fix (v, b)) (int_range 0 (nvars - 1)) bool;
+            3, map (fun v -> `Unfix v) (int_range 0 (nvars - 1));
+            2, map (fun r -> `Add r) row;
+            2, map (fun i -> `Drop i) nat;
+          ]
+      in
+      quad (list_size (int_range 20 60) row)
+        (list_size (return nvars) (int_range 0 4))
+        (list_size (return nvars) (int_range (-5) 5))
+        (pair (list_size (int_range 0 6) op) (list_size (int_range 5 30) op)))
+  in
+  QCheck2.Test.make ~name:"cached warm re-solves equal the full-recompute reference" ~count:150
+    gen (fun (base_rows, point, costs, (prefix, script)) ->
+      let point = Array.of_list (List.map (fun q -> float_of_int q /. 4.) point) in
+      (* right-hand side at or beyond the planted point's activity *)
+      let mk (terms, rel, slack) =
+        let coeffs = Array.of_list (List.map (fun (v, a) -> v, float_of_int a) terms) in
+        let act = Array.fold_left (fun acc (v, a) -> acc +. (a *. point.(v))) 0. coeffs in
+        let slack = float_of_int slack /. 2. in
+        let rhs =
+          match rel with
+          | Simplex.Ge -> act -. slack
+          | Simplex.Le -> act +. slack
+          | Simplex.Eq -> act
+        in
+        { Simplex.coeffs; rel; rhs }
+      in
+      let base =
+        {
+          Simplex.ncols = nvars;
+          lower = Array.make nvars 0.;
+          upper = Array.make nvars 1.;
+          objective = Array.of_list (List.map float_of_int costs);
+          rows = Array.of_list (List.map mk base_rows);
+        }
+      in
+      let sx = Simplex.Incremental.create base and rf = Incremental_ref.create base in
+      let sstats = Simplex.stats () and rstats = Simplex.stats () in
+      let step = ref 0 in
+      let agree () =
+        incr step;
+        let got = Simplex.Incremental.reoptimize ~stats:sstats sx in
+        let want = Incremental_ref.reoptimize ~stats:rstats rf in
+        let gi = Simplex.Incremental.last_info sx and wi = Incremental_ref.last_info rf in
+        if not (same_outcome got want) then
+          QCheck2.Test.fail_reportf "solve %d: outcomes differ" !step;
+        if gi.warm <> wi.warm || gi.iters <> wi.iters then
+          QCheck2.Test.fail_reportf "solve %d: last_info differs" !step;
+        if sstats <> rstats then QCheck2.Test.fail_reportf "solve %d: work counts differ" !step
+      in
+      let apply op =
+        match op with
+        | `Fix (v, b) ->
+          let x = if b then 1. else 0. in
+          Simplex.Incremental.fix sx v x;
+          Incremental_ref.fix rf v x
+        | `Unfix v ->
+          Simplex.Incremental.unfix sx v;
+          Incremental_ref.unfix rf v
+        | `Add raw ->
+          let r = mk raw in
+          ignore (Simplex.Incremental.add_row sx r);
+          ignore (Incremental_ref.add_row rf r)
+        | `Drop i ->
+          let nr = Simplex.Incremental.nrows sx in
+          if nr > 0 then begin
+            Simplex.Incremental.drop_row sx (i mod nr);
+            Incremental_ref.drop_row rf (i mod nr)
+          end
+      in
+      (* edits before the first, cold solve: it may end infeasible, so
+         the next warm call follows a phase-1 certificate *)
+      List.iter apply prefix;
+      agree ();
+      List.iter
+        (fun op ->
+          apply op;
+          agree ())
+        script;
+      true)
+
+(* A cold solve that ends on a phase-1 certificate leaves duals of the
+   phase-1 cost behind; the next warm solve must not reuse them.  min x +
+   y + z s.t. x + y >= 1, z >= 0.5 with x, y fixed at 0 is infeasible, z
+   basic in row 1; after unfixing, the one warm pivot is on row 0 and
+   leaves row 1's slack column untouched, yet row 1's phase-2 dual is 1
+   where its phase-1 dual was 0. *)
+let duals_after_phase1_certificate () =
+  let p =
+    lp 3 [ 1.; 1.; 1. ] [ [ 0, 1.; 1, 1. ], Simplex.Ge, 1.; [ (2, 1.) ], Simplex.Ge, 0.5 ]
+  in
+  let sx = Simplex.Incremental.create p and rf = Incremental_ref.create p in
+  List.iter
+    (fun v ->
+      Simplex.Incremental.fix sx v 0.;
+      Incremental_ref.fix rf v 0.)
+    [ 0; 1 ];
+  (match Simplex.Incremental.reoptimize sx, Incremental_ref.reoptimize rf with
+  | (Simplex.Infeasible _ as a), b ->
+    Alcotest.(check bool) "same certificate" true (same_outcome a b)
+  | _ -> Alcotest.fail "expected an infeasible cold solve");
+  List.iter
+    (fun v ->
+      Simplex.Incremental.unfix sx v;
+      Incremental_ref.unfix rf v)
+    [ 0; 1 ];
+  let a = Simplex.Incremental.reoptimize sx and b = Incremental_ref.reoptimize rf in
+  Alcotest.(check bool) "warm" true (Simplex.Incremental.last_info sx).warm;
+  Alcotest.(check bool) "same optimum, duals included" true (same_outcome a b);
+  let sol = expect_optimal a in
+  check_float "row 1 dual" 1. (abs_float sol.duals.(1))
+
+(* min -2x + y s.t. y <= 1, x + 2y <= 2 over [0, 1]^2: the optimum x = 1,
+   y = 0 has both slacks basic, each in the other's row, so dropping
+   either row cannot keep the basis. *)
+let drop_fallback_counted () =
+  let p = lp 2 [ -2.; 1. ] [ [ (1, 1.) ], Simplex.Le, 1.; [ 0, 1.; 1, 2. ], Simplex.Le, 2. ] in
+  let sx = Simplex.Incremental.create p in
+  check_float "optimum" (-2.) (expect_optimal (Simplex.Incremental.reoptimize sx)).value;
+  Alcotest.(check int) "no fallback yet" 0 (Simplex.Incremental.drop_fallbacks sx);
+  Simplex.Incremental.drop_row sx 0;
+  Alcotest.(check int) "drop fell back" 1 (Simplex.Incremental.drop_fallbacks sx);
+  check_float "optimum without row 0" (-2.)
+    (expect_optimal (Simplex.Incremental.reoptimize sx)).value;
+  Alcotest.(check bool) "re-solve is cold" false (Simplex.Incremental.last_info sx).warm;
+  Alcotest.(check int) "not a periodic rebuild" 0 (Simplex.Incremental.period_rebuilds sx)
+
 let suite =
   [
     Alcotest.test_case "simple cover" `Quick simple_cover;
@@ -790,9 +1712,12 @@ let suite =
     Alcotest.test_case "incremental basics" `Quick incremental_basics;
     Alcotest.test_case "cut row add/drop" `Quick add_row_warm_repair;
     Alcotest.test_case "Eq row drops warm" `Quick eq_row_drops_warm;
+    Alcotest.test_case "duals after a phase-1 certificate" `Quick duals_after_phase1_certificate;
+    Alcotest.test_case "drop fallback counted" `Quick drop_fallback_counted;
     QCheck_alcotest.to_alcotest qcheck_lp_bounds_ip;
     QCheck_alcotest.to_alcotest qcheck_solution_consistent;
     QCheck_alcotest.to_alcotest qcheck_warm_equals_cold;
     QCheck_alcotest.to_alcotest qcheck_cut_rows_warm_equals_cold;
     QCheck_alcotest.to_alcotest qcheck_mixed_rows_certified;
+    QCheck_alcotest.to_alcotest qcheck_cached_equals_reference;
   ]
