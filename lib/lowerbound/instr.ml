@@ -29,6 +29,7 @@ type simplex_counters = {
   s_phase2_iters : counter;
   s_pivots : counter;
   s_refreshes : counter;
+  s_refactors : counter;
 }
 
 let simplex_counters reg =
@@ -39,6 +40,7 @@ let simplex_counters reg =
     s_phase2_iters = counter reg "simplex.phase2_iters";
     s_pivots = counter reg "simplex.pivots";
     s_refreshes = counter reg "simplex.refreshes";
+    s_refactors = counter reg "simplex.refactors";
   }
 
 let flush_simplex k (s : Simplex.stats) =
@@ -47,7 +49,8 @@ let flush_simplex k (s : Simplex.stats) =
   add k.s_phase1_iters s.phase1_iters;
   add k.s_phase2_iters s.phase2_iters;
   add k.s_pivots s.pivots;
-  add k.s_refreshes s.refreshes
+  add k.s_refreshes s.refreshes;
+  add k.s_refactors s.refactors
 
 let flush_subgradient reg (s : Lagrangian.Subgradient.stats) =
   let add name n = add (counter reg name) n in

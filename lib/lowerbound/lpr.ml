@@ -30,7 +30,6 @@ type inc = {
   c_warm_iters : Telemetry.Counter.t;
   c_cold_falls : Telemetry.Counter.t;
   c_cold_drop : Telemetry.Counter.t;
-  c_cold_period : Telemetry.Counter.t;
   c_cache_hits : Telemetry.Counter.t;
   c_infeasible : Telemetry.Counter.t;
   c_iteration_limits : Telemetry.Counter.t;
@@ -38,7 +37,6 @@ type inc = {
   c_simplex : Instr.simplex_counters;
   mutable last : last;
   mutable drops_seen : int;  (* [drop_fallbacks] already flushed *)
-  mutable periods_seen : int;  (* [period_rebuilds] already flushed *)
 }
 
 let make ?cuts engine =
@@ -68,7 +66,6 @@ let make ?cuts engine =
     c_warm_iters = Telemetry.Registry.counter reg "lpr.warm_iters";
     c_cold_falls = Telemetry.Registry.counter reg "lpr.cold_falls";
     c_cold_drop = Telemetry.Registry.counter reg "lpr.cold.drop_fallback";
-    c_cold_period = Telemetry.Registry.counter reg "lpr.cold.period";
     c_cache_hits = Telemetry.Registry.counter reg "lpr.cache_hits";
     c_infeasible = Telemetry.Registry.counter reg "lpr.infeasible";
     c_iteration_limits = Telemetry.Registry.counter reg "lpr.iteration_limits";
@@ -76,18 +73,14 @@ let make ?cuts engine =
     c_simplex = Instr.simplex_counters reg;
     last = Last_none;
     drops_seen = 0;
-    periods_seen = 0;
   }
 
-(* Why the LP went cold: the simplex counts drop fallbacks and periodic
-   rebuilds over its lifetime; add what is new since the last flush. *)
+(* Why the LP went cold: the simplex counts drop fallbacks over its
+   lifetime; add what is new since the last flush. *)
 let flush_cold inc sx =
-  let drops = Simplex.Incremental.drop_fallbacks sx
-  and periods = Simplex.Incremental.period_rebuilds sx in
+  let drops = Simplex.Incremental.drop_fallbacks sx in
   Telemetry.Counter.add inc.c_cold_drop (drops - inc.drops_seen);
-  Telemetry.Counter.add inc.c_cold_period (periods - inc.periods_seen);
-  inc.drops_seen <- drops;
-  inc.periods_seen <- periods
+  inc.drops_seen <- drops
 
 (* Branch hint over the full LP: column index = variable. *)
 let full_hint (full : Residual.Full.t) x =
@@ -238,11 +231,22 @@ let compute_inc inc ~cap =
     end
     else begin
       let sstats = Simplex.stats () in
+      (* every [reoptimize], separation re-solves included, counts as
+         one warm hit or one cold fall *)
       let solve () =
-        Telemetry.Ctx.with_phase tel Telemetry.Phase.Simplex (fun () ->
-            Simplex.Incremental.reoptimize
-              ~should_stop:(fun () -> Core.interrupt_requested inc.engine)
-              ~stats:sstats sx)
+        let outcome =
+          Telemetry.Ctx.with_phase tel Telemetry.Phase.Simplex (fun () ->
+              Simplex.Incremental.reoptimize
+                ~should_stop:(fun () -> Core.interrupt_requested inc.engine)
+                ~stats:sstats sx)
+        in
+        let info = Simplex.Incremental.last_info sx in
+        if info.warm then begin
+          Telemetry.Counter.incr inc.c_warm_hits;
+          Telemetry.Counter.add inc.c_warm_iters info.iters
+        end
+        else Telemetry.Counter.incr inc.c_cold_falls;
+        outcome
       in
       let separation_allowed =
         match inc.cuts with
@@ -278,12 +282,6 @@ let compute_inc inc ~cap =
         | outcome -> finish outcome
       and finish outcome =
         Instr.flush_simplex inc.c_simplex sstats;
-        let info = Simplex.Incremental.last_info sx in
-        if info.warm then begin
-          Telemetry.Counter.incr inc.c_warm_hits;
-          Telemetry.Counter.add inc.c_warm_iters info.iters
-        end
-        else Telemetry.Counter.incr inc.c_cold_falls;
         match outcome with
         | Simplex.Optimal sol ->
           let tight = tight_cids full sol in

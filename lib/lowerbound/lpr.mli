@@ -17,12 +17,12 @@
     valid (no effective edits; fixes landing exactly on the previous LP
     optimum; pure tightenings of an infeasible system).
 
-    Telemetry: [lpr.warm_hits] / [lpr.warm_iters] / [lpr.cold_falls] /
-    [lpr.cache_hits] counters, [lpr.cold.drop_fallback] /
-    [lpr.cold.period] for two causes of cold solves (a cut-row eviction
-    that lost the basis, the periodic rebuild), and [lpr.infeasible] /
-    [lpr.iteration_limits] for the LP solves (cache hits excluded) that
-    ended infeasible or at the iteration limit. *)
+    Telemetry: [lpr.warm_hits] / [lpr.warm_iters] / [lpr.cold_falls]
+    count every [reoptimize], separation re-solves included;
+    [lpr.cache_hits] the calls answered without one;
+    [lpr.cold.drop_fallback] the cut-row evictions that lost the basis;
+    and [lpr.infeasible] / [lpr.iteration_limits] the LP solves (cache
+    hits excluded) that ended infeasible or at the iteration limit. *)
 
 type inc
 

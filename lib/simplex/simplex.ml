@@ -37,102 +37,75 @@ type stats = {
   mutable phase2_iters : int;
   mutable pivots : int;
   mutable refreshes : int;
+  mutable refactors : int;
 }
 
 let stats () =
-  { calls = 0; iterations = 0; phase1_iters = 0; phase2_iters = 0; pivots = 0; refreshes = 0 }
+  {
+    calls = 0;
+    iterations = 0;
+    phase1_iters = 0;
+    phase2_iters = 0;
+    pivots = 0;
+    refreshes = 0;
+    refactors = 0;
+  }
+
+(* Updates the LU of the basis takes before it is rebuilt from A. *)
+let refactor_period = 32
+
+(* Work done on a state, carried across the states an [Incremental.t]
+   builds, so that each [reoptimize] can flush what it added. *)
+type work = {
+  mutable npivots : int;
+  mutable nrefresh : int;
+  mutable nrefactor : int;
+}
 
 (* Internal state: every row is an equality over [ntotal] columns
    (structural, then one slack per row, then one artificial per row).
-   [tab] is the current tableau B^-1 A over the first [n + m] columns
-   only: artificial k's column is [asign.(k)] (+1 or -1) times slack k's
-   column, so it is derived on read (see [stored_col]) rather than stored.
-   [rc], [lb], [ub], [xval] and [in_basis] cover all [ntotal] columns.
-   [xval] holds the value of every column, nonbasic ones resting at a
-   bound.  [rhs] keeps the original right-hand sides so dual objective
-   values and warm restarts can be computed without the problem record.
-
-   Stamps.  Once a state is built, [pivot_tableau] is the only writer of
-   [tab].  It stamps the rows it updates and the stored columns where
-   the pivot row is nonzero with the new pivot count, so the three
-   vectors a warm re-solve derives from the tableau — basic values,
-   reduced costs, duals — are cached with the pivot count they were
-   computed at and only their stale entries are recomputed, with the
-   same per-entry arithmetic in the same order.  A cache count of -1
-   means "never computed": every entry is stale. *)
+   The structural part of the matrix is held by rows ([rstart]/[rcol]/
+   [rval]) and by columns ([cstart]/[crow]/[cval]); slack i's column is
+   [slk.(i)] e_i and artificial i's is [sigma.(i)] e_i.  [basis] is the
+   column at each basis position and [pos] the position of each basic
+   column (-1 when nonbasic).  [lu] factors the basis matrix, whose
+   column k is column [basis.(k)]; [lu_stale] says an edit changed the
+   basis outside a pivot, so the next solve refactors first.  [rc],
+   [lb], [ub] and [xval] cover all [ntotal] columns; nonbasic columns
+   rest at a bound.  [vrow], [vpos], [rho], [alpha] and [arow] are
+   scratch: an FTRAN input by row, a BTRAN input by position, the last
+   BTRAN result by row, the last FTRAN result by position, and the
+   pivot row over all columns. *)
 type state = {
   m : int;
-  n : int;  (* structural columns *)
+  n : int;
   ntotal : int;
-  tab : float array array;  (* m rows of n + m stored columns *)
+  rstart : int array;
+  rcol : int array;
+  rval : float array;
+  cstart : int array;
+  crow : int array;
+  cval : float array;
+  slk : float array;
+  sigma : float array;
+  rhs : float array;
   lb : float array;
   ub : float array;
   xval : float array;
-  basis : int array;  (* column basic in each row *)
-  in_basis : bool array;
-  sigma : float array;  (* artificial sign per row *)
-  asign : float array;  (* artificial column = asign * slack column, per row *)
-  rc : float array;  (* reduced costs, kept in sync by pivots *)
-  rhs : float array;
-  w : float array;  (* asign * sigma * rhs per row: B^-1 b is the slack block times [w] *)
-  nz : int array;  (* scratch: nonzero columns of the current pivot row *)
-  row_stamp : int array;  (* per row: pivot count of its last update *)
-  col_stamp : int array;  (* per stored column: pivot count of the last pivot row nonzero there *)
-  bval : float array;  (* per row: B^-1 b - B^-1 N x_N at [bval_at] *)
-  contrib : float array;  (* per column: the x_N entry [bval] used, 0 if basic *)
-  mutable bval_at : int;
-  mutable rc_cost : float array;  (* cost vector of the last refresh *)
-  mutable rc_at : int;
-  dual : float array;  (* per row: [duals_for dual_cost] at [dual_at] *)
-  mutable dual_cost : float array;
-  mutable dual_at : int;
-  dirty : int array;  (* scratch: stale stored columns *)
-  off : int array;  (* scratch: nonbasic columns off zero *)
-  chg : int array;  (* scratch: stored columns whose contribution changed *)
+  rc : float array;
+  basis : int array;
+  pos : int array;
+  lu : Lu.t;
+  mutable lu_stale : bool;
+  vrow : float array;
+  vpos : float array;
+  rho : float array;
+  alpha : float array;
+  arow : float array;
   mutable pivots_since_refresh : int;
-  mutable npivots : int;
-  mutable nrefresh : int;
+  work : work;
   eps : float;
 }
-
-(* A state over a freshly built tableau, with every cache stale. *)
-let make_state ~eps ~m ~n ~tab ~lb ~ub ~xval ~basis ~in_basis ~sigma ~asign ~rhs ~npivots
-    ~nrefresh ~pivots_since_refresh =
-  let ntotal = n + (2 * m) in
-  {
-    m;
-    n;
-    ntotal;
-    tab;
-    lb;
-    ub;
-    xval;
-    basis;
-    in_basis;
-    sigma;
-    asign;
-    rc = Array.make ntotal 0.;
-    rhs;
-    w = Array.init m (fun k -> asign.(k) *. sigma.(k) *. rhs.(k));
-    nz = Array.make (n + m) 0;
-    row_stamp = Array.make m 0;
-    col_stamp = Array.make (n + m) 0;
-    bval = Array.make m 0.;
-    contrib = Array.make ntotal 0.;
-    bval_at = -1;
-    rc_cost = [||];
-    rc_at = -1;
-    dual = Array.make m 0.;
-    dual_cost = [||];
-    dual_at = -1;
-    dirty = Array.make (n + m) 0;
-    off = Array.make ntotal 0;
-    chg = Array.make ntotal 0;
-    pivots_since_refresh;
-    npivots;
-    nrefresh;
-    eps;
-  }
 
 type step =
   | Moved  (* a pivot or bound flip happened *)
@@ -141,51 +114,207 @@ type step =
 
 let art_col st i = st.n + st.m + i
 
-(* Where column [j]'s tableau entries live: the stored column and the
-   sign to apply.  Artificial k reads slack k ([n + k]) times [asign.(k)];
-   multiplying by +1 or -1 is exact, so a derived entry equals the one a
-   stored artificial column would hold, up to the sign of a zero. *)
-let stored_col st j = if j < st.n + st.m then j else j - st.m
-let col_sign st j = if j < st.n + st.m then 1. else st.asign.(j - st.n - st.m)
+(* The structural part of [rows] by rows and by columns; repeated
+   columns in a row are summed in order, exact zeros left out. *)
+let build_matrix n (rows : row array) =
+  let m = Array.length rows in
+  let acc = Array.make n 0. and seen = Array.make n false in
+  let rstart = Array.make (m + 1) 0 in
+  let rcol = ref [] in
+  let count = ref 0 in
+  Array.iteri
+    (fun i (r : row) ->
+      let cols = ref [] in
+      Array.iter
+        (fun (j, a) ->
+          if not seen.(j) then begin
+            seen.(j) <- true;
+            cols := j :: !cols
+          end;
+          acc.(j) <- acc.(j) +. a)
+        r.coeffs;
+      let cols = List.sort compare !cols in
+      List.iter
+        (fun j ->
+          if acc.(j) <> 0. then begin
+            rcol := (j, acc.(j)) :: !rcol;
+            incr count
+          end;
+          acc.(j) <- 0.;
+          seen.(j) <- false)
+        cols;
+      rstart.(i + 1) <- !count)
+    rows;
+  let nnz = !count in
+  let rcol_a = Array.make nnz 0 and rval_a = Array.make nnz 0. in
+  List.iteri
+    (fun q (j, a) ->
+      rcol_a.(nnz - 1 - q) <- j;
+      rval_a.(nnz - 1 - q) <- a)
+    !rcol;
+  let cstart = Array.make (n + 1) 0 in
+  Array.iter (fun j -> cstart.(j + 1) <- cstart.(j + 1) + 1) rcol_a;
+  for j = 0 to n - 1 do
+    cstart.(j + 1) <- cstart.(j + 1) + cstart.(j)
+  done;
+  let fill = Array.sub cstart 0 n in
+  let crow = Array.make nnz 0 and cval = Array.make nnz 0. in
+  for i = 0 to m - 1 do
+    for q = rstart.(i) to rstart.(i + 1) - 1 do
+      let j = rcol_a.(q) in
+      crow.(fill.(j)) <- i;
+      cval.(fill.(j)) <- rval_a.(q);
+      fill.(j) <- fill.(j) + 1
+    done
+  done;
+  (rstart, rcol_a, rval_a, cstart, crow, cval)
 
-(* Recompute the reduced-cost row: rc_j = c_j - cB B^-1 A_j.  Done once
-   per phase and periodically to flush numerical drift; pivots keep it in
-   sync incrementally.  Under the cost vector of the last refresh only
-   the columns stamped since then (and their artificial twins) are
-   recomputed: a pivot writes [rc] only on the columns it stamps, and
-   any other column has the same entries as at the last refresh and a
-   zero in every pivot row, the only rows whose cB changed.  Each entry
-   subtracts its terms in row order, as the full pass does. *)
+let make_state ~eps ~n (rows : row array) ~slk ~sigma ~lb ~ub ~xval ~rc ~basis ~lu ~lu_stale ~work
+    =
+  let m = Array.length rows in
+  let ntotal = n + (2 * m) in
+  let rstart, rcol, rval, cstart, crow, cval = build_matrix n rows in
+  let pos = Array.make ntotal (-1) in
+  Array.iteri (fun k j -> pos.(j) <- k) basis;
+  {
+    m;
+    n;
+    ntotal;
+    rstart;
+    rcol;
+    rval;
+    cstart;
+    crow;
+    cval;
+    slk;
+    sigma;
+    rhs = Array.map (fun (r : row) -> r.rhs) rows;
+    lb;
+    ub;
+    xval;
+    rc;
+    basis;
+    pos;
+    lu;
+    lu_stale;
+    vrow = Array.make m 0.;
+    vpos = Array.make m 0.;
+    rho = Array.make m 0.;
+    alpha = Array.make m 0.;
+    arow = Array.make ntotal 0.;
+    pivots_since_refresh = 0;
+    work;
+    eps;
+  }
+
+let refactor st =
+  Lu.factor st.lu st.m (fun k emit ->
+      let j = st.basis.(k) in
+      if j < st.n then
+        for q = st.cstart.(j) to st.cstart.(j + 1) - 1 do
+          emit st.crow.(q) st.cval.(q)
+        done
+      else if j < st.n + st.m then emit (j - st.n) st.slk.(j - st.n)
+      else emit (j - st.n - st.m) st.sigma.(j - st.n - st.m));
+  st.lu_stale <- false;
+  st.work.nrefactor <- st.work.nrefactor + 1
+
+(* alpha = B^-1 a_j, by basis position. *)
+let ftran_col st j =
+  let v = st.vrow in
+  Array.fill v 0 st.m 0.;
+  if j < st.n then
+    for q = st.cstart.(j) to st.cstart.(j + 1) - 1 do
+      v.(st.crow.(q)) <- st.cval.(q)
+    done
+  else if j < st.n + st.m then v.(j - st.n) <- st.slk.(j - st.n)
+  else v.(j - st.n - st.m) <- st.sigma.(j - st.n - st.m);
+  Lu.ftran st.lu v st.alpha
+
+(* rho = c_B B^-1 for the given cost vector: the simplex multipliers. *)
+let btran_cost st cost =
+  for k = 0 to st.m - 1 do
+    st.vpos.(k) <- cost.(st.basis.(k))
+  done;
+  Lu.btran st.lu st.vpos st.rho
+
+(* The pivot row of position [r]: rho = e_r B^-1, then arow = rho A over
+   every column, summed only over the rows where rho is nonzero. *)
+let price_row st r =
+  Array.fill st.vpos 0 st.m 0.;
+  st.vpos.(r) <- 1.;
+  Lu.btran st.lu st.vpos st.rho;
+  let arow = st.arow and n = st.n and m = st.m in
+  Array.fill arow 0 n 0.;
+  for i = 0 to m - 1 do
+    let p = Array.unsafe_get st.rho i in
+    if p <> 0. then begin
+      for q = st.rstart.(i) to st.rstart.(i + 1) - 1 do
+        let j = Array.unsafe_get st.rcol q in
+        Array.unsafe_set arow j (Array.unsafe_get arow j +. (p *. Array.unsafe_get st.rval q))
+      done;
+      arow.(n + i) <- p *. st.slk.(i);
+      arow.(n + m + i) <- p *. st.sigma.(i)
+    end
+    else begin
+      arow.(n + i) <- 0.;
+      arow.(n + m + i) <- 0.
+    end
+  done
+
+(* Recompute the reduced costs rc_j = c_j - y A_j with y = c_B B^-1 (one
+   BTRAN, one pass over A); basic columns get exactly 0.  Leaves y in
+   [rho].  Done once per phase, at every warm start and every 100 pivots
+   to flush drift; pivots keep [rc] in sync in between. *)
 let refresh_reduced_costs st cost =
-  let all = not (cost == st.rc_cost && st.rc_at >= 0) in
-  let d = ref 0 in
-  for c = 0 to st.n + st.m - 1 do
-    if all || st.col_stamp.(c) > st.rc_at then begin
-      st.dirty.(!d) <- c;
-      incr d;
-      st.rc.(c) <- cost.(c);
-      (* artificial k = c - n sits at n + m + k = c + m *)
-      if c >= st.n then st.rc.(c + st.m) <- cost.(c + st.m)
+  btran_cost st cost;
+  let y = st.rho and n = st.n and m = st.m in
+  for j = 0 to n - 1 do
+    if st.pos.(j) >= 0 then st.rc.(j) <- 0.
+    else begin
+      let s = ref cost.(j) in
+      for q = st.cstart.(j) to st.cstart.(j + 1) - 1 do
+        s := !s -. (Array.unsafe_get y (Array.unsafe_get st.crow q) *. Array.unsafe_get st.cval q)
+      done;
+      st.rc.(j) <- !s
     end
   done;
-  let d = !d in
-  if d > 0 then
-    for i = 0 to st.m - 1 do
-      let cb = cost.(st.basis.(i)) in
-      if cb <> 0. then begin
-        let row = st.tab.(i) in
-        for t = 0 to d - 1 do
-          let c = Array.unsafe_get st.dirty t in
-          st.rc.(c) <- st.rc.(c) -. (cb *. row.(c));
-          if c >= st.n then
-            st.rc.(c + st.m) <- st.rc.(c + st.m) -. (cb *. (st.asign.(c - st.n) *. row.(c)))
-        done
-      end
-    done;
-  st.rc_cost <- cost;
-  st.rc_at <- st.npivots;
+  for i = 0 to m - 1 do
+    let j = n + i in
+    st.rc.(j) <- (if st.pos.(j) >= 0 then 0. else cost.(j) -. (y.(i) *. st.slk.(i)));
+    let j = n + m + i in
+    st.rc.(j) <- (if st.pos.(j) >= 0 then 0. else cost.(j) -. (y.(i) *. st.sigma.(i)))
+  done;
   st.pivots_since_refresh <- 0;
-  st.nrefresh <- st.nrefresh + 1
+  st.work.nrefresh <- st.work.nrefresh + 1
+
+(* Basic values from scratch: x_B = B^-1 (b - N x_N), one pass over the
+   nonbasic columns off zero and one FTRAN.  False when a value is not
+   finite. *)
+let compute_basic_values st =
+  let v = st.vrow in
+  Array.blit st.rhs 0 v 0 st.m;
+  for j = 0 to st.ntotal - 1 do
+    let x = st.xval.(j) in
+    if st.pos.(j) < 0 && x <> 0. then
+      if j < st.n then
+        for q = st.cstart.(j) to st.cstart.(j + 1) - 1 do
+          let i = st.crow.(q) in
+          v.(i) <- v.(i) -. (st.cval.(q) *. x)
+        done
+      else if j < st.n + st.m then v.(j - st.n) <- v.(j - st.n) -. (st.slk.(j - st.n) *. x)
+      else
+        let i = j - st.n - st.m in
+        v.(i) <- v.(i) -. (st.sigma.(i) *. x)
+  done;
+  Lu.ftran st.lu v st.alpha;
+  let ok = ref true in
+  for k = 0 to st.m - 1 do
+    let s = st.alpha.(k) in
+    if not (Float.is_finite s) then ok := false;
+    st.xval.(st.basis.(k)) <- s
+  done;
+  !ok
 
 (* Entering column: nonbasic at lower bound with negative reduced cost, or
    at upper bound with positive reduced cost.  Dantzig rule by default,
@@ -194,7 +323,7 @@ let choose_entering st ~bland =
   let best = ref (-1) in
   let best_score = ref st.eps in
   let consider j =
-    if (not st.in_basis.(j)) && st.lb.(j) < st.ub.(j) then begin
+    if st.pos.(j) < 0 && st.lb.(j) < st.ub.(j) then begin
       let r = st.rc.(j) in
       let at_lower = st.xval.(j) <= st.lb.(j) +. st.eps in
       let score =
@@ -216,65 +345,39 @@ let choose_entering st ~bland =
    with Exit -> ());
   !best
 
-(* Pivot column [j] into the basis on row [r]: eliminate it from every
-   other row and from the reduced-cost row, swap basis bookkeeping.  The
-   pivot row is divided once and its nonzero columns collected into
-   [st.nz]; the updates then touch those columns only, since a zero
-   pivot-row entry would leave [x -. f *. 0.] = [x].  The rows written
-   and the columns where the pivot row is nonzero before the division
-   (a quotient may underflow to 0) get the new pivot count as stamp. *)
-let pivot_tableau st r j =
-  let ns = st.n + st.m in
-  let stamp = st.npivots + 1 in
-  let js = stored_col st j and jsg = col_sign st j in
-  let row_r = st.tab.(r) in
-  let piv = jsg *. row_r.(js) in
-  let nz = st.nz in
-  let cnt = ref 0 in
-  st.row_stamp.(r) <- stamp;
-  for c = 0 to ns - 1 do
-    let x = row_r.(c) in
-    if x <> 0. then begin
-      st.col_stamp.(c) <- stamp;
-      let v = x /. piv in
-      row_r.(c) <- v;
-      if v <> 0. then begin
-        nz.(!cnt) <- c;
-        incr cnt
-      end
-    end
-  done;
-  let cnt = !cnt in
-  for i = 0 to st.m - 1 do
-    if i <> r then begin
-      let row_i = st.tab.(i) in
-      let f = jsg *. row_i.(js) in
-      if f <> 0. then begin
-        st.row_stamp.(i) <- stamp;
-        for t = 0 to cnt - 1 do
-          let c = Array.unsafe_get nz t in
-          Array.unsafe_set row_i c (Array.unsafe_get row_i c -. (f *. Array.unsafe_get row_r c))
-        done
-      end
-    end
-  done;
+(* Column [j] replaces the basic column at position [r], with [alpha]
+   holding B^-1 a_j and [arow] the pivot row of [r].  The reduced costs
+   move along the pivot row; the LU takes an eta, or is rebuilt (keeping
+   the vertex: the basic values are recomputed) once [refactor_period]
+   etas have piled up or the two pivot values disagree.  Two far apart
+   mean the factors can no longer be trusted: [Lu.Singular]. *)
+let basis_change st r j =
+  let arj = st.arow.(j) and acj = st.alpha.(r) in
+  let gap = abs_float (acj -. arj) in
+  if gap > 1e-6 *. (1. +. abs_float arj) then raise Lu.Singular;
   let rcj = st.rc.(j) in
-  if rcj <> 0. then
-    for t = 0 to cnt - 1 do
-      let c = nz.(t) in
-      st.rc.(c) <- st.rc.(c) -. (rcj *. row_r.(c));
-      if c >= st.n then begin
-        (* slack k = c - n: artificial k's entry is asign_k times it *)
-        let k = c - st.n in
-        st.rc.(ns + k) <- st.rc.(ns + k) -. (rcj *. (st.asign.(k) *. row_r.(c)))
-      end
-    done;
+  if rcj <> 0. then begin
+    let theta = rcj /. arj in
+    let arow = st.arow in
+    for c = 0 to st.ntotal - 1 do
+      let a = Array.unsafe_get arow c in
+      if a <> 0. && Array.unsafe_get st.pos c < 0 then
+        Array.unsafe_set st.rc c (Array.unsafe_get st.rc c -. (theta *. a))
+    done
+  end;
   let leaving = st.basis.(r) in
+  st.rc.(j) <- 0.;
+  st.rc.(leaving) <- (if rcj <> 0. then -.(rcj /. arj) else 0.);
   st.basis.(r) <- j;
-  st.in_basis.(j) <- true;
-  st.in_basis.(leaving) <- false;
+  st.pos.(j) <- r;
+  st.pos.(leaving) <- -1;
   st.pivots_since_refresh <- st.pivots_since_refresh + 1;
-  st.npivots <- stamp
+  st.work.npivots <- st.work.npivots + 1;
+  if Lu.updates st.lu + 1 >= refactor_period || gap > 1e-9 *. (1. +. abs_float arj) then begin
+    refactor st;
+    if not (compute_basic_values st) then raise Lu.Singular
+  end
+  else Lu.update st.lu r st.alpha
 
 (* One primal simplex step for the given cost vector. *)
 let step st cost ~bland =
@@ -284,13 +387,14 @@ let step st cost ~bland =
   else begin
     let at_lower = st.xval.(j) <= st.lb.(j) +. st.eps in
     let dir = if at_lower then 1. else -1. in
-    let js = stored_col st j and jsg = col_sign st j in
-    (* entering moves by [dir * delta], basic i by [-dir * tab[i][j] * delta] *)
+    ftran_col st j;
+    let alpha = st.alpha in
+    (* entering moves by [dir * delta], basic k by [-dir * alpha_k * delta] *)
     let delta = ref (st.ub.(j) -. st.lb.(j)) in
     let blocking = ref (-1) in
     let blocking_to_upper = ref false in
     for i = 0 to st.m - 1 do
-      let rate = -.dir *. (jsg *. st.tab.(i).(js)) in
+      let rate = -.dir *. alpha.(i) in
       let k = st.basis.(i) in
       if rate > st.eps && st.ub.(k) < infinity then begin
         let room = (st.ub.(k) -. st.xval.(k)) /. rate in
@@ -312,10 +416,9 @@ let step st cost ~bland =
     if !delta = infinity then Unbd
     else begin
       let d = !delta in
-      (* apply the move *)
       for i = 0 to st.m - 1 do
         let k = st.basis.(i) in
-        st.xval.(k) <- st.xval.(k) -. (dir *. (jsg *. st.tab.(i).(js)) *. d)
+        st.xval.(k) <- st.xval.(k) -. (dir *. alpha.(i) *. d)
       done;
       st.xval.(j) <- st.xval.(j) +. (dir *. d);
       (match !blocking with
@@ -325,7 +428,8 @@ let step st cost ~bland =
       | r ->
         let leaving = st.basis.(r) in
         st.xval.(leaving) <- (if !blocking_to_upper then st.ub.(leaving) else st.lb.(leaving));
-        pivot_tableau st r j);
+        price_row st r;
+        basis_change st r j);
       Moved
     end
   end
@@ -358,69 +462,24 @@ let objective_value st cost =
   done;
   !z
 
-(* Row dual values for a cost vector: pi_i = (sum_k cB_k tab[k][art_i]) / sigma_i,
-   since the artificial column of row i is sigma_i * e_i in the original
-   matrix and the tableau holds B^-1 applied to it.  The sums are
-   accumulated a basic row at a time, skipping rows of zero cost; each
-   pi_i still adds its terms in row order.  Under the cost vector of the
-   previous call only the rows whose slack column was stamped since then
-   are recomputed, by the argument of [refresh_reduced_costs].  Returns
-   a fresh array. *)
+(* Row dual values for a cost vector: y = c_B B^-1.  Returns a fresh
+   array. *)
 let duals_for st cost =
-  let n = st.n in
-  let s = st.dual in
-  let d = ref 0 in
-  if cost == st.dual_cost && st.dual_at >= 0 then begin
-    for i = 0 to st.m - 1 do
-      if st.col_stamp.(n + i) > st.dual_at then begin
-        st.dirty.(!d) <- i;
-        incr d
-      end
-    done
-  end
-  else begin
-    for i = 0 to st.m - 1 do
-      st.dirty.(i) <- i
-    done;
-    d := st.m;
-    st.dual_cost <- cost
-  end;
-  let d = !d in
-  if d > 0 then begin
-    for t = 0 to d - 1 do
-      s.(st.dirty.(t)) <- 0.
-    done;
-    for k = 0 to st.m - 1 do
-      let cb = cost.(st.basis.(k)) in
-      if cb <> 0. then begin
-        let row = st.tab.(k) in
-        for t = 0 to d - 1 do
-          let i = Array.unsafe_get st.dirty t in
-          s.(i) <- s.(i) +. (cb *. (st.asign.(i) *. row.(n + i)))
-        done
-      end
-    done;
-    for t = 0 to d - 1 do
-      let i = st.dirty.(t) in
-      s.(i) <- s.(i) /. st.sigma.(i)
-    done
-  end;
-  st.dual_at <- st.npivots;
-  Array.copy s
+  btran_cost st cost;
+  Array.copy st.rho
 
 (* Lagrangian bound from the current simplex multipliers.  In equality
    form, z(y) = y.b + sum_j min over [lb_j, ub_j] of rc_j x_j is a valid
    lower bound on the optimum for ANY y; with y = cB B^-1 the reduced
-   costs rc = c - y A drop out of the basis (exactly 0. after a refresh,
-   since basic tableau columns are exact unit vectors).  The min term is
-   evaluated with NO tolerance: dropping a wrong-sign term could only
-   overstate the bound.  A nonzero rc against an infinite bound — however
-   tiny — makes the term -infinity, so the bound degenerates to None;
-   tiny rc against a finite bound contributes its exact (downward-safe)
-   correction instead of being skipped. *)
+   costs rc = c - y A drop out of the basis (set to exactly 0. by the
+   refresh).  The min term is evaluated with NO tolerance: dropping a
+   wrong-sign term could only overstate the bound.  A nonzero rc against
+   an infinite bound — however tiny — makes the term -infinity, so the
+   bound degenerates to None; tiny rc against a finite bound contributes
+   its exact (downward-safe) correction instead of being skipped. *)
 let safe_dual_bound st cost =
   refresh_reduced_costs st cost;
-  let y = duals_for st cost in
+  let y = st.rho in
   let z = ref 0. in
   for i = 0 to st.m - 1 do
     z := !z +. (y.(i) *. st.rhs.(i))
@@ -447,9 +506,13 @@ let safe_dual_bound st cost =
    with Exit -> ());
   if !ok && Float.is_finite !z then Some !z else None
 
-(* Build a fresh state for [p]: artificial basis, rows normalized so the
-   basic artificial column is +1. *)
-let init_state ~eps (p : problem) =
+let slack_coeff (r : row) = match r.rel with Ge -> -1. | Le | Eq -> 1.
+
+(* Build a fresh state for [p] on the artificial basis: artificial i is
+   [sigma_i] e_i with sigma_i the sign of row i's residual at the
+   starting point, so it starts at the residual's magnitude, and the
+   basis matrix is diag(sigma), factored as it stands. *)
+let init_state ~eps ~work ~lu (p : problem) =
   let m = Array.length p.rows in
   let n = p.ncols in
   let ntotal = n + (2 * m) in
@@ -461,50 +524,26 @@ let init_state ~eps (p : problem) =
     if lb.(j) = neg_infinity && ub.(j) = infinity then
       invalid_arg "Simplex: free structural variables are not supported"
   done;
-  let tab = Array.make_matrix m (n + m) 0. in
   let xval = Array.make ntotal 0. in
   (* nonbasic structural variables start at a finite bound *)
   for j = 0 to n - 1 do
     xval.(j) <- (if lb.(j) > neg_infinity then lb.(j) else ub.(j))
   done;
+  let slk = Array.map slack_coeff p.rows in
   let sigma = Array.make m 1. in
-  let asign = Array.make m 1. in
-  let basis = Array.init m (fun i -> n + m + i) in
-  let in_basis = Array.make ntotal false in
-  let rhs = Array.map (fun (r : row) -> r.rhs) p.rows in
   Array.iteri
-    (fun i r ->
-      Array.iter (fun (j, a) -> tab.(i).(j) <- tab.(i).(j) +. a) r.coeffs;
-      match r.rel with
-      | Ge -> tab.(i).(n + i) <- -1.
-      | Le -> tab.(i).(n + i) <- 1.
-      | Eq ->
-        (* a unit slack fixed at 0: it never enters, but keeps the
-           artificial column a signed copy of the slack column *)
-        tab.(i).(n + i) <- 1.;
-        ub.(n + i) <- 0.)
+    (fun i (r : row) ->
+      (* an Eq row's slack is fixed at 0: it never enters *)
+      (match r.rel with Ge | Le -> () | Eq -> ub.(n + i) <- 0.);
+      let residual = ref r.rhs in
+      Array.iter (fun (j, a) -> residual := !residual -. (a *. xval.(j))) r.coeffs;
+      sigma.(i) <- (if !residual >= 0. then 1. else -1.);
+      xval.(n + m + i) <- abs_float !residual)
     p.rows;
-  (* artificial columns and initial basic values *)
-  for i = 0 to m - 1 do
-    let residual = ref p.rows.(i).rhs in
-    Array.iter (fun (j, a) -> residual := !residual -. (a *. xval.(j))) p.rows.(i).coeffs;
-    (* slack starts at 0, so it does not contribute *)
-    sigma.(i) <- (if !residual >= 0. then 1. else -1.);
-    (* the artificial column is sigma_i * e_i, the slack column
-       tab[i][n+i] * e_i, so the former is asign_i times the latter *)
-    asign.(i) <- tab.(i).(n + i) *. sigma.(i);
-    in_basis.(n + m + i) <- true;
-    xval.(n + m + i) <- abs_float !residual;
-    (* normalize the row so the basic artificial column is +1 *)
-    if sigma.(i) < 0. then begin
-      let row = tab.(i) in
-      for c = 0 to n + m - 1 do
-        row.(c) <- -.row.(c)
-      done
-    end
-  done;
-  make_state ~eps ~m ~n ~tab ~lb ~ub ~xval ~basis ~in_basis ~sigma ~asign ~rhs ~npivots:0
-    ~nrefresh:0 ~pivots_since_refresh:0
+  Lu.diagonal lu sigma;
+  make_state ~eps ~n p.rows ~slk ~sigma ~lb ~ub ~xval ~rc:(Array.make ntotal 0.)
+    ~basis:(Array.init m (fun i -> n + m + i))
+    ~lu ~lu_stale:false ~work
 
 let phase2_cost_of st (p : problem) =
   let cost = Array.make st.ntotal 0. in
@@ -584,29 +623,17 @@ let two_phase st (p : problem) ~max_iters ~iters ~phase1_iters ~should_stop =
     end
 
 let default_max_iters ~m ~n = 200 + (20 * (m + n))
-
-let flush_stats stats st ~iters ~phase1_iters ~pivots0 ~refresh0 =
-  match stats with
-  | None -> ()
-  | Some s ->
-    s.calls <- s.calls + 1;
-    s.iterations <- s.iterations + iters;
-    s.phase1_iters <- s.phase1_iters + phase1_iters;
-    s.phase2_iters <- s.phase2_iters + (iters - phase1_iters);
-    s.pivots <- s.pivots + (st.npivots - pivots0);
-    s.refreshes <- s.refreshes + (st.nrefresh - refresh0)
-
 let never_stop () = false
 
 (* ------------------------------------------------------------------ *)
 (* Incremental re-solving: bounded-variable dual simplex warm-started  *)
-(* from the previous basis after column-bound edits.                   *)
+(* from the previous basis after column-bound and row edits.           *)
 (* ------------------------------------------------------------------ *)
 
 type dual_step =
   | DMoved
   | DOpt
-  | DInfeasible of int  (* violated basic row with no eligible entering *)
+  | DInfeasible of int  (* violated basic position with no eligible entering *)
 
 (* One dual simplex step.  Leaving variable: the basic with the largest
    bound violation.  Entering: among nonbasic columns whose move can
@@ -637,14 +664,15 @@ let dual_step st =
     let r = !r in
     let below = !below in
     let k = st.basis.(r) in
-    let row = st.tab.(r) in
+    price_row st r;
+    let row = st.arow in
     let best = ref (-1) in
     let best_ratio = ref infinity in
     let best_alpha = ref 0. in
     for j = 0 to st.ntotal - 1 do
-      if (not st.in_basis.(j)) && st.lb.(j) < st.ub.(j) then begin
-        let a = col_sign st j *. row.(stored_col st j) in
-        if abs_float a > st.eps then begin
+      let a = Array.unsafe_get row j in
+      if abs_float a > st.eps && st.pos.(j) < 0 && st.lb.(j) < st.ub.(j) then begin
+        begin
           let at_lower = st.xval.(j) <= st.lb.(j) +. st.eps in
           let eligible =
             if below then if at_lower then a < 0. else a > 0.
@@ -669,16 +697,16 @@ let dual_step st =
     else begin
       let j = !best in
       let a = !best_alpha in
-      let js = stored_col st j and jsg = col_sign st j in
+      ftran_col st j;
       let target = if below then st.lb.(k) else st.ub.(k) in
       let t = (st.xval.(k) -. target) /. a in
       for i = 0 to st.m - 1 do
         let b = st.basis.(i) in
-        st.xval.(b) <- st.xval.(b) -. (jsg *. st.tab.(i).(js) *. t)
+        st.xval.(b) <- st.xval.(b) -. (st.alpha.(i) *. t)
       done;
       st.xval.(j) <- st.xval.(j) +. t;
       st.xval.(k) <- target;
-      pivot_tableau st r j;
+      basis_change st r j;
       DMoved
     end
   end
@@ -713,18 +741,15 @@ module Incremental = struct
     mutable cost : float array;  (* structural objective over ntotal columns *)
     mutable have_basis : bool;
     mutable info : info;
-    mutable pivots_at_rebuild : int;
     mutable drop_fallbacks : int;
-    mutable period_rebuilds : int;
+    work : work;
+    flushed : work;  (* [work] at the end of the last [reoptimize] *)
   }
-
-  (* Periodically refactor from scratch to flush accumulated numerical
-     drift in the tableau. *)
-  let rebuild_period = 2000
 
   let create ?(eps = 1e-7) (p : problem) =
     let base = { p with lower = Array.copy p.lower; upper = Array.copy p.upper } in
-    let st = init_state ~eps base in
+    let work = { npivots = 0; nrefresh = 0; nrefactor = 0 } in
+    let st = init_state ~eps ~work ~lu:(Lu.create ()) base in
     {
       base;
       cur_lower = Array.copy base.lower;
@@ -734,35 +759,56 @@ module Incremental = struct
       cost = phase2_cost_of st base;
       have_basis = false;
       info = { warm = false; iters = 0 };
-      pivots_at_rebuild = 0;
       drop_fallbacks = 0;
-      period_rebuilds = 0;
+      work;
+      flushed = { npivots = 0; nrefresh = 0; nrefactor = 0 };
     }
 
   let nrows t = Array.length t.base.rows
   let last_info t = t.info
   let drop_fallbacks t = t.drop_fallbacks
-  let period_rebuilds t = t.period_rebuilds
   let invalidate t = t.have_basis <- false
 
   (* Rebuild the state for the edited base problem without a usable
      basis; the next [reoptimize] solves cold. *)
   let resync_cold t =
     t.have_basis <- false;
-    let st = init_state ~eps:t.eps t.base in
+    let st = init_state ~eps:t.eps ~work:t.work ~lu:t.st.lu t.base in
     t.st <- st;
-    t.cost <- phase2_cost_of st t.base;
-    t.pivots_at_rebuild <- 0
+    t.cost <- phase2_cost_of st t.base
 
-  (* Splice [r] into the live tableau while preserving the current basis:
-     the new row (as an equality over a fresh slack and artificial) is
-     eliminated against every basic column — yielding the B^-1-transformed
-     row — and its slack is made basic.  Since the slack has zero cost the
-     duals of the old rows are unchanged, so dual feasibility survives;
-     the slack's (possibly out-of-bound) primal value is repaired by the
-     next dual-simplex reoptimize.  Column layout: the new slack lands at
-     index [n + m] and the new artificial last, so old columns at or above
-     [n + m] (the old artificials) shift up by one. *)
+  (* Rebuild the state over [rows] with column [j] of the old state
+     moved to [map j] (-1: deleted) and the basis [basis] (new column
+     indices).  [lb] and [ub] come preset for the columns no old one
+     maps to.  The LU is rebuilt at the next solve. *)
+  let remap t rows ~map ~basis ~slk ~sigma ~lb ~ub =
+    let st = t.st in
+    let ntotal' = st.n + (2 * Array.length rows) in
+    let xval = Array.make ntotal' 0. and rc = Array.make ntotal' 0. in
+    for j = 0 to st.ntotal - 1 do
+      let j' = map j in
+      if j' >= 0 then begin
+        lb.(j') <- st.lb.(j);
+        ub.(j') <- st.ub.(j);
+        xval.(j') <- st.xval.(j);
+        rc.(j') <- st.rc.(j)
+      end
+    done;
+    let st' =
+      make_state ~eps:st.eps ~n:st.n rows ~slk ~sigma ~lb ~ub ~xval ~rc ~basis ~lu:st.lu
+        ~lu_stale:true ~work:t.work
+    in
+    t.st <- st';
+    t.cost <- phase2_cost_of st' t.base
+
+  (* Append [r] and keep the basis: the new row's slack becomes basic in
+     a new last position.  The slack has zero cost, so the duals of the
+     old rows and every reduced cost are unchanged and dual feasibility
+     survives; the slack's (possibly out-of-bound) value is repaired by
+     the next dual-simplex reoptimize.  Column layout: the new slack
+     lands at index [n + m] and the new artificial last, so the old
+     artificials shift up by one.  The LU is rebuilt at the next
+     solve. *)
   let add_row t (r : row) =
     let idx = Array.length t.base.rows in
     t.base <- { t.base with rows = Array.append t.base.rows [| r |] };
@@ -770,75 +816,33 @@ module Incremental = struct
     else begin
       let st = t.st in
       let n = st.n and m = st.m in
-      let m' = m + 1 in
-      let ns' = n + m' in
-      let ntotal' = n + (2 * m') in
       let map j = if j < n + m then j else j + 1 in
+      let ntotal' = n + (2 * (m + 1)) in
+      let lb = Array.make ntotal' 0. and ub = Array.make ntotal' infinity in
       let slack_new = n + m in
-      let art_new = ntotal' - 1 in
-      let lb = Array.make ntotal' 0. in
-      let ub = Array.make ntotal' infinity in
-      let xval = Array.make ntotal' 0. in
-      let in_basis = Array.make ntotal' false in
-      for j = 0 to st.ntotal - 1 do
-        let j' = map j in
-        lb.(j') <- st.lb.(j);
-        ub.(j') <- st.ub.(j);
-        xval.(j') <- st.xval.(j);
-        in_basis.(j') <- st.in_basis.(j)
-      done;
       (match r.rel with Ge | Le -> () | Eq -> ub.(slack_new) <- 0.);
-      ub.(art_new) <- 0.;
-      let tab = Array.make_matrix m' ns' 0. in
-      for i = 0 to m - 1 do
-        Array.blit st.tab.(i) 0 tab.(i) 0 (n + m)
-      done;
-      let basis = Array.init m' (fun i -> if i < m then map st.basis.(i) else slack_new) in
-      let c_s = match r.rel with Ge -> -1. | Le | Eq -> 1. in
-      let sigma = Array.append st.sigma [| c_s |] in
-      (* slack and artificial both carry c_s, so asign = 1 *)
-      let asign = Array.append st.asign [| 1. |] in
-      let rhs = Array.append st.rhs [| r.rhs |] in
-      let d = tab.(m) in
-      Array.iter (fun (j, a) -> d.(j) <- d.(j) +. a) r.coeffs;
-      d.(slack_new) <- c_s;
-      (* Basic columns are unit vectors across the tableau, so the
-         elimination order is immaterial.  A basic artificial's entry in
-         [d] is read through its slack, like any other. *)
-      for i = 0 to m - 1 do
-        let b = basis.(i) in
-        let f = if b < ns' then d.(b) else asign.(b - ns') *. d.(b - m') in
-        if f <> 0. then begin
-          let row_i = tab.(i) in
-          for c = 0 to ns' - 1 do
-            d.(c) <- d.(c) -. (f *. row_i.(c))
-          done
-        end
-      done;
-      (* normalize so the basic slack column carries +1 *)
-      if c_s < 0. then
-        for c = 0 to ns' - 1 do
-          d.(c) <- -.d.(c)
-        done;
-      in_basis.(slack_new) <- true;
-      let st' =
-        make_state ~eps:st.eps ~m:m' ~n ~tab ~lb ~ub ~xval ~basis ~in_basis ~sigma ~asign ~rhs
-          ~npivots:st.npivots ~nrefresh:st.nrefresh ~pivots_since_refresh:st.pivots_since_refresh
-      in
-      t.st <- st';
-      t.cost <- phase2_cost_of st' t.base
+      ub.(ntotal' - 1) <- 0.;
+      let c_s = slack_coeff r in
+      (* an artificial of the same sign as the slack: never used, since
+         it is pinned at 0 like every artificial after phase 1 *)
+      remap t t.base.rows ~map
+        ~basis:(Array.append (Array.map map st.basis) [| slack_new |])
+        ~slk:(Array.append st.slk [| c_s |])
+        ~sigma:(Array.append st.sigma [| c_s |])
+        ~lb ~ub
     end;
     idx
 
-  (* Delete row [i] while keeping the basis warm when possible.  The row's
-     own slack is pivoted into the row if it is not already basic there;
-     with the slack basic in its own row, the basis matrix is block
-     triangular in that row/column pair, so deleting the row together with
-     its slack and artificial columns leaves a valid basis (and unchanged
-     reduced costs) for the remaining system.  Every row, [Eq] rows
-     included, has a unit slack column, so this pivot is available unless
-     the entry is numerically unusable or the slack or artificial is basic
-     in a different row; those cases fall back to a cold rebuild.  Rows
+  (* Delete row [i] while keeping the basis warm when possible.  If the
+     row's slack is basic, at any position, the basis matrix has the unit
+     column slk_i e_i there, so deleting row [i] with that position
+     leaves a nonsingular basis for the remaining system (expand the
+     determinant along the column), with unchanged basic values, duals
+     and reduced costs: the slack has zero cost, so row [i]'s dual is 0.
+     A nonbasic slack is first pivoted in at the position where its
+     transformed column B^-1 a_s is largest.  A basic artificial, or a
+     slack column whose largest transformed entry is numerically
+     unusable, drops the basis: the next [reoptimize] solves cold.  Rows
      above [i] shift down by one. *)
   let drop_row t i =
     let nr = Array.length t.base.rows in
@@ -852,59 +856,45 @@ module Incremental = struct
       let st = t.st in
       let n = st.n and m = st.m in
       let slack_i = n + i and art_i = n + m + i in
-      let ok =
-        if st.basis.(i) = slack_i then true
-        else if (not st.in_basis.(slack_i)) && abs_float st.tab.(i).(slack_i) > st.eps then begin
-          (* primal pivot; any dual-feasibility damage is repaired by the
-             reduced-cost refresh + nonbasic resting of the next warm
-             start *)
-          pivot_tableau st i slack_i;
-          true
-        end
-        else false
+      let slack_pos =
+        if st.pos.(art_i) >= 0 then -1
+        else if st.pos.(slack_i) >= 0 then st.pos.(slack_i)
+        else
+          match
+            if st.lu_stale then refactor st;
+            ftran_col st slack_i
+          with
+          | exception Lu.Singular -> -1
+          | () ->
+            let r = ref 0 in
+            for k = 1 to m - 1 do
+              if abs_float st.alpha.(k) > abs_float st.alpha.(!r) then r := k
+            done;
+            if m > 0 && abs_float st.alpha.(!r) > st.eps then begin
+              (* primal pivot; any dual-feasibility damage is repaired by
+                 the reduced-cost refresh + nonbasic resting of the next
+                 warm start *)
+              st.pos.(st.basis.(!r)) <- -1;
+              st.basis.(!r) <- slack_i;
+              st.pos.(slack_i) <- !r;
+              !r
+            end
+            else -1
       in
-      if (not ok) || st.in_basis.(art_i) then begin
+      if slack_pos < 0 then begin
         t.drop_fallbacks <- t.drop_fallbacks + 1;
         resync_cold t
       end
       else begin
-        let m' = m - 1 in
-        let ns' = n + m' in
-        let ntotal' = n + (2 * m') in
-        let map j = if j < slack_i then j else if j < art_i then j - 1 else j - 2 in
-        let lb = Array.make ntotal' 0. in
-        let ub = Array.make ntotal' infinity in
-        let xval = Array.make ntotal' 0. in
-        let in_basis = Array.make ntotal' false in
-        for j = 0 to st.ntotal - 1 do
-          if j <> slack_i && j <> art_i then begin
-            let j' = map j in
-            lb.(j') <- st.lb.(j);
-            ub.(j') <- st.ub.(j);
-            xval.(j') <- st.xval.(j);
-            in_basis.(j') <- st.in_basis.(j)
-          end
-        done;
-        let keep k = if k < i then k else k + 1 in
-        let tab =
-          Array.init m' (fun k' ->
-              let src = st.tab.(keep k') and dst = Array.make ns' 0. in
-              Array.blit src 0 dst 0 slack_i;
-              Array.blit src (slack_i + 1) dst slack_i (ns' - slack_i);
-              dst)
-        in
-        let st' =
-          make_state ~eps:st.eps ~m:m' ~n ~tab ~lb ~ub ~xval
-            ~basis:(Array.init m' (fun k' -> map st.basis.(keep k')))
-            ~in_basis
-            ~sigma:(Array.init m' (fun k' -> st.sigma.(keep k')))
-            ~asign:(Array.init m' (fun k' -> st.asign.(keep k')))
-            ~rhs:(Array.init m' (fun k' -> st.rhs.(keep k')))
-            ~npivots:st.npivots ~nrefresh:st.nrefresh
-            ~pivots_since_refresh:st.pivots_since_refresh
-        in
-        t.st <- st';
-        t.cost <- phase2_cost_of st' t.base
+        let map j = if j < slack_i then j else if j = slack_i || j = art_i then -1 else if j < art_i then j - 1 else j - 2 in
+        let ntotal' = n + (2 * (m - 1)) in
+        let keep a = Array.init (m - 1) (fun k -> if k < i then a.(k) else a.(k + 1)) in
+        remap t rows' ~map
+          ~basis:
+            (Array.init (m - 1) (fun k ->
+                 map st.basis.(if k < slack_pos then k else k + 1)))
+          ~slk:(keep st.slk) ~sigma:(keep st.sigma)
+          ~lb:(Array.make ntotal' 0.) ~ub:(Array.make ntotal' infinity)
       end
     end
 
@@ -916,21 +906,23 @@ module Incremental = struct
     t.cur_lower.(j) <- t.base.lower.(j);
     t.cur_upper.(j) <- t.base.upper.(j)
 
-  (* Restore a dual-feasible resting point after bound edits: refresh the
-     reduced costs, put every nonbasic column on the bound its reduced
-     cost prefers, and recompute the basic values from the tableau
-     (B^-1 e_k is the k-th artificial column over sigma_k).  Returns
-     false — caller rebuilds cold — when a wrong-sign column has no
-     finite bound to rest on or numerics have degraded. *)
+  (* Restore a dual-feasible resting point after bound and row edits:
+     refactor if an edit changed the basis, refresh the reduced costs
+     (one BTRAN, one pass over A), put every nonbasic column on the bound
+     its reduced cost prefers, and recompute the basic values (one pass
+     over A, one FTRAN).  Returns false — caller rebuilds cold — when a
+     wrong-sign column has no finite bound to rest on or numerics have
+     degraded. *)
   let warm_start t =
     let st = t.st in
     Array.blit t.cur_lower 0 st.lb 0 st.n;
     Array.blit t.cur_upper 0 st.ub 0 st.n;
+    if st.lu_stale then refactor st;
     refresh_reduced_costs st t.cost;
     let ok = ref true in
     (try
        for j = 0 to st.ntotal - 1 do
-         if not st.in_basis.(j) then begin
+         if st.pos.(j) < 0 then begin
            let lo = st.lb.(j) and up = st.ub.(j) in
            if lo = up then st.xval.(j) <- lo
            else begin
@@ -958,56 +950,37 @@ module Incremental = struct
          end
        done
      with Exit -> ());
-    if !ok then begin
-      (* The nonbasic columns off zero, in column order, are the only ones
-         that move a basic value.  A row keeps its cached value unless a
-         pivot wrote it or it has a nonzero entry in a column whose
-         contribution changed: the skipped terms would subtract zeros. *)
-      let fresh = st.bval_at < 0 in
-      let noff = ref 0 and nchg = ref 0 in
-      for j = 0 to st.ntotal - 1 do
-        let x = if st.in_basis.(j) then 0. else st.xval.(j) in
-        if x <> 0. then begin
-          st.off.(!noff) <- j;
-          incr noff
-        end;
-        if x <> st.contrib.(j) then begin
-          st.contrib.(j) <- x;
-          st.chg.(!nchg) <- stored_col st j;
-          incr nchg
-        end
-      done;
-      let noff = !noff and nchg = !nchg in
-      let n = st.n in
-      for i = 0 to st.m - 1 do
-        let row = st.tab.(i) in
-        let stale = ref (fresh || st.row_stamp.(i) > st.bval_at) in
-        let c = ref 0 in
-        while (not !stale) && !c < nchg do
-          if Array.unsafe_get row (Array.unsafe_get st.chg !c) <> 0. then stale := true;
-          incr c
-        done;
-        if !stale then begin
-          (* B^-1 b: artificial k's entry over sigma_k, times rhs_k, equals
-             slack k's entry times [w.(k)], since the +-1 factors are exact *)
-          let s = ref 0. in
-          for k = 0 to st.m - 1 do
-            let a = Array.unsafe_get row (n + k) in
-            if a <> 0. then s := !s +. (a *. Array.unsafe_get st.w k)
-          done;
-          for q = 0 to noff - 1 do
-            let j = Array.unsafe_get st.off q in
-            s := !s -. (col_sign st j *. row.(stored_col st j) *. st.xval.(j))
-          done;
-          st.bval.(i) <- !s
-        end;
-        let s = st.bval.(i) in
-        if not (Float.is_finite s) then ok := false;
-        st.xval.(st.basis.(i)) <- s
-      done;
-      st.bval_at <- st.npivots
-    end;
-    !ok
+    !ok && compute_basic_values st
+
+  let flush_stats t stats ~iters ~phase1_iters =
+    let w = t.work and f = t.flushed in
+    (match stats with
+    | None -> ()
+    | Some s ->
+      s.calls <- s.calls + 1;
+      s.iterations <- s.iterations + iters;
+      s.phase1_iters <- s.phase1_iters + phase1_iters;
+      s.phase2_iters <- s.phase2_iters + (iters - phase1_iters);
+      s.pivots <- s.pivots + (w.npivots - f.npivots);
+      s.refreshes <- s.refreshes + (w.nrefresh - f.nrefresh);
+      s.refactors <- s.refactors + (w.nrefactor - f.nrefactor));
+    f.npivots <- w.npivots;
+    f.nrefresh <- w.nrefresh;
+    f.nrefactor <- w.nrefactor
+
+  let cold t ~max_iters ~iters ~phase1_iters ~should_stop =
+    let p = { t.base with lower = Array.copy t.cur_lower; upper = Array.copy t.cur_upper } in
+    let st = init_state ~eps:t.eps ~work:t.work ~lu:t.st.lu p in
+    t.st <- st;
+    t.cost <- phase2_cost_of st p;
+    let r =
+      try two_phase st p ~max_iters ~iters ~phase1_iters ~should_stop
+      with Lu.Singular -> Iteration_limit None
+    in
+    (match r with
+    | Optimal _ | Infeasible _ -> t.have_basis <- true
+    | Unbounded | Iteration_limit _ -> t.have_basis <- false);
+    r
 
   let reoptimize ?max_iters ?(should_stop = never_stop) ?stats t =
     let max_iters =
@@ -1017,47 +990,32 @@ module Incremental = struct
     in
     let iters = ref 0 in
     let phase1_iters = ref 0 in
-    let due = t.st.npivots - t.pivots_at_rebuild >= rebuild_period in
-    if t.have_basis && due then t.period_rebuilds <- t.period_rebuilds + 1;
-    let warm_usable = t.have_basis && not due in
-    let outcome, warm, pivots0, refresh0 =
-      if warm_usable && warm_start t then begin
-        let st = t.st in
-        let pivots0 = st.npivots and refresh0 = st.nrefresh in
-        let r =
-          match dual_optimize st t.cost ~max_iters ~iters ~should_stop with
-          | `Opt -> extract_solution st t.base t.cost
-          | `Infeasible vr ->
-            (* Farkas witness: original rows entering row vr of B^-1,
-               rescaled to original row units as in [duals_for] *)
-            let witness = ref [] in
-            for i = st.m - 1 downto 0 do
-              let a = st.asign.(i) *. st.tab.(vr).(st.n + i) in
-              if abs_float a > st.eps then witness := (i, a /. st.sigma.(i)) :: !witness
-            done;
-            Infeasible !witness
-          | `Limit -> Iteration_limit (safe_dual_bound st t.cost)
-        in
-        (* dual pivots preserve dual feasibility, so the basis stays
-           warm-startable even after infeasible or truncated calls *)
-        r, true, pivots0, refresh0
-      end
-      else begin
-        let p =
-          { t.base with lower = Array.copy t.cur_lower; upper = Array.copy t.cur_upper }
-        in
-        let st = init_state ~eps:t.eps p in
-        t.st <- st;
-        t.pivots_at_rebuild <- 0;
-        let r = two_phase st p ~max_iters ~iters ~phase1_iters ~should_stop in
-        (match r with
-        | Optimal _ | Infeasible _ -> t.have_basis <- true
-        | Unbounded | Iteration_limit _ -> t.have_basis <- false);
-        r, false, 0, 0
-      end
+    let warm_solve () =
+      let st = t.st in
+      match dual_optimize st t.cost ~max_iters ~iters ~should_stop with
+      | `Opt -> extract_solution st t.base t.cost
+      | `Infeasible vr ->
+        (* Farkas witness: row vr of B^-1 *)
+        price_row st vr;
+        let witness = ref [] in
+        for i = st.m - 1 downto 0 do
+          let a = st.rho.(i) in
+          if abs_float a > st.eps then witness := (i, a) :: !witness
+        done;
+        Infeasible !witness
+      | `Limit -> Iteration_limit (safe_dual_bound st t.cost)
     in
-    if not warm then t.pivots_at_rebuild <- t.st.npivots;
+    (* dual pivots preserve dual feasibility, so the basis stays
+       warm-startable even after infeasible or truncated calls *)
+    let outcome, warm =
+      match t.have_basis && warm_start t with
+      | true -> (
+        try (warm_solve (), true)
+        with Lu.Singular -> (cold t ~max_iters ~iters ~phase1_iters ~should_stop, false))
+      | false -> (cold t ~max_iters ~iters ~phase1_iters ~should_stop, false)
+      | exception Lu.Singular -> (cold t ~max_iters ~iters ~phase1_iters ~should_stop, false)
+    in
     t.info <- { warm; iters = !iters };
-    flush_stats stats t.st ~iters:!iters ~phase1_iters:!phase1_iters ~pivots0 ~refresh0;
+    flush_stats t stats ~iters:!iters ~phase1_iters:!phase1_iters;
     outcome
 end

@@ -1,6 +1,6 @@
-(** Tableau bounded-variable simplex with persistent state: a
-    bounded-variable dual simplex for warm re-solves over a two-phase
-    primal cold start.
+(** Bounded-variable revised simplex over a sparse LU of the basis,
+    with persistent state: a dual simplex for warm re-solves over a
+    two-phase primal cold start.
 
     Solves
 
@@ -12,28 +12,47 @@
     substrate of the paper's LPR lower bound (Section 3.1) and of the MILP
     baseline standing in for CPLEX.
 
-    {!Incremental} is the only entry point.  It keeps a tableau and
-    basis alive between calls and re-optimizes after column-bound and row
-    edits with a dual simplex from the previous basis.  Its cold start
-    (first call, rebuilds) is the textbook bounded-variable two-phase
-    primal: each row gets a slack/surplus column, phase 1 minimizes the
-    sum of artificial columns, nonbasic variables rest at one of their
-    bounds, and the ratio test allows bound flips.  A one-shot solve is
-    [reoptimize (create p)].
+    {!Incremental} is the only entry point.  It keeps a basis and its
+    factorization alive between calls and re-optimizes after
+    column-bound and row edits with a dual simplex from the previous
+    basis.  Its cold start (first call, and after a lost basis) is the
+    textbook bounded-variable two-phase primal: each row gets a
+    slack/surplus column, phase 1 minimizes the sum of artificial
+    columns from the all-artificial basis, nonbasic variables rest at
+    one of their bounds, and the ratio test allows bound flips.  A
+    one-shot solve is [reoptimize (create p)].
 
     Layout.  Over [n] structural columns and [m] rows there are [n + 2m]
     columns: structural, one slack per row ([Ge] coefficient -1, [Le]
     +1, [Eq] +1 with both bounds 0, so it never enters), then one
-    artificial per row.  The tableau stores only the first [n + m]
-    columns, one dense row each.  Artificial k's column is always +1 or
-    -1 times slack k's column (both are multiples of the unit vector
-    e_k before any pivot, and row operations keep the ratio), so it is
-    derived on read.  A pivot divides the pivot row once, collects its
-    nonzero columns and updates the other rows and the reduced costs on
-    those columns only.  Multiplying by +-1 is exact and IEEE rounding is
-    sign-symmetric, so every pivot, vertex, dual and witness equals that
-    of the textbook dense tableau that stores the artificial block; only
-    the sign of a zero entry may differ, which no comparison sees. *)
+    artificial per row, [+-e_i] with the sign of the row's residual at
+    the cold start.  The structural matrix is stored sparse, by rows and
+    by columns; slack and artificial columns stay implicit.  No tableau
+    is formed: the basis matrix is held as a sparse LU (Markowitz order
+    with threshold partial pivoting, {!Lu}) plus one product-form eta
+    per basis change since.
+
+    Iterations.  A dual iteration does one BTRAN for the leaving
+    position's row of B^-1, prices that row against A over only the
+    rows where it is nonzero (the pivot row), and one FTRAN for the
+    entering column; a primal iteration does the same three for its
+    pivot.  Reduced costs move along the pivot row.  A warm start
+    recomputes the duals and reduced costs (one BTRAN and one pass over
+    A) and the basic values (one pass over A and one FTRAN).
+
+    Refactorization.  The LU is rebuilt from A after a fixed number of
+    eta updates, or sooner when the FTRAN and pivot-row values of a
+    pivot disagree; the basis and vertex are kept and the basic values
+    recomputed.  [add_row] and [drop_row] edit the basis and rebuild the
+    LU at the next solve.  The cold start's artificial basis is diagonal
+    and needs no factorization.
+
+    Pivot rules.  The dual simplex leaves on the basic variable of
+    largest bound violation and enters the eligible column of least
+    |rc_j / alpha_j|, ties within [eps] going to the larger |alpha_j|;
+    the primal uses Dantzig pricing, then Bland's rule past half the
+    iteration budget; the reduced costs are recomputed every 100
+    pivots; every tolerance is [eps] (default [1e-7]). *)
 
 type rel =
   | Ge
@@ -86,6 +105,7 @@ type stats = {
   mutable phase2_iters : int;  (** phase-2 primal and dual-simplex steps *)
   mutable pivots : int;  (** basis changes only *)
   mutable refreshes : int;  (** full reduced-cost recomputations *)
+  mutable refactors : int;  (** LU factorizations of the basis *)
 }
 
 val stats : unit -> stats
@@ -93,21 +113,15 @@ val stats : unit -> stats
     [reoptimize] calls to accumulate across them; the library itself
     stays free of global state. *)
 
-(** Persistent LP state for sequences of re-solves that differ only in
-    column bounds — the B&B lower-bounding workload.  After [fix]/[unfix]
-    edits, {!reoptimize} restores dual feasibility on the previous basis
+(** Persistent LP state for sequences of re-solves that differ in
+    column bounds and in appended or deleted rows — the B&B
+    lower-bounding and cutting-plane workload.  After edits,
+    {!reoptimize} restores dual feasibility on the previous basis
     (reduced-cost refresh + nonbasic repositioning) and runs a
     bounded-variable dual simplex; it falls back to a cold two-phase
-    primal rebuild when no usable basis exists, when the warm restart
-    cannot reach a dual-feasible resting point, or periodically to flush
-    numerical drift from the tableau.
-
-    A warm re-solve pays only for what changed: the basic values, the
-    reduced-cost row and the duals are cached in the state, and a pivot
-    stamps the tableau rows it writes and the columns its pivot row is
-    nonzero in, so each re-solve recomputes only the stale entries —
-    with the same arithmetic in the same order, so every result equals
-    the full recomputation up to the sign of a zero. *)
+    primal when no usable basis exists, when the warm restart cannot
+    reach a dual-feasible resting point, or when the factorization turns
+    out singular. *)
 module Incremental : sig
   type t
 
@@ -130,24 +144,23 @@ module Incremental : sig
   (** Current number of rows in the (edited) base problem. *)
 
   val add_row : t -> row -> int
-  (** Append a row to the base problem and splice it into the live
-      tableau, returning its row index.  The current basis is preserved
-      (the new row's slack enters the basis), so a following
-      {!reoptimize} warm-starts: dual feasibility is unaffected by the
-      zero-cost slack and any primal violation of the new row is repaired
-      by the dual simplex — exactly the cutting-plane workload.  With no
-      usable basis the edit only touches the stored problem and the next
-      solve is cold. *)
+  (** Append a row to the base problem, returning its row index.  The
+      current basis is preserved (the new row's slack enters it), so a
+      following {!reoptimize} warm-starts: dual feasibility is
+      unaffected by the zero-cost slack and any primal violation of the
+      new row is repaired by the dual simplex — exactly the
+      cutting-plane workload.  With no usable basis the edit only
+      touches the stored problem and the next solve is cold. *)
 
   val drop_row : t -> int -> unit
   (** Remove row [i] from the base problem.  Indices of later rows shift
-      down by one.  The basis is kept warm when the row's slack can be
-      (re)made basic in the row — the common case for a slack or evicted
-      cut row, and for [Eq] rows too, whose slack column is a unit
-      column fixed at 0 — and dropped (cold rebuild on next
-      [reoptimize]) when the slack's entry in the row is numerically
-      unusable or the row's slack or artificial is basic in another
-      row. *)
+      down by one.  The basis is kept warm whenever the row's slack is
+      basic, at any position (deleting the row with the slack's unit
+      column leaves a nonsingular basis), and when a nonbasic slack can
+      be pivoted into the basis first — [Eq] rows included, whose slack
+      column is a unit column fixed at 0.  It is dropped (cold solve on
+      the next [reoptimize]) when the row's artificial is basic or the
+      slack's transformed column has no usable pivot. *)
 
   val reoptimize :
     ?max_iters:int -> ?should_stop:(unit -> bool) -> ?stats:stats -> t -> outcome
@@ -170,12 +183,8 @@ module Incremental : sig
 
   val drop_fallbacks : t -> int
   (** [drop_row] calls so far that held a basis but could not keep it
-      (the row's slack or artificial basic in another row, or an
-      unusable slack entry), so the next [reoptimize] solves cold. *)
-
-  val period_rebuilds : t -> int
-  (** [reoptimize] calls so far that held a basis but solved cold because
-      the periodic rebuild against numerical drift was due. *)
+      (the row's artificial basic, or no usable pivot for its slack), so
+      the next [reoptimize] solves cold. *)
 
   val invalidate : t -> unit
   (** Drop the stored basis; the next [reoptimize] solves cold. *)

@@ -375,6 +375,28 @@ let lpr_warm_end_to_end () =
   if !solved > 0 && !warm_hits = 0 then
     Alcotest.fail "warm path never warm-started during full solves"
 
+(* Every [reoptimize] counts once: min x0 + x1 + x2 s.t. 3x0 + 2x1 + 2x2
+   >= 4 has the root optimum x0 = 1, x1 = 1/2, which violates the cover
+   cut x1 + x2 >= 1; the root solve is cold and the re-solve after
+   separating the cut is warm, in the same [compute_inc] call. *)
+let lpr_counts_every_solve () =
+  let b = Problem.Builder.create ~nvars:3 () in
+  Problem.Builder.add_ge b [ 3, Lit.pos 0; 2, Lit.pos 1; 2, Lit.pos 2 ] 4;
+  Problem.Builder.set_objective b [ 1, Lit.pos 0; 1, Lit.pos 1; 1, Lit.pos 2 ];
+  let problem = Problem.Builder.build b in
+  let engine = Core.create problem in
+  let tel = Core.telemetry engine in
+  let cuts = { Cuts.pool = Cuts.Pool.create tel; mode = Cuts.Root } in
+  let inc = Lowerbound.Lpr.make ~cuts engine in
+  let bound = Lowerbound.Lpr.compute_inc inc ~cap:(Problem.max_cost_sum problem + 1) in
+  Alcotest.(check int) "the cut lifts the bound to 2" 2 bound.Lowerbound.Bound.value;
+  let count name =
+    Option.value ~default:0 (Telemetry.Registry.find_counter tel.Telemetry.Ctx.registry name)
+  in
+  Alcotest.(check int) "two solves" 2 (count "simplex.calls");
+  Alcotest.(check int) "one cold fall" 1 (count "lpr.cold_falls");
+  Alcotest.(check int) "one warm hit" 1 (count "lpr.warm_hits")
+
 let suite =
   suite
   @ [
@@ -382,6 +404,7 @@ let suite =
       Alcotest.test_case "lpr flip invalidates infeasibility cache" `Quick
         lpr_inc_flip_invalidates_infeasibility_cache;
       Alcotest.test_case "lpr warm end-to-end" `Quick lpr_warm_end_to_end;
+      Alcotest.test_case "lpr counts every solve" `Quick lpr_counts_every_solve;
     ]
 
 (* The list-based MIS procedure the prepared rows replaced, kept as an
