@@ -485,6 +485,30 @@ grep -q "^c OPTIMAL cost=39 (.*s, $pinned_mis)\$" "$tmpdir/pinned-mis.out" || {
 }
 echo "pinned MIS path: $pinned_mis"
 
+echo "== pinned weighted MIS path (genpb knap --scale 1 --seed 1, --lb mis) =="
+# Every mcnc row is a unit-coefficient clause, so the pin above never
+# takes a fractional cover; knap rows have weights, so this one does.
+# Its recording must replay event for event under `replay --check`.
+./_build/default/bin/genpb.exe knap --scale 1 --seed 1 -o "$tmpdir/knap1.opb" >/dev/null
+pinned_wmis='5609 decisions, 4956 conflicts, 3630 bound conflicts, 9088 lb calls'
+timeout 120 "$bsolo" "$tmpdir/knap1.opb" --lb mis --timeout 60 \
+  --record "$tmpdir/knap1-mis.rec" >"$tmpdir/pinned-wmis.out" 2>&1 || {
+  echo "FAIL: pinned knap@1 seed 1 MIS solve failed"; cat "$tmpdir/pinned-wmis.out"; exit 1;
+}
+grep -q '^o 300$' "$tmpdir/pinned-wmis.out" \
+  && grep -q "^c OPTIMAL cost=300 (.*s, $pinned_wmis)\$" "$tmpdir/pinned-wmis.out" || {
+  echo "FAIL: knap@1 seed 1 under --lb mis left the pinned tree (o 300, $pinned_wmis)";
+  grep '^o \|^c OPTIMAL\|^c UNKNOWN' "$tmpdir/pinned-wmis.out" || true; exit 1;
+}
+timeout 120 "$bsolo" replay "$tmpdir/knap1.opb" "$tmpdir/knap1-mis.rec" --check \
+  >"$tmpdir/wmis-replay.out" 2>&1 || {
+  echo "FAIL: replay --check of the knap@1 MIS recording diverged"; cat "$tmpdir/wmis-replay.out"; exit 1;
+}
+grep -q '^s REPLAY OK' "$tmpdir/wmis-replay.out" || {
+  echo "FAIL: no REPLAY OK verdict for the knap@1 MIS recording"; cat "$tmpdir/wmis-replay.out"; exit 1;
+}
+echo "pinned weighted MIS path: o 300, $pinned_wmis, replay OK"
+
 echo "== pinned separator path (genpb knap --scale 1.5 --seed 1) =="
 # Cover, clique and implied-bound cuts reach the LP here, so a
 # separation change meant to return the same cuts (a skip filter, a

@@ -78,7 +78,15 @@ val drain_changed_vars : t -> (Lit.var -> unit) -> unit
 (** Invokes the callback once per variable whose assignment status
     changed (assigned or unassigned, in any order, deduplicated) since
     the previous drain — the delta feed for incremental lower-bounding.
-    Clears the change set. *)
+    Clears the change set.
+
+    The feed has one consumer per search, since a drain hides the
+    changes from everyone else.  Under LPR that is [Residual.Full.sync];
+    the cut pool's root probing ([Cuts.mine_implications]) reads it only
+    before the search, at level 0, and drains its own churn right after.
+    Under MIS it is [Mis.compute].  [Residual.Full] and [Mis] snapshot
+    the current values when they are created and drain what came
+    before. *)
 
 (** {1 Search primitives} *)
 

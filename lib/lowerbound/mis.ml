@@ -16,15 +16,27 @@ type row = {
   weights : float array;
 }
 
+(* A row's cover reads only the values of its own literals, so its
+   [score], [mu] and membership of [order] stay valid until one of them
+   changes.  [compute] re-covers exactly the rows of the variables whose
+   value differs from [mirror]. *)
 type t = {
   engine : Core.t;
   rows : row array;  (* ascending cid *)
-  score : float array;  (* per row: cover bound at the current node *)
+  occ_start : int array;  (* CSR index: the rows of variable v are in [occ] *)
+  occ : int array;  (* from occ_start.(v) to occ_start.(v + 1) - 1 *)
+  mirror : Value.t array;  (* per variable: its value at the last drain *)
+  dirty : bool array;  (* per row: queued for a re-cover *)
+  queue : int array;  (* dirty rows, first [nqueue] *)
+  mutable nqueue : int;
+  score : float array;  (* per row: cover bound at the last re-cover *)
   mu : float array;  (* per row: critical cost/weight ratio *)
-  order : int array;  (* positive rows of the current call, first [npos] *)
+  order : int array;  (* unsatisfied rows scoring > 1e-9, in [before] order; first [npos] *)
+  mutable npos : int;
   stamp : int array;  (* per variable: [gen] when used by a selected row *)
   mutable gen : int;
   calls : Instr.counter;
+  rescored : Instr.counter;
 }
 
 let by_ratio (c1, w1, _, _) (c2, w2, _, _) = compare (c1 *. w2) (c2 *. w1)
@@ -48,16 +60,52 @@ let prepare engine (cid, c) =
 
 let create engine =
   let rows = Array.of_list (List.map (prepare engine) (Core.lb_constraints engine)) in
-  let m = Array.length rows in
+  let m = Array.length rows and nvars = Core.nvars engine in
+  let occ_start = Array.make (nvars + 1) 0 in
+  Array.iter
+    (fun row ->
+      Array.iter
+        (fun l ->
+          let v = Lit.var l in
+          occ_start.(v + 1) <- occ_start.(v + 1) + 1)
+        row.lits)
+    rows;
+  for v = 1 to nvars do
+    occ_start.(v) <- occ_start.(v) + occ_start.(v - 1)
+  done;
+  let occ = Array.make occ_start.(nvars) 0 and fill = Array.sub occ_start 0 nvars in
+  Array.iteri
+    (fun r row ->
+      Array.iter
+        (fun l ->
+          let v = Lit.var l in
+          occ.(fill.(v)) <- r;
+          fill.(v) <- fill.(v) + 1)
+        row.lits)
+    rows;
+  (* The mirror starts from the current values (a search creates [t] at
+     its first bound call, possibly deep in the tree), every row starts
+     dirty, and the change set so far is absorbed. *)
+  let mirror = Array.init nvars (Core.value_var engine) in
+  Core.drain_changed_vars engine (fun _ -> ());
+  let reg = (Core.telemetry engine).Telemetry.Ctx.registry in
   {
     engine;
     rows;
+    occ_start;
+    occ;
+    mirror;
+    dirty = Array.make m true;
+    queue = Array.init m Fun.id;
+    nqueue = m;
     score = Array.make m 0.;
     mu = Array.make m 0.;
     order = Array.make m 0;
-    stamp = Array.make (Core.nvars engine) 0;
+    npos = 0;
+    stamp = Array.make nvars 0;
     gen = 0;
-    calls = Instr.counter (Core.telemetry engine).Telemetry.Ctx.registry "mis.calls";
+    calls = Instr.counter reg "mis.calls";
+    rescored = Instr.counter reg "mis.rows_rescored";
   }
 
 let unassigned engine l = Value.equal (Core.value_lit engine l) Value.Unknown
@@ -106,6 +154,95 @@ let cover t r =
     true
   end
 
+(* Queue the rows of [v] for a re-cover if its value moved since the
+   last drain; churn that cancelled out (a backjump and the same
+   redecision) leaves them alone. *)
+let touch t v =
+  let cur = Core.value_var t.engine v in
+  if not (Value.equal cur t.mirror.(v)) then begin
+    t.mirror.(v) <- cur;
+    for k = t.occ_start.(v) to t.occ_start.(v + 1) - 1 do
+      let r = t.occ.(k) in
+      if not t.dirty.(r) then begin
+        t.dirty.(r) <- true;
+        t.queue.(t.nqueue) <- r;
+        t.nqueue <- t.nqueue + 1
+      end
+    done
+  end
+
+(* The greedy order: score descending, then row ascending.  It is total,
+   so any correct sort gives the order a stable sort by score of the
+   rows in ascending order gives. *)
+let before t r1 r2 =
+  let s1 = t.score.(r1) and s2 = t.score.(r2) in
+  s1 > s2 || (s1 = s2 && r1 < r2)
+
+let rec sift t a n i =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && before t a.(l) a.(l + 1) then l + 1 else l in
+    if before t a.(i) a.(c) then begin
+      let x = a.(i) in
+      a.(i) <- a.(c);
+      a.(c) <- x;
+      sift t a n c
+    end
+  end
+
+(* In-place heap sort of [a.(0 .. n-1)] into [before] order. *)
+let sort_prefix t a n =
+  for i = (n / 2) - 1 downto 0 do
+    sift t a n i
+  done;
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift t a last 0
+  done
+
+(* Re-cover the queued rows and bring [order] up to date: the rows that
+   stayed clean keep their relative order, the re-covered positive rows
+   are sorted among themselves, and the two runs are merged from the
+   back. *)
+let refresh t =
+  Core.drain_changed_vars t.engine (touch t);
+  let k = ref 0 in
+  for i = 0 to t.npos - 1 do
+    let r = t.order.(i) in
+    if not t.dirty.(r) then begin
+      t.order.(!k) <- r;
+      incr k
+    end
+  done;
+  let d = ref 0 in
+  for i = 0 to t.nqueue - 1 do
+    let r = t.queue.(i) in
+    t.dirty.(r) <- false;
+    if cover t r && t.score.(r) > 1e-9 then begin
+      t.queue.(!d) <- r;
+      incr d
+    end
+  done;
+  Instr.add t.rescored t.nqueue;
+  let d = !d in
+  sort_prefix t t.queue d;
+  let i = ref (!k - 1) and j = ref (d - 1) in
+  while !j >= 0 do
+    let w = !i + !j + 1 in
+    if !i >= 0 && before t t.queue.(!j) t.order.(!i) then begin
+      t.order.(w) <- t.order.(!i);
+      decr i
+    end
+    else begin
+      t.order.(w) <- t.queue.(!j);
+      decr j
+    end
+  done;
+  t.npos <- !k + d;
+  t.nqueue <- 0
+
 (* Only unassigned variables are ever stamped, so the assigned terms of
    [row] need no test of their own. *)
 let independent t row =
@@ -117,36 +254,30 @@ let independent t row =
   !ok
 
 let mark t row =
-  Array.iter
-    (fun l -> if unassigned t.engine l then t.stamp.(Lit.var l) <- t.gen)
-    row.lits
+  for i = 0 to Array.length row.lits - 1 do
+    let l = row.lits.(i) in
+    if unassigned t.engine l then t.stamp.(Lit.var l) <- t.gen
+  done
 
 let compute t =
   Instr.add t.calls 1;
-  let npos = ref 0 in
-  for r = 0 to Array.length t.rows - 1 do
-    if cover t r && t.score.(r) > 1e-9 then begin
-      t.order.(!npos) <- r;
-      incr npos
-    end
-  done;
-  let ordered = Array.sub t.order 0 !npos in
-  Array.stable_sort (fun r1 r2 -> compare t.score.(r2) t.score.(r1)) ordered;
+  refresh t;
   t.gen <- t.gen + 1;
   let total = ref 0. and chosen = ref [] in
-  Array.iter
-    (fun r ->
-      let row = t.rows.(r) in
-      if independent t row then begin
-        mark t row;
-        total := !total +. t.score.(r);
-        chosen := (row.cid, t.mu.(r)) :: !chosen
-      end)
-    ordered;
+  for i = 0 to t.npos - 1 do
+    let r = t.order.(i) in
+    let row = t.rows.(r) in
+    if independent t row then begin
+      mark t row;
+      total := !total +. t.score.(r);
+      chosen := (row.cid, t.mu.(r)) :: !chosen
+    end
+  done;
   let chosen = !chosen and engine = t.engine in
-  let cids = List.map fst chosen in
   let omega_pl =
-    lazy (List.sort_uniq Lit.compare (List.concat_map (Core.false_lits_of engine) cids))
+    lazy
+      (List.sort_uniq Lit.compare
+         (List.concat_map (fun (cid, _) -> Core.false_lits_of engine cid) chosen))
   in
   {
     Bound.value = Bound.trusted_value !total;

@@ -456,8 +456,12 @@ end
 
 (* One prepared MIS context across a randomized search walk (decisions,
    conflict backjumps, restarts to random levels, learned-database
-   reductions) must agree exactly with the per-call oracle at every
-   fixpoint: value, certificate cids and float multipliers, omega_pl. *)
+   reductions, flips of the last decision) must agree exactly with the
+   per-call oracle at every fixpoint: value, certificate cids and float
+   multipliers, omega_pl.  As in the solver, the context is created at a
+   random fixpoint of the walk, with decisions on the trail, so variables
+   assigned at creation and unassigned later must reach it too.  A second
+   call at the same fixpoint re-covers no row and gives the same bound. *)
 let mis_matches_reference =
   let gen = QCheck2.Gen.(pair (int_bound 100_000) (int_bound 2)) in
   QCheck2.Test.make ~name:"prepared mis = list-based reference" ~count:150 gen
@@ -470,16 +474,19 @@ let mis_matches_reference =
       in
       let engine = Core.create problem in
       let rng = Random.State.make [| seed; 0x315 |] in
+      let registry = (Core.telemetry engine).Telemetry.Ctx.registry in
+      let rescored () =
+        Option.value ~default:0 (Telemetry.Registry.find_counter registry "mis.rows_rescored")
+      in
       match Core.propagate engine with
       | Some _ -> true
       | None ->
         let compared = ref 0 in
-        let mis = Lowerbound.Mis.create engine in
-        let compare_here () =
-          incr compared;
-          let b = Lowerbound.Mis.compute mis in
+        let create_at = Random.State.int rng 12 in
+        let mis = ref None in
+        let check b =
           let value, chosen, omega_pl = Mis_ref.compute engine in
-          if b.value <> value then
+          if b.Lowerbound.Bound.value <> value then
             QCheck2.Test.fail_reportf "seed %d: value %d, reference %d" seed b.value value;
           (match Lazy.force b.cert with
           | Proof.Cert_bound got when got = chosen -> ()
@@ -487,25 +494,45 @@ let mis_matches_reference =
           if Lazy.force b.omega_pl <> omega_pl then
             QCheck2.Test.fail_reportf "seed %d: omega_pl differs" seed
         in
-        let rec walk fuel =
+        let compare_here step =
+          if Option.is_none !mis && step >= create_at then mis := Some (Lowerbound.Mis.create engine);
+          match !mis with
+          | None -> ()
+          | Some mis ->
+            incr compared;
+            check (Lowerbound.Mis.compute mis);
+            let before = rescored () in
+            check (Lowerbound.Mis.compute mis);
+            if rescored () <> before then
+              QCheck2.Test.fail_reportf "seed %d: a repeated call re-covered %d rows" seed
+                (rescored () - before)
+        in
+        let rec walk step fuel =
           if fuel > 0 && not (Core.root_unsat engine) then begin
             match Core.propagate engine with
             | Some ci -> (
               match Core.resolve_conflict engine ci with
               | Core.Root_conflict -> ()
-              | Core.Backjump _ -> walk (fuel - 1))
-            | None ->
-              compare_here ();
-              if Random.State.int rng 6 = 0 then
-                Core.backjump_to engine (Random.State.int rng (Core.decision_level engine + 1));
-              if Random.State.int rng 8 = 0 then Core.reduce_db engine;
-              (match Core.next_branch_var engine with
-              | None -> Core.backjump_to engine 0
-              | Some v -> Core.decide engine (Lit.make v (Random.State.bool rng)));
-              walk (fuel - 1)
+              | Core.Backjump _ -> walk step (fuel - 1))
+            | None -> (
+              compare_here step;
+              match List.rev (Core.decisions engine) with
+              | last :: _ when Random.State.int rng 5 = 0 ->
+                (* flip: undo the last decision and take its negation *)
+                Core.backjump_to engine (Core.decision_level engine - 1);
+                Core.decide engine (Lit.negate last);
+                walk (step + 1) (fuel - 1)
+              | _ ->
+                if Random.State.int rng 6 = 0 then
+                  Core.backjump_to engine (Random.State.int rng (Core.decision_level engine + 1));
+                if Random.State.int rng 8 = 0 then Core.reduce_db engine;
+                (match Core.next_branch_var engine with
+                | None -> Core.backjump_to engine 0
+                | Some v -> Core.decide engine (Lit.make v (Random.State.bool rng)));
+                walk (step + 1) (fuel - 1))
           end
         in
-        walk 60;
+        walk 0 60;
         !compared > 0)
 
 let suite =
