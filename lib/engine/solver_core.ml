@@ -830,10 +830,10 @@ let attach_learned_clause t c ~w1 ~w2 =
   Telemetry.Counter.incr t.bstats.b_nwatched;
   ci
 
-let add_constraint_dynamic t ?(in_lb = false) c =
+let add_constraint_dynamic t c =
   let ci, s =
-    if wants_watched t c then attach_watched t ~learned:true ~in_lb c
-    else attach_counting t ~learned:true ~in_lb c
+    if wants_watched t c then attach_watched t ~learned:true ~in_lb:false c
+    else attach_counting t ~learned:true ~in_lb:false c
   in
   if s < 0 then begin
     if decision_level t = 0 then t.unsat <- true;

@@ -138,12 +138,14 @@ val learn_false_clause : t -> Lit.t list -> analysis
     clause is analyzed exactly like a propagation conflict, enabling
     non-chronological backtracking. *)
 
-val add_constraint_dynamic : t -> ?in_lb:bool -> Constr.t -> cid option
+val add_constraint_dynamic : t -> Constr.t -> cid option
 (** Adds a constraint during search (e.g. the knapsack cut (10) when a new
     incumbent is found).  Returns [Some cid] when the constraint is
     conflicting under the current assignment; implied literals are
-    propagated on the next {!propagate}.  [in_lb] (default [false])
-    includes it in the lower-bounding view. *)
+    propagated on the next {!propagate}.  The constraint stays out of the
+    lower-bounding view: that view ({!lb_constraints}) is fixed when the
+    engine is created, and [Mis.t] and [Residual.Full] prepare it once on
+    that understanding. *)
 
 (** {1 Cut rows}
 

@@ -40,7 +40,7 @@ val make : ?cuts:Cuts.config -> Engine.Solver_core.t -> inc
     twice ([Root] mode separates at decision level 0
     only).  After the final optimal solve the pool ages its rows
     against the duals and stale zero-dual cut rows are dropped from the
-    live tableau.  Cut rows carry their own proof references and false
+    live LP.  Cut rows carry their own proof references and false
     literals into bound-conflict certificates and explanations. *)
 
 val compute_inc : inc -> cap:int -> Bound.t

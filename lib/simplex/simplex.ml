@@ -396,9 +396,12 @@ let step st cost ~bland =
     for i = 0 to st.m - 1 do
       let rate = -.dir *. alpha.(i) in
       let k = st.basis.(i) in
+      (* a tie goes to a basic variable over the bound flip; under Bland's
+         rule, to the smallest column index among the basic ones *)
+      let wins_tie = !blocking < 0 || (bland && k < st.basis.(!blocking)) in
       if rate > st.eps && st.ub.(k) < infinity then begin
         let room = (st.ub.(k) -. st.xval.(k)) /. rate in
-        if room < !delta -. st.eps || (room < !delta +. st.eps && !blocking < 0) then begin
+        if room < !delta -. st.eps || (room < !delta +. st.eps && wins_tie) then begin
           delta := max room 0.;
           blocking := i;
           blocking_to_upper := true
@@ -406,7 +409,7 @@ let step st cost ~bland =
       end
       else if rate < -.st.eps && st.lb.(k) > neg_infinity then begin
         let room = (st.xval.(k) -. st.lb.(k)) /. -.rate in
-        if room < !delta -. st.eps || (room < !delta +. st.eps && !blocking < 0) then begin
+        if room < !delta -. st.eps || (room < !delta +. st.eps && wins_tie) then begin
           delta := max room 0.;
           blocking := i;
           blocking_to_upper := false
@@ -607,11 +610,14 @@ let two_phase st (p : problem) ~max_iters ~iters ~phase1_iters ~should_stop =
       Infeasible !certificate
     end
     else begin
-      (* fix artificials at 0 and optimize the real objective *)
+      (* fix artificials at 0 and optimize the real objective.  A basic
+         artificial may end phase 1 within its tolerance but off 0: the
+         basic values are recomputed rather than clamped, so that they
+         still solve B x_B = b - N x_N *)
       for i = 0 to st.m - 1 do
-        st.ub.(art_col st i) <- 0.;
-        st.xval.(art_col st i) <- min st.xval.(art_col st i) 0.
+        st.ub.(art_col st i) <- 0.
       done;
+      if not (compute_basic_values st) then raise Lu.Singular;
       let cost = phase2_cost_of st p in
       match optimize st cost ~max_iters ~iters ~should_stop with
       | Iteration_limit _ -> Iteration_limit (safe_dual_bound st cost)

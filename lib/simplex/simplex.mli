@@ -51,7 +51,8 @@
     largest bound violation and enters the eligible column of least
     |rc_j / alpha_j|, ties within [eps] going to the larger |alpha_j|;
     the primal uses Dantzig pricing, then Bland's rule past half the
-    iteration budget; the reduced costs are recomputed every 100
+    iteration budget (the first eligible column enters, and ratio-test
+    ties leave by smallest column index); the reduced costs are recomputed every 100
     pivots; every tolerance is [eps] (default [1e-7]). *)
 
 type rel =
@@ -78,9 +79,13 @@ type solution = {
   x : float array;  (** primal values, length [ncols] *)
   row_activity : float array;  (** [a_i x] per row, length [m] *)
   duals : float array;
-      (** simplex multipliers per row at the optimum; for a tight [Ge] row
-          of a minimization problem the dual is [<= 0] under our internal
-          sign convention — callers should only rely on zero/non-zero. *)
+      (** simplex multipliers per row at the optimum, [y = c_B B^-1]: a
+          [Ge] row's dual is [>= 0], a [Le] row's [<= 0], an [Eq] row's
+          of either sign, and only tight rows have nonzero duals.  The
+          reduced costs [c - yA] then have the sign of the bound each
+          column rests on, and [y b + sum_j min over the box of
+          (c - yA)_j x_j] equals [value].  E.g. [min x + 2y] subject to
+          [x + y >= 1] and [x <= 0.5] gives the duals [(2, -1)]. *)
 }
 
 type outcome =
@@ -88,10 +93,12 @@ type outcome =
   | Infeasible of (int * float) list
       (** rows with non-zero phase-1 dual (cold solve) or non-zero
           Farkas-ray entry (dual simplex), each paired with that
-          multiplier: an infeasible subsystem witness.  Multiplier
-          signs follow the internal convention — consumers needing a
-          nonnegative Farkas combination must resolve the sign (both
-          global orientations occur across exits). *)
+          multiplier: an infeasible subsystem witness.  It certifies in
+          one of its two orientations, [mu = w] or [mu = -w]: with
+          [mu_i >= 0] on [Ge] rows and [mu_i <= 0] on [Le] rows, the
+          combined row [sum_i mu_i a_i x >= sum_i mu_i b_i] cannot be met
+          over the box.  Both orientations occur, so a consumer needing
+          the nonnegative Farkas combination must try both. *)
   | Unbounded
   | Iteration_limit of float option
       (** gave up; [Some z] is a safe dual (Lagrangian) lower bound on the

@@ -137,64 +137,11 @@ let heap_random_ops () =
     done
   done
 
-(* One-shot cold solve: the first reoptimize of a fresh state. *)
-let cold p = Simplex.Incremental.reoptimize (Simplex.Incremental.create p)
-
-(* Mixed-relation LPs: feasibility must match 0-1 enumeration relaxed to
-   reals only in the safe direction (integer-feasible => LP feasible). *)
-let simplex_mixed_relations () =
-  for seed = 0 to 60 do
-    let rng = Random.State.make [| seed; 0x51e |] in
-    let nvars = 4 in
-    let rows =
-      List.init (1 + Random.State.int rng 4) (fun _ ->
-          let coeffs =
-            List.init (1 + Random.State.int rng 3) (fun _ ->
-                Random.State.int rng nvars, float_of_int (1 + Random.State.int rng 3))
-          in
-          let rel =
-            match Random.State.int rng 3 with
-            | 0 -> Simplex.Ge
-            | 1 -> Simplex.Le
-            | _ -> Simplex.Eq
-          in
-          { Simplex.coeffs = Array.of_list coeffs; rel; rhs = float_of_int (Random.State.int rng 6) })
-    in
-    let problem =
-      {
-        Simplex.ncols = nvars;
-        lower = Array.make nvars 0.;
-        upper = Array.make nvars 1.;
-        objective = Array.make nvars 1.;
-        rows = Array.of_list rows;
-      }
-    in
-    let int_feasible = ref false in
-    for mask = 0 to 15 do
-      let x v = float_of_int ((mask lsr v) land 1) in
-      let ok (r : Simplex.row) =
-        let a = Array.fold_left (fun acc (v, c) -> acc +. (c *. x v)) 0. r.coeffs in
-        match r.rel with
-        | Simplex.Ge -> a >= r.rhs -. 1e-9
-        | Simplex.Le -> a <= r.rhs +. 1e-9
-        | Simplex.Eq -> abs_float (a -. r.rhs) < 1e-9
-      in
-      if List.for_all ok rows then int_feasible := true
-    done;
-    match cold problem with
-    | Simplex.Optimal _ -> ()
-    | Simplex.Infeasible _ ->
-      if !int_feasible then Alcotest.failf "seed %d: LP infeasible but IP feasible" seed
-    | Simplex.Unbounded -> Alcotest.failf "seed %d: bounded LP reported unbounded" seed
-    | Simplex.Iteration_limit _ -> ()
-  done
-
 let suite =
   [
     Alcotest.test_case "reduce_db mid-search" `Slow reduce_db_mid_search;
     Alcotest.test_case "nonlinear opb vs brute" `Slow nonlinear_matches_brute;
     Alcotest.test_case "heap random ops" `Quick heap_random_ops;
-    Alcotest.test_case "simplex mixed relations" `Quick simplex_mixed_relations;
   ]
 
 (* The engine's own invariant checker must hold at every point of a
