@@ -509,6 +509,28 @@ grep -q '^s REPLAY OK' "$tmpdir/wmis-replay.out" || {
 }
 echo "pinned weighted MIS path: o 300, $pinned_wmis, replay OK"
 
+echo "== pinned MIS proof log (genpb knap --scale 1 --seed 1, --lb mis --proof) =="
+# No counter sees the literal order of a learned clause or of a bound
+# conflict's omega_bc, but the proof log writes both: the log minus its
+# `# run` line must keep these bytes, and checkproof must verify it.
+pinned_wmis_proof='e2338e13a15cef9659f4532f1248061c8a2b7e9be0c1d9b9a28bb3882d4d1762'
+timeout 120 "$bsolo" "$tmpdir/knap1.opb" --lb mis --timeout 60 \
+  --proof "$tmpdir/knap1-mis.pbp" >"$tmpdir/wmis-proof.out" 2>&1 || {
+  echo "FAIL: knap@1 seed 1 MIS proof solve failed"; cat "$tmpdir/wmis-proof.out"; exit 1;
+}
+wmis_proof_sum=$(grep -v '^# run' "$tmpdir/knap1-mis.pbp" | sha256sum | cut -d' ' -f1)
+[ "$wmis_proof_sum" = "$pinned_wmis_proof" ] || {
+  echo "FAIL: knap@1 seed 1 --lb mis proof log changed (sha256 $wmis_proof_sum, want $pinned_wmis_proof)";
+  exit 1;
+}
+"$bsolo" checkproof "$tmpdir/knap1.opb" "$tmpdir/knap1-mis.pbp" >"$tmpdir/wmis-proof.check" 2>&1 || {
+  echo "FAIL: checkproof rejected the knap@1 MIS proof"; cat "$tmpdir/wmis-proof.check"; exit 1;
+}
+grep -q '^s VERIFIED OPTIMAL 300$' "$tmpdir/wmis-proof.check" || {
+  echo "FAIL: no VERIFIED OPTIMAL 300 verdict for the knap@1 MIS proof"; cat "$tmpdir/wmis-proof.check"; exit 1;
+}
+echo "pinned MIS proof log: sha256 $pinned_wmis_proof, VERIFIED OPTIMAL 300"
+
 echo "== pinned separator path (genpb knap --scale 1.5 --seed 1) =="
 # Cover, clique and implied-bound cuts reach the LP here, so a
 # separation change meant to return the same cuts (a skip filter, a

@@ -266,11 +266,7 @@ let add_incumbent_cuts st =
    degenerates to the negated decisions, i.e. chronological
    backtracking. *)
 let bound_conflict_omega st (lower : Lowerbound.Bound.t) =
-  if st.options.bound_conflict_learning then begin
-    let omega_pp = List.map Lit.negate (Core.true_cost_lits st.engine) in
-    let omega_pl = Lazy.force lower.omega_pl in
-    List.sort_uniq Lit.compare (List.rev_append omega_pp omega_pl)
-  end
+  if st.options.bound_conflict_learning then Lowerbound.Bound.omega_bc st.engine lower
   else List.map Lit.negate (Core.decisions st.engine)
 
 let handle_bound_conflict st (lower : Lowerbound.Bound.t) omega =

@@ -59,13 +59,6 @@ let lp_row (c : Constr.t) =
   in
   { Simplex.coeffs; rel = Simplex.Ge; rhs = !rhs }
 
-let false_lits engine (c : Constr.t) =
-  Array.fold_left
-    (fun acc (t : Constr.term) ->
-      if Value.equal (Core.value_lit engine t.Constr.lit) Value.False then t.Constr.lit :: acc
-      else acc)
-    [] (Constr.terms c)
-
 (* --- division cuts ----------------------------------------------------- *)
 
 let cdiv a b = (a + b - 1) / b

@@ -65,10 +65,6 @@ val lp_row : Constr.t -> Simplex.row
     literals contribute [+a], negated ones [-a] with the degree reduced
     accordingly. *)
 
-val false_lits : Engine.Solver_core.t -> Constr.t -> Lit.t list
-(** Literals of the cut currently false in the engine — the cut's
-    contribution to a bound-conflict explanation. *)
-
 val cover_cut :
   (Lit.var -> float) -> int * Constr.t -> (Constr.t * recipe) option
 (** Most violated (plain or lifted) cover cut separated from one

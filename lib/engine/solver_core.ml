@@ -28,11 +28,21 @@ type bcp_mode =
    see the layout constants below.  The cstate keeps only the cold
    per-constraint facts plus the boxed [Constr.t] used by conflict
    analysis, certificates and the lower-bounding view. *)
+
+(* Activities live in all-float records, which OCaml stores flat: a bump
+   writes the float in place instead of boxing a new one, so conflict
+   analysis allocates nothing for them. *)
+type activity = { mutable act : float }
+
+type increments = {
+  mutable var_inc : float;
+  mutable cla_inc : float;
+}
+
 type cstate = {
   constr : Constr.t;
   learned : bool;
-  in_lb : bool;
-  mutable cactivity : float;
+  cactivity : activity;
   mutable base : int;  (* arena offset of this constraint's block *)
 }
 
@@ -150,10 +160,15 @@ type t = {
   lit_cost : int array;  (* per literal index *)
   mutable path : int;
   heap : Idheap.t;
-  mutable var_inc : float;
-  mutable cla_inc : float;
+  inc : increments;
   phase : bool array;
   seen : bool array;  (* analysis scratch, always cleared afterwards *)
+  alits : Lit.t Vec.t;  (* analysis input: the initial conflict clause *)
+  learnt : Lit.t Vec.t;  (* analysis scratch: marked lower-level literals *)
+  to_clear : Lit.var Vec.t;  (* analysis scratch: variables marked seen *)
+  omega_marks : Bytes.t;  (* per literal index: explanation scratch, all zero between calls *)
+  mutable omega_lo : int;
+  mutable omega_hi : int;
   mutable unsat : bool;
   mutable epoch : int;  (* bumped on every assign/unassign *)
   changed : Lit.var Vec.t;  (* vars (un)assigned since the last drain, deduped *)
@@ -185,8 +200,7 @@ let dummy_cstate =
       | Constr.Constr c -> c
       | Constr.Trivial_true | Constr.Trivial_false -> assert false);
     learned = false;
-    in_lb = false;
-    cactivity = 0.;
+    cactivity = { act = 0. };
     base = 0;
   }
 
@@ -756,16 +770,16 @@ let wants_watched t c =
     done;
     !sum >= need && 2 * !k <= n
 
-let push_cstate t ~learned ~in_lb c =
+let push_cstate t ~learned c =
   let ci = Vec.size t.constrs in
   let base = arena_alloc t ci c in
-  Vec.push t.constrs { constr = c; learned; in_lb; cactivity = 0.; base };
+  Vec.push t.constrs { constr = c; learned; cactivity = { act = 0. }; base };
   (ci, base)
 
 (* Counting attach: register every term on its occ list and seed the
    lagged slack.  Returns the slack the caller should act on. *)
-let attach_counting t ~learned ~in_lb c =
-  let ci, base = push_cstate t ~learned ~in_lb c in
+let attach_counting t ~learned c =
+  let ci, base = push_cstate t ~learned c in
   let a = t.arena in
   a.(base + h_slack) <- lagged_slack_now t c;
   Array.iter
@@ -782,8 +796,8 @@ let attach_counting t ~learned ~in_lb c =
    wslack is the exact lagged slack.  The returned slack is wslack —
    a lower bound on the lagged slack that is only below maxcoeff when
    it is exact, so acting on it matches counting mode. *)
-let attach_watched t ~learned ~in_lb c =
-  let ci, base = push_cstate t ~learned ~in_lb c in
+let attach_watched t ~learned c =
+  let ci, base = push_cstate t ~learned c in
   let a = t.arena in
   a.(base + h_flags) <- flag_watched;
   let n = a.(base + h_n) in
@@ -813,7 +827,7 @@ let attach_watched t ~learned ~in_lb c =
    without ever degrading to watch-all. *)
 let attach_learned_clause t c ~w1 ~w2 =
   assert (Constr.is_clause c && Array.length (Constr.terms c) >= 2 && w1 <> w2);
-  let ci, base = push_cstate t ~learned:true ~in_lb:false c in
+  let ci, base = push_cstate t ~learned:true c in
   let a = t.arena in
   a.(base + h_flags) <- flag_watched;
   let ws = ref (-a.(base + h_deg)) in
@@ -832,8 +846,8 @@ let attach_learned_clause t c ~w1 ~w2 =
 
 let add_constraint_dynamic t c =
   let ci, s =
-    if wants_watched t c then attach_watched t ~learned:true ~in_lb:false c
-    else attach_counting t ~learned:true ~in_lb:false c
+    if wants_watched t c then attach_watched t ~learned:true c
+    else attach_counting t ~learned:true c
   in
   if s < 0 then begin
     if decision_level t = 0 then t.unsat <- true;
@@ -900,7 +914,7 @@ let add_member t ri c =
   a.(base + h_slack) <- ri;
   a.(base + h_wslack) <- 0;
   a.(base + h_flags) <- flag_member;
-  Vec.push t.constrs { constr; learned = true; in_lb = false; cactivity = 0.; base };
+  Vec.push t.constrs { constr; learned = true; cactivity = { act = 0. }; base };
   let m = r.rmembers in
   if Vec.size m = 0 then register_row t ri;
   (* insert in ascending degree; cuts tighten, so this is an append *)
@@ -941,104 +955,163 @@ let var_decay = 1. /. 0.95
 let cla_decay = 1. /. 0.999
 
 let bump_var_activity t v =
-  let a = Idheap.priority t.heap v +. t.var_inc in
+  let a = Idheap.priority t.heap v +. t.inc.var_inc in
   Idheap.update t.heap v a;
   if a > 1e100 then begin
     Idheap.rescale t.heap 1e-100;
-    t.var_inc <- t.var_inc *. 1e-100
+    t.inc.var_inc <- t.inc.var_inc *. 1e-100
   end
 
-let decay_var_activity t = t.var_inc <- t.var_inc *. var_decay
+let decay_var_activity t = t.inc.var_inc <- t.inc.var_inc *. var_decay
 
 let bump_cla_activity t ci =
-  let cs = Vec.get t.constrs ci in
-  cs.cactivity <- cs.cactivity +. t.cla_inc;
-  if cs.cactivity > 1e20 then begin
-    Vec.iter (fun c -> c.cactivity <- c.cactivity *. 1e-20) t.constrs;
-    t.cla_inc <- t.cla_inc *. 1e-20
+  let a = (Vec.get t.constrs ci).cactivity in
+  a.act <- a.act +. t.inc.cla_inc;
+  if a.act > 1e20 then begin
+    Vec.iter (fun c -> c.cactivity.act <- c.cactivity.act *. 1e-20) t.constrs;
+    t.inc.cla_inc <- t.inc.cla_inc *. 1e-20
   end
 
-let decay_cla_activity t = t.cla_inc <- t.cla_inc *. cla_decay
+let decay_cla_activity t = t.inc.cla_inc <- t.inc.cla_inc *. cla_decay
 
 (* --- conflict analysis ----------------------------------------------------- *)
 
-(* A violation certificate for a conflicting constraint: false literals,
-   taken by decreasing coefficient, whose combined weight exceeds
-   [coeff_sum - degree].  With all of them false the constraint cannot be
-   satisfied, so the constraint entails the clause "one of them is true". *)
-let violation_certificate t ci =
-  let cs = Vec.get t.constrs ci in
-  let excess = Constr.coeff_sum cs.constr - Constr.degree cs.constr in
-  let rec pick acc weight terms =
-    match terms with
-    | [] -> acc
-    | { Constr.coeff; lit } :: rest ->
-      if weight > excess then acc
-      else if Value.equal (value_lit t lit) Value.False then pick (lit :: acc) (weight + coeff) rest
-      else pick acc weight rest
-  in
-  pick [] 0 (Array.to_list (Constr.terms cs.constr))
+(* Certificates.  A constraint [sum a_i l_i >= d] whose false literals
+   weigh more than its [excess = sum a_i - d] cannot be satisfied, so it
+   entails the clause "one of them is true".  A certificate walks the
+   terms in their order (decreasing coefficient) and takes every usable
+   literal until the weight taken exceeds [excess]: term [i] is looked
+   at while the weight taken before it is at most [excess].  A literal
+   is usable when it is false and was assigned before trail position
+   [p_pos].
 
-(* Certificate that constraint [ci] implies literal [p]: false literals
-   assigned before [p] on the trail (other than [p]'s own term) whose
-   weight exceeds [coeff_sum - degree - coeff(p)].  Any model of the
-   constraint where all of them are false must set [p] true.  The
-   position restriction keeps first-UIP resolution well-founded: at [p]'s
-   propagation the slack condition held with exactly the literals
-   falsified so far, so enough weight is always available. *)
-let implication_certificate t ci p =
-  let cs = Vec.get t.constrs ci in
+   A violation certificate (of a conflicting constraint) has no position
+   limit.  An implication certificate for the true literal [p] leaves
+   [p]'s own term out of [excess] and takes only literals assigned
+   before [p]: any model of the constraint in which they are all false
+   sets [p] true.  The position limit keeps first-UIP resolution
+   well-founded: at [p]'s propagation the slack condition held with
+   exactly the literals falsified so far, so enough weight is always
+   there.  [p] itself is true, so never usable. *)
+let[@inline] usable t lit p_pos =
+  Bytes.unsafe_get t.lfalse (Lit.to_index lit) <> '\000' && t.var_pos.(Lit.var lit) < p_pos
+
+(* Index past the last term the certificate over [terms] looks at. *)
+let certificate_end t terms excess p_pos =
+  let n = Array.length terms in
+  let i = ref 0 and w = ref 0 in
+  while !i < n && !w <= excess do
+    let { Constr.coeff; lit } = Array.unsafe_get terms !i in
+    if usable t lit p_pos then w := !w + coeff;
+    incr i
+  done;
+  !i
+
+(* A constraint of degree 1 is a clause, all of whose coefficients are
+   1 (saturation): its excess needs no pass over the terms. *)
+let violation_excess c =
+  if Constr.degree c = 1 then Constr.size c - 1 else Constr.coeff_sum c - Constr.degree c
+
+(* [p] is a term of [c]: the literal [c] implied. *)
+let implication_excess c p =
+  if Constr.degree c = 1 then Constr.size c - 2
+  else begin
+    let terms = Constr.terms c in
+    let s = ref (-Constr.degree c) in
+    for i = 0 to Array.length terms - 1 do
+      let { Constr.coeff; lit } = Array.unsafe_get terms i in
+      if not (Lit.equal lit p) then s := !s + coeff
+    done;
+    !s
+  end
+
+(* Mark [l] for the first-UIP walk at level [dl]: on the first visit of
+   a variable above level 0, bump it and return 1 when it is of level
+   [dl] (it will be resolved), or push [l] on [learnt] and return 0. *)
+let mark t dl l =
+  let v = Lit.var l in
+  if (not t.seen.(v)) && t.var_level.(v) > 0 then begin
+    t.seen.(v) <- true;
+    Vec.push t.to_clear v;
+    bump_var_activity t v;
+    if t.var_level.(v) = dl then 1
+    else begin
+      Vec.push t.learnt l;
+      0
+    end
+  end
+  else 0
+
+(* Mark the implication certificate of [p] by reason [ci], last taken
+   literal first; returns the number of current-level literals. *)
+let mark_implication t dl ci p =
+  let c = (Vec.get t.constrs ci).constr in
+  let terms = Constr.terms c in
   let p_pos = t.var_pos.(Lit.var p) in
-  let coeff_of_p = ref 0 in
-  let find { Constr.coeff; lit } = if Lit.equal lit p then coeff_of_p := coeff in
-  Array.iter find (Constr.terms cs.constr);
-  let excess = Constr.coeff_sum cs.constr - Constr.degree cs.constr - !coeff_of_p in
-  let usable lit =
-    (not (Lit.equal lit p))
-    && Value.equal (value_lit t lit) Value.False
-    && t.var_pos.(Lit.var lit) < p_pos
-  in
-  let rec pick acc weight terms =
-    match terms with
-    | [] -> acc
-    | { Constr.coeff; lit } :: rest ->
-      if weight > excess then acc
-      else if usable lit then pick (lit :: acc) (weight + coeff) rest
-      else pick acc weight rest
-  in
-  pick [] 0 (Array.to_list (Constr.terms cs.constr))
+  let k = certificate_end t terms (implication_excess c p) p_pos in
+  let n = ref 0 in
+  for i = k - 1 downto 0 do
+    let lit = (Array.unsafe_get terms i).Constr.lit in
+    if usable t lit p_pos then n := !n + mark t dl lit
+  done;
+  !n
 
-(* First-UIP analysis over an initial conflict clause whose literals are
-   all false under the current assignment.  Learns the asserting clause,
-   backjumps and asserts the UIP.  The initial clause may lack literals at
-   the current decision level (bound conflicts): we first backjump to the
-   deepest level it mentions. *)
-let analyze_false_clause t lits =
+(* Local clause minimization: a lower-level literal [l] is redundant
+   when the implication certificate of its (true) negation rests
+   entirely on literals still marked seen (i.e. already in the clause)
+   or fixed at level 0; the walk stops at the first literal that is
+   neither.  Certificates only use literals assigned before [~l], so
+   they can never mention current-level variables whose marks were
+   cleared during the walk. *)
+let redundant t l =
+  match t.var_reason.(Lit.var l) with
+  | Decision -> false
+  | Implied ci ->
+    let c = (Vec.get t.constrs ci).constr in
+    let terms = Constr.terms c in
+    let p = Lit.negate l in
+    let p_pos = t.var_pos.(Lit.var p) in
+    let excess = implication_excess c p in
+    let n = Array.length terms in
+    let i = ref 0 and w = ref 0 and covered = ref true in
+    while !covered && !i < n && !w <= excess do
+      let { Constr.coeff; lit } = Array.unsafe_get terms !i in
+      if usable t lit p_pos then begin
+        let v = Lit.var lit in
+        if t.seen.(v) || t.var_level.(v) = 0 then w := !w + coeff else covered := false
+      end;
+      incr i
+    done;
+    !covered
+
+(* First-UIP analysis over the initial conflict clause in [alits], whose
+   literals are all false under the current assignment.  Learns the
+   asserting clause, backjumps and asserts the UIP.  The initial clause
+   may lack literals at the current decision level (bound conflicts): we
+   first backjump to the deepest level it mentions.  The walk runs over
+   the reused [seen] marks and the [to_clear] / [learnt] buffers; only
+   the learned clause is allocated. *)
+let analyze_false_clause t =
   Telemetry.Counter.incr t.stats.conflicts;
   decay_var_activity t;
   decay_cla_activity t;
-  let lits = List.filter (fun l -> t.var_level.(Lit.var l) > 0) lits in
-  let max_level = List.fold_left (fun acc l -> max acc (t.var_level.(Lit.var l))) 0 lits in
-  if max_level = 0 then begin
+  let lits = t.alits in
+  let max_level = ref 0 in
+  for i = 0 to Vec.size lits - 1 do
+    let lv = t.var_level.(Lit.var (Vec.get lits i)) in
+    if lv > !max_level then max_level := lv
+  done;
+  if !max_level = 0 then begin
     t.unsat <- true;
     Root_conflict
   end
   else begin
-    if max_level < decision_level t then backjump_to t max_level;
+    if !max_level < decision_level t then backjump_to t !max_level;
     let dl = decision_level t in
-    let to_clear = ref [] in
-    let learnt = ref [] in
     let counter = ref 0 in
-    let mark l =
-      let v = Lit.var l in
-      if (not t.seen.(v)) && t.var_level.(v) > 0 then begin
-        t.seen.(v) <- true;
-        to_clear := v :: !to_clear;
-        bump_var_activity t v;
-        if t.var_level.(v) = dl then incr counter else learnt := l :: !learnt
-      end
-    in
-    List.iter mark lits;
+    for i = 0 to Vec.size lits - 1 do
+      counter := !counter + mark t dl (Vec.get lits i)
+    done;
     (* Walk the trail backwards resolving out current-level literals until
        a single one (the first UIP) remains. *)
     let trail_idx = ref (Vec.size t.trail - 1) in
@@ -1064,53 +1137,54 @@ let analyze_false_clause t lits =
           assert false
         | Implied ci ->
           bump_cla_activity t ci;
-          List.iter mark (implication_certificate t ci p)
+          counter := !counter + mark_implication t dl ci p
       end
     done;
-    (* Local clause minimization: a lower-level literal [l] is redundant
-       when the implication of its (true) negation rests entirely on
-       literals still marked seen (i.e. already in the clause) or fixed at
-       level 0.  Certificates only use literals assigned before [~l], so
-       they can never mention current-level variables whose marks were
-       cleared during the walk. *)
-    let redundant l =
-      match t.var_reason.(Lit.var l) with
-      | Decision -> false
-      | Implied ci ->
-        let covered lit = t.seen.(Lit.var lit) || t.var_level.(Lit.var lit) = 0 in
-        List.for_all covered (implication_certificate t ci (Lit.negate l))
-    in
-    let minimized = List.filter (fun l -> not (redundant l)) !learnt in
-    List.iter (fun v -> t.seen.(v) <- false) !to_clear;
+    (* The clause keeps the literals of [learnt] that are not redundant,
+       last marked first, behind the asserting literal. *)
     let asserting = Lit.negate !uip in
-    let back_level =
-      List.fold_left (fun acc l -> max acc (t.var_level.(Lit.var l))) 0 minimized
-    in
-    let clause = asserting :: minimized in
+    let minimized = ref [] and size = ref 1 and back_level = ref 0 in
+    for i = 0 to Vec.size t.learnt - 1 do
+      let l = Vec.get t.learnt i in
+      if not (redundant t l) then begin
+        minimized := l :: !minimized;
+        incr size;
+        let lv = t.var_level.(Lit.var l) in
+        if lv > !back_level then back_level := lv
+      end
+    done;
+    for i = 0 to Vec.size t.to_clear - 1 do
+      t.seen.(Vec.get t.to_clear i) <- false
+    done;
+    Vec.clear t.to_clear;
+    Vec.clear t.learnt;
+    let back_level = !back_level in
+    let clause = asserting :: !minimized in
     Telemetry.Histogram.observe t.stats.backjump_len (dl - back_level);
     backjump_to t back_level;
     (match Constr.clause clause with
     | Constr.Constr c ->
       Telemetry.Counter.incr t.stats.learned_total;
-      Telemetry.Histogram.observe t.stats.learned_size (List.length clause);
+      Telemetry.Histogram.observe t.stats.learned_size !size;
       let terms = Constr.terms c in
       let ci =
-        if Array.length terms < 2 || t.bcp = Counting then
-          fst (attach_counting t ~learned:true ~in_lb:false c)
+        if Array.length terms < 2 || t.bcp = Counting then fst (attach_counting t ~learned:true c)
         else begin
           (* watch the asserting literal and a literal of the backjump
              level: both become unassigned together on any later
              backjump, preserving the watch invariant *)
-          let find pred =
-            let rec go i = if pred terms.(i).Constr.lit then i else go (i + 1) in
-            go 0
-          in
-          let wa = find (fun l -> Lit.equal l asserting) in
-          let wb =
-            find (fun l ->
-                (not (Lit.equal l asserting)) && t.var_level.(Lit.var l) = back_level)
-          in
-          attach_learned_clause t c ~w1:wa ~w2:wb
+          let wa = ref 0 in
+          while not (Lit.equal terms.(!wa).Constr.lit asserting) do
+            incr wa
+          done;
+          let wb = ref 0 in
+          while
+            let l = terms.(!wb).Constr.lit in
+            Lit.equal l asserting || t.var_level.(Lit.var l) <> back_level
+          do
+            incr wb
+          done;
+          attach_learned_clause t c ~w1:!wa ~w2:!wb
         end
       in
       bump_cla_activity t ci;
@@ -1123,13 +1197,82 @@ let analyze_false_clause t lits =
     Backjump { level = back_level; asserting = Some asserting }
   end
 
+(* The violation certificate of [ci] becomes the initial clause, last
+   taken literal first. *)
 let analyze t ci =
   bump_cla_activity t ci;
-  analyze_false_clause t (violation_certificate t ci)
+  let c = (Vec.get t.constrs ci).constr in
+  let terms = Constr.terms c in
+  let k = certificate_end t terms (violation_excess c) max_int in
+  Vec.clear t.alits;
+  for i = k - 1 downto 0 do
+    let lit = (Array.unsafe_get terms i).Constr.lit in
+    if usable t lit max_int then Vec.push t.alits lit
+  done;
+  analyze_false_clause t
 
 let learn_false_clause t lits =
   assert (List.for_all (fun l -> Value.equal (value_lit t l) Value.False) lits);
-  analyze_false_clause t lits
+  Vec.clear t.alits;
+  List.iter (Vec.push t.alits) lits;
+  analyze_false_clause t
+
+(* --- bound-conflict explanations ------------------------------------------ *)
+
+(* [omega_marks] holds one byte per literal index, all zero between
+   calls; [omega_lo] and [omega_hi] bound the indices marked so far. *)
+let omega_mark t li =
+  Bytes.unsafe_set t.omega_marks li '\001';
+  if li < t.omega_lo then t.omega_lo <- li;
+  if li > t.omega_hi then t.omega_hi <- li
+
+let omega_mark_false t keep terms =
+  for i = 0 to Array.length terms - 1 do
+    let lit = (Array.unsafe_get terms i).Constr.lit in
+    let li = Lit.to_index lit in
+    if
+      Bytes.unsafe_get t.lfalse li <> '\000'
+      && match keep with None -> true | Some f -> f lit
+    then omega_mark t li
+  done
+
+let rec omega_mark_cids t keep = function
+  | [] -> ()
+  | ci :: rest ->
+    omega_mark_false t keep (Constr.terms (Vec.get t.constrs ci).constr);
+    omega_mark_cids t keep rest
+
+let rec omega_mark_cuts t keep = function
+  | [] -> ()
+  | c :: rest ->
+    omega_mark_false t keep (Constr.terms c);
+    omega_mark_cuts t keep rest
+
+(* The marked span is scanned downwards, so consing leaves the literals
+   ascending: the order [List.sort_uniq Lit.compare] gives, which the
+   proof log writes. *)
+let omega t ?keep ~path cids cuts =
+  omega_mark_cids t keep cids;
+  omega_mark_cuts t keep cuts;
+  (if path then
+     match Problem.objective t.problem with
+     | None -> ()
+     | Some o ->
+       let cost_terms = o.cost_terms in
+       for i = 0 to Array.length cost_terms - 1 do
+         let li = Lit.to_index (Lit.negate cost_terms.(i).Problem.lit) in
+         if Bytes.unsafe_get t.lfalse li <> '\000' then omega_mark t li
+       done);
+  let acc = ref [] in
+  for li = t.omega_hi downto t.omega_lo do
+    if Bytes.unsafe_get t.omega_marks li <> '\000' then begin
+      Bytes.unsafe_set t.omega_marks li '\000';
+      acc := Lit.of_index li :: !acc
+    end
+  done;
+  t.omega_lo <- max_int;
+  t.omega_hi <- -1;
+  !acc
 
 (* --- branching ------------------------------------------------------------ *)
 
@@ -1155,7 +1298,7 @@ type active = {
 }
 
 let active_of_cstate t ci cs =
-  if not cs.in_lb then None
+  if cs.learned then None
   else begin
     let true_weight = ref 0 in
     let unassigned = ref [] in
@@ -1187,14 +1330,9 @@ let active_constraints t =
 let lb_constraints t =
   let acc = ref [] in
   Vec.iteri
-    (fun ci cs -> if cs.in_lb && not cs.learned then acc := (ci, cs.constr) :: !acc)
+    (fun ci cs -> if not cs.learned then acc := (ci, cs.constr) :: !acc)
     t.constrs;
   List.rev !acc
-
-let false_lits_of t ci =
-  let cs = Vec.get t.constrs ci in
-  let collect l acc = if Value.equal (value_lit t l) Value.False then l :: acc else acc in
-  Constr.fold_lits collect cs.constr []
 
 let unassigned_cost_terms t =
   match Problem.objective t.problem with
@@ -1235,7 +1373,7 @@ let reduce_db t =
   let note i cs = if cs.learned && not locked.(i) then learned_idx := i :: !learned_idx in
   Vec.iteri note t.constrs;
   let by_activity i j =
-    compare (Vec.get t.constrs i).cactivity (Vec.get t.constrs j).cactivity
+    compare (Vec.get t.constrs i).cactivity.act (Vec.get t.constrs j).cactivity.act
   in
   let victims = List.sort by_activity !learned_idx in
   let ndrop = List.length victims / 2 in
@@ -1439,10 +1577,15 @@ let create ?telemetry ?(bcp = Hybrid) p =
       lit_cost = Array.make (2 * nvars) 0;
       path = 0;
       heap = Idheap.create nvars;
-      var_inc = 1.;
-      cla_inc = 1.;
+      inc = { var_inc = 1.; cla_inc = 1. };
       phase = Array.make nvars false;
       seen = Array.make nvars false;
+      alits = Vec.create ~dummy:dummy_lit ();
+      learnt = Vec.create ~dummy:dummy_lit ();
+      to_clear = Vec.create ~dummy:0 ();
+      omega_marks = Bytes.make (2 * nvars) '\000';
+      omega_lo = max_int;
+      omega_hi = -1;
       unsat = Problem.trivially_unsat p;
       epoch = 0;
       changed = Vec.create ~dummy:0 ();
@@ -1470,8 +1613,8 @@ let create ?telemetry ?(bcp = Hybrid) p =
   done;
   let load c =
     let ci, s =
-      if wants_watched t c then attach_watched t ~learned:false ~in_lb:true c
-      else attach_counting t ~learned:false ~in_lb:true c
+      if wants_watched t c then attach_watched t ~learned:false c
+      else attach_counting t ~learned:false c
     in
     (* the lagged slack ignores units still pending in the load queue;
        checking the value-based slack too keeps [root_unsat] exact right
@@ -1649,8 +1792,15 @@ let derive_pb_resolvent t ci =
               (* weaken the reason to its certificate clause: adding
                  [a * (p ∨ certificate)] cancels ~p exactly and the clause
                  has slack 0, so the conflict is preserved *)
-              let cert = implication_certificate t rci p in
-              Cp.add_scaled_clause g a (p :: cert);
+              let terms = Constr.terms r in
+              let p_pos = t.var_pos.(Lit.var p) in
+              let k = certificate_end t terms (implication_excess r p) p_pos in
+              let cert = ref [] in
+              for i = 0 to k - 1 do
+                let lit = terms.(i).Constr.lit in
+                if usable t lit p_pos then cert := lit :: !cert
+              done;
+              Cp.add_scaled_clause g a (p :: !cert);
               Cp.saturate g
             end;
             if Cp.size g > size_limit || g.Cp.degree > degree_limit || g.Cp.degree <= 0 then

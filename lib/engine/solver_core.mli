@@ -129,7 +129,19 @@ val set_on_learned : t -> (Lit.t list -> unit) -> unit
 
 val analyze : t -> cid -> analysis
 (** First-UIP analysis of a conflicting constraint: learns a clause,
-    backjumps and asserts its UIP literal. *)
+    backjumps and asserts its UIP literal.
+
+    Resolution and minimization read each constraint through a
+    certificate: walking its terms in order (decreasing coefficient),
+    take every usable literal — false, and for the reason of an implied
+    literal [p], assigned before [p] — until the weight taken exceeds
+    the constraint's excess (coefficient sum minus degree, minus [p]'s
+    coefficient for a reason); a term is looked at while the weight
+    taken before it is at most the excess.  The certificate's literals
+    are marked last taken first; minimization drops a literal whose
+    reason's certificate lies within the marked or level-0 variables
+    and stops at the first one that does not.  The walk allocates
+    nothing but the learned clause. *)
 
 val learn_false_clause : t -> Lit.t list -> analysis
 (** [learn_false_clause s lits] handles an externally discovered conflict
@@ -201,19 +213,27 @@ type active = {
 }
 
 val active_constraints : t -> active list
-(** Lower-bound-eligible constraints not yet satisfied, in residual form.
-    Constraints whose residual is [<= 0] (already satisfied) are
-    omitted. *)
+(** Problem constraints (every constraint that is not learned) not yet
+    satisfied, in residual form.  Constraints whose residual is [<= 0]
+    (already satisfied) are omitted. *)
 
 val lb_constraints : t -> (cid * Constr.t) list
-(** All non-learned lower-bound-eligible constraints, satisfied or not,
-    with their cids — the fixed row set of the incremental LP relaxation.
-    These cids are stable across {!reduce_db} (only learned constraints
-    are dropped) for the lifetime of the solver. *)
+(** All problem constraints, satisfied or not, with their cids — the
+    fixed row set of the incremental LP relaxation.  These cids are
+    stable across {!reduce_db} (only learned constraints are dropped)
+    for the lifetime of the solver. *)
 
-val false_lits_of : t -> cid -> Lit.t list
-(** Literals of the stored constraint currently assigned false — the raw
-    material of the paper's [omega_pl] explanations (eq. 9). *)
+val omega : t -> ?keep:(Lit.t -> bool) -> path:bool -> cid list -> Constr.t list -> Lit.t list
+(** [omega s ?keep ~path cids cuts] builds a bound-conflict explanation:
+    the literals currently false in the stored constraints [cids] and in
+    the constraints [cuts] (LP cut rows the store does not hold) that
+    pass [keep] — the paper's [omega_pl] (eq. 9) — and, with [path], the
+    negations of the cost literals currently true, [omega_pp] (eq. 8),
+    which [keep] does not filter.  Each literal appears once, in
+    ascending order: [List.sort_uniq Lit.compare] of the concatenation,
+    the order the proof log writes.  The literals are collected in a
+    byte array of one mark per literal index, reused across calls and
+    cleared as the marked span is read back. *)
 
 val unassigned_cost_terms : t -> (int * Lit.t) list
 (** Objective cost terms whose variable is still unassigned. *)

@@ -68,13 +68,13 @@ let compute ?(iters = 50) engine ~cap =
         res.rows;
       !out
     in
-    let omega_pl =
+    let omega_rows =
       lazy
-        (let keep = alpha_filter engine selected in
-         let cids = List.map fst selected in
-         List.concat_map (Core.false_lits_of engine) cids
-         |> List.sort_uniq Lit.compare
-         |> List.filter keep)
+        {
+          Bound.cids = List.map fst selected;
+          cuts = [];
+          keep = Some (alpha_filter engine selected);
+        }
     in
-    { Bound.value; omega_pl; branch_hint = None; cert = lazy (Proof.Cert_bound selected) }
+    { Bound.value; omega_rows; branch_hint = None; cert = lazy (Proof.Cert_bound selected) }
   end

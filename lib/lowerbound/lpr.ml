@@ -1,9 +1,6 @@
 open Pbo
 module Core = Engine.Solver_core
 
-let omega_of_cids engine cids =
-  List.sort_uniq Lit.compare (List.concat_map (Core.false_lits_of engine) cids)
-
 type last =
   | Last_none
   | Last_opt of {
@@ -116,16 +113,10 @@ let dual_refs (full : Residual.Full.t) (sol : Simplex.solution) =
    literals of any cut row involved: cut constraints are globally valid,
    but the Lagrangian bound they support depends on which of their
    literals the path has falsified. *)
-let omega_with_cuts inc tight ctight =
-  lazy
-    (List.sort_uniq Lit.compare
-       (List.concat_map (Cuts.false_lits inc.engine) ctight
-       @ List.concat_map (Core.false_lits_of inc.engine) tight))
-
-let bound_of_opt inc (full : Residual.Full.t) ~path ~z ~x ~tight ~ctight ~duals =
+let bound_of_opt (full : Residual.Full.t) ~path ~z ~x ~tight ~ctight ~duals =
   {
     Bound.value = Bound.trusted_value (z +. full.obj_offset -. path);
-    omega_pl = omega_with_cuts inc tight ctight;
+    omega_rows = Lazy.from_val { Bound.cids = tight; cuts = ctight; keep = None };
     branch_hint = full_hint full x;
     cert = lazy (Proof.Cert_bound duals);
   }
@@ -200,14 +191,10 @@ let split_witness inc (full : Residual.Full.t) witness =
   in
   (refs @ cut_refs, cids, cut_constrs)
 
-let inf_bound inc ~cap ~refs ~cids ~cuts =
+let inf_bound ~cap ~refs ~cids ~cuts =
   {
     Bound.value = cap;
-    omega_pl =
-      lazy
-        (List.sort_uniq Lit.compare
-           (List.concat_map (Cuts.false_lits inc.engine) cuts
-           @ List.concat_map (Core.false_lits_of inc.engine) cids));
+    omega_rows = Lazy.from_val { Bound.cids; cuts; keep = None };
     branch_hint = None;
     cert = lazy (Proof.Cert_farkas refs);
   }
@@ -224,9 +211,9 @@ let compute_inc inc ~cap =
       Telemetry.Counter.incr inc.c_cache_hits;
       match inc.last with
       | Last_opt o ->
-        bound_of_opt inc full ~path ~z:o.z ~x:o.x ~tight:o.tight ~ctight:o.ctight
+        bound_of_opt full ~path ~z:o.z ~x:o.x ~tight:o.tight ~ctight:o.ctight
           ~duals:o.duals
-      | Last_inf { refs; cids; cuts } -> inf_bound inc ~cap ~refs ~cids ~cuts
+      | Last_inf { refs; cids; cuts } -> inf_bound ~cap ~refs ~cids ~cuts
       | Last_none -> assert false
     end
     else begin
@@ -304,12 +291,12 @@ let compute_inc inc ~cap =
           in
           let duals = duals @ cduals in
           inc.last <- Last_opt { z = sol.value; x = sol.x; tight; ctight; duals };
-          bound_of_opt inc full ~path ~z:sol.value ~x:sol.x ~tight ~ctight ~duals
+          bound_of_opt full ~path ~z:sol.value ~x:sol.x ~tight ~ctight ~duals
         | Simplex.Infeasible witness ->
           Telemetry.Counter.incr inc.c_infeasible;
           let refs, cids, cuts = split_witness inc full witness in
           inc.last <- Last_inf { refs; cids; cuts };
-          inf_bound inc ~cap ~refs ~cids ~cuts
+          inf_bound ~cap ~refs ~cids ~cuts
         | Simplex.Iteration_limit zo ->
           Telemetry.Counter.incr inc.c_iteration_limits;
           inc.last <- Last_none;
@@ -321,7 +308,8 @@ let compute_inc inc ~cap =
           if value > 0 then
             {
               Bound.value = value;
-              omega_pl = lazy (omega_of_cids inc.engine (Array.to_list full.cids));
+              omega_rows =
+                lazy { Bound.cids = Array.to_list full.cids; cuts = []; keep = None };
               branch_hint = None;
               cert = lazy Proof.Cert_path;
             }

@@ -273,15 +273,10 @@ let compute t =
       chosen := (row.cid, t.mu.(r)) :: !chosen
     end
   done;
-  let chosen = !chosen and engine = t.engine in
-  let omega_pl =
-    lazy
-      (List.sort_uniq Lit.compare
-         (List.concat_map (fun (cid, _) -> Core.false_lits_of engine cid) chosen))
-  in
+  let chosen = !chosen in
   {
     Bound.value = Bound.trusted_value !total;
-    omega_pl;
+    omega_rows = lazy { Bound.cids = List.map fst chosen; cuts = []; keep = None };
     branch_hint = None;
     cert = lazy (Proof.Cert_bound chosen);
   }

@@ -140,7 +140,22 @@ let family_at f r =
     else if rhs >= f.max_raw then Constr { b with degree = (rhs + f.g - 1) / f.g }
     else (* some coefficient saturates *) fallback ()
 
-let clause lits = make_ge (List.map (fun l -> 1, l) lits) 1
+(* Over pairwise distinct variables the normal form of a clause is its
+   literals by ascending variable, each with coefficient 1, at degree 1:
+   one sort builds it.  A repeated or complementary literal (or no
+   literal at all) goes through [make_ge]. *)
+let clause lits =
+  let a = Array.of_list lits in
+  let n = Array.length a in
+  Array.sort Lit.compare a;
+  let distinct = ref (n > 0) and i = ref 1 in
+  while !distinct && !i < n do
+    if Lit.var a.(!i) = Lit.var a.(!i - 1) then distinct := false;
+    incr i
+  done;
+  if !distinct then Constr { terms = Array.map (fun lit -> { coeff = 1; lit }) a; degree = 1 }
+  else make_ge (List.map (fun l -> 1, l) lits) 1
+
 let cardinality lits k = make_ge (List.map (fun l -> 1, l) lits) k
 let terms c = c.terms
 let degree c = c.degree

@@ -75,7 +75,9 @@ type work = {
    rest at a bound.  [vrow], [vpos], [rho], [alpha] and [arow] are
    scratch: an FTRAN input by row, a BTRAN input by position, the last
    BTRAN result by row, the last FTRAN result by position, and the
-   pivot row over all columns. *)
+   pivot row over all columns.  [nzrow] lists, ascending, the [nnz]
+   rows where the last pivot row's [rho] is nonzero: outside them the
+   slack and artificial entries of [arow] are zero. *)
 type state = {
   m : int;
   n : int;
@@ -102,6 +104,8 @@ type state = {
   rho : float array;
   alpha : float array;
   arow : float array;
+  nzrow : int array;
+  mutable nnz : int;
   mutable pivots_since_refresh : int;
   work : work;
   eps : float;
@@ -202,6 +206,8 @@ let make_state ~eps ~n (rows : row array) ~slk ~sigma ~lb ~ub ~xval ~rc ~basis ~
     rho = Array.make m 0.;
     alpha = Array.make m 0.;
     arow = Array.make ntotal 0.;
+    nzrow = Array.make m 0;
+    nnz = 0;
     pivots_since_refresh = 0;
     work;
     eps;
@@ -239,13 +245,21 @@ let btran_cost st cost =
   Lu.btran st.lu st.vpos st.rho
 
 (* The pivot row of position [r]: rho = e_r B^-1, then arow = rho A over
-   every column, summed only over the rows where rho is nonzero. *)
+   every column, summed only over the rows where rho is nonzero, which
+   [nzrow] records.  The slack and artificial entries of the previous
+   pivot row are cleared through its [nzrow]. *)
 let price_row st r =
   Array.fill st.vpos 0 st.m 0.;
   st.vpos.(r) <- 1.;
   Lu.btran st.lu st.vpos st.rho;
   let arow = st.arow and n = st.n and m = st.m in
   Array.fill arow 0 n 0.;
+  for k = 0 to st.nnz - 1 do
+    let i = Array.unsafe_get st.nzrow k in
+    arow.(n + i) <- 0.;
+    arow.(n + m + i) <- 0.
+  done;
+  let nnz = ref 0 in
   for i = 0 to m - 1 do
     let p = Array.unsafe_get st.rho i in
     if p <> 0. then begin
@@ -254,13 +268,23 @@ let price_row st r =
         Array.unsafe_set arow j (Array.unsafe_get arow j +. (p *. Array.unsafe_get st.rval q))
       done;
       arow.(n + i) <- p *. st.slk.(i);
-      arow.(n + m + i) <- p *. st.sigma.(i)
+      arow.(n + m + i) <- p *. st.sigma.(i);
+      Array.unsafe_set st.nzrow !nnz i;
+      incr nnz
     end
-    else begin
-      arow.(n + i) <- 0.;
-      arow.(n + m + i) <- 0.
-    end
-  done
+  done;
+  st.nnz <- !nnz
+
+(* The columns where the pivot row can be nonzero, ascending, are
+   numbered [0 .. pivot_row_width st - 1]: every structural column,
+   then the slack and then the artificial columns of the rows in
+   [nzrow]. *)
+let pivot_row_width st = st.n + (2 * st.nnz)
+
+let[@inline] pivot_row_column st k =
+  if k < st.n then k
+  else if k < st.n + st.nnz then st.n + Array.unsafe_get st.nzrow (k - st.n)
+  else st.n + st.m + Array.unsafe_get st.nzrow (k - st.n - st.nnz)
 
 (* Recompute the reduced costs rc_j = c_j - y A_j with y = c_B B^-1 (one
    BTRAN, one pass over A); basic columns get exactly 0.  Leaves y in
@@ -359,7 +383,8 @@ let basis_change st r j =
   if rcj <> 0. then begin
     let theta = rcj /. arj in
     let arow = st.arow in
-    for c = 0 to st.ntotal - 1 do
+    for k = 0 to pivot_row_width st - 1 do
+      let c = pivot_row_column st k in
       let a = Array.unsafe_get arow c in
       if a <> 0. && Array.unsafe_get st.pos c < 0 then
         Array.unsafe_set st.rc c (Array.unsafe_get st.rc c -. (theta *. a))
@@ -675,7 +700,8 @@ let dual_step st =
     let best = ref (-1) in
     let best_ratio = ref infinity in
     let best_alpha = ref 0. in
-    for j = 0 to st.ntotal - 1 do
+    for k = 0 to pivot_row_width st - 1 do
+      let j = pivot_row_column st k in
       let a = Array.unsafe_get row j in
       if abs_float a > st.eps && st.pos.(j) < 0 && st.lb.(j) < st.ub.(j) then begin
         begin

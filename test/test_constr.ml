@@ -290,3 +290,23 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_family;
       Alcotest.test_case "family shares terms" `Quick family_shares_terms;
     ]
+
+(* [clause] builds distinct-variable clauses directly; it must give what
+   [make_ge] gives on the same literals at degree 1, term order included,
+   also on empty lists, repeated literals and x/~x pairs (the fallback).
+   Six variables make repeats and complementary pairs common; 2000 make
+   long clauses over distinct variables, which take the direct path. *)
+let qcheck_clause =
+  let gen =
+    QCheck2.Gen.(
+      let* nvars = oneofl [ 6; 2000 ] in
+      list_size (int_range 0 40) (map2 Lit.make (int_range 0 (nvars - 1)) bool))
+  in
+  QCheck2.Test.make ~name:"clause agrees with make_ge" ~count:2000 gen (fun lits ->
+      match Constr.clause lits, Constr.make_ge (List.map (fun l -> 1, l) lits) 1 with
+      | Constr.Trivial_true, Constr.Trivial_true | Constr.Trivial_false, Constr.Trivial_false ->
+        true
+      | Constr.Constr a, Constr.Constr b -> Constr.equal a b
+      | _ -> false)
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest qcheck_clause ]

@@ -51,6 +51,13 @@ let residual_optimum problem engine =
 
 let offset problem = match Problem.objective problem with None -> 0 | Some o -> o.offset
 
+(* The literals of [c] currently false, for the list-based explanation
+   references. *)
+let false_lits engine c =
+  Constr.fold_lits
+    (fun l acc -> if Value.equal (Core.value_lit engine l) Value.False then l :: acc else acc)
+    c []
+
 (* LPR with a fresh incremental context per call: one cold solve of the
    full-LP formulation behind the warm path. *)
 let lpr_fresh engine ~cap = Lowerbound.Lpr.compute_inc (Lowerbound.Lpr.make engine) ~cap
@@ -124,8 +131,7 @@ let explanation_entailment () =
         (fun (name, compute) ->
           let b = compute engine ~cap in
           if b.Lowerbound.Bound.value > 0 then begin
-            let omega_pp = List.map Lit.negate (Core.true_cost_lits engine) in
-            let omega = omega_pp @ Lazy.force b.omega_pl in
+            let omega = Lowerbound.Bound.omega_bc engine b in
             let threshold = Core.path_cost engine + b.value + offset problem in
             let nvars = Problem.nvars problem in
             for mask = 0 to (1 lsl nvars) - 1 do
@@ -240,7 +246,7 @@ let lpr_infeasible_relaxation () =
   let bound = lpr_fresh engine ~cap:42 in
   Alcotest.(check int) "cap returned" 42 bound.Lowerbound.Bound.value;
   Alcotest.(check bool) "explanation computable" true
-    (match Lazy.force bound.omega_pl with _ -> true);
+    (match Lowerbound.Bound.omega_pl engine bound with _ -> true);
   (* and the instance really is unsatisfiable *)
   let o = Bsolo.Solver.solve problem in
   Alcotest.(check string) "unsat" "UNSATISFIABLE" (Bsolo.Outcome.status_name o.status)
@@ -449,7 +455,8 @@ module Mis_ref = struct
     in
     let total, chosen = List.fold_left select (0., []) ordered in
     let omega_pl =
-      List.sort_uniq Lit.compare (List.concat_map (Core.false_lits_of engine) (List.map fst chosen))
+      List.sort_uniq Lit.compare
+        (List.concat_map (fun (cid, _) -> false_lits engine (Core.constr_of engine cid)) chosen)
     in
     Lowerbound.Bound.trusted_value total, chosen, omega_pl
 end
@@ -491,7 +498,7 @@ let mis_matches_reference =
           (match Lazy.force b.cert with
           | Proof.Cert_bound got when got = chosen -> ()
           | _ -> QCheck2.Test.fail_reportf "seed %d: certificate differs" seed);
-          if Lazy.force b.omega_pl <> omega_pl then
+          if Lowerbound.Bound.omega_pl engine b <> omega_pl then
             QCheck2.Test.fail_reportf "seed %d: omega_pl differs" seed
         in
         let compare_here step =
@@ -537,3 +544,79 @@ let mis_matches_reference =
 
 let suite =
   suite @ [ QCheck_alcotest.to_alcotest mis_matches_reference ]
+
+(* The mark-based explanations against their list-based definition, at
+   random fixpoints of a search walk: for each of MIS, LGR and LPR with
+   tree separation (so cut rows join the explanation), omega_pl must be
+   [List.sort_uniq Lit.compare (List.concat_map ...)] over the bound's
+   rows, filtered by [keep], and omega_bc that merged with the negated
+   true cost literals.  Every fixpoint builds several explanations on one
+   engine, so a mark left set or a literal emitted out of order shows. *)
+let omega_matches_reference =
+  let gen = QCheck2.Gen.(pair (int_bound 100_000) (int_bound 2)) in
+  QCheck2.Test.make ~name:"mark-based omega = list-based reference" ~count:100 gen
+    (fun (seed, kind) ->
+      let problem =
+        match kind with
+        | 0 -> Gen.planted seed
+        | 1 -> Gen.planted ~nvars:24 ~nconstrs:40 ~max_arity:6 ~max_coeff:3 seed
+        | _ -> Gen.covering ~nvars:14 ~nclauses:24 seed
+      in
+      let engine = Core.create problem in
+      let rng = Random.State.make [| seed; 0x0b0c |] in
+      let cap = Problem.max_cost_sum problem + 1 in
+      let reference (b : Lowerbound.Bound.t) =
+        let r = Lazy.force b.omega_rows in
+        let pl =
+          List.concat_map (fun cid -> false_lits engine (Core.constr_of engine cid)) r.cids
+          @ List.concat_map (false_lits engine) r.cuts
+          |> List.sort_uniq Lit.compare
+          |> List.filter (fun l -> match r.keep with None -> true | Some keep -> keep l)
+        in
+        let pp = List.map Lit.negate (Core.true_cost_lits engine) in
+        pl, List.sort_uniq Lit.compare (pp @ pl)
+      in
+      let bounds () =
+        let tel = Core.telemetry engine in
+        let cuts = { Cuts.pool = Cuts.Pool.create tel; mode = Cuts.Tree } in
+        [
+          "mis", Lowerbound.Mis.compute (Lowerbound.Mis.create engine);
+          "lgr", Lowerbound.Lgr.compute engine ~cap;
+          "lpr", Lowerbound.Lpr.compute_inc (Lowerbound.Lpr.make ~cuts engine) ~cap;
+        ]
+      in
+      let check step =
+        List.iter
+          (fun (name, b) ->
+            let pl, bc = reference b in
+            if Lowerbound.Bound.omega_pl engine b <> pl then
+              QCheck2.Test.fail_reportf "seed %d step %d: %s omega_pl differs" seed step name;
+            if Lowerbound.Bound.omega_bc engine b <> bc then
+              QCheck2.Test.fail_reportf "seed %d step %d: %s omega_bc differs" seed step name)
+          (bounds ())
+      in
+      match Core.propagate engine with
+      | Some _ -> true
+      | None ->
+        let rec walk step fuel =
+          if fuel > 0 && not (Core.root_unsat engine) then begin
+            match Core.propagate engine with
+            | Some ci -> (
+              match Core.resolve_conflict engine ci with
+              | Core.Root_conflict -> ()
+              | Core.Backjump _ -> walk step (fuel - 1))
+            | None -> (
+              check step;
+              if Random.State.int rng 6 = 0 then
+                Core.backjump_to engine (Random.State.int rng (Core.decision_level engine + 1));
+              match Core.next_branch_var engine with
+              | None -> Core.backjump_to engine 0
+              | Some v ->
+                Core.decide engine (Lit.make v (Random.State.bool rng));
+                walk (step + 1) (fuel - 1))
+          end
+        in
+        walk 0 30;
+        true)
+
+let suite = suite @ [ QCheck_alcotest.to_alcotest omega_matches_reference ]
