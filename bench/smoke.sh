@@ -4,8 +4,8 @@
 # report are validated.  Also exercises the live-observability surface:
 # a --trace-spans/--heartbeat/--metrics portfolio solve whose artifacts
 # are validated with `bsolo inspect --spans` / `--live --check`, and a
-# single-engine --profile-hz run whose sampled profile must agree with
-# the exact phase timers (`inspect --profile` exits 1 on disagreement).
+# --portfolio --jobs 2 run whose report must carry the members' summed
+# phase times (a non-zero `propagate`).
 # The flight recorder is exercised end to end: a --record run replayed
 # deterministically with `bsolo replay --check`, its forensics node
 # accounting reconciled, a --record-ring run killed with SIGTERM whose
@@ -295,15 +295,21 @@ grep -q "\"run_id\":\"$orid\"" "$tmpdir/status.json" || {
 }
 echo "obsd: $(grep '^c obsd: served' "$tmpdir/obsd.out")"
 
-echo "== sampling profile agrees with exact timers (inspect --profile) =="
-timeout 120 "$bsolo" benchmarks/synth-s2.opb \
-  --lb lpr --timeout 60 --profile-hz 300 --stats \
-  --json "$tmpdir/profile-report.json" \
-  >"$tmpdir/prof.out" 2>&1 || {
-  echo "FAIL: profiled solve failed"; cat "$tmpdir/prof.out"; exit 1;
+echo "== portfolio phase times are the members' summed timers =="
+# Each member times its phases and the parent adds the self times after
+# the join, so a --jobs 2 report has a non-empty phase table.
+timeout 120 "$bsolo" benchmarks/synth-s1.opb \
+  --portfolio --jobs 2 --timeout 60 --stats \
+  --json "$tmpdir/portfolio-phases.json" \
+  >"$tmpdir/pphases.out" 2>&1 || {
+  echo "FAIL: portfolio phase-times solve failed"; cat "$tmpdir/pphases.out"; exit 1;
 }
-"$bsolo" inspect --profile "$tmpdir/profile-report.json" || {
-  echo "FAIL: sampled profile disagrees with exact phase timers"; exit 1;
+sed -n 's/.*"phases":{\([^}]*\)}.*/\1/p' "$tmpdir/portfolio-phases.json" \
+  | sed -n 's/.*"propagate":\([-+.eE0-9]*\).*/\1/p' \
+  | awk '{ if ($1 + 0 > 0) { print "portfolio phases: propagate " $1 " s"; ok = 1 } }
+         END { exit !ok }' || {
+  echo "FAIL: portfolio report has no propagate phase time";
+  grep -o '"phases":{[^}]*}' "$tmpdir/portfolio-phases.json"; exit 1;
 }
 
 echo "== flight recording (--record -> replay --check -> inspect forensics) =="

@@ -108,8 +108,8 @@ let forensics_run rec_path node =
       print_lines (Inspect.Forensics.render (Inspect.Forensics.analyze rc));
       0)
 
-let inspect_run files diff_mode trace_file spans_file live_file follow check profile_mode
-    threshold show_all node metrics_file =
+let inspect_run files diff_mode trace_file spans_file live_file follow check threshold show_all
+    node metrics_file =
   let error msg =
     Printf.eprintf "bsolo inspect: %s\n" msg;
     2
@@ -166,27 +166,6 @@ let inspect_run files diff_mode trace_file spans_file live_file follow check pro
           1)
       else 0)
   | None ->
-  if profile_mode then begin
-    match files with
-    | [] -> error "--profile needs a run report (--json output of a --profile-hz run)"
-    | files ->
-      let rec go worst = function
-        | [] -> worst
-        | path :: rest ->
-          load path (fun json ->
-              Printf.printf "== %s (profile) ==\n" path;
-              print_lines (Inspect.render_profile json);
-              print_newline ();
-              let rc =
-                match Inspect.profile_agreement json with
-                | Some pa when (not pa.pa_ok) && (not pa.pa_low) && not pa.pa_no_timers -> 1
-                | _ -> 0
-              in
-              go (max worst rc) rest)
-      in
-      go 0 files
-  end
-  else
   match trace_file, diff_mode, files with
   | Some path, _, _ ->
     (match Inspect.load_trace path with
@@ -252,14 +231,6 @@ let inspect_check_arg =
   in
   Arg.(value & flag & info [ "check" ] ~doc)
 
-let inspect_profile_arg =
-  let doc =
-    "Render the sampling profile embedded in a run report (folded stacks, self-time table) and \
-     cross-check the dominant phase against the exact timers; exit 1 when they disagree beyond \
-     15%."
-  in
-  Arg.(value & flag & info [ "profile" ] ~doc)
-
 let threshold_arg =
   let doc = "Relative regression threshold for --diff (0.25 = +25%)." in
   Arg.(value & opt float 0.25 & info [ "threshold" ] ~docv:"FRACTION" ~doc)
@@ -288,6 +259,5 @@ let cmd =
   Cmd.v info
     Term.(
       const inspect_run $ inspect_files_arg $ diff_flag $ inspect_trace_arg $ inspect_spans_arg
-      $ inspect_live_arg $ inspect_follow_arg $ inspect_check_arg $ inspect_profile_arg
-      $ threshold_arg $ diff_all_arg $ inspect_node_arg $ inspect_metrics_arg)
+      $ inspect_live_arg $ inspect_follow_arg $ inspect_check_arg $ threshold_arg $ diff_all_arg $ inspect_node_arg $ inspect_metrics_arg)
 

@@ -12,10 +12,11 @@ let parse path =
 
 (* Phase table and counter dump, PB-competition comment style, on stderr
    so the `s`/`o`/`v` protocol lines on stdout stay machine-parsable. *)
-let print_stats tel elapsed =
+let print_stats ~portfolio tel elapsed =
   let phases = Telemetry.Timer.snapshot tel.Telemetry.Ctx.timer in
   let covered = List.fold_left (fun acc (_, s) -> acc +. s) 0. phases in
-  Printf.eprintf "c phase times (self seconds):\n";
+  Printf.eprintf "c phase times (self seconds%s):\n"
+    (if portfolio then ", summed over portfolio members" else "");
   List.iter
     (fun (p, s) ->
       Printf.eprintf "c   %-12s %8.3f  %5.1f%%\n" (Telemetry.Phase.name p) s
@@ -61,7 +62,6 @@ type sinks = {
   span_file : string option;
   heartbeat_file : string option;
   heartbeat_every : float;
-  profile_hz : float;
   metrics_file : string option;
   record_file : string option;
   record_ring : int option;
@@ -71,8 +71,7 @@ type sinks = {
 (* [engine] names the preset [options] started from, or "milp". *)
 let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t) sinks =
   let { verbosity; stats; trace_file; json_file; proof_file; progress_every; span_file;
-        heartbeat_file; heartbeat_every; profile_hz; metrics_file; record_file; record_ring;
-        listen } =
+        heartbeat_file; heartbeat_every; metrics_file; record_file; record_ring; listen } =
     sinks
   in
   if verbosity > 0 then begin
@@ -152,8 +151,7 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
     let started = Unix.gettimeofday () in
     let want_report = stats || json_file <> None in
     let observing =
-      span_file <> None || heartbeat_file <> None || profile_hz > 0. || metrics_file <> None
-      || listen_addr <> None
+      span_file <> None || heartbeat_file <> None || metrics_file <> None || listen_addr <> None
     in
     let want_telemetry =
       want_report || trace_file <> None || progress_every > 0 || observing
@@ -172,7 +170,6 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
         h_nvars = Pbo.Problem.nvars problem;
         h_nconstraints = Array.length (Pbo.Problem.constraints problem);
         h_flags = Bsolo.Replay.flags_of_options options;
-        h_lb_every = 1;
         h_lgr_iters = options.lgr_iters;
       }
     in
@@ -211,8 +208,8 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
               Some sp
             with Sys_error msg -> fatal ("cannot open span file: " ^ msg))
         in
-        (* The main-context cell: observed whenever anything samples it
-           (spans, profiler, heartbeats, metrics), inert otherwise so
+        (* The main-context cell: observed whenever anything reads it
+           (spans, heartbeats, metrics, the server), inert otherwise so
            silent runs keep the zero-cost hot path. *)
         let cell =
           if observing then begin
@@ -405,10 +402,9 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
     Logs.debug (fun m ->
         m "engine=%s telemetry=%b options=%s" engine (tel <> None)
           (Telemetry.Json.to_string (Bsolo.Report.options_json options)));
-    (* Live monitors: the heartbeat ticker (periodic + SIGUSR1-triggered
-       snapshots, each refreshing the metrics file) and the sampling
-       phase profiler, both on their own domains for the solve's
-       duration. *)
+    (* The live monitor: the heartbeat ticker (periodic + SIGUSR1-triggered
+       snapshots, each refreshing the metrics file), on its own domain
+       for the solve's duration. *)
     let ticker =
       if heartbeat = None && !server_ref = None then None
       else begin
@@ -455,10 +451,6 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
         Some tk
       end
     in
-    let sampler =
-      if profile_hz > 0. then Some (Telemetry.Profile.Sampler.start ~hz:profile_hz ())
-      else None
-    in
     let portfolio_run = ref None in
     let outcome =
       if portfolio then begin
@@ -479,9 +471,8 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
       else if engine = "milp" then Milp.Branch_and_bound.solve ~options problem
       else Bsolo.Solver.solve ~options problem
     in
-    (* Join the monitor domains before reports are assembled: the final
-       heartbeat and the profile result must reflect the whole solve. *)
-    let profile_result = Option.map Telemetry.Profile.Sampler.stop sampler in
+    (* Join the monitor domain before reports are assembled: the final
+       heartbeat must reflect the whole solve. *)
     (match ticker with
     | None -> ()
     | Some tk ->
@@ -557,16 +548,14 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
     (match tel with
     | None -> ()
     | Some tel ->
-      if stats then print_stats tel outcome.elapsed;
+      if stats then print_stats ~portfolio tel outcome.elapsed;
       (match json_file with
       | None -> ()
       | Some out ->
         let report =
           Bsolo.Report.make ~instance:path
             ~engine:(if portfolio then "portfolio" else engine)
-            ~run_id ~started
-            ?profile:(Option.map Telemetry.Profile.Sampler.result_json profile_result)
-            ~problem ~options
+            ~run_id ~started ~problem ~options
             ~incumbents:(List.rev !incumbents) ~telemetry:tel outcome
         in
         (try Bsolo.Report.write_file out report
@@ -769,14 +758,6 @@ let heartbeat_every_arg =
   let doc = "Heartbeat period in seconds; must be positive." in
   Arg.(value & opt float 1.0 & info [ "heartbeat-every" ] ~docv:"SECONDS" ~doc)
 
-let profile_hz_arg =
-  let doc =
-    "Run the sampling phase profiler at $(docv) samples per second (0 disables).  The folded \
-     stacks and self-time table land in the $(b,--json) report; render with \
-     $(b,bsolo inspect --profile)."
-  in
-  Arg.(value & opt float 0. & info [ "profile-hz" ] ~docv:"HZ" ~doc)
-
 let metrics_arg =
   let doc =
     "Write the counter/gauge/histogram registry in Prometheus text exposition format to \
@@ -819,14 +800,13 @@ let listen_arg =
 
 let sinks_term =
   let make verbose stats trace_file json_file proof_file progress_every span_file heartbeat_file
-      heartbeat_every profile_hz metrics_file record_file record_ring listen =
+      heartbeat_every metrics_file record_file record_ring listen =
     { verbosity = List.length verbose; stats; trace_file; json_file; proof_file; progress_every;
-      span_file; heartbeat_file; heartbeat_every; profile_hz; metrics_file; record_file;
-      record_ring; listen }
+      span_file; heartbeat_file; heartbeat_every; metrics_file; record_file; record_ring; listen }
   in
   Term.(
     const make $ verbose_arg $ stats_arg $ trace_arg $ json_arg $ proof_file_arg $ progress_arg
-    $ span_file_arg $ heartbeat_arg $ heartbeat_every_arg $ profile_hz_arg $ metrics_arg
+    $ span_file_arg $ heartbeat_arg $ heartbeat_every_arg $ metrics_arg
     $ record_arg $ record_ring_arg $ listen_arg)
 
 let term =

@@ -106,7 +106,7 @@ let telemetry_json (tel : Telemetry.Ctx.t) =
            (Telemetry.Registry.all_series tel.registry)) );
   ]
 
-let make ?instance ?engine ?run_id ?started ?profile ?problem ?options ?(incumbents = [])
+let make ?instance ?engine ?run_id ?started ?problem ?options ?(incumbents = [])
     ~telemetry (outcome : Outcome.t) =
   let opt_field name v f = match v with None -> [] | Some v -> [ name, f v ] in
   Json.Obj
@@ -114,8 +114,7 @@ let make ?instance ?engine ?run_id ?started ?profile ?problem ?options ?(incumbe
      :: (opt_field "instance" instance (fun s -> Json.String s)
         @ opt_field "engine" engine (fun s -> Json.String s)
         @ opt_field "run_id" run_id (fun s -> Json.String s)
-        @ opt_field "started_at" started (fun t -> Json.Float t)
-        @ opt_field "profile" profile Fun.id)
+        @ opt_field "started_at" started (fun t -> Json.Float t))
     @ status_json outcome
     @ opt_field "pstats" problem pstats_json
     @ opt_field "options" options options_json

@@ -22,7 +22,6 @@ val make :
   ?engine:string ->
   ?run_id:string ->
   ?started:float ->
-  ?profile:Telemetry.Json.t ->
   ?problem:Problem.t ->
   ?options:Options.t ->
   ?incumbents:incumbent list ->
@@ -31,8 +30,7 @@ val make :
   Telemetry.Json.t
 (** [run_id] and [started] (absolute [Unix.gettimeofday] at run start)
     correlate the report with trace/span/heartbeat/proof artifacts of
-    the same run; [profile] embeds a sampling-profiler result
-    ({!Telemetry.Profile.Sampler.result_json}). *)
+    the same run. *)
 
 val options_json : Options.t -> Telemetry.Json.t
 (** The report's ["options"] object: the lower-bound method, the BCP,

@@ -403,141 +403,6 @@ let trace_summary events ~skipped =
   in
   (header :: count_lines) @ inc_lines
 
-(* --- sampling-profile view ------------------------------------------------- *)
-
-(* The report's "profile" member, as written by
-   [Telemetry.Profile.Sampler.result_json]:
-   {hz, duration, ticks, stacks: [{member, stack, count}]}.  Stacks are
-   ";"-folded phase names ("lower_bound;simplex") or "idle" for a
-   registered member whose stack was empty at the tick. *)
-
-let profile_stacks profile =
-  match Option.bind (Json.member "stacks" profile) Json.to_list with
-  | None -> []
-  | Some entries ->
-    List.filter_map
-      (fun e ->
-        match
-          ( Option.bind (Json.member "member" e) Json.to_string_opt,
-            Option.bind (Json.member "stack" e) Json.to_string_opt,
-            Option.bind (Json.member "count" e) Json.to_int )
-        with
-        | Some m, Some s, Some c -> Some (m, s, c)
-        | _ -> None)
-      entries
-
-let leaf_of_stack stack =
-  match String.rindex_opt stack ';' with
-  | Some i -> String.sub stack (i + 1) (String.length stack - i - 1)
-  | None -> stack
-
-(* Leaf-attributed sample counts per phase, "idle" excluded: the sampled
-   analogue of the exact per-phase self times in the report's "phases". *)
-let profile_self_samples profile =
-  let tally = Hashtbl.create 16 in
-  List.iter
-    (fun (_member, stack, count) ->
-      if stack <> "idle" then begin
-        let leaf = leaf_of_stack stack in
-        Hashtbl.replace tally leaf (count + Option.value ~default:0 (Hashtbl.find_opt tally leaf))
-      end)
-    (profile_stacks profile);
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tally []
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
-
-type profile_agreement = {
-  pa_phase : string;
-  pa_sampled : float;
-  pa_timer : float;
-  pa_ok : bool;
-  pa_low : bool;
-  pa_no_timers : bool;
-}
-
-(* Threshold below which the check is reported but not enforced: at a few
-   dozen ticks the binomial noise on a share is already comparable to the
-   15% tolerance. *)
-let low_sample_floor = 30
-
-let profile_agreement report =
-  match Json.member "profile" report with
-  | None -> None
-  | Some profile ->
-    (match profile_self_samples profile with
-    | [] -> None
-    | (dominant, samples) :: _ as self ->
-      let attributed = List.fold_left (fun acc (_, c) -> acc + c) 0 self in
-      let sampled = float_of_int samples /. float_of_int attributed in
-      let timers = phases_alist report in
-      let timer_total = List.fold_left (fun acc (_, s) -> acc +. s) 0. timers in
-      let timer_self = Option.value ~default:0. (List.assoc_opt dominant timers) in
-      let timer = if timer_total > 0. then timer_self /. timer_total else 0. in
-      let diff = Float.abs (sampled -. timer) in
-      let ok = diff <= 0.15 || (timer > 0. && diff /. timer <= 0.15) in
-      Some
-        {
-          pa_phase = dominant;
-          pa_sampled = sampled;
-          pa_timer = timer;
-          pa_ok = ok;
-          pa_low = attributed < low_sample_floor;
-          pa_no_timers = timer_total <= 0.;
-        })
-
-let render_profile report =
-  match Json.member "profile" report with
-  | None -> [ "no profile in report (run the solver with --profile-hz HZ --json)" ]
-  | Some profile ->
-    let getf name = Option.value ~default:0. (Option.bind (Json.member name profile) Json.to_float) in
-    let ticks = Option.value ~default:0 (Option.bind (Json.member "ticks" profile) Json.to_int) in
-    let header =
-      Printf.sprintf "sampling profile: %.0f Hz, %d ticks over %.3fs" (getf "hz") ticks
-        (getf "duration")
-    in
-    let stacks = profile_stacks profile in
-    let folded =
-      match stacks with
-      | [] -> [ "  (no samples)" ]
-      | _ ->
-        List.map (fun (m, s, c) -> Printf.sprintf "  %s;%s %d" m s c) stacks
-    in
-    let self = profile_self_samples profile in
-    let attributed = List.fold_left (fun acc (_, c) -> acc + c) 0 self in
-    let timers = phases_alist report in
-    let timer_total = List.fold_left (fun acc (_, s) -> acc +. s) 0. timers in
-    let self_lines =
-      List.map
-        (fun (phase, c) ->
-          let sampled = 100. *. float_of_int c /. float_of_int (max 1 attributed) in
-          let timer =
-            if timer_total > 0. then
-              100. *. Option.value ~default:0. (List.assoc_opt phase timers) /. timer_total
-            else 0.
-          in
-          Printf.sprintf "  %-16s %6d  %6.1f%%  %6.1f%%" phase c sampled timer)
-        self
-    in
-    let verdict =
-      match profile_agreement report with
-      | None -> [ "no phase-attributed samples" ]
-      | Some pa ->
-        let status =
-          if pa.pa_no_timers then "NO-TIMERS (exact phase timers absent; not enforced)"
-          else if pa.pa_low then "LOW-SAMPLES (not enforced)"
-          else if pa.pa_ok then "AGREES"
-          else "DISAGREES"
-        in
-        [
-          Printf.sprintf "dominant phase %s: sampled %.1f%% vs timer %.1f%% -> %s" pa.pa_phase
-            (100. *. pa.pa_sampled) (100. *. pa.pa_timer) status;
-        ]
-    in
-    (header :: "folded stacks (samples):" :: folded)
-    @ ("self time (sampled vs exact timers):"
-       :: Printf.sprintf "  %-16s %6s  %8s  %7s" "phase" "ticks" "sampled" "timer"
-       :: self_lines)
-    @ verdict
-
 (* --- span-file validation -------------------------------------------------- *)
 
 (* A span file is a Chrome trace-event JSON array.  A run cut short by a
@@ -789,7 +654,7 @@ let heartbeat_view lines =
 (* Structural checks over a heartbeat file, for the smoke suite: a
    header, at least two snapshots (the ticker writes one at start and one
    at stop), an end record, and per-member gaps that never widen — the
-   profile cells keep max(lb) / min(ub), so a widening gap means a
+   live cells keep max(lb) / min(ub), so a widening gap means a
    non-global bound leaked into a cell. *)
 let heartbeat_check lines =
   let violations = ref [] in

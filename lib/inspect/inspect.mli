@@ -105,30 +105,6 @@ val trace_summary : Json.t list -> skipped:int -> string list
     time span (plus the [skipped] unparseable lines), a tally per ["ev"]
     name, and the incumbent trajectory (time and cost). *)
 
-(** {1 Sampling-profile view}
-
-    Renders the ["profile"] member a report gains when the solver ran
-    with [--profile-hz]: folded stacks (flamegraph input), a
-    leaf-attributed self-time table, and a cross-check of the dominant
-    phase's sampled share against the exact phase timers. *)
-
-type profile_agreement = {
-  pa_phase : string;  (** dominant (most-sampled) phase *)
-  pa_sampled : float;  (** its leaf-attributed sampled share, 0..1 *)
-  pa_timer : float;  (** its exact self-time share, 0..1 *)
-  pa_ok : bool;  (** shares agree within 15% (absolute or relative) *)
-  pa_low : bool;  (** too few samples for the check to be meaningful *)
-  pa_no_timers : bool;
-      (** the report has no exact phase times to compare against (e.g. a
-          parallel portfolio run, whose worker timers are silent) *)
-}
-
-val profile_agreement : Json.t -> profile_agreement option
-(** [None] when the report has no profile or no phase-attributed
-    samples. *)
-
-val render_profile : Json.t -> string list
-
 (** {1 Span-file validation} *)
 
 val load_spans : string -> (Json.t list, string) result

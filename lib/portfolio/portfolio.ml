@@ -254,7 +254,6 @@ let recording_header ?run_id ~engine ~started problem =
     h_nvars = Problem.nvars problem;
     h_nconstraints = Array.length (Problem.constraints problem);
     h_flags = 0;
-    h_lb_every = 0;
     h_lgr_iters = 0;
   }
 
@@ -308,6 +307,7 @@ type member_result = {
   wname : string;
   wrun : (Bsolo.Outcome.t, string) result;  (* Error = exception barrier *)
   wregistry : Telemetry.Registry.t;
+  wtimer : Telemetry.Timer.t;
 }
 
 let run_pool ?run_id ~observe ~on_member_start ~on_member_done tel entries ~jobs ~budget
@@ -324,14 +324,19 @@ let run_pool ?run_id ~observe ~on_member_start ~on_member_done tel entries ~jobs
     let e = entries.(index) in
     Telemetry.Trace.event tel.Telemetry.Ctx.trace "portfolio_member"
       [ "name", Telemetry.Json.String e.pname; "slice", Telemetry.Json.Float slice ];
-    (* Each member gets its own profile cell — and so its own span track
-       — live (registered) exactly for the duration of its run, so
-       monitors see members come and go. *)
+    (* Each member gets its own live cell — and so its own span track —
+       registered exactly for the duration of its run, so monitors see
+       members come and go.  Its phase timer runs when the parent's does;
+       the self times are added into the parent's after the join. *)
     let wcell = Telemetry.Profile.Cell.make ~observed:observe ~name:e.pname () in
     let wtrack = Telemetry.Profile.Cell.track wcell in
     Telemetry.Span.name_track tel.spans ~track:wtrack e.pname;
     let wrec = member_recorder ?run_id tel ~record_file ~started:start problem e.pname in
-    let wtel = Telemetry.Ctx.create ~timing:false ~spans:tel.spans ~cell:wcell ~recorder:wrec () in
+    let wtel =
+      Telemetry.Ctx.create
+        ~timing:(Telemetry.Timer.enabled tel.timer)
+        ~spans:tel.spans ~cell:wcell ~recorder:wrec ()
+    in
     let psink =
       Option.map (fun base -> Proof.Sink.open_file (part_path base e.pname)) proof_file
     in
@@ -389,7 +394,7 @@ let run_pool ?run_id ~observe ~on_member_start ~on_member_done tel entries ~jobs
     in
     if self_proof then Atomic.set stop true
     else if stopped_by_peer then Atomic.incr cancelled;
-    { windex = index; wname = e.pname; wrun; wregistry = wtel.registry }
+    { windex = index; wname = e.pname; wrun; wregistry = wtel.registry; wtimer = wtel.timer }
   in
   (* Round-robin assignment: worker [w] runs entries w, w+jobs, ... one
      after another.  A member's slice is its fair share of the time left
@@ -427,6 +432,9 @@ let run_pool ?run_id ~observe ~on_member_start ~on_member_done tel entries ~jobs
         !imports
         + Option.value ~default:0
             (Telemetry.Registry.find_counter r.wregistry "search.incumbent_imports");
+      (* Phase times are summed over members: with jobs > 1 they can
+         exceed the run's wall time. *)
+      Telemetry.Timer.add_self ~into:tel.timer r.wtimer;
       match r.wrun with
       | Ok o ->
         attribute tel r.wname o;

@@ -89,10 +89,13 @@ val solve :
     Observability: with [telemetry] given, each member run is wrapped in
     a [member:<name>] span on the member's own track.  Each member
     publishes a {!Telemetry.Profile.Cell} — named after the member,
-    registered for exactly the run's duration — which the sampling
-    profiler and heartbeat ticker observe; [observe] forces the cells'
-    phase stacks on even when no span sink is attached (the
-    heartbeat/profiler case).
+    registered for exactly the run's duration — which the heartbeat
+    ticker observes; [observe] forces the cells' current phase on even
+    when no span sink is attached (the heartbeat case).  Each member's
+    phase timer runs when [telemetry]'s does, and its self times are
+    added into [telemetry]'s timer after the join: the portfolio's phase
+    times are summed over members, so with [jobs] > 1 they can exceed
+    the wall time.
 
     [on_member_start name registry] / [on_member_done name] bracket each
     member's run from its worker's domain, handing out its private

@@ -1,5 +1,5 @@
 (* One telemetry context per solver run: phase timer, counter registry,
-   trace sink, span sink, profile cell, progress reporter and flight
+   trace sink, span sink, live cell, progress reporter and flight
    recorder travel together; the recorder renders its events onto the
    trace sink.  [silent] is the default used when the caller asked for
    nothing: counters still accumulate (they back the outcome snapshot)
@@ -48,13 +48,15 @@ let import t ~cost ~member =
   Profile.Cell.update_ub ~self:false t.cell (float_of_int cost)
 
 (* Phase attribution for the whole observability stack in one call:
-   exact self-time (timer), sampled visibility (cell push/pop), and —
-   for coarse phases only, the hot inner-search phases fire far too
-   often — one tracing span.  When neither cell nor spans are live this
-   is exactly Timer.with_phase: one extra load and branch. *)
+   exact self-time (timer), the live cell's current phase (published on
+   entry, the enclosing phase restored on exit) and, for coarse phases
+   only (the hot inner-search phases fire far too often), one tracing
+   span.  When neither cell nor spans are live this is exactly
+   Timer.with_phase: one extra load and branch. *)
 let with_phase t phase f =
   if Profile.Cell.observed t.cell || Span.enabled t.spans then begin
-    Profile.Cell.push t.cell phase;
+    let outer = Profile.Cell.leaf t.cell in
+    Profile.Cell.publish t.cell (Some phase);
     let sp =
       if Phase.coarse phase && Span.enabled t.spans then
         Span.begin_ t.spans ~track:(Profile.Cell.track t.cell) (Phase.name phase)
@@ -63,7 +65,7 @@ let with_phase t phase f =
     Fun.protect
       ~finally:(fun () ->
         Span.end_ t.spans sp;
-        Profile.Cell.pop t.cell)
+        Profile.Cell.publish t.cell outer)
       (fun () -> Timer.with_phase t.timer phase f)
   end
   else Timer.with_phase t.timer phase f

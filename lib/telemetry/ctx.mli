@@ -1,6 +1,6 @@
 (** One telemetry context per solver run.
 
-    Phase timer, instrument registry, trace sink, span sink, profile
+    Phase timer, instrument registry, trace sink, span sink, live
     cell, progress reporter and flight recorder travel together.  The
     recorder is the only producer of search events; {!create} tees it
     onto the trace sink, so [--trace] is the JSONL rendering of what the
@@ -11,12 +11,13 @@
     printed.
 
     Domain-safety: a context is single-domain except for its trace and
-    span sinks and recorder (mutex-guarded) and its profile cell (single
+    span sinks and recorder (mutex-guarded) and its live cell (single
     writer, any readers).  Parallel portfolio workers each get a private
-    context — own registry, own timer, own cell, own recorder teed onto
-    the parent's trace sink, disabled progress — that may share the
-    parent's span sink; per-worker registries are merged after the
-    domains are joined. *)
+    context — own registry, own timer (enabled when the parent's is),
+    own cell, own recorder teed onto the parent's trace sink, disabled
+    progress — that may share the parent's span sink; per-worker
+    registries and phase times are merged after the domains are
+    joined. *)
 
 type t = {
   timer : Timer.t;
@@ -56,11 +57,12 @@ val import : t -> cost:int -> member:string -> unit
 
 val with_phase : t -> Phase.t -> (unit -> 'a) -> 'a
 (** Run [f] attributed to the phase across the whole observability
-    stack: exact self-time ({!Timer.with_phase}), the sampled phase
-    stack ({!Profile.Cell.push}/[pop]), and — for {!Phase.coarse} phases
-    only — one tracing span on this context's track.  Exception-safe.
-    With no cell observed and no span sink this is exactly
-    [Timer.with_phase] plus one load and branch. *)
+    stack: exact self-time ({!Timer.with_phase}), the live cell's current
+    phase ({!Profile.Cell.publish} on entry, the enclosing phase
+    restored on exit), and — for {!Phase.coarse} phases only — one
+    tracing span on this context's track.  Exception-safe.  With no cell
+    observed and no span sink this is exactly [Timer.with_phase] plus
+    one load and branch. *)
 
 val close : t -> unit
 (** Flush and close the trace and span sinks and the recorder

@@ -34,23 +34,10 @@ let name = function
   | Subgradient -> "subgradient"
   | Cut_generation -> "cut_generation"
 
-(* Inverse of [index]; out-of-range indices answer [None] so decoders of
-   externally sampled stacks (Profile cells) never raise. *)
-let of_index = function
-  | 0 -> Some Preprocess
-  | 1 -> Some Propagate
-  | 2 -> Some Analyze
-  | 3 -> Some Reduce_db
-  | 4 -> Some Lower_bound
-  | 5 -> Some Simplex
-  | 6 -> Some Subgradient
-  | 7 -> Some Cut_generation
-  | _ -> None
-
 (* Phases coarse enough to emit one tracing span per entry.  The inner
    search phases (propagate/analyze) fire thousands of times per second:
-   span-tracing them would swamp any trace file, so they are visible to
-   the sampling profiler (phase cells) but not to Span. *)
+   span-tracing them would swamp any trace file, so their time shows only
+   in the exact phase table (Timer). *)
 let coarse = function
   | Preprocess | Reduce_db | Lower_bound | Simplex | Subgradient | Cut_generation -> true
   | Propagate | Analyze -> false

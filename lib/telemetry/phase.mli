@@ -19,14 +19,11 @@ val count : int
 val index : t -> int
 val name : t -> string
 
-val of_index : int -> t option
-(** Inverse of {!index}; [None] outside [0 .. count - 1]. *)
-
 val coarse : t -> bool
 (** Whether the phase is coarse enough for one {!Span} per entry.  The
     hot inner-search phases (propagate, analyze) answer [false]:
-    they fire thousands of times per second and are observed by the
-    sampling profiler instead. *)
+    they fire thousands of times per second, so their time shows only
+    in the exact {!Timer} phase table. *)
 
 val all : t list
 (** Every phase, in [index] order. *)

@@ -1,30 +1,22 @@
-(* Sampling phase profiler.
+(* Live solver cells.
 
    Each solver context owns a [Cell]: a lock-free "what am I doing right
-   now" record a monitor domain can read at any moment.  The current
-   phase stack is packed into one atomic int — 4 bits per nesting level,
-   holding [Phase.index + 1] (0 terminates) — so a sample is a single
-   atomic load that can never observe a half-updated stack.  Only the
-   owning domain writes a cell; any domain may read it.
+   now" record a monitor domain can read at any moment.  The innermost
+   current phase is one atomic ([None] when idle); [Ctx.with_phase]
+   publishes a phase on entry and restores the enclosing one on exit.
+   Only the owning domain writes a cell; any domain may read it.
 
    Bound cells (lb / ub / nodes) ride along so heartbeat snapshots can
    report per-member progress without touching the worker's registry.
    lb only ever goes up and ub only ever comes down, which keeps the
-   reported gap monotonically non-widening.
-
-   The [Sampler] runs on its own domain, waking at a fixed rate and
-   tallying the folded stack of every live cell; the tallies render as
-   flamegraph folded-stack lines and a self-time (leaf) table. *)
-
-let max_depth = 15
+   reported gap monotonically non-widening. *)
 
 module Cell = struct
   type t = {
     name : string;
     track : int;
-    observed : bool;  (* false: push/pop are no-ops (silent runs) *)
-    stack : int Atomic.t;
-    mutable depth : int;  (* owner-only; levels beyond [max_depth] are not packed *)
+    observed : bool;  (* false: publish is a no-op (silent runs) *)
+    leaf : Phase.t option Atomic.t;
     lb : float Atomic.t;  (* neg_infinity until first bound *)
     ub : float Atomic.t;  (* infinity until first incumbent *)
     ub_self : bool Atomic.t;  (* last ub improvement found by this member *)
@@ -33,72 +25,28 @@ module Cell = struct
 
   let next_track = Atomic.make 1
 
-  let make ?(observed = true) ~name () =
+  let create ~name ~track ~observed =
     {
       name;
-      track = Atomic.fetch_and_add next_track 1;
+      track;
       observed;
-      stack = Atomic.make 0;
-      depth = 0;
+      leaf = Atomic.make None;
       lb = Atomic.make neg_infinity;
       ub = Atomic.make infinity;
       ub_self = Atomic.make false;
       nodes = 0;
     }
 
-  let disabled () =
-    {
-      name = "";
-      track = 0;
-      observed = false;
-      stack = Atomic.make 0;
-      depth = 0;
-      lb = Atomic.make neg_infinity;
-      ub = Atomic.make infinity;
-      ub_self = Atomic.make false;
-      nodes = 0;
-    }
+  let make ?(observed = true) ~name () =
+    create ~name ~track:(Atomic.fetch_and_add next_track 1) ~observed
+
+  let disabled () = create ~name:"" ~track:0 ~observed:false
 
   let observed c = c.observed
   let name c = c.name
   let track c = c.track
-
-  let push c phase =
-    if c.observed then begin
-      (if c.depth < max_depth then
-         let nibble = (Phase.index phase + 1) lsl (4 * c.depth) in
-         Atomic.set c.stack (Atomic.get c.stack lor nibble));
-      c.depth <- c.depth + 1
-    end
-
-  let pop c =
-    if c.observed then begin
-      c.depth <- c.depth - 1;
-      if c.depth < max_depth then begin
-        let mask = lnot (0xf lsl (4 * c.depth)) in
-        Atomic.set c.stack (Atomic.get c.stack land mask)
-      end
-    end
-
-  (* Decode a packed stack word, outermost phase first. *)
-  let decode word =
-    let rec go level acc =
-      if level >= max_depth then List.rev acc
-      else
-        let nibble = (word lsr (4 * level)) land 0xf in
-        if nibble = 0 then List.rev acc
-        else
-          match Phase.of_index (nibble - 1) with
-          | Some p -> go (level + 1) (p :: acc)
-          | None -> List.rev acc
-    in
-    go 0 []
-
-  let stack c = decode (Atomic.get c.stack)
-
-  let leaf c =
-    match List.rev (stack c) with [] -> None | p :: _ -> Some p
-
+  let publish c phase = if c.observed then Atomic.set c.leaf phase
+  let leaf c = Atomic.get c.leaf
   let update_lb c v = if v > Atomic.get c.lb then Atomic.set c.lb v
 
   let update_ub ?(self = true) c v =
@@ -114,9 +62,9 @@ module Cell = struct
   let nodes c = c.nodes
 end
 
-(* Live-cell registry: which cells a monitor (sampler or heartbeat
-   ticker) should look at right now.  Workers register around their run;
-   the list is tiny, so one mutex is plenty. *)
+(* Live-cell registry: which cells the heartbeat ticker should look at
+   right now.  Workers register around their run; the list is tiny, so
+   one mutex is plenty. *)
 
 let live_lock = Mutex.create ()
 let live_cells : Cell.t list ref = ref []
@@ -136,99 +84,3 @@ let live () =
   let cs = !live_cells in
   Mutex.unlock live_lock;
   List.rev cs
-
-module Sampler = struct
-  type result = {
-    hz : float;
-    duration : float;  (* seconds the sampler ran *)
-    ticks : int;  (* sampling rounds completed *)
-    stacks : (string * string * int) list;
-        (* (member, folded ";"-stack or "idle", samples), most-sampled first *)
-  }
-
-  type t = {
-    req_stop : bool Atomic.t;
-    handle : result Domain.t;
-  }
-
-  let fold_stack word =
-    match Cell.decode word with
-    | [] -> "idle"
-    | ps -> String.concat ";" (List.map Phase.name ps)
-
-  let run hz req_stop =
-    let started = Epoch.now () in
-    let period = 1.0 /. hz in
-    let tally : (string * string, int ref) Hashtbl.t = Hashtbl.create 64 in
-    let ticks = ref 0 in
-    while not (Atomic.get req_stop) do
-      Unix.sleepf period;
-      List.iter
-        (fun c ->
-          let key = (Cell.name c, fold_stack (Atomic.get c.Cell.stack)) in
-          match Hashtbl.find_opt tally key with
-          | Some r -> incr r
-          | None -> Hashtbl.add tally key (ref 1))
-        (live ());
-      incr ticks
-    done;
-    let stacks =
-      Hashtbl.fold (fun (m, s) r acc -> (m, s, !r) :: acc) tally []
-      |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
-    in
-    { hz; duration = Epoch.now () -. started; ticks = !ticks; stacks }
-
-  let start ?(hz = 97.) () =
-    let req_stop = Atomic.make false in
-    { req_stop; handle = Domain.spawn (fun () -> run hz req_stop) }
-
-  let stop t =
-    Atomic.set t.req_stop true;
-    Domain.join t.handle
-
-  (* Leaf (self-time) attribution: each sample charges the innermost
-     phase on its stack.  Shares are over phase-attributed samples only,
-     matching how the exact timers split self-time. *)
-  let self_shares r =
-    let tally = Hashtbl.create 16 in
-    let total = ref 0 in
-    List.iter
-      (fun (_, folded, n) ->
-        if folded <> "idle" then begin
-          let leaf =
-            match String.rindex_opt folded ';' with
-            | Some i -> String.sub folded (i + 1) (String.length folded - i - 1)
-            | None -> folded
-          in
-          total := !total + n;
-          match Hashtbl.find_opt tally leaf with
-          | Some r -> r := !r + n
-          | None -> Hashtbl.add tally leaf (ref n)
-        end)
-      r.stacks;
-    if !total = 0 then []
-    else
-      Hashtbl.fold
-        (fun leaf n acc -> (leaf, float_of_int !n /. float_of_int !total) :: acc)
-        tally []
-      |> List.sort (fun (_, a) (_, b) -> compare b a)
-
-  let result_json r =
-    Json.Obj
-      [
-        "hz", Json.Float r.hz;
-        "duration", Json.Float r.duration;
-        "ticks", Json.Int r.ticks;
-        ( "stacks",
-          Json.List
-            (List.map
-               (fun (m, s, n) ->
-                 Json.Obj
-                   [
-                     "member", Json.String m;
-                     "stack", Json.String s;
-                     "count", Json.Int n;
-                   ])
-               r.stacks) );
-      ]
-end

@@ -1,22 +1,21 @@
-(** Sampling phase profiler.
+(** Live solver cells.
 
-    Each solver context publishes its current phase stack in a {!Cell} —
-    one atomic int, 4 bits per nesting level — that a monitor domain can
-    sample without locks and without ever seeing a torn stack.  A
-    {!Sampler} domain tallies every live cell at a fixed rate; the
-    result renders as flamegraph folded-stack lines plus a self-time
-    table, cross-checkable against the exact {!Timer} totals.
+    Each solver context publishes what it is doing right now in a
+    {!Cell}: its innermost current phase (one atomic, set by
+    {!Ctx.with_phase} on entry and restored on exit), its bounds and
+    its node count.  Heartbeat and [/events] snapshots read every
+    registered cell without locks.  Phase {e times} come from the exact
+    {!Timer}, not from here.
 
     Domain-safety: a cell has exactly one writer (its owning domain) and
-    any number of readers.  The registry and sampler are fully
-    domain-safe. *)
+    any number of readers.  The registry is fully domain-safe. *)
 
 module Cell : sig
   type t
 
   val make : ?observed:bool -> name:string -> unit -> t
   (** A fresh cell with a process-unique positive [track] id.
-      [observed] false turns {!push}/{!pop} into no-ops for silent runs
+      [observed] false turns {!publish} into a no-op for silent runs
       (bound and node updates still land, they are off the hot path). *)
 
   val disabled : unit -> t
@@ -28,17 +27,12 @@ module Cell : sig
   val track : t -> int
   (** Stable id; also used as the span track for this context. *)
 
-  val push : t -> Phase.t -> unit
-  (** Owner only.  Nesting beyond 15 levels is kept balanced but not
-      published. *)
-
-  val pop : t -> unit
-
-  val stack : t -> Phase.t list
-  (** Any domain; outermost phase first, [[]] when idle. *)
+  val publish : t -> Phase.t option -> unit
+  (** Owner only: set the innermost current phase ([None]: idle).  A
+      no-op on an unobserved cell. *)
 
   val leaf : t -> Phase.t option
-  (** Innermost current phase. *)
+  (** Any domain: the innermost current phase, [None] when idle. *)
 
   val update_lb : t -> float -> unit
   (** Keeps the maximum: a published lower bound never regresses. *)
@@ -56,38 +50,11 @@ end
 
 (** {1 Live-cell registry}
 
-    Monitors (the sampler, the heartbeat ticker) observe whichever cells
-    are registered at the moment they look. *)
+    The heartbeat ticker observes whichever cells are registered at the
+    moment it looks. *)
 
 val register : Cell.t -> unit
 val unregister : Cell.t -> unit
 
 val live : unit -> Cell.t list
 (** In registration order. *)
-
-module Sampler : sig
-  type result = {
-    hz : float;
-    duration : float;  (** seconds the sampler ran *)
-    ticks : int;  (** sampling rounds completed *)
-    stacks : (string * string * int) list;
-        (** (member, ";"-folded stack or ["idle"], samples), most-sampled
-            first — the flamegraph folded format modulo the count
-            separator. *)
-  }
-
-  type t
-
-  val start : ?hz:float -> unit -> t
-  (** Spawn the sampling domain.  The default rate (97 Hz) is prime to
-      dodge lockstep with periodic solver work. *)
-
-  val stop : t -> result
-  (** Signal and join the domain. *)
-
-  val self_shares : result -> (string * float) list
-  (** Self-time (leaf-attributed) share per phase name over all members,
-      largest first; shares sum to 1 over phase-attributed samples. *)
-
-  val result_json : result -> Json.t
-end

@@ -20,7 +20,6 @@ type header = {
   h_nvars : int;
   h_nconstraints : int;
   h_flags : int;
-  h_lb_every : int;
   h_lgr_iters : int;
 }
 
@@ -145,7 +144,9 @@ let encode_header buf h =
   add_varint buf h.h_nvars;
   add_varint buf h.h_nconstraints;
   add_varint buf h.h_flags;
-  add_varint buf h.h_lb_every;
+  (* lb_every: the lower bound's node interval is no longer an option;
+     the slot keeps the frame layout (0 in a stitched portfolio header). *)
+  add_varint buf (if h.h_engine = "portfolio" then 0 else 1);
   add_varint buf h.h_lgr_iters
 
 let encode_event buf ~t_us ev =
@@ -360,7 +361,7 @@ let trace_header sink h =
       "nvars", Json.Int h.h_nvars;
       "nconstraints", Json.Int h.h_nconstraints;
       "flags", Json.Int h.h_flags;
-      "lb_every", Json.Int h.h_lb_every;
+      "lb_every", Json.Int 1;
       "lgr_iters", Json.Int h.h_lgr_iters;
     ]
 
@@ -463,10 +464,9 @@ let decode_header s pos limit =
   let h_nvars = get_varint s pos limit in
   let h_nconstraints = get_varint s pos limit in
   let h_flags = get_varint s pos limit in
-  let h_lb_every = get_varint s pos limit in
+  ignore (get_varint s pos limit : int) (* lb_every *);
   let h_lgr_iters = get_varint s pos limit in
-  { h_run_id; h_engine; h_lb_method; h_started; h_nvars; h_nconstraints; h_flags;
-    h_lb_every; h_lgr_iters }
+  { h_run_id; h_engine; h_lb_method; h_started; h_nvars; h_nconstraints; h_flags; h_lgr_iters }
 
 let decode_event tag s pos limit =
   if tag = tag_section then Some (Section (get_string s pos limit))

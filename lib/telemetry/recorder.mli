@@ -36,10 +36,6 @@ type header = {
   h_nvars : int;
   h_nconstraints : int;
   h_flags : int;  (** option bitmask; see {!Bsolo.Replay.flags_of_options} *)
-  h_lb_every : int;
-      (** always 1 (0 in portfolio headers): the lower bound's node
-          interval is no longer an option; the slot keeps the frame
-          layout and replay ignores it *)
   h_lgr_iters : int;
 }
 
@@ -175,4 +171,6 @@ val trace_header : Trace.t -> header -> unit
 (** Write the trace's first line: [{"t":..,"ev":"header","schema":..}]
     followed by the header's fields ([run_id], [engine], [lb_method],
     [started], [nvars], [nconstraints], [flags], [lb_every],
-    [lgr_iters]). *)
+    [lgr_iters]).  [lb_every] is no header field: the line always
+    carries 1.  The binary header frame keeps the slot too (0 when
+    [engine] is ["portfolio"]) and its decoder skips it. *)

@@ -38,6 +38,7 @@ let with_phase t phase f =
       f
   end
 
+let add_self ~into t = Array.iteri (fun i s -> into.acc.(i) <- into.acc.(i) +. s) t.acc
 let self_seconds t phase = t.acc.(Phase.index phase)
 let total_seconds t = Array.fold_left ( +. ) 0. t.acc
 

@@ -8,8 +8,8 @@
 
     Domain-safety: single-domain only — the phase stack is plain mutable
     state; interleaved enters/exits from two domains corrupt the
-    nesting.  Portfolio workers run with their own (or a disabled)
-    timer. *)
+    nesting.  Portfolio members each run their own timer, whose self
+    times are added into the parent's ({!add_self}) after the join. *)
 
 type t
 
@@ -21,6 +21,10 @@ val set_enabled : t -> bool -> unit
 
 val with_phase : t -> Phase.t -> (unit -> 'a) -> 'a
 (** Run [f] attributed to the phase; exception-safe. *)
+
+val add_self : into:t -> t -> unit
+(** Add every phase's self seconds of the second timer into [into].  Run
+    it only once the second timer's domain has been joined. *)
 
 val self_seconds : t -> Phase.t -> float
 val total_seconds : t -> float

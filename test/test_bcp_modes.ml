@@ -164,7 +164,6 @@ let record_solve ~bcp problem path =
       h_nvars = Problem.nvars problem;
       h_nconstraints = Array.length (Problem.constraints problem);
       h_flags = Bsolo.Replay.flags_of_options base;
-      h_lb_every = 1;
       h_lgr_iters = base.lgr_iters;
     }
   in

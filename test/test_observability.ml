@@ -1,5 +1,5 @@
-(* Observability subsystem: shared epoch, span sink, sampling-profile
-   cells, heartbeat snapshots, Prometheus rendering and the inspect-side
+(* Observability subsystem: shared epoch, span sink, live cells,
+   heartbeat snapshots, Prometheus rendering and the inspect-side
    validators.  Everything runs against temp files or in-memory values —
    no solver needed. *)
 
@@ -72,33 +72,43 @@ let series_interleaved_fields () =
     (Invalid_argument "Series.observe: arity mismatch") (fun () ->
       T.Series.observe s ~t:0.3 [| 1. |])
 
-(* --- profile cells ---------------------------------------------------------- *)
+(* --- live cells ------------------------------------------------------------- *)
 
-let cell_stack_round_trip () =
-  let c = T.Profile.Cell.make ~name:"w" () in
-  Alcotest.(check bool) "starts idle" true (T.Profile.Cell.stack c = []);
-  T.Profile.Cell.push c T.Phase.Lower_bound;
-  T.Profile.Cell.push c T.Phase.Simplex;
-  Alcotest.(check bool) "stack outermost-first" true
-    (T.Profile.Cell.stack c = [ T.Phase.Lower_bound; T.Phase.Simplex ]);
-  Alcotest.(check bool) "leaf is innermost" true
-    (T.Profile.Cell.leaf c = Some T.Phase.Simplex);
-  T.Profile.Cell.pop c;
-  Alcotest.(check bool) "pop reveals outer" true (T.Profile.Cell.leaf c = Some T.Phase.Lower_bound);
-  T.Profile.Cell.pop c;
-  Alcotest.(check bool) "balanced pops drain" true (T.Profile.Cell.stack c = [])
+(* A context whose cell is observed: [Ctx.with_phase] publishes each
+   phase on entry and restores the enclosing one on exit. *)
+let observed_ctx () = T.Ctx.create ~cell:(T.Profile.Cell.make ~name:"w" ()) ()
+let leaf tel = T.Profile.Cell.leaf tel.T.Ctx.cell
+let phase_opt =
+  Alcotest.testable
+    (Fmt.of_to_string (function None -> "idle" | Some p -> T.Phase.name p))
+    ( = )
+
+let cell_publishes_innermost_phase () =
+  let tel = observed_ctx () in
+  Alcotest.check phase_opt "starts idle" None (leaf tel);
+  T.Ctx.with_phase tel T.Phase.Lower_bound (fun () ->
+      Alcotest.check phase_opt "outer published" (Some T.Phase.Lower_bound) (leaf tel);
+      T.Ctx.with_phase tel T.Phase.Simplex (fun () ->
+          Alcotest.check phase_opt "inner published" (Some T.Phase.Simplex) (leaf tel));
+      Alcotest.check phase_opt "outer after inner exit" (Some T.Phase.Lower_bound) (leaf tel);
+      (match T.Ctx.with_phase tel T.Phase.Simplex (fun () -> failwith "inner") with
+      | () -> Alcotest.fail "the inner body raises"
+      | exception Failure _ -> ());
+      Alcotest.check phase_opt "outer after inner raise" (Some T.Phase.Lower_bound) (leaf tel));
+  Alcotest.check phase_opt "idle after outer exit" None (leaf tel)
 
 let cell_deep_nesting_balanced () =
-  let c = T.Profile.Cell.make ~name:"w" () in
-  for _ = 1 to 20 do
-    T.Profile.Cell.push c T.Phase.Simplex
-  done;
-  Alcotest.(check bool) "published depth capped at 15" true
-    (List.length (T.Profile.Cell.stack c) <= 15);
-  for _ = 1 to 20 do
-    T.Profile.Cell.pop c
-  done;
-  Alcotest.(check bool) "over-deep pushes stay balanced" true (T.Profile.Cell.stack c = [])
+  let tel = observed_ctx () in
+  let phase d = if d mod 2 = 0 then T.Phase.Lower_bound else T.Phase.Simplex in
+  let rec nest d =
+    if d < 20 then
+      T.Ctx.with_phase tel (phase d) (fun () ->
+          Alcotest.check phase_opt "entered" (Some (phase d)) (leaf tel);
+          nest (d + 1);
+          Alcotest.check phase_opt "restored" (Some (phase d)) (leaf tel))
+  in
+  nest 0;
+  Alcotest.check phase_opt "20 deep stays balanced" None (leaf tel)
 
 let cell_bounds_monotone () =
   let c = T.Profile.Cell.make ~name:"w" () in
@@ -120,9 +130,8 @@ let cell_bounds_monotone () =
 
 let cell_unobserved_is_silent () =
   let c = T.Profile.Cell.make ~observed:false ~name:"w" () in
-  T.Profile.Cell.push c T.Phase.Simplex;
-  Alcotest.(check bool) "unobserved cell publishes nothing" true (T.Profile.Cell.stack c = []);
-  T.Profile.Cell.pop c
+  T.Profile.Cell.publish c (Some T.Phase.Simplex);
+  Alcotest.(check bool) "unobserved cell publishes nothing" true (T.Profile.Cell.leaf c = None)
 
 (* --- span sink + shared epoch ---------------------------------------------- *)
 
@@ -433,7 +442,7 @@ let suite =
     Alcotest.test_case "series: decimation bounds" `Quick series_decimation_bounds;
     Alcotest.test_case "series: observe_now survives stride" `Quick series_observe_now_survives;
     Alcotest.test_case "series: interleaved multi-field" `Quick series_interleaved_fields;
-    Alcotest.test_case "cell: stack round trip" `Quick cell_stack_round_trip;
+    Alcotest.test_case "cell: with_phase publishes leaf" `Quick cell_publishes_innermost_phase;
     Alcotest.test_case "cell: deep nesting balanced" `Quick cell_deep_nesting_balanced;
     Alcotest.test_case "cell: bounds monotone" `Quick cell_bounds_monotone;
     Alcotest.test_case "cell: unobserved silent" `Quick cell_unobserved_is_silent;

@@ -359,6 +359,25 @@ let trace_attributes_members () =
         r.runs)
     [ 1; 2 ]
 
+(* Members time their phases when the parent context does, and their
+   self times are added into the parent's timer after the join: summed
+   over members, so at most [jobs] times the run's wall time. *)
+let member_phase_times () =
+  match Test_benchmark_files.benchmarks_dir () with
+  | None -> ()  (* tolerated when running from an install tree *)
+  | Some dir ->
+    let problem = Pbo.Opb.parse_file (Filename.concat dir "synth-s1.opb") in
+    let tel = Telemetry.Ctx.create () in
+    let jobs = 2 in
+    let start = Unix.gettimeofday () in
+    ignore (Portfolio.solve ~telemetry:tel ~jobs ~budget:20.0 problem : Portfolio.report);
+    let elapsed = Unix.gettimeofday () -. start in
+    let propagate = Telemetry.Timer.self_seconds tel.timer Telemetry.Phase.Propagate in
+    let total = Telemetry.Timer.total_seconds tel.timer in
+    if not (propagate > 0.) then Alcotest.failf "propagate self time %g" propagate;
+    if total > float_of_int jobs *. elapsed then
+      Alcotest.failf "phase total %.6f s exceeds %d x %.6f s" total jobs elapsed
+
 let suite =
   [
     Alcotest.test_case "solves each family" `Slow solves_each_family;
@@ -374,4 +393,5 @@ let suite =
     Alcotest.test_case "worker fair share" `Quick worker_fair_share;
     Alcotest.test_case "crash isolation (one job)" `Slow crash_isolation_one_job;
     Alcotest.test_case "member hooks (one job)" `Quick member_hooks_one_job;
+    Alcotest.test_case "member phase times" `Quick member_phase_times;
   ]

@@ -19,7 +19,6 @@ let header ?(engine = "bsolo") ?(lb = "lpr") ?(flags = 0) ?(nvars = 5) () =
     h_nvars = nvars;
     h_nconstraints = 7;
     h_flags = flags;
-    h_lb_every = 1;
     h_lgr_iters = 50;
   }
 
@@ -179,7 +178,6 @@ let record_solve ?(engine = "bsolo") ?lb problem path =
       h_nvars = Pbo.Problem.nvars problem;
       h_nconstraints = Array.length (Pbo.Problem.constraints problem);
       h_flags = Bsolo.Replay.flags_of_options base;
-      h_lb_every = 1;
       h_lgr_iters = base.lgr_iters;
     }
   in
