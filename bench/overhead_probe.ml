@@ -2,25 +2,25 @@
 
    Two arms solve the same node-limited instance, so both do identical
    search work, under IDENTICAL process topology — observed profile
-   cell, snapshot ticker, embedded HTTP server, an external scraper
-   process polling /metrics + /status and an external SSE client sitting
-   on /events for the whole solve:
+   cell, the live monitor with its embedded HTTP server, an external
+   scraper process polling /metrics + /status and an external SSE client
+   sitting on /events for the whole solve.  Both arms start the monitor
+   through the production entry point, [Obsd.Monitor.start]:
 
-     off  the server answers from static stubs (constant strings, no
-          snapshot encoding, nothing published to /events)
-     on   the server serves the live telemetry: Prometheus rendering of
-          the real registry per scrape, collector peek + JSON encoding
-          per /status, one encoded heartbeat frame fanned out to SSE
-          subscribers per tick
+     off  static render callbacks: /metrics and /status answer constant
+          strings
+     on   the production renderers of [Obsd.Monitor.live]: Prometheus
+          rendering of the real registry per scrape, collector peek +
+          JSON encoding per /status
 
-   The differential therefore gates the marginal cost of the
-   observability code paths this subsystem adds — exposition rendering,
-   snapshot encoding, SSE publishing — the part a code change can
-   regress.  What it deliberately excludes is the cost of *having* a
-   monitoring process colocated on the same core (scheduler preemption,
-   cache pollution): that load is environmental, identical in both arms
-   by construction, and on the single-core CI box it dwarfs the code
-   cost by several multiples while varying with neighbour noise.
+   Both arms take and stream the same one snapshot per tick, so the
+   differential gates the marginal cost of the scraped renderings — the
+   part a code change is likely to regress.  What it deliberately
+   excludes is the cost of *having* a monitoring process colocated on
+   the same core (scheduler preemption, cache pollution): that load is
+   environmental, identical in both arms by construction, and on the
+   single-core CI box it dwarfs the code cost by several multiples while
+   varying with neighbour noise.
 
    The measured quantity is the solver process's own CPU time
    (user + system, [Unix.times], children excluded), not wall time: the
@@ -130,39 +130,28 @@ let options ~nodes ~tel =
     telemetry = Some tel;
   }
 
-(* One solve under the full topology.  [live] switches the server
-   callbacks and the ticker's emit between the real telemetry paths and
-   static stubs; everything else — domains, children, cadences — is
-   identical across arms. *)
+(* One solve under the full topology, served by the production monitor.
+   [live] switches its render callbacks between the real telemetry
+   paths and static stubs; everything else — domains, children,
+   cadences, the heartbeat frames on /events — is identical across
+   arms. *)
 let run ~live problem ~nodes =
   let cell = Telemetry.Profile.Cell.make ~observed:true ~name:"bsolo" () in
-  Telemetry.Profile.register cell;
   let tel = Telemetry.Ctx.create ~timing:false ~cell () in
-  let registry = tel.Telemetry.Ctx.registry in
-  let coll = Telemetry.Snapshot.collector ~registry () in
-  let metrics =
-    if live then fun () -> Telemetry.Promtext.render_sources [ "", registry ]
-    else fun () -> "# static\n"
+  Telemetry.Profile.register cell tel.registry;
+  let render =
+    if live then
+      Obsd.Monitor.live ~run_id:"probe" ~engine:"bsolo" ~instance:"knap"
+        ~started:(Unix.gettimeofday ())
+    else { Obsd.Monitor.metrics = (fun () -> "# static\n"); status = (fun _ _ -> "{}") }
   in
-  let status =
-    if live then fun () ->
-      Telemetry.Json.to_string (Telemetry.Snapshot.encode (Telemetry.Snapshot.peek coll))
-    else fun () -> "{}"
+  let monitor =
+    Obsd.Monitor.start ~listen:("127.0.0.1", 0) ~registry:tel.registry ~render
+      ~every:heartbeat_every ()
   in
-  let server = Obsd.Server.create ~host:"127.0.0.1" ~port:0 ~metrics ~status () in
-  let port = Obsd.Server.port server in
+  let port = Option.get (Obsd.Monitor.port monitor) in
   let scraper = spawn_child "scrape" port in
   let sse = spawn_child "sse" port in
-  let emit =
-    if live then fun snap ->
-      Obsd.Server.beat server;
-      Obsd.Server.publish server ~event:"heartbeat"
-        ~data:(Telemetry.Json.to_string (Telemetry.Snapshot.encode snap))
-    else fun _ -> Obsd.Server.beat server
-  in
-  let ticker =
-    Telemetry.Snapshot.Ticker.start_emit ~registry ~emit ~every:heartbeat_every ()
-  in
   (* normalize heap state before the timed region: where the major GC
      happens to be in its cycle otherwise varies run-to-run and shows up
      as tenths of CPU seconds of noise *)
@@ -170,9 +159,8 @@ let run ~live problem ~nodes =
   let t0 = cpu_time () in
   let o = Bsolo.Solver.solve ~options:(options ~nodes ~tel) problem in
   let elapsed = cpu_time () -. t0 in
-  Telemetry.Snapshot.Ticker.stop ticker;
-  let served = (Obsd.Server.stats server).Obsd.Server.served in
-  Obsd.Server.stop ~final_event:("end", "{}") server;
+  let served = (Obsd.Monitor.stats monitor).served in
+  Obsd.Monitor.stop ~final_event:("end", "{}") monitor;
   ignore (Unix.waitpid [] scraper);
   ignore (Unix.waitpid [] sse);
   Telemetry.Profile.unregister cell;

@@ -3,9 +3,12 @@
 # available), and one tiny instrumented solve whose JSONL trace and JSON
 # report are validated.  Also exercises the live-observability surface:
 # a --trace-spans/--heartbeat/--metrics portfolio solve whose artifacts
-# are validated with `bsolo inspect --spans` / `--live --check`, and a
-# --portfolio --jobs 2 run whose report must carry the members' summed
-# phase times (a non-zero `propagate`).
+# are validated with `bsolo inspect --spans` / `--live --check`, a
+# --listen run whose endpoints, heartbeat and metrics files all come
+# from one monitor, a --metrics-only run that must refresh its file and
+# leave it lint-clean after SIGTERM, and a --portfolio --jobs 2 run
+# whose report must carry the members' summed phase times (a non-zero
+# `propagate`).
 # The flight recorder is exercised end to end: a --record run replayed
 # deterministically with `bsolo replay --check`, its forensics node
 # accounting reconciled, a --record-ring run killed with SIGTERM whose
@@ -151,6 +154,17 @@ for every in 0 -1; do
   }
 done
 
+echo "== unwritable --metrics path is rejected before the solve =="
+# The first exposition is written before the solve, so a bad path fails
+# the way an unopenable --heartbeat does: exit 2, no answer lines.
+rc=0
+./_build/default/bin/bsolo_main.exe benchmarks/synth-s1.opb \
+  --metrics "$tmpdir/no-such-dir/m.prom" >"$tmpdir/m-bad.out" 2>&1 || rc=$?
+[ "$rc" = 2 ] && grep -q '^c error: cannot write metrics file' "$tmpdir/m-bad.out" \
+  && ! grep -q '^s ' "$tmpdir/m-bad.out" || {
+  echo "FAIL: unwritable --metrics path: exit $rc"; cat "$tmpdir/m-bad.out"; exit 1;
+}
+
 echo "== validate JSON report =="
 grep -q '"schema":"bsolo-run-report/1"' "$tmpdir/report.json" || {
   echo "FAIL: report schema marker missing"; exit 1;
@@ -235,6 +249,7 @@ echo "== remote observability (--listen + top + SSE) =="
 ./_build/default/bin/genpb.exe knap --scale 8 --seed 7 -o "$tmpdir/hard.opb"
 timeout 60 "$bsolo" "$tmpdir/hard.opb" \
   --portfolio --jobs 2 --timeout 15 --listen 127.0.0.1:0 \
+  --heartbeat "$tmpdir/obsd-heartbeat.jsonl" --metrics "$tmpdir/obsd-metrics.prom" \
   --heartbeat-every 0.2 --json "$tmpdir/obsd-report.json" \
   >"$tmpdir/obsd.out" 2>&1 &
 obsd_pid=$!
@@ -294,6 +309,48 @@ grep -q "\"run_id\":\"$orid\"" "$tmpdir/status.json" || {
   echo "FAIL: /status run_id != report run_id ($orid)"; cat "$tmpdir/status.json"; exit 1;
 }
 echo "obsd: $(grep '^c obsd: served' "$tmpdir/obsd.out")"
+echo "== the same monitor wrote the heartbeat and metrics files =="
+"$bsolo" inspect --live "$tmpdir/obsd-heartbeat.jsonl" --check || {
+  echo "FAIL: --listen run's heartbeat failed validation"; exit 1;
+}
+"$bsolo" inspect --metrics "$tmpdir/obsd-metrics.prom" || {
+  echo "FAIL: --listen run's metrics file failed lint"; exit 1;
+}
+
+echo "== --metrics alone is refreshed every tick and survives SIGTERM =="
+# No heartbeat file and no server: the monitor still runs, so the file
+# exists from the start, changes while the solve runs, and is rewritten
+# by the signal path.
+timeout 60 "$bsolo" "$tmpdir/hard.opb" --timeout 30 \
+  --metrics "$tmpdir/alone.prom" --heartbeat-every 0.2 >"$tmpdir/alone.out" 2>&1 &
+alone_pid=$!
+for _ in $(seq 1 50); do [ -s "$tmpdir/alone.prom" ] && break; sleep 0.1; done
+cp "$tmpdir/alone.prom" "$tmpdir/alone-first.prom" 2>/dev/null || {
+  echo "FAIL: --metrics alone never wrote its file"; cat "$tmpdir/alone.out"; exit 1;
+}
+refreshed=0
+for _ in $(seq 1 50); do
+  sleep 0.1
+  cmp -s "$tmpdir/alone.prom" "$tmpdir/alone-first.prom" || { refreshed=1; break; }
+done
+[ "$refreshed" = 1 ] || {
+  echo "FAIL: --metrics alone was not rewritten during the solve"; exit 1;
+}
+"$bsolo" inspect --metrics "$tmpdir/alone.prom" || {
+  echo "FAIL: live --metrics file failed lint"; exit 1;
+}
+kill -0 "$alone_pid" 2>/dev/null || {
+  echo "FAIL: the --metrics solve ended before its checks"; cat "$tmpdir/alone.out"; exit 1;
+}
+kill -TERM "$alone_pid"
+alone_rc=0
+wait "$alone_pid" || alone_rc=$?
+[ "$alone_rc" = 143 ] || {
+  echo "FAIL: SIGTERM'd --metrics solve exited $alone_rc"; cat "$tmpdir/alone.out"; exit 1;
+}
+"$bsolo" inspect --metrics "$tmpdir/alone.prom" || {
+  echo "FAIL: SIGTERM'd run left a metrics file that fails lint"; exit 1;
+}
 
 echo "== portfolio phase times are the members' summed timers =="
 # Each member times its phases and the parent adds the self times after

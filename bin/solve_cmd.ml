@@ -97,8 +97,8 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
         | Error msg -> fatal ("--listen: " ^ msg))
       listen
   in
-  (* A zero or negative cadence would spin the heartbeat ticker (a
-     snapshot every loop turn) and collapse --listen's stall window. *)
+  (* A zero or negative cadence would spin the live monitor (a snapshot
+     every loop turn). *)
   if not (Float.is_finite heartbeat_every && heartbeat_every > 0.) then
     fatal "--heartbeat-every needs a positive, finite number of seconds";
   (match record_ring with
@@ -218,7 +218,6 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
             (match spans with
             | Some sp -> Telemetry.Span.name_track sp ~track:(Telemetry.Profile.Cell.track c) name
             | None -> ());
-            Telemetry.Profile.register c;
             Some c
           end
           else None
@@ -230,140 +229,78 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
                    Printf.eprintf "c %s\n%!" line))
           else None
         in
-        Some (Telemetry.Ctx.create ~timing:want_report ?trace ?spans ?cell ?progress ?recorder ())
+        let ctx =
+          Telemetry.Ctx.create ~timing:want_report ?trace ?spans ?cell ?progress ?recorder ()
+        in
+        Option.iter (fun c -> Telemetry.Profile.register c ctx.registry) cell;
+        Some ctx
       end
     in
-    (* Heartbeat writer: opened before the solve so even an instant run
-       gets its header plus the start/stop snapshot pair. *)
-    let heartbeat =
-      match heartbeat_file, tel with
-      | Some f, Some _ -> (
-        try Some (Telemetry.Snapshot.open_file f ~run_id ~started ~every:heartbeat_every)
-        with Sys_error msg -> fatal ("cannot open heartbeat file: " ^ msg))
+    (* The live monitor: one domain feeding the heartbeat file, the
+       metrics file and the --listen endpoints from one snapshot per tick.
+       It starts before the solve, so even an instant run gets its
+       start/stop snapshot pair and an unwritable --metrics path fails
+       here. *)
+    let monitor =
+      match tel with
+      | Some tel when heartbeat_file <> None || metrics_file <> None || listen_addr <> None ->
+        let heartbeat =
+          Option.map
+            (fun f ->
+              try Telemetry.Snapshot.open_file f ~run_id ~started ~every:heartbeat_every
+              with Sys_error msg -> fatal ("cannot open heartbeat file: " ^ msg))
+            heartbeat_file
+        in
+        let render =
+          Obsd.Monitor.live ~run_id ~engine:header.h_engine ~instance:path ~started
+        in
+        let m =
+          try
+            Obsd.Monitor.start ?listen:listen_addr ?heartbeat ?metrics_file
+              ~registry:tel.registry ~render ~every:heartbeat_every ()
+          with
+          | Sys_error msg -> fatal ("cannot write metrics file: " ^ msg)
+          | Failure msg -> fatal ("--listen: " ^ msg)
+          | Unix.Unix_error (e, _, _) ->
+            let host, port = Option.get listen_addr in
+            fatal (Printf.sprintf "--listen %s:%d: %s" host port (Unix.error_message e))
+        in
+        (* Machine-parsed by the smoke harness; with port 0 this is the
+           only place the chosen port is reported. *)
+        (match listen_addr, Obsd.Monitor.port m with
+        | Some (host, _), Some port ->
+          Printf.printf "c obsd: listening on http://%s:%d\n%!" host port
+        | _ -> ());
+        Some m
       | _ -> None
     in
-    (* Every Prometheus consumer — the --metrics textfile and the
-       server's GET /metrics — renders the same source list through the
-       same renderer, so the two outputs are byte-identical.  Live
-       parallel portfolio members contribute their private registries
-       under the [portfolio.<name>.] prefix their post-join merge will
-       use, so metric names are stable across a member finishing. *)
-    let member_lock = Mutex.create () in
-    let member_sources = ref [] in
-    let on_member_start name reg =
-      Mutex.lock member_lock;
-      member_sources := (name, reg) :: !member_sources;
-      Mutex.unlock member_lock
-    in
-    let on_member_done name =
-      Mutex.lock member_lock;
-      member_sources := List.filter (fun (n, _) -> n <> name) !member_sources;
-      Mutex.unlock member_lock
-    in
-    let metrics_sources () =
-      let mine =
-        match tel with Some t -> [ "", t.Telemetry.Ctx.registry ] | None -> []
-      in
-      Mutex.lock member_lock;
-      let members = List.rev !member_sources in
-      Mutex.unlock member_lock;
-      mine @ List.map (fun (name, reg) -> "portfolio." ^ name ^ ".", reg) members
-    in
-    let write_metrics () =
-      match metrics_file, tel with
-      | Some f, Some _ -> (
-        try Telemetry.Promtext.write_file_sources f (metrics_sources ())
-        with Sys_error _ -> ())
-      | _ -> ()
-    in
-    (* The observability server: /metrics, /status, /healthz and the
-       /events SSE stream, live for the duration of the solve.  /status
-       snapshots through its own collector, so its node rates measure
-       the interval between consecutive /status requests without
-       disturbing the heartbeat ticker's deltas. *)
-    let server_ref = ref None in
-    let status_coll = Telemetry.Snapshot.collector ?registry:(Option.map (fun t -> t.Telemetry.Ctx.registry) tel) () in
-    let status_json () =
-      let snap = Telemetry.Snapshot.take status_coll in
-      let server_stats =
-        match !server_ref with
-        | None -> []
-        | Some srv ->
-          let st = Obsd.Server.stats srv in
-          [
-            ( "server",
-              Telemetry.Json.Obj
-                [
-                  "clients", Telemetry.Json.Int st.Obsd.Server.clients;
-                  "served", Telemetry.Json.Int st.served;
-                  "dropped_frames", Telemetry.Json.Int st.dropped;
-                ] );
-          ]
-      in
-      Telemetry.Json.to_string
-        (Telemetry.Json.Obj
-           ([
-              "schema", Telemetry.Json.String "bsolo-status/1";
-              "run_id", Telemetry.Json.String run_id;
-              "engine",
-                Telemetry.Json.String (if portfolio then "portfolio" else engine);
-              "instance", Telemetry.Json.String path;
-              "started", Telemetry.Json.Float started;
-              "uptime", Telemetry.Json.Float (Unix.gettimeofday () -. started);
-              "snapshot", Telemetry.Snapshot.encode snap;
-            ]
-           @ server_stats))
-    in
-    (match listen_addr with
-    | None -> ()
-    | Some (host, port) ->
-      let srv =
-        try
-          Obsd.Server.create ~host ~port
-            ~metrics:(fun () -> Telemetry.Promtext.render_sources (metrics_sources ()))
-            ~status:status_json
-            ~stall_after:((3. *. heartbeat_every) +. 1.)
-            ()
-        with Unix.Unix_error (e, _, _) ->
-          fatal
-            (Printf.sprintf "--listen %s:%d: %s" host port (Unix.error_message e))
-      in
-      server_ref := Some srv;
-      (* Machine-parsed by the smoke harness; with port 0 this is the
-         only place the chosen port is reported. *)
-      Printf.printf "c obsd: listening on http://%s:%d\n%!" (Obsd.Server.host srv)
-        (Obsd.Server.port srv));
-    let stop_server () =
-      match !server_ref with
-      | None -> ()
-      | Some srv ->
-        server_ref := None;
-        let final =
-          Telemetry.Json.to_string
-            (Telemetry.Json.Obj
-               [
-                 "run_id", Telemetry.Json.String run_id;
-                 "t", Telemetry.Json.Float (Telemetry.Epoch.now ());
-               ])
-        in
-        Obsd.Server.stop ~final_event:("end", final) srv
+    let stop_monitor () =
+      Option.iter
+        (Obsd.Monitor.stop
+           ~final_event:
+             ( "end",
+               Telemetry.Json.to_string
+                 (Telemetry.Json.Obj
+                    [
+                      "run_id", Telemetry.Json.String run_id;
+                      "t", Telemetry.Json.Float (Telemetry.Epoch.now ());
+                    ]) ))
+        monitor
     in
     (* Keep a trace / span file / heartbeat (and a proof log) parseable on
        abnormal exit: close (flush) the sinks from signal handlers and
        at_exit.  All closes are idempotent, so the normal shutdown path is
        unaffected. *)
     let close_sinks () =
+      (* The final snapshot, the heartbeat end record, the metrics file
+         and the /events "end" frame. *)
+      stop_monitor ();
       Option.iter Telemetry.Ctx.close tel;
-      (match heartbeat with Some hb -> Telemetry.Snapshot.close hb | None -> ());
-      (* Connected /events subscribers get the final "end" frame within
-         the server's drain grace window before the sockets close. *)
-      stop_server ();
       match proof_sink with Some s -> Proof.Sink.close s | None -> ()
     in
     if
       (Option.is_some tel && (trace_file <> None || span_file <> None))
-      || Option.is_some heartbeat || Option.is_some proof_sink || Option.is_some recorder
-      || listen_addr <> None
+      || Option.is_some monitor || Option.is_some proof_sink || Option.is_some recorder
     then begin
       at_exit close_sinks;
       let close_and_exit n =
@@ -402,55 +339,11 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
     Logs.debug (fun m ->
         m "engine=%s telemetry=%b options=%s" engine (tel <> None)
           (Telemetry.Json.to_string (Bsolo.Report.options_json options)));
-    (* The live monitor: the heartbeat ticker (periodic + SIGUSR1-triggered
-       snapshots, each refreshing the metrics file), on its own domain
-       for the solve's duration. *)
-    let ticker =
-      if heartbeat = None && !server_ref = None then None
-      else begin
-        let registry = Option.map (fun t -> t.Telemetry.Ctx.registry) tel in
-        (* One emit fans each snapshot out to every live consumer: the
-           heartbeat file (which owns file-order sequence numbers), the
-           SSE subscribers (with their own stream-order numbering), the
-           server's liveness beat, and an "incumbent" event whenever the
-           best bound improved since the previous snapshot. *)
-        let sse_seq = ref 0 in
-        let last_best = ref None in
-        let publish_snap snap =
-          (match heartbeat with
-          | Some hb -> Telemetry.Snapshot.write hb snap
-          | None -> ());
-          match !server_ref with
-          | None -> ()
-          | Some srv ->
-            Obsd.Server.beat srv;
-            let s = { snap with Telemetry.Snapshot.s_seq = !sse_seq } in
-            incr sse_seq;
-            Obsd.Server.publish srv ~event:"heartbeat"
-              ~data:(Telemetry.Json.to_string (Telemetry.Snapshot.encode s));
-            (match snap.Telemetry.Snapshot.s_best with
-            | Some (cost, from) when !last_best <> Some cost ->
-              last_best := Some cost;
-              Obsd.Server.publish srv ~event:"incumbent"
-                ~data:
-                  (Telemetry.Json.to_string
-                     (Telemetry.Json.Obj
-                        [
-                          "cost", Telemetry.Json.Float cost;
-                          "from", Telemetry.Json.String from;
-                          "t", Telemetry.Json.Float snap.Telemetry.Snapshot.s_t;
-                        ]))
-            | _ -> ())
-        in
-        let tk =
-          Telemetry.Snapshot.Ticker.start_emit ?registry ~on_tick:write_metrics
-            ~emit:publish_snap ~every:heartbeat_every ()
-        in
-        (try Sys.set_signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> Telemetry.Snapshot.Ticker.request tk))
-         with Invalid_argument _ | Sys_error _ -> ());
-        Some tk
-      end
-    in
+    Option.iter
+      (fun m ->
+        try Sys.set_signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> Obsd.Monitor.request m))
+        with Invalid_argument _ | Sys_error _ -> ())
+      monitor;
     let portfolio_run = ref None in
     let outcome =
       if portfolio then begin
@@ -462,8 +355,8 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
         let budget = match options.time_limit with Some t -> t | None -> infinity in
         Logs.debug (fun m -> m "portfolio: jobs=%d budget=%g" jobs budget);
         let r =
-          Portfolio.solve ?telemetry:tel ~run_id ~observe:observing ~on_member_start
-            ~on_member_done ?proof_file ?record_file ~jobs ~budget problem
+          Portfolio.solve ?telemetry:tel ~run_id ~observe:observing ?proof_file ?record_file ~jobs
+            ~budget problem
         in
         portfolio_run := Some (r, jobs);
         r.outcome
@@ -473,21 +366,12 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
     in
     (* Join the monitor domain before reports are assembled: the final
        heartbeat must reflect the whole solve. *)
-    (match ticker with
-    | None -> ()
-    | Some tk ->
-      Telemetry.Snapshot.Ticker.stop tk;
-      (try Sys.set_signal Sys.sigusr1 Sys.Signal_default
-       with Invalid_argument _ | Sys_error _ -> ()));
-    (match heartbeat with Some hb -> Telemetry.Snapshot.close hb | None -> ());
-    write_metrics ();
-    (match !server_ref with
-    | None -> ()
-    | Some srv ->
-      let st = Obsd.Server.stats srv in
-      stop_server ();
-      Printf.printf "c obsd: served %d requests, %d SSE frames dropped\n" st.Obsd.Server.served
-        st.dropped);
+    stop_monitor ();
+    (match monitor with
+    | Some m when listen <> None ->
+      let st = Obsd.Monitor.stats m in
+      Printf.printf "c obsd: served %d requests, %d SSE frames dropped\n" st.served st.dropped
+    | Some _ | None -> ());
     (* Portfolio members publish into their shared incumbent cell, not
        into [options.on_incumbent]: the portfolio's trajectory is its
        final incumbent. *)
@@ -755,14 +639,17 @@ let heartbeat_arg =
   Arg.(value & opt (some string) None & info [ "heartbeat" ] ~docv:"FILE" ~doc)
 
 let heartbeat_every_arg =
-  let doc = "Heartbeat period in seconds; must be positive." in
+  let doc =
+    "Tick period of the live monitor in seconds (heartbeat snapshots, $(b,--metrics) \
+     rewrites, $(b,/events) frames); must be positive."
+  in
   Arg.(value & opt float 1.0 & info [ "heartbeat-every" ] ~docv:"SECONDS" ~doc)
 
 let metrics_arg =
   let doc =
     "Write the counter/gauge/histogram registry in Prometheus text exposition format to \
-     $(docv) (atomically, on every heartbeat tick and at exit) — for the node_exporter \
-     textfile collector or any file scraper."
+     $(docv) (atomically, before the solve, on every $(b,--heartbeat-every) tick and at \
+     exit) — for the node_exporter textfile collector or any file scraper."
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 

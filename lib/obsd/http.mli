@@ -1,4 +1,4 @@
-(** HTTP/1.1 request parsing and response formatting for {!Server}.
+(** HTTP/1.1 request parsing and response formatting for {!Monitor}.
 
     Pure string functions, unit-testable without a socket.  The server
     only answers [GET] on a handful of fixed paths, so anything outside

@@ -310,8 +310,7 @@ type member_result = {
   wtimer : Telemetry.Timer.t;
 }
 
-let run_pool ?run_id ~observe ~on_member_start ~on_member_done tel entries ~jobs ~budget
-    ~proof_file ~record_file problem =
+let run_pool ?run_id ~observe tel entries ~jobs ~budget ~proof_file ~record_file problem =
   let entries = Array.of_list entries in
   let n = Array.length entries in
   let jobs = max 1 (min jobs n) in
@@ -357,12 +356,10 @@ let run_pool ?run_id ~observe ~on_member_start ~on_member_done tel entries ~jobs
         proof = Option.map (fun s -> Proof.create ~header:false s problem) psink;
       }
     in
-    Telemetry.Profile.register wcell;
-    (* Expose the member's private registry for its lifetime: the
-       observability server scrapes it live under the same
+    (* The member's registry is scraped live under the same
        [portfolio.<name>.] prefix the post-join merge will use, so metric
        names stay stable across the member's finish. *)
-    on_member_start e.pname wtel.registry;
+    Telemetry.Profile.register ~prefix:("portfolio." ^ e.pname ^ ".") wcell wtel.registry;
     let wrun =
       match
         Telemetry.Span.with_span ~cat:"member" tel.spans ~track:wtrack
@@ -372,11 +369,10 @@ let run_pool ?run_id ~observe ~on_member_start ~on_member_done tel entries ~jobs
       | o -> Ok o
       | exception exn -> Error (Printexc.to_string exn)
     in
+    (* Withdrawn before the registry is merged after the join — a scrape
+       between the two sees the member's counters in neither place rather
+       than in both. *)
     Telemetry.Profile.unregister wcell;
-    (* Withdraw the live source before the registry is merged after the
-       join — a scrape between the two sees the member's counters in
-       neither place rather than in both. *)
-    on_member_done e.pname;
     Option.iter Proof.Sink.close psink;
     Telemetry.Recorder.close wrec;
     let stopped_by_peer = Atomic.get stop in
@@ -520,15 +516,13 @@ let run_pool ?run_id ~observe ~on_member_start ~on_member_done tel entries ~jobs
 
 (* --- entry point ------------------------------------------------------------ *)
 
-let solve ?telemetry ?run_id ?(observe = false) ?(on_member_start = fun _ _ -> ())
-    ?(on_member_done = fun _ -> ()) ?proof_file ?record_file ?(entries = default_entries)
-    ?(jobs = 1) ~budget problem =
+let solve ?telemetry ?run_id ?(observe = false) ?proof_file ?record_file
+    ?(entries = default_entries) ?(jobs = 1) ~budget problem =
   let tel = match telemetry with Some t -> t | None -> Telemetry.Ctx.silent () in
   if entries = [] then invalid_arg "Portfolio.solve: no entries";
   let observe = observe || Telemetry.Span.enabled tel.Telemetry.Ctx.spans in
   let runs, failures =
-    run_pool ?run_id ~observe ~on_member_start ~on_member_done tel entries ~jobs ~budget
-      ~proof_file ~record_file problem
+    run_pool ?run_id ~observe tel entries ~jobs ~budget ~proof_file ~record_file problem
   in
   if runs = [] then begin
     let detail =

@@ -43,8 +43,6 @@ val solve :
   ?telemetry:Telemetry.Ctx.t ->
   ?run_id:string ->
   ?observe:bool ->
-  ?on_member_start:(string -> Telemetry.Registry.t -> unit) ->
-  ?on_member_done:(string -> unit) ->
   ?proof_file:string ->
   ?record_file:string ->
   ?entries:entry list ->
@@ -89,20 +87,15 @@ val solve :
     Observability: with [telemetry] given, each member run is wrapped in
     a [member:<name>] span on the member's own track.  Each member
     publishes a {!Telemetry.Profile.Cell} — named after the member,
-    registered for exactly the run's duration — which the heartbeat
-    ticker observes; [observe] forces the cells' current phase on even
-    when no span sink is attached (the heartbeat case).  Each member's
-    phase timer runs when [telemetry]'s does, and its self times are
-    added into [telemetry]'s timer after the join: the portfolio's phase
-    times are summed over members, so with [jobs] > 1 they can exceed
-    the wall time.
-
-    [on_member_start name registry] / [on_member_done name] bracket each
-    member's run from its worker's domain, handing out its private
-    registry so the observability server can scrape live members under
-    the same [portfolio.<name>.] prefix the post-join merge uses.  The
-    registry must only be read racy-but-tear-free while live (it is
-    written by the worker).
+    registered in the member table with its private registry under the
+    prefix [portfolio.<name>.] (the one the post-join merge uses) for
+    exactly the run's duration — which the live monitor observes and
+    scrapes; [observe] forces the cells' current phase on even when no
+    span sink is attached (the heartbeat case).  Each member's phase
+    timer runs when [telemetry]'s does, and its self times are added
+    into [telemetry]'s timer after the join: the portfolio's phase times
+    are summed over members, so with [jobs] > 1 they can exceed the wall
+    time.
 
     With [record_file] each member writes a flight recording into
     [<record_file>.<member>.part] and the parts are stitched — like the

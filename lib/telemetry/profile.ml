@@ -62,25 +62,27 @@ module Cell = struct
   let nodes c = c.nodes
 end
 
-(* Live-cell registry: which cells the heartbeat ticker should look at
-   right now.  Workers register around their run; the list is tiny, so
-   one mutex is plenty. *)
+(* The member table: which contexts the monitor should look at right
+   now, each with its registry and exposition prefix.  Workers register
+   around their run; the list is tiny, so one mutex is plenty. *)
+
+type entry = { cell : Cell.t; registry : Registry.t; prefix : string }
 
 let live_lock = Mutex.create ()
-let live_cells : Cell.t list ref = ref []
+let live_entries : entry list ref = ref []
 
-let register c =
+let register ?(prefix = "") cell registry =
   Mutex.lock live_lock;
-  live_cells := c :: !live_cells;
+  live_entries := { cell; registry; prefix } :: !live_entries;
   Mutex.unlock live_lock
 
 let unregister c =
   Mutex.lock live_lock;
-  live_cells := List.filter (fun c' -> c' != c) !live_cells;
+  live_entries := List.filter (fun e -> e.cell != c) !live_entries;
   Mutex.unlock live_lock
 
 let live () =
   Mutex.lock live_lock;
-  let cs = !live_cells in
+  let es = !live_entries in
   Mutex.unlock live_lock;
-  List.rev cs
+  List.rev es

@@ -48,13 +48,23 @@ module Cell : sig
   val nodes : t -> int
 end
 
-(** {1 Live-cell registry}
+(** {1 The member table}
 
-    The heartbeat ticker observes whichever cells are registered at the
-    moment it looks. *)
+    Every live solver context registers its cell together with its
+    counter registry and the Prometheus prefix that registry renders
+    under: [""] for the main context, ["portfolio.<name>."] for a
+    portfolio member (the prefix its post-join merge uses, so metric
+    names stay stable across a member's finish).  The live monitor reads
+    whichever entries are registered at the moment it looks: their cells
+    for snapshots, their registries for the exposition.  A registry is
+    read racy-but-tear-free while its owner writes it. *)
 
-val register : Cell.t -> unit
+type entry = { cell : Cell.t; registry : Registry.t; prefix : string }
+
+val register : ?prefix:string -> Cell.t -> Registry.t -> unit
+(** [prefix] defaults to [""]. *)
+
 val unregister : Cell.t -> unit
 
-val live : unit -> Cell.t list
+val live : unit -> entry list
 (** In registration order. *)

@@ -115,15 +115,13 @@ let render_sources ?(namespace = "bsolo") sources =
 
 let render ?namespace registry = render_sources ?namespace [ "", registry ]
 
-let write_file_sources ?namespace path sources =
+let write_file path text =
   (* Write-then-rename so scrapers never see a half-written file. *)
   let tmp = path ^ ".tmp" in
   let oc = open_out tmp in
-  output_string oc (render_sources ?namespace sources);
+  output_string oc text;
   close_out oc;
   Sys.rename tmp path
-
-let write_file ?namespace path registry = write_file_sources ?namespace path [ "", registry ]
 
 (* --- exposition lint -------------------------------------------------------- *)
 

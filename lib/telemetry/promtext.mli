@@ -31,11 +31,9 @@ val render_sources : ?namespace:string -> (string * Registry.t) list -> string
     portfolio member's registry under prefix ["portfolio.bsolo-lpr."]
     exports the same metric names its post-join merge will. *)
 
-val write_file : ?namespace:string -> string -> Registry.t -> unit
-(** [write_file path registry] atomically replaces [path] with the
-    current exposition. *)
-
-val write_file_sources : ?namespace:string -> string -> (string * Registry.t) list -> unit
+val write_file : string -> string -> unit
+(** [write_file path text] atomically replaces [path] with a rendered
+    exposition.  Raises [Sys_error] when [path] cannot be written. *)
 
 (** {1 Exposition lint}
 

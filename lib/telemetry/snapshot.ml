@@ -1,9 +1,10 @@
 (* Heartbeat snapshots: periodic JSONL records of where the run is right
    now — per-member phase / bounds / node rate from the live Profile
    cells, counter deltas from a registry, and the best incumbent with
-   its provenance.  A run that enables heartbeats always gets at least
-   two snapshots (one as the ticker starts, one as it stops), so a pair
-   of consecutive records exists even for instant solves.
+   its provenance.  The live monitor (lib/obsd) takes them; a run that
+   enables heartbeats always gets at least two snapshots (one as the
+   monitor starts, one as it stops), so a pair of consecutive records
+   exists even for instant solves.
 
    File shape (one JSON value per line):
 
@@ -12,11 +13,12 @@
      …
      {"end":true,"t":…,"snapshots":…}
 
-   Domain-safety: the writer is mutex-guarded; the ticker runs on its
-   own domain.  Registry reads from the ticker are racy but memory-safe:
-   the instrument lists are immutable cons cells behind one mutable
-   field, and counter values are immediate ints (reads never tear) — a
-   tick may simply miss an instrument bound a moment ago. *)
+   Domain-safety: the writer and the collector belong to the domain
+   that uses them (the monitor's).  Registry reads from there are racy
+   but memory-safe: the instrument lists are immutable cons cells
+   behind one mutable field, and counter values are immediate ints
+   (reads never tear) — a snapshot may simply miss an instrument bound
+   a moment ago. *)
 
 type member = {
   m_name : string;
@@ -126,8 +128,7 @@ let decode j =
 
 type t = {
   oc : out_channel;
-  lock : Mutex.t;
-  mutable seq : int;
+  mutable written : int;
   mutable closed : bool;
 }
 
@@ -138,8 +139,7 @@ let write_line t json =
   Stdlib.flush t.oc
 
 let open_file path ~run_id ~started ~every =
-  let oc = open_out path in
-  let t = { oc; lock = Mutex.create (); seq = 0; closed = false } in
+  let t = { oc = open_out path; written = 0; closed = false } in
   write_line t
     (Json.Obj
        [
@@ -150,28 +150,24 @@ let open_file path ~run_id ~started ~every =
        ]);
   t
 
-let next_seq t =
-  let s = t.seq in
-  t.seq <- s + 1;
-  s
-
-(* The writer owns sequence numbering: whatever s_seq the caller built
-   the snap with is replaced by the next file-order number. *)
 let write t snap =
-  Mutex.lock t.lock;
-  if not t.closed then write_line t (encode { snap with s_seq = next_seq t });
-  Mutex.unlock t.lock
+  if not t.closed then begin
+    write_line t (encode snap);
+    t.written <- t.written + 1
+  end
 
 let close t =
-  Mutex.lock t.lock;
   if not t.closed then begin
     t.closed <- true;
     write_line t
       (Json.Obj
-         [ "end", Json.Bool true; "t", Json.Float (Epoch.now ()); "snapshots", Json.Int t.seq ]);
+         [
+           "end", Json.Bool true;
+           "t", Json.Float (Epoch.now ());
+           "snapshots", Json.Int t.written;
+         ]);
     close_out t.oc
-  end;
-  Mutex.unlock t.lock
+  end
 
 (* {1 Collector} *)
 
@@ -196,10 +192,9 @@ let collector ?registry () =
 let build ~advance c =
   let now = Epoch.now () in
   let dt = now -. c.prev_t in
-  let cells = Profile.live () in
   let members =
     List.map
-      (fun cell ->
+      (fun { Profile.cell; _ } ->
         let name = Profile.Cell.name cell in
         let nodes = Profile.Cell.nodes cell in
         let rate =
@@ -222,7 +217,7 @@ let build ~advance c =
           m_node_rate = rate;
           m_ub_self = Profile.Cell.ub_self cell;
         })
-      cells
+      (Profile.live ())
   in
   let counters =
     match c.registry with None -> [] | Some r -> Registry.counters r
@@ -259,72 +254,3 @@ let take c = build ~advance:true c
    counter deltas and node rates still cover one full interval instead
    of being truncated at the forced snapshot. *)
 let peek c = build ~advance:false c
-
-(* {1 Ticker} *)
-
-module Ticker = struct
-  type ticker = {
-    emit : snap -> unit;
-    coll : collector;
-    req : bool Atomic.t;  (* out-of-band snapshot request (SIGUSR1) *)
-    req_stop : bool Atomic.t;
-    on_tick : unit -> unit;
-    mutable handle : unit Domain.t option;
-  }
-
-  let snap_now tk =
-    tk.emit (take tk.coll);
-    tk.on_tick ()
-
-  (* A forced snapshot peeks — it does not advance the collector, so the
-     per-interval deltas and rates of the next periodic tick stay whole
-     — and does not reset the periodic cadence. *)
-  let snap_forced tk =
-    tk.emit (peek tk.coll);
-    tk.on_tick ()
-
-  let run every tk =
-    (* Fine-grained sleep so SIGUSR1 requests and stop are honored
-       within ~50 ms regardless of the heartbeat period. *)
-    let quantum = 0.05 in
-    let elapsed = ref 0. in
-    while not (Atomic.get tk.req_stop) do
-      Unix.sleepf (Float.min quantum every);
-      elapsed := !elapsed +. Float.min quantum every;
-      if Atomic.get tk.req then begin
-        Atomic.set tk.req false;
-        snap_forced tk
-      end;
-      if !elapsed >= every then begin
-        elapsed := 0.;
-        snap_now tk
-      end
-    done
-
-  let start_emit ?registry ?(on_tick = fun () -> ()) ~emit ~every () =
-    let tk =
-      {
-        emit;
-        coll = collector ?registry ();
-        req = Atomic.make false;
-        req_stop = Atomic.make false;
-        on_tick;
-        handle = None;
-      }
-    in
-    (* First snapshot immediately: even an instant run gets a baseline
-       record. *)
-    tk.handle <- Some (Domain.spawn (fun () -> snap_now tk; run every tk));
-    tk
-
-  let start ?registry ?on_tick writer ~every =
-    start_emit ?registry ?on_tick ~emit:(write writer) ~every ()
-
-  let request tk = Atomic.set tk.req true
-
-  let stop tk =
-    Atomic.set tk.req_stop true;
-    Option.iter Domain.join tk.handle;
-    (* Final snapshot after the loop has quiesced. *)
-    snap_now tk
-end

@@ -8,12 +8,13 @@
     rise and ub cells only fall, the per-member gap is monotonically
     non-widening across snapshots.
 
-    A run always gets at least two snapshots: the {!Ticker} writes one
-    as it starts and one as it stops.
+    The live monitor ([Obsd.Monitor]) takes the snapshots, numbers them
+    and hands each one to every consumer; a run always gets at least
+    two, one as the monitor starts and one as it stops.
 
-    Domain-safety: the writer is mutex-guarded; the ticker runs on its
-    own domain and takes racy-but-tear-free reads of cells and counter
-    lists. *)
+    Domain-safety: a writer and a collector belong to one domain (the
+    monitor's), which takes racy-but-tear-free reads of cells and
+    counter lists. *)
 
 type member = {
   m_name : string;
@@ -47,8 +48,7 @@ val open_file : string -> run_id:string -> started:float -> every:float -> t
     immediately so the file can be tailed live. *)
 
 val write : t -> snap -> unit
-(** The writer owns sequence numbering: the snap's [s_seq] is replaced
-    by the next file-order number. *)
+(** Append one snapshot as it is, [s_seq] included. *)
 
 val close : t -> unit
 (** Write the end record and close.  Idempotent. *)
@@ -62,7 +62,7 @@ val collector : ?registry:Registry.t -> unit -> collector
     [registry], when given, contributes counter deltas. *)
 
 val take : collector -> snap
-(** Build a snapshot ([s_seq] 0 — the writer assigns real sequence
+(** Build a snapshot ([s_seq] 0 — the monitor assigns real sequence
     numbers) from the live cells, and advance the collector.  The first
     advancing take has no previous observation, so its node rates are 0
     rather than nodes-so-far over a near-zero interval. *)
@@ -70,37 +70,4 @@ val take : collector -> snap
 val peek : collector -> snap
 (** Like {!take} but without advancing the collector: rates and deltas
     are measured against the last advancing {!take}, whose interval
-    stays whole.  Used for forced (out-of-band) snapshots. *)
-
-(** {1 Ticker} *)
-
-module Ticker : sig
-  type ticker
-
-  val start : ?registry:Registry.t -> ?on_tick:(unit -> unit) -> t -> every:float -> ticker
-  (** Spawn the heartbeat domain: one snapshot immediately, then one
-      every [every] seconds.  [on_tick] runs on the ticker domain after
-      each snapshot (used to refresh the Prometheus metrics file). *)
-
-  val start_emit :
-    ?registry:Registry.t ->
-    ?on_tick:(unit -> unit) ->
-    emit:(snap -> unit) ->
-    every:float ->
-    unit ->
-    ticker
-  (** Like {!start} but with an arbitrary consumer instead of a file
-      writer — the observability server streams snapshots to SSE
-      subscribers this way, with or without a heartbeat file. *)
-
-  val request : ticker -> unit
-  (** Ask for an out-of-band snapshot at the next ~50 ms quantum —
-      signal-handler safe (sets an atomic flag).  Forced snapshots
-      {!peek} rather than {!take}, and do not reset the periodic
-      cadence: the next periodic tick's deltas still cover one whole
-      interval. *)
-
-  val stop : ticker -> unit
-  (** Stop and join the domain, then write one final snapshot.  The
-      caller still owns the writer (call {!close} after). *)
-end
+    stays whole.  Used for forced (out-of-band) snapshots and [/status]. *)

@@ -1,7 +1,8 @@
-(* The embedded observability server: request parsing, endpoint
-   behaviour over real sockets, the /metrics ≡ textfile byte-equality
-   guarantee, healthz staleness, slow-client drop accounting and
-   concurrent scrapers.  Every server test binds 127.0.0.1 port 0. *)
+(* The live monitor and its embedded HTTP server: request parsing,
+   endpoint behaviour over real sockets, the /metrics ≡ textfile
+   byte-equality guarantee, slow-client drop accounting, concurrent
+   scrapers, and one snapshot stream feeding the heartbeat file and
+   /events alike.  Every monitor test binds 127.0.0.1 port 0. *)
 
 module T = Telemetry
 
@@ -70,44 +71,81 @@ let parse_addr () =
   Alcotest.(check bool) "huge port rejected" true
     (Result.is_error (Obsd.Client.parse_addr "h:70000"))
 
-(* --- server endpoints over real sockets -------------------------------------- *)
+(* --- the monitor over real sockets -------------------------------------------- *)
 
-let with_server ?stall_after ~metrics ~status f =
-  let srv =
-    Obsd.Server.create ~host:"127.0.0.1" ~port:0 ~metrics ~status ?stall_after ()
+let stub ?(metrics = fun () -> "") ?(status = fun _ _ -> "{}") () =
+  { Obsd.Monitor.metrics; status }
+
+(* A 60 s cadence keeps periodic ticks out of a sub-second test. *)
+let with_monitor ?(every = 60.) ?heartbeat ?metrics_file ?registry render f =
+  let m =
+    Obsd.Monitor.start ~listen:("127.0.0.1", 0) ?heartbeat ?metrics_file ?registry ~render
+      ~every ()
   in
-  Fun.protect ~finally:(fun () -> Obsd.Server.stop srv) (fun () -> f srv)
+  Fun.protect ~finally:(fun () -> Obsd.Monitor.stop m) (fun () -> f m)
 
-let get srv path =
-  match Obsd.Client.get ~host:"127.0.0.1" ~port:(Obsd.Server.port srv) path with
+let port m = Option.get (Obsd.Monitor.port m)
+
+let get m path =
+  match Obsd.Client.get ~host:"127.0.0.1" ~port:(port m) path with
   | Ok (status, body) -> status, body
   | Error e -> Alcotest.failf "GET %s: %s" path e
 
+(* A cell registered in the member table for the duration of [f]. *)
+let with_cell ?(registry = T.Registry.create ()) ?prefix name f =
+  let c = T.Profile.Cell.make ~observed:true ~name () in
+  T.Profile.register ?prefix c registry;
+  Fun.protect ~finally:(fun () -> T.Profile.unregister c) (fun () -> f c)
+
+(* Collect every /events frame on another domain until the end frame. *)
+let subscribe m =
+  let events = Atomic.make [] in
+  let reader =
+    Domain.spawn (fun () ->
+        Obsd.Client.events ~host:"127.0.0.1" ~port:(port m)
+          ~on_event:(fun ~event ~data ->
+            Atomic.set events ((event, data) :: Atomic.get events);
+            event <> "end")
+          ())
+  in
+  let deadline = Unix.gettimeofday () +. 5. in
+  while (Obsd.Monitor.stats m).served < 1 && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.02
+  done;
+  events, reader
+
+let wait_until ?(seconds = 5.) what cond =
+  let deadline = Unix.gettimeofday () +. seconds in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  if not (cond ()) then Alcotest.failf "timed out waiting for %s" what
+
 let endpoints_roundtrip () =
-  with_server
-    ~metrics:(fun () -> "# HELP x solver counter x\n# TYPE x counter\nx 1\n")
-    ~status:(fun () -> "{\"schema\":\"bsolo-status/1\"}")
-  @@ fun srv ->
-  let st, body = get srv "/metrics" in
+  with_monitor
+    (stub
+       ~metrics:(fun () -> "# HELP x solver counter x\n# TYPE x counter\nx 1\n")
+       ~status:(fun _ _ -> "{\"schema\":\"bsolo-status/1\"}")
+       ())
+  @@ fun m ->
+  let st, body = get m "/metrics" in
   Alcotest.(check int) "metrics 200" 200 st;
   Alcotest.(check bool) "metrics body" true (contains body "x 1");
-  let st, body = get srv "/status" in
+  let st, body = get m "/status" in
   Alcotest.(check int) "status 200" 200 st;
   Alcotest.(check bool) "status body" true (contains body "bsolo-status/1");
-  let st, _ = get srv "/healthz" in
-  Alcotest.(check int) "healthz 200 without stall_after" 200 st;
-  let st, _ = get srv "/nope" in
+  let st, _ = get m "/healthz" in
+  Alcotest.(check int) "healthz 200 while the loop answers" 200 st;
+  let st, _ = get m "/nope" in
   Alcotest.(check int) "unknown path 404" 404 st;
-  let stats = Obsd.Server.stats srv in
-  Alcotest.(check bool) "requests counted" true (stats.Obsd.Server.served >= 4)
+  Alcotest.(check bool) "requests counted" true ((Obsd.Monitor.stats m).served >= 4)
 
 (* A raw (non-Client) request exercises the error statuses end to end. *)
-let raw_request srv req =
+let raw_request m req =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
   @@ fun () ->
-  Unix.connect fd
-    (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", Obsd.Server.port srv));
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port m));
   let rec write off =
     if off < String.length req then
       write (off + Unix.write_substring fd req off (String.length req - off))
@@ -125,20 +163,21 @@ let raw_request srv req =
   read ()
 
 let wire_error_statuses () =
-  with_server ~metrics:(fun () -> "") ~status:(fun () -> "{}")
-  @@ fun srv ->
-  let resp = raw_request srv "POST /metrics HTTP/1.1\r\n\r\n" in
+  with_monitor (stub ())
+  @@ fun m ->
+  let resp = raw_request m "POST /metrics HTTP/1.1\r\n\r\n" in
   Alcotest.(check bool) "405 on the wire" true (contains resp "405 Method Not Allowed");
-  let resp = raw_request srv "GET /x HTTP/3.0\r\n\r\n" in
+  let resp = raw_request m "GET /x HTTP/3.0\r\n\r\n" in
   Alcotest.(check bool) "505 on the wire" true (contains resp "505");
-  let resp = raw_request srv "complete garbage\r\n\r\n" in
+  let resp = raw_request m "complete garbage\r\n\r\n" in
   Alcotest.(check bool) "400 on the wire" true (contains resp "400 Bad Request");
-  let resp = raw_request srv ("GET / HTTP/1.1\r\nX: " ^ String.make 9000 'y' ^ "\r\n\r\n") in
+  let resp = raw_request m ("GET / HTTP/1.1\r\nX: " ^ String.make 9000 'y' ^ "\r\n\r\n") in
   Alcotest.(check bool) "431 on oversized head" true (contains resp "431")
 
 (* The load-bearing equality: GET /metrics and the --metrics textfile
-   render the same source list through the same renderer, so their bytes
-   match — including multi-registry (live portfolio member) sources. *)
+   come from the same production renderer over the member table, so
+   their bytes match — including a live portfolio member's registry
+   under its merge prefix. *)
 let metrics_equals_textfile () =
   let main = T.Registry.create () in
   T.Counter.add (T.Registry.counter main "search.nodes") 42;
@@ -148,15 +187,14 @@ let metrics_equals_textfile () =
   T.Histogram.observe h 9;
   let member = T.Registry.create () in
   T.Counter.add (T.Registry.counter member "bcp.visits") 7;
-  let sources () = [ "", main; "portfolio.bsolo-lpr.", member ] in
-  with_server
-    ~metrics:(fun () -> T.Promtext.render_sources (sources ()))
-    ~status:(fun () -> "{}")
-  @@ fun srv ->
-  let st, scraped = get srv "/metrics" in
-  Alcotest.(check int) "200" 200 st;
+  with_cell ~registry:main "main" @@ fun _ ->
+  with_cell ~registry:member ~prefix:"portfolio.bsolo-lpr." "bsolo-lpr" @@ fun _ ->
   let path = tmp_file ".prom" in
-  T.Promtext.write_file_sources path (sources ());
+  let render = Obsd.Monitor.live ~run_id:"t" ~engine:"portfolio" ~instance:"x" ~started:0. in
+  with_monitor ~metrics_file:path render
+  @@ fun m ->
+  let st, scraped = get m "/metrics" in
+  Alcotest.(check int) "200" 200 st;
   let ic = open_in_bin path in
   let file = really_input_string ic (in_channel_length ic) in
   close_in ic;
@@ -164,108 +202,63 @@ let metrics_equals_textfile () =
   (match T.Promtext.lint scraped with
   | Ok n -> Alcotest.(check bool) "lint-clean with samples" true (n > 0)
   | Error vs -> Alcotest.failf "lint violations: %s" (String.concat "; " vs));
+  Alcotest.(check bool) "main metrics unprefixed" true (contains scraped "bsolo_search_nodes 42");
   Alcotest.(check bool) "member metrics under the merge prefix" true
     (contains scraped "bsolo_portfolio_bsolo_lpr_bcp_visits 7")
 
-let healthz_flips_on_stall () =
-  with_server ~stall_after:0.25 ~metrics:(fun () -> "") ~status:(fun () -> "{}")
-  @@ fun srv ->
-  Obsd.Server.beat srv;
-  let st, _ = get srv "/healthz" in
-  Alcotest.(check int) "beating engine is healthy" 200 st;
-  (* Deliberately stalled engine: no beats for > stall_after. *)
-  Unix.sleepf 0.4;
-  let st, body = get srv "/healthz" in
-  Alcotest.(check int) "stalled engine is 503" 503 st;
-  Alcotest.(check bool) "says stalled" true (contains body "stalled");
-  Obsd.Server.beat srv;
-  let st, _ = get srv "/healthz" in
-  Alcotest.(check int) "recovers on the next beat" 200 st
-
-(* A subscriber that never reads: publishes far beyond its bounded queue
-   must be dropped and counted, never block the publisher. *)
+(* A subscriber that never reads: frames far beyond its bounded queue
+   must be dropped and counted, never block the monitor.  A huge member
+   name makes every heartbeat frame big, and a tiny receive buffer keeps
+   the kernel from absorbing them. *)
 let slow_client_drops () =
-  with_server ~metrics:(fun () -> "") ~status:(fun () -> "{}")
-  @@ fun srv ->
+  with_cell (String.make 32768 'x') @@ fun _ ->
+  with_monitor ~every:0.005 (stub ())
+  @@ fun m ->
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
   @@ fun () ->
-  Unix.connect fd
-    (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", Obsd.Server.port srv));
+  Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port m));
   let req = "GET /events HTTP/1.1\r\n\r\n" in
   ignore (Unix.write_substring fd req 0 (String.length req));
-  Unix.sleepf 0.2 (* let the server register the subscriber *);
-  (* Big frames fill the kernel socket buffer fast; after that the
-     bounded queue (64 frames) absorbs a little and the rest must drop. *)
-  let data = String.make 65536 'x' in
-  let deadline = Unix.gettimeofday () +. 5. in
-  let rec pump i =
-    if Obsd.Server.((stats srv).dropped) > 0 || Unix.gettimeofday () > deadline then i
-    else begin
-      Obsd.Server.publish srv ~event:"heartbeat" ~data;
-      if i mod 16 = 0 then Unix.sleepf 0.01;
-      pump (i + 1)
-    end
-  in
-  let published = pump 1 in
-  let stats = Obsd.Server.stats srv in
-  Alcotest.(check bool)
-    (Printf.sprintf "drops counted after %d publishes (dropped=%d)" published
-       stats.Obsd.Server.dropped)
-    true (stats.dropped > 0)
+  wait_until ~seconds:10. "a dropped frame" (fun () -> (Obsd.Monitor.stats m).dropped > 0)
 
-(* SSE round trip: subscribe, receive heartbeats, then the final end
-   event published by stop's grace-window flush. *)
+(* SSE round trip: subscribe, receive heartbeats, an incumbent frame
+   once the best bound improves, then the final end frame published by
+   stop. *)
 let sse_stream_roundtrip () =
-  let srv =
-    Obsd.Server.create ~host:"127.0.0.1" ~port:0
-      ~metrics:(fun () -> "")
-      ~status:(fun () -> "{}")
-      ()
+  with_cell "member" @@ fun cell ->
+  let m =
+    Obsd.Monitor.start ~listen:("127.0.0.1", 0) ~render:(stub ()) ~every:0.05 ()
   in
-  let port = Obsd.Server.port srv in
-  let events = Atomic.make [] in
-  let reader =
-    Domain.spawn (fun () ->
-        Obsd.Client.events ~host:"127.0.0.1" ~port
-          ~on_event:(fun ~event ~data ->
-            Atomic.set events ((event, data) :: Atomic.get events);
-            event <> "end")
-          ())
-  in
-  (* Wait for the subscription to land (stats shows the request). *)
-  let deadline = Unix.gettimeofday () +. 5. in
-  while Obsd.Server.((stats srv).served) < 1 && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.02
-  done;
-  Unix.sleepf 0.1;
-  Obsd.Server.publish srv ~event:"heartbeat" ~data:"{\"seq\":0}";
-  Obsd.Server.publish srv ~event:"heartbeat" ~data:"{\"seq\":1}";
-  Obsd.Server.publish srv ~event:"incumbent" ~data:"{\"cost\":7}";
-  Unix.sleepf 0.2 (* let the loop flush before the stop grace window *);
-  Obsd.Server.stop ~final_event:("end", "{\"run_id\":\"t\"}") srv;
+  let events, reader = subscribe m in
+  let count ev = List.length (List.filter (fun (e, _) -> e = ev) (Atomic.get events)) in
+  wait_until "two heartbeats" (fun () -> count "heartbeat" >= 2);
+  T.Profile.Cell.update_ub cell 7.;
+  wait_until "the incumbent" (fun () -> count "incumbent" >= 1);
+  Obsd.Monitor.stop ~final_event:("end", "{\"run_id\":\"t\"}") m;
   (match Domain.join reader with
   | Ok () -> ()
   | Error e -> Alcotest.failf "reader failed: %s" e);
-  let seen = List.rev (Atomic.get events) in
-  let count ev = List.length (List.filter (fun (e, _) -> e = ev) seen) in
-  Alcotest.(check int) "two heartbeats" 2 (count "heartbeat");
   Alcotest.(check int) "one incumbent" 1 (count "incumbent");
   Alcotest.(check int) "final end event" 1 (count "end");
-  match List.rev seen with
+  match Atomic.get events with
   | ("end", data) :: _ -> Alcotest.(check bool) "end carries run id" true (contains data "run_id")
   | _ -> Alcotest.fail "end was not the last event"
 
-(* Concurrent scrapers against live render callbacks: every response is
-   a complete, parseable exposition — no torn or interleaved bodies. *)
+(* Concurrent scrapers against live render callbacks while the solver
+   side mutates the registry: every response is a complete, parseable
+   exposition — no torn or interleaved bodies. *)
 let concurrent_scrapers () =
   let reg = T.Registry.create () in
   let cnt = T.Registry.counter reg "search.nodes" in
-  with_server
-    ~metrics:(fun () -> T.Promtext.render reg)
-    ~status:(fun () -> "{\"schema\":\"bsolo-status/1\"}")
-  @@ fun srv ->
-  let port = Obsd.Server.port srv in
+  with_monitor ~every:0.01 ~registry:reg
+    (stub
+       ~metrics:(fun () -> T.Promtext.render reg)
+       ~status:(fun _ _ -> "{\"schema\":\"bsolo-status/1\"}")
+       ())
+  @@ fun m ->
+  let port = port m in
   let scraper _ =
     Domain.spawn (fun () ->
         let ok = ref 0 in
@@ -285,8 +278,7 @@ let concurrent_scrapers () =
   let writer =
     Domain.spawn (fun () ->
         for _ = 1 to 2000 do
-          T.Counter.incr cnt;
-          Obsd.Server.publish srv ~event:"heartbeat" ~data:"{}"
+          T.Counter.incr cnt
         done)
   in
   let domains = List.init 4 scraper in
@@ -295,6 +287,68 @@ let concurrent_scrapers () =
   List.iteri
     (fun i ok -> Alcotest.(check int) (Printf.sprintf "scraper %d all clean" i) 10 ok)
     oks
+
+(* One monitor feeds every consumer: the heartbeat file and the /events
+   stream carry the same numbered snapshots, and a /status request
+   between ticks peeks, so the file's counter deltas stay whole. *)
+let one_monitor_feeds_every_consumer () =
+  let reg = T.Registry.create () in
+  let cnt = T.Registry.counter reg "x.events" in
+  with_cell ~registry:reg "member" @@ fun _ ->
+  let path = tmp_file ".hb.jsonl" in
+  let heartbeat = T.Snapshot.open_file path ~run_id:"t" ~started:0. ~every:0.3 in
+  let m =
+    Obsd.Monitor.start ~listen:("127.0.0.1", 0) ~heartbeat ~registry:reg
+      ~render:(Obsd.Monitor.live ~run_id:"t" ~engine:"bsolo" ~instance:"x" ~started:0.)
+      ~every:0.3 ()
+  in
+  let events, reader = subscribe m in
+  let heartbeats () =
+    List.filter_map (fun (e, d) -> if e = "heartbeat" then Some d else None) (Atomic.get events)
+  in
+  wait_until "a streamed heartbeat" (fun () -> heartbeats () <> []);
+  T.Counter.add cnt 5;
+  let st, body = get m "/status" in
+  Alcotest.(check int) "status 200" 200 st;
+  Alcotest.(check bool) "status is a bsolo-status/1 document" true
+    (contains body "\"schema\":\"bsolo-status/1\"");
+  T.Counter.add cnt 3;
+  let seen = List.length (heartbeats ()) in
+  wait_until "the next tick" (fun () -> List.length (heartbeats ()) > seen);
+  Obsd.Monitor.stop ~final_event:("end", "{}") m;
+  (match Domain.join reader with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "reader failed: %s" e);
+  let lines =
+    let ic = open_in path in
+    let rec go acc =
+      match input_line ic with l -> go (l :: acc) | exception End_of_file -> List.rev acc
+    in
+    let ls = go [] in
+    close_in ic;
+    ls
+  in
+  let decode line =
+    match T.Json.of_string line with
+    | Ok j -> T.Snapshot.decode j
+    | Error e -> Alcotest.failf "bad heartbeat line: %s" e
+  in
+  let file = List.filter_map (fun l -> Option.map (fun s -> s, l) (decode l)) lines in
+  Alcotest.(check (list int)) "file numbers every snapshot"
+    (List.init (List.length file) Fun.id)
+    (List.map (fun ((s : T.Snapshot.snap), _) -> s.s_seq) file);
+  let stream = List.rev (heartbeats ()) in
+  let first = (Option.get (decode (List.hd stream))).s_seq in
+  Alcotest.(check (list string)) "the stream carries the file's snapshots from its subscription on"
+    (List.filter_map
+       (fun ((s : T.Snapshot.snap), l) -> if s.s_seq >= first then Some l else None)
+       file)
+    stream;
+  let delta ((s : T.Snapshot.snap), _) =
+    Option.value ~default:0 (List.assoc_opt "x.events" s.s_deltas)
+  in
+  Alcotest.(check int) "the file's deltas add up across the /status request" 8
+    (List.fold_left (fun acc x -> acc + delta x) 0 file)
 
 (* --- suite ------------------------------------------------------------------- *)
 
@@ -308,8 +362,9 @@ let suite =
     Alcotest.test_case "server: error statuses on the wire" `Quick wire_error_statuses;
     Alcotest.test_case "server: /metrics byte-identical to textfile" `Quick
       metrics_equals_textfile;
-    Alcotest.test_case "server: /healthz flips on a stalled engine" `Quick healthz_flips_on_stall;
     Alcotest.test_case "server: slow client drops are counted" `Quick slow_client_drops;
     Alcotest.test_case "server: SSE stream round trip" `Quick sse_stream_roundtrip;
     Alcotest.test_case "server: concurrent scrapers" `Quick concurrent_scrapers;
+    Alcotest.test_case "monitor: one snapshot feeds file and stream" `Quick
+      one_monitor_feeds_every_consumer;
   ]

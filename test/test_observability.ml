@@ -290,7 +290,7 @@ let heartbeat_file_round_trip () =
   let w = T.Snapshot.open_file path ~run_id:"deadbeef" ~started:1234.5 ~every:0.5 in
   let s = snap_fixture () in
   T.Snapshot.write w s;
-  T.Snapshot.write w { s with s_t = 2.5 };
+  T.Snapshot.write w { s with s_t = 2.5; s_seq = s.s_seq + 1 };
   T.Snapshot.close w;
   T.Snapshot.close w (* idempotent *);
   match Inspect.load_trace path with
@@ -306,20 +306,19 @@ let heartbeat_file_round_trip () =
     | Ok _ -> ()
     | Error violations -> Alcotest.failf "violations: %s" (String.concat "; " violations))
 
-(* The SIGUSR1 path: Ticker.request must force an out-of-band snapshot
+(* The SIGUSR1 path: Monitor.request must force an out-of-band snapshot
    at the next ~50 ms quantum — long before the periodic [every]
-   elapses — with the writer's sequence numbering intact. *)
-let ticker_request_forces_snapshot () =
+   elapses — numbered in sequence with the start and final snapshots. *)
+let monitor_request_forces_snapshot () =
   let path = tmp_file ".hb.jsonl" in
-  let w =
+  let heartbeat =
     T.Snapshot.open_file path ~run_id:"deadbeef" ~started:(Unix.gettimeofday ()) ~every:60.
   in
-  let tk = T.Snapshot.Ticker.start w ~every:60. in
-  Unix.sleepf 0.15 (* let the start-of-run snapshot land *);
-  T.Snapshot.Ticker.request tk;
+  let render = { Obsd.Monitor.metrics = (fun () -> ""); status = (fun _ _ -> "{}") } in
+  let m = Obsd.Monitor.start ~heartbeat ~render ~every:60. () in
+  Obsd.Monitor.request m;
   Unix.sleepf 0.3 (* several polling quanta, still way under [every] *);
-  T.Snapshot.Ticker.stop tk;
-  T.Snapshot.close w;
+  Obsd.Monitor.stop m;
   match Inspect.load_trace path with
   | Error msg -> Alcotest.fail msg
   | Ok (lines, _) ->
@@ -327,18 +326,15 @@ let ticker_request_forces_snapshot () =
     (* start + requested + final stop snapshot: a 60 s periodic tick
        cannot have fired inside a sub-second test, so the middle one can
        only come from the request. *)
-    Alcotest.(check int) "snapshots" 3 (List.length snaps);
-    List.iteri
-      (fun i (s : T.Snapshot.snap) ->
-        Alcotest.(check int) (Printf.sprintf "seq of snapshot %d" i) i s.s_seq)
-      snaps
+    Alcotest.(check (list int)) "seq of the start, requested and final snapshots" [ 0; 1; 2 ]
+      (List.map (fun (s : T.Snapshot.snap) -> s.s_seq) snaps)
 
 (* The first advancing take has no previous observation: its node rates
    must be 0, not nodes-so-far divided by the near-zero interval since
    the collector was created. *)
 let collector_first_tick_rate_zero () =
   let c = T.Profile.Cell.make ~observed:true ~name:"rate-first-tick" () in
-  T.Profile.register c;
+  T.Profile.register c (T.Registry.create ());
   Fun.protect ~finally:(fun () -> T.Profile.unregister c) @@ fun () ->
   for _ = 1 to 1000 do
     T.Profile.Cell.bump_nodes c
@@ -427,7 +423,7 @@ let promtext_write_file_atomic () =
   let path = tmp_file ".prom" in
   let reg = T.Registry.create () in
   T.Counter.incr (T.Registry.counter reg "search.nodes");
-  T.Promtext.write_file path reg;
+  T.Promtext.write_file path (T.Promtext.render reg);
   let ic = open_in path in
   let first = input_line ic in
   close_in ic;
@@ -453,7 +449,7 @@ let suite =
     Alcotest.test_case "heartbeat: non-snapshot lines" `Quick snapshot_non_snapshot_lines;
     Alcotest.test_case "heartbeat: file round trip + check" `Quick heartbeat_file_round_trip;
     Alcotest.test_case "heartbeat: SIGUSR1 request forces snapshot" `Quick
-      ticker_request_forces_snapshot;
+      monitor_request_forces_snapshot;
     Alcotest.test_case "heartbeat: first-tick node rate is zero" `Quick
       collector_first_tick_rate_zero;
     Alcotest.test_case "heartbeat: forced peek keeps periodic deltas whole" `Quick

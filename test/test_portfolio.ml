@@ -306,21 +306,52 @@ let crash_isolation_one_job () =
   | s -> Alcotest.failf "portfolio did not recover from crash: %s" (Bsolo.Outcome.status_name s));
   Alcotest.(check (option int)) "optimum" reference (Bsolo.Outcome.best_cost r.outcome)
 
-(* The live-member hooks bracket every member's run whatever the job
-   count, and each member's registry is handed out exactly once. *)
-let member_hooks_one_job () =
-  let started = ref [] and finished = ref [] in
-  let entry pname = { Portfolio.pname; psolve = (fun ~options:_ _ -> outcome Bsolo.Outcome.Unknown) } in
+(* The member table brackets every member's run whatever the job count:
+   inside its run, each member's registry is live under its merge prefix
+   [portfolio.<name>.], next to its own cell, once per member; after the
+   join no member entry remains. *)
+let check_member_table jobs =
+  let prefixed (e : Telemetry.Profile.entry) =
+    String.starts_with ~prefix:"portfolio." e.prefix
+  in
+  let seen = Atomic.make [] in
+  let entry pname =
+    {
+      Portfolio.pname;
+      psolve =
+        (fun ~options _ ->
+          let tel = Option.get options.Bsolo.Options.telemetry in
+          let mine =
+            List.exists
+              (fun (e : Telemetry.Profile.entry) ->
+                e.prefix = "portfolio." ^ pname ^ "."
+                && e.registry == tel.registry && e.cell == tel.cell)
+              (Telemetry.Profile.live ())
+          in
+          let rec add () =
+            let cur = Atomic.get seen in
+            if not (Atomic.compare_and_set seen cur ((pname, mine) :: cur)) then add ()
+          in
+          add ();
+          outcome Bsolo.Outcome.Unknown);
+    }
+  in
   let names = [ "a"; "b"; "c" ] in
   let r =
-    Portfolio.solve ~entries:(List.map entry names) ~jobs:1 ~budget:2.0
-      ~on_member_start:(fun name _ -> started := name :: !started)
-      ~on_member_done:(fun name -> finished := name :: !finished)
-      (Gen.covering 1)
+    Portfolio.solve ~entries:(List.map entry names) ~jobs ~budget:2.0 (Gen.covering 1)
   in
-  Alcotest.(check int) "all ran" 3 (List.length r.runs);
-  Alcotest.(check (list string)) "start once each" names (List.rev !started);
-  Alcotest.(check (list string)) "done once each" names (List.rev !finished)
+  Alcotest.(check int) (Printf.sprintf "jobs=%d: all ran" jobs) 3 (List.length r.runs);
+  Alcotest.(check (list (pair string bool)))
+    (Printf.sprintf "jobs=%d: each member live under its prefix" jobs)
+    (List.map (fun n -> n, true) names)
+    (List.sort compare (Atomic.get seen));
+  Alcotest.(check int)
+    (Printf.sprintf "jobs=%d: no member entry after the join" jobs)
+    0
+    (List.length (List.filter prefixed (Telemetry.Profile.live ())))
+
+let member_hooks_one_job () = check_member_table 1
+let member_table_two_jobs () = check_member_table 2
 
 (* Every member's recorder is teed onto the shared trace: with one job or
    two, each member that ran leaves search events tagged with its name. *)
@@ -393,5 +424,6 @@ let suite =
     Alcotest.test_case "worker fair share" `Quick worker_fair_share;
     Alcotest.test_case "crash isolation (one job)" `Slow crash_isolation_one_job;
     Alcotest.test_case "member hooks (one job)" `Quick member_hooks_one_job;
+    Alcotest.test_case "member table (two jobs)" `Quick member_table_two_jobs;
     Alcotest.test_case "member phase times" `Quick member_phase_times;
   ]
