@@ -23,7 +23,8 @@
 # With --proof, each smoke instance is additionally solved under
 # certified proof logging and the log replayed through `bsolo
 # checkproof` (including an --engine pbs proof and --portfolio --jobs 2
-# and --jobs 1 stitched proofs, and a generated knap --scale 1.5 proof
+# and --jobs 1 stitched proofs, which must hold no i step, and a
+# generated knap --scale 1.5 proof
 # with thousands of RUP steps, checked under a 60 s timeout); at least
 # one run must carry certified LPR bound-conflict steps.
 #
@@ -222,6 +223,12 @@ echo "== validate span trace (inspect --spans) =="
 echo "== validate heartbeat (inspect --live --check) =="
 "$bsolo" inspect --live "$tmpdir/heartbeat.jsonl" --check || {
   echo "FAIL: heartbeat failed validation"; exit 1;
+}
+# The members' cells are gone by the final snapshot; the portfolio writes
+# its answer into the main cell, so the last snapshot still has a best.
+grep '"seq":' "$tmpdir/heartbeat.jsonl" | tail -1 | grep -q '"best":{' || {
+  echo "FAIL: the last heartbeat snapshot carries no best incumbent";
+  grep '"seq":' "$tmpdir/heartbeat.jsonl" | tail -1; exit 1;
 }
 
 echo "== run_id correlates report, spans and heartbeat =="
@@ -741,6 +748,11 @@ if [ "$with_proof" = 1 ]; then
   grep -q '^s VERIFIED' "$tmpdir/pproof.check" || {
     echo "FAIL: no VERIFIED verdict for the portfolio proof"; cat "$tmpdir/pproof.check"; exit 1;
   }
+  # Imports are verified solution steps of the importer's section; the
+  # format has no unverified import step.
+  ! grep -q '^i ' "$tmpdir/portfolio.pbp" || {
+    echo "FAIL: the stitched portfolio proof has i steps"; grep -c '^i ' "$tmpdir/portfolio.pbp"; exit 1;
+  }
   echo "portfolio: $(grep '^s VERIFIED' "$tmpdir/pproof.check")"
 
   echo "== proof-checked one-job portfolio (--jobs 1) =="
@@ -757,6 +769,10 @@ if [ "$with_proof" = 1 ]; then
   grep -q '^s VERIFIED' "$tmpdir/pproof1.check" || {
     echo "FAIL: no VERIFIED verdict for the --jobs 1 portfolio proof";
     cat "$tmpdir/pproof1.check"; exit 1;
+  }
+  ! grep -q '^i ' "$tmpdir/portfolio1.pbp" || {
+    echo "FAIL: the stitched --jobs 1 portfolio proof has i steps";
+    grep -c '^i ' "$tmpdir/portfolio1.pbp"; exit 1;
   }
   echo "portfolio (jobs 1): $(grep '^s VERIFIED' "$tmpdir/pproof1.check")"
 

@@ -24,8 +24,8 @@ let checkproof_run problem_path proof_path =
     | Ok s ->
       let check_s = Unix.gettimeofday () -. t0 in
       Printf.printf
-        "c proof: %d steps (%d rup, %d bound, %d farkas, %d solutions, %d imports, %d cuts)\n"
-        s.Proof.Check.steps s.rup s.bound s.farkas s.solutions s.imports s.cuts;
+        "c proof: %d steps (%d rup, %d bound, %d farkas, %d solutions, %d cuts)\n"
+        s.Proof.Check.steps s.rup s.bound s.farkas s.solutions s.cuts;
       Printf.printf "c check: %.3f s, %.1f us/step\n" check_s
         (check_s *. 1e6 /. float_of_int (max 1 s.steps));
       (match s.sections with

@@ -34,7 +34,7 @@ type t = {
   node_limit : int option;
   time_limit : float option;
   telemetry : Telemetry.Ctx.t option;
-  external_incumbent : (unit -> (int * string) option) option;
+  external_incumbent : (unit -> (int * Pbo.Model.t * string) option) option;
   should_stop : (unit -> bool) option;
   on_incumbent : (Pbo.Model.t -> int -> unit) option;
   decision_oracle : (unit -> Pbo.Lit.t option) option;

@@ -79,16 +79,20 @@ type t = {
           lower-bound procedures; [None] (the default) runs with a fresh
           silent context: counters still back the outcome snapshot but no
           timing, trace or progress output is produced *)
-  external_incumbent : (unit -> (int * string) option) option;
-      (** cooperative upper-bound import hook (parallel portfolio): polled
-          at a bounded cadence (every search-loop iteration, i.e. every
-          propagation batch); when it returns a cost (offset included)
-          below the driver's current upper bound paired with the name of
-          the originating portfolio member, the bound is tightened in
-          place so bound conflicts fire earlier (and the import is
-          attributed in proof logs).  The hook must be cheap and safe to
-          call from the solving domain (typically an [Atomic.get]).
-          Counted as [search.incumbent_imports]. *)
+  external_incumbent : (unit -> (int * Pbo.Model.t * string) option) option;
+      (** incumbent import hook (parallel portfolio): polled once per
+          search-loop iteration, at the loop top.  It returns the best
+          [(cost, model, member)] any peer has found (cost offset
+          included, [member] the finder's name).  A model below the
+          driver's upper bound is offered exactly like one of its own
+          leaves: it is adopted only if it satisfies the input problem
+          and costs [cost], and then becomes the incumbent — the bound,
+          the outcome's [best], a verified solution step in the proof
+          log and the incumbent cuts (10)-(13).  Counted as
+          [search.incumbent_imports]; a refused model is counted as
+          [search.incumbent_rejects] and never trusted.  The hook must be
+          cheap and safe to call from the solving domain (typically an
+          [Atomic.get]). *)
   should_stop : (unit -> bool) option;
       (** cooperative cancellation hook: polled from the engine's
           propagation loop at a bounded cadence; once it returns [true]
@@ -97,8 +101,9 @@ type t = {
   on_incumbent : (Pbo.Model.t -> int -> unit) option;
       (** called on every strict improvement of the driver's own
           incumbent with the model and its cost (offset included) — the
-          broadcast side of the portfolio's shared-incumbent cell.  Runs
-          on the solving domain; must be cheap and domain-safe. *)
+          broadcast side of the portfolio's shared-incumbent cell.
+          Imported incumbents are not broadcast back.  Runs on the
+          solving domain; must be cheap and domain-safe. *)
   decision_oracle : (unit -> Pbo.Lit.t option) option;
       (** deterministic-replay hook: when set, the bsolo driver asks it
           for every branching decision instead of consulting the

@@ -20,7 +20,6 @@ type counters = {
 type t = {
   status : status;
   best : (Model.t * int) option;
-  proved_lb : int option;
   counters : counters;
   elapsed : float;
 }

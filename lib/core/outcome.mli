@@ -22,19 +22,11 @@ type counters = {
 type t = {
   status : status;
   best : (Model.t * int) option;
-      (** best model found and its total cost (objective offset included);
-          for satisfaction instances the cost is 0 *)
-  proved_lb : int option;
-      (** proven global lower bound on the optimum cost (offset
-          included): the run established that no solution costs less than
-          this value.  Set when the search space was exhausted — for an
-          [Optimal] outcome it equals the optimum; for an [Unknown]
-          outcome it records a proof completed under an imported external
-          upper bound ({!Options.external_incumbent}) whose witness model
-          lives in another worker.  The portfolio combines such a bound
-          with a matching incumbent from a different run into a full
-          optimality proof.  [None] when the run ran out of budget (or
-          for satisfaction instances). *)
+      (** best model and its total cost (objective offset included);
+          for satisfaction instances the cost is 0.  The model is a
+          checked one, whether the run found it or imported it from a
+          portfolio peer ({!Options.external_incumbent}), so an
+          [Optimal] outcome always holds its witness. *)
   counters : counters;
   elapsed : float;  (** wall-clock seconds *)
 }

@@ -2,13 +2,10 @@
    sequence through the engine and cross-check every emitted event
    against the recorded one.
 
-   The replay is driven by three hooks threaded through Options:
+   The replay is driven by two hooks threaded through Options:
 
    - [decision_oracle] feeds the recorded decisions back to the driver
      instead of the activity/phase heuristics;
-   - [external_incumbent] releases recorded portfolio imports exactly
-     when the cursor reaches them (the driver polls it every loop
-     iteration, so the release position is exact);
    - [should_stop] ends the replay when the cursor reaches a final
      frame with status "unknown" — the recorded run stopped on a
      budget there, and replay must stop at the same loop top rather
@@ -171,11 +168,6 @@ let run ?proof_out ?bcp problem (rc : R.recording) =
         | Some (R.Decision { var; value; _ }) -> Some (Pbo.Lit.make var value)
         | _ -> None
       in
-      let import () =
-        match peek () with
-        | Some (R.Import { cost; member }) -> Some (cost, member)
-        | _ -> None
-      in
       let stop () =
         !mism <> None
         (* the recorded run ran out of budget here: stop at the same
@@ -205,7 +197,6 @@ let run ?proof_out ?bcp problem (rc : R.recording) =
           options with
           telemetry = Some tel;
           decision_oracle = Some oracle;
-          external_incumbent = Some import;
           should_stop = Some stop;
           proof = Option.map (fun (_, sink, _) -> Proof.create sink problem) proof_tmp;
         }

@@ -5,9 +5,7 @@
     from the header (the {!Options.presets} entry it names as the
     engine, edited by its {!Options.switches} bits, cuts mode,
     lower-bound method and LGR iteration count), branching is driven
-    by the recorded decisions, portfolio imports are released at their
-    exact recorded positions —
-    and cross-checks every event the replayed engine emits against the
+    by the recorded decisions — and cross-checks every event the replayed engine emits against the
     recording: decisions with their levels, backjumps, lower-bound
     evaluations (elapsed times excluded), prunes with blame, learned
     constraints, incumbents, restarts and the final summary must appear

@@ -15,10 +15,11 @@ let status_json (o : Outcome.t) =
       match Outcome.best_cost o with
       | None -> Json.Null
       | Some c -> Json.Int c );
+    (* the proved lower bound: only an Optimal run proves one, its cost *)
     ( "proved_lb",
-      match o.proved_lb with
-      | None -> Json.Null
-      | Some f -> Json.Int f );
+      match o.status, o.best with
+      | Outcome.Optimal, Some (_, c) -> Json.Int c
+      | _ -> Json.Null );
     "elapsed", Json.Float o.elapsed;
   ]
 

@@ -27,7 +27,8 @@ type search_state = {
   nodes : Telemetry.Counter.t;
   lb_calls : Telemetry.Counter.t;
   lb_skips : Telemetry.Counter.t;  (* evaluations suppressed by the adaptive policy *)
-  mutable imported : bool;  (* an import is (or was) the active upper bound *)
+  input : Problem.t;  (* the problem as given: every offered model is checked against it *)
+  mutable last_import : Model.t option;  (* the last model polled, so each is checked once *)
   track : Lowerbound.Track.t;  (* bound-quality instruments for lb_method *)
   mutable lpr_inc : Lowerbound.Lpr.inc option;  (* warm LP state, created lazily *)
   mutable mis : Lowerbound.Mis.t option;  (* prepared MIS rows, created lazily *)
@@ -90,24 +91,6 @@ let out_of_budget st =
      | None -> false)
   || (match st.options.node_limit with Some l -> Telemetry.Counter.get st.nodes >= l | None -> false)
   || (match st.deadline with Some d -> Unix.gettimeofday () > d | None -> false)
-
-(* Shared-incumbent import (parallel portfolio): adopt an externally found
-   upper bound so the [path + lower >= upper] check prunes against the
-   best cost any worker knows.  The witness model stays with the worker
-   that found it; {!package} accounts for the asymmetry. *)
-let poll_external st =
-  match st.options.external_incumbent with
-  | None -> ()
-  | Some hook ->
-    (match hook () with
-    | Some (ext, member) when ext - st.offset < st.upper ->
-      st.upper <- ext - st.offset;
-      st.imported <- true;
-      Telemetry.Ctx.import st.tel ~cost:ext ~member;
-      (match st.options.proof with
-      | Some proof -> Proof.log_import proof ~cost:ext ~member
-      | None -> ())
-    | Some _ | None -> ())
 
 let maybe_reduce_db st =
   if st.options.reduce_db && Core.num_learned st.engine > st.max_learned then begin
@@ -181,28 +164,6 @@ let maybe_restart st =
     Telemetry.Recorder.restart st.recorder
   end
 
-let record_incumbent st =
-  let cost = Core.path_cost st.engine in
-  if cost < st.upper then begin
-    st.upper <- cost;
-    let m = Core.model st.engine in
-    st.best <- Some (m, cost + st.offset);
-    (match st.options.proof with
-    | Some proof -> Proof.log_solution proof ~cost:(cost + st.offset) m
-    | None -> ());
-    Telemetry.Ctx.incumbent st.tel ~cost:(cost + st.offset);
-    Lowerbound.Track.gap_sample_now st.track
-      ~at:(Unix.gettimeofday () -. st.start)
-      ~lb:(st.last_lb + st.offset) ~ub:(cost + st.offset);
-    Log.info (fun k ->
-        k "incumbent %d after %d conflicts (%.2fs)" (cost + st.offset)
-          (Telemetry.Counter.get (Core.stats st.engine).Core.conflicts)
-          (Unix.gettimeofday () -. st.start));
-    match st.options.on_incumbent with
-    | Some broadcast -> broadcast m (cost + st.offset)
-    | None -> ()
-  end
-
 let cut_sources st =
   match st.cut_sources with
   | Some sources -> sources
@@ -232,11 +193,11 @@ let add_incumbent_cuts st =
       let add conflict src =
         (* The knapsack cut (10) needs no proof step: it is exactly the
            objective cut the checker introduces on its own at every
-           verified solution or import.  In proof mode a cardinality cut
-           is only usable when its [d] step can reference the untouched
-           original constraint; a cid aliased to a presolve tightening
-           has no checker-side cut, so the inference is skipped rather
-           than trusted. *)
+           verified solution, found or imported.  In proof mode a
+           cardinality cut is only usable when its [d] step can
+           reference the untouched original constraint; a cid aliased
+           to a presolve tightening has no checker-side cut, so the
+           inference is skipped rather than trusted. *)
         let loggable =
           match st.options.proof, src.krow.Knapsack.cid with
           | Some proof, Some cid -> Proof.log_cardinality_cut proof ~cid
@@ -260,6 +221,72 @@ let add_incumbent_cuts st =
           | None, None -> None)
       in
       List.fold_left add None (cut_sources st))
+
+(* Where an offered incumbent comes from: a leaf of this search, or a
+   portfolio peer's broadcast. *)
+type source =
+  | Found
+  | Imported of string
+
+(* The one incumbent entry point.  A model that improves on [upper] is
+   adopted only if it satisfies the input problem and costs what its
+   source claims ([cost], offset included); a refused one is counted.
+   On adoption the proof log gets the verified witness, the telemetry
+   its incumbent or import event, the eq. (10)-(13) cuts move to the
+   new bound and the driver's own finds are broadcast.  Returns [None]
+   when nothing was adopted, otherwise the conflicting cut, if any. *)
+let offer st source m cost =
+  if cost - st.offset >= st.upper then None
+  else if
+    Model.nvars m <> Problem.nvars st.input
+    || (not (Model.satisfies st.input m))
+    || Model.cost st.input m <> cost
+  then begin
+    Telemetry.Ctx.reject st.tel;
+    Log.warn (fun k ->
+        k "refused an incumbent claimed at cost %d (%s)" cost
+          (match source with Found -> "own leaf" | Imported member -> "from " ^ member));
+    None
+  end
+  else begin
+    st.upper <- cost - st.offset;
+    st.best <- Some (m, cost);
+    (match st.options.proof with
+    | Some proof -> Proof.log_solution proof ~cost m
+    | None -> ());
+    (match source with
+    | Found -> Telemetry.Ctx.incumbent st.tel ~cost
+    | Imported member -> Telemetry.Ctx.import st.tel ~cost ~member);
+    Lowerbound.Track.gap_sample_now st.track
+      ~at:(Unix.gettimeofday () -. st.start)
+      ~lb:(st.last_lb + st.offset) ~ub:cost;
+    Log.info (fun k ->
+        k "incumbent %d%s after %d conflicts (%.2fs)" cost
+          (match source with Found -> "" | Imported member -> " from " ^ member)
+          (Telemetry.Counter.get (Core.stats st.engine).Core.conflicts)
+          (Unix.gettimeofday () -. st.start));
+    (match source, st.options.on_incumbent with
+    | Found, Some broadcast -> broadcast m cost
+    | Found, None | Imported _, _ -> ());
+    Some (add_incumbent_cuts st)
+  end
+
+(* The portfolio's shared cell, polled at every loop top.  It returns
+   the same model until a peer improves on it, so a model is offered
+   once.  Satisfaction runs end at their own first model and import
+   nothing. *)
+let poll_import st =
+  match st.options.external_incumbent with
+  | None -> None
+  | Some hook -> (
+    match hook () with
+    | Some (cost, m, member)
+      when (not st.satisfaction)
+           && cost - st.offset < st.upper
+           && match st.last_import with Some seen -> seen != m | None -> true ->
+      st.last_import <- Some m;
+      offer st (Imported member) m cost
+    | Some _ | None -> None)
 
 (* A bound conflict (eq. 7) fired: build omega_bc and run conflict
    analysis on it.  With [bound_conflict_learning] off, the explanation
@@ -323,136 +350,141 @@ let record_backjump st ~from_level analysis =
 
 let rec search st =
   if out_of_budget st then Out_of_budget
-  else begin
-    poll_external st;
-    match
-      Telemetry.Ctx.with_phase st.tel Telemetry.Phase.Propagate (fun () ->
-          Core.propagate st.engine)
-    with
-    | Some ci ->
-      if Core.root_unsat st.engine then Exhausted
-      else begin
-        let from_level = Core.decision_level st.engine in
-        match
-          record_backjump st ~from_level
-            (Telemetry.Ctx.with_phase st.tel Telemetry.Phase.Analyze (fun () ->
-                 Core.resolve_conflict st.engine (learn_from_conflict st ci)))
-        with
+  else
+    match poll_import st with
+    | Some (Some cut) -> resolve_cut st cut
+    | Some None | None -> expand st
+
+(* One loop iteration past the import poll: propagate, then close the
+   search, record a leaf, prune or branch. *)
+and expand st =
+  match
+    Telemetry.Ctx.with_phase st.tel Telemetry.Phase.Propagate (fun () ->
+        Core.propagate st.engine)
+  with
+  | Some ci ->
+    if Core.root_unsat st.engine then Exhausted
+    else begin
+      let from_level = Core.decision_level st.engine in
+      match
+        record_backjump st ~from_level
+          (Telemetry.Ctx.with_phase st.tel Telemetry.Phase.Analyze (fun () ->
+               Core.resolve_conflict st.engine (learn_from_conflict st ci)))
+      with
+      | Core.Root_conflict -> Exhausted
+      | Core.Backjump _ ->
+        maybe_reduce_db st;
+        maybe_restart st;
+        maybe_progress st;
+        search st
+      end
+  | None ->
+    if Core.root_unsat st.engine then Exhausted
+    else if Core.all_assigned st.engine then handle_full_assignment st
+    else begin
+      Telemetry.Counter.incr st.nodes;
+      Telemetry.Profile.Cell.bump_nodes st.tel.cell;
+      (* Before any incumbent exists, [upper] is above the worst cost
+         and no bound can prune, so the search dives for a first
+         solution without paying for lower bounds.  After that the
+         bound is evaluated at every node, except that the adaptive
+         policy widens the interval (up to every 8th node) while
+         evaluations keep failing to prune. *)
+      let eligible = (not st.satisfaction) && st.best <> None in
+      let lower, evaluated, lb_elapsed_us =
+        if
+          (not eligible)
+          || (st.lb_skip > 1 && Telemetry.Counter.get st.nodes mod st.lb_skip <> 0)
+        then begin
+          if eligible && st.lb_skip > 1 then Telemetry.Counter.incr st.lb_skips;
+          Lowerbound.Bound.none, false, 0
+        end
+        else begin
+          match st.options.lb_method with
+          | Options.Plain -> Lowerbound.Bound.none, false, 0
+          | Options.Mis | Options.Lgr | Options.Lpr ->
+            Telemetry.Counter.incr st.lb_calls;
+            let t0 = Unix.gettimeofday () in
+            let lower = lb_compute st in
+            let elapsed_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
+            let path = Core.path_cost st.engine in
+            st.last_lb <- path + lower.value;
+            Lowerbound.Track.note_call st.track ~value:lower.value ~path ~upper:st.upper;
+            Lowerbound.Track.gap_sample st.track
+              ~at:(Unix.gettimeofday () -. st.start)
+              ~lb:(st.last_lb + st.offset) ~ub:(st.upper + st.offset);
+            (* A root-level evaluation (no decisions on the trail)
+               bounds the whole problem; deeper ones only bound their
+               subtree and must not reach the live cell. *)
+            if Core.decision_level st.engine = 0 then
+              Lowerbound.Track.publish_global_lb st.track ~lb:(st.last_lb + st.offset);
+            lower, true, elapsed_us
+        end
+      in
+      let prunes =
+        (not st.satisfaction) && Core.path_cost st.engine + lower.value >= st.upper
+      in
+      if evaluated && st.options.lb_adaptive then begin
+        if prunes then begin
+          st.lb_noprune <- 0;
+          st.lb_skip <- 1
+        end
+        else begin
+          st.lb_noprune <- st.lb_noprune + 1;
+          if st.lb_noprune >= 64 then begin
+            st.lb_noprune <- 0;
+            st.lb_skip <- min (st.lb_skip * 2) 8
+          end
+        end
+      end;
+      let pruning =
+        if not prunes then None
+        else begin
+          let omega = bound_conflict_omega st lower in
+          match st.options.proof with
+          | None -> Some omega
+          | Some proof ->
+            (* only prune on bounds the log can justify: the b step is
+               validated with exact integer arithmetic before being
+               written, and a failing certificate downgrades the node
+               to a plain decision (sound, merely slower) *)
+            if Proof.log_bound_conflict proof ~upper:st.upper ~omega (Lazy.force lower.cert)
+            then Some omega
+            else begin
+              Telemetry.Counter.incr
+                (Telemetry.Registry.counter st.tel.registry "proof.uncertified_prunes");
+              None
+            end
+        end
+      in
+      (* [pruned] reflects the *actual* prune — after any proof-mode
+         downgrade — so a replay in the same mode sees the same flag *)
+      if evaluated then
+        Telemetry.Recorder.lb_eval st.recorder ~proc:st.proc ~value:lower.value
+          ~path:(Core.path_cost st.engine) ~upper:st.upper ~elapsed_us:lb_elapsed_us
+          ~pruned:(pruning <> None);
+      match pruning with
+      | Some omega -> begin
+        match handle_bound_conflict st lower omega with
         | Core.Root_conflict -> Exhausted
         | Core.Backjump _ ->
-          maybe_reduce_db st;
-          maybe_restart st;
           maybe_progress st;
           search st
-        end
-    | None ->
-      if Core.root_unsat st.engine then Exhausted
-      else if Core.all_assigned st.engine then handle_full_assignment st
-      else begin
-        Telemetry.Counter.incr st.nodes;
-        Telemetry.Profile.Cell.bump_nodes st.tel.cell;
-        (* Before any incumbent exists, [upper] is above the worst cost
-           and no bound can prune, so the search dives for a first
-           solution without paying for lower bounds.  After that the
-           bound is evaluated at every node, except that the adaptive
-           policy widens the interval (up to every 8th node) while
-           evaluations keep failing to prune. *)
-        let eligible = (not st.satisfaction) && (st.best <> None || st.imported) in
-        let lower, evaluated, lb_elapsed_us =
-          if
-            (not eligible)
-            || (st.lb_skip > 1 && Telemetry.Counter.get st.nodes mod st.lb_skip <> 0)
-          then begin
-            if eligible && st.lb_skip > 1 then Telemetry.Counter.incr st.lb_skips;
-            Lowerbound.Bound.none, false, 0
-          end
-          else begin
-            match st.options.lb_method with
-            | Options.Plain -> Lowerbound.Bound.none, false, 0
-            | Options.Mis | Options.Lgr | Options.Lpr ->
-              Telemetry.Counter.incr st.lb_calls;
-              let t0 = Unix.gettimeofday () in
-              let lower = lb_compute st in
-              let elapsed_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
-              let path = Core.path_cost st.engine in
-              st.last_lb <- path + lower.value;
-              Lowerbound.Track.note_call st.track ~value:lower.value ~path ~upper:st.upper;
-              Lowerbound.Track.gap_sample st.track
-                ~at:(Unix.gettimeofday () -. st.start)
-                ~lb:(st.last_lb + st.offset) ~ub:(st.upper + st.offset);
-              (* A root-level evaluation (no decisions on the trail)
-                 bounds the whole problem; deeper ones only bound their
-                 subtree and must not reach the live cell. *)
-              if Core.decision_level st.engine = 0 then
-                Lowerbound.Track.publish_global_lb st.track ~lb:(st.last_lb + st.offset);
-              lower, true, elapsed_us
-          end
-        in
-        let prunes =
-          (not st.satisfaction) && Core.path_cost st.engine + lower.value >= st.upper
-        in
-        if evaluated && st.options.lb_adaptive then begin
-          if prunes then begin
-            st.lb_noprune <- 0;
-            st.lb_skip <- 1
-          end
-          else begin
-            st.lb_noprune <- st.lb_noprune + 1;
-            if st.lb_noprune >= 64 then begin
-              st.lb_noprune <- 0;
-              st.lb_skip <- min (st.lb_skip * 2) 8
-            end
-          end
-        end;
-        let pruning =
-          if not prunes then None
-          else begin
-            let omega = bound_conflict_omega st lower in
-            match st.options.proof with
-            | None -> Some omega
-            | Some proof ->
-              (* only prune on bounds the log can justify: the b step is
-                 validated with exact integer arithmetic before being
-                 written, and a failing certificate downgrades the node
-                 to a plain decision (sound, merely slower) *)
-              if Proof.log_bound_conflict proof ~upper:st.upper ~omega (Lazy.force lower.cert)
-              then Some omega
-              else begin
-                Telemetry.Counter.incr
-                  (Telemetry.Registry.counter st.tel.registry "proof.uncertified_prunes");
-                None
-              end
-          end
-        in
-        (* [pruned] reflects the *actual* prune — after any proof-mode
-           downgrade — so a replay in the same mode sees the same flag *)
-        if evaluated then
-          Telemetry.Recorder.lb_eval st.recorder ~proc:st.proc ~value:lower.value
-            ~path:(Core.path_cost st.engine) ~upper:st.upper ~elapsed_us:lb_elapsed_us
-            ~pruned:(pruning <> None);
-        match pruning with
-        | Some omega -> begin
-          match handle_bound_conflict st lower omega with
-          | Core.Root_conflict -> Exhausted
-          | Core.Backjump _ ->
-            maybe_progress st;
-            search st
-        end
-        | None -> begin
-          match next_decision st lower with
-          | None ->
-            (* heuristic mode: cannot happen, all_assigned is false.
-               Oracle mode: recording exhausted or diverged — stop. *)
-            if st.options.decision_oracle = None then assert false else Out_of_budget
-          | Some l ->
-            Core.decide st.engine l;
-            Telemetry.Recorder.decision st.recorder
-              ~level:(Core.decision_level st.engine)
-              ~var:(Lit.var l) ~value:(Lit.is_pos l);
-            search st
-        end
       end
-  end
+      | None -> begin
+        match next_decision st lower with
+        | None ->
+          (* heuristic mode: cannot happen, all_assigned is false.
+             Oracle mode: recording exhausted or diverged — stop. *)
+          if st.options.decision_oracle = None then assert false else Out_of_budget
+        | Some l ->
+          Core.decide st.engine l;
+          Telemetry.Recorder.decision st.recorder
+            ~level:(Core.decision_level st.engine)
+            ~var:(Lit.var l) ~value:(Lit.is_pos l);
+          search st
+      end
+    end
 
 and handle_full_assignment st =
   if st.satisfaction then begin
@@ -464,21 +496,20 @@ and handle_full_assignment st =
     Exhausted
   end
   else begin
-    record_incumbent st;
-    let from_level = Core.decision_level st.engine in
-    match add_incumbent_cuts st with
-    | Some `Root -> Exhausted
-    | Some (`Cid ci) ->
-      (match
-         record_backjump st ~from_level
-           (Telemetry.Ctx.with_phase st.tel Telemetry.Phase.Analyze (fun () ->
-                Core.resolve_conflict st.engine ci))
-       with
-      | Core.Root_conflict -> Exhausted
-      | Core.Backjump _ -> search st)
+    let conflict =
+      match offer st Found (Core.model st.engine) (Core.path_cost st.engine + st.offset) with
+      | Some conflict -> conflict
+      | None ->
+        (* not adopted: a leaf no better than [upper] (the knapsack cut
+           off); the cuts at [upper] still close it *)
+        add_incumbent_cuts st
+    in
+    match conflict with
+    | Some cut -> resolve_cut st cut
     | None ->
       (* cuts disabled (or not conflicting): retreat via a bound conflict
          justified by the path alone *)
+      let from_level = Core.decision_level st.engine in
       let omega = List.map Lit.negate (Core.true_cost_lits st.engine) in
       (* the clause is RUP against the objective cut the checker holds at
          the incumbent just logged: all its literals false means every
@@ -495,24 +526,30 @@ and handle_full_assignment st =
       | Core.Backjump _ -> search st)
   end
 
+(* A conflicting incumbent cut, at a leaf or after an import: a
+   trivially false one closes the search, any other is analyzed like a
+   propagation conflict. *)
+and resolve_cut st = function
+  | `Root -> Exhausted
+  | `Cid ci -> (
+    let from_level = Core.decision_level st.engine in
+    match
+      record_backjump st ~from_level
+        (Telemetry.Ctx.with_phase st.tel Telemetry.Phase.Analyze (fun () ->
+             Core.resolve_conflict st.engine ci))
+    with
+    | Core.Root_conflict -> Exhausted
+    | Core.Backjump _ -> search st)
+
 let package st verdict =
   let counters = Outcome.counters_of_registry st.tel.registry in
-  let status, proved_lb =
+  (* every incumbent, found or imported, is a checked model at [upper],
+     so a closed search proves the best one optimal *)
+  let status =
     match verdict, st.best with
-    | Exhausted, Some _ when st.satisfaction -> Outcome.Satisfiable, None
-    | Exhausted, None when st.satisfaction -> Outcome.Unsatisfiable, None
-    | Exhausted, Some (_, c) ->
-      if c - st.offset <= st.upper then Outcome.Optimal, Some c
-      else
-        (* An imported external bound undercut the local best: the search
-           proved that no solution costs less than [upper], but the model
-           attaining it lives in another worker.  Report the proof, not a
-           false optimum. *)
-        Outcome.Unknown, Some (st.upper + st.offset)
-    | Exhausted, None ->
-      if st.imported then Outcome.Unknown, Some (st.upper + st.offset)
-      else Outcome.Unsatisfiable, None
-    | Out_of_budget, _ -> Outcome.Unknown, None
+    | Exhausted, Some _ -> if st.satisfaction then Outcome.Satisfiable else Outcome.Optimal
+    | Exhausted, None -> Outcome.Unsatisfiable
+    | Out_of_budget, _ -> Outcome.Unknown
   in
   (match st.options.proof with
   | None -> ()
@@ -526,13 +563,8 @@ let package st verdict =
     | Out_of_budget, _ -> ());
     let conclusion =
       match verdict, st.best with
-      | Exhausted, Some (_, c) when st.satisfaction -> Proof.Sat c
-      | Exhausted, None when st.satisfaction -> Proof.Unsat
-      | Exhausted, Some (_, c) ->
-        if c - st.offset <= st.upper then Proof.Optimal c
-        else Proof.Bounds (st.upper + st.offset, Some c)
-      | Exhausted, None ->
-        if st.imported then Proof.Bounds (st.upper + st.offset, None) else Proof.Unsat
+      | Exhausted, Some (_, c) -> if st.satisfaction then Proof.Sat c else Proof.Optimal c
+      | Exhausted, None -> Proof.Unsat
       | Out_of_budget, Some (_, c) -> Proof.Sat c
       | Out_of_budget, None -> Proof.No_claim
     in
@@ -542,16 +574,11 @@ let package st verdict =
         counters.decisions counters.conflicts counters.bound_conflicts counters.lb_calls);
   Telemetry.Recorder.fin st.recorder ~status:(Outcome.status_name status) ~nodes:counters.nodes
     ~decisions:counters.decisions ~conflicts:counters.conflicts;
-  {
-    Outcome.status;
-    best = st.best;
-    proved_lb;
-    counters;
-    elapsed = Unix.gettimeofday () -. st.start;
-  }
+  { Outcome.status; best = st.best; counters; elapsed = Unix.gettimeofday () -. st.start }
 
 let solve ?(options = Options.default) problem =
   let start = Unix.gettimeofday () in
+  let input = problem in
   (* strengthened constraints and learned PB constraints have no
      cutting-planes derivation in the log, and the checker replays
      against the input problem's constraint indices: proof mode forces
@@ -624,7 +651,8 @@ let solve ?(options = Options.default) problem =
       nodes = Telemetry.Registry.counter tel.registry "search.nodes";
       lb_calls = Telemetry.Registry.counter tel.registry "search.lb_calls";
       lb_skips = Telemetry.Registry.counter tel.registry "search.lb_skips";
-      imported = false;
+      input;
+      last_import = None;
       lpr_inc = None;
       mis = None;
       cuts = None;

@@ -17,16 +17,24 @@ open Pbo
     adds Galena's learning to the conflict analysis. *)
 
 val solve : ?options:Options.t -> Problem.t -> Outcome.t
-(** Cooperative hooks: when [options.external_incumbent] is set it is
-    polled once per search-loop iteration (one propagation batch) and a
-    lower external cost tightens the upper bound in place; when
-    [options.should_stop] is set the engine polls it during propagation
-    and the run exits with [Unknown] once it fires;
-    [options.on_incumbent] is invoked on every improving local model
-    with its total cost (offset included) — the anytime behaviour the
-    paper's "ub" columns rely on.
-    See {!Outcome.t.proved_lb} for how proofs completed under imported
-    bounds are reported. *)
+(** Every incumbent goes through one entry point, whether it is a leaf of
+    this search or a model imported from a portfolio peer: the model must
+    satisfy [problem] as given and cost what it claims, else it is
+    refused ([search.incumbent_rejects]); an adopted model sets the upper
+    bound and the outcome's [best], is logged as a verified solution step
+    in proof mode, emits the incumbent or import event and installs the
+    incumbent cuts (10)-(13), a conflicting cut backjumping as at a leaf.
+    So a closed search always proves its best model [Optimal], imported
+    or not.
+
+    Cooperative hooks: when [options.external_incumbent] is set it is
+    polled once per search-loop iteration, at the loop top, and a model
+    below the upper bound is offered; when [options.should_stop] is set
+    the engine polls it during propagation and the run exits with
+    [Unknown] once it fires; [options.on_incumbent] is invoked on every
+    improving model this search found itself, with its total cost
+    (offset included) — the anytime behaviour the paper's "ub" columns
+    rely on. *)
 
 val solve_under_assumptions :
   ?options:Options.t -> assumptions:Lit.t list -> Problem.t -> Outcome.t

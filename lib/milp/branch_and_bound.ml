@@ -118,32 +118,38 @@ let solve ?(options = Bsolo.Options.default) problem =
   let heap = Heap.create () in
   let best = ref None in
   let upper = ref max_int in
-  let imported = ref false in
   let nodes = ref 0 in
-  let try_incumbent m =
-    if Model.satisfies problem m then begin
-      let c = Model.cost problem m in
-      if c < !upper then begin
-        upper := c;
-        best := Some (m, c);
+  (* Every incumbent, an LP rounding or a portfolio import [(claimed
+     cost, member)], is a model checked against the problem; only this
+     run's own finds are broadcast.  An infeasible rounding is routine,
+     a bad import is refused and counted. *)
+  let try_incumbent ?import m =
+    let ok = Model.nvars m = Problem.nvars problem && Model.satisfies problem m in
+    let c = if ok then Model.cost problem m else max_int in
+    match import with
+    | Some (claimed, _) when claimed <> c -> Telemetry.Ctx.reject tel
+    | _ when c >= !upper -> ()
+    | _ -> (
+      upper := c;
+      best := Some (m, c);
+      match import with
+      | None ->
         Telemetry.Ctx.incumbent tel ~cost:c;
-        match options.on_incumbent with Some broadcast -> broadcast m c | None -> ()
-      end
-    end
+        Option.iter (fun broadcast -> broadcast m c) options.on_incumbent
+      | Some (_, member) -> Telemetry.Ctx.import tel ~cost:c ~member)
   in
-  (* Shared-incumbent import (parallel portfolio): milp costs already
-     include the objective offset, so an external cost compares directly
-     against [upper] and tightens the best-bound pruning test. *)
-  let poll_external () =
-    match options.external_incumbent with
-    | None -> ()
-    | Some hook ->
-      (match hook () with
-      | Some (ext, member) when ext < !upper ->
-        upper := ext;
-        imported := true;
-        Telemetry.Ctx.import tel ~cost:ext ~member
-      | Some _ | None -> ())
+  (* The portfolio's shared cell (milp costs include the offset, like
+     the cell's), polled once per node; it returns the same model until
+     a peer improves on it, so each model is checked once. *)
+  let last_import = ref None in
+  let poll_import () =
+    match Option.bind options.external_incumbent (fun hook -> hook ()) with
+    | Some (cost, m, member)
+      when cost < !upper
+           && match !last_import with Some seen -> seen != m | None -> true ->
+      last_import := Some m;
+      try_incumbent ~import:(cost, member) m
+    | Some _ | None -> ()
   in
   let out_of_budget () =
     (match options.should_stop with Some stop -> stop () | None -> false)
@@ -166,7 +172,7 @@ let solve ?(options = Bsolo.Options.default) problem =
     else begin
       let node = Heap.pop heap in
       incr nodes;
-      poll_external ();
+      poll_import ();
       Telemetry.Counter.incr nodes_c;
       Telemetry.Profile.Cell.bump_nodes tel.Telemetry.Ctx.cell;
       (* Best-first: the popped node's bound is the global lower bound. *)
@@ -233,17 +239,12 @@ let solve ?(options = Bsolo.Options.default) problem =
     end
   done;
   let satisfaction = Problem.is_satisfaction problem in
-  let status, proved_lb =
+  let status =
     match !verdict, !best with
-    | Some `Exhausted, Some _ when satisfaction -> Bsolo.Outcome.Satisfiable, None
-    | Some `Exhausted, None when satisfaction -> Bsolo.Outcome.Unsatisfiable, None
-    | Some `Exhausted, Some (_, c) ->
-      if c <= !upper then Bsolo.Outcome.Optimal, Some c
-      else Bsolo.Outcome.Unknown, Some !upper
-    | Some `Exhausted, None ->
-      if !imported then Bsolo.Outcome.Unknown, Some !upper
-      else Bsolo.Outcome.Unsatisfiable, None
-    | Some `Budget, _ | None, _ -> Bsolo.Outcome.Unknown, None
+    | Some `Exhausted, Some _ ->
+      if satisfaction then Bsolo.Outcome.Satisfiable else Bsolo.Outcome.Optimal
+    | Some `Exhausted, None -> Bsolo.Outcome.Unsatisfiable
+    | Some `Budget, _ | None, _ -> Bsolo.Outcome.Unknown
   in
   let counters = Bsolo.Outcome.counters_of_registry tel.registry in
   Telemetry.Recorder.fin recorder
@@ -252,7 +253,6 @@ let solve ?(options = Bsolo.Options.default) problem =
   {
     Bsolo.Outcome.status;
     best = !best;
-    proved_lb;
     counters;
     elapsed = Unix.gettimeofday () -. start;
   }

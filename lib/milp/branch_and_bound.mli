@@ -12,8 +12,9 @@ open Pbo
 
 val solve : ?options:Bsolo.Options.t -> Problem.t -> Bsolo.Outcome.t
 (** Honours [time_limit] and [node_limit], plus the cooperative portfolio
-    hooks: [external_incumbent] is polled once per node and tightens the
-    best-bound pruning test (costs compare offset-included, directly),
-    [should_stop] is checked in the budget test, and [on_incumbent] is
-    called on every improving rounded model.  Other options are
-    ignored. *)
+    hooks: [external_incumbent] is polled once per node and an improving
+    model is adopted through the same check as an LP rounding — it must
+    satisfy the problem and cost what it claims, else it is refused and
+    counted ([search.incumbent_rejects]) — [should_stop] is checked in
+    the budget test, and [on_incumbent] is called on every improving
+    rounded model.  Other options are ignored. *)

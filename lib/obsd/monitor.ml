@@ -4,7 +4,8 @@
 
      /metrics  Prometheus exposition from [render.metrics] (the closure
                the textfile uses, so the two outputs are byte-identical)
-     /status   [render.status] around a peek of the one collector
+     /status   [render.status] around a peek of the one collector,
+               carrying the [seq] of the last snapshot taken
      /healthz  200 whenever the loop answers
      /events   Server-Sent Events stream of the snapshots and incumbent
                events
@@ -161,7 +162,10 @@ let route t c (req : Http.request) =
   in
   match req.path with
   | "/metrics" -> ok "text/plain; version=0.0.4; charset=utf-8" (t.render.metrics ())
-  | "/status" -> ok "application/json" (t.render.status (stats t) (Snapshot.peek t.coll))
+  | "/status" ->
+    (* a peek, numbered as the last snapshot it follows *)
+    let snap = { (Snapshot.peek t.coll) with Snapshot.s_seq = max 0 (t.seq - 1) } in
+    ok "application/json" (t.render.status (stats t) snap)
   | "/healthz" -> ok "text/plain; charset=utf-8" "ok\n"
   | "/events" ->
     Queue.add Http.sse_header c.outq;

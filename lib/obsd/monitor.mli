@@ -30,7 +30,9 @@ type render = {
   metrics : unit -> string;  (** [/metrics] and the textfile *)
   status : stats -> Telemetry.Snapshot.snap -> string;
       (** [/status], around a {!Telemetry.Snapshot.peek}: its rates and
-          deltas cover the time since the last periodic tick *)
+          deltas cover the time since the last periodic tick, and its
+          [seq] is the last snapshot's, the heartbeat and [/events]
+          record the document follows *)
 }
 
 val live : run_id:string -> engine:string -> instance:string -> started:float -> render

@@ -164,42 +164,18 @@ let concluded_part lines =
   | Some l -> String.length l >= 2 && String.sub l 0 2 = "c "
   | None -> false
 
-(* The final claim mirrors exactly what the checker recomputes from the
-   stitched sections: the best witnessed cost, the best lower bound among
-   closed sections, and whether any section certified unsatisfiability.
-   Claiming more would make checkproof reject the log. *)
+(* The final claim is the ranking's winner among the included
+   sections, which is what the checker recomputes from them: an optimum
+   or unsatisfiability some section closed on its own, else the best
+   witnessed cost.  Claiming more would make checkproof reject the
+   log. *)
 let stitched_claim included =
-  let best_witness =
-    List.fold_left
-      (fun acc (_, o) ->
-        match Bsolo.Outcome.best_cost o, acc with
-        | Some c, Some b -> Some (min b c)
-        | Some c, None -> Some c
-        | None, a -> a)
-      None included
-  in
-  let best_lb =
-    List.fold_left
-      (fun acc (_, (o : Bsolo.Outcome.t)) ->
-        match o.proved_lb, acc with
-        | Some f, Some g -> Some (max f g)
-        | Some f, None -> Some f
-        | None, a -> a)
-      None included
-  in
-  let any_unsat =
-    List.exists
-      (fun (_, (o : Bsolo.Outcome.t)) -> o.status = Bsolo.Outcome.Unsatisfiable)
-      included
-  in
-  if any_unsat then Proof.Unsat
-  else
-    match best_witness, best_lb with
-    | Some c, Some f when f >= c -> Proof.Optimal c
-    | Some c, Some f -> Proof.Bounds (f, Some c)
-    | Some c, None -> Proof.Sat c
-    | None, Some f -> Proof.Bounds (f, None)
-    | None, None -> Proof.No_claim
+  let _, (o : Bsolo.Outcome.t) = pick_winner included in
+  match o.status, Bsolo.Outcome.best_cost o with
+  | Bsolo.Outcome.Unsatisfiable, _ -> Proof.Unsat
+  | Bsolo.Outcome.Optimal, Some c -> Proof.Optimal c
+  | _, Some c -> Proof.Sat c
+  | _, None -> Proof.No_claim
 
 let stitch_proof ?run_id ~base problem names runs =
   let included = ref [] in
@@ -292,8 +268,9 @@ let stitch_recording ?run_id ~base ~started problem names =
 (* The shared-incumbent cell: best (cost, model, finder) any member has
    found, offset included.  CAS-published so a stale broadcast never
    overwrites a better one; polled by members through
-   Options.external_incumbent as a plain Atomic.get.  The finder name
-   tags proof-log import steps with the member the bound came from. *)
+   Options.external_incumbent as a plain Atomic.get.  The cell checks
+   nothing: each importer checks a model before adopting it.  The finder
+   name attributes the import event. *)
 let rec publish cell cost model name =
   let cur = Atomic.get cell in
   match cur with
@@ -344,10 +321,7 @@ let run_pool ?run_id ~observe tel entries ~jobs ~budget ~proof_file ~record_file
         Bsolo.Options.default with
         time_limit = Some slice;
         telemetry = Some wtel;
-        external_incumbent =
-          Some
-            (fun () ->
-              Option.map (fun (c, _, finder) -> c, finder) (Atomic.get cell));
+        external_incumbent = Some (fun () -> Atomic.get cell);
         should_stop = Some (fun () -> Atomic.get stop);
         on_incumbent =
           Some
@@ -376,20 +350,9 @@ let run_pool ?run_id ~observe tel entries ~jobs ~budget ~proof_file ~record_file
     Option.iter Proof.Sink.close psink;
     Telemetry.Recorder.close wrec;
     let stopped_by_peer = Atomic.get stop in
-    (* Raise the stop flag on a completed proof — either a proved status,
-       or an exhausted search under an imported bound that pins the
-       incumbent cell's cost as optimal (the combined proof). *)
-    let self_proof =
-      match wrun with
-      | Error _ -> false
-      | Ok o ->
-        proved o
-        || (match o.proved_lb, Atomic.get cell with
-           | Some f, Some (c, _, _) -> c <= f
-           | _ -> false)
-    in
-    if self_proof then Atomic.set stop true
-    else if stopped_by_peer then Atomic.incr cancelled;
+    (match wrun with
+    | Ok o when proved o -> Atomic.set stop true
+    | Ok _ | Error _ -> if stopped_by_peer then Atomic.incr cancelled);
     { windex = index; wname = e.pname; wrun; wregistry = wtel.registry; wtimer = wtel.timer }
   in
   (* Round-robin assignment: worker [w] runs entries w, w+jobs, ... one
@@ -446,10 +409,6 @@ let run_pool ?run_id ~observe tel entries ~jobs ~budget ~proof_file ~record_file
     results;
   let runs = List.rev !runs and failures = List.rev !failures in
   let names = List.map (fun e -> e.pname) (Array.to_list entries) in
-  (* Stitch before the combined-proof upgrade: the final [F] claim must be
-     derived from the raw member outcomes — the upgrade rewrites a run to
-     Optimal on the strength of *another* member's witness, a cost the
-     rewritten section never verified, and checkproof would reject it. *)
   Option.iter (fun base -> stitch_proof ?run_id ~base problem names runs) proof_file;
   Option.iter
     (fun base -> stitch_recording ?run_id ~base ~started:start problem names)
@@ -460,58 +419,6 @@ let run_pool ?run_id ~observe tel entries ~jobs ~budget ~proof_file ~record_file
   Telemetry.Counter.add (Telemetry.Registry.counter reg "portfolio.incumbent_imports") !imports;
   Telemetry.Counter.add (Telemetry.Registry.counter reg "portfolio.cancelled")
     (Atomic.get cancelled);
-  (* Combined optimality proof: one run exhausted its search under an
-     imported bound f ("no solution costs < f") while the incumbent cell
-     holds a model of cost c <= f found by another run — together that is
-     optimality of c, even though no single member proved it alone. *)
-  let combined =
-    let floor =
-      List.fold_left
-        (fun acc (_, (o : Bsolo.Outcome.t)) ->
-          match o.proved_lb, acc with
-          | Some f, Some g -> Some (min f g)
-          | Some f, None -> Some f
-          | None, a -> a)
-        None runs
-    in
-    match Atomic.get cell, floor with
-    | Some (c, m, _), Some f when c <= f -> Some (c, m)
-    | _ -> None
-  in
-  let runs =
-    match combined with
-    | None -> runs
-    | Some (c, m) ->
-      Telemetry.Trace.event tel.trace "portfolio_combined_proof"
-        [ "cost", Telemetry.Json.Int c ];
-      (* Upgrade the run holding the optimal incumbent (or, if its member
-         crashed after broadcasting, the run that completed the proof)
-         to the Optimal status the runs jointly established. *)
-      let holds_best (_, (o : Bsolo.Outcome.t)) =
-        (not (proved o)) && Bsolo.Outcome.best_cost o = Some c
-      in
-      let proves (_, (o : Bsolo.Outcome.t)) =
-        (not (proved o)) && o.proved_lb <> None
-      in
-      let upgrade (name, (o : Bsolo.Outcome.t)) =
-        ( name,
-          {
-            o with
-            Bsolo.Outcome.status = Bsolo.Outcome.Optimal;
-            best = Some (m, c);
-            proved_lb = Some c;
-          } )
-      in
-      let target =
-        match List.find_opt holds_best runs with
-        | Some r -> Some r
-        | None -> List.find_opt proves runs
-      in
-      (match target with
-      | None -> runs
-      | Some ((tname, _) as t) ->
-        List.map (fun ((name, _) as r) -> if name == tname || name = tname then upgrade t else r) runs)
-  in
   runs, failures
 
 (* --- entry point ------------------------------------------------------------ *)
@@ -531,5 +438,15 @@ let solve ?telemetry ?run_id ?(observe = false) ?proof_file ?record_file
     invalid_arg ("Portfolio.solve: every entry crashed (" ^ detail ^ ")")
   end;
   let winner, outcome = pick_winner runs in
+  (* The caller's cell ends the run holding the answer — the members'
+     cells are gone by now — written from the calling domain, its one
+     writer, so the final heartbeat carries the portfolio's bounds. *)
+  Option.iter
+    (fun (_, c) ->
+      let c = float_of_int c in
+      Telemetry.Profile.Cell.update_ub ~self:false tel.cell c;
+      if outcome.Bsolo.Outcome.status = Bsolo.Outcome.Optimal then
+        Telemetry.Profile.Cell.update_lb tel.cell c)
+    outcome.best;
   let disagreement = check_disagreement problem runs winner outcome in
   { winner; outcome; runs; failures; disagreement }

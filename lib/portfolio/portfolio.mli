@@ -63,15 +63,20 @@ val solve :
     and with [jobs >= n] every entry gets the whole [budget].
 
     All members share one incumbent cell — every improving model is
-    CAS-published and imported by the others as an upper bound — and a
-    stop flag raised on the first completed proof.  Once the flag is up a
+    CAS-published with its cost, and the others poll it and offer the
+    model to their own search, which adopts it only after checking it
+    against the problem ({!Bsolo.Options.external_incumbent}) — and a
+    stop flag raised on the first completed proof.  An imported model is
+    the importer's own incumbent from then on, so a member that closes
+    its search proves [Optimal] on its own.  Once the flag is up a
     worker starts no further entry; skipped entries are not listed in
-    [runs] and count in [portfolio.cancelled].  A run that exhausted its
-    search under an imported bound contributes a proved lower bound
-    ({!Bsolo.Outcome.proved_lb}); combined with the incumbent cell this
-    can establish optimality jointly even when no single member proved
-    it alone.  An exception in one member is reported in [failures] and
-    does not abort the others.
+    [runs] and count in [portfolio.cancelled].  An exception in one
+    member is reported in [failures] and does not abort the others.
+
+    After the join the winning incumbent is written into [telemetry]'s
+    live cell (and, for an [Optimal] outcome, its cost as the lower
+    bound too), so the final heartbeat carries the portfolio's
+    bounds.
 
     When [telemetry] is given, each member run is attributed in the
     shared registry — counters [portfolio.<name>.<counter>] and gauge
@@ -109,7 +114,7 @@ val solve :
     When [proof_file] is given, each proof-logging member streams its
     derivation into a private [FILE.<member>.part] log; after the join
     the parts are stitched into [FILE] as [m]-delimited sections with a
-    final [F] claim computed from the raw member outcomes, checkable
+    final [F] claim, the best member outcome's, checkable
     with [bsolo checkproof].  Members that do not log proofs (MILP) or
     crash mid-run leave truncated parts, which are dropped from the
     stitched log rather than invalidating it. *)

@@ -331,15 +331,12 @@ type conclusion =
   | Optimal of int
   | Unsat
   | Sat of int
-  | Bounds of int * int option
   | No_claim
 
 let conclusion_to_string = function
   | Optimal c -> Printf.sprintf "OPTIMAL %d" c
   | Unsat -> "UNSAT"
   | Sat c -> Printf.sprintf "SAT %d" c
-  | Bounds (l, Some u) -> Printf.sprintf "BOUNDS %d %d" l u
-  | Bounds (l, None) -> Printf.sprintf "BOUNDS %d inf" l
   | No_claim -> "NONE"
 
 type t = {
@@ -411,8 +408,6 @@ let log_solution t ~cost model =
     Bytes.set bits v (if arr.(v) then '1' else '0')
   done;
   step t (Printf.sprintf "s %d %s" cost (Bytes.to_string bits))
-
-let log_import t ~cost ~member = step t (Printf.sprintf "i %d %s" cost (token member))
 
 let lit_tokens lits = List.map (fun l -> string_of_int (lit_to_int l)) lits @ [ "0" ]
 
@@ -549,7 +544,6 @@ module Check = struct
     bound : int;
     farkas : int;
     solutions : int;
-    imports : int;
     cuts : int;
     sections : string list;
     verdict : string;
@@ -867,7 +861,6 @@ module Check = struct
     mutable member : string;
     mutable u_active : int;  (* internal (offset-free) incumbent bound *)
     mutable witness : int option;  (* best verified model cost, offset included *)
-    mutable simported : bool;
     mutable nsteps : int;
     mutable concluded : (conclusion * bool * int * int option) option;
         (* conclusion, closed, u_active, witness at conclusion time *)
@@ -946,10 +939,8 @@ module Check = struct
     | [ "OPTIMAL"; c ] -> Optimal (int_of c)
     | [ "UNSAT" ] -> Unsat
     | [ "SAT"; c ] -> Sat (int_of c)
-    | [ "BOUNDS"; l; "inf" ] -> Bounds (int_of l, None)
-    | [ "BOUNDS"; l; u ] -> Bounds (int_of l, Some (int_of u))
     | [ "NONE" ] -> No_claim
-    | _ -> failf "bad conclusion %S" (String.concat " " toks)
+    | _ -> failf "unknown conclusion %S" (String.concat " " toks)
 
   let check_lines problem next_line =
     let offset = match Problem.objective problem with Some o -> o.offset | None -> 0 in
@@ -1002,7 +993,6 @@ module Check = struct
         member = name;
         u_active = init_upper;
         witness = None;
-        simported = false;
         nsteps = 0;
         concluded = None;
       }
@@ -1016,21 +1006,11 @@ module Check = struct
     and stats_bound = ref 0
     and stats_farkas = ref 0
     and stats_sols = ref 0
-    and stats_imports = ref 0
     and stats_cuts = ref 0 in
     let require_open () =
       if not !saw_f then failf "step before 'f' constraint-count line";
       if !final <> None then failf "step after final conclusion";
       if (!sec).concluded <> None then failf "step after section conclusion"
-    in
-    let tighten cost =
-      let s = !sec in
-      let internal = cost - offset in
-      if internal < s.u_active then s.u_active <- internal;
-      (match obj_family with
-      | None -> ()
-      | Some f -> obj_slot := supersede !obj_slot s.u_active (Constr.family_at f (s.u_active - 1)));
-      s.nsteps <- s.nsteps + 1
     in
     let handle_line line =
       let toks = split_ws line in
@@ -1070,12 +1050,12 @@ module Check = struct
         (match s.witness with
         | Some w when w <= cost -> ()
         | _ -> s.witness <- Some cost);
-        tighten cost
-      | "i" :: cost :: [ _member ] ->
-        require_open ();
-        incr stats_imports;
-        (!sec).simported <- true;
-        tighten (int_of cost)
+        if cost - offset < s.u_active then s.u_active <- cost - offset;
+        (match obj_family with
+        | None -> ()
+        | Some f ->
+          obj_slot := supersede !obj_slot s.u_active (Constr.family_at f (s.u_active - 1)));
+        s.nsteps <- s.nsteps + 1
       | "u" :: rest ->
         require_open ();
         incr stats_rup;
@@ -1160,7 +1140,6 @@ module Check = struct
         let concl = parse_conclusion rest in
         let s = !sec in
         let closed = (!eng).closed in
-        let cert_lb = if closed then Some (s.u_active + offset) else None in
         (match concl with
         | No_claim -> ()
         | Sat n ->
@@ -1172,17 +1151,7 @@ module Check = struct
             failf "OPTIMAL %d but search was only closed below %d" n (s.u_active + offset)
         | Unsat ->
           if not closed then failf "UNSAT claimed but no contradiction was derived";
-          if s.witness <> None then failf "UNSAT claimed but a solution was verified";
-          if s.simported then failf "UNSAT claimed but closure used imported bounds"
-        | Bounds (l, u) ->
-          (match u with
-          | None -> ()
-          | Some u -> (
-            match s.witness with
-            | Some w when w <= u -> ()
-            | _ -> failf "upper bound %d not witnessed" u));
-          let lb_limit = match cert_lb with Some cl -> cl | None -> offset in
-          if l > lb_limit then failf "lower bound %d exceeds certified %d" l lb_limit);
+          if s.witness <> None then failf "UNSAT claimed but a solution was verified");
         s.concluded <- Some (concl, closed, s.u_active, s.witness)
       | "F" :: rest ->
         if !final <> None then failf "duplicate final conclusion";
@@ -1215,7 +1184,7 @@ module Check = struct
           List.exists
             (fun (x : section) ->
               match x.concluded with
-              | Some (_, true, _, None) -> not x.simported
+              | Some (_, true, _, None) -> true
               | _ -> false)
             secs
         in
@@ -1227,15 +1196,7 @@ module Check = struct
           if best_witness <> Some n then failf "final OPTIMAL %d not witnessed" n;
           if best_lb < n then
             failf "final OPTIMAL %d but combined sections only close below %d" n best_lb
-        | Unsat -> if not any_unsat then failf "final UNSAT not certified by any section"
-        | Bounds (l, u) ->
-          (match u with
-          | None -> ()
-          | Some u -> (
-            match best_witness with
-            | Some w when w <= u -> ()
-            | _ -> failf "final upper bound %d not witnessed" u));
-          if l > best_lb then failf "final lower bound %d exceeds certified %d" l best_lb);
+        | Unsat -> if not any_unsat then failf "final UNSAT not certified by any section");
         done_secs := List.rev secs;
         sec := fresh_section "";
         (!sec).concluded <- Some (No_claim, false, init_upper, None);
@@ -1277,13 +1238,11 @@ module Check = struct
       Ok
         {
           steps =
-            !stats_rup + !stats_bound + !stats_farkas + !stats_sols + !stats_imports
-            + !stats_cuts;
+            !stats_rup + !stats_bound + !stats_farkas + !stats_sols + !stats_cuts;
           rup = !stats_rup;
           bound = !stats_bound;
           farkas = !stats_farkas;
           solutions = !stats_sols;
-          imports = !stats_imports;
           cuts = !stats_cuts;
           sections;
           verdict;

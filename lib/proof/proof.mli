@@ -6,9 +6,9 @@ open Pbo
     trail: every learned clause becomes a RUP step, every bound-based
     conflict (paper eqs. 8-9) an explicit cutting-planes step carrying
     the Lagrangian or Farkas multipliers that justify it, every
-    incumbent (local or imported from a portfolio peer) an
-    objective-improvement step, and the run ends with a conclusion
-    line.  [bsolo checkproof PROBLEM PROOF] replays the log against
+    incumbent (found or imported from a portfolio peer) a verified
+    solution step carrying its model, and the run ends with a
+    conclusion line.  [bsolo checkproof PROBLEM PROOF] replays the log against
     the parsed problem with exact integer arithmetic and exits
     non-zero on the first unjustified step.  See [docs/PROOFS.md] for
     the format grammar and trust model.
@@ -122,9 +122,6 @@ type conclusion =
   | Optimal of int  (** proved optimum, offset-included cost *)
   | Unsat
   | Sat of int  (** verified model of that cost, no optimality claim *)
-  | Bounds of int * int option
-      (** certified lower bound, witnessed upper bound ([None] =
-          no witness) *)
   | No_claim  (** aborted or budget-exhausted run; nothing claimed *)
 
 val conclusion_to_string : conclusion -> string
@@ -137,7 +134,7 @@ val create : ?header:bool -> Sink.t -> Problem.t -> t
     part files that a stitcher later concatenates). *)
 
 val steps : t -> int
-(** Derivation steps written so far ([s]/[i]/[u]/[b]/[y]/[d]). *)
+(** Derivation steps written so far ([s]/[u]/[b]/[y]/[d]/[j]). *)
 
 val uncertified : t -> int
 (** Bound conflicts whose certificate failed exact validation; the
@@ -145,12 +142,8 @@ val uncertified : t -> int
 
 val log_comment : t -> string -> unit
 val log_solution : t -> cost:int -> Model.t -> unit
-(** Verified incumbent: [cost] offset-included; the full model is
-    logged so the checker can replay the verification. *)
-
-val log_import : t -> cost:int -> member:string -> unit
-(** Imported incumbent (portfolio): tightens the bound under which
-    later steps are checked; tagged with the originating member. *)
+(** Verified incumbent, found or imported: [cost] offset-included; the
+    full model is logged so the checker can replay the verification. *)
 
 val log_learned : t -> Lit.t list -> unit
 (** RUP step for a clause learned by conflict analysis. *)
@@ -231,7 +224,6 @@ module Check : sig
     bound : int;
     farkas : int;
     solutions : int;
-    imports : int;
     cuts : int;
     sections : string list;  (** portfolio member names, [""] for a single-run log *)
     verdict : string;  (** rendered final conclusion *)

@@ -8,7 +8,7 @@
       subject to  row_i :  a_i x (>= | <= | =) b_i,   i = 1..m
                   lower_j <= x_j <= upper_j
 
-    Bounds may be infinite ([neg_infinity] / [infinity]).  This is the LP
+    Column bounds may be infinite ([neg_infinity] / [infinity]).  This is the LP
     substrate of the paper's LPR lower bound (Section 3.1) and of the MILP
     baseline standing in for CPLEX.
 

@@ -35,9 +35,9 @@ let create ?(timing = true) ?trace ?spans ?cell ?progress ?recorder () =
 
 let silent () = create ~timing:false ()
 
-(* The engines' incumbent and import bookkeeping, one call each: the
-   recorder frame (and so the trace line), the live cell's upper bound
-   and, for imports, the import counter. *)
+(* The engines' incumbent, import and refusal bookkeeping, one call
+   each: the recorder frame (and so the trace line), the live cell's
+   upper bound and, for imports and refusals, their counters. *)
 let incumbent t ~cost =
   Recorder.incumbent t.recorder ~cost;
   Profile.Cell.update_ub ~self:true t.cell (float_of_int cost)
@@ -46,6 +46,10 @@ let import t ~cost ~member =
   Counter.incr t.imports;
   Recorder.import t.recorder ~cost ~member;
   Profile.Cell.update_ub ~self:false t.cell (float_of_int cost)
+
+(* Registered on first use: a healthy run never refuses a model, and its
+   counter listings stay as they were. *)
+let reject t = Counter.incr (Registry.counter t.registry "search.incumbent_rejects")
 
 (* Phase attribution for the whole observability stack in one call:
    exact self-time (timer), the live cell's current phase (published on

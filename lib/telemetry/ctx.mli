@@ -51,9 +51,14 @@ val incumbent : t -> cost:int -> unit
     [incumbent] event and the live cell's upper bound. *)
 
 val import : t -> cost:int -> member:string -> unit
-(** An external incumbent from portfolio member [member] tightened the
-    search's upper bound: [search.incumbent_imports], the recorder's
-    [import] event and the live cell's (imported) upper bound. *)
+(** A model found by portfolio member [member] became the search's
+    incumbent: [search.incumbent_imports], the recorder's [import] event
+    and the live cell's (imported) upper bound. *)
+
+val reject : t -> unit
+(** An offered incumbent was refused — it broke a constraint of the
+    input problem or did not cost what it claimed: bumps
+    [search.incumbent_rejects], registered at the first refusal. *)
 
 val with_phase : t -> Phase.t -> (unit -> 'a) -> 'a
 (** Run [f] attributed to the phase across the whole observability

@@ -76,3 +76,43 @@ let planted ?(nvars = 16) ?(nconstrs = 30) ?(max_arity = 5) ?(max_coeff = 5) see
   Problem.Builder.set_objective b
     (List.init nvars (fun v -> 1 + Random.State.int rng 5, Lit.pos v));
   Problem.Builder.build b
+
+(* --- portfolio members for the import tests --------------------------------- *)
+
+(* [publisher name model cost] publishes [model] at [cost] through the
+   portfolio's shared cell and ends Unknown, not Satisfiable: a proved
+   status would raise the stop flag and cancel the member under test. *)
+let publisher name model cost =
+  {
+    Portfolio.pname = name;
+    psolve =
+      (fun ~options _ ->
+        (match options.Bsolo.Options.on_incumbent with
+        | Some publish -> publish model cost
+        | None -> failwith "the portfolio installs no on_incumbent");
+        {
+          Bsolo.Outcome.status = Bsolo.Outcome.Unknown;
+          best = None;
+          counters = Bsolo.Outcome.counters_of_registry (Telemetry.Registry.create ());
+          elapsed = 0.;
+        });
+  }
+
+(* A bsolo member named "bsolo" that waits (up to 5 s) for the first
+   broadcast before searching, otherwise it can race to the optimum on
+   its own and import nothing — the very thing the import tests
+   measure. *)
+let importer =
+  {
+    Portfolio.pname = "bsolo";
+    psolve =
+      (fun ~options problem ->
+        (match options.Bsolo.Options.external_incumbent with
+        | Some hook ->
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          while hook () = None && Unix.gettimeofday () < deadline do
+            Domain.cpu_relax ()
+          done
+        | None -> failwith "the portfolio installs no external_incumbent");
+        Bsolo.Solver.solve ~options problem);
+  }

@@ -350,6 +350,44 @@ let one_monitor_feeds_every_consumer () =
   Alcotest.(check int) "the file's deltas add up across the /status request" 8
     (List.fold_left (fun acc x -> acc + delta x) 0 file)
 
+(* A /status document names the snapshot it follows: after N heartbeats
+   (the start snapshot and N - 1 forced ones, no periodic tick in a 60 s
+   cadence) it carries seq N - 1, and peeking again takes no number. *)
+let status_carries_last_seq () =
+  let path = tmp_file ".hb.jsonl" in
+  let heartbeat = T.Snapshot.open_file path ~run_id:"t" ~started:0. ~every:60. in
+  let render = Obsd.Monitor.live ~run_id:"t" ~engine:"bsolo" ~instance:"x" ~started:0. in
+  with_monitor ~heartbeat render @@ fun m ->
+  let snapshots () =
+    let ic = open_in path in
+    let rec go n =
+      match input_line ic with
+      | l -> go (if contains l "\"seq\"" then n + 1 else n)
+      | exception End_of_file -> n
+    in
+    let n = go 0 in
+    close_in ic;
+    n
+  in
+  let n = 4 in
+  for k = 2 to n do
+    Obsd.Monitor.request m;
+    wait_until (Printf.sprintf "heartbeat %d" k) (fun () -> snapshots () >= k)
+  done;
+  let seq_of_status () =
+    let st, body = get m "/status" in
+    Alcotest.(check int) "status 200" 200 st;
+    match T.Json.of_string body with
+    | Error e -> Alcotest.failf "bad /status body: %s" e
+    | Ok j -> (
+      match Option.bind (T.Json.member "snapshot" j) T.Snapshot.decode with
+      | Some s -> s.s_seq
+      | None -> Alcotest.failf "/status without a snapshot: %s" body)
+  in
+  Alcotest.(check int) "heartbeats written" n (snapshots ());
+  Alcotest.(check int) "/status follows the last heartbeat" (n - 1) (seq_of_status ());
+  Alcotest.(check int) "a second /status takes no number" (n - 1) (seq_of_status ())
+
 (* --- suite ------------------------------------------------------------------- *)
 
 let suite =
@@ -367,4 +405,6 @@ let suite =
     Alcotest.test_case "server: concurrent scrapers" `Quick concurrent_scrapers;
     Alcotest.test_case "monitor: one snapshot feeds file and stream" `Quick
       one_monitor_feeds_every_consumer;
+    Alcotest.test_case "monitor: /status carries the last snapshot's seq" `Quick
+      status_carries_last_seq;
   ]

@@ -65,8 +65,7 @@ let zero_counters =
     nodes = 0;
   }
 
-let outcome ?best ?proved_lb status =
-  { Bsolo.Outcome.status; best; proved_lb; counters = zero_counters; elapsed = 0.0 }
+let outcome ?best status = { Bsolo.Outcome.status; best; counters = zero_counters; elapsed = 0.0 }
 
 let better_ranking () =
   let model =
@@ -149,9 +148,16 @@ let jobs_equivalence =
           true)
         [ 1; 2; 4 ])
 
+let member_run (r : Portfolio.report) name =
+  match List.assoc_opt name r.runs with
+  | Some o -> o
+  | None -> Alcotest.failf "%s run missing from report" name
+
 (* A broadcast incumbent must actually prune: an oracle entry publishes
    the known optimum through the shared cell, and the bsolo worker that
-   imports it should search strictly less than it does alone. *)
+   imports it should search strictly less than it does alone.  The
+   import carries its model, so the bsolo worker adopts the optimum as
+   its own incumbent and proves it Optimal on its own. *)
 let oracle_broadcast_prunes () =
   let problem = Gen.covering ~nvars:18 ~nclauses:30 5 in
   let model, opt =
@@ -159,42 +165,11 @@ let oracle_broadcast_prunes () =
     | Some (m, c) -> m, c
     | None -> Alcotest.fail "instance should be satisfiable"
   in
-  let oracle =
-    {
-      Portfolio.pname = "oracle";
-      psolve =
-        (fun ~options _ ->
-          (match options.Bsolo.Options.on_incumbent with
-          | Some publish -> publish model opt
-          | None -> Alcotest.fail "parallel portfolio should install on_incumbent");
-          (* Unknown, not Satisfiable: a proved status would raise the
-             stop flag and cancel the worker under test.  The optimum is
-             then established jointly — the oracle holds the model, the
-             bsolo worker exhausts under the imported bound. *)
-          outcome ~best:(model, opt) Bsolo.Outcome.Unknown);
-    }
-  in
-  let bsolo =
-    {
-      Portfolio.pname = "bsolo";
-      psolve =
-        (fun ~options problem ->
-          (* Wait for the oracle's broadcast before searching, otherwise
-             this worker can race to the optimum on its own and import
-             nothing — the very thing the assertions below measure. *)
-          (match options.Bsolo.Options.external_incumbent with
-          | Some hook ->
-            let deadline = Unix.gettimeofday () +. 5.0 in
-            while hook () = None && Unix.gettimeofday () < deadline do
-              Domain.cpu_relax ()
-            done
-          | None -> Alcotest.fail "parallel portfolio should install external_incumbent");
-          Bsolo.Solver.solve ~options problem);
-    }
-  in
   let tel = Telemetry.Ctx.create ~timing:false () in
   let r =
-    Portfolio.solve ~telemetry:tel ~entries:[ oracle; bsolo ] ~jobs:2 ~budget:20.0 problem
+    Portfolio.solve ~telemetry:tel
+      ~entries:[ Gen.publisher "oracle" model opt; Gen.importer ]
+      ~jobs:2 ~budget:20.0 problem
   in
   Alcotest.(check (option string)) "no disagreement" None r.disagreement;
   Alcotest.(check (option int)) "optimal cost" (Some opt) (Bsolo.Outcome.best_cost r.outcome);
@@ -203,15 +178,65 @@ let oracle_broadcast_prunes () =
       (Telemetry.Registry.find_counter tel.registry "portfolio.incumbent_imports")
   in
   if imports < 1 then Alcotest.failf "expected >= 1 incumbent import, got %d" imports;
+  let own = member_run r "bsolo" in
+  Alcotest.(check string) "bsolo proves the optimum itself" "OPTIMAL"
+    (Bsolo.Outcome.status_name own.status);
+  Alcotest.(check (option int)) "bsolo holds the imported optimum" (Some opt)
+    (Bsolo.Outcome.best_cost own);
+  Alcotest.(check string) "the bsolo run wins" "bsolo" r.winner;
   let alone = Bsolo.Solver.solve ~options:Bsolo.Options.default problem in
-  let with_oracle =
-    match List.assoc_opt "bsolo" r.runs with
-    | Some o -> o.Bsolo.Outcome.counters.decisions
-    | None -> Alcotest.fail "bsolo run missing from report"
+  if own.counters.decisions >= alone.counters.decisions then
+    Alcotest.failf "broadcast did not prune: %d decisions with oracle, %d alone"
+      own.counters.decisions alone.counters.decisions
+
+(* A bad import is refused, not trusted: a liar publishes, below the
+   optimum, a model that breaks a clause or a feasible model under a
+   cost it does not have.  The bsolo member checks the offer once,
+   refuses it (counted in its registry, merged under its prefix) and
+   still proves the true optimum. *)
+let bad_import_refused () =
+  let problem = Gen.covering ~nvars:18 ~nclauses:30 5 in
+  let model, opt =
+    match Bsolo.Exhaustive.optimum problem with
+    | Some (m, c) -> m, c
+    | None -> Alcotest.fail "instance should be satisfiable"
   in
-  if with_oracle >= alone.counters.decisions then
-    Alcotest.failf "broadcast did not prune: %d decisions with oracle, %d alone" with_oracle
-      alone.counters.decisions
+  let infeasible = Pbo.Model.of_array (Array.make (Pbo.Problem.nvars problem) false) in
+  Alcotest.(check bool) "the all-false model breaks a clause" false
+    (Pbo.Model.satisfies problem infeasible);
+  List.iter
+    (fun (what, bad, claimed) ->
+      let tel = Telemetry.Ctx.create ~timing:false () in
+      let r =
+        Portfolio.solve ~telemetry:tel
+          ~entries:[ Gen.publisher "liar" bad claimed; Gen.importer ]
+          ~jobs:2 ~budget:20.0 problem
+      in
+      let own = member_run r "bsolo" in
+      Alcotest.(check string) (what ^ ": bsolo still proves") "OPTIMAL"
+        (Bsolo.Outcome.status_name own.status);
+      Alcotest.(check (option int)) (what ^ ": the true optimum") (Some opt)
+        (Bsolo.Outcome.best_cost own);
+      let counter name =
+        Option.value ~default:0
+          (Telemetry.Registry.find_counter tel.registry ("portfolio.bsolo.search." ^ name))
+      in
+      Alcotest.(check int) (what ^ ": refused once") 1 (counter "incumbent_rejects");
+      Alcotest.(check int) (what ^ ": nothing imported") 0 (counter "incumbent_imports"))
+    [ "infeasible model", infeasible, opt - 1; "wrong cost", model, opt - 1 ]
+
+(* After the join the caller's cell holds the portfolio's answer, so the
+   final heartbeat has bounds even though every member cell is gone. *)
+let caller_cell_holds_answer () =
+  let problem = Gen.covering 3 in
+  let cell = Telemetry.Profile.Cell.make ~name:"main" () in
+  let tel = Telemetry.Ctx.create ~timing:false ~cell () in
+  let r = Portfolio.solve ~telemetry:tel ~jobs:2 ~budget:20.0 problem in
+  match r.outcome.status, Bsolo.Outcome.best_cost r.outcome with
+  | Bsolo.Outcome.Optimal, Some c ->
+    Alcotest.(check (float 0.)) "ub" (float_of_int c) (Telemetry.Profile.Cell.ub cell);
+    Alcotest.(check (float 0.)) "lb" (float_of_int c) (Telemetry.Profile.Cell.lb cell)
+  | s, _ -> Alcotest.failf "portfolio did not prove: %s" (Bsolo.Outcome.status_name s)
 
 (* A crashing entry is isolated: reported under [failures], everyone else
    still runs and the portfolio still proves the optimum.  The other
@@ -419,6 +444,8 @@ let suite =
     Alcotest.test_case "sequential redistribution" `Quick sequential_redistribution;
     QCheck_alcotest.to_alcotest ~long:true jobs_equivalence;
     Alcotest.test_case "oracle broadcast prunes" `Slow oracle_broadcast_prunes;
+    Alcotest.test_case "bad import refused" `Slow bad_import_refused;
+    Alcotest.test_case "caller cell holds the answer" `Quick caller_cell_holds_answer;
     Alcotest.test_case "crash isolation" `Slow crash_isolation;
     Alcotest.test_case "trace attributes members" `Quick trace_attributes_members;
     Alcotest.test_case "worker fair share" `Quick worker_fair_share;

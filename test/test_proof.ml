@@ -21,7 +21,7 @@ let check_ok problem text =
 (* The checked verdict must not claim less than the solver reported:
    an Optimal outcome must replay to OPTIMAL at the same cost, an
    Unsatisfiable one to UNSAT.  Unknown runs may conclude anything the
-   steps support (SAT/BOUNDS/NONE). *)
+   steps support (SAT/NONE). *)
 let verdict_matches (o : Bsolo.Outcome.t) (s : Proof.Check.summary) =
   match o.status with
   | Bsolo.Outcome.Optimal ->
@@ -144,6 +144,38 @@ let mutation_truncated () =
   let ls = List.filter (fun l -> String.trim l = "" || l.[0] <> 'c') (lines text) in
   reject problem (unlines ls) "truncated proof"
 
+(* The format has no unverified incumbent: an [i] assumption step (a
+   cost without its model) and a [BOUNDS] conclusion are unknown to the
+   checker, wherever they appear. *)
+let mutation_removed_steps () =
+  let problem, text, cost = optimal_proof () in
+  let rejected_with what needle mutated =
+    match Proof.Check.check_string problem mutated with
+    | Ok s -> Alcotest.failf "%s accepted (verdict %s)" what s.verdict
+    | Error msg ->
+      let n = String.length needle in
+      let rec has i = i + n <= String.length msg && (String.sub msg i n = needle || has (i + 1)) in
+      if not (has 0) then Alcotest.failf "%s rejected for another reason: %s" what msg
+  in
+  let ls = lines text in
+  let after_f =
+    List.concat_map
+      (fun l ->
+        if String.starts_with ~prefix:"f " l then [ l; Printf.sprintf "i %d peer" (cost - 1) ]
+        else [ l ])
+      ls
+  in
+  rejected_with "an i step" "unknown step \"i\"" (unlines after_f);
+  let bounds =
+    List.map
+      (fun l ->
+        if String.starts_with ~prefix:"c OPTIMAL" l then Printf.sprintf "c BOUNDS %d %d" cost cost
+        else l)
+      ls
+  in
+  if bounds = ls then Alcotest.fail "conclusion line not found";
+  rejected_with "a BOUNDS conclusion" "unknown conclusion" (unlines bounds)
+
 (* --- checker cuts mirror the solver's --------------------------------------- *)
 
 let norm_equal a b =
@@ -159,7 +191,7 @@ let pp_norm = function
   | Constr.Constr c -> Constr.to_string c
 
 (* The checker recomputes the eq. (10) objective cut itself on every
-   verified/imported incumbent, and the eq. (11-13) cardinality cuts on
+   verified incumbent, and the eq. (11-13) cardinality cuts on
    [d] steps; both must stay semantically identical to the solver's
    Knapsack module or sound solver prunes would be unjustifiable. *)
 let objective_cut_matches () =
@@ -586,6 +618,47 @@ let portfolio_proof jobs () =
         Alcotest.(check string) "stitched verdict" ("OPTIMAL " ^ string_of_int cost) s.verdict;
         Alcotest.(check bool) "has sections" true (s.sections <> [] && s.sections <> [ "" ]))
 
+(* An import is a verified solution step of the importer's own section:
+   an oracle publishes the optimum and logs nothing, and the bsolo
+   member's section holds the imported model as an [s] step, closes its
+   search and concludes OPTIMAL on its own — no [i] line anywhere. *)
+let portfolio_import_proof () =
+  let problem = Gen.covering ~nvars:18 ~nclauses:30 5 in
+  let model, opt =
+    match Bsolo.Exhaustive.optimum problem with
+    | Some (m, c) -> m, c
+    | None -> Alcotest.fail "instance should be satisfiable"
+  in
+  let path = Filename.temp_file "bsolo_test" ".pbp" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let r =
+        Portfolio.solve ~proof_file:path
+          ~entries:[ Gen.publisher "oracle" model opt; Gen.importer ]
+          ~jobs:2 ~budget:20.0 problem
+      in
+      Alcotest.(check string) "bsolo wins" "bsolo" r.Portfolio.winner;
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let ls = lines text in
+      let starts prefix l = String.starts_with ~prefix l in
+      Alcotest.(check (list string)) "no i step" [] (List.filter (starts "i ") ls);
+      (* the bsolo section: from its marker to the next marker or the claim *)
+      let rec section acc = function
+        | [] -> List.rev acc
+        | l :: _ when acc <> [] && (starts "m " l || starts "F " l) -> List.rev acc
+        | l :: rest when acc <> [] -> section (l :: acc) rest
+        | l :: rest -> section (if l = "m bsolo" then [ l ] else []) rest
+      in
+      let own = section [] ls in
+      Alcotest.(check bool) "the imported model is a verified step of the section" true
+        (List.exists (starts (Printf.sprintf "s %d " opt)) own);
+      Alcotest.(check (list string)) "the section concludes on its own"
+        [ "c OPTIMAL " ^ string_of_int opt ]
+        (List.filter (starts "c ") own);
+      Alcotest.(check string) "checkproof verifies it" ("OPTIMAL " ^ string_of_int opt)
+        (check_ok problem text).verdict)
+
 let suite =
   [
     Alcotest.test_case "random instances round-trip" `Quick roundtrip_random;
@@ -596,6 +669,7 @@ let suite =
     Alcotest.test_case "dropped solution step rejected" `Quick mutation_dropped_solution;
     Alcotest.test_case "weakened conclusion rejected" `Quick mutation_weakened_conclusion;
     Alcotest.test_case "truncated proof rejected" `Quick mutation_truncated;
+    Alcotest.test_case "removed i step and BOUNDS rejected" `Quick mutation_removed_steps;
     Alcotest.test_case "objective cut mirrors knapsack" `Quick objective_cut_matches;
     Alcotest.test_case "cardinality cuts mirror knapsack" `Quick cardinality_cut_matches;
     Alcotest.test_case "j steps round-trip" `Quick j_step_roundtrip;
@@ -607,4 +681,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_differential;
     Alcotest.test_case "sequential portfolio proof stitches" `Quick (portfolio_proof 1);
     Alcotest.test_case "parallel portfolio proof stitches" `Quick (portfolio_proof 2);
+    Alcotest.test_case "imported optimum checks in the importer's section" `Quick
+      portfolio_import_proof;
   ]
