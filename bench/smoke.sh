@@ -142,10 +142,11 @@ timeout 20 ./_build/default/bin/bsolo_main.exe "$tmpdir/hugevar.cnf" >"$tmpdir/h
   echo "FAIL: huge DIMACS variable index: exit $rc"; cat "$tmpdir/hugevar-cnf.out"; exit 1;
 }
 
-echo "== non-positive --heartbeat-every is rejected before any sink opens =="
-# A zero period would snapshot on every ticker turn; a negative one has
-# no meaning.  Both must be refused up front, leaving no heartbeat file.
-for every in 0 -1; do
+echo "== non-positive or sub-10ms --heartbeat-every is rejected before any sink opens =="
+# A zero or tiny period would snapshot on every ticker turn; a negative
+# one has no meaning.  All must be refused up front, leaving no
+# heartbeat file.
+for every in 0 -1 1e-9; do
   rc=0
   ./_build/default/bin/bsolo_main.exe benchmarks/synth-s1.opb \
     --heartbeat "$tmpdir/hb-bad.jsonl" --heartbeat-every="$every" \
@@ -154,6 +155,17 @@ for every in 0 -1; do
     echo "FAIL: --heartbeat-every $every: exit $rc"; cat "$tmpdir/hb-bad.out"; exit 1;
   }
 done
+
+echo "== oversized --record-ring is rejected before any allocation =="
+# The ring is allocated up front, so a count above 2^24 would ask for
+# the memory before the solve starts: refuse it with exit 2.
+rc=0
+./_build/default/bin/bsolo_main.exe benchmarks/synth-s1.opb \
+  --record "$tmpdir/ring-bad.rec" --record-ring 1000000000000 >"$tmpdir/ring-bad.out" 2>&1 || rc=$?
+[ "$rc" = 2 ] && grep -q '^c error: --record-ring allows at most' "$tmpdir/ring-bad.out" \
+  && [ ! -e "$tmpdir/ring-bad.rec" ] || {
+  echo "FAIL: oversized --record-ring: exit $rc"; cat "$tmpdir/ring-bad.out"; exit 1;
+}
 
 echo "== unwritable --metrics path is rejected before the solve =="
 # The first exposition is written before the solve, so a bad path fails
@@ -218,6 +230,34 @@ timeout 120 "$bsolo" benchmarks/synth-s2.opb \
 echo "== validate span trace (inspect --spans) =="
 "$bsolo" inspect --spans "$tmpdir/spans.json" || {
   echo "FAIL: span trace failed validation"; exit 1;
+}
+# Every member track carries its member:<name> span, and the members'
+# timers wrote lower_bound phase spans.
+awk '
+  function field(re, len) { return match($0, re) ? substr($0, RSTART + len, RLENGTH - len) : "" }
+  /"name":"thread_name"/ {
+    tid = field("\"tid\":[0-9]+", 6); name = field("\"args\":\\{\"name\":\"[^\"]*", 16)
+    if (name != "main") tracks[tid] = name
+  }
+  /"ph":"X"/ && /"name":"member:/ { member[field("\"tid\":[0-9]+", 6)] = 1 }
+  /"ph":"X"/ && /"name":"lower_bound"/ { lb++ }
+  END {
+    for (t in tracks) if (!(t in member)) { print "FAIL: member track " t " (" tracks[t] ") has no member: span"; bad = 1 }
+    if (lb == 0) { print "FAIL: no lower_bound span"; bad = 1 }
+    if (bad) exit 1
+    n = 0; for (t in tracks) n++
+    print "spans: " n " member tracks with their member: span, " lb " lower_bound spans"
+  }
+' "$tmpdir/spans.json"
+
+echo "== a span trace killed mid-search still validates =="
+# Each span is written whole when it ends, so SIGTERM mid-phase leaves
+# no half-open span behind.
+./_build/default/bin/genpb.exe knap --scale 1.5 --seed 6 -o "$tmpdir/knap15s6.opb" >/dev/null
+timeout -s TERM 2 "$bsolo" "$tmpdir/knap15s6.opb" \
+  --trace-spans "$tmpdir/killed-spans.json" >/dev/null 2>&1 || true
+"$bsolo" inspect --spans "$tmpdir/killed-spans.json" || {
+  echo "FAIL: span trace of a SIGTERM-killed solve failed validation"; exit 1;
 }
 
 echo "== validate heartbeat (inspect --live --check) =="

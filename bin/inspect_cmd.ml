@@ -211,8 +211,9 @@ let inspect_trace_arg =
 
 let inspect_spans_arg =
   let doc =
-    "Validate a --trace-spans Chrome trace file: one run header, per-track B/E well-nesting, \
-     monotone clocks.  Exit 1 on any violation."
+    "Validate a --trace-spans Chrome trace file (schema bsolo-spans/2): one run header, only \
+     M and X events, and per track X intervals that are nested or disjoint (within 1 us).  \
+     Exit 1 on any violation."
   in
   Arg.(value & opt (some string) None & info [ "spans" ] ~docv:"FILE" ~doc)
 

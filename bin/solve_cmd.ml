@@ -68,6 +68,11 @@ type sinks = {
   listen : string option;
 }
 
+(* Flag bounds checked before any sink opens: the live monitor's fastest
+   tick, and the largest ring the recorder allocates up front. *)
+let min_heartbeat_every = 0.01
+let max_record_ring = 1 lsl 24
+
 (* [engine] names the preset [options] started from, or "milp". *)
 let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t) sinks =
   let { verbosity; stats; trace_file; json_file; proof_file; progress_every; span_file;
@@ -97,13 +102,17 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
         | Error msg -> fatal ("--listen: " ^ msg))
       listen
   in
-  (* A zero or negative cadence would spin the live monitor (a snapshot
-     every loop turn). *)
-  if not (Float.is_finite heartbeat_every && heartbeat_every > 0.) then
-    fatal "--heartbeat-every needs a positive, finite number of seconds";
+  (* A zero, negative or tiny cadence would spin the live monitor (a
+     snapshot every loop turn). *)
+  if not (Float.is_finite heartbeat_every && heartbeat_every >= min_heartbeat_every) then
+    fatal
+      (Printf.sprintf "--heartbeat-every needs a finite number of seconds, at least %g"
+         min_heartbeat_every);
   (match record_ring with
   | Some _ when record_file = None -> fatal "--record-ring needs --record FILE"
   | Some n when n <= 0 -> fatal "--record-ring needs a positive event count"
+  | Some n when n > max_record_ring ->
+    fatal (Printf.sprintf "--record-ring allows at most %d events" max_record_ring)
   | Some _ when portfolio ->
     fatal "--record-ring is not supported with --portfolio (members stream direct recordings)"
   | Some _ | None -> ());
@@ -333,8 +342,9 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
     | Some sink, Some tel when span_file <> None ->
       let track = Telemetry.Profile.Cell.track tel.Telemetry.Ctx.cell in
       Proof.Sink.set_flush_hook sink (fun ~lines:_ ~seconds ->
+          let stop = Unix.gettimeofday () in
           Telemetry.Span.complete ~cat:"io" tel.spans ~track ~name:"proof_flush"
-            ~start:(Telemetry.Epoch.now () -. seconds) ~dur:seconds)
+            ~start:(stop -. seconds) ~stop)
     | _ -> ());
     Logs.debug (fun m ->
         m "engine=%s telemetry=%b options=%s" engine (tel <> None)
@@ -625,8 +635,11 @@ let progress_arg =
 let span_file_arg =
   let doc =
     "Write engine-phase / lower-bounding / proof-flush / portfolio-member spans as a Chrome \
-     trace-event JSON file to $(docv), loadable in Perfetto (one track per solver context, \
-     timestamps on one shared epoch across domains).  Validate with $(b,bsolo inspect --spans)."
+     trace-event JSON file (schema $(b,bsolo-spans/2)) to $(docv), loadable in Perfetto: one \
+     complete (X) event per coarse phase, timed by the exact phase timer (which this flag \
+     turns on), one track per solver context, timestamps on one shared epoch across \
+     domains.  A run killed mid-phase leaves a valid file.  Validate with $(b,bsolo inspect \
+     --spans)."
   in
   Arg.(value & opt (some string) None & info [ "trace-spans" ] ~docv:"FILE" ~doc)
 
@@ -641,7 +654,7 @@ let heartbeat_arg =
 let heartbeat_every_arg =
   let doc =
     "Tick period of the live monitor in seconds (heartbeat snapshots, $(b,--metrics) \
-     rewrites, $(b,/events) frames); must be positive."
+     rewrites, $(b,/events) frames); at least 0.01."
   in
   Arg.(value & opt float 1.0 & info [ "heartbeat-every" ] ~docv:"SECONDS" ~doc)
 
@@ -668,8 +681,9 @@ let record_ring_arg =
   let doc =
     "With $(b,--record): keep only the last $(docv) events in a bounded in-memory ring, \
      written out at close (also from the signal handlers), so an arbitrarily long run leaves \
-     a small recording of its final moments.  A ring recording supports forensics but not \
-     $(b,bsolo replay) — the dropped prefix makes the decision sequence incomplete."
+     a small recording of its final moments.  At most 16777216 (2^24) events.  A ring \
+     recording supports forensics but not $(b,bsolo replay) — the dropped prefix makes the \
+     decision sequence incomplete."
   in
   Arg.(value & opt (some int) None & info [ "record-ring" ] ~docv:"N" ~doc)
 

@@ -447,96 +447,77 @@ type span_stats = {
   sp_max_depth : int;
   sp_last_ts : float;  (** microseconds *)
   sp_run_id : string option;
-  sp_dropped : int;  (** begin events dropped at the writer's event cap *)
+  sp_dropped : int;  (** X events dropped at the writer's event cap *)
 }
 
+(* Slack for the laminar check: a span's ts and dur are printed from
+   clock readings, so a child may poke out of its parent by rounding. *)
+let tolerance_us = 1.
+
 (* Check the structural invariants the writer promises: exactly one
-   bsolo_run header carrying the shared epoch, and per-track (pid, tid)
-   begin/end events that are well nested (E closes the innermost open B,
-   matched by args.id) with non-decreasing timestamps.  Durable X / i / M
-   events may be emitted from another domain onto a foreign track (e.g.
-   proof flushes land on the main track), so they are exempt from the
-   per-track clock check. *)
+   bsolo_run header of schema bsolo-spans/2 carrying the shared epoch,
+   only M and X events, and per track (pid, tid) laminar X intervals —
+   any two either nested or disjoint.  Sorting by start (longer first on
+   ties) turns that into one sweep over a stack of enclosing spans. *)
 let validate_spans events =
   let violations = ref [] in
   let violation fmt = Printf.ksprintf (fun s -> violations := s :: !violations) fmt in
   let headers = ref [] in
-  let stacks : (int * int, (int * string) list ref) Hashtbl.t = Hashtbl.create 8 in
-  let clocks : (int * int, float) Hashtbl.t = Hashtbl.create 8 in
-  let max_depth = ref 0 in
+  let tracks : (int * int, (float * float * string) list) Hashtbl.t = Hashtbl.create 8 in
   let last_ts = ref 0. in
-  let nevents = ref 0 in
   let dropped = ref 0 in
   let str m e = Option.bind (Json.member m e) Json.to_string_opt in
   let num m e = Option.bind (Json.member m e) Json.to_float in
   let arg m e = Option.bind (Json.member "args" e) (Json.member m) in
+  let int m e = Option.value ~default:0 (Option.bind (Json.member m e) Json.to_int) in
   List.iter
     (fun e ->
-      incr nevents;
-      let ph = Option.value ~default:"?" (str "ph" e) in
       let name = Option.value ~default:"?" (str "name" e) in
-      let track =
-        ( Option.value ~default:0 (Option.bind (Json.member "pid" e) Json.to_int),
-          Option.value ~default:0 (Option.bind (Json.member "tid" e) Json.to_int) )
-      in
-      let ts = Option.value ~default:0. (num "ts" e) in
-      if ts > !last_ts then last_ts := ts;
-      (match ph with
-      | "M" ->
+      match str "ph" e with
+      | Some "M" ->
         if name = "bsolo_run" then headers := e :: !headers
         else if name = "bsolo_dropped_events" then
-          dropped :=
-            !dropped + Option.value ~default:0 (Option.bind (arg "dropped" e) Json.to_int)
-      | "B" | "E" ->
-        if ts < 0. then violation "negative ts %.1f on %s %S" ts ph name;
-        (match Hashtbl.find_opt clocks track with
-        | Some prev when ts < prev ->
-          violation "tid %d: clock went backwards (%.1f -> %.1f at %s %S)" (snd track) prev ts ph
-            name
-        | _ -> Hashtbl.replace clocks track ts);
-        let stack =
-          match Hashtbl.find_opt stacks track with
-          | Some s -> s
-          | None ->
-            let s = ref [] in
-            Hashtbl.add stacks track s;
-            s
-        in
-        if ph = "B" then begin
-          let id = Option.value ~default:0 (Option.bind (arg "id" e) Json.to_int) in
-          let parent = Option.value ~default:0 (Option.bind (arg "parent" e) Json.to_int) in
-          let enclosing = match !stack with (pid, _) :: _ -> pid | [] -> 0 in
-          if parent <> enclosing then
-            violation "tid %d: B %S claims parent %d but innermost open span is %d" (snd track)
-              name parent enclosing;
-          stack := (id, name) :: !stack;
-          max_depth := max !max_depth (List.length !stack)
-        end
-        else begin
-          match !stack with
-          | [] -> violation "tid %d: E %S with no open span" (snd track) name
-          | (id, bname) :: rest ->
-            (match Option.bind (arg "id" e) Json.to_int with
-            | Some eid when eid <> id ->
-              violation "tid %d: E %S closes id %d but innermost open is %d (%S)" (snd track)
-                name eid id bname
-            | _ -> ());
-            stack := rest
-        end
-      | _ -> ()))
+          dropped := !dropped + Option.value ~default:0 (Option.bind (arg "dropped" e) Json.to_int)
+      | Some "X" ->
+        (match num "ts" e, num "dur" e with
+        | Some ts, Some dur when ts >= 0. && dur >= 0. ->
+          let track = int "pid" e, int "tid" e in
+          let spans = Option.value ~default:[] (Hashtbl.find_opt tracks track) in
+          Hashtbl.replace tracks track ((ts, ts +. dur, name) :: spans);
+          if ts +. dur > !last_ts then last_ts := ts +. dur
+        | _ -> violation "X %S lacks a non-negative ts and dur" name)
+      | ph ->
+        violation "%s event %S: a span file holds only M and X events"
+          (Option.value ~default:"untyped" ph) name)
     events;
+  let max_depth = ref 0 in
   Hashtbl.iter
-    (fun (_, tid) stack ->
-      match !stack with
-      | [] -> ()
-      | open_spans ->
-        violation "tid %d: %d span(s) still open at end of file (%s)" tid (List.length open_spans)
-          (String.concat ", " (List.map (fun (_, n) -> n) open_spans)))
-    stacks;
+    (fun (_, tid) spans ->
+      let sorted =
+        List.sort (fun (s1, e1, _) (s2, e2, _) -> compare (s1, -.e1) (s2, -.e2)) spans
+      in
+      ignore
+        (List.fold_left
+           (fun stack (s, e, name) ->
+             let rec pop = function
+               | (_, pe, _) :: rest when pe <= s +. tolerance_us -> pop rest
+               | stack -> stack
+             in
+             let stack = pop stack in
+             (match stack with
+             | (ps, pe, pname) :: _ when e > pe +. tolerance_us ->
+               violation "tid %d: %S [%.1f, %.1f] overlaps %S [%.1f, %.1f] without nesting" tid
+                 name s e pname ps pe
+             | _ -> ());
+             let stack = (s, e, name) :: stack in
+             max_depth := max !max_depth (List.length stack);
+             stack)
+           [] sorted))
+    tracks;
   (match !headers with
   | [ h ] ->
-    if str "schema" (Option.value ~default:Json.Null (Json.member "args" h)) <> Some "bsolo-spans/1"
-    then violation "bsolo_run header lacks schema bsolo-spans/1";
+    if str "schema" (Option.value ~default:Json.Null (Json.member "args" h)) <> Some "bsolo-spans/2"
+    then violation "bsolo_run header lacks schema bsolo-spans/2";
     if arg "epoch" h = None then violation "bsolo_run header lacks the shared epoch"
   | [] -> violation "no bsolo_run header event"
   | l -> violation "%d bsolo_run header events (want exactly one)" (List.length l));
@@ -547,8 +528,8 @@ let validate_spans events =
   | [] ->
     Ok
       {
-        sp_events = !nevents;
-        sp_tracks = Hashtbl.length clocks;
+        sp_events = List.length events;
+        sp_tracks = Hashtbl.length tracks;
         sp_max_depth = !max_depth;
         sp_last_ts = !last_ts;
         sp_run_id = run_id;
@@ -561,14 +542,14 @@ let render_span_stats s =
     Printf.sprintf "spans: %d events on %d track(s), max depth %d, %.3fs%s" s.sp_events s.sp_tracks
       s.sp_max_depth (s.sp_last_ts /. 1e6)
       (match s.sp_run_id with Some id -> ", run " ^ id | None -> "");
-    "well-nested: yes (single shared epoch, per-track clocks monotone)";
+    "well-nested: yes (single shared epoch, per-track spans nested or disjoint)";
   ]
   @
   if s.sp_dropped > 0 then
     [
       Printf.sprintf
-        "WARNING: %d begin event(s) dropped at the writer's event cap (file is a truncated \
-         prefix of the run)"
+        "WARNING: %d span(s) dropped at the writer's event cap (the file holds the spans that \
+         ended first)"
         s.sp_dropped;
     ]
   else []

@@ -119,16 +119,17 @@ type span_stats = {
   sp_last_ts : float;  (** microseconds *)
   sp_run_id : string option;
   sp_dropped : int;
-      (** begin events the writer dropped at its event cap (the
-          [bsolo_dropped_events] meta); a non-zero count means the file
-          is a truncated prefix of the run and the summary says so *)
+      (** X events the writer dropped at its event cap (the
+          [bsolo_dropped_events] meta); a non-zero count means some spans
+          are missing and the summary says so *)
 }
 
 val validate_spans : Json.t list -> (span_stats, string list) result
-(** Checks exactly one [bsolo_run] header (schema + shared epoch) and,
-    per track, B/E well-nesting ([args.id] matching, [args.parent] =
-    enclosing span) with monotone timestamps.  [Error] lists every
-    violation found. *)
+(** Checks exactly one [bsolo_run] header (schema [bsolo-spans/2] +
+    shared epoch), that every event is an [M] or an [X] with a
+    non-negative [ts] and [dur], and that per track the X intervals are
+    laminar: any two nested or disjoint, within 1 µs.  [Error] lists
+    every violation found. *)
 
 val render_span_stats : span_stats -> string list
 

@@ -334,15 +334,14 @@ let run_pool ?run_id ~observe tel entries ~jobs ~budget ~proof_file ~record_file
        [portfolio.<name>.] prefix the post-join merge will use, so metric
        names stay stable across the member's finish. *)
     Telemetry.Profile.register ~prefix:("portfolio." ^ e.pname ^ ".") wcell wtel.registry;
+    let t0 = Unix.gettimeofday () in
     let wrun =
-      match
-        Telemetry.Span.with_span ~cat:"member" tel.spans ~track:wtrack
-          ("member:" ^ e.pname)
-          (fun () -> e.psolve ~options problem)
-      with
+      match e.psolve ~options problem with
       | o -> Ok o
       | exception exn -> Error (Printexc.to_string exn)
     in
+    Telemetry.Span.complete ~cat:"member" tel.spans ~track:wtrack ~name:("member:" ^ e.pname)
+      ~start:t0 ~stop:(Unix.gettimeofday ());
     (* Withdrawn before the registry is merged after the join — a scrape
        between the two sees the member's counters in neither place rather
        than in both. *)
@@ -427,7 +426,6 @@ let solve ?telemetry ?run_id ?(observe = false) ?proof_file ?record_file
     ?(entries = default_entries) ?(jobs = 1) ~budget problem =
   let tel = match telemetry with Some t -> t | None -> Telemetry.Ctx.silent () in
   if entries = [] then invalid_arg "Portfolio.solve: no entries";
-  let observe = observe || Telemetry.Span.enabled tel.Telemetry.Ctx.spans in
   let runs, failures =
     run_pool ?run_id ~observe tel entries ~jobs ~budget ~proof_file ~record_file problem
   in

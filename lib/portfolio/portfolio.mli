@@ -89,14 +89,16 @@ val solve :
     [portfolio.incumbent_broadcasts], [portfolio.incumbent_imports] and
     [portfolio.cancelled] are set.
 
-    Observability: with [telemetry] given, each member run is wrapped in
-    a [member:<name>] span on the member's own track.  Each member
-    publishes a {!Telemetry.Profile.Cell} — named after the member,
-    registered in the member table with its private registry under the
-    prefix [portfolio.<name>.] (the one the post-join merge uses) for
-    exactly the run's duration — which the live monitor observes and
-    scrapes; [observe] forces the cells' current phase on even when no
-    span sink is attached (the heartbeat case).  Each member's phase
+    Observability: with [telemetry] given, each member run is one
+    [member:<name>] span on the member's own track, read before the
+    member starts and written after it returns or raises; the member's
+    timer writes its phase spans inside it, on the same track.  Each
+    member publishes a {!Telemetry.Profile.Cell} — named after the
+    member, registered in the member table with its private registry
+    under the prefix [portfolio.<name>.] (the one the post-join merge
+    uses) for exactly the run's duration — which the live monitor
+    observes and scrapes; [observe] turns the cells' current phase on
+    (the heartbeat case).  Each member's phase
     timer runs when [telemetry]'s does, and its self times are added
     into [telemetry]'s timer after the join: the portfolio's phase times
     are summed over members, so with [jobs] > 1 they can exceed the wall

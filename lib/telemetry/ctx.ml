@@ -22,12 +22,17 @@ let create ?(timing = true) ?trace ?spans ?cell ?progress ?recorder () =
   let recorder = match recorder with Some r -> r | None -> Recorder.disabled () in
   Option.iter (Recorder.tee recorder) trace;
   let trace = match trace with Some t -> t | None -> Trace.disabled () in
+  let spans = match spans with Some s -> s | None -> Span.disabled () in
+  let cell = match cell with Some c -> c | None -> Profile.Cell.disabled () in
   {
-    timer = Timer.create ~enabled:timing ();
+    (* Spans are the timer's output, so a span sink turns it on. *)
+    timer =
+      Timer.create ~enabled:(timing || Span.enabled spans) ~spans ~track:(Profile.Cell.track cell)
+        ();
     registry;
     trace;
-    spans = (match spans with Some s -> s | None -> Span.disabled ());
-    cell = (match cell with Some c -> c | None -> Profile.Cell.disabled ());
+    spans;
+    cell;
     progress = (match progress with Some p -> p | None -> Progress.disabled ());
     recorder;
     imports = Registry.counter registry "search.incumbent_imports";
@@ -52,24 +57,16 @@ let import t ~cost ~member =
 let reject t = Counter.incr (Registry.counter t.registry "search.incumbent_rejects")
 
 (* Phase attribution for the whole observability stack in one call:
-   exact self-time (timer), the live cell's current phase (published on
-   entry, the enclosing phase restored on exit) and, for coarse phases
-   only (the hot inner-search phases fire far too often), one tracing
-   span.  When neither cell nor spans are live this is exactly
+   exact self-time and, for coarse phases, the span (both the timer's)
+   and the live cell's current phase (published on entry, the enclosing
+   phase restored on exit).  With no cell observed this is exactly
    Timer.with_phase: one extra load and branch. *)
 let with_phase t phase f =
-  if Profile.Cell.observed t.cell || Span.enabled t.spans then begin
+  if Profile.Cell.observed t.cell then begin
     let outer = Profile.Cell.leaf t.cell in
     Profile.Cell.publish t.cell (Some phase);
-    let sp =
-      if Phase.coarse phase && Span.enabled t.spans then
-        Span.begin_ t.spans ~track:(Profile.Cell.track t.cell) (Phase.name phase)
-      else Span.null_span
-    in
     Fun.protect
-      ~finally:(fun () ->
-        Span.end_ t.spans sp;
-        Profile.Cell.publish t.cell outer)
+      ~finally:(fun () -> Profile.Cell.publish t.cell outer)
       (fun () -> Timer.with_phase t.timer phase f)
   end
   else Timer.with_phase t.timer phase f

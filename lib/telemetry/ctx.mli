@@ -15,7 +15,8 @@
     writer, any readers).  Parallel portfolio workers each get a private
     context — own registry, own timer (enabled when the parent's is),
     own cell, own recorder teed onto the parent's trace sink, disabled
-    progress — that may share the parent's span sink; per-worker
+    progress — whose timer may write to the parent's span sink, on the
+    worker's own track; per-worker
     registries and phase times are merged after the domains are
     joined. *)
 
@@ -44,7 +45,8 @@ val create :
 (** [timing] defaults to [true]; omitted [trace]/[spans]/[progress] are
     disabled, an omitted [cell] is inert and an omitted [recorder] is
     disabled.  A given [trace] gets the recorder teed onto it
-    ({!Recorder.tee}). *)
+    ({!Recorder.tee}).  The timer writes the spans, on the cell's track,
+    so an enabled [spans] sink turns it on whatever [timing] says. *)
 
 val incumbent : t -> cost:int -> unit
 (** A new own incumbent of cost [cost] (offset included): the recorder's
@@ -62,12 +64,11 @@ val reject : t -> unit
 
 val with_phase : t -> Phase.t -> (unit -> 'a) -> 'a
 (** Run [f] attributed to the phase across the whole observability
-    stack: exact self-time ({!Timer.with_phase}), the live cell's current
-    phase ({!Profile.Cell.publish} on entry, the enclosing phase
-    restored on exit), and — for {!Phase.coarse} phases only — one
-    tracing span on this context's track.  Exception-safe.  With no cell
-    observed and no span sink this is exactly [Timer.with_phase] plus
-    one load and branch. *)
+    stack: exact self-time and, for {!Phase.coarse} phases, one span on
+    this context's track (both {!Timer.with_phase}), and the live cell's
+    current phase ({!Profile.Cell.publish} on entry, the enclosing phase
+    restored on exit).  Exception-safe.  With no cell observed this is
+    exactly [Timer.with_phase] plus one load and branch. *)
 
 val close : t -> unit
 (** Flush and close the trace and span sinks and the recorder

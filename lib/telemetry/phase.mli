@@ -20,7 +20,8 @@ val index : t -> int
 val name : t -> string
 
 val coarse : t -> bool
-(** Whether the phase is coarse enough for one {!Span} per entry.  The
+(** Whether the phase is coarse enough for one span per entry, which
+    the {!Timer} writes on exit.  The
     hot inner-search phases (propagate, analyze) answer [false]:
     they fire thousands of times per second, so their time shows only
     in the exact {!Timer} phase table. *)

@@ -1,66 +1,47 @@
 (** Cross-domain span tracing to Chrome trace-event JSON.
 
-    Spans have begin/end semantics, an id, a parent id (the innermost
-    span still open on the same track) and timestamps in microseconds on
-    the process-wide {!Epoch}, so spans from every portfolio domain merge
-    on one timeline.  The output is a streamed JSON array loadable in
-    Perfetto or chrome://tracing; one track ("tid") per solver context,
-    named via {!name_track}.
+    A span is one complete (["ph":"X"]) event, written when it ends,
+    with the start and stop times its caller read: the exact {!Timer}
+    writes one per coarse phase from its own entry and exit readings.
+    Timestamps are microseconds on the process-wide {!Epoch}, so spans
+    from every portfolio domain merge on one timeline.  The output is a
+    streamed JSON array loadable in Perfetto or chrome://tracing; one
+    track ("tid") per solver context, named via {!name_track}.  There are
+    no begin/end pairs, ids or parents: nesting is interval containment,
+    so a file cut short by a signal is as well nested as a finished one
+    (a span still running is just absent).
 
     An event cap (default one million) bounds the file on pathological
-    runs: beyond it new spans are counted as dropped (reported in a final
-    metadata record, never silently) while end-events of already-written
-    spans still go out, keeping every written track well-nested.
+    runs: beyond it X events are counted as dropped, never silently —
+    {!close} writes the count in a [bsolo_dropped_events] metadata
+    record.  Metadata records are never dropped.
 
     Domain-safety: a sink may be shared across domains — a mutex
-    serializes events and guards the per-track begin/end stacks.  A
-    disabled sink costs one branch per call. *)
+    serializes events.  A disabled sink costs one branch per call. *)
 
 type t
 
-type span
-(** An open span handle; pass it back to {!end_}. *)
-
-val null_span : span
-(** Inert handle: {!end_} on it does nothing.  Returned by {!begin_} on
-    a disabled sink, and useful as the "no span" placeholder. *)
-
 val disabled : unit -> t
 
-val of_channel : ?owned:bool -> ?max_events:int -> out_channel -> t
-(** The caller must have written nothing to the channel: the sink owns
-    the surrounding JSON array.  [owned] (default false) closes the
-    channel on {!close}. *)
-
 val open_file : ?max_events:int -> string -> t
+(** [max_events] bounds the file: once that many events (metadata
+    included) are written, further X events are dropped and counted.
+    Metadata is never dropped. *)
 
 val enabled : t -> bool
-val events : t -> int
-val dropped : t -> int
 
 val header : t -> run_id:string -> started:float -> unit
-(** Emit the run-correlation metadata record (schema, run id, absolute
-    start time, epoch zero) plus the process-name record. *)
+(** Emit the run-correlation metadata record (schema [bsolo-spans/2],
+    run id, absolute start time, epoch zero) plus the process-name
+    record. *)
 
 val name_track : t -> track:int -> string -> unit
 (** Label a track; shown as the thread name in Perfetto. *)
 
-val begin_ : ?cat:string -> t -> track:int -> string -> span
-val end_ : t -> span -> unit
-(** Closing a span also closes (forgets) any nested spans left open on
-    the track by an exception, so the written stream stays nested. *)
-
-val with_span : ?cat:string -> t -> track:int -> string -> (unit -> 'a) -> 'a
-(** Scoped [begin_]/[end_], exception-safe. *)
-
-val complete : ?cat:string -> t -> track:int -> name:string -> start:float -> dur:float -> unit
-(** A caller-timed complete ("X") event; [start] is seconds on the
-    shared epoch, [dur] seconds. *)
-
-val instant : ?cat:string -> t -> track:int -> string -> (string * Json.t) list -> unit
-
-val flush : t -> unit
+val complete : ?cat:string -> t -> track:int -> name:string -> start:float -> stop:float -> unit
+(** One complete ("X") event for a span that ran from [start] to [stop],
+    both [Unix.gettimeofday] readings.  [cat] defaults to ["phase"]. *)
 
 val close : t -> unit
 (** Write the dropped-events record (if any) and the closing bracket,
-    flush, close an owned channel, disable the sink.  Idempotent. *)
+    close the file, disable the sink.  Idempotent. *)

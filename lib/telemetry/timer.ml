@@ -1,20 +1,24 @@
 (* Wall-clock phase timers with nesting.  Time is attributed to the
    innermost active phase only (self time), so the per-phase totals
    partition the instrumented span and sum without double counting:
-   entering a nested phase pauses the enclosing one.  When disabled,
-   [with_phase] costs one load, one branch and the call to [f]. *)
+   entering a nested phase pauses the enclosing one.  A coarse phase's
+   exit also writes its span, one complete event from the same entry and
+   exit readings.  When disabled, [with_phase] costs one load, one branch
+   and the call to [f]. *)
 
 type t = {
   acc : float array;  (* self seconds per Phase.index *)
   mutable stack : int list;
   mutable last : float;  (* clock at the most recent phase transition *)
   mutable enabled : bool;
+  spans : Span.t;
+  track : int;
 }
 
 let now () = Unix.gettimeofday ()
 
-let create ?(enabled = false) () =
-  { acc = Array.make Phase.count 0.; stack = []; last = 0.; enabled }
+let create ?(enabled = false) ?(spans = Span.disabled ()) ?(track = 0) () =
+  { acc = Array.make Phase.count 0.; stack = []; last = 0.; enabled; spans; track }
 
 let enabled t = t.enabled
 let set_enabled t b = t.enabled <- b
@@ -34,7 +38,9 @@ let with_phase t phase f =
         let exit_ = now () in
         t.acc.(i) <- t.acc.(i) +. (exit_ -. t.last);
         t.stack <- (match t.stack with _ :: rest -> rest | [] -> []);
-        t.last <- exit_)
+        t.last <- exit_;
+        if Phase.coarse phase then
+          Span.complete t.spans ~track:t.track ~name:(Phase.name phase) ~start:entry ~stop:exit_)
       f
   end
 

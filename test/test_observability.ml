@@ -1,7 +1,7 @@
 (* Observability subsystem: shared epoch, span sink, live cells,
    heartbeat snapshots, Prometheus rendering and the inspect-side
-   validators.  Everything runs against temp files or in-memory values —
-   no solver needed. *)
+   validators.  Everything runs against temp files or in-memory values;
+   only the span-timing test runs a (small) solve. *)
 
 module T = Telemetry
 
@@ -135,28 +135,60 @@ let cell_unobserved_is_silent () =
 
 (* --- span sink + shared epoch ---------------------------------------------- *)
 
+let validated path =
+  match Inspect.load_spans path with
+  | Error msg -> Alcotest.fail msg
+  | Ok events -> (
+    match Inspect.validate_spans events with
+    | Error violations -> Alcotest.failf "unexpected violations: %s" (String.concat "; " violations)
+    | Ok stats -> events, stats)
+
+let str_member k e = Option.bind (Inspect.Json.member k e) Inspect.Json.to_string_opt
+let num_member k e = Option.bind (Inspect.Json.member k e) Inspect.Json.to_float
+
+(* The X events of a span file named [name]: their ts and dur in µs. *)
+let x_events ?name events =
+  List.filter_map
+    (fun e ->
+      match str_member "ph" e, num_member "ts" e, num_member "dur" e with
+      | Some "X", Some ts, Some dur when name = None || str_member "name" e = name -> Some (ts, dur)
+      | _ -> None)
+    events
+
 let spans_well_nested_file () =
   let path = tmp_file ".spans.json" in
   let sink = T.Span.open_file path in
   T.Span.header sink ~run_id:"cafebabe" ~started:1000.;
-  T.Span.name_track sink ~track:1 "main";
+  let cell = T.Profile.Cell.make ~name:"main" () in
+  T.Span.name_track sink ~track:(T.Profile.Cell.track cell) "main";
+  (* The timer writes the phase spans: a coarse phase inside another,
+     one left by an exception, and a hot phase that gets none. *)
+  let tel = T.Ctx.create ~timing:false ~spans:sink ~cell () in
   let ok =
-    T.Span.with_span sink ~track:1 "outer" (fun () ->
-        T.Span.with_span sink ~track:1 "inner" (fun () -> true))
+    T.Ctx.with_phase tel T.Phase.Lower_bound (fun () ->
+        (try T.Ctx.with_phase tel T.Phase.Simplex (fun () -> failwith "inner")
+         with Failure _ -> ());
+        T.Ctx.with_phase tel T.Phase.Propagate (fun () ->
+            T.Ctx.with_phase tel T.Phase.Simplex (fun () -> true)))
   in
-  Alcotest.(check bool) "with_span returns f's result" true ok;
-  let sp = T.Span.begin_ sink ~track:2 "other-track" in
-  T.Span.end_ sink sp;
+  Alcotest.(check bool) "with_phase returns f's result" true ok;
+  let t = Unix.gettimeofday () in
+  T.Span.complete sink ~track:99 ~name:"other-track" ~start:t ~stop:(t +. 0.001);
   T.Span.close sink;
-  match Inspect.load_spans path with
-  | Error msg -> Alcotest.fail msg
-  | Ok events ->
-    (match Inspect.validate_spans events with
-    | Error violations -> Alcotest.failf "unexpected violations: %s" (String.concat "; " violations)
-    | Ok stats ->
-      Alcotest.(check (option string)) "run id survives" (Some "cafebabe") stats.sp_run_id;
-      Alcotest.(check bool) "nesting depth seen" true (stats.sp_max_depth >= 2);
-      Alcotest.(check bool) "both tracks seen" true (stats.sp_tracks >= 2))
+  let events, stats = validated path in
+  Alcotest.(check (option string)) "run id survives" (Some "cafebabe") stats.sp_run_id;
+  Alcotest.(check int) "a span per coarse phase entry" 4 (List.length (x_events events));
+  Alcotest.(check int) "no span for the hot phase" 0
+    (List.length (x_events ~name:"propagate" events));
+  Alcotest.(check bool) "nesting depth seen" true (stats.sp_max_depth >= 2);
+  Alcotest.(check int) "both tracks seen" 2 stats.sp_tracks;
+  List.iter
+    (fun e ->
+      Alcotest.(check bool) "only M and X events" true
+        (List.mem (str_member "ph" e) [ Some "M"; Some "X" ]);
+      Alcotest.(check bool) "no span ids or parents" true
+        (Option.bind (Inspect.Json.member "args" e) (Inspect.Json.member "id") = None))
+    events
 
 let spans_share_one_epoch () =
   (* Two sinks opened at different times must stamp on the same clock: a
@@ -168,57 +200,104 @@ let spans_share_one_epoch () =
   let path = tmp_file ".spans.json" in
   let sink = T.Span.open_file path in
   T.Span.header sink ~run_id:"r2" ~started:(T.Epoch.t0 ());
-  let sp = T.Span.begin_ sink ~track:1 "late" in
-  T.Span.end_ sink sp;
+  let t = Unix.gettimeofday () in
+  T.Span.complete sink ~track:1 ~name:"late" ~start:t ~stop:t;
   T.Span.close sink;
-  match Inspect.load_spans path with
-  | Error msg -> Alcotest.fail msg
-  | Ok events ->
-    let ts_of e =
-      match Option.bind (Inspect.Json.member "ph" e) Inspect.Json.to_string_opt with
-      | Some "B" -> Option.bind (Inspect.Json.member "ts" e) Inspect.Json.to_float
-      | _ -> None
-    in
-    (match List.filter_map ts_of events with
-    | [ ts ] ->
-      Alcotest.(check bool)
-        (Printf.sprintf "late sink keeps epoch offset (ts=%.0fus, floor=%.0fus)" ts (before *. 1e6))
-        true
-        (ts >= (before +. 0.02) *. 1e6 -. 1000.)
-    | l -> Alcotest.failf "expected 1 begin event, got %d" (List.length l))
+  let events, _ = validated path in
+  match x_events events with
+  | [ (ts, _) ] ->
+    Alcotest.(check bool)
+      (Printf.sprintf "late sink keeps epoch offset (ts=%.0fus, floor=%.0fus)" ts (before *. 1e6))
+      true
+      (ts >= (before +. 0.02) *. 1e6 -. 1000.)
+  | l -> Alcotest.failf "expected 1 X event, got %d" (List.length l)
 
 let spans_validator_rejects_bad () =
   let open T.Json in
-  let ev ph name ts args = Obj [ "ph", String ph; "name", String name; "pid", Int 1; "tid", Int 1; "ts", Float ts; "args", Obj args ] in
-  let header =
+  let ev ?(tid = 1) ph name ts dur =
+    Obj
+      [
+        "ph", String ph;
+        "name", String name;
+        "pid", Int 1;
+        "tid", Int tid;
+        "ts", Float ts;
+        "dur", Float dur;
+      ]
+  in
+  let header schema =
     Obj
       [
         "ph", String "M";
         "name", String "bsolo_run";
         "pid", Int 1;
         "tid", Int 0;
-        "args", Obj [ "schema", String "bsolo-spans/1"; "run_id", String "x"; "epoch", Float 0. ];
+        "args", Obj [ "schema", String schema; "run_id", String "x"; "epoch", Float 0. ];
       ]
   in
-  (* E with no open B *)
-  (match Inspect.validate_spans [ header; ev "E" "orphan" 10. [] ] with
-  | Ok _ -> Alcotest.fail "orphan E accepted"
-  | Error _ -> ());
-  (* clock going backwards on one track *)
-  (match
-     Inspect.validate_spans
-       [
-         header;
-         ev "B" "a" 100. [ "id", Int 1; "parent", Int 0 ];
-         ev "E" "a" 50. [ "id", Int 1 ];
-       ]
-   with
-  | Ok _ -> Alcotest.fail "backwards clock accepted"
-  | Error _ -> ());
-  (* two run headers *)
-  (match Inspect.validate_spans [ header; header ] with
-  | Ok _ -> Alcotest.fail "duplicate header accepted"
-  | Error _ -> ())
+  let h = header "bsolo-spans/2" in
+  let accepts what evs =
+    match Inspect.validate_spans evs with
+    | Ok _ -> ()
+    | Error v -> Alcotest.failf "%s rejected: %s" what (String.concat "; " v)
+  in
+  let rejects what evs =
+    match Inspect.validate_spans evs with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error _ -> ()
+  in
+  accepts "nested and disjoint spans"
+    [ h; ev "X" "inner" 20. 10.; ev "X" "outer" 10. 50.; ev "X" "next" 60. 5. ];
+  accepts "a child poking out by rounding" [ h; ev "X" "outer" 10. 50.; ev "X" "inner" 40. 20.5 ];
+  accepts "overlap across tracks" [ h; ev "X" "a" 10. 50.; ev ~tid:2 "X" "b" 40. 50. ];
+  rejects "partial overlap on one track" [ h; ev "X" "a" 10. 50.; ev "X" "b" 40. 50. ];
+  rejects "B/E events" [ h; ev "B" "a" 10. 0.; ev "E" "a" 20. 0. ];
+  rejects "a missing header" [ ev "X" "a" 10. 50. ];
+  rejects "a duplicated header" [ h; h ];
+  rejects "schema bsolo-spans/1" [ header "bsolo-spans/1" ]
+
+let spans_cap_drops_whole_events () =
+  let path = tmp_file ".spans.json" in
+  (* Room for the two header records, the track name and two spans. *)
+  let sink = T.Span.open_file ~max_events:5 path in
+  T.Span.header sink ~run_id:"capped" ~started:1000.;
+  T.Span.name_track sink ~track:1 "main";
+  let t = Unix.gettimeofday () in
+  for i = 0 to 9 do
+    let start = t +. (0.001 *. float_of_int i) in
+    T.Span.complete sink ~track:1 ~name:"step" ~start ~stop:(start +. 0.0005)
+  done;
+  T.Span.close sink;
+  let events, stats = validated path in
+  Alcotest.(check int) "spans written up to the cap" 2 (List.length (x_events events));
+  Alcotest.(check int) "the rest counted as dropped" 8 stats.sp_dropped;
+  Alcotest.(check bool) "the summary warns" true
+    (List.exists (fun l -> contains l "8 span(s) dropped") (Inspect.render_span_stats stats))
+
+let spans_are_the_timer_readings () =
+  let path = tmp_file ".spans.json" in
+  let sink = T.Span.open_file path in
+  T.Span.header sink ~run_id:"lpr" ~started:(Unix.gettimeofday ());
+  let cell = T.Profile.Cell.make ~observed:false ~name:"bsolo" () in
+  let tel = T.Ctx.create ~spans:sink ~cell () in
+  let problem =
+    Benchgen.Knapsack.generate
+      ~params:{ Benchgen.Knapsack.default with items = 14; rows = 6 }
+      5
+  in
+  let options = { (Bsolo.Options.with_lb Bsolo.Options.Lpr) with telemetry = Some tel } in
+  ignore (Bsolo.Solver.solve ~options problem);
+  T.Ctx.close tel;
+  let events, _ = validated path in
+  let simplex = x_events ~name:"simplex" events in
+  let n = List.length simplex in
+  Alcotest.(check bool) "the solve ran simplex" true (n > 0);
+  let summed = List.fold_left (fun acc (_, dur) -> acc +. dur) 0. simplex in
+  let self = T.Timer.self_seconds tel.timer T.Phase.Simplex *. 1e6 in
+  Alcotest.(check bool)
+    (Printf.sprintf "simplex spans sum to its self time (%.1f vs %.1f us, %d spans)" summed self n)
+    true
+    (Float.abs (summed -. self) <= float_of_int n)
 
 (* --- heartbeat snapshots ---------------------------------------------------- *)
 
@@ -445,6 +524,9 @@ let suite =
     Alcotest.test_case "spans: well-nested file validates" `Quick spans_well_nested_file;
     Alcotest.test_case "spans: one shared epoch (skew)" `Quick spans_share_one_epoch;
     Alcotest.test_case "spans: validator rejects bad streams" `Quick spans_validator_rejects_bad;
+    Alcotest.test_case "spans: cap drops whole X events" `Quick spans_cap_drops_whole_events;
+    Alcotest.test_case "spans: durations are the timer's readings" `Quick
+      spans_are_the_timer_readings;
     Alcotest.test_case "heartbeat: encode/decode round trip" `Quick snapshot_encode_decode_round_trip;
     Alcotest.test_case "heartbeat: non-snapshot lines" `Quick snapshot_non_snapshot_lines;
     Alcotest.test_case "heartbeat: file round trip + check" `Quick heartbeat_file_round_trip;
