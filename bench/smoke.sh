@@ -1,7 +1,7 @@
 #!/bin/sh
 # Tier-1 smoke check: build, tests, formatting (when ocamlformat is
-# available), and one tiny instrumented solve whose JSONL trace and JSON
-# report are validated.  Also exercises the live-observability surface:
+# available), and one tiny instrumented solve whose JSONL flight
+# recording and JSON report are validated.  Also exercises the live-observability surface:
 # a --trace-spans/--heartbeat/--metrics portfolio solve whose artifacts
 # are validated with `bsolo inspect --spans` / `--live --check`, a
 # --listen run whose endpoints, heartbeat and metrics files all come
@@ -11,8 +11,11 @@
 # `propagate`).
 # The flight recorder is exercised end to end: a --record run replayed
 # deterministically with `bsolo replay --check`, its forensics node
-# accounting reconciled, a --record-ring run killed with SIGTERM whose
-# tail must still parse, and stitched --portfolio recordings (--jobs 2
+# accounting reconciled, a direct --record run killed with SIGTERM
+# before its fin (replays, but `replay --check` calls it incomplete), a
+# foreign file refused with exit 2, a --record-ring run killed with
+# SIGTERM whose tail must still parse, and stitched --portfolio
+# recordings (--jobs 2
 # and --jobs 1, whose forensics accounting must reconcile); pbs and
 # galena recordings replay and reconcile the same way, and so do runs
 # under non-default search flags.  The
@@ -68,8 +71,7 @@ save_artifacts() {
 }
 trap 'save_artifacts; rm -rf "$tmpdir"' EXIT
 ./_build/default/bin/bsolo_main.exe benchmarks/synth-s1.opb \
-  --timeout 10 --stats \
-  --trace "$tmpdir/trace.jsonl" --json "$tmpdir/report.json" \
+  --timeout 10 --stats --json "$tmpdir/report.json" \
   --record "$tmpdir/synth.rec" \
   >"$tmpdir/stdout.txt" 2>"$tmpdir/stderr.txt"
 
@@ -80,15 +82,15 @@ grep -q '^c phase times' "$tmpdir/stderr.txt" || {
   echo "FAIL: --stats produced no phase table on stderr"; cat "$tmpdir/stderr.txt"; exit 1;
 }
 
-echo "== validate JSONL trace =="
-# The trace is the recorder's JSONL rendering: a bsolo-trace/2 header,
-# then one line per recorded event.  Every search node is a decision or
-# a prune, so their lines add up to the fin event's node count — the
-# identity `inspect forensics` checks on the recording.
-[ -s "$tmpdir/trace.jsonl" ] || { echo "FAIL: empty trace"; exit 1; }
+echo "== validate the JSONL recording =="
+# The recording is JSON lines: a bsolo-trace/2 header, then one line per
+# recorded event.  Every search node is a decision or a prune, so their
+# lines add up to the fin event's node count — the identity `inspect
+# forensics` checks too.
+[ -s "$tmpdir/synth.rec" ] || { echo "FAIL: empty recording"; exit 1; }
 awk '
-  !/^\{"t":/ { print "FAIL: bad trace line " NR ": " $0; bad = 1; exit 1 }
-  !/\}$/     { print "FAIL: bad trace line " NR ": " $0; bad = 1; exit 1 }
+  !/^\{"t":/ { print "FAIL: bad recording line " NR ": " $0; bad = 1; exit 1 }
+  !/\}$/     { print "FAIL: bad recording line " NR ": " $0; bad = 1; exit 1 }
   NR == 1 && !/"ev":"header","schema":"bsolo-trace\/2"/ {
     print "FAIL: first line is not a bsolo-trace/2 header: " $0; bad = 1; exit 1
   }
@@ -107,9 +109,9 @@ awk '
   END {
     if (bad) exit 1
     if (fin == "" || nodes != fin) { print "FAIL: decisions + prunes = " nodes ", fin.nodes = " fin; exit 1 }
-    print "trace: " NR " events, incumbents strictly decreasing, decisions + prunes = fin.nodes = " fin
+    print "recording: " NR " lines, incumbents strictly decreasing, decisions + prunes = fin.nodes = " fin
   }
-' "$tmpdir/trace.jsonl"
+' "$tmpdir/synth.rec"
 ./_build/default/bin/bsolo_main.exe replay benchmarks/synth-s1.opb "$tmpdir/synth.rec" --check \
   >"$tmpdir/synth-replay.out" 2>&1 || {
   echo "FAIL: replay --check of the instrumented solve diverged"; cat "$tmpdir/synth-replay.out"; exit 1;
@@ -485,6 +487,44 @@ for case in "knap-s2 --cuts root --no-lp-branching --no-adaptive-lb --no-presolv
     echo "FAIL: no REPLAY OK verdict for the run with $flags"; cat "$tmpdir/flags-replay.out"; exit 1;
   }
   echo "$case: $(grep '^c replay:' "$tmpdir/flags-replay.out")"
+done
+
+echo "== a direct recording killed before its fin replays, but not as complete =="
+# SIGTERM closes the recording at a line boundary, so nothing is torn:
+# every recorded event replays, yet without the fin the recording does
+# not prove the whole run, and --check says so.
+timeout -s TERM 2 "$bsolo" "$tmpdir/knap15s6.opb" \
+  --record "$tmpdir/killed.rec" >/dev/null 2>&1 || true
+rc=0
+timeout 120 "$bsolo" replay "$tmpdir/knap15s6.opb" "$tmpdir/killed.rec" \
+  >"$tmpdir/killed-replay.out" 2>&1 || rc=$?
+[ "$rc" = 0 ] && grep -Eq '^c replay: ([0-9]+)/\1 recorded events matched$' "$tmpdir/killed-replay.out" || {
+  echo "FAIL: replay of the killed recording: exit $rc"; cat "$tmpdir/killed-replay.out"; exit 1;
+}
+rc=0
+timeout 120 "$bsolo" replay "$tmpdir/knap15s6.opb" "$tmpdir/killed.rec" --check \
+  >"$tmpdir/killed-check.out" 2>&1 || rc=$?
+[ "$rc" = 1 ] && grep -q '^s REPLAY INCOMPLETE$' "$tmpdir/killed-check.out" || {
+  echo "FAIL: replay --check of the killed recording: exit $rc (want 1, REPLAY INCOMPLETE)";
+  cat "$tmpdir/killed-check.out"; exit 1;
+}
+"$bsolo" inspect forensics "$tmpdir/killed.rec" >"$tmpdir/killed-forensics.out" 2>&1 || {
+  echo "FAIL: forensics failed on the killed recording"; cat "$tmpdir/killed-forensics.out"; exit 1;
+}
+grep -q '(no fin line' "$tmpdir/killed-forensics.out" || {
+  echo "FAIL: forensics of the killed recording does not report the missing fin";
+  cat "$tmpdir/killed-forensics.out"; exit 1;
+}
+echo "killed: $(grep '^c replay:' "$tmpdir/killed-replay.out"), --check INCOMPLETE"
+
+echo "== a file that is not a bsolo-trace/2 recording is refused =="
+printf 'bsolo-rec/1\n\007\000\002\001' >"$tmpdir/foreign.rec"
+for cmd in "replay benchmarks/synth-s1.opb" "inspect forensics"; do
+  rc=0
+  "$bsolo" $cmd "$tmpdir/foreign.rec" >"$tmpdir/foreign.out" 2>&1 || rc=$?
+  [ "$rc" = 2 ] && grep -q 'not a bsolo-trace/2 recording' "$tmpdir/foreign.out" || {
+    echo "FAIL: $cmd on a bsolo-rec/1 file: exit $rc"; cat "$tmpdir/foreign.out"; exit 1;
+  }
 done
 
 echo "== ring recording leaves a parseable tail after SIGTERM =="

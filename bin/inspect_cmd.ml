@@ -87,15 +87,13 @@ let forensics_run rec_path node =
   | Error msg -> error msg
   | Ok rc ->
     Printf.printf "== %s (flight recording) ==\n" rec_path;
-    (match rc.Telemetry.Recorder.r_header with
-    | Some h ->
-      Printf.printf "engine=%s lb=%s run=%s vars=%d constraints=%d flags=0x%x\n"
-        h.Telemetry.Recorder.h_engine
-        (if h.h_lb_method = "" then "-" else h.h_lb_method)
-        (if h.h_run_id = "" then "-" else h.h_run_id)
-        h.h_nvars h.h_nconstraints h.h_flags
-    | None -> print_endline "no header (file broke before the header frame)");
-    if rc.r_truncated then print_endline "torn tail: a truncated trailing frame was dropped";
+    let h = rc.Telemetry.Recorder.r_header in
+    Printf.printf "engine=%s lb=%s run=%s vars=%d constraints=%d flags=0x%x\n"
+      h.Telemetry.Recorder.h_engine
+      (if h.h_lb_method = "" then "-" else h.h_lb_method)
+      (if h.h_run_id = "" then "-" else h.h_run_id)
+      h.h_nvars h.h_nconstraints h.h_flags;
+    if rc.r_truncated then print_endline "torn tail: a truncated last line was dropped";
     print_newline ();
     (match node with
     | Some n -> (
@@ -168,11 +166,11 @@ let inspect_run files diff_mode trace_file spans_file live_file follow check thr
   | None ->
   match trace_file, diff_mode, files with
   | Some path, _, _ ->
-    (match Inspect.load_trace path with
+    (match Telemetry.Recorder.read_file path with
     | Error msg -> error msg
-    | Ok (events, skipped) ->
-      Printf.printf "== %s (trace) ==\n" path;
-      print_lines (Inspect.trace_summary events ~skipped);
+    | Ok rc ->
+      Printf.printf "== %s (recording) ==\n" path;
+      print_lines (Inspect.trace_summary rc);
       0)
   | None, true, [ a; b ] ->
     load a (fun ja ->
@@ -206,7 +204,10 @@ let diff_flag =
   Arg.(value & flag & info [ "diff" ] ~doc)
 
 let inspect_trace_arg =
-  let doc = "Summarize a JSONL trace instead of a report (tolerates truncated traces)." in
+  let doc =
+    "Summarize a $(b,--record) flight recording instead of a report: event tally and \
+     incumbent trajectory (tolerates a torn last line)."
+  in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let inspect_spans_arg =

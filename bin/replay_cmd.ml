@@ -51,9 +51,10 @@ let replay_run problem_path rec_path check proof_out bcp =
             print_string "s REPLAY MISMATCH\n";
             1
           end
-          else if check && (rep.checked < rep.total || rc.r_truncated) then begin
-            (* --check demands the full event stream; a truncated tail or
-               unreached suffix replays fine but proves less. *)
+          else if check && (rep.checked < rep.total || not rep.complete) then begin
+            (* --check demands the full event stream; a torn tail, a
+               missing fin or an unreached suffix replays fine but proves
+               less. *)
             print_string "s REPLAY INCOMPLETE\n";
             1
           end
@@ -72,15 +73,16 @@ let cmd =
   in
   let rec_arg =
     let doc =
-      "Flight recording written by $(b,--record) (not $(b,--record-ring)) with \
-       $(b,--engine) bsolo, pbs or galena."
+      "Flight recording ($(b,bsolo-trace/2) JSON lines) written by $(b,--record) (not \
+       $(b,--record-ring)) with $(b,--engine) bsolo, pbs or galena."
     in
     Arg.(required & pos 1 (some file) None & info [] ~docv:"RECORDING" ~doc)
   in
   let check_arg =
     let doc =
       "Exit 1 unless the replay matches the complete recording: every recorded event \
-       reproduced in order with identical payloads, no torn tail."
+       reproduced in order with identical payloads, ending in the recorded $(b,fin), no torn \
+       tail."
     in
     Arg.(value & flag & info [ "check" ] ~doc)
   in

@@ -44,8 +44,8 @@ let fatal msg =
   Printf.eprintf "c error: %s\n%!" msg;
   exit 2
 
-(* Random hex run id: correlates every artifact (report, trace, spans,
-   heartbeats, proof log) a single invocation leaves behind. *)
+(* Random hex run id: correlates every artifact (report, recording,
+   spans, heartbeats, proof log) a single invocation leaves behind. *)
 let make_run_id () =
   let st = Random.State.make_self_init () in
   String.concat "" (List.init 4 (fun _ -> Printf.sprintf "%04x" (Random.State.bits st land 0xffff)))
@@ -55,7 +55,6 @@ let make_run_id () =
 type sinks = {
   verbosity : int;
   stats : bool;
-  trace_file : string option;
   json_file : string option;
   proof_file : string option;
   progress_every : int;
@@ -75,7 +74,7 @@ let max_record_ring = 1 lsl 24
 
 (* [engine] names the preset [options] started from, or "milp". *)
 let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t) sinks =
-  let { verbosity; stats; trace_file; json_file; proof_file; progress_every; span_file;
+  let { verbosity; stats; json_file; proof_file; progress_every; span_file;
         heartbeat_file; heartbeat_every; metrics_file; record_file; record_ring; listen } =
     sinks
   in
@@ -163,13 +162,11 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
       span_file <> None || heartbeat_file <> None || metrics_file <> None || listen_addr <> None
     in
     let want_telemetry =
-      want_report || trace_file <> None || progress_every > 0 || observing
-      || record_file <> None
+      want_report || progress_every > 0 || observing || record_file <> None
     in
-    (* The run header: the flight recording's header frame and, rendered
-       as JSON, the trace's first line.  Its flags snapshot the
-       tree-shaping options exactly as `bsolo replay` will reconstruct
-       them. *)
+    (* The run header: the flight recording's first line.  Its flags
+       snapshot the tree-shaping options exactly as `bsolo replay` will
+       reconstruct them. *)
     let header =
       {
         Telemetry.Recorder.h_run_id = run_id;
@@ -183,8 +180,7 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
       }
     in
     (* Flight recorder: opened before the telemetry context so the context
-       owns it (and tees it onto the trace) and every engine emits through
-       it.  The portfolio manages its own per-member part recordings and
+       owns it and every engine emits through it.  The portfolio manages its own per-member part recordings and
        stitches the final file itself, so none is opened here in that
        mode. *)
     let recorder =
@@ -197,16 +193,6 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
     let tel =
       if not want_telemetry then None
       else begin
-        let trace =
-          match trace_file with
-          | None -> None
-          | Some f -> (
-            try
-              let tr = Telemetry.Trace.open_file f in
-              Telemetry.Recorder.trace_header tr header;
-              Some tr
-            with Sys_error msg -> fatal ("cannot open trace file: " ^ msg))
-        in
         let spans =
           match span_file with
           | None -> None
@@ -239,7 +225,7 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
           else None
         in
         let ctx =
-          Telemetry.Ctx.create ~timing:want_report ?trace ?spans ?cell ?progress ?recorder ()
+          Telemetry.Ctx.create ~timing:want_report ?spans ?cell ?progress ?recorder ()
         in
         Option.iter (fun c -> Telemetry.Profile.register c ctx.registry) cell;
         Some ctx
@@ -296,7 +282,7 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
                     ]) ))
         monitor
     in
-    (* Keep a trace / span file / heartbeat (and a proof log) parseable on
+    (* Keep a recording / span file / heartbeat (and a proof log) parseable on
        abnormal exit: close (flush) the sinks from signal handlers and
        at_exit.  All closes are idempotent, so the normal shutdown path is
        unaffected. *)
@@ -308,7 +294,7 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
       match proof_sink with Some s -> Proof.Sink.close s | None -> ()
     in
     if
-      (Option.is_some tel && (trace_file <> None || span_file <> None))
+      (Option.is_some tel && span_file <> None)
       || Option.is_some monitor || Option.is_some proof_sink || Option.is_some recorder
     then begin
       at_exit close_sinks;
@@ -605,14 +591,6 @@ let stats_arg =
   let doc = "Print a per-phase time table and the counter registry to stderr." in
   Arg.(value & flag & info [ "stats" ] ~doc)
 
-let trace_arg =
-  let doc =
-    "Stream search events as JSON lines (schema bsolo-trace/2) to $(docv): decision, \
-     backjump, lb_eval, prune, learned, incumbent, import, restart and fin, plus the \
-     portfolio scheduling lines."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
 let json_arg =
   let doc = "Write a machine-readable run report (see docs/OBSERVABILITY.md) to $(docv)." in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
@@ -669,9 +647,10 @@ let metrics_arg =
 let record_arg =
   let doc =
     "Record the complete search — decisions, backjumps, lower-bound evaluations, prunes with \
-     blame, learned constraints, incumbents, imports, restarts — as a compact binary flight \
-     recording (format $(b,bsolo-rec/1), see docs/FORMATS.md) to $(docv).  Analyse with \
-     $(b,bsolo inspect forensics), re-execute and cross-check with $(b,bsolo replay).  With \
+     blame, learned constraints, incumbents, imports, restarts and the final fin — to \
+     $(docv) as JSON lines (schema $(b,bsolo-trace/2), see docs/FORMATS.md): a header line, \
+     then one line per event.  Analyse with $(b,bsolo inspect forensics) or \
+     $(b,bsolo inspect --trace), re-execute and cross-check with $(b,bsolo replay).  With \
      $(b,--portfolio), each member records a .part file and the final file is stitched from \
      them like a portfolio proof log."
   in
@@ -681,7 +660,8 @@ let record_ring_arg =
   let doc =
     "With $(b,--record): keep only the last $(docv) events in a bounded in-memory ring, \
      written out at close (also from the signal handlers), so an arbitrarily long run leaves \
-     a small recording of its final moments.  At most 16777216 (2^24) events.  A ring \
+     a small recording of its final moments.  Each retained event holds its rendered line, \
+     about 85 bytes.  At most 16777216 (2^24) events.  A ring \
      recording supports forensics but not $(b,bsolo replay) — the dropped prefix makes the \
      decision sequence incomplete."
   in
@@ -700,13 +680,13 @@ let listen_arg =
 
 
 let sinks_term =
-  let make verbose stats trace_file json_file proof_file progress_every span_file heartbeat_file
+  let make verbose stats json_file proof_file progress_every span_file heartbeat_file
       heartbeat_every metrics_file record_file record_ring listen =
-    { verbosity = List.length verbose; stats; trace_file; json_file; proof_file; progress_every;
-      span_file; heartbeat_file; heartbeat_every; metrics_file; record_file; record_ring; listen }
+    { verbosity = List.length verbose; stats; json_file; proof_file; progress_every; span_file;
+      heartbeat_file; heartbeat_every; metrics_file; record_file; record_ring; listen }
   in
   Term.(
-    const make $ verbose_arg $ stats_arg $ trace_arg $ json_arg $ proof_file_arg $ progress_arg
+    const make $ verbose_arg $ stats_arg $ json_arg $ proof_file_arg $ progress_arg
     $ span_file_arg $ heartbeat_arg $ heartbeat_every_arg $ metrics_arg
     $ record_arg $ record_ring_arg $ listen_arg)
 

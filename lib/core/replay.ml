@@ -7,7 +7,7 @@
    - [decision_oracle] feeds the recorded decisions back to the driver
      instead of the activity/phase heuristics;
    - [should_stop] ends the replay when the cursor reaches a final
-     frame with status "unknown" — the recorded run stopped on a
+     event, a fin with status "unknown" — the recorded run stopped on a
      budget there, and replay must stop at the same loop top rather
      than search on.
 
@@ -15,7 +15,7 @@
    [Observer] recorder whose callback compares each event against the
    recording at the cursor and advances it.  Everything else about the
    engine is deterministic given the same decisions, so a faithful
-   replay matches frame for frame; the first divergence is latched and
+   replay matches event for event; the first divergence is latched and
    the run is stopped. *)
 
 module R = Telemetry.Recorder
@@ -70,34 +70,33 @@ type report = {
   outcome : Outcome.t;
   checked : int;
   total : int;
+  complete : bool;
   mismatch : mismatch option;
 }
 
 let has_event p (rc : R.recording) = List.exists (fun (_, e) -> p e) rc.r_events
 
 let validate problem (rc : R.recording) =
-  match rc.r_header with
-  | None -> Error "recording has no header (file broke before the header frame)"
-  | Some h ->
-    if not (List.mem_assoc h.h_engine Options.presets) then
-      Error
-        (Printf.sprintf
-           "replay drives the %s engines only; this recording is from %S"
-           (String.concat ", " (List.map fst Options.presets))
-           h.h_engine)
-    else if has_event (function R.Gap _ -> true | _ -> false) rc then
-      Error
-        "ring-buffer recording: the dropped prefix makes replay impossible (use --record, \
-         not --record-ring)"
-    else if has_event (function R.Section _ -> true | _ -> false) rc then
-      Error "stitched portfolio recording: replay a single member's .part file instead"
-    else if String.lowercase_ascii h.h_lb_method = "lpr" && h.h_flags land flag_lpr_warm = 0
-    then Error "recorded under the removed --cold-lpr: the cold LPR path no longer exists"
-    else if Pbo.Problem.nvars problem <> h.h_nvars then
-      Error
-        (Printf.sprintf "problem mismatch: header says %d variables, problem has %d"
-           h.h_nvars (Pbo.Problem.nvars problem))
-    else Ok h
+  let h = rc.r_header in
+  if not (List.mem_assoc h.h_engine Options.presets) then
+    Error
+      (Printf.sprintf
+         "replay drives the %s engines only; this recording is from %S"
+         (String.concat ", " (List.map fst Options.presets))
+         h.h_engine)
+  else if has_event (function R.Gap _ -> true | _ -> false) rc then
+    Error
+      "ring-buffer recording: the dropped prefix makes replay impossible (use --record, \
+       not --record-ring)"
+  else if has_event (function R.Section _ -> true | _ -> false) rc then
+    Error "stitched portfolio recording: replay a single member's .part file instead"
+  else if String.lowercase_ascii h.h_lb_method = "lpr" && h.h_flags land flag_lpr_warm = 0
+  then Error "recorded under the removed --cold-lpr: the cold LPR path no longer exists"
+  else if Pbo.Problem.nvars problem <> h.h_nvars then
+    Error
+      (Printf.sprintf "problem mismatch: header says %d variables, problem has %d"
+         h.h_nvars (Pbo.Problem.nvars problem))
+  else Ok h
 
 (* Elapsed times are the one payload that legitimately differs between a
    run and its replay; everything else must be identical. *)
@@ -125,7 +124,7 @@ let run ?proof_out ?bcp problem (rc : R.recording) =
       in
       let expected = Array.of_list rc.r_events in
       let total = Array.length expected in
-      (* A complete recording ends with its Fin frame; a truncated one
+      (* A complete recording ends with its fin line; a truncated one
          (run killed mid-write) only constrains its surviving prefix,
          so events past its end are not divergences. *)
       let complete =
@@ -207,4 +206,4 @@ let run ?proof_out ?bcp problem (rc : R.recording) =
           Proof.Sink.close sink;
           if not keep then try Sys.remove path with Sys_error _ -> ())
         proof_tmp;
-      Ok { outcome; checked = !checked; total; mismatch = !mism })
+      Ok { outcome; checked = !checked; total; complete; mismatch = !mism })

@@ -16,8 +16,9 @@
     ring-buffer recordings (dropped prefix), stitched portfolio
     recordings (interleaving lost; replay one member's part instead)
     and recordings made by engines other than bsolo, pbs and galena.  A
-    truncated direct recording (run killed mid-write) replays and checks
-    the surviving prefix.
+    direct recording without its [fin] (run killed, or cut mid-write)
+    replays and checks the surviving prefix, and reports itself not
+    [complete].
 
     Recordings made in proof mode are replayed with a throwaway proof
     logger, because certificate validation gates pruning: a bound
@@ -33,12 +34,12 @@ val flags_of_options : Options.t -> int
 val options_of_header : Telemetry.Recorder.header -> (Options.t, string) result
 (** Reconstruct solver options from a recording header.  Limits stay
     unset: a budget-terminated recording is cut off by the replay
-    cursor reaching its final frame instead, which is exact where a
+    cursor reaching its final event instead, which is exact where a
     re-imposed wall-clock limit would not be. *)
 
 type mismatch = {
   at : int;  (** index into the recording's event list *)
-  expected : string;  (** {!Telemetry.Recorder.to_json} rendering, without ["t"] *)
+  expected : string;  (** {!Telemetry.Recorder.to_json} rendering *)
   got : string;
 }
 
@@ -46,6 +47,9 @@ type report = {
   outcome : Outcome.t;  (** the replayed run's outcome *)
   checked : int;  (** events that matched before any divergence *)
   total : int;  (** events in the recording *)
+  complete : bool;
+      (** the recording ends with its [fin] and has no torn tail: only
+          then does a full match prove the whole run *)
   mismatch : mismatch option;  (** [None] = byte-identical event stream *)
 }
 
@@ -61,8 +65,8 @@ val run :
     different mode must still match byte for byte — the cross-mode
     determinism check.
 
-    [Error] for recordings that cannot be replayed at all (no header,
-    wrong engine, ring or stitched recording, an LPR recording made
+    [Error] for recordings that cannot be replayed at all (wrong
+    engine, ring or stitched recording, an LPR recording made
     under the removed cold LP path, problem dimensions that do not
     match the header).  Divergence during replay is not an
     [Error]: it lands in [report.mismatch].

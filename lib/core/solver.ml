@@ -340,7 +340,7 @@ let next_decision st (lower : Lowerbound.Bound.t) =
 
 (* Record the conflict backjump the analysis decided on; returns the
    analysis unchanged.  Bound conflicts do not come through here — their
-   retreat is recorded as a [Prune] frame by {!Lowerbound.Track}. *)
+   retreat is recorded as a [Prune] event by {!Lowerbound.Track}. *)
 let record_backjump st ~from_level analysis =
   (match analysis with
   | Core.Root_conflict -> Telemetry.Recorder.backjump st.recorder ~from_level ~to_level:0

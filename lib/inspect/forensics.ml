@@ -10,8 +10,7 @@
    Every decision is pushed once and popped at most once, so blame
    totals plus the prune events themselves add up to the engine's node
    count (bsolo counts a node per decision *and* per bound-conflict
-   prune), which the renderer reconciles against the recorded Fin
-   frame.
+   prune), which the renderer reconciles against the recorded fin.
 
    Wasted work per blame: the number of nodes explored strictly inside
    the subtrees it closed.  A watermark keeps the ranges disjoint when
@@ -55,7 +54,7 @@ type analysis = {
 }
 
 (* Split a stitched recording into its member sections; a recording
-   without Section frames is one anonymous section. *)
+   without section lines is one anonymous section. *)
 let split_sections events =
   let rec go name rev acc = function
     | [] -> List.rev ((name, List.rev rev) :: acc)
@@ -330,7 +329,7 @@ let render analyses =
       | Some (status, n) ->
         let verdict = if n = a.a_accounted then "matches" else "MISMATCH vs" in
         Printf.sprintf " (%s recorded fin: %s, %d nodes)" verdict status n
-      | None -> " (no fin frame: run killed before the summary)"
+      | None -> " (no fin line: run killed before the summary)"
     in
     let totals =
       line "nodes: %d decisions + %d prunes = %d accounted%s" a.a_decisions a.a_prune_events

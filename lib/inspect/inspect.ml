@@ -1,7 +1,8 @@
 (* Derived analyses over the observability artifacts: `--json` run
-   reports and `--trace` JSONL event streams.  Everything here is a pure
-   function from parsed JSON to strings or typed rows, so the CLI
-   subcommand stays a thin shell and the analyses are unit-testable. *)
+   reports, `--record` flight recordings, span and heartbeat files.
+   Everything here is a pure function from parsed data to strings or
+   typed rows, so the CLI subcommand stays a thin shell and the analyses
+   are unit-testable. *)
 
 module Json = Telemetry.Json
 
@@ -21,10 +22,9 @@ let load_file path =
     | Ok v -> Ok v
     | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
 
-(* Trace recovery: a crashed or killed run leaves at most one partial
-   trailing line (the sink flushes every 64 events); more generally any
-   unparseable line is skipped and counted rather than failing the whole
-   inspection. *)
+(* Heartbeat recovery: a crashed or killed run leaves at most one partial
+   trailing line; more generally any unparseable line is skipped and
+   counted rather than failing the whole inspection. *)
 let load_trace path =
   match read_file path with
   | exception Sys_error msg -> Error msg
@@ -362,36 +362,27 @@ let has_regression entries = List.exists (fun e -> e.regression) entries
 
 (* --- trace summary --------------------------------------------------------- *)
 
-let trace_summary events ~skipped =
+let trace_summary (rc : Telemetry.Recorder.recording) =
+  let module R = Telemetry.Recorder in
   let tally = Hashtbl.create 16 in
-  let last_t = ref 0. in
   List.iter
-    (fun e ->
-      (match Option.bind (Json.member "t" e) Json.to_float with
-      | Some t when t > !last_t -> last_t := t
-      | _ -> ());
-      match Option.bind (Json.member "ev" e) Json.to_string_opt with
-      | Some ev -> Hashtbl.replace tally ev (1 + Option.value ~default:0 (Hashtbl.find_opt tally ev))
-      | None -> ())
-    events;
+    (fun (_, ev) ->
+      let k = R.event_name ev in
+      Hashtbl.replace tally k (1 + Option.value ~default:0 (Hashtbl.find_opt tally k)))
+    rc.r_events;
   let counts =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tally [] |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   let incumbents =
     List.filter_map
-      (fun e ->
-        match Option.bind (Json.member "ev" e) Json.to_string_opt with
-        | Some "incumbent" ->
-          (match Option.bind (Json.member "t" e) Json.to_float,
-                 Option.bind (Json.member "cost" e) Json.to_int with
-          | Some t, Some c -> Some (t, c)
-          | _ -> None)
-        | _ -> None)
-      events
+      (function t_us, R.Incumbent { cost } -> Some (float_of_int t_us /. 1e6, cost) | _ -> None)
+      rc.r_events
   in
+  let last_us = List.fold_left (fun m (t_us, _) -> max m t_us) 0 rc.r_events in
   let header =
-    Printf.sprintf "%d events over %.3fs%s" (List.length events) !last_t
-      (if skipped > 0 then Printf.sprintf " (%d unparseable line(s) skipped)" skipped else "")
+    Printf.sprintf "%d events over %.3fs%s" (List.length rc.r_events)
+      (float_of_int last_us /. 1e6)
+      (if rc.r_truncated then " (torn last line dropped)" else "")
   in
   let count_lines = List.map (fun (k, v) -> Printf.sprintf "  %-16s %d" k v) counts in
   let inc_lines =
@@ -407,7 +398,7 @@ let trace_summary events ~skipped =
 
 (* A span file is a Chrome trace-event JSON array.  A run cut short by a
    signal loses the closing "]" (and possibly a partial tail line); repair
-   like the JSONL loader does: drop the torn tail, strip a dangling
+   like the heartbeat loader does: drop the torn tail, strip a dangling
    comma, close the array. *)
 let load_spans path =
   match read_file path with

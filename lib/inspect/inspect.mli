@@ -1,11 +1,11 @@
 (** Derived analyses over the observability artifacts.
 
-    Consumes the [--json] run reports and [--trace] JSONL streams written
-    by the solvers (see [docs/OBSERVABILITY.md]), and produces the
-    derived views behind [bsolo inspect]: per-procedure effectiveness,
-    gap-closure timeline, search-tree shape, report diffs and trace
-    summaries.  Pure functions from parsed JSON so everything is
-    unit-testable. *)
+    Consumes the [--json] run reports, [--record] flight recordings and
+    the span and heartbeat files written by the solvers (see
+    [docs/OBSERVABILITY.md]), and produces the derived views behind
+    [bsolo inspect]: per-procedure effectiveness, gap-closure timeline,
+    search-tree shape, report diffs and recording summaries.  Pure
+    functions from parsed data so everything is unit-testable. *)
 
 module Json = Telemetry.Json
 
@@ -14,9 +14,9 @@ module Json = Telemetry.Json
 val load_file : string -> (Json.t, string) result
 
 val load_trace : string -> (Json.t list * int, string) result
-(** Events plus the number of unparseable lines skipped — a trace cut
-    short by a signal or timeout loses at most its partial tail, not the
-    whole file. *)
+(** A [--heartbeat] JSONL file: its lines plus the number of unparseable
+    lines skipped — a file cut short by a signal or timeout loses at
+    most its partial tail, not the whole file. *)
 
 (** {1 Report accessors} *)
 
@@ -98,12 +98,12 @@ val diff : threshold:float -> Json.t -> Json.t -> diff_entry list
 val render_diff : ?all:bool -> diff_entry list -> string list
 val has_regression : diff_entry list -> bool
 
-(** {1 Trace summary} *)
+(** {1 Recording summary} *)
 
-val trace_summary : Json.t list -> skipped:int -> string list
-(** Summary of a [--trace] stream ({!load_trace}): the event count and
-    time span (plus the [skipped] unparseable lines), a tally per ["ev"]
-    name, and the incumbent trajectory (time and cost). *)
+val trace_summary : Telemetry.Recorder.recording -> string list
+(** Summary of a flight recording ({!Telemetry.Recorder.read_file}):
+    the event count and time span (noting a dropped torn last line), a
+    tally per ["ev"] name, and the incumbent trajectory (time and cost). *)
 
 (** {1 Span-file validation} *)
 

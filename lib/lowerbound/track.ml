@@ -18,7 +18,7 @@ type t = {
   path_backjump : Telemetry.Histogram.t;  (* lb.path.bc_backjump *)
   gap : Telemetry.Series.t;  (* search.gap: (lb, ub) trajectory *)
   cell : Telemetry.Profile.Cell.t;  (* live lb for heartbeat monitors *)
-  recorder : Telemetry.Recorder.t;  (* flight recorder: Prune frames with blame *)
+  recorder : Telemetry.Recorder.t;  (* flight recorder: Prune events with blame *)
 }
 
 let gap_series_name = "search.gap"
@@ -52,7 +52,7 @@ let note_call t ~value ~path ~upper =
    contributed (value > 0) or the path cost alone reached the incumbent,
    so non-chronological backtracks are attributed to the procedure that
    actually earned them.  The same attribution feeds the flight
-   recorder's Prune frame, so post-mortem forensics blame exactly what
+   recorder's Prune event, so post-mortem forensics blame exactly what
    the live counters credit. *)
 let note_bound_conflict t ~lb_driven ~lb ~path ~upper ~from_level ~to_level =
   let jump = max 0 (from_level - to_level) in

@@ -31,7 +31,7 @@ val note_bound_conflict :
   t -> lb_driven:bool -> lb:int -> path:int -> upper:int -> from_level:int -> to_level:int -> unit
 (** Attribute one bound conflict and its backjump length.  [lb_driven]
     is false when the path cost alone reached the incumbent (attributed
-    to the pseudo-procedure ["path"]).  Also emits a [Prune] frame with
+    to the pseudo-procedure ["path"]).  Also emits a [Prune] event with
     the same blame to the context's flight recorder, carrying the
     bound / path / incumbent values that justified the prune. *)
 

@@ -195,7 +195,7 @@ let solve ?(options = Bsolo.Options.default) problem =
         in
         let lp_elapsed_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
         Lowerbound.Instr.flush_simplex simplex_c sstats;
-        (* One Lb_eval frame per LP relaxation solve: proc "lp", the
+        (* One Lb_eval event per LP relaxation solve: proc "lp", the
            rounded-up bound as the value (path cost is folded into the
            relaxation, so path = 0), pruned when the node closes. *)
         let record_lp ~value ~pruned =

@@ -87,17 +87,7 @@ let attribute tel name (o : Bsolo.Outcome.t) =
           (Telemetry.Registry.counter tel.Telemetry.Ctx.registry (prefix ^ k))
           v)
     (Bsolo.Outcome.counters_to_alist o.counters);
-  Telemetry.Gauge.set (Telemetry.Registry.gauge tel.registry (prefix ^ "seconds")) o.elapsed;
-  Telemetry.Trace.event tel.trace "portfolio_result"
-    [
-      "name", Telemetry.Json.String name;
-      "status", Telemetry.Json.String (Bsolo.Outcome.status_name o.status);
-      ( "cost",
-        match Bsolo.Outcome.best_cost o with
-        | None -> Telemetry.Json.Null
-        | Some c -> Telemetry.Json.Int c );
-      "seconds", Telemetry.Json.Float o.elapsed;
-    ]
+  Telemetry.Gauge.set (Telemetry.Registry.gauge tel.registry (prefix ^ "seconds")) o.elapsed
 
 (* Fold worker-registry snapshots into the parent registry under
    [portfolio.<name>.<instrument>] — registries are single-domain, so the
@@ -215,12 +205,10 @@ let stitch_proof ?run_id ~base problem names runs =
 
 (* Flight-recorder parts mirror the proof parts: each member records into
    [<base>.<member>.part] and the parts are stitched into one recording
-   with per-member [Section] frames after the members finish.  Member
+   with per-member [section] lines after the members finish.  Member
    parts carry the member name as their engine tag; the stitched file is
    tagged "portfolio".  (Stitched recordings serve forensics, not
-   replay: the interleaving between members is not recorded.)  Every
-   member's recorder is teed onto the run's trace sink with its name as
-   the "member" field, so the shared trace attributes each line. *)
+   replay: the interleaving between members is not recorded.) *)
 let recording_header ?run_id ~engine ~started problem =
   {
     Telemetry.Recorder.h_run_id = Option.value ~default:"" run_id;
@@ -233,18 +221,14 @@ let recording_header ?run_id ~engine ~started problem =
     h_lgr_iters = 0;
   }
 
-let member_recorder ?run_id tel ~record_file ~started problem name =
-  let r =
-    match record_file with
-    | None -> Telemetry.Recorder.disabled ()
-    | Some base -> (
-      try
-        Telemetry.Recorder.open_file (part_path base name)
-          (recording_header ?run_id ~engine:name ~started problem)
-      with Sys_error _ -> Telemetry.Recorder.disabled ())
-  in
-  Telemetry.Recorder.tee r ~member:name tel.Telemetry.Ctx.trace;
-  r
+let member_recorder ?run_id ~record_file ~started problem name =
+  match record_file with
+  | None -> Telemetry.Recorder.disabled ()
+  | Some base -> (
+    try
+      Telemetry.Recorder.open_file (part_path base name)
+        (recording_header ?run_id ~engine:name ~started problem)
+    with Sys_error _ -> Telemetry.Recorder.disabled ())
 
 let stitch_recording ?run_id ~base ~started problem names =
   let parts =
@@ -298,16 +282,14 @@ let run_pool ?run_id ~observe tel entries ~jobs ~budget ~proof_file ~record_file
   let broadcasts = Atomic.make 0 and cancelled = Atomic.make 0 in
   let run_one index ~slice =
     let e = entries.(index) in
-    Telemetry.Trace.event tel.Telemetry.Ctx.trace "portfolio_member"
-      [ "name", Telemetry.Json.String e.pname; "slice", Telemetry.Json.Float slice ];
     (* Each member gets its own live cell — and so its own span track —
        registered exactly for the duration of its run, so monitors see
        members come and go.  Its phase timer runs when the parent's does;
        the self times are added into the parent's after the join. *)
     let wcell = Telemetry.Profile.Cell.make ~observed:observe ~name:e.pname () in
     let wtrack = Telemetry.Profile.Cell.track wcell in
-    Telemetry.Span.name_track tel.spans ~track:wtrack e.pname;
-    let wrec = member_recorder ?run_id tel ~record_file ~started:start problem e.pname in
+    Telemetry.Span.name_track tel.Telemetry.Ctx.spans ~track:wtrack e.pname;
+    let wrec = member_recorder ?run_id ~record_file ~started:start problem e.pname in
     let wtel =
       Telemetry.Ctx.create
         ~timing:(Telemetry.Timer.enabled tel.timer)
@@ -398,13 +380,7 @@ let run_pool ?run_id ~observe tel entries ~jobs ~budget ~proof_file ~record_file
         attribute tel r.wname o;
         merge_worker_registry tel r.wname r.wregistry;
         runs := (r.wname, o) :: !runs
-      | Error msg ->
-        Telemetry.Trace.event tel.trace "portfolio_crash"
-          [
-            "name", Telemetry.Json.String r.wname;
-            "error", Telemetry.Json.String msg;
-          ];
-        failures := (r.wname, msg) :: !failures)
+      | Error msg -> failures := (r.wname, msg) :: !failures)
     results;
   let runs = List.rev !runs and failures = List.rev !failures in
   let names = List.map (fun e -> e.pname) (Array.to_list entries) in

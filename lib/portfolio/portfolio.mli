@@ -80,14 +80,10 @@ val solve :
 
     When [telemetry] is given, each member run is attributed in the
     shared registry — counters [portfolio.<name>.<counter>] and gauge
-    [portfolio.<name>.seconds] — and [portfolio_member] /
-    [portfolio_result] events are traced.  Every member's recorder is
-    teed onto the trace sink with its name as the ["member"] field, so
-    members' search events land in the same trace, attributed.  Each
-    member's private registry is merged after the join as
-    [portfolio.<name>.<instrument>], and the portfolio-level counters
-    [portfolio.incumbent_broadcasts], [portfolio.incumbent_imports] and
-    [portfolio.cancelled] are set.
+    [portfolio.<name>.seconds].  Each member's private registry is
+    merged after the join as [portfolio.<name>.<instrument>], and the
+    portfolio-level counters [portfolio.incumbent_broadcasts],
+    [portfolio.incumbent_imports] and [portfolio.cancelled] are set.
 
     Observability: with [telemetry] given, each member run is one
     [member:<name>] span on the member's own track, read before the
@@ -106,10 +102,11 @@ val solve :
 
     With [record_file] each member writes a flight recording into
     [<record_file>.<member>.part] and the parts are stitched — like the
-    proof parts — into one [record_file] with per-member [Section]
-    frames once the members finish.  Stitched recordings feed
-    [inspect forensics]; they are not replayable (the interleaving
-    between members is not recorded).
+    proof parts — into one [record_file] with per-member [section]
+    lines once the members finish, each section ending in the member's
+    [fin] unless it crashed.  Stitched recordings feed [inspect
+    forensics]; they are not replayable (the interleaving between
+    members is not recorded).
     [run_id], when given, is recorded as a [# run] comment in the
     stitched proof log.
 

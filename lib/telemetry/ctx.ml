@@ -1,15 +1,13 @@
 (* One telemetry context per solver run: phase timer, counter registry,
-   trace sink, span sink, live cell, progress reporter and flight
-   recorder travel together; the recorder renders its events onto the
-   trace sink.  [silent] is the default used when the caller asked for
+   span sink, live cell, progress reporter and flight recorder travel
+   together.  [silent] is the default used when the caller asked for
    nothing: counters still accumulate (they back the outcome snapshot)
-   but the timer is off, no trace/spans are written, the cell is inert
-   and no progress is printed. *)
+   but the timer is off, no spans or recording are written, the cell is
+   inert and no progress is printed. *)
 
 type t = {
   timer : Timer.t;
   registry : Registry.t;
-  trace : Trace.t;
   spans : Span.t;
   cell : Profile.Cell.t;
   progress : Progress.t;
@@ -17,11 +15,9 @@ type t = {
   imports : Counter.t;  (* search.incumbent_imports *)
 }
 
-let create ?(timing = true) ?trace ?spans ?cell ?progress ?recorder () =
+let create ?(timing = true) ?spans ?cell ?progress ?recorder () =
   let registry = Registry.create () in
   let recorder = match recorder with Some r -> r | None -> Recorder.disabled () in
-  Option.iter (Recorder.tee recorder) trace;
-  let trace = match trace with Some t -> t | None -> Trace.disabled () in
   let spans = match spans with Some s -> s | None -> Span.disabled () in
   let cell = match cell with Some c -> c | None -> Profile.Cell.disabled () in
   {
@@ -30,7 +26,6 @@ let create ?(timing = true) ?trace ?spans ?cell ?progress ?recorder () =
       Timer.create ~enabled:(timing || Span.enabled spans) ~spans ~track:(Profile.Cell.track cell)
         ();
     registry;
-    trace;
     spans;
     cell;
     progress = (match progress with Some p -> p | None -> Progress.disabled ());
@@ -41,7 +36,7 @@ let create ?(timing = true) ?trace ?spans ?cell ?progress ?recorder () =
 let silent () = create ~timing:false ()
 
 (* The engines' incumbent, import and refusal bookkeeping, one call
-   each: the recorder frame (and so the trace line), the live cell's
+   each: the recorder's event, the live cell's
    upper bound and, for imports and refusals, their counters. *)
 let incumbent t ~cost =
   Recorder.incumbent t.recorder ~cost;
@@ -72,6 +67,5 @@ let with_phase t phase f =
   else Timer.with_phase t.timer phase f
 
 let close t =
-  Trace.close t.trace;
   Span.close t.spans;
   Recorder.close t.recorder

@@ -1,29 +1,25 @@
 (** One telemetry context per solver run.
 
-    Phase timer, instrument registry, trace sink, span sink, live
-    cell, progress reporter and flight recorder travel together.  The
-    recorder is the only producer of search events; {!create} tees it
-    onto the trace sink, so [--trace] is the JSONL rendering of what the
-    recorder sees.  {!silent} is the
+    Phase timer, instrument registry, span sink, live cell, progress
+    reporter and flight recorder travel together.  The recorder is the
+    only producer of search events ([--record]).  {!silent} is the
     default used when the caller asked for nothing: counters still
     accumulate (they back the outcome snapshot) but the timer is off, no
-    trace or spans are written, the cell is inert and no progress is
+    spans or recording are written, the cell is inert and no progress is
     printed.
 
-    Domain-safety: a context is single-domain except for its trace and
-    span sinks and recorder (mutex-guarded) and its live cell (single
-    writer, any readers).  Parallel portfolio workers each get a private
-    context — own registry, own timer (enabled when the parent's is),
-    own cell, own recorder teed onto the parent's trace sink, disabled
-    progress — whose timer may write to the parent's span sink, on the
-    worker's own track; per-worker
-    registries and phase times are merged after the domains are
-    joined. *)
+    Domain-safety: a context is single-domain except for its span sink
+    and recorder (mutex-guarded) and its live cell (single writer, any
+    readers).  Parallel portfolio workers each get a private context —
+    own registry, own timer (enabled when the parent's is), own cell,
+    own recorder writing the member's part file, disabled progress —
+    whose timer may write to the parent's span sink, on the worker's
+    own track; per-worker registries and phase times are merged after
+    the domains are joined. *)
 
 type t = {
   timer : Timer.t;
   registry : Registry.t;
-  trace : Trace.t;
   spans : Span.t;
   cell : Profile.Cell.t;
   progress : Progress.t;
@@ -35,17 +31,15 @@ val silent : unit -> t
 
 val create :
   ?timing:bool ->
-  ?trace:Trace.t ->
   ?spans:Span.t ->
   ?cell:Profile.Cell.t ->
   ?progress:Progress.t ->
   ?recorder:Recorder.t ->
   unit ->
   t
-(** [timing] defaults to [true]; omitted [trace]/[spans]/[progress] are
+(** [timing] defaults to [true]; omitted [spans]/[progress] are
     disabled, an omitted [cell] is inert and an omitted [recorder] is
-    disabled.  A given [trace] gets the recorder teed onto it
-    ({!Recorder.tee}).  The timer writes the spans, on the cell's track,
+    disabled.  The timer writes the spans, on the cell's track,
     so an enabled [spans] sink turns it on whatever [timing] says. *)
 
 val incumbent : t -> cost:int -> unit
@@ -71,5 +65,4 @@ val with_phase : t -> Phase.t -> (unit -> 'a) -> 'a
     exactly [Timer.with_phase] plus one load and branch. *)
 
 val close : t -> unit
-(** Flush and close the trace and span sinks and the recorder
-    (idempotent). *)
+(** Flush and close the span sink and the recorder (idempotent). *)

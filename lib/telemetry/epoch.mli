@@ -1,6 +1,6 @@
 (** Process-wide monotonic wall-clock epoch.
 
-    All telemetry sinks (trace, spans, heartbeats) stamp events relative
+    All telemetry sinks (recordings, spans, heartbeats) stamp events relative
     to one shared zero so artifacts from different sinks and different
     portfolio domains line up on a single timeline.  The zero is fixed
     lazily, at the first call from any domain.

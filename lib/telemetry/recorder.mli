@@ -1,32 +1,28 @@
-(** Search-tree flight recorder: a compact framed binary log of the
-    complete search (schema ["bsolo-rec/1"]).
+(** Search-tree flight recorder: the complete search as JSON lines
+    (schema ["bsolo-trace/2"]).
 
-    A recording starts with the magic line, then a sequence of
-    length-prefixed frames.  Each frame carries one event — a decision
-    with the chosen literal, a conflict backjump, a lower-bound
-    evaluation with its procedure / value / elapsed time / pruning
-    outcome, a bound-conflict prune with blame, a learned constraint, an
-    incumbent, a portfolio import, a restart — stamped in microseconds
-    on the shared {!Epoch}.  The header frame repeats the [run_id] the
-    run's other artifacts (report, trace, spans, heartbeats, proof)
-    carry, so a recording correlates with all of them.
+    A recording starts with a header line, then carries one line per
+    event — a decision with the chosen literal, a conflict backjump, a
+    lower-bound evaluation with its procedure / value / elapsed time /
+    pruning outcome, a bound-conflict prune with blame, a learned
+    constraint, an incumbent, a portfolio import, a restart — each
+    [{"t":..,"ev":..,<fields>}], stamped to the microsecond on the
+    shared {!Epoch}.  The header repeats the [run_id] the run's other
+    artifacts (report, spans, heartbeats, proof) carry, so a recording
+    correlates with all of them.
 
     Two file modes: direct streaming (every event lands in the file,
-    autoflushed), and a bounded ring ([?ring]) that keeps only the most
-    recent [n] events in memory and writes them out at {!close} — the
-    mode used to leave a usable tail after crashes, timeouts and
-    SIGTERM, at constant memory.  A dropped-prefix ring file carries a
-    [Gap] frame with the drop count where the lost events were.
+    flushed every 64 events), and a bounded ring ([?ring]) that keeps
+    only the most recent [n] rendered lines in memory and writes them
+    out at {!close} — the mode used to leave a usable tail after
+    crashes, timeouts and SIGTERM, at constant memory.  A dropped-prefix
+    ring file carries a [gap] line with the drop count where the lost
+    events were.
 
-    The reader tolerates truncated tails (a run killed mid-write): all
-    intact frames are returned and the recording is flagged truncated.
+    The reader tolerates a torn last line (a run killed mid-write): all
+    intact lines are returned and the recording is flagged truncated.
 
-    The recorder is also the only producer of the [--trace] JSONL
-    stream: {!tee} attaches a {!Trace} sink, and every event recorded
-    from then on is written there too, rendered by {!to_json} with the
-    same timestamp as its binary frame.
-
-    Domain-safety: the writer is mutex-guarded, like the trace sink. *)
+    Domain-safety: the writer is mutex-guarded. *)
 
 type header = {
   h_run_id : string;
@@ -68,7 +64,7 @@ type event =
   | Fin of { status : string; nodes : int; decisions : int; conflicts : int }
 
 val schema : string
-(** ["bsolo-rec/1"] — also the magic line content. *)
+(** ["bsolo-trace/2"], the header line's ["schema"] field. *)
 
 (** {1 Writer} *)
 
@@ -80,10 +76,14 @@ val disabled : unit -> t
 val enabled : t -> bool
 
 val open_file : ?ring:int -> string -> header -> t
-(** Create [file] and write the magic + header frame.  With [?ring n]
-    (n > 0), events are kept in an [n]-slot ring buffer instead and the
-    file content (header, optional [Gap], retained events) is written at
-    {!close}.  Raises [Sys_error] if the file cannot be created. *)
+(** Create [file] and write the header line:
+    [{"t":..,"ev":"header","schema":"bsolo-trace/2"}] followed by the
+    header's fields ([run_id], [engine], [lb_method], [started],
+    [nvars], [nconstraints], [flags], [lgr_iters]).  With [?ring n]
+    (n > 0), the rendered event lines are kept in an [n]-slot ring
+    buffer instead and the file content (header, optional [gap] line,
+    retained events) is written at {!close}.  Raises [Sys_error] if the
+    file cannot be created. *)
 
 val observer : (int -> event -> unit) -> t
 (** Recorder that hands each [(t_us, event)] to a callback instead of a
@@ -92,19 +92,11 @@ val observer : (int -> event -> unit) -> t
 val memory : unit -> t
 (** Collecting recorder for tests; read back with {!collected}. *)
 
-val tee : t -> ?member:string -> Trace.t -> unit
-(** [tee r ?member sink] also writes every later event of [r] to [sink]
-    as one JSONL line, [{"t":..,"ev":..,"member":..,<fields>}]: the
-    {!to_json} rendering, with ["member"] only when given (portfolio
-    members).  A disabled recorder with a live sink becomes enabled.
-    Call it before the first event. *)
-
 val collected : t -> (int * event) list
 (** Events collected by a {!memory} recorder, in emission order. *)
 
 val emit : t -> event -> unit
-(** Stamp [event] with the current epoch time and record it (binary
-    target and JSONL sink alike). *)
+(** Stamp [event] with the current epoch time and record it. *)
 
 (* Typed emitters: free when the recorder is disabled (the event is not
    even constructed). *)
@@ -136,18 +128,22 @@ val close : t -> unit
 (** {1 Reader} *)
 
 type recording = {
-  r_header : header option;  (** [None] when the file broke before the header *)
+  r_header : header;
   r_events : (int * event) list;  (** (t_us, event), file order *)
-  r_truncated : bool;  (** a torn trailing frame was dropped *)
+  r_truncated : bool;  (** a torn last line was dropped *)
 }
 
 val read_file : string -> (recording, string) result
-(** Decode a recording, keeping every intact frame of a truncated file.
-    [Error] only for unreadable files or a missing/foreign magic line. *)
+(** Decode a recording a line at a time: [t_us] is [round(t * 1e6)],
+    unknown ["ev"] names and unknown fields are skipped, and a torn last
+    line is dropped and flags the recording truncated.  [Error] for
+    unreadable files, a file whose first line is not a
+    ["bsolo-trace/2"] header (an empty file included), and a corrupt
+    line before the last. *)
 
 val stitch : string -> header -> (string * string) list -> (unit, string) result
 (** [stitch base header parts] writes a combined recording: the header,
-    then for each [(member, part_file)] a [Section] frame followed by the
+    then for each [(member, part_file)] a [section] line followed by the
     part's events.  Unreadable parts are skipped (a crashed member must
     not invalidate the others); part files are left in place. *)
 
@@ -157,20 +153,7 @@ val event_name : event -> string
 (** The ["ev"] value: [decision], [prune], ... — the tag names of the
     format description. *)
 
-val to_json : ?member:string -> ?t_us:int -> event -> Json.t
-(** The one JSON rendering of an event:
-    [{"t":..,"ev":..,"member":..,<fields>}], with ["t"] (seconds,
-    [t_us / 1e6]) and ["member"] only when given.  A [--trace] line
-    parses to exactly this value; replay mismatch reports and the
-    forensics drill-down print it without ["t"]. *)
-
-val trace_schema : string
-(** ["bsolo-trace/2"]. *)
-
-val trace_header : Trace.t -> header -> unit
-(** Write the trace's first line: [{"t":..,"ev":"header","schema":..}]
-    followed by the header's fields ([run_id], [engine], [lb_method],
-    [started], [nvars], [nconstraints], [flags], [lb_every],
-    [lgr_iters]).  [lb_every] is no header field: the line always
-    carries 1.  The binary header frame keeps the slot too (0 when
-    [engine] is ["portfolio"]) and its decoder skips it. *)
+val to_json : event -> Json.t
+(** The one JSON rendering of an event, [{"ev":..,<fields>}]: a file
+    line is this object with ["t"] in front; replay mismatch reports
+    and the forensics drill-down print it as is. *)

@@ -16,7 +16,7 @@
    An inner span ends first, so it is written first.  [ts] is
    microseconds since Epoch.t0.  A span still running when the process
    dies is simply absent, and a crash loses at most the closing bracket,
-   which the inspect loader repairs.  Like Trace, a disabled sink costs
+   which the inspect loader repairs.  A disabled sink costs
    one branch per call site; an enabled sink serializes writers with a
    mutex. *)
 

@@ -200,36 +200,50 @@ let test_diff_noise_floor () =
 (* --- trace summary ------------------------------------------------------------ *)
 
 let test_trace_summary () =
-  let ev ?member t name fields =
-    Json.Obj
-      ((("t", Json.Float t) :: ("ev", Json.String name) :: fields)
-      @ match member with Some m -> [ "member", Json.String m ] | None -> [])
+  let module R = Telemetry.Recorder in
+  let recording ?(truncated = false) events =
+    {
+      R.r_header =
+        {
+          R.h_run_id = "cafe0123";
+          h_engine = "portfolio";
+          h_lb_method = "";
+          h_started = 0.;
+          h_nvars = 3;
+          h_nconstraints = 2;
+          h_flags = 0;
+          h_lgr_iters = 0;
+        };
+      r_events = events;
+      r_truncated = truncated;
+    }
   in
-  let events =
-    [
-      ev 0.001 "header" [ "schema", Json.String "bsolo-trace/2" ];
-      ev 0.010 "decision" [ "level", Json.Int 1 ];
-      ev 0.020 "incumbent" [ "cost", Json.Int 42 ];
-      ev 0.030 "decision" [ "level", Json.Int 2 ];
-      ev 0.040 "prune" [ "lb", Json.Int 3 ];
-      ev ~member:"bsolo-mis" 1.250 "incumbent" [ "cost", Json.Int 40 ];
-      Json.Obj [ "no_ev", Json.Int 1 ];
-    ]
+  let decision level = R.Decision { level; var = level; value = true } in
+  let rc =
+    recording ~truncated:true
+      [
+        10_000, decision 1;
+        20_000, R.Incumbent { cost = 42 };
+        30_000, decision 2;
+        40_000, R.Prune { blame = "lpr"; lb = 3; path = 0; upper = 42; from_level = 2; to_level = 1 };
+        50_000, R.Section "bsolo-mis";
+        1_250_000, R.Incumbent { cost = 40 };
+      ]
   in
   Alcotest.(check (list string)) "summary"
     [
-      "7 events over 1.250s (2 unparseable line(s) skipped)";
+      "6 events over 1.250s (torn last line dropped)";
       "  decision         2";
-      "  header           1";
       "  incumbent        2";
       "  prune            1";
+      "  section          1";
       "incumbent trajectory:";
       "       0.020s  cost 42";
       "       1.250s  cost 40";
     ]
-    (Inspect.trace_summary events ~skipped:2);
-  Alcotest.(check (list string)) "empty trace" [ "0 events over 0.000s" ]
-    (Inspect.trace_summary [] ~skipped:0)
+    (Inspect.trace_summary rc);
+  Alcotest.(check (list string)) "empty recording" [ "0 events over 0.000s" ]
+    (Inspect.trace_summary (recording []))
 
 let suite =
   [

@@ -173,7 +173,10 @@ let spans_well_nested_file () =
   in
   Alcotest.(check bool) "with_phase returns f's result" true ok;
   let t = Unix.gettimeofday () in
-  T.Span.complete sink ~track:99 ~name:"other-track" ~start:t ~stop:(t +. 0.001);
+  (* Track ids come from a process-wide counter, so a fixed id could be
+     the cell's own: take one past it. *)
+  T.Span.complete sink ~track:(T.Profile.Cell.track cell + 1) ~name:"other-track" ~start:t
+    ~stop:(t +. 0.001);
   T.Span.close sink;
   let events, stats = validated path in
   Alcotest.(check (option string)) "run id survives" (Some "cafebabe") stats.sp_run_id;

@@ -378,41 +378,40 @@ let check_member_table jobs =
 let member_hooks_one_job () = check_member_table 1
 let member_table_two_jobs () = check_member_table 2
 
-(* Every member's recorder is teed onto the shared trace: with one job or
-   two, each member that ran leaves search events tagged with its name. *)
+(* A portfolio recording is the members' part files stitched: with one
+   job or two, each member that ran has one section, ending in its fin. *)
 let trace_attributes_members () =
   let problem = Gen.covering 3 in
   List.iter
     (fun jobs ->
-      let path = Filename.temp_file "bsolo-portfolio" ".jsonl" in
-      let tel = Telemetry.Ctx.create ~timing:false ~trace:(Telemetry.Trace.open_file path) () in
-      let r = Portfolio.solve ~telemetry:tel ~jobs ~budget:20.0 problem in
-      Telemetry.Ctx.close tel;
-      let ic = open_in path in
-      let rec lines acc =
-        match input_line ic with l -> lines (l :: acc) | exception End_of_file -> List.rev acc
+      let base = Filename.temp_file "bsolo-portfolio" ".rec" in
+      let r = Portfolio.solve ~record_file:base ~jobs ~budget:20.0 problem in
+      let rc =
+        match Telemetry.Recorder.read_file base with
+        | Ok rc -> rc
+        | Error msg -> Alcotest.failf "jobs=%d: %s" jobs msg
       in
-      let lines = lines [] in
-      close_in ic;
-      Sys.remove path;
-      let str k json = Option.bind (Telemetry.Json.member k json) Telemetry.Json.to_string_opt in
-      let search_members =
-        List.filter_map
-          (fun line ->
-            match Telemetry.Json.of_string line with
-            | Error e -> Alcotest.failf "jobs=%d: bad trace line %S: %s" jobs line e
-            | Ok json -> (
-              match str "ev" json, str "member" json with
-              | Some ev, Some m when not (String.starts_with ~prefix:"portfolio_" ev) -> Some (m, ev)
-              | _ -> None))
-          lines
+      Sys.remove base;
+      (* (member, its last event) per section, in file order *)
+      let sections =
+        List.fold_left
+          (fun acc (_, ev) ->
+            match ev, acc with
+            | Telemetry.Recorder.Section m, _ -> (m, None) :: acc
+            | ev, (m, _) :: rest -> (m, Some ev) :: rest
+            | _, [] -> Alcotest.failf "jobs=%d: an event before the first section" jobs)
+          [] rc.r_events
+        |> List.rev
       in
       if r.runs = [] then Alcotest.fail "no member ran";
+      Alcotest.(check (list string))
+        (Printf.sprintf "jobs=%d: one section per member that ran" jobs)
+        (List.map fst r.runs) (List.map fst sections);
       List.iter
-        (fun (name, _) ->
-          if not (List.mem (name, "fin") search_members) then
-            Alcotest.failf "jobs=%d: member %s ran but traced no search events" jobs name)
-        r.runs)
+        (function
+          | _, Some (Telemetry.Recorder.Fin _) -> ()
+          | m, _ -> Alcotest.failf "jobs=%d: member %s's section does not end in fin" jobs m)
+        sections)
     [ 1; 2 ]
 
 (* Members time their phases when the parent context does, and their

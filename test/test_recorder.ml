@@ -1,12 +1,12 @@
-(* Flight recorder: binary codec round trip, ring wraparound, torn-tail
-   recovery, portfolio stitching, forensics accounting and deterministic
+(* Flight recorder: JSONL codec round trip, ring wraparound, torn-tail
+   recovery, foreign-file rejection, portfolio stitching, forensics accounting and deterministic
    replay — everything against temp files, with the solver runs on the
    small generated instances. *)
 
 module R = Telemetry.Recorder
 
 let tmp suffix =
-  let path = Filename.temp_file "bsolo-rec" suffix in
+  let path = Filename.temp_file "bsolo-recording" suffix in
   at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
   path
 
@@ -15,28 +15,42 @@ let header ?(engine = "bsolo") ?(lb = "lpr") ?(flags = 0) ?(nvars = 5) () =
     R.h_run_id = "cafe0123";
     h_engine = engine;
     h_lb_method = lb;
-    h_started = 1234.5625;
+    h_started = 1760875543.1234567;
     h_nvars = nvars;
     h_nconstraints = 7;
     h_flags = flags;
     h_lgr_iters = 50;
   }
 
+(* Every constructor, with negative bounds and costs and a member name
+   that needs escaping. *)
 let all_events =
   [
+    R.Section "bsolo \"lpr\"\\1";
     R.Decision { level = 1; var = 3; value = true };
     R.Decision { level = 2; var = 0; value = false };
-    R.Lb_eval { proc = "lpr"; value = 9; path = 2; upper = 14; elapsed_us = 137; pruned = false };
+    R.Lb_eval { proc = "lpr"; value = -9; path = -2; upper = -1; elapsed_us = 137; pruned = false };
     R.Learned { size = 4; level = 2 };
     R.Backjump { from_level = 2; to_level = 1 };
-    R.Prune { blame = "lpr"; lb = 12; path = 3; upper = 12; from_level = 3; to_level = 1 };
-    R.Incumbent { cost = 12 };
-    R.Import { cost = 11; member = "bsolo-mis" };
+    R.Prune { blame = "lpr"; lb = -12; path = -3; upper = -12; from_level = 3; to_level = 1 };
+    R.Incumbent { cost = -12 };
+    R.Import { cost = -13; member = "bsolo \"mis\"" };
     R.Restart;
+    R.Gap { dropped = 7 };
     R.Fin { status = "optimal"; nodes = 42; decisions = 40; conflicts = 17 };
   ]
 
 let events_of (rc : R.recording) = List.map snd rc.r_events
+
+let read_lines path =
+  let ic = open_in_bin path in
+  let rec go acc = match input_line ic with l -> go (l :: acc) | exception End_of_file -> List.rev acc in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> go [])
+
+let write_file path text =
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc
 
 let test_codec_round_trip () =
   let path = tmp ".rec" in
@@ -45,15 +59,11 @@ let test_codec_round_trip () =
   List.iter (R.emit w) all_events;
   R.close w;
   R.close w (* idempotent *);
-  match R.read_file path with
+  (match R.read_file path with
   | Error msg -> Alcotest.fail msg
   | Ok rc ->
     Alcotest.(check bool) "not truncated" false rc.r_truncated;
-    (match rc.r_header with
-    | None -> Alcotest.fail "header lost"
-    | Some h' ->
-      Alcotest.(check bool) "header round-trips" true (h = h');
-      Alcotest.(check string) "run id" "cafe0123" h'.h_run_id);
+    Alcotest.(check bool) "header round-trips, started included" true (h = rc.r_header);
     Alcotest.(check int) "event count" (List.length all_events) (List.length rc.r_events);
     List.iter2
       (fun expected got ->
@@ -61,7 +71,81 @@ let test_codec_round_trip () =
           (Telemetry.Json.to_string (R.to_json expected))
           (Telemetry.Json.to_string (R.to_json got));
         Alcotest.(check bool) "event equal" true (expected = got))
-      all_events (events_of rc)
+      all_events (events_of rc);
+    (* Re-rendering the decoded stamps gives them back exactly. *)
+    let again = tmp ".rec" in
+    (match R.stitch again h [ "m", path ] with Ok () -> () | Error msg -> Alcotest.fail msg);
+    match R.read_file again with
+    | Error msg -> Alcotest.fail msg
+    | Ok rc' ->
+      (* stitch replaces the part's sections with its own *)
+      let stamps (rc : R.recording) =
+        List.filter_map (function _, R.Section _ -> None | t, _ -> Some t) rc.r_events
+      in
+      Alcotest.(check (list int)) "t_us survives a second pass" (stamps rc) (stamps rc'));
+  (* Times are seconds to the microsecond; the reader rounds them back
+     (1.000001 * 1e6 is just below 1000001). *)
+  let hand = tmp ".rec" in
+  write_file hand
+    (String.concat "\n"
+       [
+         List.hd (read_lines path);
+         {|{"t":1.000001,"ev":"restart"}|};
+         {|{"t":12.345678,"ev":"incumbent","cost":-4,"extra":[1]}|};
+         {|{"t":86400.999999,"ev":"later_event","x":1}|};
+         {|{"t":1000000.000001,"ev":"restart"}|};
+       ]
+    ^ "\n");
+  match R.read_file hand with
+  | Error msg -> Alcotest.fail msg
+  | Ok rc ->
+    Alcotest.(check (list int)) "exact t_us, unknown events skipped" [ 1000001; 12345678; 1000000000001 ]
+      (List.map fst rc.r_events);
+    Alcotest.(check bool) "unknown fields skipped" true
+      (events_of rc = [ R.Restart; R.Incumbent { cost = -4 }; R.Restart ])
+
+(* [s] contains [sub]. *)
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* {"t":<seconds with exactly six decimals>,"ev":... *)
+let stamped line =
+  String.starts_with ~prefix:{|{"t":|} line
+  &&
+  match String.index_opt line ',' with
+  | None -> false
+  | Some c ->
+    let t = String.sub line 5 (c - 5) in
+    String.for_all (fun ch -> ch = '.' || (ch >= '0' && ch <= '9')) t
+    && (match String.index_opt t '.' with
+       | Some d -> String.length t - d - 1 = 6
+       | None -> false)
+    && String.starts_with ~prefix:{|,"ev":|} (String.sub line c (String.length line - c))
+
+(* The file is one line per event after the header, stamped to the
+   microsecond, with strings escaped; nothing lands after [close]. *)
+let test_file_lines () =
+  let path = tmp ".rec" in
+  let w = R.open_file path (header ()) in
+  List.iter (R.emit w) all_events;
+  R.close w;
+  R.restart w;
+  let lines = read_lines path in
+  Alcotest.(check int) "header + one line per event, none after close"
+    (1 + List.length all_events) (List.length lines);
+  List.iteri
+    (fun i line ->
+      if not (stamped line) then Alcotest.failf "line %d: bad stamp %S" (i + 1) line;
+      match Telemetry.Json.of_string line with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "line %d does not parse: %s" (i + 1) e)
+    lines;
+  Alcotest.(check bool) "header line first, naming the schema" true
+    (contains (List.hd lines) {|,"ev":"header","schema":"bsolo-trace/2","run_id":"cafe0123",|});
+  Alcotest.(check bool) "strings are escaped" true
+    (String.ends_with ~suffix:{|,"ev":"section","name":"bsolo \"lpr\"\\1"}|} (List.nth lines 1))
 
 let test_ring_wraparound () =
   let path = tmp ".rec" in
@@ -102,8 +186,8 @@ let test_ring_no_wrap_no_gap () =
       (List.exists (function R.Gap _ -> true | _ -> false) (events_of rc));
     Alcotest.(check int) "both events kept" 2 (List.length rc.r_events)
 
-(* Kill-mid-write recovery: cut the file inside the final frame and the
-   reader must return every intact frame, flagged truncated. *)
+(* Kill-mid-write recovery: cut the file inside the last line and the
+   reader must return every intact line, flagged truncated. *)
 let test_truncated_tail () =
   let path = tmp ".rec" in
   let w = R.open_file path (header ()) in
@@ -115,28 +199,51 @@ let test_truncated_tail () =
   | Error msg -> Alcotest.fail msg
   | Ok rc ->
     Alcotest.(check bool) "flagged truncated" true rc.r_truncated;
-    (match rc.r_header with
-    | Some h -> Alcotest.(check string) "header survives" "cafe0123" h.h_run_id
-    | None -> Alcotest.fail "header lost");
-    (* The torn frame is the Fin; everything before it survives. *)
+    Alcotest.(check string) "header survives" "cafe0123" rc.r_header.h_run_id;
+    (* The torn line is the fin; everything before it survives. *)
     Alcotest.(check int) "intact prefix kept" (List.length all_events - 1)
       (List.length rc.r_events);
-    Alcotest.(check bool) "fin is the torn frame" false
+    Alcotest.(check bool) "fin is the torn line" false
       (List.exists (function R.Fin _ -> true | _ -> false) (events_of rc))
 
-(* Cut even harder: inside the header frame.  Still not a read error —
-   the caller learns there is no header and no events. *)
+(* [read_file] refuses [path] with the one error that names the schema. *)
+let check_rejected label path =
+  match R.read_file path with
+  | Ok _ -> Alcotest.failf "%s: read as a recording" label
+  | Error msg ->
+    Alcotest.(check bool) (label ^ ": the error names the schema: " ^ msg) true
+      (contains msg ("not a " ^ R.schema ^ " recording"))
+
+(* Cut even harder: inside the header line.  A file without a whole
+   header is no recording. *)
 let test_truncated_header () =
   let path = tmp ".rec" in
   let w = R.open_file path (header ()) in
   R.close w;
-  Unix.truncate path (String.length R.schema + 3);
+  Unix.truncate path 40;
+  check_rejected "torn header" path
+
+(* A binary bsolo-rec/1 recording, an empty file and a heartbeat file
+   are all refused up front. *)
+let test_foreign_files () =
+  let path = tmp ".rec" in
+  write_file path "bsolo-rec/1\n\007\000\002\137\001\003\001\n\255";
+  check_rejected "bsolo-rec/1" path;
+  write_file path "";
+  check_rejected "empty file" path;
+  write_file path {|{"schema":"bsolo-heartbeat/1","run_id":"cafe0123"}
+|};
+  check_rejected "heartbeat file" path;
+  (* A corrupt line before the last is an error too, naming the line. *)
+  let w = R.open_file path (header ()) in
+  List.iter (R.emit w) all_events;
+  R.close w;
+  let lines = read_lines path in
+  let broken = List.mapi (fun i l -> if i = 3 then {|{"t":1.0,"ev":"decision"}|} else l) lines in
+  write_file path (String.concat "\n" broken ^ "\n");
   match R.read_file path with
-  | Error msg -> Alcotest.fail msg
-  | Ok rc ->
-    Alcotest.(check bool) "truncated" true rc.r_truncated;
-    Alcotest.(check bool) "no header" true (rc.r_header = None);
-    Alcotest.(check int) "no events" 0 (List.length rc.r_events)
+  | Ok _ -> Alcotest.fail "a decision without its fields was read"
+  | Error msg -> Alcotest.(check bool) ("names the line: " ^ msg) true (contains msg "line 4")
 
 let test_stitch_sections () =
   let part name events =
@@ -155,6 +262,7 @@ let test_stitch_sections () =
     match R.read_file base with
     | Error msg -> Alcotest.fail msg
     | Ok rc -> (
+      Alcotest.(check string) "stitched header" "portfolio" rc.r_header.h_engine;
       match events_of rc with
       | [ R.Section "bsolo-lpr"; R.Decision _; R.Restart; R.Section "bsolo-mis"; R.Incumbent _ ]
         -> ()
@@ -187,68 +295,32 @@ let record_solve ?(engine = "bsolo") ?lb problem path =
   Telemetry.Ctx.close tel;
   outcome
 
-(* --- the JSONL rendering ------------------------------------------------------ *)
+(* --- a recorded solve ----------------------------------------------------------- *)
 
-let read_lines path =
-  let ic = open_in path in
-  let rec go acc = match input_line ic with l -> go (l :: acc) | exception End_of_file -> List.rev acc in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> go [])
+(* Elapsed times are the one payload two runs of one solve do not share. *)
+let untimed events =
+  List.map
+    (function _, R.Lb_eval e -> R.Lb_eval { e with elapsed_us = 0 } | _, ev -> ev)
+    events
 
-(* Write rendered events through a fresh sink, so the comparison is on
-   the exact bytes the trace holds. *)
-let rendered_lines events =
-  let path = tmp ".jsonl" in
-  let sink = Telemetry.Trace.open_file path in
-  List.iter
-    (fun (t_us, ev) ->
-      match R.to_json ~t_us ev with
-      | Telemetry.Json.Obj (("t", Telemetry.Json.Float t) :: ("ev", Telemetry.Json.String name) :: fields)
-        ->
-        Telemetry.Trace.event ~t sink name fields
-      | _ -> Alcotest.fail "to_json: expected t and ev first")
-    events;
-  Telemetry.Trace.close sink;
-  read_lines path
-
-(* A solve with a recorder teed onto a trace sink: the trace's search
-   lines are exactly the rendering of the recorded events, "t" included,
-   after the bsolo-trace/2 header. *)
-let check_trace_matches ~recorder ~events () =
+(* The file is what the engine emitted: a solve recorded to a file reads
+   back as the event stream a memory recorder collects from the same
+   solve, minus the stamps. *)
+let test_file_is_memory_recording () =
   let problem = Benchgen.Synthesis.generate 1 in
-  let trace_path = tmp ".jsonl" in
-  let trace = Telemetry.Trace.open_file trace_path in
-  let h = header ~nvars:(Pbo.Problem.nvars problem) () in
-  R.trace_header trace h;
-  let tel = Telemetry.Ctx.create ~timing:false ~trace ~recorder () in
-  let outcome = Bsolo.Solver.solve ~options:{ Bsolo.Options.default with telemetry = Some tel } problem in
-  Telemetry.Ctx.close tel;
-  Alcotest.(check string) "solved" "OPTIMAL" (Bsolo.Outcome.status_name outcome.status);
-  match read_lines trace_path with
-  | [] -> Alcotest.fail "empty trace"
-  | first :: search ->
-    (match Telemetry.Json.of_string first with
-    | Ok json ->
-      Alcotest.(check (option string)) "header schema" (Some R.trace_schema)
-        (Option.bind (Telemetry.Json.member "schema" json) Telemetry.Json.to_string_opt);
-      Alcotest.(check (option string)) "header run id" (Some h.h_run_id)
-        (Option.bind (Telemetry.Json.member "run_id" json) Telemetry.Json.to_string_opt)
-    | Error e -> Alcotest.failf "header does not parse: %s" e);
-    let events = events () in
-    Alcotest.(check bool) "events recorded" true (List.length events > 100);
-    Alcotest.(check (list string)) "trace = rendered recording, line for line"
-      (rendered_lines events) search
-
-let test_trace_is_memory_rendering () =
-  let recorder = R.memory () in
-  check_trace_matches ~recorder ~events:(fun () -> R.collected recorder) ()
-
-let test_trace_is_file_rendering () =
   let path = tmp ".rec" in
-  let recorder = R.open_file path (header ()) in
-  check_trace_matches ~recorder
-    ~events:(fun () ->
-      match R.read_file path with Ok rc -> rc.r_events | Error msg -> Alcotest.fail msg)
-    ()
+  let outcome = record_solve problem path in
+  Alcotest.(check string) "solved" "OPTIMAL" (Bsolo.Outcome.status_name outcome.status);
+  let recorder = R.memory () in
+  let tel = Telemetry.Ctx.create ~timing:false ~recorder () in
+  ignore (Bsolo.Solver.solve ~options:{ Bsolo.Options.default with telemetry = Some tel } problem);
+  let memory = R.collected recorder in
+  Alcotest.(check bool) "events recorded" true (List.length memory > 100);
+  match R.read_file path with
+  | Error msg -> Alcotest.fail msg
+  | Ok rc ->
+    Alcotest.(check bool) "file = memory recording, event for event" true
+      (untimed rc.r_events = untimed memory)
 
 (* The linear-search presets (pbs, galena) record learned clauses too,
    through the same hook as bsolo. *)
@@ -280,7 +352,7 @@ let check_forensics ?engine label problem =
       match a.Inspect.Forensics.a_fin with
       | Some (_, nodes) ->
         Alcotest.(check int) (label ^ ": blame accounts for every node") nodes a.a_accounted
-      | None -> Alcotest.fail "recording has no fin frame")
+      | None -> Alcotest.fail "recording has no fin line")
     | l -> Alcotest.failf "expected one section, got %d" (List.length l))
 
 let test_forensics_accounting () =
@@ -313,6 +385,7 @@ let check_replay ?engine ?lb label problem =
           m.expected m.got
       | None -> ());
       Alcotest.(check int) (label ^ ": every event checked") rep.total rep.checked;
+      Alcotest.(check bool) (label ^ ": the recording is complete") true rep.complete;
       Alcotest.(check string) "same status"
         (Bsolo.Outcome.status_name recorded.Bsolo.Outcome.status)
         (Bsolo.Outcome.status_name rep.outcome.Bsolo.Outcome.status))
@@ -333,6 +406,28 @@ let test_replay_linear_search () =
           check_replay ~engine (Printf.sprintf "%s seed %d" engine seed) (Gen.problem seed))
         [ 5; 17 ])
     [ "pbs"; "galena" ]
+
+(* A run killed before its fin replays as a matching prefix, but is not
+   the complete recording that [replay --check] demands. *)
+let test_replay_without_fin () =
+  let problem = Gen.problem 3 in
+  let path = tmp ".rec" in
+  ignore (record_solve problem path);
+  let lines = read_lines path in
+  let last = List.nth lines (List.length lines - 1) in
+  Alcotest.(check bool) "the last line is the fin" true (contains last {|"ev":"fin"|});
+  let kept = List.filteri (fun i _ -> i < List.length lines - 1) lines in
+  write_file path (String.concat "\n" kept ^ "\n");
+  match R.read_file path with
+  | Error msg -> Alcotest.fail msg
+  | Ok rc -> (
+    Alcotest.(check bool) "no torn line" false rc.r_truncated;
+    match Bsolo.Replay.run problem rc with
+    | Error msg -> Alcotest.fail msg
+    | Ok rep ->
+      Alcotest.(check bool) "no mismatch" true (rep.mismatch = None);
+      Alcotest.(check int) "every recorded event matched" rep.total rep.checked;
+      Alcotest.(check bool) "reported incomplete" false rep.complete)
 
 let test_replay_rejects_ring () =
   let problem = Gen.problem 3 in
@@ -467,18 +562,20 @@ let test_report_options_complete () =
 let suite =
   [
     Alcotest.test_case "codec: all events round-trip" `Quick test_codec_round_trip;
+    Alcotest.test_case "file: one stamped line per event" `Quick test_file_lines;
     Alcotest.test_case "ring: wraparound keeps tail + gap" `Quick test_ring_wraparound;
     Alcotest.test_case "ring: no gap without wraparound" `Quick test_ring_no_wrap_no_gap;
     Alcotest.test_case "reader: torn tail recovered" `Quick test_truncated_tail;
-    Alcotest.test_case "reader: torn header tolerated" `Quick test_truncated_header;
+    Alcotest.test_case "reader: torn header rejected" `Quick test_truncated_header;
+    Alcotest.test_case "reader: foreign files rejected" `Quick test_foreign_files;
     Alcotest.test_case "stitch: member sections" `Quick test_stitch_sections;
-    Alcotest.test_case "trace: memory recording rendered" `Quick test_trace_is_memory_rendering;
-    Alcotest.test_case "trace: file recording rendered" `Quick test_trace_is_file_rendering;
+    Alcotest.test_case "trace: file recording rendered" `Quick test_file_is_memory_recording;
     Alcotest.test_case "linear search records learned" `Quick test_linear_search_learned;
     Alcotest.test_case "forensics: blame accounts for all nodes" `Quick test_forensics_accounting;
     Alcotest.test_case "forensics: pbs accounts for all nodes" `Quick test_forensics_pbs;
     Alcotest.test_case "replay: recorded runs replay exactly" `Quick test_replay_matches;
     Alcotest.test_case "replay: pbs and galena replay exactly" `Quick test_replay_linear_search;
+    Alcotest.test_case "replay: a recording without fin is incomplete" `Quick test_replay_without_fin;
     Alcotest.test_case "replay: rejects ring recordings" `Quick test_replay_rejects_ring;
     Alcotest.test_case "replay: rejects cold-LPR recordings" `Quick test_replay_rejects_cold_lpr;
     Alcotest.test_case "options: header flags pinned" `Quick test_header_flags_pinned;

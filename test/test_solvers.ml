@@ -82,12 +82,12 @@ let larger_cases =
   List.map case solvers
 
 (* Telemetry end-to-end: the machine-readable report must agree with the
-   returned outcome, and the traced incumbent trajectory must be strictly
-   decreasing. *)
+   returned outcome, and the recorded incumbent trajectory must be
+   strictly decreasing. *)
 let telemetry_cases =
   let run () =
     let config = { Gen.default with nvars = 12; nconstrs = 16; max_cost = 20; max_coeff = 6 } in
-    (* pick an instance that has a model, so incumbents are traced *)
+    (* pick an instance that has a model, so incumbents are recorded *)
     let rec sat_instance seed =
       if seed > 140 then Alcotest.fail "no satisfiable instance in seed range"
       else begin
@@ -98,11 +98,23 @@ let telemetry_cases =
       end
     in
     let problem = sat_instance 100 in
-    let path = Filename.temp_file "bsolo_e2e" ".jsonl" in
-    let tel =
-      Telemetry.Ctx.create ~timing:true ~trace:(Telemetry.Trace.open_file path) ()
+    let path = Filename.temp_file "bsolo_e2e" ".rec" in
+    let options = Bsolo.Options.default in
+    let header =
+      {
+        Telemetry.Recorder.h_run_id = "e2e";
+        h_engine = "bsolo";
+        h_lb_method = Bsolo.Options.name Bsolo.Options.lb_methods options.lb_method;
+        h_started = Unix.gettimeofday ();
+        h_nvars = Pbo.Problem.nvars problem;
+        h_nconstraints = Array.length (Pbo.Problem.constraints problem);
+        h_flags = Bsolo.Replay.flags_of_options options;
+        h_lgr_iters = options.lgr_iters;
+      }
     in
-    let options = { Bsolo.Options.default with telemetry = Some tel } in
+    let recorder = Telemetry.Recorder.open_file path header in
+    let tel = Telemetry.Ctx.create ~timing:true ~recorder () in
+    let options = { options with telemetry = Some tel } in
     let outcome = Bsolo.Solver.solve ~options problem in
     let report = Bsolo.Report.make ~problem ~options ~telemetry:tel outcome in
     (match Telemetry.Json.of_string (Bsolo.Report.to_string report) with
@@ -114,34 +126,27 @@ let telemetry_cases =
         if c <> outcome.Bsolo.Outcome.counters then
           Alcotest.fail "report counters differ from Outcome.counters"));
     Telemetry.Ctx.close tel;
-    let ic = open_in path in
-    let incumbents = ref [] in
-    (try
-       while true do
-         let line = input_line ic in
-         match Telemetry.Json.of_string line with
-         | Error e -> Alcotest.failf "invalid trace line %S: %s" line e
-         | Ok json ->
-           if Option.bind (Telemetry.Json.member "ev" json) Telemetry.Json.to_string_opt
-              = Some "incumbent"
-           then
-             match Option.bind (Telemetry.Json.member "cost" json) Telemetry.Json.to_int with
-             | Some cost -> incumbents := cost :: !incumbents
-             | None -> Alcotest.failf "incumbent event lacks a cost: %S" line
-       done
-     with End_of_file -> close_in ic);
+    let rc =
+      match Telemetry.Recorder.read_file path with
+      | Ok rc -> rc
+      | Error msg -> Alcotest.failf "recording does not read: %s" msg
+    in
     Sys.remove path;
-    let trajectory = List.rev !incumbents in
-    if trajectory = [] then Alcotest.fail "no incumbent events traced";
+    let trajectory =
+      List.filter_map
+        (function _, Telemetry.Recorder.Incumbent { cost } -> Some cost | _ -> None)
+        rc.r_events
+    in
+    if trajectory = [] then Alcotest.fail "no incumbent events recorded";
     let rec decreasing = function
       | a :: (b :: _ as rest) -> a > b && decreasing rest
       | [ _ ] | [] -> true
     in
     if not (decreasing trajectory) then
-      Alcotest.fail "traced incumbent trajectory is not strictly decreasing";
+      Alcotest.fail "recorded incumbent trajectory is not strictly decreasing";
     (match outcome.Bsolo.Outcome.best with
     | Some (_, c) ->
-      Alcotest.(check int) "last traced incumbent is the final cost" c
+      Alcotest.(check int) "last recorded incumbent is the final cost" c
         (List.nth trajectory (List.length trajectory - 1))
     | None -> Alcotest.fail "expected a model on this instance")
   in

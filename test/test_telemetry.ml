@@ -113,52 +113,8 @@ let json_parser_errors () =
       | Error _ -> ())
     [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2" ]
 
-let trace_round_trip () =
-  let path = Filename.temp_file "bsolo_trace" ".jsonl" in
-  let tr = T.Trace.open_file path in
-  Alcotest.(check bool) "enabled after open" true (T.Trace.enabled tr);
-  T.Trace.event tr "header" [ "schema", T.Json.String "bsolo-trace/2" ];
-  T.Trace.event ~t:1.5 tr "decision" [ "level", T.Json.Int 1; "var", T.Json.Int 3 ];
-  T.Trace.event tr "portfolio_member" [ "name", T.Json.String "a \"b\""; "slice", T.Json.Float 0.5 ];
-  Alcotest.(check int) "event count" 3 (T.Trace.events tr);
-  T.Trace.close tr;
-  Alcotest.(check bool) "disabled after close" false (T.Trace.enabled tr);
-  T.Trace.event tr "late" [];
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  let lines = List.rev !lines in
-  Alcotest.(check int) "one line per event, none after close" 3 (List.length lines);
-  let evs =
-    List.map
-      (fun line ->
-        match T.Json.of_string line with
-        | Error e -> Alcotest.failf "invalid JSONL line %S: %s" line e
-        | Ok json ->
-          (match T.Json.member "t" json with
-          | Some (T.Json.Float _) | Some (T.Json.Int _) -> ()
-          | _ -> Alcotest.failf "line lacks timestamp: %S" line);
-          Option.bind (T.Json.member "ev" json) T.Json.to_string_opt
-          |> Option.value ~default:"?")
-      lines
-  in
-  Alcotest.(check (list string)) "event names in order"
-    [ "header"; "decision"; "portfolio_member" ] evs;
-  Alcotest.(check string) "explicit time, to the microsecond"
-    "{\"t\":1.500000,\"ev\":\"decision\",\"level\":1,\"var\":3}" (List.nth lines 1);
-  (match T.Json.of_string (List.nth lines 2) with
-  | Ok json ->
-    Alcotest.(check (option string)) "strings are escaped" (Some "a \"b\"")
-      (Option.bind (T.Json.member "name" json) T.Json.to_string_opt)
-  | Error _ -> assert false);
-  Sys.remove path
-
 (* Search events come from the flight recorder, so a disabled recorder
-   is what a run without --record and --trace pays for them. *)
+   is what a run without --record pays for them. *)
 let trace_disabled_no_alloc () =
   let r = T.Recorder.disabled () in
   (* warm up so any one-off allocation is out of the measured window *)
@@ -236,7 +192,6 @@ let suite =
     Alcotest.test_case "histogram buckets" `Quick histogram_buckets;
     Alcotest.test_case "json round-trip" `Quick json_round_trip;
     Alcotest.test_case "json parser rejects malformed input" `Quick json_parser_errors;
-    Alcotest.test_case "trace writes parseable JSONL" `Quick trace_round_trip;
     Alcotest.test_case "disabled trace allocates nothing" `Quick trace_disabled_no_alloc;
     Alcotest.test_case "progress reporter ticks" `Quick progress_ticks;
     Alcotest.test_case "counters snapshot from registry" `Quick counters_of_registry;
