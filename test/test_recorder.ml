@@ -322,6 +322,35 @@ let test_file_is_memory_recording () =
     Alcotest.(check bool) "file = memory recording, event for event" true
       (untimed rc.r_events = untimed memory)
 
+(* Byte level: past the header, every file line is ["t"] followed by the
+   [to_json] rendering of the event a memory recorder collects from the
+   same solve (elapsed times zeroed, being the one payload that differs). *)
+let test_memory_recording_rendered () =
+  let module J = Telemetry.Json in
+  let problem = Benchgen.Synthesis.generate 1 in
+  let path = tmp ".rec" in
+  ignore (record_solve problem path);
+  let recorder = R.memory () in
+  let tel = Telemetry.Ctx.create ~timing:false ~recorder () in
+  ignore (Bsolo.Solver.solve ~options:{ Bsolo.Options.default with telemetry = Some tel } problem);
+  let memory = R.collected recorder in
+  Alcotest.(check bool) "events recorded" true (List.length memory > 100);
+  let untime = List.map (fun (k, v) -> if k = "elapsed_us" then k, J.Int 0 else k, v) in
+  let rendered = List.map (fun ev -> J.to_string (R.to_json ev)) (untimed memory) in
+  match read_lines path with
+  | [] -> Alcotest.fail "empty recording"
+  | _header :: lines ->
+    let stripped =
+      List.map
+        (fun l ->
+          match J.of_string l with
+          | Ok (J.Obj (("t", J.Float _) :: fields)) -> J.to_string (J.Obj (untime fields))
+          | Ok _ -> Alcotest.failf "line without a leading t: %s" l
+          | Error e -> Alcotest.failf "line does not parse: %s" e)
+        lines
+    in
+    Alcotest.(check (list string)) "file lines = rendered memory recording" rendered stripped
+
 (* The linear-search presets (pbs, galena) record learned clauses too,
    through the same hook as bsolo. *)
 let test_linear_search_learned () =
@@ -569,6 +598,7 @@ let suite =
     Alcotest.test_case "reader: torn header rejected" `Quick test_truncated_header;
     Alcotest.test_case "reader: foreign files rejected" `Quick test_foreign_files;
     Alcotest.test_case "stitch: member sections" `Quick test_stitch_sections;
+    Alcotest.test_case "trace: memory recording rendered" `Quick test_memory_recording_rendered;
     Alcotest.test_case "trace: file recording rendered" `Quick test_file_is_memory_recording;
     Alcotest.test_case "linear search records learned" `Quick test_linear_search_learned;
     Alcotest.test_case "forensics: blame accounts for all nodes" `Quick test_forensics_accounting;
