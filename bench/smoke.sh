@@ -169,6 +169,17 @@ rc=0
   echo "FAIL: oversized --record-ring: exit $rc"; cat "$tmpdir/ring-bad.out"; exit 1;
 }
 
+echo "== the removed --trace flag is refused =="
+# Cmdliner would read --trace as an abbreviation of --trace-spans; solve
+# must refuse it and name --record, writing nothing.
+rc=0
+./_build/default/bin/bsolo_main.exe benchmarks/synth-s1.opb \
+  --trace "$tmpdir/old-trace.jsonl" >"$tmpdir/old-trace.out" 2>&1 || rc=$?
+[ "$rc" = 2 ] && grep -q '^c error: --trace was removed: use --record' "$tmpdir/old-trace.out" \
+  && [ ! -e "$tmpdir/old-trace.jsonl" ] && ! grep -q '^s ' "$tmpdir/old-trace.out" || {
+  echo "FAIL: old --trace flag: exit $rc"; cat "$tmpdir/old-trace.out"; exit 1;
+}
+
 echo "== unwritable --metrics path is rejected before the solve =="
 # The first exposition is written before the solve, so a bad path fails
 # the way an unopenable --heartbeat does: exit 2, no answer lines.

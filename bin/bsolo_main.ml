@@ -23,4 +23,18 @@ let argv =
   end
   else argv
 
+(* Solve's search-event recording was `--trace FILE` before it became
+   `--record FILE`.  Cmdliner would take the old spelling as an
+   abbreviation of `--trace-spans` and silently write a span file
+   instead, so solve refuses it. *)
+let () =
+  let solve =
+    Array.length argv > 1
+    && not (List.mem argv.(1) [ "inspect"; "checkproof"; "replay"; "top" ])
+  in
+  if
+    solve
+    && Array.exists (fun a -> a = "--trace" || String.starts_with ~prefix:"--trace=" a) argv
+  then Solve_cmd.fatal "--trace was removed: use --record FILE for the search-event recording"
+
 let () = exit (Cmd.eval' ~argv cmd)

@@ -100,6 +100,70 @@ let division_recipe (cid : int) (c : Constr.t) w divisor =
    dividing by the largest cover coefficient.  The lifted variant keeps
    large outside coefficients at their floor multiples of the divisor,
    which the same division turns into integer lifting coefficients. *)
+
+(* The greedy cover of terms [ts]: [idx] is sorted by [by_value], which
+   compares the terms' LP values (cheapest first), and [incover] marks a
+   minimal cover.  Returns its largest coefficient, the divisor, or 0
+   when the knapsack of capacity [cap] has no cover. *)
+let greedy_cover (ts : Constr.term array) cap idx by_value incover =
+  let n = Array.length ts in
+  for i = 0 to n - 1 do
+    idx.(i) <- i;
+    incover.(i) <- false
+  done;
+  Array.sort by_value idx;
+  let weight = ref 0 in
+  let k = ref 0 in
+  while !weight <= cap && !k < n do
+    incover.(idx.(!k)) <- true;
+    weight := !weight + ts.(idx.(!k)).Constr.coeff;
+    incr k
+  done;
+  if !weight <= cap then 0
+  else begin
+    (* minimalize: drop redundant members, largest LP value first *)
+    for j = !k - 1 downto 0 do
+      let i = idx.(j) in
+      if incover.(i) && !weight - ts.(i).Constr.coeff > cap then begin
+        incover.(i) <- false;
+        weight := !weight - ts.(i).Constr.coeff
+      end
+    done;
+    let divisor = ref 0 in
+    for i = 0 to n - 1 do
+      if incover.(i) then divisor := max !divisor ts.(i).Constr.coeff
+    done;
+    !divisor
+  end
+
+(* The plain and the lifted cut of a minimal cover, each with its
+   weakening, in that order; either may vanish in the division. *)
+let cover_variants (c : Constr.t) incover divisor =
+  let ts = Constr.terms c in
+  let n = Array.length ts in
+  let w_plain = Array.init n (fun i -> if incover.(i) then 0 else ts.(i).Constr.coeff) in
+  let w_lifted =
+    Array.init n (fun i ->
+        if incover.(i) then 0
+        else if ts.(i).Constr.coeff >= divisor then ts.(i).Constr.coeff mod divisor
+        else ts.(i).Constr.coeff)
+  in
+  List.filter_map
+    (fun w -> Option.map (fun r -> (r, w)) (divide_prediction c w divisor))
+    [ w_plain; w_lifted ]
+
+(* The most violated of [variants] above [min_violation], the first on
+   a tie. *)
+let most_violated xval cut_of variants =
+  List.fold_left
+    (fun best x ->
+      let viol = violation xval (cut_of x) in
+      if viol > min_violation && (match best with Some (bv, _) -> viol > bv | None -> true)
+      then Some (viol, x)
+      else best)
+    None variants
+  |> Option.map snd
+
 let cover_cut xval (cid, (c : Constr.t)) =
   let ts = Constr.terms c in
   let n = Array.length ts in
@@ -107,56 +171,13 @@ let cover_cut xval (cid, (c : Constr.t)) =
   if n < 2 || cap <= 0 then None
   else begin
     let v = Array.map (fun (t : Constr.term) -> lit_value xval t.Constr.lit) ts in
-    let idx = Array.init n (fun i -> i) in
-    Array.sort (fun i j -> compare v.(i) v.(j)) idx;
-    let incover = Array.make n false in
-    let weight = ref 0 in
-    let k = ref 0 in
-    while !weight <= cap && !k < n do
-      incover.(idx.(!k)) <- true;
-      weight := !weight + ts.(idx.(!k)).Constr.coeff;
-      incr k
-    done;
-    if !weight <= cap then None
-    else begin
-      (* minimalize: drop redundant members, largest LP value first *)
-      for j = !k - 1 downto 0 do
-        let i = idx.(j) in
-        if incover.(i) && !weight - ts.(i).Constr.coeff > cap then begin
-          incover.(i) <- false;
-          weight := !weight - ts.(i).Constr.coeff
-        end
-      done;
-      let divisor = ref 0 in
-      for i = 0 to n - 1 do
-        if incover.(i) then divisor := max !divisor ts.(i).Constr.coeff
-      done;
-      let divisor = !divisor in
-      let w_plain =
-        Array.init n (fun i -> if incover.(i) then 0 else ts.(i).Constr.coeff)
-      in
-      let w_lifted =
-        Array.init n (fun i ->
-            if incover.(i) then 0
-            else if ts.(i).Constr.coeff >= divisor then ts.(i).Constr.coeff mod divisor
-            else ts.(i).Constr.coeff)
-      in
-      let best = ref None in
-      List.iter
-        (fun w ->
-          match divide_prediction c w divisor with
-          | Some r ->
-            let viol = violation xval r in
-            if
-              viol > min_violation
-              && (match !best with Some (bv, _, _) -> viol > bv | None -> true)
-            then best := Some (viol, r, w)
-          | None -> ())
-        [ w_plain; w_lifted ];
-      match !best with
-      | Some (_, r, w) -> Some (r, division_recipe cid c w divisor)
-      | None -> None
-    end
+    let idx = Array.make n 0 and incover = Array.make n false in
+    match greedy_cover ts cap idx (fun i j -> compare v.(i) v.(j)) incover with
+    | 0 -> None
+    | divisor ->
+      Option.map
+        (fun (r, w) -> (r, division_recipe cid c w divisor))
+        (most_violated xval fst (cover_variants c incover divisor))
   end
 
 (* Clique cuts.  In [sum a_i l_i >= d] (coefficients sorted decreasing,
@@ -167,8 +188,8 @@ let cover_cut xval (cid, (c : Constr.t)) =
    one division step: weaken the rest of the constraint away, weaken
    every prefix coefficient down to the second-smallest [r], divide by
    [r] — the needed degree survives exactly when the pairwise condition
-   holds. *)
-let clique_cut xval (cid, (c : Constr.t)) =
+   holds.  The cut does not depend on the point. *)
+let clique_division (cid, (c : Constr.t)) =
   let ts = Constr.terms c in
   let n = Array.length ts in
   let cap = Constr.coeff_sum c - Constr.degree c in
@@ -188,11 +209,14 @@ let clique_cut xval (cid, (c : Constr.t)) =
         Array.init n (fun i ->
             if i >= k then ts.(i).Constr.coeff else max 0 (ts.(i).Constr.coeff - divisor))
       in
-      match divide_prediction c w divisor with
-      | Some r when violation xval r > min_violation -> Some (r, division_recipe cid c w divisor)
-      | Some _ | None -> None
+      Option.map (fun r -> (r, division_recipe cid c w divisor)) (divide_prediction c w divisor)
     end
   end
+
+let clique_cut xval src =
+  match clique_division src with
+  | Some (r, _) as cand when violation xval r > min_violation -> cand
+  | Some _ | None -> None
 
 (* --- implied-bound cuts ------------------------------------------------ *)
 
@@ -257,26 +281,148 @@ let implied_cut xval (l, m) =
    other pair goes to [implied_cut], which decides it exactly. *)
 let rounding_margin = 1e-9
 
-let implication_may_cut xval (l, m) =
-  lit_value xval l -. lit_value xval m >= min_violation -. rounding_margin
+let implication_may_cut (x : float array) (l, m) =
+  let value l = if Lit.is_pos l then x.(Lit.var l) else 1. -. x.(Lit.var l) in
+  value l -. value m >= min_violation -. rounding_margin
 
 (* A row whose support is integral at the point, with the point
    satisfying it, yields no violated cover or clique cut: those cuts
    hold at every 0/1 point satisfying the row, and at an integral point
-   their LP value is an exact integer sum. *)
-let integral_and_satisfied xval (c : Constr.t) =
+   their LP value is an exact integer sum.  [x.(i)] is the value of term
+   [i]'s variable. *)
+let integral_and_satisfied (c : Constr.t) x =
   let ts = Constr.terms c in
   let n = Array.length ts in
   let rec go i sum =
     if i = n then sum >= Constr.degree c
     else
       let t = ts.(i) in
-      let v = xval (Lit.var t.Constr.lit) in
+      let v = x.(i) in
       if v = 0. then go (i + 1) (if Lit.is_pos t.Constr.lit then sum else sum + t.Constr.coeff)
       else if v = 1. then go (i + 1) (if Lit.is_pos t.Constr.lit then sum + t.Constr.coeff else sum)
       else false
   in
   go 0 0
+
+(* A cut a prepared source offers, with its certificate.  Once the pool
+   has taken it ([offered]) it is in the pool's [Seen] for good, so
+   offering it again would change nothing. *)
+type candidate = {
+  cut : Constr.t;
+  recipe : recipe;
+  mutable offered : bool;
+}
+
+let candidate (cut, recipe) = { cut; recipe; offered = false }
+
+(* A separation source, prepared once: its clique cut, which does not
+   depend on the point, and the cover search's workspace, with the cover
+   variants last derived ([members], [divisor] > 0 once derived).  [x]
+   holds the values of its terms' variables at the last visit, and
+   [settled] says that every candidate that visit found was taken by the
+   pool: a visit at the same values would then offer nothing new. *)
+type source = {
+  cid : int;
+  c : Constr.t;
+  cap : int;
+  clique : candidate option;
+  covers : bool;  (* at least two terms and a positive capacity *)
+  x : float array;
+  v : float array;
+  idx : int array;
+  incover : bool array;
+  by_value : int -> int -> int;
+  members : bool array;
+  mutable divisor : int;
+  mutable variants : candidate list;
+  mutable settled : bool;
+}
+
+(* The sources that can yield a cut, prepared. *)
+let prepare sources =
+  List.filter_map
+    (fun ((cid, c) as src) ->
+      let n = Array.length (Constr.terms c) in
+      let cap = Constr.coeff_sum c - Constr.degree c in
+      let clique = Option.map candidate (clique_division src) in
+      let covers = n >= 2 && cap > 0 in
+      if clique = None && not covers then None
+      else begin
+        let v = Array.make n 0. in
+        Some
+          {
+            cid;
+            c;
+            cap;
+            clique;
+            covers;
+            x = Array.make n 0.;
+            v;
+            idx = Array.make n 0;
+            incover = Array.make n false;
+            by_value = (fun i j -> compare v.(i) v.(j));
+            members = Array.make n false;
+            divisor = 0;
+            variants = [];
+            settled = false;
+          }
+      end)
+    sources
+
+(* [cover_cut] on a prepared source, at the point in [s.x].  Of a
+   minimal cover [C] with divisor [d], the plain cut is [sum_C l_i >= 1]
+   and the lifted one adds [f_i l_i] for each outside term with
+   [a_i >= d], [f_i = a_i / d], to both sides (the division leaves them
+   so).  The lifted violation [1 - sum_C v_i + sum f_i (1 - v_i)] bounds
+   both, so when it is below [min_violation] by more than the rounding
+   of these sums neither variant is built.  A member set equal to the
+   last one derived from the source reuses its variants, and is skipped
+   once the pool has taken them all. *)
+let cover_at xval s =
+  let ts = Constr.terms s.c in
+  let n = Array.length ts in
+  for i = 0 to n - 1 do
+    s.v.(i) <- (if Lit.is_pos ts.(i).Constr.lit then s.x.(i) else 1. -. s.x.(i))
+  done;
+  match greedy_cover ts s.cap s.idx s.by_value s.incover with
+  | 0 -> None
+  | d ->
+    let u = ref 1. and f = ref 0 in
+    for i = 0 to n - 1 do
+      if s.incover.(i) then u := !u -. s.v.(i)
+      else if ts.(i).Constr.coeff >= d then begin
+        let fi = ts.(i).Constr.coeff / d in
+        f := !f + fi;
+        u := !u +. (float_of_int fi *. Float.max 0. (1. -. s.v.(i)))
+      end
+    done;
+    if !u <= min_violation -. (rounding_margin *. (1. +. float_of_int (!f + n))) then None
+    else if s.divisor = d && s.members = s.incover then
+      if List.for_all (fun cand -> cand.offered) s.variants then None
+      else most_violated xval (fun cand -> cand.cut) s.variants
+    else begin
+      s.variants <-
+        List.map
+          (fun (r, w) -> candidate (r, division_recipe s.cid s.c w d))
+          (cover_variants s.c s.incover d);
+      s.divisor <- d;
+      Array.blit s.incover 0 s.members 0 n;
+      most_violated xval (fun cand -> cand.cut) s.variants
+    end
+
+(* Read the point into [s.x]: true when it is the last visit's and
+   that visit was settled. *)
+let unchanged (x : float array) s =
+  let ts = Constr.terms s.c in
+  let same = ref s.settled in
+  for i = 0 to Array.length ts - 1 do
+    let v = x.(Lit.var ts.(i).Constr.lit) in
+    if v <> s.x.(i) then begin
+      same := false;
+      s.x.(i) <- v
+    end
+  done;
+  !same
 
 module Seen = Hashtbl.Make (struct
   type t = Constr.t
@@ -305,12 +451,15 @@ module Pool = struct
     max_active : int;
     max_per_round : int;
     stale_after : int;
-    mutable implications : (Lit.t * Lit.t) list;
-    mutable sources : (int * Constr.t) list option;
-        (* lazily cached separation candidates: rows with a coefficient
-           >= 2.  All-unit rows divide by 1, so their cover/clique
-           "cuts" are LP-implied and never violated — scanning them
-           every solve is pure waste on clause-dominated instances. *)
+    mutable implications : (Lit.t * Lit.t) array;
+        (* the first [pending] are still separable, in order *)
+    mutable pending : int;
+    mutable sources : source list option;
+        (* lazily prepared separation candidates: rows with a coefficient
+           >= 2 that have a clique cut or a cover.  All-unit rows divide
+           by 1, so their cover/clique "cuts" are LP-implied and never
+           violated — scanning them every solve is pure waste on
+           clause-dominated instances. *)
     seen : unit Seen.t;
     mutable entries : entry list;  (* active (row >= 0) entries *)
     cover : fam;
@@ -330,7 +479,8 @@ module Pool = struct
       max_active;
       max_per_round;
       stale_after;
-      implications = [];
+      implications = [||];
+      pending = 0;
       sources = None;
       seen = Seen.create 64;
       entries = [];
@@ -344,7 +494,10 @@ module Pool = struct
     | Clique -> pool.clique
     | Implied -> pool.implied
 
-  let note_implications pool imps = pool.implications <- imps @ pool.implications
+  let note_implications pool imps =
+    pool.implications <-
+      Array.append (Array.of_list imps) (Array.sub pool.implications 0 pool.pending);
+    pool.pending <- Array.length pool.implications
   let active pool = pool.entries
 
   (* Certify a candidate before it may touch the LP: in proof mode the
@@ -370,16 +523,17 @@ module Pool = struct
       (* lb_constraints is stable for the solver's lifetime, so the
          filter runs once *)
       let srcs =
-        List.filter (fun (_, c) -> Constr.max_coeff c >= 2) (Core.lb_constraints engine)
+        prepare (List.filter (fun (_, c) -> Constr.max_coeff c >= 2) (Core.lb_constraints engine))
       in
       pool.sources <- Some srcs;
       srcs
 
-  let separate pool engine ~xval =
+  let separate pool engine ~x =
+    let xval v = x.(v) in
     if List.length pool.entries >= pool.max_active then []
     else begin
       let sources = separation_sources pool engine in
-      if sources = [] && pool.implications = [] then []
+      if sources = [] && pool.pending = 0 then []
       else begin
         let budget = ref pool.max_per_round in
         let out = ref [] in
@@ -409,20 +563,46 @@ module Pool = struct
         (* an implication consumed by the pool never needs re-deriving;
            dropping it keeps the per-solve scan proportional to what is
            still separable *)
-        pool.implications <-
-          List.filter
-            (fun imp ->
-              if not (implication_may_cut xval imp) then true
-              else
-                match implied_cut xval imp with
-                | None -> true
-                | Some cand -> not (consider Implied cand))
-            pool.implications;
+        let imps = pool.implications and kept = ref 0 in
+        for k = 0 to pool.pending - 1 do
+          let imp = imps.(k) in
+          let keep =
+            (not (implication_may_cut x imp))
+            ||
+            match implied_cut xval imp with
+            | None -> true
+            | Some cand -> not (consider Implied cand)
+          in
+          if keep then begin
+            if !kept < k then imps.(!kept) <- imp;
+            incr kept
+          end
+        done;
+        pool.pending <- !kept;
+        (* once the round budget is spent no candidate is consumed, and
+           a candidate the pool has taken is never consumed again *)
+        let offer family cand =
+          if (not cand.offered) && consider family (cand.cut, cand.recipe) then
+            cand.offered <- true
+        in
         List.iter
-          (fun ((_, c) as src) ->
-            if not (integral_and_satisfied xval c) then begin
-              Option.iter (fun cand -> ignore (consider Clique cand)) (clique_cut xval src);
-              Option.iter (fun cand -> ignore (consider Cover cand)) (cover_cut xval src)
+          (fun s ->
+            if !budget > 0 && not (unchanged x s) then begin
+              let found = ref [] in
+              if not (integral_and_satisfied s.c s.x) then begin
+                (match s.clique with
+                | Some cand when (not cand.offered) && violation xval cand.cut > min_violation ->
+                  offer Clique cand;
+                  found := [ cand ]
+                | Some _ | None -> ());
+                if s.covers then
+                  Option.iter
+                    (fun cand ->
+                      offer Cover cand;
+                      found := cand :: !found)
+                    (cover_at xval s)
+              end;
+              s.settled <- List.for_all (fun cand -> cand.offered) !found
             end)
           sources;
         List.rev !out

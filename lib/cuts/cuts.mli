@@ -109,16 +109,21 @@ module Pool : sig
   (** Seed the pool with mined implications (candidate implied-bound
       cuts, separated lazily when violated). *)
 
-  val separate :
-    t -> Engine.Solver_core.t -> xval:(Lit.var -> float) -> entry list
-  (** Fresh violated cuts at the fractional point: deduplicated,
+  val separate : t -> Engine.Solver_core.t -> x:float array -> entry list
+  (** Fresh violated cuts at the fractional point [x] (the LP value of
+      each variable): deduplicated,
       certified (proof mode — uncertifiable candidates are dropped),
-      capped per round and by pool size.  Sources and implications that
-      provably yield no violated cut are skipped before any candidate is
-      built (an implication whose two LP values differ by clearly less
-      than the violation threshold; a row whose support is integral at
-      the point, which satisfies it), so the result equals that of
-      trying every candidate.  The caller must add each
+      capped per round and by pool size.  Each source row is prepared
+      once: its clique cut, which does not depend on the point, is built
+      then, and each call only tests its violation.  Sources and
+      implications that provably yield no violated cut are skipped
+      before any candidate is built (an implication whose two LP values
+      differ by clearly less than the violation threshold; a row whose
+      support is integral at the point, which satisfies it; a cover
+      whose lifted violation, which bounds both variants', is clearly
+      below the threshold), and a cover whose member set is the one last
+      derived from its row reuses that derivation, so the result equals
+      that of trying every candidate.  The caller must add each
       entry's row to the LP and store the index in [entry.row]. *)
 
   val active : t -> entry list

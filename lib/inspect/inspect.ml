@@ -133,10 +133,11 @@ let strip_affixes name ~prefix ~suffix =
   else None
 
 (* Procedure seconds: the shared lower_bound driver phase plus the
-   procedure's own substrate (simplex for LPR, subgradient for LGR).
-   With one procedure per run this attribution is exact. *)
+   procedure's own substrate (simplex and cut separation for LPR,
+   subgradient for LGR).  With one procedure per run this attribution is
+   exact. *)
 let proc_seconds json = function
-  | "lpr" -> phase json "lower_bound" +. phase json "simplex"
+  | "lpr" -> phase json "lower_bound" +. phase json "simplex" +. phase json "separate"
   | "lgr" -> phase json "lower_bound" +. phase json "subgradient"
   | "mis" | "plain" -> phase json "lower_bound"
   | _ -> 0.

@@ -256,7 +256,8 @@ let compute_inc inc ~cap =
                && inc.cuts <> None && rounds < 2 (* separation rounds per call *) -> (
           let cfg = Option.get inc.cuts in
           let fresh =
-            Cuts.Pool.separate cfg.pool inc.engine ~xval:(fun v -> sol.Simplex.x.(v))
+            Telemetry.Ctx.with_phase tel Telemetry.Phase.Separate (fun () ->
+                Cuts.Pool.separate cfg.pool inc.engine ~x:sol.Simplex.x)
           in
           match fresh with
           | [] -> finish (Simplex.Optimal sol)

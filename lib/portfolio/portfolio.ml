@@ -252,16 +252,19 @@ let stitch_recording ?run_id ~base ~started problem names =
 (* The shared-incumbent cell: best (cost, model, finder) any member has
    found, offset included.  CAS-published so a stale broadcast never
    overwrites a better one; polled by members through
-   Options.external_incumbent as a plain Atomic.get.  The cell checks
-   nothing: each importer checks a model before adopting it.  The finder
+   Options.external_incumbent as a plain Atomic.get.  A claim enters only
+   when its model satisfies [problem] at exactly the claimed cost, so a
+   bad broadcast can never hold the cell against later honest ones;
+   each importer still checks a model before adopting it.  The finder
    name attributes the import event. *)
-let rec publish cell cost model name =
-  let cur = Atomic.get cell in
-  match cur with
-  | Some (c, _, _) when c <= cost -> false
-  | Some _ | None ->
-    if Atomic.compare_and_set cell cur (Some (cost, model, name)) then true
-    else publish cell cost model name
+let publish problem cell cost model name =
+  let rec cas () =
+    let cur = Atomic.get cell in
+    match cur with
+    | Some (c, _, _) when c <= cost -> false
+    | Some _ | None -> Atomic.compare_and_set cell cur (Some (cost, model, name)) || cas ()
+  in
+  Model.satisfies problem model && Model.cost problem model = cost && cas ()
 
 type member_result = {
   windex : int;  (* entry index, the determinism anchor *)
@@ -308,7 +311,7 @@ let run_pool ?run_id ~observe tel entries ~jobs ~budget ~proof_file ~record_file
         on_incumbent =
           Some
             (fun m c ->
-              if publish cell c m e.pname then Atomic.incr broadcasts);
+              if publish problem cell c m e.pname then Atomic.incr broadcasts);
         proof = Option.map (fun s -> Proof.create ~header:false s problem) psink;
       }
     in

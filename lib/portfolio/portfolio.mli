@@ -62,8 +62,9 @@ val solve :
     unproved finisher donates its remainder to the worker's later entries
     and with [jobs >= n] every entry gets the whole [budget].
 
-    All members share one incumbent cell — every improving model is
-    CAS-published with its cost, and the others poll it and offer the
+    All members share one incumbent cell — every improving model whose
+    model satisfies the problem at exactly its claimed cost is
+    CAS-published with that cost, and the others poll it and offer the
     model to their own search, which adopts it only after checking it
     against the problem ({!Bsolo.Options.external_incumbent}) — and a
     stop flag raised on the first completed proof.  An imported model is

@@ -32,20 +32,39 @@ let fpush b x =
   Array.unsafe_set b.fa b.flen x;
   b.flen <- b.flen + 1
 
+(* Room for [n] entries in all, keeping the first [ilen] / [flen]. *)
+let ireserve b n =
+  if n > Array.length b.ia then begin
+    let a = Array.make (max n (2 * Array.length b.ia)) 0 in
+    Array.blit b.ia 0 a 0 b.ilen;
+    b.ia <- a
+  end
+
+let freserve b n =
+  if n > Array.length b.fa then begin
+    let a = Array.make (max n (2 * Array.length b.fa)) 0. in
+    Array.blit b.fa 0 a 0 b.flen;
+    b.fa <- a
+  end
+
 (* Step [t] of the elimination pivots on row [prow.(t)] and basis
    position [pcol.(t)] with value [pval.(t)].  Its L column (the row
    multipliers it subtracts) and U row (the pivot row's entries in
    positions pivoted later) sit in [start.(t), start.(t+1)) of the
    [l_*] and [ur_*] buffers; [uc_*] holds U again by columns, indexed by
-   the step of the column.  [lsteps] lists the steps with a nonempty L
-   column, in order.  Eta [e] replaced position [e_pos.(e)] by a column
-   whose transformed entries are [e_piv.(e)] there and the [e_idx]/[e_val]
+   basis position.  [lsteps] lists the steps with a nonempty L column,
+   in order.  Eta [e] replaced position [e_pos.(e)] by a column whose
+   transformed entries are [e_piv.(e)] there and the [e_idx]/[e_val]
    range elsewhere.
 
    The remaining fields are the elimination's workspace: the active
-   submatrix by rows (values) and by columns (row patterns), the count
-   buckets, and scatter marks.  Every array is sized for the largest
-   [m] seen so far and reused by the next factorization, so a
+   submatrix by rows (positions and values) and by columns (rows), each
+   entry holding its place in the other ([rcp]: a row entry's index in
+   its column, [crp]: a column entry's index in its row), so a value is
+   read from either side without a search; each column's largest
+   magnitude while it holds ([cmax], negative once the column changes);
+   the count buckets; and scatter marks.  Every array is sized for the
+   largest [m] seen so far and reused by the next factorization, so a
    refactorization allocates nothing once the buffers have grown. *)
 type t = {
   mutable m : int;
@@ -72,7 +91,10 @@ type t = {
   mutable clen : int array;
   mutable ridx : int array array;
   mutable rval : float array array;
+  mutable rcp : int array array;
   mutable cidx : int array array;
+  mutable crp : int array array;
+  mutable cmax : float array;
   mutable rhead : int array;
   mutable chead : int array;
   mutable rnext : int array;
@@ -115,7 +137,10 @@ let create () =
     clen = [||];
     ridx = [||];
     rval = [||];
+    rcp = [||];
     cidx = [||];
+    crp = [||];
+    cmax = [||];
     rhead = [| -1 |];
     chead = [| -1 |];
     rnext = [||];
@@ -135,6 +160,7 @@ let reserve lu m =
   if m > lu.cap then begin
     let cap = max m (2 * lu.cap) in
     let ints () = Array.make cap 0 in
+    let lines () = Array.init cap (fun _ -> Array.make 8 0) in
     lu.prow <- ints ();
     lu.pcol <- ints ();
     lu.pval <- Array.make cap 0.;
@@ -143,9 +169,12 @@ let reserve lu m =
     lu.uc_start <- Array.make (cap + 1) 0;
     lu.rlen <- ints ();
     lu.clen <- ints ();
-    lu.ridx <- Array.init cap (fun _ -> Array.make 8 0);
+    lu.ridx <- lines ();
     lu.rval <- Array.init cap (fun _ -> Array.make 8 0.);
-    lu.cidx <- Array.init cap (fun _ -> Array.make 8 0);
+    lu.rcp <- lines ();
+    lu.cidx <- lines ();
+    lu.crp <- lines ();
+    lu.cmax <- Array.make cap 0.;
     lu.rhead <- Array.make (cap + 1) (-1);
     lu.chead <- Array.make (cap + 1) (-1);
     lu.rnext <- ints ();
@@ -189,37 +218,57 @@ let tiny = 1e-11 (* absolute: smaller pivots make the basis singular *)
 let drop = 1e-14 (* absolute: fill below this is dropped *)
 let search_limit = 4 (* candidate lines examined once a pivot is found *)
 
-let row_push lu i k v =
-  let l = lu.rlen.(i) in
-  if l = Array.length lu.ridx.(i) then begin
-    let a = Array.make (2 * l) 0 and b = Array.make (2 * l) 0. in
-    Array.blit lu.ridx.(i) 0 a 0 l;
-    Array.blit lu.rval.(i) 0 b 0 l;
-    lu.ridx.(i) <- a;
-    lu.rval.(i) <- b
-  end;
-  lu.ridx.(i).(l) <- k;
-  lu.rval.(i).(l) <- v;
-  lu.rlen.(i) <- l + 1
+let grow_int (a : int array) = Array.append a (Array.make (Array.length a) 0)
 
-let col_push lu k i =
-  let l = lu.clen.(k) in
-  if l = Array.length lu.cidx.(k) then begin
-    let a = Array.make (2 * l) 0 in
-    Array.blit lu.cidx.(k) 0 a 0 l;
-    lu.cidx.(k) <- a
+(* Append entry (i, k, v) to row [i] and column [k]. *)
+let add_entry lu i k v =
+  let e = lu.rlen.(i) in
+  if e = Array.length lu.ridx.(i) then begin
+    lu.ridx.(i) <- grow_int lu.ridx.(i);
+    lu.rval.(i) <- Array.append lu.rval.(i) (Array.make e 0.);
+    lu.rcp.(i) <- grow_int lu.rcp.(i)
   end;
-  lu.cidx.(k).(l) <- i;
-  lu.clen.(k) <- l + 1
+  let f = lu.clen.(k) in
+  if f = Array.length lu.cidx.(k) then begin
+    lu.cidx.(k) <- grow_int lu.cidx.(k);
+    lu.crp.(k) <- grow_int lu.crp.(k)
+  end;
+  lu.ridx.(i).(e) <- k;
+  lu.rval.(i).(e) <- v;
+  lu.rcp.(i).(e) <- f;
+  lu.cidx.(k).(f) <- i;
+  lu.crp.(k).(f) <- e;
+  lu.rlen.(i) <- e + 1;
+  lu.clen.(k) <- f + 1;
+  lu.cmax.(k) <- -1.
 
-let col_remove lu k i =
-  let c = lu.cidx.(k) and l = lu.clen.(k) - 1 in
-  let e = ref 0 in
-  while c.(!e) <> i do
-    incr e
-  done;
-  c.(!e) <- c.(l);
-  lu.clen.(k) <- l
+(* Remove entry [f] of column [k]'s pattern: its last entry takes the
+   place.  The row side is the caller's. *)
+let col_remove_at lu k f =
+  let last = lu.clen.(k) - 1 in
+  if f < last then begin
+    let c = lu.cidx.(k) and cr = lu.crp.(k) in
+    let i = c.(last) and e = cr.(last) in
+    c.(f) <- i;
+    cr.(f) <- e;
+    lu.rcp.(i).(e) <- f
+  end;
+  lu.clen.(k) <- last;
+  lu.cmax.(k) <- -1.
+
+(* Remove entry [e] of row [i]: its last entry takes the place.  The
+   column side is the caller's. *)
+let row_remove_at lu i e =
+  let last = lu.rlen.(i) - 1 in
+  if e < last then begin
+    let r = lu.ridx.(i) and rc = lu.rcp.(i) in
+    let k = r.(last) and f = rc.(last) in
+    r.(e) <- k;
+    lu.rval.(i).(e) <- lu.rval.(i).(last);
+    rc.(e) <- f;
+    lu.crp.(k).(f) <- e
+  end;
+  lu.rlen.(i) <- last
 
 (* Count buckets: [head.(c)] starts the chain of lines with [c] active
    entries.  An active line with none makes the matrix singular. *)
@@ -234,40 +283,30 @@ let unlink head next prev x c =
   if prev.(x) >= 0 then next.(prev.(x)) <- next.(x) else head.(c) <- next.(x);
   if next.(x) >= 0 then prev.(next.(x)) <- prev.(x)
 
-let value lu i k =
-  let r = lu.ridx.(i) in
-  let e = ref 0 in
-  while r.(!e) <> k do
-    incr e
-  done;
-  lu.rval.(i).(!e)
-
 let colmax lu k =
-  let best = ref 0. in
-  let c = lu.cidx.(k) in
-  for e = 0 to lu.clen.(k) - 1 do
-    best := Float.max !best (abs_float (value lu c.(e) k))
-  done;
-  !best
+  let c = Array.unsafe_get lu.cmax k in
+  if c >= 0. then c
+  else begin
+    let best = ref 0. in
+    let ci = lu.cidx.(k) and cr = lu.crp.(k) and rval = lu.rval in
+    for e = 0 to lu.clen.(k) - 1 do
+      best := Float.max !best (abs_float (Array.unsafe_get rval ci.(e)).(cr.(e)))
+    done;
+    lu.cmax.(k) <- !best;
+    !best
+  end
 
 (* The pivot of least Markowitz cost (r - 1)(c - 1) among entries at
    least [threshold] times their column's largest, searching columns and
    then rows in increasing count from [c0] and stopping [search_limit]
    lines after the first candidate, or as soon as no later line can be
-   cheaper; a singleton line costs 0 and is taken at once.  Returns
-   (row, column, lowest nonempty count). *)
+   cheaper; a singleton line costs 0 and is taken at once.  Ties go to
+   the larger magnitude, then to the first found.  Returns (row, column,
+   lowest nonempty count). *)
 let find_pivot lu c0 =
   let m = lu.m in
+  let rval = lu.rval and rlen = lu.rlen and clen = lu.clen in
   let bi = ref (-1) and bk = ref (-1) and bcost = ref max_int and babs = ref 0. in
-  let consider i k a cost =
-    let a = abs_float a in
-    if cost < !bcost || (cost = !bcost && a > !babs) then begin
-      bi := i;
-      bk := k;
-      bcost := cost;
-      babs := a
-    end
-  in
   let seen = ref 0 and c = ref c0 and low = ref (-1) in
   (try
      while !c <= m do
@@ -277,12 +316,19 @@ let find_pivot lu c0 =
        while !k >= 0 do
          let kk = !k in
          let cm = colmax lu kk in
-         let col = lu.cidx.(kk) in
+         let col = lu.cidx.(kk) and cr = lu.crp.(kk) in
          for e = 0 to cc - 1 do
            let i = col.(e) in
-           let a = value lu i kk in
-           if abs_float a > tiny && abs_float a >= threshold *. cm then
-             consider i kk a ((lu.rlen.(i) - 1) * (cc - 1))
+           let a = abs_float (Array.unsafe_get rval i).(cr.(e)) in
+           if a > tiny && a >= threshold *. cm then begin
+             let cost = (rlen.(i) - 1) * (cc - 1) in
+             if cost < !bcost || (cost = !bcost && a > !babs) then begin
+               bi := i;
+               bk := kk;
+               bcost := cost;
+               babs := a
+             end
+           end
          done;
          incr seen;
          if !bi >= 0 && (!seen >= search_limit || !bcost <= (cc - 1) * (cc - 1)) then raise Exit;
@@ -291,10 +337,18 @@ let find_pivot lu c0 =
        let i = ref lu.rhead.(cc) in
        while !i >= 0 do
          let ii = !i in
+         let r = lu.ridx.(ii) and rv = rval.(ii) in
          for e = 0 to cc - 1 do
-           let k = lu.ridx.(ii).(e) and a = lu.rval.(ii).(e) in
-           if abs_float a > tiny && abs_float a >= threshold *. colmax lu k then
-             consider ii k a ((cc - 1) * (lu.clen.(k) - 1))
+           let k = r.(e) and a = abs_float rv.(e) in
+           if a > tiny && a >= threshold *. colmax lu k then begin
+             let cost = (cc - 1) * (clen.(k) - 1) in
+             if cost < !bcost || (cost = !bcost && a > !babs) then begin
+               bi := ii;
+               bk := k;
+               bcost := cost;
+               babs := a
+             end
+           end
          done;
          incr seen;
          if !bi >= 0 && (!seen >= search_limit || !bcost <= (cc - 1) * cc) then raise Exit;
@@ -318,8 +372,15 @@ let factor lu m (col : int -> (int -> float -> unit) -> unit) =
   bval.flen <- 0;
   let emit i v =
     if v <> 0. then begin
-      ipush bidx i;
-      fpush bval v
+      let q = bidx.ilen in
+      if q = Array.length bidx.ia then begin
+        ireserve bidx (q + 1);
+        freserve bval (q + 1)
+      end;
+      Array.unsafe_set bidx.ia q i;
+      Array.unsafe_set bval.fa q v;
+      bidx.ilen <- q + 1;
+      bval.flen <- q + 1
     end
   in
   for k = 0 to m - 1 do
@@ -327,13 +388,14 @@ let factor lu m (col : int -> (int -> float -> unit) -> unit) =
     col k emit
   done;
   bstart.(m) <- bidx.ilen;
+  let bi = bidx.ia and bv = bval.fa in
   let rstep = lu.rstep and cstep = lu.cstep in
   Array.fill rstep 0 m (-1);
   Array.fill cstep 0 m (-1);
   let s = ref 0 in
   for k = 0 to m - 1 do
     if bstart.(k + 1) - bstart.(k) = 1 then begin
-      let i = bidx.ia.(bstart.(k)) and v = bval.fa.(bstart.(k)) in
+      let i = bi.(bstart.(k)) and v = bv.(bstart.(k)) in
       if rstep.(i) < 0 && abs_float v > tiny then begin
         lu.prow.(!s) <- i;
         lu.pcol.(!s) <- k;
@@ -352,7 +414,7 @@ let factor lu m (col : int -> (int -> float -> unit) -> unit) =
   for k = 0 to m - 1 do
     if cstep.(k) < 0 then
       for q = bstart.(k) to bstart.(k + 1) - 1 do
-        let t = rstep.(bidx.ia.(q)) in
+        let t = rstep.(bi.(q)) in
         if t >= 0 then ur_start.(t + 1) <- ur_start.(t + 1) + 1
       done
   done;
@@ -363,21 +425,22 @@ let factor lu m (col : int -> (int -> float -> unit) -> unit) =
   for t = 0 to s - 1 do
     wpos.(t) <- ur_start.(t)
   done;
-  for _ = 1 to ur_start.(s) do
-    ipush lu.ur_idx 0;
-    fpush lu.ur_val 0.
-  done;
+  ireserve lu.ur_idx ur_start.(s);
+  freserve lu.ur_val ur_start.(s);
+  let ur_idx = lu.ur_idx.ia and ur_val = lu.ur_val.fa in
   for k = 0 to m - 1 do
     if cstep.(k) < 0 then
       for q = bstart.(k) to bstart.(k + 1) - 1 do
-        let t = rstep.(bidx.ia.(q)) in
+        let t = rstep.(bi.(q)) in
         if t >= 0 then begin
-          lu.ur_idx.ia.(wpos.(t)) <- k;
-          lu.ur_val.fa.(wpos.(t)) <- bval.fa.(q);
+          ur_idx.(wpos.(t)) <- k;
+          ur_val.(wpos.(t)) <- bv.(q);
           wpos.(t) <- wpos.(t) + 1
         end
       done
   done;
+  lu.ur_idx.ilen <- ur_start.(s);
+  lu.ur_val.flen <- ur_start.(s);
   for t = 0 to s - 1 do
     lu.l_start.(t + 1) <- 0
   done;
@@ -388,11 +451,8 @@ let factor lu m (col : int -> (int -> float -> unit) -> unit) =
   for k = 0 to m - 1 do
     if cstep.(k) < 0 then
       for q = bstart.(k) to bstart.(k + 1) - 1 do
-        let i = bidx.ia.(q) in
-        if rstep.(i) < 0 then begin
-          row_push lu i k bval.fa.(q);
-          col_push lu k i
-        end
+        let i = bi.(q) in
+        if rstep.(i) < 0 then add_entry lu i k bv.(q)
       done
   done;
   let rhead = lu.rhead and chead = lu.chead in
@@ -410,44 +470,58 @@ let factor lu m (col : int -> (int -> float -> unit) -> unit) =
   for t = s to m - 1 do
     let p, q, low = find_pivot lu !c0 in
     c0 := low;
-    let piv = value lu p q in
+    let pidx = lu.ridx.(p) and pv = lu.rval.(p) and prc = lu.rcp.(p) and plen = rlen.(p) in
+    let piv =
+      let e = ref 0 in
+      while pidx.(!e) <> q do
+        incr e
+      done;
+      pv.(!e)
+    in
     lu.prow.(t) <- p;
     lu.pcol.(t) <- q;
     lu.pval.(t) <- piv;
     unlink rhead rnext rprev p rlen.(p);
     unlink chead cnext cprev q clen.(q);
     (* the pivot row, minus the pivot, is U row t; its columns lose row p *)
-    let pidx = lu.ridx.(p) and pv = lu.rval.(p) and plen = rlen.(p) in
+    let nu = lu.ur_idx.ilen in
+    ireserve lu.ur_idx (nu + plen);
+    freserve lu.ur_val (nu + plen);
+    let ur_idx = lu.ur_idx.ia and ur_val = lu.ur_val.fa in
+    let u = ref nu in
     for e = 0 to plen - 1 do
       let k = pidx.(e) in
       if k <> q then begin
-        ipush lu.ur_idx k;
-        fpush lu.ur_val pv.(e);
+        ur_idx.(!u) <- k;
+        ur_val.(!u) <- pv.(e);
+        incr u;
         unlink chead cnext cprev k clen.(k);
-        col_remove lu k p
+        col_remove_at lu k prc.(e)
       end
     done;
-    lu.ur_start.(t + 1) <- lu.ur_idx.ilen;
+    lu.ur_idx.ilen <- !u;
+    lu.ur_val.flen <- !u;
+    lu.ur_start.(t + 1) <- !u;
     (* eliminate column q from the other rows of its pattern *)
-    let qcol = lu.cidx.(q) in
-    for e = 0 to clen.(q) - 1 do
+    let qcol = lu.cidx.(q) and qcr = lu.crp.(q) and qlen = clen.(q) in
+    let nl = lu.l_idx.ilen in
+    ireserve lu.l_idx (nl + qlen);
+    freserve lu.l_val (nl + qlen);
+    let l_idx = lu.l_idx.ia and l_val = lu.l_val.fa in
+    let nl = ref nl in
+    for e = 0 to qlen - 1 do
       let i = qcol.(e) in
       if i <> p then begin
         unlink rhead rnext rprev i rlen.(i);
-        let r = lu.ridx.(i) and rv = lu.rval.(i) in
-        let f = ref 0 in
-        while r.(!f) <> q do
-          incr f
-        done;
-        let a = rv.(!f) in
-        let last = rlen.(i) - 1 in
-        r.(!f) <- r.(last);
-        rv.(!f) <- rv.(last);
-        rlen.(i) <- last;
+        let f = qcr.(e) in
+        let a = lu.rval.(i).(f) in
+        row_remove_at lu i f;
         let l = a /. piv in
-        ipush lu.l_idx i;
-        fpush lu.l_val l;
-        for g = 0 to last - 1 do
+        l_idx.(!nl) <- i;
+        l_val.(!nl) <- l;
+        incr nl;
+        let r = lu.ridx.(i) in
+        for g = 0 to rlen.(i) - 1 do
           wpos.(r.(g)) <- g + 1
         done;
         for g = 0 to plen - 1 do
@@ -459,24 +533,18 @@ let factor lu m (col : int -> (int -> float -> unit) -> unit) =
               let rv = lu.rval.(i) in
               rv.(w - 1) <- rv.(w - 1) -. (l *. pv.(g))
             end
-            else begin
-              row_push lu i k (-.(l *. pv.(g)));
-              col_push lu k i
-            end
+            else add_entry lu i k (-.(l *. pv.(g)))
           end
         done;
         (* clear the marks and drop what cancelled *)
+        let r = lu.ridx.(i) and rv = lu.rval.(i) and rc = lu.rcp.(i) in
         let g = ref 0 in
         while !g < rlen.(i) do
-          let r = lu.ridx.(i) and rv = lu.rval.(i) in
           let k = r.(!g) in
           wpos.(k) <- 0;
           if abs_float rv.(!g) <= drop then begin
-            let last = rlen.(i) - 1 in
-            r.(!g) <- r.(last);
-            rv.(!g) <- rv.(last);
-            rlen.(i) <- last;
-            col_remove lu k i
+            col_remove_at lu k rc.(!g);
+            row_remove_at lu i !g
           end
           else incr g
         done;
@@ -484,7 +552,9 @@ let factor lu m (col : int -> (int -> float -> unit) -> unit) =
         if rlen.(i) < !c0 then c0 := rlen.(i)
       end
     done;
-    lu.l_start.(t + 1) <- lu.l_idx.ilen;
+    lu.l_idx.ilen <- !nl;
+    lu.l_val.flen <- !nl;
+    lu.l_start.(t + 1) <- !nl;
     if lu.l_start.(t + 1) > lu.l_start.(t) then ipush lu.lsteps t;
     clen.(q) <- 0;
     for e = 0 to plen - 1 do
@@ -495,54 +565,60 @@ let factor lu m (col : int -> (int -> float -> unit) -> unit) =
       end
     done
   done;
-  (* U by columns: entry (row prow.(t), value) of U row t lands in the
-     column of the step that pivoted its position; [wpos] maps positions
-     to steps *)
-  let step_of = wpos in
-  for t = 0 to m - 1 do
-    step_of.(lu.pcol.(t)) <- t
-  done;
+  (* U by columns, indexed by basis position: entry (row prow.(t),
+     value) of U row t lands in the column of its position, in step
+     order *)
   let nu = lu.ur_idx.ilen in
+  let ur_idx = lu.ur_idx.ia and ur_val = lu.ur_val.fa and ur_start = lu.ur_start in
   let uc_start = lu.uc_start in
   Array.fill uc_start 0 (m + 1) 0;
   for q = 0 to nu - 1 do
-    let s = step_of.(lu.ur_idx.ia.(q)) in
-    uc_start.(s + 1) <- uc_start.(s + 1) + 1
+    let k = ur_idx.(q) in
+    uc_start.(k + 1) <- uc_start.(k + 1) + 1
   done;
-  for s = 0 to m - 1 do
-    uc_start.(s + 1) <- uc_start.(s + 1) + uc_start.(s)
+  for k = 0 to m - 1 do
+    uc_start.(k + 1) <- uc_start.(k + 1) + uc_start.(k);
+    wpos.(k) <- uc_start.(k)
   done;
-  (* fill from the back of each column, with [rlen] as the cursor *)
-  for s = 0 to m - 1 do
-    rlen.(s) <- uc_start.(s + 1)
-  done;
-  for _ = 1 to nu do
-    ipush lu.uc_idx 0;
-    fpush lu.uc_val 0.
-  done;
-  for t = m - 1 downto 0 do
-    for q = lu.ur_start.(t + 1) - 1 downto lu.ur_start.(t) do
-      let s = step_of.(lu.ur_idx.ia.(q)) in
-      let d = rlen.(s) - 1 in
-      lu.uc_idx.ia.(d) <- lu.prow.(t);
-      lu.uc_val.fa.(d) <- lu.ur_val.fa.(q);
-      rlen.(s) <- d
+  ireserve lu.uc_idx nu;
+  freserve lu.uc_val nu;
+  let uc_idx = lu.uc_idx.ia and uc_val = lu.uc_val.fa in
+  for t = 0 to m - 1 do
+    let i = lu.prow.(t) in
+    for q = ur_start.(t) to ur_start.(t + 1) - 1 do
+      let k = ur_idx.(q) in
+      let d = wpos.(k) in
+      uc_idx.(d) <- i;
+      uc_val.(d) <- ur_val.(q);
+      wpos.(k) <- d + 1
     done
-  done
+  done;
+  lu.uc_idx.ilen <- nu;
+  lu.uc_val.flen <- nu
 
 let updates lu = lu.e_pos.ilen
 
+(* An eta has at most [m - 1] off-pivot entries: room for them is made
+   once, then they are stored without a growth check each. *)
 let update lu r (alpha : float array) =
   ipush lu.e_pos r;
   fpush lu.e_piv alpha.(r);
+  let len = lu.e_idx.ilen in
+  ireserve lu.e_idx (len + lu.m);
+  freserve lu.e_val (len + lu.m);
+  let idx = lu.e_idx.ia and vals = lu.e_val.fa in
+  let q = ref len in
   for i = 0 to lu.m - 1 do
     let a = Array.unsafe_get alpha i in
     if a <> 0. && i <> r then begin
-      ipush lu.e_idx i;
-      fpush lu.e_val a
+      Array.unsafe_set idx !q i;
+      Array.unsafe_set vals !q a;
+      incr q
     end
   done;
-  ipush lu.e_start lu.e_idx.ilen
+  lu.e_idx.ilen <- !q;
+  lu.e_val.flen <- !q;
+  ipush lu.e_start !q
 
 (* B x = a: L, then U by columns, then the etas in order.  [a] is by
    row and is overwritten; [x] is by basis position. *)
@@ -561,15 +637,16 @@ let ftran lu (a : float array) (x : float array) =
   let uc_idx = lu.uc_idx.ia and uc_val = lu.uc_val.fa and uc_start = lu.uc_start in
   for t = lu.m - 1 downto 0 do
     let v = Array.unsafe_get a (Array.unsafe_get prow t) in
+    let k = Array.unsafe_get pcol t in
     if v <> 0. then begin
       let xq = v /. Array.unsafe_get pval t in
-      Array.unsafe_set x (Array.unsafe_get pcol t) xq;
-      for q = Array.unsafe_get uc_start t to Array.unsafe_get uc_start (t + 1) - 1 do
+      Array.unsafe_set x k xq;
+      for q = Array.unsafe_get uc_start k to Array.unsafe_get uc_start (k + 1) - 1 do
         let i = Array.unsafe_get uc_idx q in
         Array.unsafe_set a i (Array.unsafe_get a i -. (Array.unsafe_get uc_val q *. xq))
       done
     end
-    else Array.unsafe_set x (Array.unsafe_get pcol t) 0.
+    else Array.unsafe_set x k 0.
   done;
   let e_idx = lu.e_idx.ia and e_val = lu.e_val.fa and e_start = lu.e_start.ia in
   let e_pos = lu.e_pos.ia and e_piv = lu.e_piv.fa in

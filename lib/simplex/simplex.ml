@@ -1,3 +1,5 @@
+module Lu = Lu
+
 type rel =
   | Ge
   | Le
@@ -75,37 +77,41 @@ type work = {
    rest at a bound.  [vrow], [vpos], [rho], [alpha] and [arow] are
    scratch: an FTRAN input by row, a BTRAN input by position, the last
    BTRAN result by row, the last FTRAN result by position, and the
-   pivot row over all columns.  [nzrow] lists, ascending, the [nnz]
-   rows where the last pivot row's [rho] is nonzero: outside them the
-   slack and artificial entries of [arow] are zero. *)
+   pivot row over all columns.  [pcols] lists, ascending, the [width]
+   columns where that row is nonzero, artificial ones only when it was
+   priced with them; [arow] is zero (of either sign) elsewhere.  [nzrow]
+   is scratch: the rows where [rho] is nonzero.  Row edits splice the
+   arrays in place, so an array may be longer than the rows or columns
+   it holds. *)
 type state = {
-  m : int;
+  mutable m : int;
   n : int;
-  ntotal : int;
-  rstart : int array;
-  rcol : int array;
-  rval : float array;
+  mutable ntotal : int;
+  mutable rstart : int array;
+  mutable rcol : int array;
+  mutable rval : float array;
   cstart : int array;
-  crow : int array;
-  cval : float array;
-  slk : float array;
-  sigma : float array;
-  rhs : float array;
-  lb : float array;
-  ub : float array;
-  xval : float array;
-  rc : float array;
-  basis : int array;
-  pos : int array;
+  mutable crow : int array;
+  mutable cval : float array;
+  mutable slk : float array;
+  mutable sigma : float array;
+  mutable rhs : float array;
+  mutable lb : float array;
+  mutable ub : float array;
+  mutable xval : float array;
+  mutable rc : float array;
+  mutable basis : int array;
+  mutable pos : int array;
   lu : Lu.t;
   mutable lu_stale : bool;
-  vrow : float array;
-  vpos : float array;
-  rho : float array;
-  alpha : float array;
-  arow : float array;
-  nzrow : int array;
-  mutable nnz : int;
+  mutable vrow : float array;
+  mutable vpos : float array;
+  mutable rho : float array;
+  mutable alpha : float array;
+  mutable arow : float array;
+  mutable nzrow : int array;
+  mutable pcols : int array;
+  mutable width : int;
   mutable pivots_since_refresh : int;
   work : work;
   eps : float;
@@ -118,46 +124,41 @@ type step =
 
 let art_col st i = st.n + st.m + i
 
-(* The structural part of [rows] by rows and by columns; repeated
-   columns in a row are summed in order, exact zeros left out. *)
+(* Row [r]'s structural entries by ascending column: repeated columns
+   summed in order, exact zeros left out. *)
+let row_entries (r : row) =
+  let k = Array.length r.coeffs in
+  let order = Array.init k Fun.id in
+  Array.stable_sort (fun a b -> compare (fst r.coeffs.(a)) (fst r.coeffs.(b))) order;
+  let cols = Array.make k 0 and vals = Array.make k 0. in
+  let len = ref 0 and q = ref 0 in
+  while !q < k do
+    let j = fst r.coeffs.(order.(!q)) in
+    let sum = ref 0. in
+    while !q < k && fst r.coeffs.(order.(!q)) = j do
+      sum := !sum +. snd r.coeffs.(order.(!q));
+      incr q
+    done;
+    if !sum <> 0. then begin
+      cols.(!len) <- j;
+      vals.(!len) <- !sum;
+      incr len
+    end
+  done;
+  (Array.sub cols 0 !len, Array.sub vals 0 !len)
+
+(* The structural part of [rows] by rows and by columns, each column's
+   entries in ascending row order. *)
 let build_matrix n (rows : row array) =
   let m = Array.length rows in
-  let acc = Array.make n 0. and seen = Array.make n false in
+  let entries = Array.map row_entries rows in
   let rstart = Array.make (m + 1) 0 in
-  let rcol = ref [] in
-  let count = ref 0 in
-  Array.iteri
-    (fun i (r : row) ->
-      let cols = ref [] in
-      Array.iter
-        (fun (j, a) ->
-          if not seen.(j) then begin
-            seen.(j) <- true;
-            cols := j :: !cols
-          end;
-          acc.(j) <- acc.(j) +. a)
-        r.coeffs;
-      let cols = List.sort compare !cols in
-      List.iter
-        (fun j ->
-          if acc.(j) <> 0. then begin
-            rcol := (j, acc.(j)) :: !rcol;
-            incr count
-          end;
-          acc.(j) <- 0.;
-          seen.(j) <- false)
-        cols;
-      rstart.(i + 1) <- !count)
-    rows;
-  let nnz = !count in
-  let rcol_a = Array.make nnz 0 and rval_a = Array.make nnz 0. in
-  List.iteri
-    (fun q (j, a) ->
-      rcol_a.(nnz - 1 - q) <- j;
-      rval_a.(nnz - 1 - q) <- a)
-    !rcol;
+  Array.iteri (fun i (cols, _) -> rstart.(i + 1) <- rstart.(i) + Array.length cols) entries;
+  let rcol = Array.concat (Array.to_list (Array.map fst entries)) in
+  let rval = Array.concat (Array.to_list (Array.map snd entries)) in
+  let nnz = rstart.(m) in
   let cstart = Array.make (n + 1) 0 in
-  Array.iter (fun j -> cstart.(j + 1) <- cstart.(j + 1) + 1) rcol_a;
+  Array.iter (fun j -> cstart.(j + 1) <- cstart.(j + 1) + 1) rcol;
   for j = 0 to n - 1 do
     cstart.(j + 1) <- cstart.(j + 1) + cstart.(j)
   done;
@@ -165,13 +166,13 @@ let build_matrix n (rows : row array) =
   let crow = Array.make nnz 0 and cval = Array.make nnz 0. in
   for i = 0 to m - 1 do
     for q = rstart.(i) to rstart.(i + 1) - 1 do
-      let j = rcol_a.(q) in
+      let j = rcol.(q) in
       crow.(fill.(j)) <- i;
-      cval.(fill.(j)) <- rval_a.(q);
+      cval.(fill.(j)) <- rval.(q);
       fill.(j) <- fill.(j) + 1
     done
   done;
-  (rstart, rcol_a, rval_a, cstart, crow, cval)
+  (rstart, rcol, rval, cstart, crow, cval)
 
 let make_state ~eps ~n (rows : row array) ~slk ~sigma ~lb ~ub ~xval ~rc ~basis ~lu ~lu_stale ~work
     =
@@ -207,7 +208,8 @@ let make_state ~eps ~n (rows : row array) ~slk ~sigma ~lb ~ub ~xval ~rc ~basis ~
     alpha = Array.make m 0.;
     arow = Array.make ntotal 0.;
     nzrow = Array.make m 0;
-    nnz = 0;
+    pcols = Array.make ntotal 0;
+    width = 0;
     pivots_since_refresh = 0;
     work;
     eps;
@@ -244,47 +246,54 @@ let btran_cost st cost =
   done;
   Lu.btran st.lu st.vpos st.rho
 
-(* The pivot row of position [r]: rho = e_r B^-1, then arow = rho A over
-   every column, summed only over the rows where rho is nonzero, which
-   [nzrow] records.  The slack and artificial entries of the previous
-   pivot row are cleared through its [nzrow]. *)
-let price_row st r =
-  Array.fill st.vpos 0 st.m 0.;
+(* The pivot row of position [r]: rho = e_r B^-1, then arow = rho A,
+   summed only over the rows where rho is nonzero.  [pcols] records the
+   columns where the row is nonzero, read off [arow] after the sums.
+   Without [arts] the artificial columns are left out: the dual simplex
+   runs with every artificial fixed at 0, where none can enter and their
+   reduced costs are not read before the next refresh recomputes
+   them. *)
+let price_row st r ~arts =
+  let m = st.m and n = st.n in
+  Array.fill st.vpos 0 m 0.;
   st.vpos.(r) <- 1.;
   Lu.btran st.lu st.vpos st.rho;
-  let arow = st.arow and n = st.n and m = st.m in
-  Array.fill arow 0 n 0.;
-  for k = 0 to st.nnz - 1 do
-    let i = Array.unsafe_get st.nzrow k in
-    arow.(n + i) <- 0.;
-    arow.(n + m + i) <- 0.
+  let arow = st.arow and pcols = st.pcols and nzrow = st.nzrow in
+  let rho = st.rho and rstart = st.rstart and rcol = st.rcol and rval = st.rval in
+  for k = 0 to st.width - 1 do
+    Array.unsafe_set arow (Array.unsafe_get pcols k) 0.
   done;
   let nnz = ref 0 in
   for i = 0 to m - 1 do
-    let p = Array.unsafe_get st.rho i in
+    let p = Array.unsafe_get rho i in
     if p <> 0. then begin
-      for q = st.rstart.(i) to st.rstart.(i + 1) - 1 do
-        let j = Array.unsafe_get st.rcol q in
-        Array.unsafe_set arow j (Array.unsafe_get arow j +. (p *. Array.unsafe_get st.rval q))
+      for q = rstart.(i) to rstart.(i + 1) - 1 do
+        let j = Array.unsafe_get rcol q in
+        Array.unsafe_set arow j (Array.unsafe_get arow j +. (p *. Array.unsafe_get rval q))
       done;
       arow.(n + i) <- p *. st.slk.(i);
-      arow.(n + m + i) <- p *. st.sigma.(i);
-      Array.unsafe_set st.nzrow !nnz i;
+      if arts then arow.(n + m + i) <- p *. st.sigma.(i);
+      Array.unsafe_set nzrow !nnz i;
       incr nnz
     end
   done;
-  st.nnz <- !nnz
-
-(* The columns where the pivot row can be nonzero, ascending, are
-   numbered [0 .. pivot_row_width st - 1]: every structural column,
-   then the slack and then the artificial columns of the rows in
-   [nzrow]. *)
-let pivot_row_width st = st.n + (2 * st.nnz)
-
-let[@inline] pivot_row_column st k =
-  if k < st.n then k
-  else if k < st.n + st.nnz then st.n + Array.unsafe_get st.nzrow (k - st.n)
-  else st.n + st.m + Array.unsafe_get st.nzrow (k - st.n - st.nnz)
+  let w = ref 0 in
+  for j = 0 to n - 1 do
+    if Array.unsafe_get arow j <> 0. then begin
+      Array.unsafe_set pcols !w j;
+      incr w
+    end
+  done;
+  (* a slack or artificial entry is rho_i times +-1, so nonzero *)
+  let w = !w and nnz = !nnz in
+  for k = 0 to nnz - 1 do
+    Array.unsafe_set pcols (w + k) (n + Array.unsafe_get nzrow k)
+  done;
+  if arts then
+    for k = 0 to nnz - 1 do
+      Array.unsafe_set pcols (w + nnz + k) (n + m + Array.unsafe_get nzrow k)
+    done;
+  st.width <- w + if arts then 2 * nnz else nnz
 
 (* Recompute the reduced costs rc_j = c_j - y A_j with y = c_B B^-1 (one
    BTRAN, one pass over A); basic columns get exactly 0.  Leaves y in
@@ -293,21 +302,22 @@ let[@inline] pivot_row_column st k =
 let refresh_reduced_costs st cost =
   btran_cost st cost;
   let y = st.rho and n = st.n and m = st.m in
+  let pos = st.pos and rc = st.rc and cstart = st.cstart and crow = st.crow and cval = st.cval in
   for j = 0 to n - 1 do
-    if st.pos.(j) >= 0 then st.rc.(j) <- 0.
+    if pos.(j) >= 0 then rc.(j) <- 0.
     else begin
       let s = ref cost.(j) in
-      for q = st.cstart.(j) to st.cstart.(j + 1) - 1 do
-        s := !s -. (Array.unsafe_get y (Array.unsafe_get st.crow q) *. Array.unsafe_get st.cval q)
+      for q = cstart.(j) to cstart.(j + 1) - 1 do
+        s := !s -. (Array.unsafe_get y (Array.unsafe_get crow q) *. Array.unsafe_get cval q)
       done;
-      st.rc.(j) <- !s
+      rc.(j) <- !s
     end
   done;
   for i = 0 to m - 1 do
     let j = n + i in
-    st.rc.(j) <- (if st.pos.(j) >= 0 then 0. else cost.(j) -. (y.(i) *. st.slk.(i)));
+    rc.(j) <- (if pos.(j) >= 0 then 0. else cost.(j) -. (y.(i) *. st.slk.(i)));
     let j = n + m + i in
-    st.rc.(j) <- (if st.pos.(j) >= 0 then 0. else cost.(j) -. (y.(i) *. st.sigma.(i)))
+    rc.(j) <- (if pos.(j) >= 0 then 0. else cost.(j) -. (y.(i) *. st.sigma.(i)))
   done;
   st.pivots_since_refresh <- 0;
   st.work.nrefresh <- st.work.nrefresh + 1
@@ -316,27 +326,28 @@ let refresh_reduced_costs st cost =
    nonbasic columns off zero and one FTRAN.  False when a value is not
    finite. *)
 let compute_basic_values st =
-  let v = st.vrow in
-  Array.blit st.rhs 0 v 0 st.m;
+  let v = st.vrow and n = st.n and m = st.m in
+  let xval = st.xval and pos = st.pos and cstart = st.cstart and crow = st.crow and cval = st.cval in
+  Array.blit st.rhs 0 v 0 m;
   for j = 0 to st.ntotal - 1 do
-    let x = st.xval.(j) in
-    if st.pos.(j) < 0 && x <> 0. then
-      if j < st.n then
-        for q = st.cstart.(j) to st.cstart.(j + 1) - 1 do
-          let i = st.crow.(q) in
-          v.(i) <- v.(i) -. (st.cval.(q) *. x)
+    let x = xval.(j) in
+    if pos.(j) < 0 && x <> 0. then
+      if j < n then
+        for q = cstart.(j) to cstart.(j + 1) - 1 do
+          let i = crow.(q) in
+          v.(i) <- v.(i) -. (cval.(q) *. x)
         done
-      else if j < st.n + st.m then v.(j - st.n) <- v.(j - st.n) -. (st.slk.(j - st.n) *. x)
+      else if j < n + m then v.(j - n) <- v.(j - n) -. (st.slk.(j - n) *. x)
       else
-        let i = j - st.n - st.m in
+        let i = j - n - m in
         v.(i) <- v.(i) -. (st.sigma.(i) *. x)
   done;
   Lu.ftran st.lu v st.alpha;
   let ok = ref true in
-  for k = 0 to st.m - 1 do
+  for k = 0 to m - 1 do
     let s = st.alpha.(k) in
     if not (Float.is_finite s) then ok := false;
-    st.xval.(st.basis.(k)) <- s
+    xval.(st.basis.(k)) <- s
   done;
   !ok
 
@@ -382,12 +393,12 @@ let basis_change st r j =
   let rcj = st.rc.(j) in
   if rcj <> 0. then begin
     let theta = rcj /. arj in
-    let arow = st.arow in
-    for k = 0 to pivot_row_width st - 1 do
-      let c = pivot_row_column st k in
+    let arow = st.arow and pcols = st.pcols and pos = st.pos and rc = st.rc in
+    for k = 0 to st.width - 1 do
+      let c = Array.unsafe_get pcols k in
       let a = Array.unsafe_get arow c in
-      if a <> 0. && Array.unsafe_get st.pos c < 0 then
-        Array.unsafe_set st.rc c (Array.unsafe_get st.rc c -. (theta *. a))
+      if a <> 0. && Array.unsafe_get pos c < 0 then
+        Array.unsafe_set rc c (Array.unsafe_get rc c -. (theta *. a))
     done
   end;
   let leaving = st.basis.(r) in
@@ -456,7 +467,7 @@ let step st cost ~bland =
       | r ->
         let leaving = st.basis.(r) in
         st.xval.(leaving) <- (if !blocking_to_upper then st.ub.(leaving) else st.lb.(leaving));
-        price_row st r;
+        price_row st r ~arts:true;
         basis_change st r j);
       Moved
     end
@@ -494,7 +505,7 @@ let objective_value st cost =
    array. *)
 let duals_for st cost =
   btran_cost st cost;
-  Array.copy st.rho
+  Array.sub st.rho 0 st.m
 
 (* Lagrangian bound from the current simplex multipliers.  In equality
    form, z(y) = y.b + sum_j min over [lb_j, ub_j] of rc_j x_j is a valid
@@ -656,6 +667,148 @@ let two_phase st (p : problem) ~max_iters ~iters ~phase1_iters ~should_stop =
 let default_max_iters ~m ~n = 200 + (20 * (m + n))
 let never_stop () = false
 
+(* --- row edits, spliced in place ----------------------------------- *)
+
+(* [a] with room for [len] entries, its first [keep] kept; new room
+   holds [zero]. *)
+let fit a len keep zero =
+  if len <= Array.length a then a
+  else begin
+    let b = Array.make (max len (2 * Array.length a)) zero in
+    Array.blit a 0 b 0 keep;
+    b
+  end
+
+(* Leave a state as an edit outside a pivot must: no pivot row ([arow]
+   all zero), [pos] indexing [basis], the reduced-cost refresh count
+   restarted and the LU rebuilt at the next solve. *)
+let after_edit st =
+  Array.fill st.arow 0 st.ntotal 0.;
+  st.width <- 0;
+  Array.fill st.pos 0 st.ntotal (-1);
+  for k = 0 to st.m - 1 do
+    st.pos.(st.basis.(k)) <- k
+  done;
+  st.pivots_since_refresh <- 0;
+  st.lu_stale <- true
+
+(* Append row [r] with its slack basic in a new last position.  The new
+   slack is column [n + m]; the artificials shift up by one and the new
+   one, of the slack's sign, goes last, pinned at 0 like every
+   artificial after phase 1.  Row [m] ends each of its columns, which so
+   keep their entries in ascending row order. *)
+let insert_row st (r : row) =
+  let n = st.n and m = st.m and nt = st.ntotal in
+  let m' = m + 1 and nt' = nt + 2 in
+  let cols, vals = row_entries r in
+  let k = Array.length cols in
+  let nnz = st.rstart.(m) in
+  st.rstart <- fit st.rstart (m' + 1) (m + 1) 0;
+  st.rstart.(m') <- nnz + k;
+  st.rcol <- fit st.rcol (nnz + k) nnz 0;
+  st.rval <- fit st.rval (nnz + k) nnz 0.;
+  Array.blit cols 0 st.rcol nnz k;
+  Array.blit vals 0 st.rval nnz k;
+  st.crow <- fit st.crow (nnz + k) nnz 0;
+  st.cval <- fit st.cval (nnz + k) nnz 0.;
+  let cstart = st.cstart and crow = st.crow and cval = st.cval in
+  (* the columns after new entry [t] move up by [t + 1] *)
+  let hi = ref nnz in
+  for t = k - 1 downto 0 do
+    let lo = cstart.(cols.(t) + 1) in
+    Array.blit crow lo crow (lo + t + 1) (!hi - lo);
+    Array.blit cval lo cval (lo + t + 1) (!hi - lo);
+    crow.(lo + t) <- m;
+    cval.(lo + t) <- vals.(t);
+    hi := lo
+  done;
+  let t = ref 0 in
+  for j = 0 to n - 1 do
+    while !t < k && cols.(!t) <= j do
+      incr t
+    done;
+    cstart.(j + 1) <- cstart.(j + 1) + !t
+  done;
+  let c_s = slack_coeff r in
+  st.slk <- fit st.slk m' m 0.;
+  st.slk.(m) <- c_s;
+  st.sigma <- fit st.sigma m' m 0.;
+  st.sigma.(m) <- c_s;
+  st.rhs <- fit st.rhs m' m 0.;
+  st.rhs.(m) <- r.rhs;
+  st.basis <- fit st.basis m' m 0;
+  for q = 0 to m - 1 do
+    if st.basis.(q) >= n + m then st.basis.(q) <- st.basis.(q) + 1
+  done;
+  st.basis.(m) <- n + m;
+  st.vrow <- fit st.vrow m' 0 0.;
+  st.vpos <- fit st.vpos m' 0 0.;
+  st.rho <- fit st.rho m' 0 0.;
+  st.alpha <- fit st.alpha m' 0 0.;
+  st.nzrow <- fit st.nzrow m' 0 0;
+  let shift a ~slack ~art =
+    let a = fit a nt' nt 0. in
+    Array.blit a (n + m) a (n + m + 1) m;
+    a.(n + m) <- slack;
+    a.(nt' - 1) <- art;
+    a
+  in
+  st.lb <- shift st.lb ~slack:0. ~art:0.;
+  st.ub <- shift st.ub ~slack:(match r.rel with Ge | Le -> infinity | Eq -> 0.) ~art:0.;
+  st.xval <- shift st.xval ~slack:0. ~art:0.;
+  st.rc <- shift st.rc ~slack:0. ~art:0.;
+  st.arow <- fit st.arow nt' 0 0.;
+  st.pcols <- fit st.pcols nt' 0 0;
+  st.pos <- fit st.pos nt' 0 0;
+  st.m <- m';
+  st.ntotal <- nt';
+  after_edit st
+
+(* Delete row [i], whose slack is basic at position [slack_pos] and whose
+   artificial is nonbasic: that position goes, the columns after the
+   slack shift down by one and those after the artificial by two, and
+   the rows after [i] are renumbered down by one. *)
+let delete_row st i ~slack_pos =
+  let n = st.n and m = st.m and nt = st.ntotal in
+  let slack_i = n + i and art_i = n + m + i in
+  let lo = st.rstart.(i) and hi = st.rstart.(i + 1) and nnz = st.rstart.(m) in
+  Array.blit st.rcol hi st.rcol lo (nnz - hi);
+  Array.blit st.rval hi st.rval lo (nnz - hi);
+  for q = i + 1 to m - 1 do
+    st.rstart.(q) <- st.rstart.(q + 1) - (hi - lo)
+  done;
+  let cstart = st.cstart and crow = st.crow and cval = st.cval in
+  let w = ref 0 and start = ref 0 in
+  for j = 0 to n - 1 do
+    let stop = cstart.(j + 1) in
+    for q = !start to stop - 1 do
+      let row = crow.(q) in
+      if row <> i then begin
+        crow.(!w) <- (if row > i then row - 1 else row);
+        cval.(!w) <- cval.(q);
+        incr w
+      end
+    done;
+    start := stop;
+    cstart.(j + 1) <- !w
+  done;
+  let drop_at a = Array.blit a (i + 1) a i (m - 1 - i) in
+  drop_at st.slk;
+  drop_at st.sigma;
+  drop_at st.rhs;
+  let map j = if j < slack_i then j else if j < art_i then j - 1 else j - 2 in
+  for q = 0 to m - 2 do
+    st.basis.(q) <- map st.basis.(if q < slack_pos then q else q + 1)
+  done;
+  List.iter
+    (fun a ->
+      Array.blit a (slack_i + 1) a slack_i (art_i - slack_i - 1);
+      Array.blit a (art_i + 1) a (art_i - 1) (nt - art_i - 1))
+    [ st.lb; st.ub; st.xval; st.rc ];
+  st.m <- m - 1;
+  st.ntotal <- nt - 2;
+  after_edit st
+
 (* ------------------------------------------------------------------ *)
 (* Incremental re-solving: bounded-variable dual simplex warm-started  *)
 (* from the previous basis after column-bound and row edits.           *)
@@ -676,17 +829,18 @@ let dual_step st =
   let r = ref (-1) in
   let viol = ref st.eps in
   let below = ref false in
+  let basis = st.basis and xval = st.xval and lb = st.lb and ub = st.ub in
   for i = 0 to st.m - 1 do
-    let k = st.basis.(i) in
-    let v = st.xval.(k) in
-    if v < st.lb.(k) -. !viol then begin
+    let k = Array.unsafe_get basis i in
+    let v = xval.(k) in
+    if v < lb.(k) -. !viol then begin
       r := i;
-      viol := st.lb.(k) -. v;
+      viol := lb.(k) -. v;
       below := true
     end
-    else if v > st.ub.(k) +. !viol then begin
+    else if v > ub.(k) +. !viol then begin
       r := i;
-      viol := v -. st.ub.(k);
+      viol := v -. ub.(k);
       below := false
     end
   done;
@@ -695,32 +849,31 @@ let dual_step st =
     let r = !r in
     let below = !below in
     let k = st.basis.(r) in
-    price_row st r;
+    price_row st r ~arts:false;
     let row = st.arow in
     let best = ref (-1) in
     let best_ratio = ref infinity in
     let best_alpha = ref 0. in
-    for k = 0 to pivot_row_width st - 1 do
-      let j = pivot_row_column st k in
+    let pcols = st.pcols and pos = st.pos and rc = st.rc and eps = st.eps in
+    for k = 0 to st.width - 1 do
+      let j = Array.unsafe_get pcols k in
       let a = Array.unsafe_get row j in
-      if abs_float a > st.eps && st.pos.(j) < 0 && st.lb.(j) < st.ub.(j) then begin
-        begin
-          let at_lower = st.xval.(j) <= st.lb.(j) +. st.eps in
-          let eligible =
-            if below then if at_lower then a < 0. else a > 0.
-            else if at_lower then a > 0.
-            else a < 0.
-          in
-          if eligible then begin
-            let ratio = abs_float (st.rc.(j) /. a) in
-            if
-              ratio < !best_ratio -. st.eps
-              || (ratio < !best_ratio +. st.eps && abs_float a > abs_float !best_alpha)
-            then begin
-              best := j;
-              best_ratio := ratio;
-              best_alpha := a
-            end
+      if abs_float a > eps && pos.(j) < 0 && lb.(j) < ub.(j) then begin
+        let at_lower = xval.(j) <= lb.(j) +. eps in
+        let eligible =
+          if below then if at_lower then a < 0. else a > 0.
+          else if at_lower then a > 0.
+          else a < 0.
+        in
+        if eligible then begin
+          let ratio = abs_float (rc.(j) /. a) in
+          if
+            ratio < !best_ratio -. eps
+            || (ratio < !best_ratio +. eps && abs_float a > abs_float !best_alpha)
+          then begin
+            best := j;
+            best_ratio := ratio;
+            best_alpha := a
           end
         end
       end
@@ -731,13 +884,14 @@ let dual_step st =
       let a = !best_alpha in
       ftran_col st j;
       let target = if below then st.lb.(k) else st.ub.(k) in
-      let t = (st.xval.(k) -. target) /. a in
+      let t = (xval.(k) -. target) /. a in
+      let alpha = st.alpha in
       for i = 0 to st.m - 1 do
-        let b = st.basis.(i) in
-        st.xval.(b) <- st.xval.(b) -. (st.alpha.(i) *. t)
+        let b = Array.unsafe_get basis i in
+        xval.(b) <- xval.(b) -. (Array.unsafe_get alpha i *. t)
       done;
-      st.xval.(j) <- st.xval.(j) +. t;
-      st.xval.(k) <- target;
+      xval.(j) <- xval.(j) +. t;
+      xval.(k) <- target;
       basis_change st r j;
       DMoved
     end
@@ -809,59 +963,23 @@ module Incremental = struct
     t.st <- st;
     t.cost <- phase2_cost_of st t.base
 
-  (* Rebuild the state over [rows] with column [j] of the old state
-     moved to [map j] (-1: deleted) and the basis [basis] (new column
-     indices).  [lb] and [ub] come preset for the columns no old one
-     maps to.  The LU is rebuilt at the next solve. *)
-  let remap t rows ~map ~basis ~slk ~sigma ~lb ~ub =
-    let st = t.st in
-    let ntotal' = st.n + (2 * Array.length rows) in
-    let xval = Array.make ntotal' 0. and rc = Array.make ntotal' 0. in
-    for j = 0 to st.ntotal - 1 do
-      let j' = map j in
-      if j' >= 0 then begin
-        lb.(j') <- st.lb.(j);
-        ub.(j') <- st.ub.(j);
-        xval.(j') <- st.xval.(j);
-        rc.(j') <- st.rc.(j)
-      end
-    done;
-    let st' =
-      make_state ~eps:st.eps ~n:st.n rows ~slk ~sigma ~lb ~ub ~xval ~rc ~basis ~lu:st.lu
-        ~lu_stale:true ~work:t.work
-    in
-    t.st <- st';
-    t.cost <- phase2_cost_of st' t.base
-
   (* Append [r] and keep the basis: the new row's slack becomes basic in
-     a new last position.  The slack has zero cost, so the duals of the
-     old rows and every reduced cost are unchanged and dual feasibility
-     survives; the slack's (possibly out-of-bound) value is repaired by
-     the next dual-simplex reoptimize.  Column layout: the new slack
-     lands at index [n + m] and the new artificial last, so the old
-     artificials shift up by one.  The LU is rebuilt at the next
-     solve. *)
+     a new last position ([insert_row]).  The slack has zero cost, so
+     the duals of the old rows and every reduced cost are unchanged and
+     dual feasibility survives; the slack's (possibly out-of-bound)
+     value is repaired by the next dual-simplex reoptimize.  The LU is
+     rebuilt at the next solve. *)
   let add_row t (r : row) =
     let idx = Array.length t.base.rows in
     t.base <- { t.base with rows = Array.append t.base.rows [| r |] };
     if not t.have_basis then resync_cold t
     else begin
-      let st = t.st in
-      let n = st.n and m = st.m in
-      let map j = if j < n + m then j else j + 1 in
-      let ntotal' = n + (2 * (m + 1)) in
-      let lb = Array.make ntotal' 0. and ub = Array.make ntotal' infinity in
-      let slack_new = n + m in
-      (match r.rel with Ge | Le -> () | Eq -> ub.(slack_new) <- 0.);
-      ub.(ntotal' - 1) <- 0.;
-      let c_s = slack_coeff r in
-      (* an artificial of the same sign as the slack: never used, since
-         it is pinned at 0 like every artificial after phase 1 *)
-      remap t t.base.rows ~map
-        ~basis:(Array.append (Array.map map st.basis) [| slack_new |])
-        ~slk:(Array.append st.slk [| c_s |])
-        ~sigma:(Array.append st.sigma [| c_s |])
-        ~lb ~ub
+      insert_row t.st r;
+      if Array.length t.cost < t.st.ntotal then begin
+        let cost = Array.make (Array.length t.st.lb) 0. in
+        Array.blit t.cost 0 cost 0 t.st.n;
+        t.cost <- cost
+      end
     end;
     idx
 
@@ -917,17 +1035,7 @@ module Incremental = struct
         t.drop_fallbacks <- t.drop_fallbacks + 1;
         resync_cold t
       end
-      else begin
-        let map j = if j < slack_i then j else if j = slack_i || j = art_i then -1 else if j < art_i then j - 1 else j - 2 in
-        let ntotal' = n + (2 * (m - 1)) in
-        let keep a = Array.init (m - 1) (fun k -> if k < i then a.(k) else a.(k + 1)) in
-        remap t rows' ~map
-          ~basis:
-            (Array.init (m - 1) (fun k ->
-                 map st.basis.(if k < slack_pos then k else k + 1)))
-          ~slk:(keep st.slk) ~sigma:(keep st.sigma)
-          ~lb:(Array.make ntotal' 0.) ~ub:(Array.make ntotal' infinity)
-      end
+      else delete_row st i ~slack_pos
     end
 
   let fix t j v =
@@ -1028,7 +1136,7 @@ module Incremental = struct
       | `Opt -> extract_solution st t.base t.cost
       | `Infeasible vr ->
         (* Farkas witness: row vr of B^-1 *)
-        price_row st vr;
+        price_row st vr ~arts:false;
         let witness = ref [] in
         for i = st.m - 1 downto 0 do
           let a = st.rho.(i) in

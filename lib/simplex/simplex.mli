@@ -43,8 +43,9 @@
     Refactorization.  The LU is rebuilt from A after a fixed number of
     eta updates, or sooner when the FTRAN and pivot-row values of a
     pivot disagree; the basis and vertex are kept and the basic values
-    recomputed.  [add_row] and [drop_row] edit the basis and rebuild the
-    LU at the next solve.  The cold start's artificial basis is diagonal
+    recomputed.  [add_row] and [drop_row] splice the row into or out of
+    the stored matrix and the basis in place, and rebuild the LU at the
+    next solve.  The cold start's artificial basis is diagonal
     and needs no factorization.
 
     Pivot rules.  The dual simplex leaves on the basic variable of
@@ -54,6 +55,9 @@
     iteration budget (the first eligible column enters, and ratio-test
     ties leave by smallest column index); the reduced costs are recomputed every 100
     pivots; every tolerance is [eps] (default [1e-7]). *)
+
+module Lu = Lu
+(** The basis factorization, for its own tests. *)
 
 type rel =
   | Ge

@@ -11,8 +11,9 @@ type t =
   | Simplex
   | Subgradient
   | Cut_generation
+  | Separate
 
-let count = 8
+let count = 9
 
 let index = function
   | Preprocess -> 0
@@ -23,6 +24,7 @@ let index = function
   | Simplex -> 5
   | Subgradient -> 6
   | Cut_generation -> 7
+  | Separate -> 8
 
 let name = function
   | Preprocess -> "preprocess"
@@ -33,14 +35,27 @@ let name = function
   | Simplex -> "simplex"
   | Subgradient -> "subgradient"
   | Cut_generation -> "cut_generation"
+  | Separate -> "separate"
 
 (* Phases coarse enough to emit one tracing span per entry.  The inner
    search phases (propagate/analyze) fire thousands of times per second:
    span-tracing them would swamp any trace file, so their time shows only
-   in the exact phase table (Timer). *)
+   in the exact phase table (Timer).  LP cut separation runs once or
+   twice per LP bound, inside its lower_bound span, so it has no span
+   of its own either. *)
 let coarse = function
   | Preprocess | Reduce_db | Lower_bound | Simplex | Subgradient | Cut_generation -> true
-  | Propagate | Analyze -> false
+  | Propagate | Analyze | Separate -> false
 
 let all =
-  [ Preprocess; Propagate; Analyze; Reduce_db; Lower_bound; Simplex; Subgradient; Cut_generation ]
+  [
+    Preprocess;
+    Propagate;
+    Analyze;
+    Reduce_db;
+    Lower_bound;
+    Simplex;
+    Subgradient;
+    Cut_generation;
+    Separate;
+  ]

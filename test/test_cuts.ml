@@ -91,7 +91,9 @@ let pool_separation_sound () =
     let pool = Cuts.Pool.create tel in
     Cuts.Pool.note_implications pool (Cuts.mine_implications engine);
     let xval = xval_of_seed seed in
-    let entries = Cuts.Pool.separate pool engine ~xval in
+    let entries =
+      Cuts.Pool.separate pool engine ~x:(Array.init (Problem.nvars problem) xval)
+    in
     let seen = Hashtbl.create 8 in
     List.iter
       (fun (e : Cuts.Pool.entry) ->
@@ -129,7 +131,9 @@ let pooled_cuts_certified () =
     let tel = Telemetry.Ctx.create () in
     let pool = Cuts.Pool.create ~proof tel in
     Cuts.Pool.note_implications pool (Cuts.mine_implications engine);
-    let entries = Cuts.Pool.separate pool engine ~xval:(xval_of_seed seed) in
+    let entries =
+      Cuts.Pool.separate pool engine ~x:(Array.init (Problem.nvars problem) (xval_of_seed seed))
+    in
     List.iter
       (fun (e : Cuts.Pool.entry) ->
         match e.cut.Cuts.proof_ref with
@@ -288,7 +292,7 @@ let separate_matches_reference seed =
     let got =
       List.map
         (fun (e : Cuts.Pool.entry) -> (e.cut.Cuts.family, e.cut.Cuts.constr, e.cut.Cuts.proof_ref))
-        (Cuts.Pool.separate pool engine ~xval)
+        (Cuts.Pool.separate pool engine ~x)
     in
     let want = Separate_ref.separate oracle ~xval in
     if got <> want then

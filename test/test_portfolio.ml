@@ -189,11 +189,14 @@ let oracle_broadcast_prunes () =
     Alcotest.failf "broadcast did not prune: %d decisions with oracle, %d alone"
       own.counters.decisions alone.counters.decisions
 
-(* A bad import is refused, not trusted: a liar publishes, below the
+(* A bad claim is refused, not trusted.  A liar offers, below the
    optimum, a model that breaks a clause or a feasible model under a
-   cost it does not have.  The bsolo member checks the offer once,
-   refuses it (counted in its registry, merged under its prefix) and
-   still proves the true optimum. *)
+   cost it does not have.  Offered straight to a search through
+   [external_incumbent], it is checked once, refused (counted in
+   [search.incumbent_rejects]) and the search still proves the true
+   optimum.  Broadcast in a portfolio, the shared cell refuses it, so an
+   honest member's later broadcast still reaches the cell and the bsolo
+   member imports it. *)
 let bad_import_refused () =
   let problem = Gen.covering ~nvars:18 ~nclauses:30 5 in
   let model, opt =
@@ -207,22 +210,62 @@ let bad_import_refused () =
   List.iter
     (fun (what, bad, claimed) ->
       let tel = Telemetry.Ctx.create ~timing:false () in
+      let options =
+        {
+          Bsolo.Options.default with
+          telemetry = Some tel;
+          external_incumbent = Some (fun () -> Some (claimed, bad, "liar"));
+        }
+      in
+      let own = Bsolo.Solver.solve ~options problem in
+      Alcotest.(check string) (what ^ ": the search still proves") "OPTIMAL"
+        (Bsolo.Outcome.status_name own.status);
+      Alcotest.(check (option int)) (what ^ ": the true optimum") (Some opt)
+        (Bsolo.Outcome.best_cost own);
+      let counter (tel : Telemetry.Ctx.t) name =
+        Option.value ~default:0 (Telemetry.Registry.find_counter tel.registry name)
+      in
+      Alcotest.(check int) (what ^ ": refused once") 1 (counter tel "search.incumbent_rejects");
+      Alcotest.(check int) (what ^ ": nothing imported") 0 (counter tel "search.incumbent_imports");
+      let lied = Atomic.make false in
+      let liar = Gen.publisher "liar" bad claimed in
+      let liar =
+        {
+          liar with
+          psolve =
+            (fun ~options p ->
+              let o = liar.psolve ~options p in
+              Atomic.set lied true;
+              o);
+        }
+      in
+      let honest = Gen.publisher "honest" model opt in
+      let honest =
+        {
+          honest with
+          psolve =
+            (fun ~options p ->
+              let give_up = Unix.gettimeofday () +. 10.0 in
+              while (not (Atomic.get lied)) && Unix.gettimeofday () < give_up do
+                Unix.sleepf 0.001
+              done;
+              honest.psolve ~options p);
+        }
+      in
+      let tel = Telemetry.Ctx.create ~timing:false () in
       let r =
-        Portfolio.solve ~telemetry:tel
-          ~entries:[ Gen.publisher "liar" bad claimed; Gen.importer ]
-          ~jobs:2 ~budget:20.0 problem
+        Portfolio.solve ~telemetry:tel ~entries:[ liar; honest; Gen.importer ] ~jobs:3
+          ~budget:20.0 problem
       in
       let own = member_run r "bsolo" in
       Alcotest.(check string) (what ^ ": bsolo still proves") "OPTIMAL"
         (Bsolo.Outcome.status_name own.status);
-      Alcotest.(check (option int)) (what ^ ": the true optimum") (Some opt)
+      Alcotest.(check (option int)) (what ^ ": the true optimum, in a portfolio") (Some opt)
         (Bsolo.Outcome.best_cost own);
-      let counter name =
-        Option.value ~default:0
-          (Telemetry.Registry.find_counter tel.registry ("portfolio.bsolo.search." ^ name))
-      in
-      Alcotest.(check int) (what ^ ": refused once") 1 (counter "incumbent_rejects");
-      Alcotest.(check int) (what ^ ": nothing imported") 0 (counter "incumbent_imports"))
+      let counter name = counter tel ("portfolio.bsolo.search." ^ name) in
+      Alcotest.(check int) (what ^ ": the cell held no bad claim") 0 (counter "incumbent_rejects");
+      Alcotest.(check int) (what ^ ": the honest broadcast imported") 1
+        (counter "incumbent_imports"))
     [ "infeasible model", infeasible, opt - 1; "wrong cost", model, opt - 1 ]
 
 (* After the join the caller's cell holds the portfolio's answer, so the

@@ -859,6 +859,118 @@ let qcheck_factored_certified =
         script;
       Simplex.Incremental.nrows sx = Array.length !p.rows)
 
+(* --- the factorization ---------------------------------------------------------- *)
+
+(* qcheck: LU of random sparse bases, as the simplex makes them: some
+   positions hold a singleton column (a slack or artificial, one entry
+   on its own row), the rest a nucleus column with a diagonal entry of
+   magnitude 1-4 and up to three off-diagonal entries of magnitude at
+   most 0.3, so the matrix is column diagonally dominant, hence
+   nonsingular.  Right after [factor] and after each of up to 31
+   [update]s (the position replaced is the entering column's largest
+   FTRAN entry), FTRAN and BTRAN must solve to residual 1e-9.  Making
+   the basis rank deficient instead (a column repeated, or scaled by
+   -2, or a second singleton on a taken row) must raise [Singular]. *)
+let qcheck_lu_residuals =
+  let gen =
+    QCheck2.Gen.(
+      pair (int_range 1 60) (pair (int_bound 1_000_000) (int_range 0 31)))
+  in
+  QCheck2.Test.make ~name:"LU solves sparse bases and detects singular ones" ~count:300 gen
+    (fun (m, (seed, nupdates)) ->
+      let module Lu = Simplex.Lu in
+      let rng = Random.State.make [| seed |] in
+      let rows = Array.init m Fun.id in
+      for k = m - 1 downto 1 do
+        let j = Random.State.int rng (k + 1) in
+        let t = rows.(k) in
+        rows.(k) <- rows.(j);
+        rows.(j) <- t
+      done;
+      let sign () = if Random.State.bool rng then 1. else -1. in
+      let column k =
+        let d = (sign () *. (1. +. Random.State.float rng 3.), rows.(k)) in
+        if Random.State.int rng 3 = 0 then [ d ]
+        else
+          let others =
+            List.sort_uniq compare
+              (List.init (Random.State.int rng 4) (fun _ -> Random.State.int rng m))
+          in
+          d
+          :: List.filter_map
+               (fun i ->
+                 if i = rows.(k) then None
+                 else Some (sign () *. Random.State.float rng 0.3, i))
+               others
+      in
+      let cols = Array.init m column in
+      let factor cols =
+        let lu = Lu.create () in
+        Lu.factor lu m (fun k emit -> List.iter (fun (v, i) -> emit i v) cols.(k));
+        lu
+      in
+      (* B x by row, x by position *)
+      let times cols x =
+        let b = Array.make m 0. in
+        Array.iteri (fun k col -> List.iter (fun (v, i) -> b.(i) <- b.(i) +. (v *. x.(k))) col) cols;
+        b
+      in
+      let random_vector () =
+        Array.init m (fun _ ->
+            if Random.State.int rng 3 = 0 then Random.State.float rng 2. -. 1. else 0.)
+      in
+      let residuals lu cols =
+        let a = random_vector () in
+        let x = Array.make m 0. in
+        Lu.ftran lu (Array.copy a) x;
+        let bx = times cols x in
+        let c = random_vector () in
+        let y = Array.make m 0. in
+        Lu.btran lu (Array.copy c) y;
+        let worst = ref 0. in
+        Array.iteri (fun i v -> worst := Float.max !worst (abs_float (v -. a.(i)))) bx;
+        Array.iteri
+          (fun k col ->
+            let yb = List.fold_left (fun s (v, i) -> s +. (v *. y.(i))) 0. col in
+            worst := Float.max !worst (abs_float (yb -. c.(k))))
+          cols;
+        !worst
+      in
+      let fail fmt = Printf.ksprintf (fun s -> QCheck2.Test.fail_reportf "seed %d: %s" seed s) fmt in
+      let lu = factor cols in
+      let r = residuals lu cols in
+      if r > 1e-9 then fail "residual %g after factor" r;
+      for u = 1 to nupdates do
+        let col = column (Random.State.int rng m) in
+        let a = Array.make m 0. in
+        List.iter (fun (v, i) -> a.(i) <- v) col;
+        let alpha = Array.make m 0. in
+        Lu.ftran lu a alpha;
+        let r = ref 0 in
+        Array.iteri (fun k v -> if abs_float v > abs_float alpha.(!r) then r := k) alpha;
+        if abs_float alpha.(!r) > 0.1 then begin
+          Lu.update lu !r alpha;
+          cols.(!r) <- col;
+          let res = residuals lu cols in
+          if res > 1e-9 then fail "residual %g after %d updates" res u
+        end
+      done;
+      if m >= 2 then begin
+        let k1 = Random.State.int rng m in
+        let k2 = (k1 + 1 + Random.State.int rng (m - 1)) mod m in
+        let bad = Array.map (fun c -> c) cols in
+        (match Random.State.int rng 3 with
+        | 0 -> bad.(k2) <- bad.(k1)
+        | 1 -> bad.(k2) <- List.map (fun (v, i) -> (-2. *. v, i)) bad.(k1)
+        | _ ->
+          bad.(k1) <- [ (1., rows.(0)) ];
+          bad.(k2) <- [ (-1., rows.(0)) ]);
+        match factor bad with
+        | _ -> fail "a rank-deficient basis factored"
+        | exception Lu.Singular -> ()
+      end;
+      true)
+
 let suite =
   [
     Alcotest.test_case "simple cover" `Quick simple_cover;
@@ -885,4 +997,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_cut_rows_warm_equals_cold;
     QCheck_alcotest.to_alcotest qcheck_mixed_rows_certified;
     QCheck_alcotest.to_alcotest qcheck_factored_certified;
+    QCheck_alcotest.to_alcotest qcheck_lu_residuals;
   ]
