@@ -80,7 +80,7 @@ let run ~limit ~scale ~per_family which () =
             total_time := !total_time +. o.elapsed
           end
           else total_time := !total_time +. limit;
-          total_nodes := !total_nodes + o.counters.nodes)
+          total_nodes := !total_nodes + Bsolo.Outcome.counter o "search.nodes")
         instances;
       Printf.printf "  %-40s solved %2d/%d, total %.1fs, %d nodes\n%!" v.vname !solved
         (List.length instances) !total_time !total_nodes)

@@ -6,13 +6,15 @@
      ablation-branch   ablation B: LP-guided vs VSIDS branching
      ablation-knapsack ablation C: incumbent cuts on/off
      ablation-lgr      LGR subgradient iteration budget
-     micro             bechamel micro-benchmarks of the LB procedures
-     all               table1 + all ablations + micro *)
+     all               table1 + all ablations + scaling + extension-cp
+
+   The cost of one lower-bound evaluation is the perf tier's
+   [lb.us_per_call] row (bench/perf). *)
 
 let usage () =
   print_endline
     "usage: main.exe \
-     [table1|ablation-bc|ablation-branch|ablation-knapsack|ablation-lgr|ablation-strengthen|ablation-cuts|scaling|extension-cp|micro|all]\n\
+     [table1|ablation-bc|ablation-branch|ablation-knapsack|ablation-lgr|ablation-strengthen|ablation-cuts|scaling|extension-cp|all]\n\
     \       [--limit SECS] [--scale S] [--per-family N] [--json FILE]"
 
 let () =
@@ -59,7 +61,6 @@ let () =
   | "ablation-cuts" -> ablation `Cut_pool "Ablation F: cut pool + presolve"
   | "scaling" -> Scaling.run ~limit ~per_family ()
   | "extension-cp" -> Cp_extension.run ~limit ~scale ~per_family ()
-  | "micro" -> Micro.run ()
   | "all" ->
     table1 ();
     ablation `Bound_conflicts "Ablation A: bound-conflict backtracking";
@@ -71,8 +72,7 @@ let () =
     print_newline ();
     Scaling.run ~limit:(min limit 2.0) ~per_family:(min per_family 3) ();
     print_newline ();
-    Cp_extension.run ~limit ~scale ~per_family:(min per_family 5) ();
-    Micro.run ()
+    Cp_extension.run ~limit ~scale ~per_family:(min per_family 5) ()
   | other ->
     Printf.eprintf "unknown command %S\n" other;
     usage ();

@@ -164,7 +164,7 @@ let run ~live problem ~nodes =
   ignore (Unix.waitpid [] scraper);
   ignore (Unix.waitpid [] sse);
   Telemetry.Profile.unregister cell;
-  (elapsed, o.counters.nodes, served)
+  (elapsed, Bsolo.Outcome.counter o "search.nodes", served)
 
 let measure ?(nodes = 5_000) ?(scale = 2.0) ?(reps = 6) () =
   (* an ABBA block needs two reps; round up so no lone rep's drift bias

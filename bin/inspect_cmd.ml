@@ -25,8 +25,8 @@ let inspect_report path json =
   print_endline "per-procedure effectiveness:";
   print_lines (Inspect.render_effectiveness (Inspect.effectiveness json));
   print_newline ();
-  print_endline "gap-closure timeline:";
-  print_lines (Inspect.render_gap_timeline (Inspect.gap_timeline json));
+  print_endline "incumbent timeline:";
+  print_lines (Inspect.render_timeline (Inspect.incumbent_points json));
   print_newline ();
   print_endline "search-tree shape:";
   print_lines (Inspect.render_tree_shape json);

@@ -6,51 +6,14 @@ type status =
   | Unsatisfiable
   | Unknown
 
-type counters = {
-  decisions : int;
-  propagations : int;
-  conflicts : int;
-  bound_conflicts : int;
-  learned : int;
-  restarts : int;
-  lb_calls : int;
-  nodes : int;
-}
-
 type t = {
   status : status;
   best : (Model.t * int) option;
-  counters : counters;
+  counters : (string * int) list;
   elapsed : float;
 }
 
-(* The one place outcome counters are derived from the telemetry registry:
-   every driver (bsolo, linear search, MILP) publishes under the same
-   names and snapshots through here. *)
-let counters_of_registry reg =
-  let c name = Option.value ~default:0 (Telemetry.Registry.find_counter reg name) in
-  {
-    decisions = c "engine.decisions";
-    propagations = c "engine.propagations";
-    conflicts = c "engine.conflicts";
-    bound_conflicts = c "engine.bound_conflicts";
-    learned = c "engine.learned";
-    restarts = c "engine.restarts";
-    lb_calls = c "search.lb_calls";
-    nodes = c "search.nodes";
-  }
-
-let counters_to_alist c =
-  [
-    "decisions", c.decisions;
-    "propagations", c.propagations;
-    "conflicts", c.conflicts;
-    "bound_conflicts", c.bound_conflicts;
-    "learned", c.learned;
-    "restarts", c.restarts;
-    "lb_calls", c.lb_calls;
-    "nodes", c.nodes;
-  ]
+let counter t name = Option.value ~default:0 (List.assoc_opt name t.counters)
 
 let status_name = function
   | Optimal -> "OPTIMAL"
@@ -70,5 +33,5 @@ let pp ppf t =
   | Some (_, c) -> Format.fprintf ppf " cost=%d" c);
   Format.fprintf ppf
     " (%.3fs, %d decisions, %d conflicts, %d bound conflicts, %d lb calls)"
-    t.elapsed t.counters.decisions t.counters.conflicts t.counters.bound_conflicts
-    t.counters.lb_calls
+    t.elapsed (counter t "engine.decisions") (counter t "engine.conflicts")
+    (counter t "engine.bound_conflicts") (counter t "search.lb_calls")

@@ -8,17 +8,6 @@ type status =
   | Unsatisfiable
   | Unknown  (** a limit was reached *)
 
-type counters = {
-  decisions : int;
-  propagations : int;
-  conflicts : int;
-  bound_conflicts : int;
-  learned : int;
-  restarts : int;
-  lb_calls : int;
-  nodes : int;
-}
-
 type t = {
   status : status;
   best : (Model.t * int) option;
@@ -27,18 +16,16 @@ type t = {
           checked one, whether the run found it or imported it from a
           portfolio peer ({!Options.external_incumbent}), so an
           [Optimal] outcome always holds its witness. *)
-  counters : counters;
+  counters : (string * int) list;
+      (** the run's registry snapshot ({!Telemetry.Registry.counters}):
+          every counter under its own name ([engine.decisions],
+          [search.nodes], ...), sorted by name *)
   elapsed : float;  (** wall-clock seconds *)
 }
 
-val counters_of_registry : Telemetry.Registry.t -> counters
-(** Snapshot of the run counters published in a telemetry registry under
-    the shared names ([engine.decisions], [search.nodes], ...).  Missing
-    entries read as 0, so partial instrumenters (e.g. the MILP driver,
-    which has no propagation) snapshot through the same path. *)
-
-val counters_to_alist : counters -> (string * int) list
-(** Field names and values, for uniform export (reports, tests). *)
+val counter : t -> string -> int
+(** [counter o name] reads one counter of the snapshot; a counter the
+    run never declared reads as 0. *)
 
 val status_name : status -> string
 val best_cost : t -> int option

@@ -70,18 +70,6 @@ let histogram_json h =
              (Telemetry.Histogram.snapshot h)) );
     ]
 
-let series_json s =
-  Json.Obj
-    [
-      "fields", Json.List (List.map (fun f -> Json.String f) (Telemetry.Series.fields s));
-      ( "samples",
-        Json.List
-          (List.map
-             (fun (t, vs) ->
-               Json.List (Json.Float t :: List.map (fun v -> Json.Float v) (Array.to_list vs)))
-             (Telemetry.Series.samples s)) );
-    ]
-
 let telemetry_json (tel : Telemetry.Ctx.t) =
   [
     ( "counters",
@@ -100,11 +88,6 @@ let telemetry_json (tel : Telemetry.Ctx.t) =
         (List.map
            (fun h -> Telemetry.Histogram.name h, histogram_json h)
            (Telemetry.Registry.histograms tel.registry)) );
-    ( "series",
-      Json.Obj
-        (List.map
-           (fun s -> Telemetry.Series.name s, series_json s)
-           (Telemetry.Registry.all_series tel.registry)) );
   ]
 
 let make ?instance ?engine ?run_id ?started ?problem ?options ?(incumbents = [])
@@ -138,23 +121,6 @@ let write_file path report =
 
 (* --- reading back ---------------------------------------------------------- *)
 
-let counters_of_json json =
-  match Json.member "counters" json with
-  | None -> None
-  | Some counters ->
-    let c name = Option.value ~default:0 (Option.bind (Json.member name counters) Json.to_int) in
-    Some
-      {
-        Outcome.decisions = c "engine.decisions";
-        propagations = c "engine.propagations";
-        conflicts = c "engine.conflicts";
-        bound_conflicts = c "engine.bound_conflicts";
-        learned = c "engine.learned";
-        restarts = c "engine.restarts";
-        lb_calls = c "search.lb_calls";
-        nodes = c "search.nodes";
-      }
-
 let phases_of_json json =
   match Json.member "phases" json with
   | Some (Json.Obj fields) ->
@@ -162,20 +128,3 @@ let phases_of_json json =
       (fun (k, v) -> Option.map (fun f -> k, f) (Json.to_float v))
       fields
   | Some _ | None -> []
-
-let series_of_json json name =
-  match Option.bind (Json.member "series" json) (Json.member name) with
-  | None -> []
-  | Some s ->
-    let samples = Option.value ~default:[] (Option.bind (Json.member "samples" s) Json.to_list) in
-    List.filter_map
-      (fun sample ->
-        match Json.to_list sample with
-        | Some (t :: vs) ->
-          Option.bind (Json.to_float t) (fun t ->
-              let floats = List.filter_map Json.to_float vs in
-              if List.length floats = List.length vs then
-                Some (t, Array.of_list floats)
-              else None)
-        | Some [] | None -> None)
-      samples

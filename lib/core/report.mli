@@ -40,14 +40,5 @@ val options_json : Options.t -> Telemetry.Json.t
 val to_string : Telemetry.Json.t -> string
 val write_file : string -> Telemetry.Json.t -> unit
 
-val counters_of_json : Telemetry.Json.t -> Outcome.counters option
-(** Re-reads the counter snapshot of a parsed report, for cross-checking
-    against {!Outcome.counters}. *)
-
 val phases_of_json : Telemetry.Json.t -> (string * float) list
 (** Per-phase self times of a parsed report, seconds. *)
-
-val series_of_json : Telemetry.Json.t -> string -> (float * float array) list
-(** [series_of_json report name] re-reads a sampled series (e.g.
-    ["search.gap"]) as [(seconds, values)] pairs, oldest first; empty
-    when absent. *)

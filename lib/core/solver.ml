@@ -257,9 +257,6 @@ let offer st source m cost =
     (match source with
     | Found -> Telemetry.Ctx.incumbent st.tel ~cost
     | Imported member -> Telemetry.Ctx.import st.tel ~cost ~member);
-    Lowerbound.Track.gap_sample_now st.track
-      ~at:(Unix.gettimeofday () -. st.start)
-      ~lb:(st.last_lb + st.offset) ~ub:cost;
     Log.info (fun k ->
         k "incumbent %d%s after %d conflicts (%.2fs)" cost
           (match source with Found -> "" | Imported member -> " from " ^ member)
@@ -410,9 +407,6 @@ and expand st =
             let path = Core.path_cost st.engine in
             st.last_lb <- path + lower.value;
             Lowerbound.Track.note_call st.track ~value:lower.value ~path ~upper:st.upper;
-            Lowerbound.Track.gap_sample st.track
-              ~at:(Unix.gettimeofday () -. st.start)
-              ~lb:(st.last_lb + st.offset) ~ub:(st.upper + st.offset);
             (* A root-level evaluation (no decisions on the trail)
                bounds the whole problem; deeper ones only bound their
                subtree and must not reach the live cell. *)
@@ -542,7 +536,6 @@ and resolve_cut st = function
     | Core.Backjump _ -> search st)
 
 let package st verdict =
-  let counters = Outcome.counters_of_registry st.tel.registry in
   (* every incumbent, found or imported, is a checked model at [upper],
      so a closed search proves the best one optimal *)
   let status =
@@ -569,12 +562,22 @@ let package st verdict =
       | Out_of_budget, None -> Proof.No_claim
     in
     Proof.log_conclusion proof conclusion);
+  let outcome =
+    {
+      Outcome.status;
+      best = st.best;
+      counters = Telemetry.Registry.counters st.tel.registry;
+      elapsed = Unix.gettimeofday () -. st.start;
+    }
+  in
+  let c = Outcome.counter outcome in
   Log.info (fun k ->
       k "%s: %d decisions, %d conflicts (%d bound), %d lb calls" (Outcome.status_name status)
-        counters.decisions counters.conflicts counters.bound_conflicts counters.lb_calls);
-  Telemetry.Recorder.fin st.recorder ~status:(Outcome.status_name status) ~nodes:counters.nodes
-    ~decisions:counters.decisions ~conflicts:counters.conflicts;
-  { Outcome.status; best = st.best; counters; elapsed = Unix.gettimeofday () -. st.start }
+        (c "engine.decisions") (c "engine.conflicts") (c "engine.bound_conflicts")
+        (c "search.lb_calls"));
+  Telemetry.Recorder.fin st.recorder ~status:(Outcome.status_name status)
+    ~nodes:(c "search.nodes") ~decisions:(c "engine.decisions") ~conflicts:(c "engine.conflicts");
+  outcome
 
 let solve ?(options = Options.default) problem =
   let start = Unix.gettimeofday () in

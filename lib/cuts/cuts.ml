@@ -437,6 +437,7 @@ module Pool = struct
     lp : Simplex.row;  (* [lp_row cut.constr], built once *)
     mutable row : int;  (* LP row index while active, -1 otherwise *)
     mutable idle : int;  (* consecutive optimal solves with a zero dual *)
+    mutable tight : bool;  (* ever carried a nonzero dual: counted once *)
   }
 
   type fam = {
@@ -552,7 +553,13 @@ module Pool = struct
                 decr budget;
                 Telemetry.Counter.incr (counters pool family).applied;
                 let e =
-                  { cut = { family; constr; proof_ref }; lp = lp_row constr; row = -1; idle = 0 }
+                  {
+                    cut = { family; constr; proof_ref };
+                    lp = lp_row constr;
+                    row = -1;
+                    idle = 0;
+                    tight = false;
+                  }
                 in
                 pool.entries <- e :: pool.entries;
                 out := e :: !out);
@@ -612,14 +619,18 @@ module Pool = struct
   (* Aging: called once per optimal LP solve with the row duals.  A cut
      carrying a nonzero dual is doing bounding work; one that stays at
      zero for [stale_after] consecutive solves is a candidate for
-     eviction. *)
+     eviction.  [cuts.<family>.tight] counts cuts, not solves: an entry
+     is counted the first time its dual is nonzero. *)
   let observe pool ~duals =
     List.iter
       (fun e ->
         if e.row >= 0 && e.row < Array.length duals then begin
           if abs_float duals.(e.row) > 1e-9 then begin
             e.idle <- 0;
-            Telemetry.Counter.incr (counters pool e.cut.family).tight
+            if not e.tight then begin
+              e.tight <- true;
+              Telemetry.Counter.incr (counters pool e.cut.family).tight
+            end
           end
           else e.idle <- e.idle + 1
         end)

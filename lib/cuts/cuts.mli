@@ -95,6 +95,10 @@ module Pool : sig
     lp : Simplex.row;  (** [lp_row cut.constr], built once when the entry is made *)
     mutable row : int;  (** LP row index while active, [-1] otherwise *)
     mutable idle : int;  (** consecutive optimal solves with a zero dual *)
+    mutable tight : bool;
+        (** has carried a nonzero dual at some optimal solve; counted once
+            in [cuts.<family>.tight], so that count never exceeds
+            [cuts.<family>.applied] *)
   }
 
   type t
@@ -129,7 +133,8 @@ module Pool : sig
   val active : t -> entry list
 
   val observe : t -> duals:float array -> unit
-  (** Age the pool against one optimal solve's row duals. *)
+  (** Age the pool against one optimal solve's row duals; an entry's
+      first nonzero dual counts it in [cuts.<family>.tight]. *)
 
   val evictable : t -> entry list
   (** Stale entries, highest LP row first (drop in that order). *)

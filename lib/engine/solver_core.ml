@@ -72,7 +72,6 @@ type rowstate = {
    former ad-hoc mutable record. *)
 type stats = {
   decisions : Telemetry.Counter.t;
-  propagations : Telemetry.Counter.t;
   conflicts : Telemetry.Counter.t;
   bound_conflicts : Telemetry.Counter.t;
   learned_total : Telemetry.Counter.t;
@@ -87,7 +86,7 @@ type stats = {
    engine.* family is too coarse to show.  Mode population counters are
    absolute values maintained with [set]. *)
 type bcp_stats = {
-  b_props : Telemetry.Counter.t;  (* implied assignments (mirrors engine.propagations) *)
+  b_props : Telemetry.Counter.t;  (* implied assignments: the run's one propagation count *)
   b_visits : Telemetry.Counter.t;  (* constraint examinations during propagation *)
   b_moves : Telemetry.Counter.t;  (* falsified watches retired from a watch set *)
   b_extends : Telemetry.Counter.t;  (* literals added to a watch set *)
@@ -112,7 +111,6 @@ let stats_of_registry reg =
   let c = Telemetry.Registry.counter reg in
   {
     decisions = c "engine.decisions";
-    propagations = c "engine.propagations";
     conflicts = c "engine.conflicts";
     bound_conflicts = c "engine.bound_conflicts";
     learned_total = c "engine.learned";
@@ -488,7 +486,6 @@ let scan_terms t terms off n ci s i0 =
       else begin
         let lit = Lit.of_index terms.(off + (2 * i)) in
         if Value.equal (value_lit t lit) Value.Unknown then begin
-          Telemetry.Counter.incr t.stats.propagations;
           Telemetry.Counter.incr t.bstats.b_props;
           assign t lit (Implied ci)
         end;

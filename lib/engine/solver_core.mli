@@ -252,13 +252,11 @@ val reduce_db : t -> unit
 (** {1 Statistics}
 
     Counters are handles into the run's telemetry registry (names
-    ["engine.*"]); incrementing one is a single store.  Snapshots for
-    outcome packaging should go through
-    [Outcome.counters_of_registry]. *)
+    ["engine.*"]); incrementing one is a single store.  A run's outcome
+    carries the registry's snapshot under these names. *)
 
 type stats = {
   decisions : Telemetry.Counter.t;
-  propagations : Telemetry.Counter.t;
   conflicts : Telemetry.Counter.t;
   bound_conflicts : Telemetry.Counter.t;
   learned_total : Telemetry.Counter.t;
@@ -271,7 +269,8 @@ type stats = {
 
 val stats : t -> stats
 
-(** BCP micro-counters (names ["bcp.*"]): implied assignments, constraint
+(** BCP micro-counters (names ["bcp.*"]): implied assignments
+    ([bcp.propagations], the run's one propagation count), constraint
     examinations, watch moves and extensions, and the per-mode constraint
     population ([constrs_watch_all] counts the watched constraints that
     degraded to watching every literal; it is a subset of

@@ -84,21 +84,6 @@ let histogram_stats json name =
     let f field = Option.value ~default:0. (Option.bind (Json.member field h) Json.to_float) in
     Some { h_total = i "total"; h_mean = f "mean"; h_max = i "max" }
 
-let gap_samples json =
-  match Option.bind (Json.member "series" json) (Json.member "search.gap") with
-  | None -> []
-  | Some s ->
-    let samples = Option.value ~default:[] (Option.bind (Json.member "samples" s) Json.to_list) in
-    List.filter_map
-      (fun sample ->
-        match Json.to_list sample with
-        | Some [ t; lb; ub ] ->
-          (match Json.to_float t, Json.to_float lb, Json.to_float ub with
-          | Some t, Some lb, Some ub -> Some (t, lb, ub)
-          | _ -> None)
-        | Some _ | None -> None)
-      samples
-
 let incumbent_points json =
   match Option.bind (Json.member "incumbents" json) Json.to_list with
   | None -> []
@@ -163,11 +148,9 @@ let effectiveness json =
         (if proc = "path" then "lb.path.bc_backjump"
          else Printf.sprintf "lb.%s.bc_backjump" proc)
     in
-    let calls =
-      match counter json (proc ^ ".calls") with
-      | 0 -> (match tightness with Some h -> h.h_total | None -> 0)
-      | n -> n
-    in
+    (* one tightness observation per evaluation: search.lb_calls of the
+       run's procedure *)
+    let calls = match tightness with Some h -> h.h_total | None -> 0 in
     let time_s = proc_seconds json proc in
     let bc = counter json (Printf.sprintf "lb.%s.bound_conflicts" proc) in
     let mean_backjump = match backjump with Some h -> h.h_mean | None -> 0. in
@@ -199,32 +182,17 @@ let render_effectiveness rows =
   in
   header :: List.map line rows
 
-(* --- gap-closure timeline -------------------------------------------------- *)
+(* --- incumbent timeline ----------------------------------------------------- *)
 
-(* The sampled LB/UB trajectory when present (bsolo engine with an LB
-   procedure), otherwise the incumbent trajectory alone. *)
-let gap_timeline json =
-  match gap_samples json with
-  | [] -> List.map (fun (t, c) -> t, None, float_of_int c) (incumbent_points json)
-  | samples -> List.map (fun (t, lb, ub) -> t, Some lb, ub) samples
-
-let render_gap_timeline ?(max_lines = 32) timeline =
-  match timeline with
-  | [] -> [ "no gap samples or incumbents recorded" ]
+let render_timeline ?(max_lines = 32) points =
+  match points with
+  | [] -> [ "no incumbents recorded" ]
   | _ ->
-    let n = List.length timeline in
+    let n = List.length points in
     let stride = if n <= max_lines then 1 else (n + max_lines - 1) / max_lines in
-    let header = Printf.sprintf "%10s %12s %12s %8s" "t(s)" "lb" "ub" "gap%" in
-    let lines =
-      List.filteri (fun i _ -> i mod stride = 0 || i = n - 1) timeline
-      |> List.map (fun (t, lb, ub) ->
-             match lb with
-             | Some lb ->
-               let gap = if ub <> 0. then 100. *. (ub -. lb) /. Float.abs ub else 0. in
-               Printf.sprintf "%10.3f %12.0f %12.0f %7.1f%%" t lb ub gap
-             | None -> Printf.sprintf "%10.3f %12s %12.0f %8s" t "-" ub "-")
-    in
-    header :: lines
+    Printf.sprintf "%10s %12s" "t(s)" "cost"
+    :: (List.filteri (fun i _ -> i mod stride = 0 || i = n - 1) points
+       |> List.map (fun (t, cost) -> Printf.sprintf "%10.3f %12d" t cost))
 
 (* --- search-tree shape ----------------------------------------------------- *)
 
@@ -242,7 +210,6 @@ let render_tree_shape json =
     Printf.sprintf "%-22s %d" "nodes" (c "search.nodes");
     Printf.sprintf "%-22s %d" "decisions" decisions;
     Printf.sprintf "%-22s %d (%d bound)" "conflicts" conflicts (c "engine.bound_conflicts");
-    Printf.sprintf "%-22s %d" "propagations" (c "engine.propagations");
     Printf.sprintf "%-22s %d" "learned" (c "engine.learned");
     Printf.sprintf "%-22s %d" "restarts" (c "engine.restarts");
     Printf.sprintf "%-22s %d" "max trail" (c "engine.max_trail");

@@ -3,7 +3,7 @@
     Consumes the [--json] run reports, [--record] flight recordings and
     the span and heartbeat files written by the solvers (see
     [docs/OBSERVABILITY.md]), and produces the derived views behind
-    [bsolo inspect]: per-procedure effectiveness, gap-closure timeline,
+    [bsolo inspect]: per-procedure effectiveness, incumbent timeline,
     search-tree shape, report diffs and recording summaries.  Pure
     functions from parsed data so everything is unit-testable. *)
 
@@ -35,10 +35,8 @@ type hist_stats = {
 
 val histogram_stats : Json.t -> string -> hist_stats option
 
-val gap_samples : Json.t -> (float * float * float) list
-(** The [search.gap] series as [(t, lb, ub)] triples. *)
-
 val incumbent_points : Json.t -> (float * int) list
+(** The report's [incumbents] as [(t, cost)] pairs, oldest first. *)
 
 (** {1 Per-procedure effectiveness (paper Table 1's question)} *)
 
@@ -59,13 +57,12 @@ val effectiveness : Json.t -> proc_row list
 
 val render_effectiveness : proc_row list -> string list
 
-(** {1 Gap-closure timeline} *)
+(** {1 Incumbent timeline} *)
 
-val gap_timeline : Json.t -> (float * float option * float) list
-(** [(t, lb, ub)]; [lb = None] when only the incumbent trajectory is
-    available. *)
-
-val render_gap_timeline : ?max_lines:int -> (float * float option * float) list -> string list
+val render_timeline : ?max_lines:int -> (float * int) list -> string list
+(** The incumbent trajectory ({!incumbent_points}) as a [t / cost]
+    table, thinned to about [max_lines] rows (default 32; the last point
+    is always kept). *)
 
 (** {1 Search-tree shape} *)
 

@@ -38,7 +38,6 @@ let alpha_filter engine selected =
 
 let compute ?(iters = 50) engine ~cap =
   let tel = Core.telemetry engine in
-  Instr.add (Instr.counter tel.Telemetry.Ctx.registry "lgr.calls") 1;
   let res = Residual.extract engine in
   if Array.length res.rows = 0 then Bound.none
   else begin

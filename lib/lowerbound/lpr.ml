@@ -30,7 +30,6 @@ type inc = {
   c_cache_hits : Telemetry.Counter.t;
   c_infeasible : Telemetry.Counter.t;
   c_iteration_limits : Telemetry.Counter.t;
-  c_calls : Instr.counter;
   c_simplex : Instr.simplex_counters;
   mutable last : last;
   mutable drops_seen : int;  (* [drop_fallbacks] already flushed *)
@@ -66,7 +65,6 @@ let make ?cuts engine =
     c_cache_hits = Telemetry.Registry.counter reg "lpr.cache_hits";
     c_infeasible = Telemetry.Registry.counter reg "lpr.infeasible";
     c_iteration_limits = Telemetry.Registry.counter reg "lpr.iteration_limits";
-    c_calls = Instr.counter reg "lpr.calls";
     c_simplex = Instr.simplex_counters reg;
     last = Last_none;
     drops_seen = 0;
@@ -201,7 +199,6 @@ let inf_bound ~cap ~refs ~cids ~cuts =
 
 let compute_inc inc ~cap =
   let tel = Core.telemetry inc.engine in
-  Instr.add inc.c_calls 1;
   match inc.full, inc.sx with
   | None, _ | _, None -> Bound.none
   | Some full, Some sx ->

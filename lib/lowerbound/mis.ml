@@ -35,7 +35,6 @@ type t = {
   mutable npos : int;
   stamp : int array;  (* per variable: [gen] when used by a selected row *)
   mutable gen : int;
-  calls : Instr.counter;
   rescored : Instr.counter;
 }
 
@@ -104,7 +103,6 @@ let create engine =
     npos = 0;
     stamp = Array.make nvars 0;
     gen = 0;
-    calls = Instr.counter reg "mis.calls";
     rescored = Instr.counter reg "mis.rows_rescored";
   }
 
@@ -260,7 +258,6 @@ let mark t row =
   done
 
 let compute t =
-  Instr.add t.calls 1;
   refresh t;
   t.gen <- t.gen + 1;
   let total = ref 0. and chosen = ref [] in

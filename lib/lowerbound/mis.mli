@@ -38,5 +38,6 @@ val create : Engine.Solver_core.t -> t
     deep in the tree; the first {!compute} covers every row. *)
 
 val compute : t -> Bound.t
-(** The bound at the engine's current assignment.  Counts [mis.calls],
-    and [mis.rows_rescored] for the rows it re-covers. *)
+(** The bound at the engine's current assignment.  Counts the rows it
+    re-covers in [mis.rows_rescored] (the search counts the call itself
+    in [search.lb_calls]). *)

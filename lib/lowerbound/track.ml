@@ -1,7 +1,6 @@
-(* Bound-quality tracking: per-procedure tightness histograms, bound-
-   conflict backjump attribution and the LB/UB gap trajectory.  All
-   instruments are bound once per run against the shared registry, so the
-   per-call cost is a few stores.
+(* Bound-quality tracking: per-procedure tightness histograms and bound-
+   conflict backjump attribution.  All instruments are bound once per run
+   against the shared registry, so the per-call cost is a few stores.
 
    Tightness is recorded per mille of the gap the bound had to close:
    1000 * lb / (upper - path), clamped to [0, 1000].  A call scoring 1000
@@ -16,13 +15,9 @@ type t = {
   bc_backjump : Telemetry.Histogram.t;  (* lb.<proc>.bc_backjump: levels undone *)
   path_conflicts : Telemetry.Counter.t;  (* lb.path.bound_conflicts *)
   path_backjump : Telemetry.Histogram.t;  (* lb.path.bc_backjump *)
-  gap : Telemetry.Series.t;  (* search.gap: (lb, ub) trajectory *)
   cell : Telemetry.Profile.Cell.t;  (* live lb for heartbeat monitors *)
   recorder : Telemetry.Recorder.t;  (* flight recorder: Prune events with blame *)
 }
-
-let gap_series_name = "search.gap"
-let gap_fields = [ "lb"; "ub" ]
 
 let create (tel : Telemetry.Ctx.t) ~proc =
   let reg = tel.registry in
@@ -36,7 +31,6 @@ let create (tel : Telemetry.Ctx.t) ~proc =
     bc_backjump = h ("lb." ^ proc ^ ".bc_backjump");
     path_conflicts = c "lb.path.bound_conflicts";
     path_backjump = h "lb.path.bc_backjump";
-    gap = Telemetry.Registry.series reg ~fields:gap_fields gap_series_name;
     cell = tel.cell;
     recorder = tel.recorder;
   }
@@ -68,17 +62,10 @@ let note_bound_conflict t ~lb_driven ~lb ~path ~upper ~from_level ~to_level =
     ~blame:(if lb_driven then t.proc else "path")
     ~lb ~path ~upper ~from_level ~to_level
 
-let gap_sample t ~at ~lb ~ub =
-  Telemetry.Series.observe t.gap ~t:at [| float_of_int lb; float_of_int ub |]
-
-let gap_sample_now t ~at ~lb ~ub =
-  Telemetry.Series.observe_now t.gap ~t:at [| float_of_int lb; float_of_int ub |]
-
 (* Publish a *globally valid* lower bound (a root-level evaluation, a
    best-first tree bound) to the context's profile cell for heartbeat
-   monitors.  Deliberately separate from {!gap_sample}: the gap series
-   records node-local bounds too, which may exceed the optimum on a
-   subtree about to be pruned and must never reach the cell — the cell
-   keeps the maximum and backs the non-widening heartbeat gap. *)
+   monitors.  Node-local bounds may exceed the optimum on a subtree about
+   to be pruned and must never reach the cell — the cell keeps the
+   maximum and backs the non-widening heartbeat gap. *)
 let publish_global_lb t ~lb =
   Telemetry.Profile.Cell.update_lb t.cell (float_of_int lb)

@@ -1,18 +1,13 @@
 (** Bound-quality tracking.
 
     Records, per lower-bound procedure, how tight each evaluation was
-    relative to the gap it had to close, which procedure earned each
-    bound-conflict backjump, and the sampled LB/UB gap trajectory.  The
-    instruments live in the run's shared registry under [lb.<proc>.*] and
-    the [search.gap] series, and surface in run reports and
-    [bsolo inspect]. *)
+    relative to the gap it had to close and which procedure earned each
+    bound-conflict backjump.  The instruments live in the run's shared
+    registry under [lb.<proc>.*] and [lb.path.*], and surface in run
+    reports and [bsolo inspect].  The run's incumbent trajectory is the
+    report's [incumbents], not kept here. *)
 
 type t
-
-val gap_series_name : string
-(** ["search.gap"], fields [["lb"; "ub"]]. *)
-
-val gap_fields : string list
 
 val create : Telemetry.Ctx.t -> proc:string -> t
 (** [proc] is the lower-case procedure name ("mis", "lgr", "lpr",
@@ -34,13 +29,6 @@ val note_bound_conflict :
     to the pseudo-procedure ["path"]).  Also emits a [Prune] event with
     the same blame to the context's flight recorder, carrying the
     bound / path / incumbent values that justified the prune. *)
-
-val gap_sample : t -> at:float -> lb:int -> ub:int -> unit
-(** Offer a gap-trajectory point ([at] seconds into the run); subject to
-    the series' decimating stride. *)
-
-val gap_sample_now : t -> at:float -> lb:int -> ub:int -> unit
-(** Always-kept gap point, for incumbent updates. *)
 
 val publish_global_lb : t -> lb:int -> unit
 (** Publish a globally valid lower bound (root-level evaluation) to the

@@ -246,13 +246,16 @@ let solve ?(options = Bsolo.Options.default) problem =
     | Some `Exhausted, None -> Bsolo.Outcome.Unsatisfiable
     | Some `Budget, _ | None, _ -> Bsolo.Outcome.Unknown
   in
-  let counters = Bsolo.Outcome.counters_of_registry tel.registry in
+  let outcome =
+    {
+      Bsolo.Outcome.status;
+      best = !best;
+      counters = Telemetry.Registry.counters tel.registry;
+      elapsed = Unix.gettimeofday () -. start;
+    }
+  in
+  let c = Bsolo.Outcome.counter outcome in
   Telemetry.Recorder.fin recorder
     ~status:(Bsolo.Outcome.status_name status)
-    ~nodes:counters.nodes ~decisions:counters.decisions ~conflicts:counters.conflicts;
-  {
-    Bsolo.Outcome.status;
-    best = !best;
-    counters;
-    elapsed = Unix.gettimeofday () -. start;
-  }
+    ~nodes:(c "search.nodes") ~decisions:(c "engine.decisions") ~conflicts:(c "engine.conflicts");
+  outcome

@@ -75,20 +75,6 @@ let better (a : Bsolo.Outcome.t) (b : Bsolo.Outcome.t) =
      | Some _, None -> true
      | None, (Some _ | None) -> false)
 
-(* Per-member attribution: after each member run, its outcome counters
-   and elapsed time land in the shared registry under
-   [portfolio.<name>.*], so one report shows where the budget went. *)
-let attribute tel name (o : Bsolo.Outcome.t) =
-  let prefix = "portfolio." ^ name ^ "." in
-  List.iter
-    (fun (k, v) ->
-      if v <> 0 then
-        Telemetry.Counter.add
-          (Telemetry.Registry.counter tel.Telemetry.Ctx.registry (prefix ^ k))
-          v)
-    (Bsolo.Outcome.counters_to_alist o.counters);
-  Telemetry.Gauge.set (Telemetry.Registry.gauge tel.registry (prefix ^ "seconds")) o.elapsed
-
 (* Fold worker-registry snapshots into the parent registry under
    [portfolio.<name>.<instrument>] — registries are single-domain, so the
    merge happens strictly after the worker's domain is joined. *)
@@ -367,20 +353,18 @@ let run_pool ?run_id ~observe tel entries ~jobs ~budget ~proof_file ~record_file
     |> List.sort (fun a b -> compare a.windex b.windex)
   in
   let reg = tel.Telemetry.Ctx.registry in
-  let imports = ref 0 in
   let runs = ref [] and failures = ref [] in
   List.iter
     (fun r ->
-      imports :=
-        !imports
-        + Option.value ~default:0
-            (Telemetry.Registry.find_counter r.wregistry "search.incumbent_imports");
       (* Phase times are summed over members: with jobs > 1 they can
          exceed the run's wall time. *)
       Telemetry.Timer.add_self ~into:tel.timer r.wtimer;
       match r.wrun with
       | Ok o ->
-        attribute tel r.wname o;
+        (* where the budget went: the member's own counters and gauges
+           arrive with the merge, its wall time is this gauge *)
+        Telemetry.Gauge.set (Telemetry.Registry.gauge reg ("portfolio." ^ r.wname ^ ".seconds"))
+          o.elapsed;
         merge_worker_registry tel r.wname r.wregistry;
         runs := (r.wname, o) :: !runs
       | Error msg -> failures := (r.wname, msg) :: !failures)
@@ -394,7 +378,6 @@ let run_pool ?run_id ~observe tel entries ~jobs ~budget ~proof_file ~record_file
   Telemetry.Counter.add
     (Telemetry.Registry.counter reg "portfolio.incumbent_broadcasts")
     (Atomic.get broadcasts);
-  Telemetry.Counter.add (Telemetry.Registry.counter reg "portfolio.incumbent_imports") !imports;
   Telemetry.Counter.add (Telemetry.Registry.counter reg "portfolio.cancelled")
     (Atomic.get cancelled);
   runs, failures

@@ -79,12 +79,13 @@ val solve :
     bound too), so the final heartbeat carries the portfolio's
     bounds.
 
-    When [telemetry] is given, each member run is attributed in the
-    shared registry — counters [portfolio.<name>.<counter>] and gauge
-    [portfolio.<name>.seconds].  Each member's private registry is
-    merged after the join as [portfolio.<name>.<instrument>], and the
-    portfolio-level counters [portfolio.incumbent_broadcasts],
-    [portfolio.incumbent_imports] and [portfolio.cancelled] are set.
+    When [telemetry] is given, each member's private registry is merged
+    into the shared one after the join, every counter and gauge under
+    [portfolio.<name>.<its own name>] (so [portfolio.<name>.search.nodes],
+    never a second short name), plus the gauge [portfolio.<name>.seconds]
+    for the member's wall time; the portfolio-level counters
+    [portfolio.incumbent_broadcasts] and [portfolio.cancelled] are set.
+    Imports are the members' [portfolio.<name>.search.incumbent_imports].
 
     Observability: with [telemetry] given, each member run is one
     [member:<name>] span on the member's own track, read before the

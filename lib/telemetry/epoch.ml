@@ -1,5 +1,5 @@
 (* Process-wide wall-clock epoch.  Every time-stamped telemetry artifact
-   (recorded events, spans, heartbeats, series) measures from the same zero,
+   (recorded events, spans, heartbeats) measures from the same zero,
    fixed the first time any domain asks for it, so streams produced by
    different sinks — or different portfolio domains — merge in one
    consistent timeline instead of each restarting at its own open time.

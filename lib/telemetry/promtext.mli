@@ -4,8 +4,7 @@
     names ([search.nodes] → [bsolo_search_nodes]), each with [# HELP]
     and [# TYPE] lines and escaped label values, so the output passes
     {!lint}; histograms export their power-of-two buckets as a standard
-    cumulative [le] series.  Series are not exported (Prometheus scrapes
-    its own history).
+    cumulative [le] series.
 
     Two consumers share the renderer: {!write_file} for the
     node_exporter textfile collector (renames a temp file into place so

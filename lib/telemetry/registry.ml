@@ -7,10 +7,9 @@ type t = {
   mutable counters : Counter.t list;  (* newest first; snapshots reverse *)
   mutable gauges : Gauge.t list;
   mutable histograms : Histogram.t list;
-  mutable series : Series.t list;
 }
 
-let create () = { counters = []; gauges = []; histograms = []; series = [] }
+let create () = { counters = []; gauges = []; histograms = [] }
 
 let counter t name =
   match List.find_opt (fun c -> String.equal (Counter.name c) name) t.counters with
@@ -36,14 +35,6 @@ let histogram t name =
     t.histograms <- h :: t.histograms;
     h
 
-let series t ~fields name =
-  match List.find_opt (fun s -> String.equal (Series.name s) name) t.series with
-  | Some s -> s
-  | None ->
-    let s = Series.make ~fields name in
-    t.series <- s :: t.series;
-    s
-
 let find_counter t name =
   Option.map Counter.get
     (List.find_opt (fun c -> String.equal (Counter.name c) name) t.counters)
@@ -55,4 +46,3 @@ let by_name name_of a b = compare (name_of a) (name_of b)
 let counters t = List.map (fun c -> Counter.name c, Counter.get c) (List.sort (by_name Counter.name) t.counters)
 let gauges t = List.map (fun g -> Gauge.name g, Gauge.get g) (List.sort (by_name Gauge.name) t.gauges)
 let histograms t = List.sort (by_name Histogram.name) t.histograms
-let all_series t = List.sort (by_name Series.name) t.series

@@ -1,4 +1,4 @@
-(** Declare-once registry of counters, gauges, histograms and series.
+(** Declare-once registry of counters, gauges and histograms.
 
     Lookups by name happen at instrument-binding time (once per solve or
     per call into a subsystem), never per event: callers hold on to the
@@ -19,10 +19,6 @@ val counter : t -> string -> Counter.t
 val gauge : t -> string -> Gauge.t
 val histogram : t -> string -> Histogram.t
 
-val series : t -> fields:string list -> string -> Series.t
-(** [series t ~fields name] declares (or retrieves) a bounded time
-    series; [fields] is only consulted on first declaration. *)
-
 val find_counter : t -> string -> int option
 val find_gauge : t -> string -> float option
 
@@ -31,4 +27,3 @@ val counters : t -> (string * int) list
 
 val gauges : t -> (string * float) list
 val histograms : t -> Histogram.t list
-val all_series : t -> Series.t list

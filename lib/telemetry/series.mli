@@ -4,7 +4,6 @@
     offset.  The buffer never exceeds its capacity: when full, every
     other point is dropped and the sampling stride doubles, so
     arbitrarily long runs keep a bounded, shape-preserving trajectory.
-    Used for the LB/UB gap trajectory embedded in run reports.
 
     Domain-safety: single-domain only — the decimating buffer is plain
     mutable state; concurrent pushes corrupt the stride invariant. *)

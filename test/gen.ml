@@ -93,7 +93,7 @@ let publisher name model cost =
         {
           Bsolo.Outcome.status = Bsolo.Outcome.Unknown;
           best = None;
-          counters = Bsolo.Outcome.counters_of_registry (Telemetry.Registry.create ());
+          counters = [];
           elapsed = 0.;
         });
   }
@@ -116,3 +116,14 @@ let importer =
         | None -> failwith "the portfolio installs no external_incumbent");
         Bsolo.Solver.solve ~options problem);
   }
+
+(* The [counters] object of a parsed run report, as name/value pairs in
+   report order (the registry's: sorted by name). *)
+let report_counters json =
+  match Telemetry.Json.member "counters" json with
+  | Some (Telemetry.Json.Obj fields) ->
+    Some
+      (List.filter_map
+         (fun (k, v) -> Option.map (fun i -> k, i) (Telemetry.Json.to_int v))
+         fields)
+  | Some _ | None -> None

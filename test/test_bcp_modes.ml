@@ -117,7 +117,7 @@ let outcome_signature problem options =
     Option.map snd outcome.best,
     pick "engine.decisions",
     pick "engine.conflicts",
-    pick "engine.propagations" )
+    pick "bcp.propagations" )
 
 let qcheck_solver_equivalence =
   let gen = QCheck2.Gen.(pair (int_bound 10_000) (oneofl (List.map fst lb_methods))) in

@@ -119,6 +119,43 @@ let pool_separation_sound () =
     end
   done
 
+(* [cuts.<family>.tight] counts cuts, not solves: a cut whose dual is
+   nonzero at many optimal solves is counted once, so the tight-rate
+   [bsolo inspect] prints (tight / applied) never passes 100%. *)
+let tight_counted_once () =
+  let checked = ref 0 in
+  for seed = 0 to 40 do
+    let problem = Gen.problem seed in
+    let engine = Core.create problem in
+    let tel = Telemetry.Ctx.create () in
+    let pool = Cuts.Pool.create tel in
+    Cuts.Pool.note_implications pool (Cuts.mine_implications engine);
+    let entries =
+      Cuts.Pool.separate pool engine ~x:(Array.init (Problem.nvars problem) (xval_of_seed seed))
+    in
+    if entries <> [] then begin
+      incr checked;
+      List.iteri (fun i (e : Cuts.Pool.entry) -> e.row <- i) entries;
+      let duals = Array.make (List.length entries) 1.0 in
+      for _ = 1 to 5 do
+        Cuts.Pool.observe pool ~duals
+      done;
+      List.iter
+        (fun fam ->
+          let get field =
+            Option.value ~default:0
+              (Telemetry.Registry.find_counter tel.Telemetry.Ctx.registry
+                 (Printf.sprintf "cuts.%s.%s" fam field))
+          in
+          (* every applied cut had a nonzero dual, five times over *)
+          if get "tight" <> get "applied" then
+            Alcotest.failf "seed %d: %s cuts tight %d times, %d applied" seed fam (get "tight")
+              (get "applied"))
+        [ "cover"; "clique"; "implied" ]
+    end
+  done;
+  if !checked = 0 then Alcotest.fail "no seed separated a cut"
+
 (* Proof mode: every pooled cut must carry a derivation, and the whole
    log (cuts included) must replay through the exact checker. *)
 let pooled_cuts_certified () =
@@ -344,6 +381,7 @@ let suite =
     Alcotest.test_case "implied cuts valid" `Quick implied_cuts_valid;
     Alcotest.test_case "pool separation sound" `Slow pool_separation_sound;
     Alcotest.test_case "pooled cuts certified" `Quick pooled_cuts_certified;
+    Alcotest.test_case "tight counts each cut once" `Quick tight_counted_once;
     QCheck_alcotest.to_alcotest qcheck_separate_matches_reference;
     Alcotest.test_case "cut modes agree on optimum" `Slow cuts_preserve_optimum;
   ]

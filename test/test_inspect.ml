@@ -76,48 +76,6 @@ let test_track_attribution () =
   Alcotest.(check int) "lpr backjumps" 2 (Telemetry.Histogram.total backjump);
   check_float "mean backjump" 4. (Telemetry.Histogram.mean backjump)
 
-let test_gap_series_roundtrip () =
-  let tel = Telemetry.Ctx.create () in
-  let tr = Lowerbound.Track.create tel ~proc:"mis" in
-  Lowerbound.Track.gap_sample tr ~at:0.5 ~lb:3 ~ub:20;
-  Lowerbound.Track.gap_sample_now tr ~at:1.5 ~lb:7 ~ub:12;
-  (* Rebuild the report's "series" section the way Report.make does and
-     re-read it through the public reader. *)
-  let series = Telemetry.Registry.all_series tel.Telemetry.Ctx.registry in
-  Alcotest.(check int) "one series" 1 (List.length series);
-  let s = List.hd series in
-  Alcotest.(check string) "name" Lowerbound.Track.gap_series_name (Telemetry.Series.name s);
-  let json =
-    Json.Obj
-      [
-        ( "series",
-          Json.Obj
-            [
-              ( Telemetry.Series.name s,
-                Json.Obj
-                  [
-                    ( "samples",
-                      Json.List
-                        (List.map
-                           (fun (t, vs) ->
-                             Json.List
-                               (Json.Float t
-                               :: List.map (fun v -> Json.Float v) (Array.to_list vs)))
-                           (Telemetry.Series.samples s)) );
-                  ] );
-            ] );
-      ]
-  in
-  match Bsolo.Report.series_of_json json Lowerbound.Track.gap_series_name with
-  | [ (t1, v1); (t2, v2) ] ->
-    check_float "t1" 0.5 t1;
-    check_float "lb1" 3. v1.(0);
-    check_float "ub1" 20. v1.(1);
-    check_float "t2" 1.5 t2;
-    check_float "lb2" 7. v2.(0);
-    check_float "ub2" 12. v2.(1)
-  | other -> Alcotest.failf "expected 2 samples, got %d" (List.length other)
-
 (* --- effectiveness --------------------------------------------------------- *)
 
 let synthetic_report =
@@ -161,6 +119,54 @@ let test_effectiveness () =
   Alcotest.(check int) "lpr pruning credit" 30 lpr.pruning_credit;
   Alcotest.(check int) "path conflicts" 2 path.bound_conflicts;
   Alcotest.(check int) "path pruning credit" 2 path.pruning_credit
+
+(* --- incumbent timeline ----------------------------------------------------- *)
+
+(* The timeline is the report's incumbent trajectory: strictly falling
+   costs ending at the run's answer, thinned to about [max_lines] rows
+   with the last one kept. *)
+let test_incumbent_timeline () =
+  match Test_benchmark_files.benchmarks_dir () with
+  | None -> ()  (* tolerated when running from an install tree *)
+  | Some dir ->
+    let problem = Pbo.Opb.parse_file (Filename.concat dir "synth-s1.opb") in
+    let tel = Telemetry.Ctx.create () in
+    let incumbents = ref [] in
+    let options =
+      {
+        Bsolo.Options.default with
+        telemetry = Some tel;
+        on_incumbent =
+          Some (fun _ cost -> incumbents := { Bsolo.Report.at = 0.; cost } :: !incumbents);
+      }
+    in
+    let outcome = Bsolo.Solver.solve ~options problem in
+    let report =
+      Bsolo.Report.make ~incumbents:(List.rev !incumbents) ~telemetry:tel outcome
+    in
+    let json =
+      match Json.of_string (Bsolo.Report.to_string report) with
+      | Ok j -> j
+      | Error e -> Alcotest.failf "report does not parse: %s" e
+    in
+    let costs = List.map snd (Inspect.incumbent_points json) in
+    Alcotest.(check bool) "several incumbents" true (List.length costs > 4);
+    let rec falling = function
+      | a :: (b :: _ as rest) -> a > b && falling rest
+      | [ _ ] | [] -> true
+    in
+    Alcotest.(check bool) "costs strictly fall" true (falling costs);
+    Alcotest.(check (option int)) "ends at the answer" (Bsolo.Outcome.best_cost outcome)
+      (Some (List.nth costs (List.length costs - 1)));
+    let lines = Inspect.render_timeline ~max_lines:4 (Inspect.incumbent_points json) in
+    Alcotest.(check bool) "thinned" true (List.length lines <= 1 + 4 + 1);
+    let last = List.nth lines (List.length lines - 1) in
+    Alcotest.(check bool) "last row is the answer" true
+      (String.ends_with
+         ~suffix:(string_of_int (Option.get (Bsolo.Outcome.best_cost outcome)))
+         last);
+    Alcotest.(check (list string)) "empty trajectory" [ "no incumbents recorded" ]
+      (Inspect.render_timeline [])
 
 (* --- report diff ----------------------------------------------------------- *)
 
@@ -252,8 +258,8 @@ let suite =
     Alcotest.test_case "series arity check" `Quick test_series_arity;
     Alcotest.test_case "tightness per-mille" `Quick test_tightness_pm;
     Alcotest.test_case "track attribution" `Quick test_track_attribution;
-    Alcotest.test_case "gap series round-trip" `Quick test_gap_series_roundtrip;
     Alcotest.test_case "effectiveness table" `Quick test_effectiveness;
+    Alcotest.test_case "incumbent timeline" `Quick test_incumbent_timeline;
     Alcotest.test_case "diff flags 2x slowdown" `Quick test_diff_flags_slowdown;
     Alcotest.test_case "diff below threshold" `Quick test_diff_below_threshold;
     Alcotest.test_case "diff noise floor" `Quick test_diff_noise_floor;

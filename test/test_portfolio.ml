@@ -53,19 +53,7 @@ let custom_entries () =
 
 (* --- result ranking -------------------------------------------------------- *)
 
-let zero_counters =
-  {
-    Bsolo.Outcome.decisions = 0;
-    propagations = 0;
-    conflicts = 0;
-    bound_conflicts = 0;
-    learned = 0;
-    restarts = 0;
-    lb_calls = 0;
-    nodes = 0;
-  }
-
-let outcome ?best status = { Bsolo.Outcome.status; best; counters = zero_counters; elapsed = 0.0 }
+let outcome ?best status = { Bsolo.Outcome.status; best; counters = []; elapsed = 0.0 }
 
 let better_ranking () =
   let model =
@@ -175,7 +163,7 @@ let oracle_broadcast_prunes () =
   Alcotest.(check (option int)) "optimal cost" (Some opt) (Bsolo.Outcome.best_cost r.outcome);
   let imports =
     Option.value ~default:0
-      (Telemetry.Registry.find_counter tel.registry "portfolio.incumbent_imports")
+      (Telemetry.Registry.find_counter tel.registry "portfolio.bsolo.search.incumbent_imports")
   in
   if imports < 1 then Alcotest.failf "expected >= 1 incumbent import, got %d" imports;
   let own = member_run r "bsolo" in
@@ -185,9 +173,10 @@ let oracle_broadcast_prunes () =
     (Bsolo.Outcome.best_cost own);
   Alcotest.(check string) "the bsolo run wins" "bsolo" r.winner;
   let alone = Bsolo.Solver.solve ~options:Bsolo.Options.default problem in
-  if own.counters.decisions >= alone.counters.decisions then
+  let decisions o = Bsolo.Outcome.counter o "engine.decisions" in
+  if decisions own >= decisions alone then
     Alcotest.failf "broadcast did not prune: %d decisions with oracle, %d alone"
-      own.counters.decisions alone.counters.decisions
+      (decisions own) (decisions alone)
 
 (* A bad claim is refused, not trusted.  A liar offers, below the
    optimum, a model that breaks a clause or a feasible model under a
@@ -421,6 +410,52 @@ let check_member_table jobs =
 let member_hooks_one_job () = check_member_table 1
 let member_table_two_jobs () = check_member_table 2
 
+(* Each fact of a run has one name.  A single solve publishes one
+   propagation count ([bcp.propagations]) and one LB-call count
+   ([search.lb_calls]), and its outcome carries the registry's own
+   snapshot; a portfolio publishes each member counter once, under its
+   dotted family name after [portfolio.<member>.]. *)
+let one_name_per_counter () =
+  match Test_benchmark_files.benchmarks_dir () with
+  | None -> ()  (* tolerated when running from an install tree *)
+  | Some dir ->
+    let problem = Pbo.Opb.parse_file (Filename.concat dir "synth-s1.opb") in
+    List.iter
+      (fun (lb, proc) ->
+        let tel = Telemetry.Ctx.create () in
+        let options = { (Bsolo.Options.with_lb lb) with telemetry = Some tel } in
+        let o = Bsolo.Solver.solve ~options problem in
+        let snapshot = Telemetry.Registry.counters tel.registry in
+        List.iter
+          (fun name ->
+            if List.mem_assoc name snapshot then Alcotest.failf "--lb %s publishes %s" proc name)
+          [ "engine.propagations"; proc ^ ".calls" ];
+        if o.counters <> snapshot then
+          Alcotest.failf "--lb %s: Outcome.counters is not the registry snapshot" proc)
+      [ Bsolo.Options.Lpr, "lpr"; Bsolo.Options.Mis, "mis"; Bsolo.Options.Lgr, "lgr" ];
+    let tel = Telemetry.Ctx.create () in
+    let r = Portfolio.solve ~telemetry:tel ~jobs:1 ~budget:20.0 problem in
+    Alcotest.(check bool) "a member ran" true (r.runs <> []);
+    List.iter
+      (fun (member, _) ->
+        let prefix = "portfolio." ^ member ^ "." in
+        let n = String.length prefix in
+        let names =
+          List.filter_map
+            (fun (name, _) ->
+              if String.starts_with ~prefix name then Some (String.sub name n (String.length name - n))
+              else None)
+            (Telemetry.Registry.counters tel.registry)
+        in
+        if not (List.mem "search.nodes" names) then
+          Alcotest.failf "%s: no search.nodes merged" member;
+        List.iter
+          (fun name ->
+            if not (String.contains name '.') then
+              Alcotest.failf "%s: counter %s%s has no family" member prefix name)
+          names)
+      r.runs
+
 (* A portfolio recording is the members' part files stitched: with one
    job or two, each member that ran has one section, ending in its fin. *)
 let trace_attributes_members () =
@@ -495,4 +530,5 @@ let suite =
     Alcotest.test_case "member hooks (one job)" `Quick member_hooks_one_job;
     Alcotest.test_case "member table (two jobs)" `Quick member_table_two_jobs;
     Alcotest.test_case "member phase times" `Quick member_phase_times;
+    Alcotest.test_case "each counter has one name" `Quick one_name_per_counter;
   ]

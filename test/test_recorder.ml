@@ -363,7 +363,8 @@ let test_linear_search_learned () =
       let learned =
         List.length (List.filter (function _, R.Learned _ -> true | _ -> false) (R.collected recorder))
       in
-      Alcotest.(check bool) "conflicts were analysed" true (outcome.counters.conflicts > 0);
+      Alcotest.(check bool) "conflicts were analysed" true
+        (Bsolo.Outcome.counter outcome "engine.conflicts" > 0);
       Alcotest.(check bool) "learned clauses recorded" true (learned > 0))
     [ Bsolo.Options.pbs; Bsolo.Options.galena ]
 

@@ -64,7 +64,7 @@ let conflict_limit_reached () =
 let node_limit_respected () =
   let p = Benchgen.Two_level.generate 1 in
   let o = Milp.Branch_and_bound.solve ~options:{ Bsolo.Options.default with node_limit = Some 2 } p in
-  Alcotest.(check bool) "at most a few nodes" true (o.counters.nodes <= 3)
+  Alcotest.(check bool) "at most a few nodes" true (Bsolo.Outcome.counter o "search.nodes" <= 3)
 
 let incumbent_hook_decreasing () =
   let p = Gen.covering ~nvars:12 ~nclauses:14 9 in

@@ -120,7 +120,7 @@ let telemetry_cases =
     (match Telemetry.Json.of_string (Bsolo.Report.to_string report) with
     | Error e -> Alcotest.failf "report does not parse: %s" e
     | Ok json ->
-      (match Bsolo.Report.counters_of_json json with
+      (match Gen.report_counters json with
       | None -> Alcotest.fail "report has no counters"
       | Some c ->
         if c <> outcome.Bsolo.Outcome.counters then
