@@ -57,7 +57,6 @@ type sinks = {
   stats : bool;
   json_file : string option;
   proof_file : string option;
-  progress_every : int;
   span_file : string option;
   heartbeat_file : string option;
   heartbeat_every : float;
@@ -74,7 +73,7 @@ let max_record_ring = 1 lsl 24
 
 (* [engine] names the preset [options] started from, or "milp". *)
 let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t) sinks =
-  let { verbosity; stats; json_file; proof_file; progress_every; span_file;
+  let { verbosity; stats; json_file; proof_file; span_file;
         heartbeat_file; heartbeat_every; metrics_file; record_file; record_ring; listen } =
     sinks
   in
@@ -161,9 +160,7 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
     let observing =
       span_file <> None || heartbeat_file <> None || metrics_file <> None || listen_addr <> None
     in
-    let want_telemetry =
-      want_report || progress_every > 0 || observing || record_file <> None
-    in
+    let want_telemetry = want_report || observing || record_file <> None in
     (* The run header: the flight recording's first line.  Its flags
        snapshot the tree-shaping options exactly as `bsolo replay` will
        reconstruct them. *)
@@ -217,16 +214,7 @@ let solve_file ~path ~engine ~portfolio ~jobs ~verify (options : Bsolo.Options.t
           end
           else None
         in
-        let progress =
-          if progress_every > 0 then
-            Some
-              (Telemetry.Progress.make ~every:progress_every ~out:(fun line ->
-                   Printf.eprintf "c %s\n%!" line))
-          else None
-        in
-        let ctx =
-          Telemetry.Ctx.create ~timing:want_report ?spans ?cell ?progress ?recorder ()
-        in
+        let ctx = Telemetry.Ctx.create ~timing:want_report ?spans ?cell ?recorder () in
         Option.iter (fun c -> Telemetry.Profile.register c ctx.registry) cell;
         Some ctx
       end
@@ -606,10 +594,6 @@ let proof_file_arg =
   in
   Arg.(value & opt (some string) None & info [ "proof" ] ~docv:"FILE" ~doc)
 
-let progress_arg =
-  let doc = "Print a progress line to stderr every $(docv) conflicts (0 disables)." in
-  Arg.(value & opt int 0 & info [ "progress" ] ~docv:"N" ~doc)
-
 let span_file_arg =
   let doc =
     "Write engine-phase / lower-bounding / proof-flush / portfolio-member spans as a Chrome \
@@ -680,15 +664,15 @@ let listen_arg =
 
 
 let sinks_term =
-  let make verbose stats json_file proof_file progress_every span_file heartbeat_file
-      heartbeat_every metrics_file record_file record_ring listen =
-    { verbosity = List.length verbose; stats; json_file; proof_file; progress_every; span_file;
+  let make verbose stats json_file proof_file span_file heartbeat_file heartbeat_every
+      metrics_file record_file record_ring listen =
+    { verbosity = List.length verbose; stats; json_file; proof_file; span_file;
       heartbeat_file; heartbeat_every; metrics_file; record_file; record_ring; listen }
   in
   Term.(
-    const make $ verbose_arg $ stats_arg $ json_arg $ proof_file_arg $ progress_arg
-    $ span_file_arg $ heartbeat_arg $ heartbeat_every_arg $ metrics_arg
-    $ record_arg $ record_ring_arg $ listen_arg)
+    const make $ verbose_arg $ stats_arg $ json_arg $ proof_file_arg $ span_file_arg
+    $ heartbeat_arg $ heartbeat_every_arg $ metrics_arg $ record_arg $ record_ring_arg
+    $ listen_arg)
 
 let term =
   let run path portfolio jobs verify (engine, options) sinks =

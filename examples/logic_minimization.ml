@@ -1,56 +1,52 @@
-(* Binate covering with matrix reductions — the classic EDA pipeline the
-   paper's lower-bounding work grew out of (Coudert; Villa et al.).
+(* Binate covering as pseudo-Boolean optimization — the classic EDA
+   problem the paper's lower-bounding work grew out of (Coudert; Villa
+   et al.), solved as PBO with no matrix reductions (paper section 2).
 
    We minimize the implementation cost of a small technology-mapping
    problem: columns are candidate gates, rows are requirements.  Binate
-   rows encode "selecting gate g requires buffer b" style implications.
-   The reductions (essential columns, row/column dominance) shrink the
-   matrix before bsolo solves the remaining core.
+   rows encode "selecting gate g requires buffer b" style implications,
+   so a row is a clause that may mention a column negatively.
 
    Run with: dune exec examples/logic_minimization.exe *)
 
-module C = Bcp.Covering
+open Pbo
 
 let () =
   let gate_names = [| "nand2"; "nand3"; "aoi21"; "inv_a"; "inv_b"; "buf"; "xor2" |] in
   let cost = [| 3; 4; 5; 1; 1; 2; 6 |] in
+  let b = Problem.Builder.create ~nvars:(Array.length cost) () in
   let rows =
     [
       (* each output function must be implemented by some gate *)
-      [ 0, C.Pos; 1, C.Pos; 2, C.Pos ];  (* f1: nand2 | nand3 | aoi21 *)
-      [ 2, C.Pos; 6, C.Pos ];  (* f2: aoi21 | xor2 *)
-      [ 1, C.Pos; 6, C.Pos ];  (* f3: nand3 | xor2 *)
+      [ Lit.pos 0; Lit.pos 1; Lit.pos 2 ];  (* f1: nand2 | nand3 | aoi21 *)
+      [ Lit.pos 2; Lit.pos 6 ];  (* f2: aoi21 | xor2 *)
+      [ Lit.pos 1; Lit.pos 6 ];  (* f3: nand3 | xor2 *)
       (* structural requirements *)
-      [ 0, C.Neg; 3, C.Pos ];  (* nand2 needs inv_a *)
-      [ 2, C.Neg; 5, C.Pos ];  (* aoi21 needs buf *)
-      [ 6, C.Neg; 4, C.Pos ];  (* xor2 needs inv_b *)
+      [ Lit.neg 0; Lit.pos 3 ];  (* nand2 needs inv_a *)
+      [ Lit.neg 2; Lit.pos 5 ];  (* aoi21 needs buf *)
+      [ Lit.neg 6; Lit.pos 4 ];  (* xor2 needs inv_b *)
       (* only one inverter flavour may drive the shared net *)
-      [ 3, C.Neg; 4, C.Neg ];
-      (* the output stage always needs the buffer: an essential column *)
-      [ 5, C.Pos ];
-      (* a weaker variant of the f1 requirement: dominated row *)
-      [ 0, C.Pos; 1, C.Pos; 2, C.Pos; 6, C.Pos ];
+      [ Lit.neg 3; Lit.neg 4 ];
+      (* the output stage always needs the buffer *)
+      [ Lit.pos 5 ];
+      (* a weaker variant of the f1 requirement *)
+      [ Lit.pos 0; Lit.pos 1; Lit.pos 2; Lit.pos 6 ];
     ]
   in
-  let t = C.create ~ncols:(Array.length cost) ~cost:(fun c -> cost.(c)) ~rows in
-  Format.printf "covering matrix: %d rows x %d columns, %s@." (C.nrows t) (C.ncols t)
-    (if C.is_unate t then "unate" else "binate");
-  let r = C.reduce t in
-  Format.printf "reductions: %d essential steps, %d dominated rows, %d dominated columns@."
-    r.essential_steps r.dominated_rows r.dominated_cols;
-  Format.printf "forced in: %s; forced out: %s; core rows left: %d@."
-    (String.concat "," (List.map (fun c -> gate_names.(c)) r.selected))
-    (String.concat "," (List.map (fun c -> gate_names.(c)) r.excluded))
-    r.kept_rows;
-  match C.solve t with
-  | None -> Format.printf "infeasible@."
-  | Some s ->
-    Format.printf "minimum cost %d using:" s.cost;
-    Array.iteri (fun c sel -> if sel then Format.printf " %s" gate_names.(c)) s.selection;
+  List.iter (Problem.Builder.add_clause b) rows;
+  Problem.Builder.set_objective b (List.mapi (fun c w -> w, Lit.pos c) (Array.to_list cost));
+  let problem = Problem.Builder.build b in
+  Format.printf "covering matrix: %d rows x %d columns, binate@." (List.length rows)
+    (Problem.nvars problem);
+  let outcome = Bsolo.Solver.solve problem in
+  match outcome.status, outcome.best with
+  | Bsolo.Outcome.Optimal, Some (m, cost) ->
+    Format.printf "minimum cost %d using:" cost;
+    Array.iteri (fun c name -> if Model.value m c then Format.printf " %s" name) gate_names;
     Format.printf "@.";
-    (* cross-check against the plain PBO encoding without reductions *)
-    let o = Bsolo.Solver.solve (C.to_problem t) in
-    (match Bsolo.Outcome.best_cost o with
-    | Some c -> assert (c = s.cost)
+    (* cross-check against brute-force enumeration of all 2^7 selections *)
+    (match Bsolo.Exhaustive.optimum problem with
+    | Some (_, best) -> assert (best = cost)
     | None -> assert false);
-    Format.printf "(agrees with the direct PBO encoding)@."
+    Format.printf "(agrees with exhaustive enumeration)@."
+  | status, _ -> failwith ("unexpected status: " ^ Bsolo.Outcome.status_name status)

@@ -36,7 +36,6 @@ type search_state = {
   mutable cut_sources : cut_source list option;  (* prepared at the first incumbent *)
   mutable lb_skip : int;  (* adaptive lower-bound interval, 1..8 nodes *)
   mutable lb_noprune : int;  (* consecutive evaluations that failed to prune *)
-  mutable last_lb : int;  (* most recent lower-bound estimate, for progress *)
   mutable max_learned : int;
   mutable restart_budget : int;
   mutable conflicts_since_restart : int;
@@ -135,25 +134,6 @@ let learn_from_conflict st ci =
   | Options.Cutting_planes ->
     learn_cardinality_reduction st ci;
     learn_pb_resolvent st ci
-
-let progress_line st () =
-  let stats = Core.stats st.engine in
-  let conflicts = Telemetry.Counter.get stats.conflicts in
-  let elapsed = Unix.gettimeofday () -. st.start in
-  let ub = match st.best with None -> "-" | Some (_, c) -> string_of_int c in
-  Printf.sprintf
-    "conflicts=%d (%d bound) decisions=%d depth=%d lb=%d ub=%s learned=%d lb_calls=%d %.0f conflicts/s"
-    conflicts
-    (Telemetry.Counter.get stats.bound_conflicts)
-    (Telemetry.Counter.get stats.decisions)
-    (Core.decision_level st.engine) st.last_lb ub (Core.num_learned st.engine)
-    (Telemetry.Counter.get st.lb_calls)
-    (if elapsed > 0. then float_of_int conflicts /. elapsed else 0.)
-
-let maybe_progress st =
-  Telemetry.Progress.tick st.tel.progress
-    ~count:(Telemetry.Counter.get (Core.stats st.engine).Core.conflicts)
-    ~render:(progress_line st)
 
 let maybe_restart st =
   st.conflicts_since_restart <- st.conflicts_since_restart + 1;
@@ -372,7 +352,6 @@ and expand st =
       | Core.Backjump _ ->
         maybe_reduce_db st;
         maybe_restart st;
-        maybe_progress st;
         search st
       end
   | None ->
@@ -405,13 +384,12 @@ and expand st =
             let lower = lb_compute st in
             let elapsed_us = int_of_float ((Unix.gettimeofday () -. t0) *. 1e6) in
             let path = Core.path_cost st.engine in
-            st.last_lb <- path + lower.value;
             Lowerbound.Track.note_call st.track ~value:lower.value ~path ~upper:st.upper;
             (* A root-level evaluation (no decisions on the trail)
                bounds the whole problem; deeper ones only bound their
                subtree and must not reach the live cell. *)
             if Core.decision_level st.engine = 0 then
-              Lowerbound.Track.publish_global_lb st.track ~lb:(st.last_lb + st.offset);
+              Lowerbound.Track.publish_global_lb st.track ~lb:(path + lower.value + st.offset);
             lower, true, elapsed_us
         end
       in
@@ -461,9 +439,7 @@ and expand st =
       | Some omega -> begin
         match handle_bound_conflict st lower omega with
         | Core.Root_conflict -> Exhausted
-        | Core.Backjump _ ->
-          maybe_progress st;
-          search st
+        | Core.Backjump _ -> search st
       end
       | None -> begin
         match next_decision st lower with
@@ -663,7 +639,6 @@ let solve ?(options = Options.default) problem =
       lb_skip = 1;
       lb_noprune = 0;
       track = Lowerbound.Track.create tel ~proc;
-      last_lb = 0;
       max_learned = 4000;
       restart_budget = 100;
       conflicts_since_restart = 0;

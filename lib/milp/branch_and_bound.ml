@@ -179,9 +179,6 @@ let solve ?(options = Bsolo.Options.default) problem =
       if Float.is_finite node.bound then
         Telemetry.Profile.Cell.update_lb tel.Telemetry.Ctx.cell node.bound;
       Telemetry.Counter.incr decisions_c;
-      Telemetry.Progress.tick tel.progress ~count:!nodes ~render:(fun () ->
-          Printf.sprintf "nodes=%d open=%d ub=%s" !nodes heap.Heap.size
-            (match !best with None -> "-" | Some (_, c) -> string_of_int c));
       if !upper < max_int && int_of_float (ceil (node.bound -. 1e-6)) >= !upper then ()
       else begin
         Telemetry.Counter.incr lp_calls_c;

@@ -392,12 +392,6 @@ let step t line =
   t.nsteps <- t.nsteps + 1;
   Sink.write t.sink line
 
-(* Member names end up as single tokens in the log. *)
-let token s =
-  let b = Bytes.of_string s in
-  Bytes.iteri (fun i c -> if c = ' ' || c = '\t' then Bytes.set b i '-') b;
-  Bytes.to_string b
-
 let log_comment t msg = Sink.write t.sink ("# " ^ msg)
 
 let log_solution t ~cost model =
@@ -529,11 +523,7 @@ let log_bound_conflict t ~upper ~omega cert =
     | Some refs -> emit "y" refs
     | None -> reject ())
 
-let log_member t name =
-  t.nderived <- 0;
-  Sink.write t.sink ("m " ^ token name)
 let log_conclusion t c = Sink.write t.sink ("c " ^ conclusion_to_string c)
-let log_final t c = Sink.write t.sink ("F " ^ conclusion_to_string c)
 
 (* --- checker --------------------------------------------------------------- *)
 

@@ -207,13 +207,7 @@ val log_bound_conflict : t -> upper:int -> omega:Lit.t list -> cert -> bool
     [true].  On failure nothing is written, {!uncertified} is bumped
     and the caller must not prune ([false]). *)
 
-val log_member : t -> string -> unit
-(** Section marker for stitched portfolio proofs: the checker resets
-    its derived-constraint database and incumbent bound. *)
-
 val log_conclusion : t -> conclusion -> unit
-val log_final : t -> conclusion -> unit
-(** Combined conclusion of a stitched multi-member proof. *)
 
 (** {1 Checking} *)
 

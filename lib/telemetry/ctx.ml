@@ -1,21 +1,18 @@
 (* One telemetry context per solver run: phase timer, counter registry,
-   span sink, live cell, progress reporter and flight recorder travel
-   together.  [silent] is the default used when the caller asked for
-   nothing: counters still accumulate (they back the outcome snapshot)
-   but the timer is off, no spans or recording are written, the cell is
-   inert and no progress is printed. *)
+   span sink, live cell and flight recorder travel together.  [silent]
+   is the default used when the caller asked for nothing: counters still
+   accumulate (they back the outcome snapshot) but the timer is off, no
+   spans or recording are written and the cell is inert. *)
 
 type t = {
   timer : Timer.t;
   registry : Registry.t;
   spans : Span.t;
   cell : Profile.Cell.t;
-  progress : Progress.t;
   recorder : Recorder.t;
-  imports : Counter.t;  (* search.incumbent_imports *)
 }
 
-let create ?(timing = true) ?spans ?cell ?progress ?recorder () =
+let create ?(timing = true) ?spans ?cell ?recorder () =
   let registry = Registry.create () in
   let recorder = match recorder with Some r -> r | None -> Recorder.disabled () in
   let spans = match spans with Some s -> s | None -> Span.disabled () in
@@ -28,27 +25,25 @@ let create ?(timing = true) ?spans ?cell ?progress ?recorder () =
     registry;
     spans;
     cell;
-    progress = (match progress with Some p -> p | None -> Progress.disabled ());
     recorder;
-    imports = Registry.counter registry "search.incumbent_imports";
   }
 
 let silent () = create ~timing:false ()
 
 (* The engines' incumbent, import and refusal bookkeeping, one call
    each: the recorder's event, the live cell's
-   upper bound and, for imports and refusals, their counters. *)
+   upper bound and, for imports and refusals, their counters.  Both
+   counters are registered on first use: a run that never imports or
+   refuses a model lists neither. *)
 let incumbent t ~cost =
   Recorder.incumbent t.recorder ~cost;
   Profile.Cell.update_ub ~self:true t.cell (float_of_int cost)
 
 let import t ~cost ~member =
-  Counter.incr t.imports;
+  Counter.incr (Registry.counter t.registry "search.incumbent_imports");
   Recorder.import t.recorder ~cost ~member;
   Profile.Cell.update_ub ~self:false t.cell (float_of_int cost)
 
-(* Registered on first use: a healthy run never refuses a model, and its
-   counter listings stay as they were. *)
 let reject t = Counter.incr (Registry.counter t.registry "search.incumbent_rejects")
 
 (* Phase attribution for the whole observability stack in one call:

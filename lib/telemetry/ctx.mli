@@ -1,30 +1,27 @@
 (** One telemetry context per solver run.
 
-    Phase timer, instrument registry, span sink, live cell, progress
-    reporter and flight recorder travel together.  The recorder is the
-    only producer of search events ([--record]).  {!silent} is the
-    default used when the caller asked for nothing: counters still
-    accumulate (they back the outcome snapshot) but the timer is off, no
-    spans or recording are written, the cell is inert and no progress is
-    printed.
+    Phase timer, instrument registry, span sink, live cell and flight
+    recorder travel together.  The recorder is the only producer of
+    search events ([--record]).  {!silent} is the default used when the
+    caller asked for nothing: counters still accumulate (they back the
+    outcome snapshot) but the timer is off, no spans or recording are
+    written and the cell is inert.
 
     Domain-safety: a context is single-domain except for its span sink
     and recorder (mutex-guarded) and its live cell (single writer, any
     readers).  Parallel portfolio workers each get a private context —
     own registry, own timer (enabled when the parent's is), own cell,
-    own recorder writing the member's part file, disabled progress —
-    whose timer may write to the parent's span sink, on the worker's
-    own track; per-worker registries and phase times are merged after
-    the domains are joined. *)
+    own recorder writing the member's part file — whose timer may write
+    to the parent's span sink, on the worker's own track; per-worker
+    registries and phase times are merged after the domains are
+    joined. *)
 
 type t = {
   timer : Timer.t;
   registry : Registry.t;
   spans : Span.t;
   cell : Profile.Cell.t;
-  progress : Progress.t;
   recorder : Recorder.t;
-  imports : Counter.t;  (** [search.incumbent_imports] *)
 }
 
 val silent : unit -> t
@@ -33,14 +30,13 @@ val create :
   ?timing:bool ->
   ?spans:Span.t ->
   ?cell:Profile.Cell.t ->
-  ?progress:Progress.t ->
   ?recorder:Recorder.t ->
   unit ->
   t
-(** [timing] defaults to [true]; omitted [spans]/[progress] are
-    disabled, an omitted [cell] is inert and an omitted [recorder] is
-    disabled.  The timer writes the spans, on the cell's track,
-    so an enabled [spans] sink turns it on whatever [timing] says. *)
+(** [timing] defaults to [true]; omitted [spans] are disabled, an
+    omitted [cell] is inert and an omitted [recorder] is disabled.  The
+    timer writes the spans, on the cell's track, so an enabled [spans]
+    sink turns it on whatever [timing] says. *)
 
 val incumbent : t -> cost:int -> unit
 (** A new own incumbent of cost [cost] (offset included): the recorder's
@@ -48,8 +44,10 @@ val incumbent : t -> cost:int -> unit
 
 val import : t -> cost:int -> member:string -> unit
 (** A model found by portfolio member [member] became the search's
-    incumbent: [search.incumbent_imports], the recorder's [import] event
-    and the live cell's (imported) upper bound. *)
+    incumbent: [search.incumbent_imports] (registered at the first
+    import, so a run that imports nothing does not list it), the
+    recorder's [import] event and the live cell's (imported) upper
+    bound. *)
 
 val reject : t -> unit
 (** An offered incumbent was refused — it broke a constraint of the

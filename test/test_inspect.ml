@@ -1,47 +1,10 @@
-(* Search-analytics layer: series decimation, bound-quality tracking
-   attribution, per-procedure effectiveness, report diffs and the bench
-   regression schema. *)
+(* Search-analytics layer: bound-quality tracking attribution,
+   per-procedure effectiveness, the incumbent timeline, report diffs and
+   the recording summary. *)
 
 module Json = Telemetry.Json
 
 let check_float = Alcotest.check (Alcotest.float 1e-9)
-
-(* --- Telemetry.Series ------------------------------------------------------ *)
-
-let test_series_bounded () =
-  let s = Telemetry.Series.make ~capacity:8 ~fields:[ "v" ] "t" in
-  for i = 0 to 999 do
-    Telemetry.Series.observe s ~t:(float_of_int i) [| float_of_int (i * 2) |]
-  done;
-  let n = Telemetry.Series.length s in
-  Alcotest.(check bool) "bounded" true (n <= 8 && n >= 4);
-  let samples = Telemetry.Series.samples s in
-  Alcotest.(check int) "samples match length" n (List.length samples);
-  (* Oldest first, strictly increasing times, values consistent. *)
-  let rec monotone = function
-    | (t1, _) :: ((t2, _) :: _ as rest) -> t1 < t2 && monotone rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "monotone" true (monotone samples);
-  List.iter (fun (t, vs) -> check_float "value tracks time" (2. *. t) vs.(0)) samples
-
-let test_series_observe_now () =
-  let s = Telemetry.Series.make ~capacity:8 ~fields:[ "v" ] "t" in
-  for i = 0 to 99 do
-    Telemetry.Series.observe s ~t:(float_of_int i) [| 0. |]
-  done;
-  (* After decimation the stride drops most offers, but observe_now points
-     must always land. *)
-  Telemetry.Series.observe_now s ~t:1000. [| 42. |];
-  let samples = Telemetry.Series.samples s in
-  let t_last, v_last = List.nth samples (List.length samples - 1) in
-  check_float "kept time" 1000. t_last;
-  check_float "kept value" 42. v_last.(0)
-
-let test_series_arity () =
-  let s = Telemetry.Series.make ~fields:[ "lb"; "ub" ] "g" in
-  Alcotest.check_raises "arity enforced" (Invalid_argument "Series.observe: arity mismatch")
-    (fun () -> Telemetry.Series.observe s ~t:0. [| 1. |])
 
 (* --- Lowerbound.Track ------------------------------------------------------ *)
 
@@ -253,9 +216,6 @@ let test_trace_summary () =
 
 let suite =
   [
-    Alcotest.test_case "series bounded decimation" `Quick test_series_bounded;
-    Alcotest.test_case "series observe_now kept" `Quick test_series_observe_now;
-    Alcotest.test_case "series arity check" `Quick test_series_arity;
     Alcotest.test_case "tightness per-mille" `Quick test_tightness_pm;
     Alcotest.test_case "track attribution" `Quick test_track_attribution;
     Alcotest.test_case "effectiveness table" `Quick test_effectiveness;

@@ -22,7 +22,6 @@ let () =
       ("enumerate", Test_enumerate.suite);
       ("certify", Test_certify.suite);
       ("dimacs", Test_dimacs.suite);
-      ("bcp", Test_bcp.suite);
       ("bcp-modes", Test_bcp_modes.suite);
       ("portfolio", Test_portfolio.suite);
       ("milp", Test_milp.suite);

@@ -15,63 +15,6 @@ let tmp_file suffix =
   at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
   path
 
-(* --- Series self-decimation ------------------------------------------------ *)
-
-let series_boundary_exact_capacity () =
-  let s = T.Series.make ~capacity:8 ~fields:[ "v" ] "t.series" in
-  for i = 1 to 8 do
-    T.Series.observe s ~t:(float_of_int i) [| float_of_int i |]
-  done;
-  Alcotest.(check int) "exactly capacity points all retained" 8 (T.Series.length s);
-  let ts = List.map fst (T.Series.samples s) in
-  Alcotest.(check (list (float 0.))) "all offered points present" [ 1.; 2.; 3.; 4.; 5.; 6.; 7.; 8. ]
-    ts
-
-let series_decimation_bounds () =
-  let s = T.Series.make ~capacity:8 ~fields:[ "v" ] "t.series" in
-  for i = 1 to 1000 do
-    T.Series.observe s ~t:(float_of_int i) [| float_of_int i |]
-  done;
-  let n = T.Series.length s in
-  Alcotest.(check bool) "never exceeds capacity" true (n <= 8);
-  Alcotest.(check bool) "keeps a meaningful tail" true (n >= 4);
-  let ts = List.map fst (T.Series.samples s) in
-  let rec increasing = function
-    | a :: (b :: _ as rest) -> a < b && increasing rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "retained offsets strictly increasing" true (increasing ts);
-  (* every retained sample must be one of the offered points, values intact *)
-  List.iter
-    (fun (t, v) -> Alcotest.(check (float 0.)) "value rides with its offset" t v.(0))
-    (T.Series.samples s)
-
-let series_observe_now_survives () =
-  let s = T.Series.make ~capacity:8 ~fields:[ "v" ] "t.series" in
-  for i = 1 to 1000 do
-    T.Series.observe s ~t:(float_of_int i) [| 0. |]
-  done;
-  (* after heavy decimation the stride drops most offers; observe_now
-     must land regardless *)
-  T.Series.observe_now s ~t:2000. [| 42. |];
-  let found = List.exists (fun (t, v) -> t = 2000. && v.(0) = 42.) (T.Series.samples s) in
-  Alcotest.(check bool) "observe_now kept despite stride" true found
-
-let series_interleaved_fields () =
-  let s = T.Series.make ~capacity:16 ~fields:[ "lb"; "ub" ] "t.gap" in
-  T.Series.observe s ~t:0.1 [| 1.; 10. |];
-  T.Series.observe s ~t:0.2 [| 2.; 9. |];
-  (match T.Series.samples s with
-  | [ (_, a); (_, b) ] ->
-    Alcotest.(check (float 0.)) "first lb" 1. a.(0);
-    Alcotest.(check (float 0.)) "first ub" 10. a.(1);
-    Alcotest.(check (float 0.)) "second lb" 2. b.(0);
-    Alcotest.(check (float 0.)) "second ub" 9. b.(1)
-  | l -> Alcotest.failf "expected 2 samples, got %d" (List.length l));
-  Alcotest.check_raises "arity mismatch rejected"
-    (Invalid_argument "Series.observe: arity mismatch") (fun () ->
-      T.Series.observe s ~t:0.3 [| 1. |])
-
 (* --- live cells ------------------------------------------------------------- *)
 
 (* A context whose cell is observed: [Ctx.with_phase] publishes each
@@ -516,10 +459,6 @@ let promtext_write_file_atomic () =
 
 let suite =
   [
-    Alcotest.test_case "series: exact capacity retained" `Quick series_boundary_exact_capacity;
-    Alcotest.test_case "series: decimation bounds" `Quick series_decimation_bounds;
-    Alcotest.test_case "series: observe_now survives stride" `Quick series_observe_now_survives;
-    Alcotest.test_case "series: interleaved multi-field" `Quick series_interleaved_fields;
     Alcotest.test_case "cell: with_phase publishes leaf" `Quick cell_publishes_innermost_phase;
     Alcotest.test_case "cell: deep nesting balanced" `Quick cell_deep_nesting_balanced;
     Alcotest.test_case "cell: bounds monotone" `Quick cell_bounds_monotone;

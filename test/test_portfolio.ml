@@ -178,6 +178,26 @@ let oracle_broadcast_prunes () =
     Alcotest.failf "broadcast did not prune: %d decisions with oracle, %d alone"
       (decisions own) (decisions alone)
 
+(* [search.incumbent_imports] is registered at the first import, so it
+   is listed only where a search imported a model: not by a plain solve,
+   and not at the top level of a portfolio caller, which never searches
+   (the members' counts, under [portfolio.<m>.], are checked by
+   [oracle_broadcast_prunes]). *)
+let imports_counted_where_they_happen () =
+  let problem = Gen.covering 4 in
+  let listed (tel : Telemetry.Ctx.t) =
+    Telemetry.Registry.find_counter tel.registry "search.incumbent_imports" <> None
+  in
+  let tel = Telemetry.Ctx.create ~timing:false () in
+  let o = Bsolo.Solver.solve ~options:{ Bsolo.Options.default with telemetry = Some tel } problem in
+  Alcotest.(check bool) "a plain solve lists no imports" false (listed tel);
+  Alcotest.(check bool) "nor does its outcome" false
+    (List.mem_assoc "search.incumbent_imports" o.counters);
+  let tel = Telemetry.Ctx.create ~timing:false () in
+  let r = Portfolio.solve ~telemetry:tel ~jobs:1 ~budget:20.0 problem in
+  Alcotest.(check bool) "a member ran" true (r.runs <> []);
+  Alcotest.(check bool) "the portfolio caller lists no imports" false (listed tel)
+
 (* A bad claim is refused, not trusted.  A liar offers, below the
    optimum, a model that breaks a clause or a feasible model under a
    cost it does not have.  Offered straight to a search through
@@ -521,6 +541,8 @@ let suite =
     Alcotest.test_case "sequential redistribution" `Quick sequential_redistribution;
     QCheck_alcotest.to_alcotest ~long:true jobs_equivalence;
     Alcotest.test_case "oracle broadcast prunes" `Slow oracle_broadcast_prunes;
+    Alcotest.test_case "imports counted where they happen" `Quick
+      imports_counted_where_they_happen;
     Alcotest.test_case "bad import refused" `Slow bad_import_refused;
     Alcotest.test_case "caller cell holds the answer" `Quick caller_cell_holds_answer;
     Alcotest.test_case "crash isolation" `Slow crash_isolation;

@@ -135,19 +135,6 @@ let trace_disabled_no_alloc () =
     true (delta < 256.);
   Alcotest.(check int) "no events recorded" 0 (T.Recorder.events_written r)
 
-let progress_ticks () =
-  let fired = ref [] in
-  let p = T.Progress.make ~every:10 ~out:(fun line -> fired := line :: !fired) in
-  for c = 1 to 35 do
-    T.Progress.tick p ~count:c ~render:(fun () -> string_of_int c)
-  done;
-  Alcotest.(check (list string)) "fires every 10 counts" [ "10"; "20"; "30" ]
-    (List.rev !fired);
-  let rendered = ref 0 in
-  let d = T.Progress.disabled () in
-  T.Progress.tick d ~count:1000 ~render:(fun () -> incr rendered; "x");
-  Alcotest.(check int) "disabled never renders" 0 !rendered
-
 let counters_of_registry () =
   let reg = T.Registry.create () in
   T.Counter.set (T.Registry.counter reg "engine.decisions") 7;
@@ -201,7 +188,6 @@ let suite =
     Alcotest.test_case "json round-trip" `Quick json_round_trip;
     Alcotest.test_case "json parser rejects malformed input" `Quick json_parser_errors;
     Alcotest.test_case "disabled trace allocates nothing" `Quick trace_disabled_no_alloc;
-    Alcotest.test_case "progress reporter ticks" `Quick progress_ticks;
     Alcotest.test_case "counters snapshot from registry" `Quick counters_of_registry;
     Alcotest.test_case "run report round-trips" `Quick report_round_trip;
   ]
