@@ -1,8 +1,11 @@
 #!/bin/sh
 # Tier-1 smoke check: build, tests, formatting (when ocamlformat is
 # available), and one tiny instrumented solve whose JSONL flight
-# recording and JSON report are validated.  Also exercises the live-observability surface:
-# a --trace-spans/--heartbeat/--metrics portfolio solve whose artifacts
+# recording and JSON report are validated.  Malformed or extreme inputs
+# (oversized coefficients and variable indices, a strengthening surplus
+# beyond the coefficient limit) must be answered, not crash.  Also
+# exercises the live-observability surface: a
+# --trace-spans/--heartbeat/--metrics portfolio solve whose artifacts
 # are validated with `bsolo inspect --spans` / `--live --check`, a
 # --listen run whose endpoints, heartbeat and metrics files all come
 # from one monitor, a --metrics-only run that must refresh its file and
@@ -126,6 +129,26 @@ rc=0
 ./_build/default/bin/bsolo_main.exe "$tmpdir/big.opb" >"$tmpdir/big.out" 2>&1 || rc=$?
 [ "$rc" = 2 ] && grep -q '^s UNSUPPORTED$' "$tmpdir/big.out" || {
   echo "FAIL: 20-digit coefficient: exit $rc"; cat "$tmpdir/big.out"; exit 1;
+}
+
+echo "== a strengthening surplus beyond the coefficient limit is capped, not a crash =="
+# Every coefficient is within the parser's 2^40, but probing x5 forces
+# all four terms of the wide row: a surplus of about 2^41, which the
+# default constraint strengthening must cap at what Constr accepts.
+cat >"$tmpdir/surplus.opb" <<'EOF'
+* #variable= 5 #constraint= 5
+min: +1 x1 +1 x2 +1 x3 +1 x4 +1 x5 ;
++1099511627776 x1 +1099511627775 x2 +1099511627773 x3 +1099511627769 x4 >= 2199023255543 ;
++1 ~x5 +1 x1 >= 1 ;
++1 ~x5 +1 x2 >= 1 ;
++1 ~x5 +1 x3 >= 1 ;
++1 ~x5 +1 x4 >= 1 ;
+EOF
+rc=0
+timeout 20 ./_build/default/bin/bsolo_main.exe "$tmpdir/surplus.opb" >"$tmpdir/surplus.out" 2>&1 || rc=$?
+[ "$rc" = 0 ] && grep -q '^o 2$' "$tmpdir/surplus.out" \
+  && grep -q '^s OPTIMUM FOUND$' "$tmpdir/surplus.out" || {
+  echo "FAIL: strengthening surplus beyond the coefficient limit: exit $rc"; cat "$tmpdir/surplus.out"; exit 1;
 }
 
 echo "== huge OPB variable index is unsupported, not a crash =="

@@ -6,55 +6,55 @@ type report = {
   fixed_literals : int;
 }
 
-(* Per literal index, the ids of the problem constraints containing it:
-   [occ.(start.(i)) .. occ.(start.(i + 1)) - 1], flat so the structure
-   costs two int arrays however many terms the problem has. *)
+(* Per literal index, the ids of the problem constraints containing it
+   and the literal's coefficient there: [occ.(k)] and [coeff.(k)] for
+   [k] in [start.(i) .. start.(i + 1) - 1], flat so the structure costs
+   three int arrays however many terms the problem has. *)
 type occurrences = {
   start : int array;
   occ : int array;
+  coeff : int array;
 }
 
 let occurrences nvars constrs =
   let start = Array.make ((2 * nvars) + 1) 0 in
   let each f =
     Array.iteri
-      (fun ci c -> Array.iter (fun t -> f ci (Lit.to_index t.Constr.lit)) (Constr.terms c))
+      (fun ci c ->
+        Array.iter (fun t -> f ci t.Constr.coeff (Lit.to_index t.Constr.lit)) (Constr.terms c))
       constrs
   in
-  each (fun _ i -> start.(i + 1) <- start.(i + 1) + 1);
+  each (fun _ _ i -> start.(i + 1) <- start.(i + 1) + 1);
   for i = 1 to 2 * nvars do
     start.(i) <- start.(i) + start.(i - 1)
   done;
   let next = Array.sub start 0 (2 * nvars) in
   let occ = Array.make start.(2 * nvars) 0 in
-  each (fun ci i ->
+  let coeff = Array.make start.(2 * nvars) 0 in
+  each (fun ci a i ->
       occ.(next.(i)) <- ci;
+      coeff.(next.(i)) <- a;
       next.(i) <- next.(i) + 1);
-  { start; occ }
+  { start; occ; coeff }
 
 let iter_occ o l f =
   let i = Lit.to_index l in
   for k = o.start.(i) to o.start.(i + 1) - 1 do
-    f o.occ.(k)
+    f o.occ.(k) o.coeff.(k)
   done
-
-(* True weight minus degree under the engine's assignment. *)
-let surplus engine c =
-  Array.fold_left
-    (fun acc { Constr.coeff; lit } ->
-      match Core.value_lit engine lit with
-      | Value.True -> acc + coeff
-      | Value.False | Value.Unknown -> acc)
-    0 (Constr.terms c)
-  - Constr.degree c
 
 (* For each problem constraint (store ids 0..m-1 coincide with the
    problem's constraint order), the best probe found: literal and
-   surplus.  A probe can only raise the surplus of a constraint holding
-   a literal it made true; every other constraint keeps its root surplus,
-   which matters only when it is already >= 1.  So a probe visits the
-   occurrences of its propagated literals plus the constraints
-   over-satisfied at the root, skipping those over its own variable. *)
+   surplus (true weight minus degree).  [root.(ci)] is constraint ci's
+   surplus at level 0; it only grows, as failed literals assign more of
+   level 0, and is advanced by the occurrences of each new root literal.
+   A probe can only raise the surplus of a constraint holding a literal
+   it made true, by that literal's coefficient: a walk over the
+   occurrences of the probe's trail sums these into [gain] and lists the
+   constraints touched, whose surplus is then [root + gain].  Every other
+   constraint keeps its root surplus, which matters only when it is
+   already >= 1 ([over_root]).  Constraints over the probe's own
+   variable are stamped and skipped.  No constraint is ever re-folded. *)
 let probe_all problem =
   let engine = Core.create problem in
   let constrs = Problem.constraints problem in
@@ -62,35 +62,51 @@ let probe_all problem =
   let best = Array.make m None in
   let fixed = ref [] in
   let occ = occurrences (Problem.nvars problem) constrs in
-  let seen = Array.make m (-1) in  (* per constraint: index of the last probe to visit it *)
-  let over_satisfied () =
-    let acc = ref [] in
-    for ci = m - 1 downto 0 do
-      if surplus engine constrs.(ci) >= 1 then acc := ci :: !acc
-    done;
-    !acc
+  let own = Array.make m (-1) in  (* per constraint: index of the last probe over its variables *)
+  let gain = Array.make m 0 in
+  let record probe ci surplus =
+    if surplus >= 1 then
+      match best.(ci) with
+      | Some (_, s) when s >= surplus -> ()
+      | Some _ | None -> best.(ci) <- Some (probe, surplus)
   in
   (match Core.propagate engine with
   | Some _ -> ()
   | None ->
-    let over_root = ref (over_satisfied ()) in
+    let root = Array.map (fun c -> -Constr.degree c) constrs in
+    let over_root = ref [] in
+    let root_assigned = ref 0 in
+    (* Advance [root] by the level-0 literals assigned since the last call. *)
+    let advance_root () =
+      Core.iter_trail_from engine !root_assigned (fun l ->
+          iter_occ occ l (fun ci a ->
+              let r = root.(ci) in
+              root.(ci) <- r + a;
+              if r < 1 && r + a >= 1 then over_root := ci :: !over_root));
+      root_assigned := Core.num_assigned engine
+    in
+    advance_root ();
+    let touched = ref [] in
     let record_surpluses probe =
       let stamp = Lit.to_index probe and v = Lit.var probe in
-      iter_occ occ (Lit.pos v) (fun ci -> seen.(ci) <- stamp);
-      iter_occ occ (Lit.neg v) (fun ci -> seen.(ci) <- stamp);
-      let visit ci =
-        if seen.(ci) <> stamp then begin
-          seen.(ci) <- stamp;
-          let surplus = surplus engine constrs.(ci) in
-          if surplus >= 1 then begin
-            match best.(ci) with
-            | Some (_, s) when s >= surplus -> ()
-            | Some _ | None -> best.(ci) <- Some (probe, surplus)
-          end
-        end
-      in
-      Core.iter_trail_above engine 0 (fun l -> iter_occ occ l visit);
-      List.iter visit !over_root
+      let mark ci _ = own.(ci) <- stamp in
+      iter_occ occ (Lit.pos v) mark;
+      iter_occ occ (Lit.neg v) mark;
+      Core.iter_trail_above engine 0 (fun l ->
+          iter_occ occ l (fun ci a ->
+              if own.(ci) <> stamp then begin
+                if gain.(ci) = 0 then touched := ci :: !touched;
+                gain.(ci) <- gain.(ci) + a
+              end));
+      List.iter
+        (fun ci -> if own.(ci) <> stamp && gain.(ci) = 0 then record probe ci root.(ci))
+        !over_root;
+      List.iter
+        (fun ci ->
+          record probe ci (root.(ci) + gain.(ci));
+          gain.(ci) <- 0)
+        !touched;
+      touched := []
     in
     let nvars = Core.nvars engine in
     let v = ref 0 in
@@ -114,7 +130,7 @@ let probe_all problem =
                 | Some ci -> ignore (Core.resolve_conflict engine ci))
               | Some ci -> ignore (Core.resolve_conflict engine ci))
             | Constr.Trivial_true | Constr.Trivial_false -> ());
-            over_root := over_satisfied ()
+            advance_root ()
           | None ->
             record_surpluses probe;
             Core.backjump_to engine 0)
@@ -141,10 +157,16 @@ let apply problem =
         match best.(ci) with
         | None -> Problem.Builder.add_norm b (Constr.Constr c)
         | Some (probe, surplus) ->
-          incr strengthened;
-          Problem.Builder.add_ge b
-            ((surplus, Lit.negate probe) :: raw)
-            (Constr.degree c + surplus))
+          (* any surplus in [1, surplus] is sound: cap the new term and
+             degree at what [Constr.make_ge] accepts *)
+          let s =
+            min surplus (min Constr.coefficient_limit (Constr.degree_limit - Constr.degree c))
+          in
+          if s < 1 then Problem.Builder.add_norm b (Constr.Constr c)
+          else begin
+            incr strengthened;
+            Problem.Builder.add_ge b ((s, Lit.negate probe) :: raw) (Constr.degree c + s)
+          end)
       (Problem.constraints problem);
     List.iter (fun l -> Problem.Builder.add_clause b [ l ]) fixed;
     (match Problem.objective problem with

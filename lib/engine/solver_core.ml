@@ -1630,11 +1630,13 @@ let trail t =
       let l = Vec.get t.trail i in
       match t.var_reason.(Lit.var l) with Decision -> l, None | Implied ci -> l, Some ci)
 
+let iter_trail_from t i f =
+  for i = i to Vec.size t.trail - 1 do
+    f (Vec.get t.trail i)
+  done
+
 let iter_trail_above t lvl f =
-  if lvl < decision_level t then
-    for i = Vec.get t.trail_lim lvl to Vec.size t.trail - 1 do
-      f (Vec.get t.trail i)
-    done
+  if lvl < decision_level t then iter_trail_from t (Vec.get t.trail_lim lvl) f
 
 let decisions t =
   List.init (decision_level t) (fun lvl -> Vec.get t.trail (Vec.get t.trail_lim lvl))

@@ -297,6 +297,12 @@ val trail : t -> (Lit.t * cid option) list
 (** The trail in assignment order, each literal with its reason
     ([None] for a decision) — for lockstep tests. *)
 
+val iter_trail_from : t -> int -> (Lit.t -> unit) -> unit
+(** [iter_trail_from s i f] applies [f] to the trail's literals from
+    position [i] on, in assignment order: with [i] an earlier
+    {!num_assigned} and no backjump below it since, the literals
+    assigned since then. *)
+
 val iter_trail_above : t -> int -> (Lit.t -> unit) -> unit
 (** [iter_trail_above s lvl f] applies [f] to the literals assigned above
     decision level [lvl], in assignment order: every literal a probe

@@ -55,6 +55,7 @@ let compare_terms t1 t2 =
 (* Guard against coefficient magnitudes that could overflow slack sums
    (63-bit ints leave ample headroom below this bound). *)
 let coefficient_limit = 1 lsl 40
+let degree_limit = 4 * coefficient_limit
 
 let make_ge raw rhs =
   List.iter
@@ -62,7 +63,7 @@ let make_ge raw rhs =
       if c > coefficient_limit || c < -coefficient_limit then
         invalid_arg "Constr.make_ge: coefficient too large")
     raw;
-  if rhs > coefficient_limit * 4 || rhs < -coefficient_limit * 4 then
+  if rhs > degree_limit || rhs < -degree_limit then
     invalid_arg "Constr.make_ge: degree too large";
   let merged, rhs = merge_by_var raw rhs in
   if rhs <= 0 then Trivial_true
@@ -121,7 +122,7 @@ let family raw =
   let max_raw = List.fold_left (fun acc (c, _) -> max acc c) 0 raw in
   let g = List.fold_left (fun acc (c, _) -> gcd acc c) 0 raw in
   let base =
-    if not (plain && total <= coefficient_limit * 4) then None
+    if not (plain && total <= degree_limit) then None
     else match of_relation raw Le 0 with [ Constr c ] -> Some c | _ -> None
   in
   { raw; base; total; max_raw; g }
@@ -134,7 +135,7 @@ let family_at f r =
   match f.base with
   | None -> fallback ()
   | Some b ->
-    if r > coefficient_limit * 4 || r < -(coefficient_limit * 4) then fallback ()
+    if r > degree_limit || r < -degree_limit then fallback ()
     else if rhs <= 0 then Trivial_true
     else if rhs > f.total then Trivial_false
     else if rhs >= f.max_raw then Constr { b with degree = (rhs + f.g - 1) / f.g }

@@ -36,11 +36,14 @@ type relation =
 val coefficient_limit : int
 (** [2^40]: the largest coefficient magnitude {!make_ge} accepts. *)
 
+val degree_limit : int
+(** [2^42]: the largest right-hand side magnitude {!make_ge} accepts. *)
+
 val make_ge : (int * Lit.t) list -> int -> norm
 (** [make_ge terms rhs] normalizes [sum terms >= rhs].  Raw coefficients
     may be negative, mention repeated variables or both polarities.
     Raises [Invalid_argument] on coefficients beyond
-    {!coefficient_limit} or a right-hand side beyond four times it (they
+    {!coefficient_limit} or a right-hand side beyond {!degree_limit} (they
     could overflow slack arithmetic). *)
 
 val of_relation : (int * Lit.t) list -> relation -> int -> norm list

@@ -591,8 +591,11 @@ let phase2_cost_of st (p : problem) =
 
 (* Package the current basic solution.  Structural values are clipped to
    the CURRENT column bounds in [st] (which may be tighter than the base
-   problem's when called from the incremental solver). *)
-let extract_solution st (p : problem) cost =
+   problem's when called from the incremental solver).  [y_in_rho] says
+   that [rho] still holds y = c_B B^-1 for [cost] from a refresh on the
+   current basis and factors, so the duals are read off it instead of a
+   second, identical BTRAN. *)
+let extract_solution ?(y_in_rho = false) st (p : problem) cost =
   let x = Array.sub st.xval 0 st.n in
   for j = 0 to st.n - 1 do
     if x.(j) < st.lb.(j) then x.(j) <- st.lb.(j);
@@ -613,7 +616,8 @@ let extract_solution st (p : problem) cost =
     let c = p.objective.(j) in
     if c <> 0. then value := !value +. (c *. x.(j))
   done;
-  Optimal { value = !value; x; row_activity = activity; duals = duals_for st cost }
+  let duals = if y_in_rho then Array.sub st.rho 0 st.m else duals_for st cost in
+  Optimal { value = !value; x; row_activity = activity; duals }
 
 (* Two-phase primal from a fresh state: the cold start and rebuild path of
    [Incremental.reoptimize].  On every phase-1 completion the artificial
@@ -1132,8 +1136,12 @@ module Incremental = struct
     let phase1_iters = ref 0 in
     let warm_solve () =
       let st = t.st in
+      let pivots = st.work.npivots in
       match dual_optimize st t.cost ~max_iters ~iters ~should_stop with
-      | `Opt -> extract_solution st t.base t.cost
+      | `Opt ->
+        (* no pivot: the one dual step found no violated row and priced
+           none, so [rho] still holds [warm_start]'s refresh *)
+        extract_solution ~y_in_rho:(st.work.npivots = pivots) st t.base t.cost
       | `Infeasible vr ->
         (* Farkas witness: row vr of B^-1 *)
         price_row st vr ~arts:false;

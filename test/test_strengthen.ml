@@ -186,6 +186,23 @@ let matches_reference () =
       (Gen.planted ~nvars:20 ~nconstrs:50 ~max_arity:3 ~max_coeff:1 seed);
     tally (Printf.sprintf "covering %d" seed) (Gen.covering ~nvars:14 ~nclauses:24 seed)
   done;
+  (* wide rows, where one probe reaches a row through many of its
+     occurrences: acc capacity rows over every task (the crowded 8-slot
+     ones with failed literals too), and planted rows of up to 50 terms *)
+  for seed = 0 to 9 do
+    tally (Printf.sprintf "acc %d" seed)
+      (Benchgen.Acc.generate
+         ~params:{ Benchgen.Acc.default with tasks = 45; slack = seed mod 3 }
+         seed);
+    tally (Printf.sprintf "crowded acc %d" seed)
+      (Benchgen.Acc.generate
+         ~params:{ Benchgen.Acc.default with tasks = 40; slots = 8; conflicts = 200 }
+         seed)
+  done;
+  for seed = 0 to 30 do
+    tally (Printf.sprintf "wide planted %d" seed)
+      (Gen.planted ~nvars:60 ~nconstrs:25 ~max_arity:50 ~max_coeff:9 seed)
+  done;
   (* the comparison means something only if both paths are exercised *)
   Alcotest.(check bool) "some constraints strengthened" true (!strengthened > 0);
   Alcotest.(check bool) "some literals fixed" true (!fixed > 0)
@@ -229,6 +246,53 @@ let failed_literal_changes_root () =
   Alcotest.(check bool) "C gets ~x1" true
     (has_constraint p' [ 1, Lit.pos 4; 1, Lit.neg 0; 1, Lit.neg 1 ] 2)
 
+(* Two failed literals, x0 (x0 -> x1, x0 -> ~x1) and x2 (x2 -> x3,
+   x2 -> ~x3), fix ~x0 and then ~x2 at the root.  R: ~x0 + ~x2 + x5 >= 1
+   reaches surplus 0 after the first and 1 after the second, so the root
+   surpluses must be advanced across both; no probe propagates into R,
+   so x3, the first probe after the second failure, strengthens it. *)
+let failed_literals_accumulate_at_root () =
+  let b = Problem.Builder.create ~nvars:6 () in
+  Problem.Builder.add_clause b [ Lit.neg 0; Lit.pos 1 ];
+  Problem.Builder.add_clause b [ Lit.neg 0; Lit.neg 1 ];
+  Problem.Builder.add_clause b [ Lit.neg 2; Lit.pos 3 ];
+  Problem.Builder.add_clause b [ Lit.neg 2; Lit.neg 3 ];
+  Problem.Builder.add_clause b [ Lit.neg 0; Lit.neg 2; Lit.pos 5 ];
+  Problem.Builder.add_clause b [ Lit.pos 3; Lit.pos 4 ];
+  let p = Problem.Builder.build b in
+  let r = check_against_ref "two failed literals" p in
+  Alcotest.(check int) "x0 and x2 fixed" 2 r.fixed_literals;
+  let p', _ = Bsolo.Strengthen.apply p in
+  Alcotest.(check bool) "R gets ~x3" true
+    (has_constraint p' [ 1, Lit.neg 0; 1, Lit.neg 2; 1, Lit.pos 5; 1, Lit.neg 3 ] 2)
+
+(* A probe's surplus can exceed what [Constr.make_ge] accepts although
+   every input coefficient is within the parser's limit: probing x5
+   forces all four terms of the wide-coefficient row, surplus ~2^41.
+   Strengthening must cap it rather than raise, keep the model set, and
+   the default solve must still find the optimum 2. *)
+let surplus_beyond_coefficient_limit () =
+  let p =
+    Opb.parse_string
+      {|* #variable= 5 #constraint= 5
+min: +1 x1 +1 x2 +1 x3 +1 x4 +1 x5 ;
++1099511627776 x1 +1099511627775 x2 +1099511627773 x3 +1099511627769 x4 >= 2199023255543 ;
++1 ~x5 +1 x1 >= 1 ;
++1 ~x5 +1 x2 >= 1 ;
++1 ~x5 +1 x3 >= 1 ;
++1 ~x5 +1 x4 >= 1 ;
+|}
+  in
+  let p', r = Bsolo.Strengthen.apply p in
+  Alcotest.(check bool) "strengthened something" true (r.strengthened >= 1);
+  for mask = 0 to 31 do
+    let m = Model.of_array (Array.init 5 (fun v -> (mask lsr v) land 1 = 1)) in
+    Alcotest.(check bool) "same models" (Model.satisfies p m) (Model.satisfies p' m)
+  done;
+  let o = Bsolo.Solver.solve p in
+  Alcotest.(check string) "status" "OPTIMAL" (Bsolo.Outcome.status_name o.status);
+  Alcotest.(check (option int)) "optimum" (Some 2) (Bsolo.Outcome.best_cost o)
+
 (* C: x0 + x1 + x2 >= 1 with x0 -> x1 and x0 -> x2: probing x0 forces
    weight 3 into C, but x0 is C's own variable, so that probe is skipped
    and C stays as it is. *)
@@ -255,4 +319,8 @@ let suite =
       over_satisfied_at_root;
     Alcotest.test_case "failed literal changes the root" `Quick failed_literal_changes_root;
     Alcotest.test_case "own-variable probe skipped" `Quick own_variable_probe_skipped;
+    Alcotest.test_case "failed literals accumulate at the root" `Quick
+      failed_literals_accumulate_at_root;
+    Alcotest.test_case "surplus beyond the coefficient limit" `Quick
+      surplus_beyond_coefficient_limit;
   ]
