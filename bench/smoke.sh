@@ -609,7 +609,7 @@ echo "== pinned search tree (genpb synth --scale 1 --seed 1) =="
 # that is meant to be invisible must leave these counters exactly as
 # they are, in every BCP mode.  A deliberate tree change updates them.
 ./_build/default/bin/genpb.exe synth --scale 1 --seed 1 -o "$tmpdir/synth1.opb" >/dev/null
-pinned='1348 decisions, 1026 conflicts, 790 bound conflicts, 1836 lb calls'
+pinned='1274 decisions, 958 conflicts, 721 bound conflicts, 1689 lb calls'
 for mode in hybrid watched counting; do
   timeout 120 "$bsolo" "$tmpdir/synth1.opb" --timeout 60 --stats --bcp "$mode" \
     >"$tmpdir/pinned-$mode.out" 2>&1 || {
@@ -621,14 +621,14 @@ for mode in hybrid watched counting; do
     grep '^c OPTIMAL\|^c UNKNOWN' "$tmpdir/pinned-$mode.out" || true; exit 1;
   }
   # the LP path of the same run, which a pivot-identical simplex change keeps
-  for counter in 'simplex.iterations +3163' 'simplex.pivots +1840' 'lpr.warm_hits +1321'; do
+  for counter in 'simplex.iterations +2960' 'simplex.pivots +1758' 'lpr.warm_hits +1200'; do
     grep -Eq "^c   $counter\$" "$tmpdir/pinned-$mode.out" || {
       echo "FAIL: synth@1 seed 1 under --bcp $mode left the pinned LP path (want $counter)";
       grep '^c   simplex\.\|^c   lpr\.' "$tmpdir/pinned-$mode.out" || true; exit 1;
     }
   done
 done
-echo "pinned tree: $pinned; simplex.iterations 3163, simplex.pivots 1840, lpr.warm_hits 1321"
+echo "pinned tree: $pinned; simplex.iterations 2960, simplex.pivots 1758, lpr.warm_hits 1200"
 
 echo "== pinned LP path (genpb mcnc --scale 2 --seed 1) =="
 # Every simplex pivot moves the LP vertex that drives branching and the

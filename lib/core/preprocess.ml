@@ -25,28 +25,9 @@ let fix_negation ?on_reduction engine l =
 
 let probe ?on_reduction engine =
   let found = ref 0 in
-  (match Core.propagate engine with
-  | Some _ -> ()
-  | None ->
-    let nvars = Core.nvars engine in
-    let v = ref 0 in
-    while !v < nvars && not (Core.root_unsat engine) do
-      let try_polarity positive =
-        if Value.equal (Core.value_var engine !v) Value.Unknown && not (Core.root_unsat engine)
-        then begin
-          let l = Lit.make !v positive in
-          Core.decide engine l;
-          match Core.propagate engine with
-          | Some _ ->
-            incr found;
-            fix_negation ?on_reduction engine l
-          | None -> Core.backjump_to engine 0
-        end
-      in
-      try_polarity true;
-      try_polarity false;
-      incr v
-    done);
+  Core.probe engine ~stop:(fun () -> false) ~implied:ignore ~failed:(fun l ->
+      incr found;
+      fix_negation ?on_reduction engine l);
   !found
 
 (* ------------------------------------------------------------------ *)

@@ -12,8 +12,15 @@ type reduction =
   | Removed of { cid : int; by : int }
       (** constraint [cid] implied by constraint [by] and dropped *)
 
+val fix_negation :
+  ?on_reduction:(reduction -> unit) -> Engine.Solver_core.t -> Pbo.Lit.t -> unit
+(** [fix_negation e l] fixes [~l] for a failed literal [l]: backjumps to
+    level 0, reports [Fixed ~l], adds the unit clause and propagates it.
+    A level-0 conflict on the way leaves [Solver_core.root_unsat] set. *)
+
 val probe : ?on_reduction:(reduction -> unit) -> Engine.Solver_core.t -> int
-(** Runs one pass of failed-literal probing over all unassigned variables.
+(** Runs one pass of failed-literal probing ({!Engine.Solver_core.probe})
+    over all unassigned variables, at decision level 0.
     Returns the number of necessary assignments found.  The engine is left
     at decision level 0, propagated to fixpoint; check
     [Solver_core.root_unsat] afterwards.

@@ -568,9 +568,17 @@ let solve ?(options = Options.default) problem =
     else options
   in
   let tel = match options.telemetry with Some t -> t | None -> Telemetry.Ctx.silent () in
+  let count name n = Telemetry.Counter.add (Telemetry.Registry.counter tel.registry name) n in
+  (* what the Section 6 probing passes find reads 0 when they are off *)
   let problem =
     Telemetry.Ctx.with_phase tel Telemetry.Phase.Preprocess (fun () ->
-        if options.constraint_strengthening then fst (Strengthen.apply problem) else problem)
+        let problem, (r : Strengthen.report) =
+          if options.constraint_strengthening then Strengthen.apply problem
+          else problem, { strengthened = 0; fixed_literals = 0 }
+        in
+        count "preprocess.strengthened" r.strengthened;
+        count "preprocess.fixed" r.fixed_literals;
+        problem)
   in
   (* Exact presolve before the engine is built.  In proof mode every
      applied tightening is certified by a cutting-planes derivation
@@ -593,9 +601,6 @@ let solve ?(options = Options.default) problem =
           (match options.proof with
           | Some proof -> Proof.set_cid_map proof r.Preprocess.cid_map
           | None -> ());
-          let count name n =
-            Telemetry.Counter.add (Telemetry.Registry.counter tel.registry name) n
-          in
           count "presolve.reductions" (r.Preprocess.tightened + r.Preprocess.removed);
           count "presolve.tightened" r.Preprocess.tightened;
           count "presolve.removed" r.Preprocess.removed;
@@ -660,7 +665,7 @@ let solve ?(options = Options.default) problem =
           options.proof
       in
       Telemetry.Ctx.with_phase tel Telemetry.Phase.Preprocess (fun () ->
-          ignore (Preprocess.probe ?on_reduction engine))
+          count "preprocess.fixed" (Preprocess.probe ?on_reduction engine))
     end;
     if Core.root_unsat engine then package st Exhausted
     else begin

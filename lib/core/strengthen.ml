@@ -53,8 +53,11 @@ let iter_occ o l f =
    occurrences of the probe's trail sums these into [gain] and lists the
    constraints touched, whose surplus is then [root + gain].  Every other
    constraint keeps its root surplus, which matters only when it is
-   already >= 1 ([over_root]).  Constraints over the probe's own
-   variable are stamped and skipped.  No constraint is ever re-folded. *)
+   already >= 1, and only once: after a record [best] is at least the
+   root surplus until that grows again.  So such a constraint waits in
+   [pending] from the growth of its root surplus to its first probe
+   over foreign variables.  Constraints over the probe's own variable
+   are stamped and skipped.  No constraint is ever re-folded. *)
 let probe_all problem =
   let engine = Core.create problem in
   let constrs = Problem.constraints problem in
@@ -70,76 +73,61 @@ let probe_all problem =
       | Some (_, s) when s >= surplus -> ()
       | Some _ | None -> best.(ci) <- Some (probe, surplus)
   in
-  (match Core.propagate engine with
-  | Some _ -> ()
-  | None ->
-    let root = Array.map (fun c -> -Constr.degree c) constrs in
-    let over_root = ref [] in
-    let root_assigned = ref 0 in
-    (* Advance [root] by the level-0 literals assigned since the last call. *)
-    let advance_root () =
-      Core.iter_trail_from engine !root_assigned (fun l ->
-          iter_occ occ l (fun ci a ->
-              let r = root.(ci) in
-              root.(ci) <- r + a;
-              if r < 1 && r + a >= 1 then over_root := ci :: !over_root));
-      root_assigned := Core.num_assigned engine
-    in
-    advance_root ();
-    let touched = ref [] in
-    let record_surpluses probe =
-      let stamp = Lit.to_index probe and v = Lit.var probe in
-      let mark ci _ = own.(ci) <- stamp in
-      iter_occ occ (Lit.pos v) mark;
-      iter_occ occ (Lit.neg v) mark;
-      Core.iter_trail_above engine 0 (fun l ->
-          iter_occ occ l (fun ci a ->
-              if own.(ci) <> stamp then begin
-                if gain.(ci) = 0 then touched := ci :: !touched;
-                gain.(ci) <- gain.(ci) + a
-              end));
-      List.iter
-        (fun ci -> if own.(ci) <> stamp && gain.(ci) = 0 then record probe ci root.(ci))
-        !over_root;
-      List.iter
+  let root = Array.map (fun c -> -Constr.degree c) constrs in
+  let pending = ref [] in
+  let waiting = Array.make m false in
+  let root_assigned = ref 0 in
+  (* Advance [root] by the level-0 literals assigned since the last call. *)
+  let advance_root () =
+    Core.iter_trail_from engine !root_assigned (fun l ->
+        iter_occ occ l (fun ci a ->
+            root.(ci) <- root.(ci) + a;
+            if root.(ci) >= 1 && not waiting.(ci) then begin
+              waiting.(ci) <- true;
+              pending := ci :: !pending
+            end));
+    root_assigned := Core.num_assigned engine
+  in
+  let touched = ref [] in
+  let record_surpluses probe =
+    let stamp = Lit.to_index probe and v = Lit.var probe in
+    let mark ci _ = own.(ci) <- stamp in
+    iter_occ occ (Lit.pos v) mark;
+    iter_occ occ (Lit.neg v) mark;
+    Core.iter_trail_above engine 0 (fun l ->
+        iter_occ occ l (fun ci a ->
+            if own.(ci) <> stamp then begin
+              if gain.(ci) = 0 then touched := ci :: !touched;
+              gain.(ci) <- gain.(ci) + a
+            end));
+    (* a touched constraint is recorded below, at [root + gain] *)
+    pending :=
+      List.filter
         (fun ci ->
-          record probe ci (root.(ci) + gain.(ci));
-          gain.(ci) <- 0)
-        !touched;
-      touched := []
-    in
-    let nvars = Core.nvars engine in
-    let v = ref 0 in
-    while !v < nvars && not (Core.root_unsat engine) do
-      let try_probe positive =
-        if Value.equal (Core.value_var engine !v) Value.Unknown && not (Core.root_unsat engine)
-        then begin
-          let probe = Lit.make !v positive in
-          Core.decide engine probe;
-          (match Core.propagate engine with
-          | Some _ ->
-            (* failed literal: fix the negation at the root *)
-            Core.backjump_to engine 0;
-            fixed := Lit.negate probe :: !fixed;
-            (match Constr.clause [ Lit.negate probe ] with
-            | Constr.Constr c ->
-              (match Core.add_constraint_dynamic engine c with
-              | None ->
-                (match Core.propagate engine with
-                | None -> ()
-                | Some ci -> ignore (Core.resolve_conflict engine ci))
-              | Some ci -> ignore (Core.resolve_conflict engine ci))
-            | Constr.Trivial_true | Constr.Trivial_false -> ());
-            advance_root ()
-          | None ->
-            record_surpluses probe;
-            Core.backjump_to engine 0)
-        end
-      in
-      try_probe true;
-      try_probe false;
-      incr v
-    done);
+          let stay = own.(ci) = stamp in
+          if not stay then begin
+            if gain.(ci) = 0 then record probe ci root.(ci);
+            waiting.(ci) <- false
+          end;
+          stay)
+        !pending;
+    List.iter
+      (fun ci ->
+        record probe ci (root.(ci) + gain.(ci));
+        gain.(ci) <- 0)
+      !touched;
+    touched := []
+  in
+  (* [root] starts from the level-0 fixpoint, which [Core.probe] then
+     finds already reached *)
+  if Core.propagate engine = None then begin
+    advance_root ();
+    Core.probe engine ~stop:(fun () -> false) ~implied:record_surpluses
+      ~failed:(fun probe ->
+        fixed := Lit.negate probe :: !fixed;
+        Preprocess.fix_negation engine probe;
+        advance_root ())
+  end;
   best, !fixed
 
 let apply problem =

@@ -221,50 +221,26 @@ let clique_cut xval src =
 (* --- implied-bound cuts ------------------------------------------------ *)
 
 (* Root probing for implications [l -> m]: decide [l], propagate, read
-   the implied literals off the change set.  The clause [~l \/ m] is
-   valid (and RUP: asserting [l, ~m] replays the very propagation that
-   produced it), giving the LP the bound [x_m >= x_l] it cannot see
-   through the joint relaxation.  Must be called at decision level 0. *)
-let mine_implications ?(max_probes = 64) ?(max_implications = 256) engine =
-  assert (Core.decision_level engine = 0);
-  let acc = ref [] in
-  (match Core.propagate engine with
-  | Some _ -> ()
-  | None ->
-    let nvars = Core.nvars engine in
-    let count = ref 0 in
-    let probes = ref 0 in
-    let v = ref 0 in
-    while !v < nvars && !probes < max_probes && !count < max_implications do
-      List.iter
-        (fun positive ->
-          if
-            !probes < max_probes && !count < max_implications
-            && Value.equal (Core.value_var engine !v) Value.Unknown
-          then begin
-            incr probes;
-            let l = Lit.make !v positive in
-            Core.decide engine l;
-            (match Core.propagate engine with
-            | Some _ -> () (* failed literal: probing's business, not ours *)
-            | None ->
-              Core.drain_changed_vars engine (fun w ->
-                  if w <> !v && !count < max_implications then
-                    match Core.value_var engine w with
-                    | Value.True ->
-                      acc := (l, Lit.make w true) :: !acc;
-                      incr count
-                    | Value.False ->
-                      acc := (l, Lit.make w false) :: !acc;
-                      incr count
-                    | Value.Unknown -> ()));
-            Core.backjump_to engine 0
-          end)
-        [ true; false ];
-      incr v
-    done;
-    (* absorb the churn this probing left in the change set *)
-    Core.drain_changed_vars engine (fun _ -> ()));
+   the implied literals off the trail above level 0.  The clause
+   [~l \/ m] is valid (and RUP: asserting [l, ~m] replays the very
+   propagation that produced it), giving the LP the bound [x_m >= x_l]
+   it cannot see through the joint relaxation.  Must be called at
+   decision level 0. *)
+let max_probes = 64
+let max_implications = 256
+
+let mine_implications engine =
+  let acc = ref [] and count = ref 0 and probes = ref 0 in
+  Core.probe engine
+    ~stop:(fun () -> !probes >= max_probes || !count >= max_implications)
+    ~failed:(fun _ -> incr probes (* failed literal: probing's business, not ours *))
+    ~implied:(fun l ->
+      incr probes;
+      Core.iter_trail_above engine 0 (fun m ->
+          if Lit.var m <> Lit.var l && !count < max_implications then begin
+            acc := (l, m) :: !acc;
+            incr count
+          end));
   !acc
 
 let implied_cut xval (l, m) =

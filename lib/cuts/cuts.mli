@@ -75,11 +75,14 @@ val clique_cut :
   (Lit.var -> float) -> int * Constr.t -> (Constr.t * recipe) option
 (** Largest-prefix clique cut of one constraint, when violated. *)
 
-val mine_implications :
-  ?max_probes:int -> ?max_implications:int -> Engine.Solver_core.t -> (Lit.t * Lit.t) list
-(** Root-probing implication mining (decision level 0 required; the
-    engine is left at level 0, change set drained).  Defaults: 64
-    probes, 256 implications. *)
+val mine_implications : Engine.Solver_core.t -> (Lit.t * Lit.t) list
+(** Root-probing implication mining through
+    {!Engine.Solver_core.probe} (decision level 0 required; the engine
+    is left there).  Each successful probe [l] yields [(l, m)] for every
+    literal [m] on the trail above level 0 but [l] itself, so no [m] was
+    fixed at the root.  At most 64 probes and 256 implications.  The
+    change feed is not read: its churn is left to the search's
+    lower-bound procedure, which drains it on creation. *)
 
 val implied_cut : (Lit.var -> float) -> Lit.t * Lit.t -> (Constr.t * recipe) option
 (** The clause [~l \/ m] of an implication, when violated at the point. *)

@@ -1638,6 +1638,26 @@ let iter_trail_from t i f =
 let iter_trail_above t lvl f =
   if lvl < decision_level t then iter_trail_from t (Vec.get t.trail_lim lvl) f
 
+let probe t ~stop ~failed ~implied =
+  assert (decision_level t = 0);
+  let try_lit l =
+    if Value.equal (value_lit t l) Value.Unknown && not (t.unsat || stop ()) then begin
+      decide t l;
+      match propagate t with
+      | Some _ ->
+        backjump_to t 0;
+        failed l
+      | None ->
+        implied l;
+        backjump_to t 0
+    end
+  in
+  if propagate t = None then
+    for v = 0 to t.nvars - 1 do
+      try_lit (Lit.make v true);
+      try_lit (Lit.make v false)
+    done
+
 let decisions t =
   List.init (decision_level t) (fun lvl -> Vec.get t.trail (Vec.get t.trail_lim lvl))
 

@@ -81,12 +81,10 @@ val drain_changed_vars : t -> (Lit.var -> unit) -> unit
     Clears the change set.
 
     The feed has one consumer per search, since a drain hides the
-    changes from everyone else.  Under LPR that is [Residual.Full.sync];
-    the cut pool's root probing ([Cuts.mine_implications]) reads it only
-    before the search, at level 0, and drains its own churn right after.
-    Under MIS it is [Mis.compute].  [Residual.Full] and [Mis] snapshot
-    the current values when they are created and drain what came
-    before. *)
+    changes from everyone else: under LPR [Residual.Full.sync], under
+    MIS [Mis.compute].  Nothing else reads it; root probing ({!probe})
+    leaves its churn there.  [Residual.Full] and [Mis] snapshot the
+    current values when they are created and drain what came before. *)
 
 (** {1 Search primitives} *)
 
@@ -307,6 +305,18 @@ val iter_trail_above : t -> int -> (Lit.t -> unit) -> unit
 (** [iter_trail_above s lvl f] applies [f] to the literals assigned above
     decision level [lvl], in assignment order: every literal a probe
     decided at level [lvl + 1] made true. *)
+
+val probe :
+  t -> stop:(unit -> bool) -> failed:(Lit.t -> unit) -> implied:(Lit.t -> unit) -> unit
+(** Root probing (decision level 0 required; the engine is left there).
+    Propagates once, then, unless that conflicts, tries the unassigned
+    literals variable by variable, positive first, until [stop ()] or
+    {!root_unsat}: decides each such literal [l] and propagates.  On a
+    conflict it backjumps to level 0 and calls [failed l], which may fix
+    [~l] there; otherwise it calls [implied l] at level 1, where
+    {!iter_trail_above}[ t 0] lists [l] and what it forced, then
+    backjumps.  The change feed ({!drain_changed_vars}) is left holding
+    the probes' churn. *)
 
 val decisions : t -> Lit.t list
 (** Current decision literals, outermost first (for the chronological

@@ -77,6 +77,24 @@ let implied_cuts_valid () =
       (Cuts.mine_implications engine)
   done
 
+(* Literals fixed at level 0 before mining are no implications: [x2]
+   is fixed by its unit clause when the engine is created, and probing
+   [x0] forces [x1].  Only the level-1 consequence may be mined. *)
+let implications_skip_root_literals () =
+  let x i = Lit.make i true in
+  let b = Problem.Builder.create ~nvars:3 () in
+  Problem.Builder.add_clause b [ x 2 ];
+  Problem.Builder.add_clause b [ Lit.negate (x 0); x 1 ];
+  let engine = Core.create (Problem.Builder.build b) in
+  let imps = Cuts.mine_implications engine in
+  List.iter
+    (fun (l, m) ->
+      if not (Value.equal (Core.value_lit engine m) Value.Unknown) then
+        Alcotest.failf "mined %s -> %s, whose consequent is fixed at level 0" (Lit.to_string l)
+          (Lit.to_string m))
+    imps;
+  Alcotest.(check bool) "x0 -> x1 mined" true (List.mem (x 0, x 1) imps)
+
 (* Pool separation: fresh entries are violated, mutually distinct, and
    appending any of them to the problem preserves the exact model count
    (exhaustive, small nvars). *)
@@ -379,6 +397,7 @@ let suite =
     Alcotest.test_case "cover cuts valid" `Quick cover_cuts_valid;
     Alcotest.test_case "clique cuts valid" `Quick clique_cuts_valid;
     Alcotest.test_case "implied cuts valid" `Quick implied_cuts_valid;
+    Alcotest.test_case "implications skip root literals" `Quick implications_skip_root_literals;
     Alcotest.test_case "pool separation sound" `Slow pool_separation_sound;
     Alcotest.test_case "pooled cuts certified" `Quick pooled_cuts_certified;
     Alcotest.test_case "tight counts each cut once" `Quick tight_counted_once;
