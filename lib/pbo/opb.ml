@@ -152,17 +152,17 @@ let parse_lines lines =
     if not is_comment then begin
       let tokens = tokenize_line ~lineno line in
       if !pending = [] then pending_line := lineno;
+      (* [pending] is the open statement's tokens in reverse, so that a
+         statement spread over many lines costs linear time. *)
       let rec split acc = function
-        | [] -> pending := !pending @ List.rev acc
+        | [] -> pending := acc
         | Semi :: rest ->
-          let stmt = !pending @ List.rev (Semi :: acc) in
-          pending := [];
-          statements := (!pending_line, stmt) :: !statements;
+          statements := (!pending_line, List.rev (Semi :: acc)) :: !statements;
           pending_line := lineno;
           split [] rest
         | t :: rest -> split (t :: acc) rest
       in
-      split [] tokens
+      split !pending tokens
     end
   in
   List.iteri (fun i line -> feed (i + 1) line) lines;

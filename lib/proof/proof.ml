@@ -32,89 +32,151 @@ type cert =
   | Cert_bound of (int * float) list
   | Cert_farkas of (int * float) list
 
-(* Pin every literal of [omega] false: per variable 0 = free,
-   1 = pinned true, 2 = pinned false.  None when omega is a tautology
-   (both polarities present), which is trivially entailed. *)
-let pinning nvars omega =
-  let pins = Array.make nvars 0 in
-  let tauto = ref false in
-  List.iter
-    (fun l ->
-      let v = Lit.var l in
-      if v >= 0 && v < nvars then begin
-        let want = if Lit.is_pos l then 2 else 1 in
-        if pins.(v) <> 0 && pins.(v) <> want then tauto := true else pins.(v) <- want
-      end)
-    omega;
-  if !tauto then None else Some pins
-
-(* B = sum m_i d_i + sum_v min over rho-allowed values of
-   [denom * gamma(l_x) - sum_i m_i a_i(l_x)], where l_x is the literal
+(* A [b]/[y] certificate is checked by bounding
+     B = sum m_i d_i + sum_v min over rho-allowed values of
+         [denom * gamma(l_x) - sum_i m_i a_i(l_x)],
+   where rho pins every literal of omega false and l_x is the literal
    of v made true by value x.  This is denom times the Lagrangian
    L(m/denom) minimized over the box that the pinning allows, hence a
    valid lower bound on the cost (resp. on constraint surplus when the
-   objective is excluded) of any completion falsifying omega. *)
-(* Reference space shared by [b]/[y]/[j] steps: a non-negative integer
+   objective is excluded) of any completion falsifying omega.
+
+   A variable outside the referenced constraints and omega has
+   min-term [min (denom gamma(x), denom gamma(~x))] = 0, because a
+   problem's costs are positive and sit on one literal per variable; so
+   a call sums only the variables it touches.  (A cost whose scaled
+   value overflows makes every objective certificate reject; such a
+   cost is beyond [Constr.coefficient_limit], so no objective cut or
+   [s] step can be built for it anyway.)  The scratch below is owned by
+   one logger or one check, never shared between domains; [acc], [pin]
+   and [seen] are zero again after every call.
+
+   Reference space shared by [b]/[y]/[j] steps: a non-negative integer
    names an original problem constraint, a negative integer [-(k+1)]
    names the [k]-th derived constraint of the current proof section
-   (written [x<k>] in the log).  [lookup_derived] resolves the latter. *)
-let certify_scaled_gen problem ~lookup_derived ~refs ~omega ~objective ~upper =
+   (written [x<k>] in the log). *)
+type certifier = {
+  constraints : Constr.t array;
+  scaled : int array;  (* per literal: denom * objective cost *)
+  scaled_ok : bool;  (* no [scaled] entry overflowed *)
+  acc : int array;  (* per literal: sum_i m_i a_i(l) *)
+  pin : int array;  (* per variable: 0 free, 1 pinned true, 2 pinned false *)
+  seen : bool array;
+  touched : int array;
+  mutable ntouched : int;
+}
+
+let certifier problem =
   let nvars = Problem.nvars problem in
-  let constraints = Problem.constraints problem in
-  let n = Array.length constraints in
+  let scaled = Array.make (2 * nvars) 0 in
+  let scaled_ok =
+    try
+      Option.iter
+        (fun (o : Problem.objective) ->
+          Array.iter
+            (fun (ct : Problem.cost_term) -> scaled.(Lit.to_index ct.lit) <- mul_exn denom ct.cost)
+            o.cost_terms)
+        (Problem.objective problem);
+      true
+    with Overflow -> false
+  in
+  {
+    constraints = Problem.constraints problem;
+    scaled;
+    scaled_ok;
+    acc = Array.make (2 * nvars) 0;
+    pin = Array.make nvars 0;
+    seen = Array.make nvars false;
+    touched = Array.make nvars 0;
+    ntouched = 0;
+  }
+
+let touch cz v =
+  if not cz.seen.(v) then begin
+    cz.seen.(v) <- true;
+    cz.touched.(cz.ntouched) <- v;
+    cz.ntouched <- cz.ntouched + 1
+  end
+
+let untouch_all cz =
+  for k = 0 to cz.ntouched - 1 do
+    let v = cz.touched.(k) in
+    cz.seen.(v) <- false;
+    cz.pin.(v) <- 0;
+    cz.acc.(Lit.to_index (Lit.pos v)) <- 0;
+    cz.acc.(Lit.to_index (Lit.neg v)) <- 0
+  done;
+  cz.ntouched <- 0
+
+(* Exact validation shared by the logger and the checker: [true] when
+   [objective] and [B > (upper - 1) denom], or when [not objective] and
+   [B > 0].  A negative multiplier or an unresolvable reference (even
+   with multiplier 0) rejects; a tautological omega is entailed; an
+   overflow anywhere rejects. *)
+let certify cz ~lookup_derived ~refs ~omega ~objective ~upper =
+  let nvars = Array.length cz.pin in
+  let n = Array.length cz.constraints in
   let resolve cid =
-    if cid >= 0 then (if cid < n then Some constraints.(cid) else None)
+    if cid >= 0 then (if cid < n then Some cz.constraints.(cid) else None)
     else lookup_derived (-cid - 1)
   in
-  try
-    if List.exists (fun (cid, m) -> m < 0 || resolve cid = None) refs then raise Exit;
-    match pinning nvars omega with
-    | None -> true
-    | Some pins ->
-      let a = Array.make (2 * nvars) 0 in
-      let base = ref 0 in
+  let compute () =
+    if List.exists (fun (cid, m) -> m < 0 || resolve cid = None) refs then false
+    else begin
+      let tauto = ref false in
       List.iter
-        (fun (cid, m) ->
-          if m > 0 then begin
-            let c = match resolve cid with Some c -> c | None -> raise Exit in
-            base := add_exn !base (mul_exn m (Constr.degree c));
-            Array.iter
-              (fun (t : Constr.term) ->
-                let i = Lit.to_index t.lit in
-                a.(i) <- add_exn a.(i) (mul_exn m t.coeff))
-              (Constr.terms c)
+        (fun l ->
+          let v = Lit.var l in
+          if v < nvars then begin
+            touch cz v;
+            let want = if Lit.is_pos l then 2 else 1 in
+            if cz.pin.(v) <> 0 && cz.pin.(v) <> want then tauto := true else cz.pin.(v) <- want
           end)
-        refs;
-      let gamma = Array.make (2 * nvars) 0 in
-      if objective then (
-        match Problem.objective problem with
-        | None -> ()
-        | Some o ->
-          Array.iter
-            (fun (ct : Problem.cost_term) -> gamma.(Lit.to_index ct.lit) <- ct.cost)
-            o.cost_terms);
-      let total = ref !base in
-      for v = 0 to nvars - 1 do
-        let term positive =
-          let i = Lit.to_index (Lit.make v positive) in
-          add_exn (mul_exn denom gamma.(i)) (-a.(i))
-        in
-        let t =
-          match pins.(v) with
-          | 1 -> term true
-          | 2 -> term false
-          | _ -> min (term true) (term false)
-        in
-        total := add_exn !total t
-      done;
-      if objective then !total > mul_exn (upper - 1) denom else !total > 0
-  with Overflow | Exit -> false
-
-let certify_scaled ?(derived = [||]) problem ~refs ~omega ~objective ~upper =
-  let lookup_derived k =
-    if k >= 0 && k < Array.length derived then Some derived.(k) else None
+        omega;
+      !tauto
+      || begin
+        let base = ref 0 in
+        List.iter
+          (fun (cid, m) ->
+            if m > 0 then
+              match resolve cid with
+              | None -> raise Exit
+              | Some c ->
+                base := add_exn !base (mul_exn m (Constr.degree c));
+                (* No product overflows when the largest coefficient's
+                   does not: then only the sums need checking. *)
+                let mc = Constr.max_coeff c in
+                let mul = if mc = 0 || m <= max_int / mc then ( * ) else mul_exn in
+                Array.iter
+                  (fun (t : Constr.term) ->
+                    let i = Lit.to_index t.lit in
+                    touch cz (Lit.var t.lit);
+                    cz.acc.(i) <- add_exn cz.acc.(i) (mul m t.coeff))
+                  (Constr.terms c))
+          refs;
+        if objective && not cz.scaled_ok then raise Overflow;
+        let total = ref !base in
+        for k = 0 to cz.ntouched - 1 do
+          let v = cz.touched.(k) in
+          let term positive =
+            let i = Lit.to_index (Lit.make v positive) in
+            if objective then add_exn cz.scaled.(i) (-cz.acc.(i)) else -cz.acc.(i)
+          in
+          let t =
+            match cz.pin.(v) with
+            | 1 -> term true
+            | 2 -> term false
+            | _ -> min (term true) (term false)
+          in
+          total := add_exn !total t
+        done;
+        if objective then !total > mul_exn (upper - 1) denom else !total > 0
+      end
+    end
   in
-  certify_scaled_gen problem ~lookup_derived ~refs ~omega ~objective ~upper
+  let verdict = try compute () with Overflow | Exit -> false in
+  untouch_all cz;
+  verdict
 
 (* --- cutting-planes derivations -------------------------------------------- *)
 
@@ -284,7 +346,7 @@ module Sink = struct
   let name s = s.sname
   let set_flush_hook s hook = s.flush_hook <- Some hook
 
-  let write s line =
+  let write_with s ~chan ~buf =
     Mutex.lock s.lock;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock s.lock)
@@ -293,7 +355,7 @@ module Sink = struct
           s.nlines <- s.nlines + 1;
           match s.target with
           | Chan oc ->
-            output_string oc line;
+            chan oc;
             output_char oc '\n';
             if s.nlines land 63 = 0 then begin
               match s.flush_hook with
@@ -306,9 +368,17 @@ module Sink = struct
                 hook ~lines:s.nlines ~seconds:(Unix.gettimeofday () -. t0)
             end
           | Buf b ->
-            Buffer.add_string b line;
+            buf b;
             Buffer.add_char b '\n'
         end)
+
+  let write s line =
+    write_with s ~chan:(fun oc -> output_string oc line) ~buf:(fun b -> Buffer.add_string b line)
+
+  let write_buffer s line =
+    write_with s
+      ~chan:(fun oc -> Buffer.output_buffer oc line)
+      ~buf:(fun b -> Buffer.add_buffer b line)
 
   let close s =
     Mutex.lock s.lock;
@@ -354,6 +424,11 @@ type t = {
      untouched original constraint (>= 0) or a derived tightening
      (-(k+1)). *)
   mutable cid_map : int array option;
+  (* This logger's own scratch: the line being built and the
+     certificate validator.  Portfolio members log from parallel
+     domains, so neither may be shared between loggers. *)
+  line : Buffer.t;
+  cz : certifier;
 }
 
 let create ?(header = true) sink problem =
@@ -361,7 +436,17 @@ let create ?(header = true) sink problem =
     Sink.write sink ("p " ^ version);
     Sink.write sink (Printf.sprintf "f %d" (Array.length (Problem.constraints problem)))
   end;
-  { sink; problem; nsteps = 0; nuncertified = 0; derived = [||]; nderived = 0; cid_map = None }
+  {
+    sink;
+    problem;
+    nsteps = 0;
+    nuncertified = 0;
+    derived = [||];
+    nderived = 0;
+    cid_map = None;
+    line = Buffer.create 256;
+    cz = certifier problem;
+  }
 
 let steps t = t.nsteps
 let uncertified t = t.nuncertified
@@ -388,25 +473,64 @@ let translate_cid t cid =
     | None -> Some cid
     | Some map -> if cid < Array.length map then Some map.(cid) else None
 
-let step t line =
+(* Steps are built in [t.line]: start with the step's letter, append
+   tokens, then [step] writes the buffer out as one line. *)
+let start t kind =
+  Buffer.clear t.line;
+  Buffer.add_char t.line kind
+
+let step t =
   t.nsteps <- t.nsteps + 1;
-  Sink.write t.sink line
+  Sink.write_buffer t.sink t.line
+
+(* Decimal digits of [n], the bytes [string_of_int] gives, with no
+   intermediate string: digits are produced from the non-positive
+   [-|n|] so that [min_int] needs no special case. *)
+let add_int b n =
+  let rec digits x =
+    if x <= -10 then digits (x / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 - (x mod 10)))
+  in
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    digits n
+  end
+  else digits (-n)
+
+let add_lits b lits =
+  List.iter
+    (fun l ->
+      Buffer.add_char b ' ';
+      add_int b (lit_to_int l))
+    lits;
+  Buffer.add_string b " 0"
+
+(* [ref:m]: a plain cid, or [x<k>] for the derived reference [-(k+1)]. *)
+let add_ref b (c, m) =
+  Buffer.add_char b ' ';
+  if c < 0 then begin
+    Buffer.add_char b 'x';
+    add_int b (-c - 1)
+  end
+  else add_int b c;
+  Buffer.add_char b ':';
+  add_int b m
 
 let log_comment t msg = Sink.write t.sink ("# " ^ msg)
 
 let log_solution t ~cost model =
-  let n = Model.nvars model in
-  let bits = Bytes.create n in
   let arr = Model.to_array model in
-  for v = 0 to n - 1 do
-    Bytes.set bits v (if arr.(v) then '1' else '0')
-  done;
-  step t (Printf.sprintf "s %d %s" cost (Bytes.to_string bits))
-
-let lit_tokens lits = List.map (fun l -> string_of_int (lit_to_int l)) lits @ [ "0" ]
+  start t 's';
+  Buffer.add_char t.line ' ';
+  add_int t.line cost;
+  Buffer.add_char t.line ' ';
+  Array.iter (fun x -> Buffer.add_char t.line (if x then '1' else '0')) arr;
+  step t
 
 let log_rup t lits =
-  step t (String.concat " " ("u" :: lit_tokens lits));
+  start t 'u';
+  add_lits t.line lits;
+  step t;
   match Constr.clause lits with
   | Constr.Constr c -> Some (dpush t c, c)
   | Constr.Trivial_true | Constr.Trivial_false -> None
@@ -417,7 +541,10 @@ let log_contradiction t = ignore (log_rup t [])
 let log_cardinality_cut t ~cid =
   match translate_cid t cid with
   | Some c when c >= 0 ->
-    step t (Printf.sprintf "d %d" c);
+    start t 'd';
+    Buffer.add_char t.line ' ';
+    add_int t.line c;
+    step t;
     true
   | Some _ | None -> false
 
@@ -453,13 +580,22 @@ let log_derived t ~refs ~divisor =
     match derive_combination ~nvars:(Problem.nvars t.problem) ~resolve ~refs ~divisor with
     | None | Some Constr.Trivial_true | Some Constr.Trivial_false -> None
     | Some (Constr.Constr c) ->
-      let tok (r, m) =
-        match r with
-        | Rcid cid -> Printf.sprintf "%d:%d" cid m
-        | Rderived k -> Printf.sprintf "x%d:%d" k m
-        | Rlit l -> Printf.sprintf "l%d:%d" (lit_to_int l) m
-      in
-      step t (String.concat " " (("j" :: List.map tok refs) @ [ ";"; string_of_int divisor ]));
+      let b = t.line in
+      start t 'j';
+      List.iter
+        (fun (r, m) ->
+          match r with
+          | Rcid cid -> add_ref b (cid, m)
+          | Rderived k -> add_ref b (-k - 1, m)
+          | Rlit l ->
+            Buffer.add_string b " l";
+            add_int b (lit_to_int l);
+            Buffer.add_char b ':';
+            add_int b m)
+        refs;
+      Buffer.add_string b " ; ";
+      add_int b divisor;
+      step t;
       Some (dpush t c, c))
 
 let scale_refs refs =
@@ -474,11 +610,11 @@ let scale_refs refs =
 
 let log_bound_conflict t ~upper ~omega cert =
   let emit kind refs =
-    let ref_tok (c, m) =
-      if c >= 0 then Printf.sprintf "%d:%d" c m else Printf.sprintf "x%d:%d" (-c - 1) m
-    in
-    let toks = (kind :: List.map ref_tok refs) @ (";" :: lit_tokens omega) in
-    step t (String.concat " " toks);
+    start t kind;
+    List.iter (add_ref t.line) refs;
+    Buffer.add_string t.line " ;";
+    add_lits t.line omega;
+    step t;
     true
   in
   let reject () =
@@ -486,41 +622,44 @@ let log_bound_conflict t ~upper ~omega cert =
     false
   in
   let lookup_derived k = dget t k in
-  let valid refs ~objective =
-    certify_scaled_gen t.problem ~lookup_derived ~refs ~omega ~objective ~upper
-  in
   (* Engine cids become proof references (original or derived) before
      validation; an untranslatable ref just weakens the candidate. *)
-  let translate rf =
-    List.filter_map
-      (fun (c, m) ->
-        match translate_cid t c with Some c' -> Some (c', m) | None -> None)
-      rf
+  let attempt ~objective rf =
+    let refs =
+      scale_refs
+        (List.filter_map
+           (fun (c, m) -> match translate_cid t c with Some c' -> Some (c', m) | None -> None)
+           rf)
+    in
+    if certify t.cz ~lookup_derived ~refs ~omega ~objective ~upper then Some refs else None
   in
   (* Dual sign conventions differ per simplex exit; validation is exact,
-     so try the raw, negated and absolute variants and keep the first
-     that certifies.  The path-only certificate (no multipliers) is the
-     last resort for objective-bound conflicts. *)
-  let variants rf =
-    [ rf; List.map (fun (c, m) -> c, -.m) rf; List.map (fun (c, m) -> c, Float.abs m) rf ]
-  in
-  let first_valid ~objective cands =
-    List.find_map
-      (fun rf ->
-        let refs = scale_refs (translate rf) in
-        if valid refs ~objective then Some refs else None)
-      cands
+     so try the raw, negated and absolute variants, each built only when
+     the previous one failed, and keep the first that certifies.  The
+     path-only certificate (no multipliers) is the last resort for
+     objective-bound conflicts. *)
+  let first_valid ~objective ~path rf =
+    let variants =
+      [
+        (fun () -> rf);
+        (fun () -> List.map (fun (c, m) -> c, -.m) rf);
+        (fun () -> List.map (fun (c, m) -> c, Float.abs m) rf);
+      ]
+    in
+    match List.find_map (fun variant -> attempt ~objective (variant ())) variants with
+    | None when path -> attempt ~objective []
+    | found -> found
   in
   match cert with
-  | Cert_path | Cert_bound [] ->
-    if valid [] ~objective:true then emit "b" [] else reject ()
+  | Cert_path | Cert_bound [] -> (
+    match attempt ~objective:true [] with Some refs -> emit 'b' refs | None -> reject ())
   | Cert_bound rf -> (
-    match first_valid ~objective:true (variants rf @ [ [] ]) with
-    | Some refs -> emit "b" refs
+    match first_valid ~objective:true ~path:true rf with
+    | Some refs -> emit 'b' refs
     | None -> reject ())
   | Cert_farkas rf -> (
-    match first_valid ~objective:false (variants rf) with
-    | Some refs -> emit "y" refs
+    match first_valid ~objective:false ~path:false rf with
+    | Some refs -> emit 'y' refs
     | None -> reject ())
 
 let log_conclusion t c = Sink.write t.sink ("c " ^ conclusion_to_string c)
@@ -584,6 +723,7 @@ module Check = struct
     mutable dead : bool array;
     mutable ncons : int;
     mutable closed : bool;  (* root state conflicting: everything follows *)
+    mark : bool array;  (* per literal, false outside [add_clause] *)
   }
 
   let assign eng l =
@@ -796,6 +936,40 @@ module Check = struct
       -1
     | Constr.Constr c -> add_root eng c
 
+  (* [add_norm eng (Constr.clause lits)] without building the normal
+     form: repeated literals count once, a tautology or a root-satisfied
+     clause is not attached, and a clause with two or more literals
+     still free at the root is watched on two of them. *)
+  let add_clause eng lits =
+    if not eng.closed then begin
+      let sat = ref false and free = ref [] in
+      List.iter
+        (fun l ->
+          let i = Lit.to_index l in
+          match eng.value.(i) with
+          | 1 -> sat := true
+          | 0 ->
+            if eng.mark.(i lxor 1) then sat := true
+            else if not eng.mark.(i) then begin
+              eng.mark.(i) <- true;
+              free := i :: !free
+            end
+          | _ -> ())
+        lits;
+      List.iter (fun i -> eng.mark.(i) <- false) !free;
+      if not !sat then
+        match !free with
+        | [] -> eng.closed <- true
+        | [ l ] ->
+          assign eng l;
+          if propagate eng then eng.closed <- true
+        | free ->
+          let body = Array.of_list free in
+          let ci = new_id eng body 0 in
+          ipush eng.watches.(body.(0)) ci;
+          ipush eng.watches.(body.(1)) ci
+    end
+
   (* Retire a constraint entailed by a later one.  Only at the root: the
      id is flagged and its watch and occurrence entries are dropped
      lazily by the next visit. *)
@@ -803,6 +977,28 @@ module Check = struct
     if ci >= 0 then begin
       eng.dead.(ci) <- true;
       eng.body.(ci) <- [||]
+    end
+
+  (* Raise the degree of attached counting constraint [ci] by [delta] at
+     the root: its slack drops by as much, every literal whose
+     coefficient now exceeds the slack is implied, and propagation runs
+     to fixpoint.  Same root state as adding the tighter constraint and
+     killing [ci], without a second body or dead occurrence entries. *)
+  let tighten eng ci delta =
+    if (not eng.closed) && delta > 0 then begin
+      let s = eng.slack.(ci) - delta in
+      eng.slack.(ci) <- s;
+      if s < 0 then eng.closed <- true
+      else begin
+        let t = eng.body.(ci) in
+        let m = ref 0 in
+        while !m < Array.length t && t.(!m) > s do
+          let l = t.(!m + 1) in
+          if eng.value.(l) = 0 then assign eng l;
+          m := !m + 2
+        done;
+        if propagate eng then eng.closed <- true
+      end
     end
 
   let fresh_eng problem =
@@ -821,6 +1017,7 @@ module Check = struct
         dead = [||];
         ncons = 0;
         closed = Problem.trivially_unsat problem;
+        mark = Array.make (2 * nvars) false;
       }
     in
     Array.iter (fun c -> ignore (add_root eng c)) (Problem.constraints problem);
@@ -845,6 +1042,141 @@ module Check = struct
       conflict
     end
 
+  (* --- tokens -------------------------------------------------------- *)
+
+  (* One line's space-separated tokens as interleaved (start, stop)
+     offsets, found in one scan.  A token's text is copied out only for
+     an error message, a rare step or a non-decimal integer. *)
+  type line = {
+    mutable text : string;
+    spans : ivec;
+  }
+
+  let tokenize ln text =
+    ln.text <- text;
+    ln.spans.n <- 0;
+    let len = String.length text in
+    let i = ref 0 in
+    while !i < len do
+      if String.unsafe_get text !i = ' ' then incr i
+      else begin
+        ipush ln.spans !i;
+        while !i < len && String.unsafe_get text !i <> ' ' do
+          incr i
+        done;
+        ipush ln.spans !i
+      end
+    done
+
+  let ntoks ln = ln.spans.n / 2
+  let tok_start ln k = ln.spans.a.(2 * k)
+  let tok_stop ln k = ln.spans.a.((2 * k) + 1)
+  let tok ln k = String.sub ln.text (tok_start ln k) (tok_stop ln k - tok_start ln k)
+
+  let tok_is ln k s =
+    let a = tok_start ln k in
+    let len = String.length s in
+    tok_stop ln k - a = len
+    &&
+    let rec eq i = i = len || (ln.text.[a + i] = s.[i] && eq (i + 1)) in
+    eq 0
+
+  let int_of tok =
+    match int_of_string_opt tok with Some n -> n | None -> failf "bad integer %S" tok
+
+  (* The integer spelled by [text.[a..b)].  A plain decimal (an optional
+     '-' then 1 to 18 digits, which cannot overflow) is read in place;
+     anything else goes through [int_of_string_opt] as a copy, so every
+     spelling keeps the verdict it always had. *)
+  let int_in text a b =
+    let d0 = if a < b && text.[a] = '-' then a + 1 else a in
+    let rec digits i acc =
+      if i = b then Some (if d0 > a then -acc else acc)
+      else
+        match text.[i] with
+        | '0' .. '9' as c -> digits (i + 1) ((10 * acc) + Char.code c - 48)
+        | _ -> None
+    in
+    match if b - d0 >= 1 && b - d0 <= 18 then digits d0 0 else None with
+    | Some n -> n
+    | None -> int_of (String.sub text a (b - a))
+
+  let tok_int ln k = int_in ln.text (tok_start ln k) (tok_stop ln k)
+
+  (* Tokens [k0, stop) as a literal list closed by a final ["0"]. *)
+  let parse_lits eng ln k0 stop =
+    let rec go acc k =
+      if k >= stop then failf "missing 0 terminator"
+      else if k = stop - 1 && tok_is ln k "0" then List.rev acc
+      else begin
+        let n = tok_int ln k in
+        if n = 0 then failf "0 terminator before end of literal list";
+        let l = lit_of_int n in
+        if Lit.var l >= eng.nvars then failf "literal %d out of range" n;
+        go (l :: acc) (k + 1)
+      end
+    in
+    go [] k0
+
+  (* Index of the first [";"] token from [k0] on. *)
+  let find_semi ln k0 =
+    let rec go k =
+      if k >= ntoks ln then failf "missing ';' separator"
+      else if tok_is ln k ";" then k
+      else go (k + 1)
+    in
+    go k0
+
+  (* Token [k] as [head:m]: the offset of the colon and [m]. *)
+  let split_ref ln k =
+    let text = ln.text and a = tok_start ln k and b = tok_stop ln k in
+    let rec colon i = if i < b && text.[i] <> ':' then colon (i + 1) else i in
+    let i = colon a in
+    if i = b then failf "bad multiplier token %S (want ref:m)" (tok ln k);
+    let m = int_in text (i + 1) b in
+    if m < 0 then failf "negative multiplier in %S" (tok ln k);
+    if i = a then failf "empty reference in %S" (tok ln k);
+    i, m
+
+  (* [x<k>] in token [k] before the colon at [i]; [k >= 0]. *)
+  let derived_ref ln k i =
+    let d = int_in ln.text (tok_start ln k + 1) i in
+    if d < 0 then failf "bad derived reference %S" (tok ln k);
+    d
+
+  (* [b]/[y] references in tokens [k0, stop): plain cid or [x<k>]
+     derived constraint, encoded internally as [-(k+1)]. *)
+  let parse_refs ln k0 stop =
+    List.init (stop - k0) (fun j ->
+        let k = k0 + j in
+        let i, m = split_ref ln k in
+        if ln.text.[tok_start ln k] = 'x' then (-derived_ref ln k i - 1, m)
+        else int_in ln.text (tok_start ln k) i, m)
+
+  (* [j] references additionally allow literal axioms [l<n>:m]. *)
+  let parse_drefs ln k0 stop =
+    List.init (stop - k0) (fun j ->
+        let k = k0 + j in
+        let i, m = split_ref ln k in
+        let r =
+          match ln.text.[tok_start ln k] with
+          | 'x' -> Rderived (derived_ref ln k i)
+          | 'l' ->
+            let n = int_in ln.text (tok_start ln k + 1) i in
+            if n = 0 then failf "bad literal axiom %S" (tok ln k);
+            Rlit (lit_of_int n)
+          | _ -> Rcid (int_in ln.text (tok_start ln k) i)
+        in
+        r, m)
+
+  let parse_conclusion toks =
+    match toks with
+    | [ "OPTIMAL"; c ] -> Optimal (int_of c)
+    | [ "UNSAT" ] -> Unsat
+    | [ "SAT"; c ] -> Sat (int_of c)
+    | [ "NONE" ] -> No_claim
+    | _ -> failf "unknown conclusion %S" (String.concat " " toks)
+
   (* --- replay state -------------------------------------------------- *)
 
   type section = {
@@ -856,88 +1188,28 @@ module Check = struct
         (* conclusion, closed, u_active, witness at conclusion time *)
   }
 
-  let split_ws s = String.split_on_char ' ' s |> List.filter (fun tok -> tok <> "")
+  (* A supersession slot: the live cut of one family (the objective cut,
+     or one cid's [d] cut), the bound it was made at and its engine id
+     ([-1] when it was not attached). *)
+  type slot = {
+    upper : int;
+    id : int;
+    cut : Constr.t option;
+  }
 
-  let int_of tok =
-    match int_of_string_opt tok with Some n -> n | None -> failf "bad integer %S" tok
-
-  let parse_lits eng toks =
-    let rec go acc = function
-      | [] -> failf "missing 0 terminator"
-      | [ "0" ] -> List.rev acc
-      | tok :: rest ->
-        let n = int_of tok in
-        if n = 0 then failf "0 terminator before end of literal list";
-        let l = lit_of_int n in
-        if Lit.var l >= eng.nvars then failf "literal %d out of range" n;
-        go (l :: acc) rest
-    in
-    go [] toks
-
-  let split_ref tok =
-    match String.index_opt tok ':' with
-    | None -> failf "bad multiplier token %S (want ref:m)" tok
-    | Some i ->
-      let head = String.sub tok 0 i in
-      let m = int_of (String.sub tok (i + 1) (String.length tok - i - 1)) in
-      if m < 0 then failf "negative multiplier in %S" tok;
-      if head = "" then failf "empty reference in %S" tok;
-      head, m
-
-  (* [b]/[y] references: plain cid or [x<k>] derived constraint,
-     encoded internally as [-(k+1)]. *)
-  let parse_refs toks =
-    List.map
-      (fun tok ->
-        let head, m = split_ref tok in
-        if head.[0] = 'x' then begin
-          let k = int_of (String.sub head 1 (String.length head - 1)) in
-          if k < 0 then failf "bad derived reference %S" tok;
-          (-k - 1, m)
-        end
-        else int_of head, m)
-      toks
-
-  (* [j] references additionally allow literal axioms [l<n>:m]. *)
-  let parse_drefs toks =
-    List.map
-      (fun tok ->
-        let head, m = split_ref tok in
-        let r =
-          if head.[0] = 'x' then begin
-            let k = int_of (String.sub head 1 (String.length head - 1)) in
-            if k < 0 then failf "bad derived reference %S" tok;
-            Rderived k
-          end
-          else if head.[0] = 'l' then begin
-            let n = int_of (String.sub head 1 (String.length head - 1)) in
-            if n = 0 then failf "bad literal axiom %S" tok;
-            Rlit (lit_of_int n)
-          end
-          else Rcid (int_of head)
-        in
-        r, m)
-      toks
-
-  let rec split_at_semi acc = function
-    | [] -> failf "missing ';' separator"
-    | ";" :: rest -> List.rev acc, rest
-    | tok :: rest -> split_at_semi (tok :: acc) rest
-
-  let parse_conclusion toks =
-    match toks with
-    | [ "OPTIMAL"; c ] -> Optimal (int_of c)
-    | [ "UNSAT" ] -> Unsat
-    | [ "SAT"; c ] -> Sat (int_of c)
-    | [ "NONE" ] -> No_claim
-    | _ -> failf "unknown conclusion %S" (String.concat " " toks)
+  let empty_slot = { upper = max_int; id = -1; cut = None }
 
   let check_lines problem next_line =
     let offset = match Problem.objective problem with Some o -> o.offset | None -> 0 in
     let init_upper = Problem.max_cost_sum problem + 1 in
     let pconstrs = Problem.constraints problem in
     let nconstraints = Array.length pconstrs in
+    let nvars = Problem.nvars problem in
     let eng = ref (fresh_eng problem) in
+    (* This check's own scratch: the current line's tokens and the
+       certificate validator. *)
+    let ln = { text = ""; spans = ivec () } in
+    let cz = certifier problem in
     (* Section-local derived constraints ([u] clauses and [j] results),
        referenced as [x<k>]; reset together with the engine. *)
     let dt = ref [||] in
@@ -954,26 +1226,35 @@ module Check = struct
     in
     let dt_get k = if k >= 0 && k < !ndt then Some !dt.(k) else None in
     (* Supersession slots, reset with the engine: the objective cut of
-       the current bound and each cid's latest [d] cut, as (upper, id).
-       A cut at a lower bound has the same left-hand side and a degree
-       at least as high, so it entails the one in the slot, which is
-       then killed. *)
-    let obj_slot = ref (max_int, -1) in
+       the current bound and each cid's latest [d] cut.  A cut at a
+       lower bound has the same left-hand side and a degree at least as
+       high, so it entails the one in the slot.  When it shares the
+       slot's term array ([Constr.family_at] short of saturation) the
+       slot's counting constraint is tightened in place; otherwise the
+       new cut is added and the old one killed. *)
+    let obj_slot = ref empty_slot in
     let card_slots = Hashtbl.create 16 in
     let obj_family = objective_family problem in
     let card_row = cardinality_rows problem in
     let supersede slot upper norm =
-      let prev_upper, prev = slot in
-      if upper >= prev_upper then slot
-      else begin
-        let ci = add_norm !eng norm in
-        kill !eng prev;
-        upper, ci
-      end
+      if upper >= slot.upper then slot
+      else
+        match norm, slot.cut with
+        | Constr.Constr c, Some old
+          when slot.id >= 0
+               && Constr.terms c == Constr.terms old
+               && Constr.degree old > 1
+               && Constr.degree c >= Constr.degree old ->
+          tighten !eng slot.id (Constr.degree c - Constr.degree old);
+          { upper; id = slot.id; cut = Some c }
+        | _ ->
+          let id = add_norm !eng norm in
+          kill !eng slot.id;
+          { upper; id; cut = (match norm with Constr.Constr c -> Some c | _ -> None) }
     in
     let reset_engine () =
       eng := fresh_eng problem;
-      obj_slot := (max_int, -1);
+      obj_slot := empty_slot;
       Hashtbl.reset card_slots;
       dt := [||];
       ndt := 0
@@ -1002,11 +1283,11 @@ module Check = struct
       if !final <> None then failf "step after final conclusion";
       if (!sec).concluded <> None then failf "step after section conclusion"
     in
-    let handle_line line =
-      let toks = split_ws line in
+    let count_step () = (!sec).nsteps <- (!sec).nsteps + 1 in
+    (* [p], [f], [m], [c], [F] and unknown steps, on copied tokens. *)
+    let rare_step toks =
       match toks with
       | [] -> ()
-      | tok :: _ when String.length tok > 0 && tok.[0] = '#' -> ()
       | "p" :: rest ->
         if !saw_header then failf "duplicate header";
         if String.concat " " rest <> version then
@@ -1018,98 +1299,6 @@ module Check = struct
         if int_of n <> nconstraints then
           failf "constraint count mismatch: proof says %s, problem has %d" n nconstraints;
         saw_f := true
-      | "s" :: cost :: [ bits ] ->
-        require_open ();
-        incr stats_sols;
-        let cost = int_of cost in
-        if String.length bits <> Problem.nvars problem then
-          failf "model length %d, problem has %d variables" (String.length bits)
-            (Problem.nvars problem);
-        let arr =
-          Array.init (Problem.nvars problem) (fun v ->
-              match bits.[v] with
-              | '0' -> false
-              | '1' -> true
-              | c -> failf "bad model bit %C" c)
-        in
-        let model = Model.of_array arr in
-        if not (Model.satisfies problem model) then failf "solution violates a constraint";
-        let actual = Model.cost problem model in
-        if actual <> cost then failf "solution costs %d, step claims %d" actual cost;
-        let s = !sec in
-        (match s.witness with
-        | Some w when w <= cost -> ()
-        | _ -> s.witness <- Some cost);
-        if cost - offset < s.u_active then s.u_active <- cost - offset;
-        (match obj_family with
-        | None -> ()
-        | Some f ->
-          obj_slot := supersede !obj_slot s.u_active (Constr.family_at f (s.u_active - 1)));
-        s.nsteps <- s.nsteps + 1
-      | "u" :: rest ->
-        require_open ();
-        incr stats_rup;
-        let lits = parse_lits !eng rest in
-        (* A tautology holds without propagation and, like the logger,
-           gets no derived-table entry. *)
-        (match Constr.clause lits with
-        | Constr.Trivial_true -> ()
-        | norm ->
-          if not (rup_holds !eng lits) then failf "RUP check failed";
-          ignore (add_norm !eng norm);
-          (match norm with Constr.Constr c -> dt_push c | _ -> ()));
-        (!sec).nsteps <- (!sec).nsteps + 1
-      | kind :: rest when kind = "b" || kind = "y" ->
-        require_open ();
-        if kind = "b" then incr stats_bound else incr stats_farkas;
-        let ref_toks, lit_toks = split_at_semi [] rest in
-        let refs = parse_refs ref_toks in
-        let omega = parse_lits !eng lit_toks in
-        let objective = kind = "b" in
-        if
-          not
-            (certify_scaled_gen problem ~lookup_derived:dt_get ~refs ~omega ~objective
-               ~upper:(!sec).u_active
-            || (!eng).closed)
-        then failf "%s certificate does not justify the clause" kind;
-        ignore (add_norm !eng (Constr.clause omega));
-        (!sec).nsteps <- (!sec).nsteps + 1
-      | "j" :: rest ->
-        require_open ();
-        incr stats_cuts;
-        let ref_toks, div_toks = split_at_semi [] rest in
-        let divisor =
-          match div_toks with [ d ] -> int_of d | _ -> failf "bad 'j' divisor clause"
-        in
-        if divisor < 1 then failf "non-positive divisor %d" divisor;
-        let refs = parse_drefs ref_toks in
-        let resolve = function
-          | Rlit _ -> None
-          | Rcid c -> if c >= 0 && c < nconstraints then Some pconstrs.(c) else None
-          | Rderived k -> dt_get k
-        in
-        (match derive_combination ~nvars:(Problem.nvars problem) ~resolve ~refs ~divisor with
-        | None -> failf "invalid cutting-planes derivation"
-        | Some Constr.Trivial_true -> failf "cutting-planes derivation is a tautology"
-        | Some Constr.Trivial_false ->
-          (!eng).closed <- true;
-          (!sec).nsteps <- (!sec).nsteps + 1
-        | Some (Constr.Constr c) ->
-          ignore (add_norm !eng (Constr.Constr c));
-          dt_push c;
-          (!sec).nsteps <- (!sec).nsteps + 1)
-      | [ "d"; cid ] ->
-        require_open ();
-        incr stats_cuts;
-        let cid = int_of cid in
-        let upper = (!sec).u_active in
-        (match card_row cid with
-        | None -> if not (!eng).closed then failf "no cardinality cut derivable from cid %d" cid
-        | Some (v, f) ->
-          let n = Constr.family_at f (upper - 1 - v) in
-          let slot = Option.value (Hashtbl.find_opt card_slots cid) ~default:(max_int, -1) in
-          Hashtbl.replace card_slots cid (supersede slot upper n));
-        (!sec).nsteps <- (!sec).nsteps + 1
       | "m" :: [ name ] ->
         if not !saw_f then failf "'m' before 'f'";
         if !final <> None then failf "'m' after final conclusion";
@@ -1194,6 +1383,107 @@ module Check = struct
         (!sec).nsteps <- 0;
         final := Some concl
       | tok :: _ -> failf "unknown step %S" tok
+    in
+    let handle_line text =
+      tokenize ln text;
+      let nt = ntoks ln in
+      let kind =
+        if nt = 0 then ' '
+        else if tok_stop ln 0 - tok_start ln 0 = 1 || text.[tok_start ln 0] = '#' then
+          text.[tok_start ln 0]
+        else '?'
+      in
+      match kind with
+      | ' ' | '#' -> ()
+      | 's' when nt = 3 ->
+        require_open ();
+        incr stats_sols;
+        let cost = tok_int ln 1 in
+        let b0 = tok_start ln 2 in
+        let nbits = tok_stop ln 2 - b0 in
+        if nbits <> nvars then failf "model length %d, problem has %d variables" nbits nvars;
+        let arr =
+          Array.init nvars (fun v ->
+              match text.[b0 + v] with
+              | '0' -> false
+              | '1' -> true
+              | c -> failf "bad model bit %C" c)
+        in
+        let model = Model.of_array arr in
+        if not (Model.satisfies problem model) then failf "solution violates a constraint";
+        let actual = Model.cost problem model in
+        if actual <> cost then failf "solution costs %d, step claims %d" actual cost;
+        let s = !sec in
+        (match s.witness with
+        | Some w when w <= cost -> ()
+        | _ -> s.witness <- Some cost);
+        if cost - offset < s.u_active then s.u_active <- cost - offset;
+        (match obj_family with
+        | None -> ()
+        | Some f ->
+          obj_slot := supersede !obj_slot s.u_active (Constr.family_at f (s.u_active - 1)));
+        count_step ()
+      | 'u' ->
+        require_open ();
+        incr stats_rup;
+        let lits = parse_lits !eng ln 1 nt in
+        (* A tautology holds without propagation and, like the logger,
+           gets no derived-table entry. *)
+        (match Constr.clause lits with
+        | Constr.Trivial_true -> ()
+        | norm ->
+          if not (rup_holds !eng lits) then failf "RUP check failed";
+          add_clause !eng lits;
+          (match norm with Constr.Constr c -> dt_push c | _ -> ()));
+        count_step ()
+      | ('b' | 'y') as kind ->
+        require_open ();
+        if kind = 'b' then incr stats_bound else incr stats_farkas;
+        let semi = find_semi ln 1 in
+        let refs = parse_refs ln 1 semi in
+        let omega = parse_lits !eng ln (semi + 1) nt in
+        let objective = kind = 'b' in
+        if
+          not
+            (certify cz ~lookup_derived:dt_get ~refs ~omega ~objective ~upper:(!sec).u_active
+            || (!eng).closed)
+        then failf "%c certificate does not justify the clause" kind;
+        add_clause !eng omega;
+        count_step ()
+      | 'j' ->
+        require_open ();
+        incr stats_cuts;
+        let semi = find_semi ln 1 in
+        if nt - semi <> 2 then failf "bad 'j' divisor clause";
+        let divisor = tok_int ln (semi + 1) in
+        if divisor < 1 then failf "non-positive divisor %d" divisor;
+        let refs = parse_drefs ln 1 semi in
+        let resolve = function
+          | Rlit _ -> None
+          | Rcid c -> if c >= 0 && c < nconstraints then Some pconstrs.(c) else None
+          | Rderived k -> dt_get k
+        in
+        (match derive_combination ~nvars ~resolve ~refs ~divisor with
+        | None -> failf "invalid cutting-planes derivation"
+        | Some Constr.Trivial_true -> failf "cutting-planes derivation is a tautology"
+        | Some Constr.Trivial_false -> (!eng).closed <- true
+        | Some (Constr.Constr c) ->
+          ignore (add_norm !eng (Constr.Constr c));
+          dt_push c);
+        count_step ()
+      | 'd' when nt = 2 ->
+        require_open ();
+        incr stats_cuts;
+        let cid = tok_int ln 1 in
+        let upper = (!sec).u_active in
+        (match card_row cid with
+        | None -> if not (!eng).closed then failf "no cardinality cut derivable from cid %d" cid
+        | Some (v, f) ->
+          let n = Constr.family_at f (upper - 1 - v) in
+          let slot = Option.value (Hashtbl.find_opt card_slots cid) ~default:empty_slot in
+          Hashtbl.replace card_slots cid (supersede slot upper n));
+        count_step ()
+      | _ -> rare_step (List.init nt (tok ln))
     in
     let lineno = ref 0 in
     let rec run () =

@@ -15,7 +15,9 @@ open Pbo
 
     Domain-safety: a {!Sink.t} serializes writers with an internal
     mutex; one logger per domain writing to its own sink is the
-    intended portfolio usage. *)
+    intended portfolio usage.  Each logger and each check owns its
+    scratch (the line being built, the certificate validator's
+    accumulators); nothing is kept at module level. *)
 
 val version : string
 (** Header tag, ["bsolo-pbp 1"]. *)
@@ -32,7 +34,18 @@ val lit_to_int : Lit.t -> int
 val lit_of_int : int -> Lit.t
 (** Inverse of {!lit_to_int}.  Raises [Invalid_argument] on [0]. *)
 
-(** {1 Certificates for bound-based conflicts} *)
+(** {1 Certificates for bound-based conflicts}
+
+    The logger and the checker validate a [b]/[y] step the same way.
+    Its multipliers [m_i >= 0] are integers scaled by {!denom}, over
+    original constraints or [x<k>] derived ones; let [rho] pin every
+    literal of the clause false and [B = sum m_i d_i + sum_v
+    min-term_v(rho)] be the Lagrangian bound (cost terms included for
+    [b]).  A [b] step holds when [B > (upper - 1) denom], so every
+    completion of [rho] satisfying the referenced constraints costs at
+    least the bound; a [y] step holds when [B > 0], so none satisfies
+    them.  Overflow, a bad reference or a negative multiplier rejects;
+    a tautological clause holds. *)
 
 type cert =
   | Cert_path
@@ -47,23 +60,6 @@ type cert =
       (** infeasibility certificate: a nonnegative combination of the
           referenced constraints is violated under the conflict
           clause's pinning, independent of the objective. *)
-
-val certify_scaled :
-  ?derived:Constr.t array ->
-  Problem.t -> refs:(int * int) list -> omega:Lit.t list -> objective:bool -> upper:int -> bool
-(** Exact validation shared by the logger and the checker.  [refs]
-    are [(cid, m)] with [m >= 0] scaled by {!denom}; [omega] the
-    clause being derived.  A negative reference [-(k+1)] names the
-    [k]-th entry of [derived] — the proof section's derived-constraint
-    table (written [x<k>] in the log).  Let [rho] pin every literal of [omega]
-    false and [B = sum m_i d_i + sum_v min-term_v(rho)] the Lagrangian
-    bound (cost terms included iff [objective]).  Returns [true] when
-    [objective] and [B/denom > upper - 1] (every completion of [rho]
-    satisfying the referenced constraints costs at least [upper], so
-    the clause follows from the objective bound), or when
-    [not objective] and [B/denom > 0] (no completion satisfies the
-    referenced constraints at all).  Overflow, bad indices or
-    negative multipliers return [false]. *)
 
 (** {1 Objective cuts recomputed by the checker} *)
 

@@ -88,11 +88,27 @@ let negated_objective_literals () =
   let p = Problem.Builder.build b in
   Alcotest.(check bool) "roundtrips" true (roundtrip_once p)
 
+(* A 20k-term row written one term per line parses to the same problem
+   as the row on one line (and in linear time: the open statement's
+   tokens are not re-appended per line). *)
+let parse_long_multiline () =
+  let n = 20_000 in
+  let terms = List.init n (fun i -> Printf.sprintf "+1 x%d" (i + 1)) in
+  let one_line = Opb.parse_string (String.concat " " terms ^ " >= 1 ;\n") in
+  let per_line = Opb.parse_string (String.concat "\n" terms ^ "\n>= 1 ;\n") in
+  Alcotest.(check int) "nvars" (Problem.nvars one_line) (Problem.nvars per_line);
+  let c1 = Problem.constraints one_line and c2 = Problem.constraints per_line in
+  Alcotest.(check int) "nconstrs" 1 (Array.length c2);
+  Alcotest.(check bool) "same constraints" true
+    (Array.length c1 = Array.length c2 && Array.for_all2 Constr.equal c1 c2);
+  Alcotest.(check int) "all terms kept" n (Constr.size c2.(0))
+
 let suite =
   [
     Alcotest.test_case "parse small" `Quick parse_small;
     Alcotest.test_case "parse equality" `Quick parse_equality;
     Alcotest.test_case "parse multiline" `Quick parse_multiline;
+    Alcotest.test_case "long statement over many lines" `Quick parse_long_multiline;
     Alcotest.test_case "parse satisfaction" `Quick parse_no_objective;
     Alcotest.test_case "implicit coefficient" `Quick parse_implicit_coefficient;
     Alcotest.test_case "parse errors" `Quick parse_errors;

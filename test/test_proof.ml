@@ -597,6 +597,345 @@ let qcheck_differential =
     QCheck2.Gen.(int_bound 1_000_000)
     differential
 
+(* --- in-place supersession ---------------------------------------------- *)
+
+(* min x1 + ... + x8 s.t. x1 + x2 + x8 >= 2, (x9 v x3), (~x9 v x3).  The
+   row's cut at bound u is ~x3 + ... + ~x7 >= 8 - u over one shared term
+   array, so a [d 0] at a lower bound tightens the live cut in place.
+   [u 3 0] is RUP but not propagated at the root; once added it falsifies
+   ~x3 inside the live cut.  Every candidate clause must get the same
+   verdict whether the cut at bound 5 (and 4) was tightened in place or
+   first added after the root fix. *)
+let tightened_cut_matches_fresh () =
+  let b = Problem.Builder.create ~nvars:9 () in
+  Problem.Builder.add_cardinality b [ Lit.pos 0; Lit.pos 1; Lit.pos 7 ] 2;
+  Problem.Builder.add_clause b [ Lit.pos 8; Lit.pos 2 ];
+  Problem.Builder.add_clause b [ Lit.neg 8; Lit.pos 2 ];
+  Problem.Builder.set_objective b (List.init 8 (fun v -> 1, Lit.pos v));
+  let problem = Problem.Builder.build b in
+  let cut u =
+    match Proof.cardinality_cut problem ~cid:0 ~upper:u with
+    | Some (Constr.Constr c) -> Constr.terms c, Constr.degree c
+    | _ -> Alcotest.fail "row 0 has no cut"
+  in
+  Alcotest.(check (list int)) "degrees" [ 2; 3; 4 ] (List.map (fun u -> snd (cut u)) [ 6; 5; 4 ]);
+  Alcotest.(check bool) "one left-hand side" true (fst (cut 6) = fst (cut 5) && fst (cut 5) = fst (cut 4));
+  let tightened = [ "s 6 111111000"; "d 0"; "u 3 0"; "s 5 111110000"; "d 0" ] in
+  let fresh = [ "s 6 111111000"; "u 3 0"; "s 5 111110000"; "d 0" ] in
+  let verdict steps =
+    Result.is_ok (Proof.Check.check_string problem (proof_of steps 3))
+  in
+  let candidates = [ "u -4 -5 0"; "u -4 0"; "u -4 -5 -6 0"; "u 1 0"; "u 8 0"; "u -1 -2 0" ] in
+  List.iter
+    (fun u ->
+      Alcotest.(check bool) ("bound 5: " ^ u) (verdict (fresh @ [ u ])) (verdict (tightened @ [ u ])))
+    candidates;
+  accept problem (tightened @ [ "u -4 -5 0" ]) "two more literals of the cut";
+  reject_at problem (tightened @ [ "u -4 0" ]) 5 "one more literal of the cut";
+  let at4 = [ "s 4 111100000"; "d 0" ] in
+  List.iter
+    (fun u ->
+      Alcotest.(check bool) ("bound 4: " ^ u)
+        (verdict (fresh @ at4 @ [ u ]))
+        (verdict (tightened @ at4 @ [ u ])))
+    candidates;
+  accept problem (tightened @ at4 @ [ "u -4 0"; "u -7 0" ]) "cut at bound 4 fixes x4..x7"
+
+(* min 4x1 + x2 + x3 + x4 + x5 s.t. x1 v x2, x3 v x4.  The objective cut
+   at bound 6 saturates x1's coefficient (3 ~x1 + ~x2 + ... >= 3), the
+   one at bound 5 does not (4 ~x1 + ... >= 4): different term arrays, so
+   the tighter cut is added and the looser one killed.  Only the tighter
+   cut makes ~x1 RUP (x1 costs 4, and x3 v x4 one more). *)
+let saturated_cut_added_fresh () =
+  let b = Problem.Builder.create ~nvars:5 () in
+  Problem.Builder.add_clause b [ Lit.pos 0; Lit.pos 1 ];
+  Problem.Builder.add_clause b [ Lit.pos 2; Lit.pos 3 ];
+  Problem.Builder.set_objective b
+    [ (4, Lit.pos 0); (1, Lit.pos 1); (1, Lit.pos 2); (1, Lit.pos 3); (1, Lit.pos 4) ];
+  let problem = Problem.Builder.build b in
+  (match Proof.objective_cut problem ~upper:6, Proof.objective_cut problem ~upper:5 with
+  | Some (Constr.Constr loose), Some (Constr.Constr tight) ->
+    Alcotest.(check int) "looser cut saturates" 3 (Constr.max_coeff loose);
+    Alcotest.(check int) "tighter cut does not" 4 (Constr.max_coeff tight);
+    Alcotest.(check bool) "no shared terms" false (Constr.terms loose == Constr.terms tight)
+  | _ -> Alcotest.fail "expected two objective cuts");
+  accept problem [ "s 6 10101"; "s 5 10100"; "u -1 0" ] "u after the tighter cut";
+  reject_at problem [ "s 6 10101"; "u -1 0"; "s 5 10100" ] 1 "u before the tighter cut"
+
+(* --- malformed lines ------------------------------------------------------- *)
+
+(* Every malformed line is a clean [Error "line 3: ..."], never an
+   exception, with the message the checker has always given. *)
+let malformed_lines () =
+  let b = Problem.Builder.create ~nvars:3 () in
+  Problem.Builder.add_cardinality b [ Lit.pos 0; Lit.pos 1; Lit.pos 2 ] 2;
+  Problem.Builder.set_objective b (List.init 3 (fun v -> 1, Lit.pos v));
+  let problem = Problem.Builder.build b in
+  let table =
+    [
+      "b x-1:5 ; 1 0", "bad derived reference \"x-1:5\"";
+      "b 0:4611686018427387903 ; 1 0", "b certificate does not justify the clause";
+      "u 1 2 0 3 0", "0 terminator before end of literal list";
+      "j l0:1 ; 1", "bad literal axiom \"l0:1\"";
+      "d -1", "no cardinality cut derivable from cid -1";
+      "c OPTIMAL 99999999999999999999", "bad integer \"99999999999999999999\"";
+      "u 1 2", "missing 0 terminator";
+      "u", "missing 0 terminator";
+      "u 1 00", "0 terminator before end of literal list";
+      "u 4 0", "literal 4 out of range";
+      "u 1x 0", "bad integer \"1x\"";
+      "u 4611686018427387904 0", "bad integer \"4611686018427387904\"";
+      "b 0:1 1 0", "missing ';' separator";
+      "b 0 ; 1 0", "bad multiplier token \"0\" (want ref:m)";
+      "b :1 ; 1 0", "empty reference in \":1\"";
+      "b 0:-1 ; 1 0", "negative multiplier in \"0:-1\"";
+      "b 0: ; 1 0", "bad integer \"\"";
+      "b x:1 ; 1 0", "bad integer \"\"";
+      "y x0:1 ; 1 0", "y certificate does not justify the clause";
+      "b 0:1 ; 1", "missing 0 terminator";
+      "j 0:1 ; 1 2", "bad 'j' divisor clause";
+      "j 0:1 ;", "bad 'j' divisor clause";
+      "j 0:1 ; 0", "non-positive divisor 0";
+      "j 0:1", "missing ';' separator";
+      "j q1:1 ; 1", "bad integer \"q1\"";
+      "j 5:1 ; 1", "invalid cutting-planes derivation";
+      "s 1 01", "model length 2, problem has 3 variables";
+      "s 1 0x1", "bad model bit 'x'";
+      "s 1 100", "solution violates a constraint";
+      "s 1 110", "solution costs 2, step claims 1";
+      "d 0 1", "unknown step \"d\"";
+      "s 1", "unknown step \"s\"";
+      "uu 1 0", "unknown step \"uu\"";
+      "c MAYBE", "unknown conclusion \"MAYBE\"";
+      "f 1", "duplicate 'f' line";
+    ]
+  in
+  List.iter
+    (fun (line, msg) ->
+      match Proof.Check.check_string problem (proof_of [ line ] 1) with
+      | Ok _ -> Alcotest.failf "%S accepted" line
+      | Error got -> Alcotest.(check string) line ("line 3: " ^ msg) got
+      | exception e -> Alcotest.failf "%S raised %s" line (Printexc.to_string e))
+    table
+
+(* Tokens that are not plain decimals go through [int_of_string_opt]:
+   [0x1] is x1 and [-0x2] is ~x2, as they always were. *)
+let non_decimal_tokens () =
+  let b = Problem.Builder.create ~nvars:2 () in
+  Problem.Builder.add_clause b [ Lit.pos 0 ];
+  Problem.Builder.add_clause b [ Lit.neg 0; Lit.neg 1 ];
+  let problem = Problem.Builder.build b in
+  accept problem [ "u 0x1 0"; "u -0x2 0"; "u 0b1 0" ] "hexadecimal and binary literals";
+  accept problem [ "u  1   0" ] "repeated spaces";
+  reject_at problem [ "u 0x2 0" ] 0 "hexadecimal literal that is not RUP"
+
+(* --- certificate validation oracle --------------------------------------- *)
+
+(* The dense validation the logger and the checker used before it was
+   made sparse: three fresh arrays per call and a walk over every
+   variable. *)
+module Certify_ref = struct
+  exception Overflow
+
+  let add_exn a b =
+    let s = a + b in
+    if a >= 0 = (b >= 0) && s >= 0 <> (a >= 0) then raise Overflow;
+    s
+
+  let mul_exn a b =
+    if a = 0 || b = 0 then 0
+    else begin
+      let p = a * b in
+      if p / b <> a then raise Overflow;
+      p
+    end
+
+  let pinning nvars omega =
+    let pins = Array.make nvars 0 in
+    let tauto = ref false in
+    List.iter
+      (fun l ->
+        let v = Lit.var l in
+        if v >= 0 && v < nvars then begin
+          let want = if Lit.is_pos l then 2 else 1 in
+          if pins.(v) <> 0 && pins.(v) <> want then tauto := true else pins.(v) <- want
+        end)
+      omega;
+    if !tauto then None else Some pins
+
+  let certify problem ~derived ~refs ~omega ~objective ~upper =
+    let denom = Proof.denom in
+    let nvars = Problem.nvars problem in
+    let constraints = Problem.constraints problem in
+    let n = Array.length constraints in
+    let resolve cid =
+      if cid >= 0 then (if cid < n then Some constraints.(cid) else None)
+      else
+        let k = -cid - 1 in
+        if k < Array.length derived then Some derived.(k) else None
+    in
+    try
+      if List.exists (fun (cid, m) -> m < 0 || resolve cid = None) refs then raise Exit;
+      match pinning nvars omega with
+      | None -> true
+      | Some pins ->
+        let a = Array.make (2 * nvars) 0 in
+        let base = ref 0 in
+        List.iter
+          (fun (cid, m) ->
+            if m > 0 then begin
+              let c = match resolve cid with Some c -> c | None -> raise Exit in
+              base := add_exn !base (mul_exn m (Constr.degree c));
+              Array.iter
+                (fun (t : Constr.term) ->
+                  let i = Lit.to_index t.lit in
+                  a.(i) <- add_exn a.(i) (mul_exn m t.coeff))
+                (Constr.terms c)
+            end)
+          refs;
+        let gamma = Array.make (2 * nvars) 0 in
+        if objective then (
+          match Problem.objective problem with
+          | None -> ()
+          | Some o ->
+            Array.iter
+              (fun (ct : Problem.cost_term) -> gamma.(Lit.to_index ct.lit) <- ct.cost)
+              o.cost_terms);
+        let total = ref !base in
+        for v = 0 to nvars - 1 do
+          let term positive =
+            let i = Lit.to_index (Lit.make v positive) in
+            add_exn (mul_exn denom gamma.(i)) (-a.(i))
+          in
+          let t =
+            match pins.(v) with
+            | 1 -> term true
+            | 2 -> term false
+            | _ -> min (term true) (term false)
+          in
+          total := add_exn !total t
+        done;
+        if objective then !total > mul_exn (upper - 1) denom else !total > 0
+    with Overflow | Exit -> false
+end
+
+let ref_token (c, m) = if c >= 0 then Printf.sprintf "%d:%d" c m else Printf.sprintf "x%d:%d" (-c - 1) m
+
+let cert_step kind refs omega =
+  String.concat " "
+    ((kind :: List.map ref_token refs)
+    @ (";" :: List.map (fun l -> string_of_int (Proof.lit_to_int l)) omega)
+    @ [ "0" ])
+
+(* A random problem, a few verified solutions and [j] derivations made
+   by a real logger (so the derived table is the checker's), then one
+   [b] or [y] step with random references (original, derived, dangling,
+   zero multipliers, multipliers up to 2^30) and a random omega
+   (sometimes tautological).  The checker's verdict on that step must be
+   the oracle's, or acceptance when the root is already closed. *)
+let certify_matches_reference seed =
+  let rng = Random.State.make [| seed; 0xce47 |] in
+  let problem, lit = gen_problem rng in
+  let ncons = Array.length (Problem.constraints problem) in
+  let models = Array.of_list (all_models problem) in
+  let buf = Buffer.create 256 in
+  let logger = Proof.create (Proof.Sink.of_buffer buf) problem in
+  let offset = match Problem.objective problem with Some o -> o.offset | None -> 0 in
+  let upper = ref (Problem.max_cost_sum problem + 1) in
+  let derived = ref [] in
+  for _ = 1 to Random.State.int rng 5 do
+    match Random.State.int rng 2 with
+    | 0 when Array.length models > 0 ->
+      let m = models.(Random.State.int rng (Array.length models)) in
+      let cost = Model.cost problem m in
+      upper := min !upper (cost - offset);
+      Proof.log_solution logger ~cost m
+    | _ -> (
+      let nref = 1 + Random.State.int rng 3 in
+      let refs =
+        List.init nref (fun _ ->
+            let r =
+              match Random.State.int rng 3 with
+              | 0 when !derived <> [] -> Proof.Rderived (Random.State.int rng (List.length !derived))
+              | 1 -> Proof.Rlit (lit ())
+              | _ -> Proof.Rcid (Random.State.int rng (max 1 ncons))
+            in
+            r, 1 + Random.State.int rng 3)
+      in
+      match Proof.log_derived logger ~refs ~divisor:(1 + Random.State.int rng 3) with
+      | Some (_, c) -> derived := !derived @ [ c ]
+      | None -> ())
+  done;
+  let derived = Array.of_list !derived in
+  let prefix = ref (String.split_on_char '\n' (Buffer.contents buf) |> List.filter (( <> ) "")) in
+  let text extra = String.concat "\n" (!prefix @ extra @ [ "c NONE"; "" ]) in
+  let fresh_certificate () =
+    let refs =
+      List.init (Random.State.int rng 5) (fun _ ->
+          let cid =
+            match Random.State.int rng 4 with
+            | 0 -> -1 - Random.State.int rng (Array.length derived + 1)
+            | _ -> Random.State.int rng (max 1 ncons)
+          in
+          let m =
+            match Random.State.int rng 5 with
+            | 0 -> 0
+            | 1 -> 1 + Random.State.int rng ((1 lsl 30) - 1)
+            | 2 -> Proof.denom * (1 + Random.State.int rng 3)
+            | _ -> 1 + Random.State.int rng (4 * Proof.denom)
+          in
+          cid, m)
+    in
+    let omega =
+      let base = List.init (Random.State.int rng 4) (fun _ -> lit ()) in
+      if Random.State.int rng 8 = 0 && base <> [] then Lit.negate (List.hd base) :: base else base
+    in
+    refs, omega, Random.State.bool rng
+  in
+  (* Several certificate steps in a row, so that each validation runs on
+     scratch the previous ones used (half of them repeat the previous
+     certificate); an accepted step stays in the proof. *)
+  let last = ref None in
+  for _ = 1 to 1 + Random.State.int rng 4 do
+    let refs, omega, objective =
+      match !last with Some c when Random.State.bool rng -> c | _ -> fresh_certificate ()
+    in
+    last := Some (refs, omega, objective);
+    let closed = Result.is_ok (Proof.Check.check_string problem (text [ "u 0" ])) in
+    let expected =
+      closed || Certify_ref.certify problem ~derived ~refs ~omega ~objective ~upper:!upper
+    in
+    let step = cert_step (if objective then "b" else "y") refs omega in
+    let got = Proof.Check.check_string problem (text [ step ]) in
+    if Result.is_ok got <> expected then
+      QCheck2.Test.fail_reportf "%s: checker %s, reference %b (closed %b) after:\n%s" step
+        (match got with Ok _ -> "accepts" | Error e -> e)
+        expected closed (String.concat "\n" !prefix);
+    if expected then prefix := !prefix @ [ step ]
+  done;
+  true
+
+let qcheck_certify =
+  QCheck2.Test.make ~name:"certificate validation agrees with the dense reference" ~count:1000
+    QCheck2.Gen.(int_bound 1_000_000)
+    certify_matches_reference
+
+(* A multiplier whose product with a coefficient overflows is rejected
+   by both validations. *)
+let certify_overflow () =
+  let b = Problem.Builder.create ~nvars:3 () in
+  Problem.Builder.add_ge b [ (3, Lit.pos 0); (2, Lit.pos 1); (1, Lit.pos 2) ] 4;
+  Problem.Builder.set_objective b (List.init 3 (fun v -> 1, Lit.pos v));
+  let problem = Problem.Builder.build b in
+  List.iter
+    (fun (m, objective) ->
+      let refs = [ (0, m) ] and omega = [ Lit.pos 0 ] in
+      Alcotest.(check bool) "reference rejects" false
+        (Certify_ref.certify problem ~derived:[||] ~refs ~omega ~objective ~upper:4);
+      reject_at problem [ cert_step (if objective then "b" else "y") refs omega ] 0
+        "overflowing multiplier")
+    [ (max_int, true); (max_int, false); ((max_int / 2) + 1, true); (1 lsl 61, false) ]
+
 (* --- portfolio stitching ---------------------------------------------------- *)
 
 let portfolio_proof jobs () =
@@ -679,6 +1018,12 @@ let suite =
     Alcotest.test_case "u step needs the tighter d cut" `Quick cardinality_cut_order;
     Alcotest.test_case "knap dropped literal rejected at its line" `Slow knap_dropped_literal;
     QCheck_alcotest.to_alcotest qcheck_differential;
+    Alcotest.test_case "tightened d cut matches a fresh one" `Quick tightened_cut_matches_fresh;
+    Alcotest.test_case "saturated cut is added fresh" `Quick saturated_cut_added_fresh;
+    Alcotest.test_case "malformed lines are clean errors" `Quick malformed_lines;
+    Alcotest.test_case "non-decimal tokens keep their verdicts" `Quick non_decimal_tokens;
+    QCheck_alcotest.to_alcotest qcheck_certify;
+    Alcotest.test_case "overflowing multiplier rejected" `Quick certify_overflow;
     Alcotest.test_case "sequential portfolio proof stitches" `Quick (portfolio_proof 1);
     Alcotest.test_case "parallel portfolio proof stitches" `Quick (portfolio_proof 2);
     Alcotest.test_case "imported optimum checks in the importer's section" `Quick
