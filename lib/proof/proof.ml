@@ -112,7 +112,12 @@ let untouch_all cz =
    [objective] and [B > (upper - 1) denom], or when [not objective] and
    [B > 0].  A negative multiplier or an unresolvable reference (even
    with multiplier 0) rejects; a tautological omega is entailed; an
-   overflow anywhere rejects. *)
+   overflow anywhere rejects.  Every partial sum has one sign (the
+   min-terms are summed by sign), so whether a call overflows does not
+   depend on the order it touches variables in.  A dense check that
+   adds the min-terms in variable order can overflow on a different
+   partial sum: the two agree on every call on which neither
+   overflows. *)
 let certify cz ~lookup_derived ~refs ~omega ~objective ~upper =
   let nvars = Array.length cz.pin in
   let n = Array.length cz.constraints in
@@ -143,19 +148,18 @@ let certify cz ~lookup_derived ~refs ~omega ~objective ~upper =
               | None -> raise Exit
               | Some c ->
                 base := add_exn !base (mul_exn m (Constr.degree c));
-                (* No product overflows when the largest coefficient's
-                   does not: then only the sums need checking. *)
-                let mc = Constr.max_coeff c in
-                let mul = if mc = 0 || m <= max_int / mc then ( * ) else mul_exn in
+                (* [Constr.max_coeff] bounds every coefficient, so no
+                   product overflows unless that one's does. *)
+                if m > max_int / max 1 (Constr.max_coeff c) then raise Overflow;
                 Array.iter
                   (fun (t : Constr.term) ->
                     let i = Lit.to_index t.lit in
                     touch cz (Lit.var t.lit);
-                    cz.acc.(i) <- add_exn cz.acc.(i) (mul m t.coeff))
+                    cz.acc.(i) <- add_exn cz.acc.(i) (m * t.coeff))
                   (Constr.terms c))
           refs;
         if objective && not cz.scaled_ok then raise Overflow;
-        let total = ref !base in
+        let pos = ref !base and neg = ref 0 in
         for k = 0 to cz.ntouched - 1 do
           let v = cz.touched.(k) in
           let term positive =
@@ -168,9 +172,10 @@ let certify cz ~lookup_derived ~refs ~omega ~objective ~upper =
             | 2 -> term false
             | _ -> min (term true) (term false)
           in
-          total := add_exn !total t
+          if t >= 0 then pos := add_exn !pos t else neg := add_exn !neg t
         done;
-        if objective then !total > mul_exn (upper - 1) denom else !total > 0
+        let total = !pos + !neg in
+        if objective then total > mul_exn (upper - 1) denom else total > 0
       end
     end
   in
@@ -862,44 +867,59 @@ module Check = struct
     eng.ncons <- ci + 1;
     ci
 
-  (* Watch a clause on its first two literals, or index a counting
-     constraint's terms by literal.  A unit clause is not attached: its
-     caller asserts the literal at the root. *)
-  let attach eng ~clause free slack =
-    if clause then begin
-      match free with
-      | [] | [ _ ] -> -1
-      | _ :: _ :: _ ->
-        let body = Array.of_list (List.map (fun (t : Constr.term) -> Lit.to_index t.lit) free) in
-        let ci = new_id eng body 0 in
-        ipush eng.watches.(body.(0)) ci;
-        ipush eng.watches.(body.(1)) ci;
-        ci
-    end
+  (* Root-level addition of the clause [lits], then propagation to
+     fixpoint; a conflict latches [closed].  Repeated literals count
+     once; a tautology or a root-satisfied clause is not attached, a
+     unit is asserted, and a clause with two or more literals still free
+     at the root is watched on the last two of them in [lits] order.
+     Returns the watched clause's id, or -1. *)
+  let add_clause eng lits =
+    if eng.closed then -1
     else begin
-      let body = Array.make (2 * List.length free) 0 in
-      List.iteri
-        (fun k (t : Constr.term) ->
-          body.(2 * k) <- t.coeff;
-          body.((2 * k) + 1) <- Lit.to_index t.lit)
-        free;
-      let ci = new_id eng body slack in
+      let sat = ref false and free = ref [] in
       List.iter
-        (fun (t : Constr.term) ->
-          let o = eng.occs.(Lit.to_index t.lit) in
-          ipush o ci;
-          ipush o t.coeff)
-        free;
-      ci
+        (fun l ->
+          let i = Lit.to_index l in
+          match eng.value.(i) with
+          | 1 -> sat := true
+          | 0 ->
+            if eng.mark.(i lxor 1) then sat := true
+            else if not eng.mark.(i) then begin
+              eng.mark.(i) <- true;
+              free := i :: !free
+            end
+          | _ -> ())
+        lits;
+      List.iter (fun i -> eng.mark.(i) <- false) !free;
+      if !sat then -1
+      else
+        match !free with
+        | [] ->
+          eng.closed <- true;
+          -1
+        | [ l ] ->
+          assign eng l;
+          if propagate eng then eng.closed <- true;
+          -1
+        | free ->
+          let body = Array.of_list free in
+          let ci = new_id eng body 0 in
+          ipush eng.watches.(body.(0)) ci;
+          ipush eng.watches.(body.(1)) ci;
+          ci
     end
 
   (* Root-level addition, then propagation to fixpoint; a conflict
      latches [closed].  Root assignments are never undone within a
      section, so a root-satisfied constraint is not attached and
-     root-assigned literals are left out of the stored body.  Returns
-     the attached constraint's id, or -1. *)
+     root-assigned literals are left out of the stored body.  A clause
+     (degree 1) goes through [add_clause], watched on its first two free
+     terms; any other constraint indexes its free terms by literal.
+     Returns the attached constraint's id, or -1. *)
   let add_root eng c =
-    if eng.closed then -1
+    if Constr.degree c = 1 then
+      add_clause eng (Array.fold_left (fun acc (t : Constr.term) -> t.lit :: acc) [] (Constr.terms c))
+    else if eng.closed then -1
     else begin
       let deg = Constr.degree c in
       let sat, free =
@@ -918,10 +938,19 @@ module Check = struct
         -1
       end
       else begin
-        let ci = attach eng ~clause:(deg = 1) free slack in
+        let body = Array.make (2 * List.length free) 0 in
+        List.iteri
+          (fun k (t : Constr.term) ->
+            body.(2 * k) <- t.coeff;
+            body.((2 * k) + 1) <- Lit.to_index t.lit)
+          free;
+        let ci = new_id eng body slack in
         List.iter
           (fun (t : Constr.term) ->
             let l = Lit.to_index t.lit in
+            let o = eng.occs.(l) in
+            ipush o ci;
+            ipush o t.coeff;
             if t.coeff > slack && eng.value.(l) = 0 then assign eng l)
           free;
         if propagate eng then eng.closed <- true;
@@ -935,40 +964,6 @@ module Check = struct
       eng.closed <- true;
       -1
     | Constr.Constr c -> add_root eng c
-
-  (* [add_norm eng (Constr.clause lits)] without building the normal
-     form: repeated literals count once, a tautology or a root-satisfied
-     clause is not attached, and a clause with two or more literals
-     still free at the root is watched on two of them. *)
-  let add_clause eng lits =
-    if not eng.closed then begin
-      let sat = ref false and free = ref [] in
-      List.iter
-        (fun l ->
-          let i = Lit.to_index l in
-          match eng.value.(i) with
-          | 1 -> sat := true
-          | 0 ->
-            if eng.mark.(i lxor 1) then sat := true
-            else if not eng.mark.(i) then begin
-              eng.mark.(i) <- true;
-              free := i :: !free
-            end
-          | _ -> ())
-        lits;
-      List.iter (fun i -> eng.mark.(i) <- false) !free;
-      if not !sat then
-        match !free with
-        | [] -> eng.closed <- true
-        | [ l ] ->
-          assign eng l;
-          if propagate eng then eng.closed <- true
-        | free ->
-          let body = Array.of_list free in
-          let ci = new_id eng body 0 in
-          ipush eng.watches.(body.(0)) ci;
-          ipush eng.watches.(body.(1)) ci
-    end
 
   (* Retire a constraint entailed by a later one.  Only at the root: the
      id is flagged and its watch and occurrence entries are dropped
@@ -1084,22 +1079,8 @@ module Check = struct
   let int_of tok =
     match int_of_string_opt tok with Some n -> n | None -> failf "bad integer %S" tok
 
-  (* The integer spelled by [text.[a..b)].  A plain decimal (an optional
-     '-' then 1 to 18 digits, which cannot overflow) is read in place;
-     anything else goes through [int_of_string_opt] as a copy, so every
-     spelling keeps the verdict it always had. *)
-  let int_in text a b =
-    let d0 = if a < b && text.[a] = '-' then a + 1 else a in
-    let rec digits i acc =
-      if i = b then Some (if d0 > a then -acc else acc)
-      else
-        match text.[i] with
-        | '0' .. '9' as c -> digits (i + 1) ((10 * acc) + Char.code c - 48)
-        | _ -> None
-    in
-    match if b - d0 >= 1 && b - d0 <= 18 then digits d0 0 else None with
-    | Some n -> n
-    | None -> int_of (String.sub text a (b - a))
+  (* The integer spelled by [text.[a..b)]. *)
+  let int_in text a b = int_of (String.sub text a (b - a))
 
   let tok_int ln k = int_in ln.text (tok_start ln k) (tok_stop ln k)
 
@@ -1433,7 +1414,7 @@ module Check = struct
         | Constr.Trivial_true -> ()
         | norm ->
           if not (rup_holds !eng lits) then failf "RUP check failed";
-          add_clause !eng lits;
+          ignore (add_norm !eng norm);
           (match norm with Constr.Constr c -> dt_push c | _ -> ()));
         count_step ()
       | ('b' | 'y') as kind ->
@@ -1448,7 +1429,7 @@ module Check = struct
             (certify cz ~lookup_derived:dt_get ~refs ~omega ~objective ~upper:(!sec).u_active
             || (!eng).closed)
         then failf "%c certificate does not justify the clause" kind;
-        add_clause !eng omega;
+        ignore (add_clause !eng omega);
         count_step ()
       | 'j' ->
         require_open ();
