@@ -630,6 +630,24 @@ for mode in hybrid watched counting; do
 done
 echo "pinned tree: $pinned; simplex.iterations 2960, simplex.pivots 1758, lpr.warm_hits 1200"
 
+echo "== pinned PBS tree (benchmarks/synth-s1.opb --engine pbs) =="
+# PBS has no lower bound: the knapsack cut (10), stored as a cut row,
+# is its only pruning, so this pins the cut rows' propagation in every
+# BCP mode.
+pinned_pbs='3906 decisions, 3256 conflicts, 0 bound conflicts, 0 lb calls'
+for mode in hybrid watched counting; do
+  timeout 120 "$bsolo" benchmarks/synth-s1.opb --engine pbs --timeout 60 --bcp "$mode" \
+    >"$tmpdir/pbs-$mode.out" 2>&1 || {
+    echo "FAIL: pinned PBS synth-s1 solve failed under --bcp $mode"
+    cat "$tmpdir/pbs-$mode.out"; exit 1;
+  }
+  grep -q "^c OPTIMAL cost=3675 (.*s, $pinned_pbs)\$" "$tmpdir/pbs-$mode.out" || {
+    echo "FAIL: PBS on synth-s1 under --bcp $mode left the pinned tree ($pinned_pbs)";
+    grep '^c OPTIMAL\|^c UNKNOWN' "$tmpdir/pbs-$mode.out" || true; exit 1;
+  }
+done
+echo "pinned PBS tree: $pinned_pbs"
+
 echo "== pinned LP path (genpb mcnc --scale 2 --seed 1) =="
 # Every simplex pivot moves the LP vertex that drives branching and the
 # proof's b/y/j steps, so an engine change meant to keep pivots

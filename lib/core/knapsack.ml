@@ -12,9 +12,8 @@ let cost_terms p =
   | Some o -> o.cost_terms
 
 let raw_of terms = List.map (fun (ct : Problem.cost_term) -> ct.cost, ct.lit) terms
-
-let knapsack_row p =
-  { cid = None; mandatory = 0; family = Constr.family (raw_of (Array.to_list (cost_terms p))) }
+let objective_family p = Constr.family (raw_of (Array.to_list (cost_terms p)))
+let knapsack_row p = { cid = None; mandatory = 0; family = objective_family p }
 
 let cardinality_rows p =
   let nvars = Problem.nvars p in
@@ -22,6 +21,7 @@ let cardinality_rows p =
   let lit_cost = Array.make (2 * max nvars 1) 0 in
   Array.iter (fun (ct : Problem.cost_term) -> lit_cost.(Lit.to_index ct.lit) <- ct.cost) terms;
   let in_k = Array.make (max nvars 1) false in
+  let objective = lazy (objective_family p) in
   let row cid c =
     if not (Constr.is_cardinality c) then None
     else begin
@@ -36,13 +36,9 @@ let cardinality_rows p =
       else begin
         let mark b = Constr.fold_lits (fun l () -> in_k.(Lit.var l) <- b) c () in
         mark true;
-        let outside =
-          Array.fold_right
-            (fun (ct : Problem.cost_term) acc -> if in_k.(Lit.var ct.lit) then acc else ct :: acc)
-            terms []
-        in
+        let family = Constr.family_without (Lazy.force objective) (fun v -> in_k.(v)) in
         mark false;
-        Some { cid = Some cid; mandatory = v; family = Constr.family (raw_of outside) }
+        Some { cid = Some cid; mandatory = v; family }
       end
     end
   in

@@ -53,9 +53,9 @@ type row = int  (* index into [rows] *)
    constraint of its own (cid, arena block, activity, [Constr.t]) that
    keeps only its degree; its slack is [rsum - degree].  Members are
    kept in ascending degree, so a visit walks them from the tightest
-   down and stops at the first one with slack >= maxcoeff.  [rcursor]
-   is where the last member scan of the current phase 2 (stamped by
-   [rstamp]) stopped: every term before it is assigned. *)
+   down and stops at the first one that cannot act.  Every term before
+   [rcursor] is assigned while [rstamp] equals the engine's [pops]: no
+   backjump has popped an assignment since the cursor moved. *)
 type rowstate = {
   rterms : int array;  (* (literal index, coefficient) pairs, decreasing coefficient *)
   rconstr : Constr.t;  (* every member's [Constr.t] shares its term array *)
@@ -92,7 +92,7 @@ type bcp_stats = {
   b_extends : Telemetry.Counter.t;  (* literals added to a watch set *)
   b_nwatched : Telemetry.Counter.t;  (* constraints currently in watched mode *)
   b_ncounting : Telemetry.Counter.t;  (* constraints currently in counting mode *)
-  b_nwatchall : Telemetry.Counter.t;  (* watched constraints degraded to watch-all *)
+  b_nwatchall : Telemetry.Counter.t;  (* watched constraints now in watch-all *)
 }
 
 let bcp_stats_of_registry reg =
@@ -152,9 +152,11 @@ type t = {
      False] for the propagation inner loops *)
   actors : int Vec.t;
   (* scratch for [process_falsified]: bases of the constraints of the
-     current dequeue whose final slack fell below maxcoeff, acted on in
-     ascending arena order after all decrements are in *)
-  mutable scan_stamp : int;  (* bumped per phase 2; stamps row scan cursors *)
+     current dequeue whose final slack fell below maxcoeff, or for a
+     cut-row member below its row's c*; acted on in ascending arena
+     order after all decrements are in *)
+  mutable pops : int;  (* backjumps that popped assignments: stamps row cursors *)
+  mutable nlearned : int;  (* constraints with [learned] set *)
   lit_cost : int array;  (* per literal index *)
   mutable path : int;
   heap : Idheap.t;
@@ -456,6 +458,7 @@ let backjump_to t lvl =
       end
     in
     pop ();
+    t.pops <- t.pops + 1;
     Vec.shrink t.trail_lim lvl;
     t.qhead <- Vec.size t.trail
   end
@@ -503,10 +506,35 @@ let scan_implications_arena t base s =
 let scan_member t r base s i0 =
   scan_terms t r.rterms 0 (Array.length r.rterms / 2) t.arena.(base + h_cid) s i0
 
+(* The row's first unassigned term (its size when every term is
+   assigned), found by moving the cursor on from where it stopped.
+   Assignments only accumulate between the backjumps that pop them, so
+   a cursor stamped with the current [pops] never has to look back. *)
+let row_cursor t r =
+  if r.rstamp <> t.pops then begin
+    r.rstamp <- t.pops;
+    r.rcursor <- 0
+  end;
+  let terms = r.rterms in
+  let n = Array.length terms / 2 in
+  let i = ref r.rcursor in
+  while
+    !i < n && not (Value.equal (value_lit t (Lit.of_index terms.(2 * !i))) Value.Unknown)
+  do
+    incr i
+  done;
+  r.rcursor <- !i;
+  !i
+
 (* Visit of a row on the dequeue of one of its literals: one decrement
-   of the shared sum, then the members whose slack fell below maxcoeff
-   join the actors — the tightest first, stopping at the first member
-   that still covers maxcoeff (every looser one does too). *)
+   of the shared sum, then the members that can act join the actors —
+   the tightest first.  Terms are in decreasing coefficient, so a
+   member whose slack is at least c*, the coefficient of the first
+   unassigned term, implies nothing: every heavier term is assigned.
+   Negative slack is below c*, so every conflict is still seen.  c*
+   only falls while phase 2 assigns, so the c* read here is a safe
+   bound for the phase 2 that follows.  When no member is below
+   maxcoeff the cursor is left alone. *)
 let visit_row t ri coeff =
   Telemetry.Counter.incr t.bstats.b_visits;
   let r = Vec.unsafe_get t.rows ri in
@@ -514,10 +542,14 @@ let visit_row t ri coeff =
   r.rsum <- sum;
   let m = r.rmembers in
   let k = ref (Vec.size m - 2) in
-  while !k >= 0 && sum - Vec.unsafe_get m (!k + 1) < r.rmax do
-    Vec.push t.actors (Vec.unsafe_get m !k);
-    k := !k - 2
-  done
+  if !k >= 0 && sum - Vec.unsafe_get m (!k + 1) < r.rmax then begin
+    let i = row_cursor t r in
+    let cstar = if 2 * i < Array.length r.rterms then r.rterms.((2 * i) + 1) else 0 in
+    while !k >= 0 && sum - Vec.unsafe_get m (!k + 1) < cstar do
+      Vec.push t.actors (Vec.unsafe_get m !k);
+      k := !k - 2
+    done
+  end
 
 (* Candidates of one dequeue must be examined in ascending arena-base
    (= constraint id) order in every mode, or the modes would enqueue
@@ -617,6 +649,7 @@ let process_falsified t q conflict =
            emulating counting mode forever *)
         a.(wb + hdr_size + (2 * ti) + 1) <- coeff;
         a.(wb + h_flags) <- a.(wb + h_flags) land lnot flag_watch_all;
+        Telemetry.Counter.add t.bstats.b_nwatchall (-1);
         Telemetry.Counter.incr t.bstats.b_moves
       end
       else begin
@@ -686,7 +719,6 @@ let process_falsified t q conflict =
   let na = Vec.size actors in
   if na > 0 then begin
     Vec.sort_int actors;
-    t.scan_stamp <- t.scan_stamp + 1;
     let k = ref 0 in
     while !conflict = None && !k < na do
       let base = Vec.unsafe_get actors !k in
@@ -696,18 +728,13 @@ let process_falsified t q conflict =
         let r = Vec.unsafe_get t.rows a.(base + h_slack) in
         let s = r.rsum - a.(base + h_deg) in
         if s < 0 then conflict := Some a.(base + h_cid)
-        else begin
-          (* Within one phase 2 the row's sum is fixed and every term
-             before its cursor is assigned, so scanning from the cursor
-             assigns exactly what a scan from term 0 would, in the same
-             order: a looser member stops at the cursor at once, a
-             tighter one carries on from it. *)
-          if r.rstamp <> t.scan_stamp then begin
-            r.rstamp <- t.scan_stamp;
-            r.rcursor <- 0
-          end;
+        else
+          (* [visit_row] stamped the cursor in phase 1 and every term
+             before it is assigned, so scanning from the cursor assigns
+             exactly what a scan from term 0 would, in the same order:
+             a looser member stops at the cursor at once, a tighter one
+             carries on from it. *)
           r.rcursor <- scan_member t r base s r.rcursor
-        end
       end
       else begin
         let s = if flags land flag_watched <> 0 then a.(base + h_wslack) else a.(base + h_slack) in
@@ -771,6 +798,7 @@ let push_cstate t ~learned c =
   let ci = Vec.size t.constrs in
   let base = arena_alloc t ci c in
   Vec.push t.constrs { constr = c; learned; cactivity = { act = 0. }; base };
+  if learned then t.nlearned <- t.nlearned + 1;
   (ci, base)
 
 (* Counting attach: register every term on its occ list and seed the
@@ -912,6 +940,7 @@ let add_member t ri c =
   a.(base + h_wslack) <- 0;
   a.(base + h_flags) <- flag_member;
   Vec.push t.constrs { constr; learned = true; cactivity = { act = 0. }; base };
+  t.nlearned <- t.nlearned + 1;
   let m = r.rmembers in
   if Vec.size m = 0 then register_row t ri;
   (* insert in ascending degree; cuts tighten, so this is an append *)
@@ -931,7 +960,7 @@ let add_member t ri c =
     Some ci
   end
   else begin
-    if s < r.rmax then ignore (scan_member t r base s 0);
+    if s < r.rmax then r.rcursor <- scan_member t r base s (row_cursor t r);
     None
   end
 
@@ -1351,8 +1380,7 @@ let true_cost_lits t =
 
 (* --- learned-database reduction --------------------------------------------- *)
 
-let num_learned t =
-  Vec.fold (fun acc cs -> if cs.learned then acc + 1 else acc) 0 t.constrs
+let num_learned t = t.nlearned
 
 (* Rebuild the store without the dropped constraints.  Constraint ids
    change, so reasons on the trail are remapped; locked constraints
@@ -1406,6 +1434,7 @@ let reduce_db t =
   Vec.iteri keep t.constrs;
   Vec.clear t.constrs;
   Vec.iter (Vec.push t.constrs) kept;
+  t.nlearned <- Vec.fold (fun acc cs -> if cs.learned then acc + 1 else acc) 0 t.constrs;
   (* Slide surviving arena blocks left, in order — sources are ascending
      and destinations never overtake them, so the in-place blits are
      safe.  Ids are rewritten in the headers as the blocks move. *)
@@ -1570,7 +1599,8 @@ let create ?telemetry ?(bcp = Hybrid) p =
       watches = Array.init (2 * nvars) (fun _ -> Vec.create ~dummy:0 ());
       lfalse = Bytes.make (2 * nvars) '\000';
       actors = Vec.create ~dummy:0 ();
-      scan_stamp = 0;
+      pops = 0;
+      nlearned = 0;
       lit_cost = Array.make (2 * nvars) 0;
       path = 0;
       heap = Idheap.create nvars;
@@ -1847,12 +1877,21 @@ let check_invariants t =
   (* Arena bookkeeping, valid at every moment: counting slacks and
      watch-set slacks must equal their lagged recomputation, and the
      header must agree with the boxed constraint. *)
-  let nmembers = ref 0 in
+  let nmembers = ref 0 and nlearned = ref 0 in
+  let nwatched = ref 0 and ncounting = ref 0 and nwatchall = ref 0 in
   Vec.iteri
     (fun ci cs ->
       let base = cs.base in
       let terms = Constr.terms cs.constr in
       let n = a.(base + h_n) in
+      let flags = a.(base + h_flags) in
+      if cs.learned then incr nlearned;
+      if flags land flag_member = 0 then
+        if flags land flag_watched = 0 then incr ncounting
+        else begin
+          incr nwatched;
+          if flags land flag_watch_all <> 0 then incr nwatchall
+        end;
       if a.(base + h_cid) <> ci then fail "constraint %d: arena cid %d" ci a.(base + h_cid);
       if a.(base + h_flags) land flag_member <> 0 then begin
         incr nmembers;
@@ -1918,6 +1957,11 @@ let check_invariants t =
         done;
         if r.rsum <> !sum then fail "row %d: sum %d, lagged recompute %d" ri r.rsum !sum
       end;
+      if r.rstamp = t.pops then
+        for i = 0 to r.rcursor - 1 do
+          if Value.equal (value_lit t (Lit.of_index r.rterms.(2 * i))) Value.Unknown then
+            fail "row %d: term %d before the cursor %d is unassigned" ri i r.rcursor
+        done;
       let k = ref 0 in
       while !k < Vec.size m do
         let base = Vec.get m !k and degree = Vec.get m (!k + 1) in
@@ -1929,6 +1973,18 @@ let check_invariants t =
       done)
     t.rows;
   if !listed <> !nmembers then fail "rows list %d members, store has %d" !listed !nmembers;
+  if t.nlearned <> !nlearned then fail "learned count %d, store has %d" t.nlearned !nlearned;
+  (* The population counters, against a recount (this needs the engine
+     to own its registry's bcp.* counters). *)
+  List.iter
+    (fun (name, c, n) ->
+      if Telemetry.Counter.get c <> n then
+        fail "bcp.%s reads %d, store has %d" name (Telemetry.Counter.get c) n)
+    [
+      "constrs_watched", t.bstats.b_nwatched, !nwatched;
+      "constrs_counting", t.bstats.b_ncounting, !ncounting;
+      "constrs_watch_all", t.bstats.b_nwatchall, !nwatchall;
+    ];
   (* trail levels are monotone and values consistent *)
   let last_level = ref 0 in
   Vec.iter

@@ -243,6 +243,9 @@ val true_cost_lits : t -> Lit.t list
 (** {1 Learned-database management} *)
 
 val num_learned : t -> int
+(** Constraints added as learned (cut-row members included), in
+    constant time. *)
+
 val reduce_db : t -> unit
 (** Removes roughly half of the learned clauses, preferring low activity;
     locked (reason) and asserting constraints are kept. *)
@@ -271,7 +274,7 @@ val stats : t -> stats
     ([bcp.propagations], the run's one propagation count), constraint
     examinations, watch moves and extensions, and the per-mode constraint
     population ([constrs_watch_all] counts the watched constraints that
-    degraded to watching every literal; it is a subset of
+    are now degraded to watching every literal; it is a subset of
     [constrs_watched]). *)
 type bcp_stats = {
   b_props : Telemetry.Counter.t;
@@ -356,5 +359,9 @@ val check_invariants : t -> (unit, string) result
     covers maxcoeff, or every non-false term is watched, or a watched
     falsified term marks an allowed transient state), trail levels are
     monotone, and the path cost matches the assigned cost literals.
-    Cut rows: a live row's sum matches its lagged recomputation, and its
-    member list names exactly its members, in ascending degree. *)
+    Cut rows: a live row's sum matches its lagged recomputation, its
+    member list names exactly its members, in ascending degree, and no
+    term before a row cursor stamped since the last popping backjump is
+    unassigned.  {!num_learned} and the [bcp.constrs_*] populations
+    match a recount (so the engine must own its registry's [bcp.*]
+    counters). *)

@@ -97,15 +97,18 @@ let of_relation raw rel rhs =
    distinct variables and positive [a_i]); while [total - r] is at least
    the largest [a_i] nothing saturates, so the normal form is the fixed
    term array [base] divided by the gcd [g] with degree
-   [ceil ((total - r) / g)].  [base] is [None] when that shortcut does
-   not apply and every query goes through {!of_relation}. *)
-type family = {
-  raw : (int * Lit.t) list;
-  base : t option;
-  total : int;
-  max_raw : int;
-  g : int;
-}
+   [ceil ((total - r) / g)].  A [Plain] family keeps only [base]: the
+   raw terms are [g] times its coefficients on the negated literals.
+   [Raw] is a sum the shortcut does not apply to; every query goes
+   through {!of_relation}. *)
+type family =
+  | Plain of {
+      base : t;
+      total : int;
+      max_raw : int;
+      g : int;
+    }
+  | Raw of (int * Lit.t) list
 
 let family raw =
   let vars = Hashtbl.create 16 in
@@ -119,27 +122,61 @@ let family raw =
          raw
   in
   let total = List.fold_left (fun acc (c, _) -> acc + c) 0 raw in
-  let max_raw = List.fold_left (fun acc (c, _) -> max acc c) 0 raw in
-  let g = List.fold_left (fun acc (c, _) -> gcd acc c) 0 raw in
-  let base =
-    if not (plain && total <= degree_limit) then None
-    else match of_relation raw Le 0 with [ Constr c ] -> Some c | _ -> None
-  in
-  { raw; base; total; max_raw; g }
+  if not (plain && total <= degree_limit) then Raw raw
+  else
+    match of_relation raw Le 0 with
+    | [ Constr base ] ->
+      let max_raw = List.fold_left (fun acc (c, _) -> max acc c) 0 raw in
+      let g = List.fold_left (fun acc (c, _) -> gcd acc c) 0 raw in
+      Plain { base; total; max_raw; g }
+    | _ -> Raw raw
 
-let family_at f r =
-  let fallback () =
-    match of_relation f.raw Le r with [ n ] -> n | [] | _ :: _ :: _ -> assert false
-  in
-  let rhs = f.total - r in
-  match f.base with
-  | None -> fallback ()
-  | Some b ->
-    if r > degree_limit || r < -degree_limit then fallback ()
-    else if rhs <= 0 then Trivial_true
-    else if rhs > f.total then Trivial_false
-    else if rhs >= f.max_raw then Constr { b with degree = (rhs + f.g - 1) / f.g }
-    else (* some coefficient saturates *) fallback ()
+(* Dropping terms keeps [base] sorted, and so does dividing what is left
+   by its gcd: the result is [family] of the kept raw terms without a
+   merge or a sort. *)
+let family_without f drop =
+  match f with
+  | Raw raw -> family (List.filter (fun (_, l) -> not (drop (Lit.var l))) raw)
+  | Plain p ->
+    let kept =
+      Array.of_list
+        (Array.fold_right
+           (fun t acc -> if drop (Lit.var t.lit) then acc else t :: acc)
+           p.base.terms [])
+    in
+    if Array.length kept = 0 then Raw []
+    else begin
+      let g' = Array.fold_left (fun acc t -> gcd acc t.coeff) 0 kept in
+      let sum = Array.fold_left (fun acc t -> acc + t.coeff) 0 kept in
+      let terms = Array.map (fun t -> { t with coeff = t.coeff / g' }) kept in
+      Plain
+        {
+          base = { terms; degree = sum / g' };
+          total = sum * p.g;
+          max_raw = kept.(0).coeff * p.g;
+          g = g' * p.g;
+        }
+    end
+
+let rec family_at f r =
+  match f with
+  | Raw raw -> (
+    match of_relation raw Le r with [ n ] -> n | [] | _ :: _ :: _ -> assert false)
+  | Plain p ->
+    if r >= p.total then Trivial_true
+    else if r < 0 then Trivial_false
+    else begin
+      let rhs = p.total - r in
+      if rhs >= p.max_raw then Constr { p.base with degree = (rhs + p.g - 1) / p.g }
+      else
+        (* some coefficient saturates *)
+        family_at
+          (Raw
+             (Array.fold_right
+                (fun t acc -> (t.coeff * p.g, Lit.negate t.lit) :: acc)
+                p.base.terms []))
+          r
+    end
 
 (* Over pairwise distinct variables the normal form of a clause is its
    literals by ascending variable, each with coefficient 1, at degree 1:

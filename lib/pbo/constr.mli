@@ -63,12 +63,20 @@ val family : (int * Lit.t) list -> family
     coefficients on pairwise distinct variables take the fast path;
     anything else is accepted and answered by {!of_relation}. *)
 
+val family_without : family -> (Lit.var -> bool) -> family
+(** [family_without f drop] is {!family} of [f]'s terms without those
+    whose variable satisfies [drop].  On the fast path it filters the
+    prepared normal form and divides by the remaining gcd, in time
+    linear in [f]'s size, without a merge or a sort. *)
+
 val family_at : family -> int -> norm
 (** [family_at f r] is the single result of [of_relation terms Le r].
     While no coefficient saturates ([r] at most the coefficient sum
     minus the largest coefficient) the result is computed in constant
     time and shares one term array across every [r]; otherwise it is
-    {!of_relation}'s own. *)
+    {!of_relation}'s own.  A fast-path family answers [r] at or above
+    its coefficient sum, or below 0, with the trivial result whatever
+    the magnitude of [r]. *)
 
 val with_degree : t -> int -> t
 (** [with_degree c d] is [c] with degree [d], sharing [c]'s term array.

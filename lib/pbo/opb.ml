@@ -127,7 +127,10 @@ let parse_tokens builder cache ~lineno tokens =
     (match terms [] rest with
     | raw, [ Semi ] -> (
       try Problem.Builder.set_objective builder raw
-      with Invalid_argument _ -> fail "second objective")
+      with Invalid_argument msg ->
+        fail
+          (if msg = "Problem.Builder.set_objective: already set" then "second objective"
+           else "objective costs exceed the limits (2^40 each, 2^42 in all)"))
     | _, _ -> fail "malformed objective")
   | rest ->
     (match terms [] rest with

@@ -115,10 +115,23 @@ module Builder = struct
   let add_clause b lits = add_ge b (List.map (fun l -> 1, l) lits) 1
   let add_cardinality b lits k = add_ge b (List.map (fun l -> 1, l) lits) k
 
+  (* Every incumbent cut is a sum over these costs with a bound below
+     their sum, so a cost or a sum that no [Constr] can hold is refused
+     here rather than at the first incumbent. *)
   let set_objective b ?(offset = 0) raw =
     if b.obj <> None then invalid_arg "Problem.Builder.set_objective: already set";
+    let too_large () = invalid_arg "Problem.Builder.set_objective: cost too large" in
+    let limit = Constr.coefficient_limit in
+    List.iter (fun (c, _) -> if c > limit || c < -limit then too_large ()) raw;
+    let o = normalize_objective raw offset in
+    ignore
+      (Array.fold_left
+         (fun sum t ->
+           if t.cost > limit || sum + t.cost > Constr.degree_limit then too_large ();
+           sum + t.cost)
+         0 o.cost_terms);
     note_vars b raw;
-    b.obj <- Some (normalize_objective raw offset)
+    b.obj <- Some o
 
   let build b =
     {

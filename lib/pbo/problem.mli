@@ -64,6 +64,11 @@ module Builder : sig
   val nvars : t -> int
 
   val add_ge : t -> (int * Lit.t) list -> int -> unit
+  (** Adds [sum terms >= rhs] through {!Constr.make_ge}, so raises
+      [Invalid_argument] on a coefficient beyond
+      {!Constr.coefficient_limit} or a right-hand side beyond
+      {!Constr.degree_limit}; so do [add_le] and [add_eq]. *)
+
   val add_le : t -> (int * Lit.t) list -> int -> unit
   val add_eq : t -> (int * Lit.t) list -> int -> unit
   val add_clause : t -> Lit.t list -> unit
@@ -73,7 +78,12 @@ module Builder : sig
   val set_objective : t -> ?offset:int -> (int * Lit.t) list -> unit
   (** Declare the minimization objective.  Raw costs may be negative or
       mention both polarities; they are normalized to positive literal
-      costs and an offset.  Raises [Invalid_argument] if called twice. *)
+      costs and an offset.  Raises [Invalid_argument] if called twice,
+      and ["Problem.Builder.set_objective: cost too large"] when a raw or
+      normalized cost is beyond {!Constr.coefficient_limit} ([2^40]) or
+      the normalized costs sum beyond {!Constr.degree_limit} ([2^42]):
+      the incumbent cuts (paper eqs. 10-13) are constraints over these
+      costs, and no constraint can hold larger ones. *)
 
   val build : t -> problem
 end

@@ -255,9 +255,9 @@ let objective_cut problem ~upper =
   Option.map (fun f -> Constr.family_at f (upper - 1)) (objective_family problem)
 
 (* The eq. (11-13) cut of a cid as [V] plus the family of its outside-[K]
-   cost terms, prepared at most once per cid: a [d] step then only
-   evaluates the degree. *)
-let cardinality_rows problem =
+   cost terms, filtered from the objective's family at most once per
+   cid: a [d] step then only evaluates the degree. *)
+let cardinality_rows problem objective =
   let constraints = Problem.constraints problem in
   let nvars = max 1 (Problem.nvars problem) in
   let cost_terms =
@@ -280,18 +280,13 @@ let cardinality_rows problem =
         for i = 0 to min (Constr.degree c) (Array.length costs) - 1 do
           v := !v + costs.(i)
         done;
-        if !v <= 0 then None
-        else begin
+        match objective with
+        | Some f when !v > 0 ->
           Array.iter (fun (t : Constr.term) -> in_k.(Lit.var t.lit) <- true) (Constr.terms c);
-          let raw =
-            Array.fold_right
-              (fun (ct : Problem.cost_term) acc ->
-                if in_k.(Lit.var ct.lit) then acc else (ct.cost, ct.lit) :: acc)
-              cost_terms []
-          in
+          let outside = Constr.family_without f (fun v -> in_k.(v)) in
           Array.iter (fun (t : Constr.term) -> in_k.(Lit.var t.lit) <- false) (Constr.terms c);
-          Some (!v, Constr.family raw)
-        end
+          Some (!v, outside)
+        | Some _ | None -> None
       end
     end
   in
@@ -307,7 +302,7 @@ let cardinality_rows problem =
 let cardinality_cut problem ~cid ~upper =
   Option.map
     (fun (v, f) -> Constr.family_at f (upper - 1 - v))
-    (cardinality_rows problem cid)
+    (cardinality_rows problem (objective_family problem) cid)
 
 (* --- sinks ----------------------------------------------------------------- *)
 
@@ -1216,7 +1211,7 @@ module Check = struct
     let obj_slot = ref empty_slot in
     let card_slots = Hashtbl.create 16 in
     let obj_family = objective_family problem in
-    let card_row = cardinality_rows problem in
+    let card_row = cardinality_rows problem obj_family in
     let supersede slot upper norm =
       if upper >= slot.upper then slot
       else

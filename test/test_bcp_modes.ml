@@ -221,9 +221,25 @@ let cross_mode_replay () =
    bound.  Random propagations, decisions, backjumps, cut additions and
    [reduce_db] calls then run on both for [fuel] steps; at every step
    the trails (with reasons), conflict cids, analyses and the engine
-   invariants (row sums included) must agree.  Returns whether the walk
-   took a step at all, that is, the instance was not refuted at the root. *)
-let rows_lockstep ?(nsources = 2) ?(fuel = 120) problem bcp seed =
+   invariants (row sums and cursors included) must agree.
+
+   [~deep:true] first gives every source [members] cuts at the root and
+   then walks without [reduce_db] and with rarer backjumps, so rows keep
+   many members, reach several tight fixpoints between backjumps, and
+   backjumps unassign terms before where a row's cursor stood.  The
+   returned [walk] says which of those the run saw, judged from the
+   outside: a row is tight at a fixpoint when its tightest member's
+   slack is below its largest coefficient, and a backjump rewinds a
+   tight row when it unassigns a term before the row's first
+   unassigned one. *)
+type walk = {
+  walked : bool;  (* the instance was not refuted at the root *)
+  big_rows : int;  (* rows given at least [members] members, [reduce_db] aside *)
+  tight_runs : int;  (* backjumps after two or more tight fixpoints *)
+  rewinds : int;  (* backjumps that unassigned a term before a tight row's first unassigned one *)
+}
+
+let rows_lockstep ?(nsources = 2) ?(fuel = 120) ?(deep = false) ?(members = 8) problem bcp seed =
   let rng = Random.State.make [| seed; 0x70ad |] in
   let cost_terms =
     match Problem.objective problem with
@@ -235,9 +251,17 @@ let rows_lockstep ?(nsources = 2) ?(fuel = 120) problem bcp seed =
     List.init (nsources - 1) (fun _ -> List.filter (fun _ -> Random.State.bool rng) cost_terms)
   in
   let sources = Array.of_list (List.map Constr.family (cost_terms :: parts)) in
-  let total = List.fold_left (fun acc (c, _) -> acc + c) 0 cost_terms in
-  let bounds = Array.map (fun _ -> ref total) sources in
+  let sum terms = List.fold_left (fun acc (c, _) -> acc + c) 0 terms in
+  let bounds =
+    Array.of_list
+      (List.map (fun terms -> ref (sum (if deep then terms else cost_terms))) (cost_terms :: parts))
+  in
   let rows = Array.map (fun _ -> ref None) sources in
+  (* engine B's rows as the test sees them: terms, the tightest member's
+     degree and the number of members *)
+  let seen_rows = Hashtbl.create 8 in
+  let tight_fixpoints = ref 0 and tight_rows = Hashtbl.create 8 in
+  let big_rows = ref 0 and tight_runs = ref 0 and rewinds = ref 0 in
   let a = Core.create ~bcp problem and b = Core.create ~bcp problem in
   let fail fmt = Printf.ksprintf (fun m -> QCheck2.Test.fail_reportf "seed %d: %s" seed m) fmt in
   let same where =
@@ -249,14 +273,57 @@ let rows_lockstep ?(nsources = 2) ?(fuel = 120) problem bcp seed =
     if Core.root_unsat a <> Core.root_unsat b then fail "%s: root_unsat differs" where;
     if Core.decision_level a <> Core.decision_level b then fail "%s: levels differ" where
   in
+  let first_unassigned terms =
+    let n = Array.length terms in
+    let rec go i =
+      if i < n && not (Value.equal (Core.value_lit b terms.(i).Constr.lit) Value.Unknown) then
+        go (i + 1)
+      else i
+    in
+    go 0
+  in
+  let note_fixpoint () =
+    let tight = ref false in
+    Hashtbl.iter
+      (fun row (terms, degree, _) ->
+        let sum =
+          Array.fold_left
+            (fun acc (t : Constr.term) ->
+              if Value.equal (Core.value_lit b t.lit) Value.False then acc else acc + t.coeff)
+            0 terms
+        in
+        if sum - !degree < terms.(0).Constr.coeff then begin
+          tight := true;
+          Hashtbl.replace tight_rows row (first_unassigned terms)
+        end)
+      seen_rows;
+    if !tight then incr tight_fixpoints
+  in
+  let around_backjump f =
+    if !tight_fixpoints >= 2 then incr tight_runs;
+    f ();
+    Hashtbl.iter
+      (fun row first ->
+        let terms, _, _ = Hashtbl.find seen_rows row in
+        if first_unassigned terms < first then incr rewinds)
+      tight_rows;
+    Hashtbl.reset tight_rows;
+    tight_fixpoints := 0
+  in
+  let backjump lvl =
+    around_backjump (fun () ->
+        Core.backjump_to a lvl;
+        Core.backjump_to b lvl);
+    same "after backjump"
+  in
   let resolve ca cb =
     if ca <> cb then fail "conflict cids %d vs %d" ca cb;
-    let ra = Core.resolve_conflict a ca and rb = Core.resolve_conflict b cb in
-    if ra <> rb then fail "analyses differ";
+    around_backjump (fun () ->
+        let ra = Core.resolve_conflict a ca and rb = Core.resolve_conflict b cb in
+        if ra <> rb then fail "analyses differ");
     same "after analysis"
   in
-  let add_cut () =
-    let i = Random.State.int rng (Array.length sources) in
+  let add_cut i =
     let bound = bounds.(i) in
     bound := !bound - 1 - Random.State.int rng 3;
     match Constr.family_at sources.(i) !bound with
@@ -265,12 +332,24 @@ let rows_lockstep ?(nsources = 2) ?(fuel = 120) problem bcp seed =
       let ra = Core.add_constraint_dynamic a c in
       let row, rb = Core.add_cut b ?row:!(rows.(i)) c in
       rows.(i) := Some row;
+      (match Hashtbl.find_opt seen_rows row with
+      | Some (_, degree, count) ->
+        degree := max !degree (Constr.degree c);
+        incr count
+      | None -> Hashtbl.add seen_rows row (Constr.terms c, ref (Constr.degree c), ref 1));
       same "after cut";
       (match ra, rb with
       | None, None -> ()
       | Some ca, Some cb -> if not (Core.root_unsat a) then resolve ca cb
       | _ -> fail "cut conflict verdicts differ")
   in
+  if deep then
+    Array.iteri
+      (fun i _ ->
+        for _ = 1 to members do
+          if not (Core.root_unsat a) then add_cut i
+        done)
+      sources;
   let rec walk fuel =
     if fuel > 0 && not (Core.root_unsat a) then begin
       (match Core.propagate a, Core.propagate b with
@@ -279,17 +358,15 @@ let rows_lockstep ?(nsources = 2) ?(fuel = 120) problem bcp seed =
         if not (Core.root_unsat a) then resolve ca cb
       | None, None -> (
         same "at fixpoint";
-        match Random.State.int rng 10 with
-        | 0 | 1 | 2 -> add_cut ()
-        | 3 ->
+        note_fixpoint ();
+        match Random.State.int rng (if deep then 40 else 10) with
+        | 0 | 1 | 2 -> add_cut (Random.State.int rng (Array.length sources))
+        | 3 when not deep ->
           Core.reduce_db a;
           Core.reduce_db b;
           same "after reduce_db"
         | 4 when Core.decision_level a > 0 ->
-          let lvl = Random.State.int rng (Core.decision_level a) in
-          Core.backjump_to a lvl;
-          Core.backjump_to b lvl;
-          same "after backjump"
+          backjump (Random.State.int rng (Core.decision_level a))
         | _ -> (
           match Core.next_branch_var a, Core.next_branch_var b with
           | None, None -> ()
@@ -303,7 +380,9 @@ let rows_lockstep ?(nsources = 2) ?(fuel = 120) problem bcp seed =
     end
     else fuel
   in
-  walk fuel < fuel
+  let walked = walk fuel < fuel in
+  Hashtbl.iter (fun _ (_, _, count) -> if !count >= members then incr big_rows) seen_rows;
+  { walked; big_rows = !big_rows; tight_runs = !tight_runs; rewinds = !rewinds }
 
 let qcheck_rows_lockstep =
   QCheck2.Test.make ~name:"cut rows propagate like plain constraints in every mode" ~count:60
@@ -322,7 +401,7 @@ let rows_lockstep_walks () =
     List.iter
       (fun (m, _) ->
         incr runs;
-        if rows_lockstep problem m seed then incr walked)
+        if (rows_lockstep problem m seed).walked then incr walked)
       modes
   done;
   if 10 * !walked < 9 * !runs then
@@ -340,6 +419,35 @@ let qcheck_many_rows_lockstep =
       let problem = Gen.planted seed in
       List.iter (fun (m, _) -> ignore (rows_lockstep ~nsources:10 ~fuel:600 problem m seed)) modes;
       true)
+
+(* Rows of many members, walked deep between backjumps. *)
+let deep_problem seed = Gen.planted ~nvars:20 ~nconstrs:16 seed
+
+let qcheck_deep_rows_lockstep =
+  QCheck2.Test.make ~name:"rows of many members propagate like plain constraints" ~count:30
+    QCheck2.Gen.(int_bound 100_000)
+    (fun seed ->
+      let problem = deep_problem seed in
+      List.iter
+        (fun (m, _) -> ignore (rows_lockstep ~nsources:3 ~fuel:400 ~deep:true problem m seed))
+        modes;
+      true)
+
+(* The deep walk must see what it is there for: rows of at least 8
+   members, two or more tight fixpoints between backjumps, and
+   backjumps that unassign a term before a tight row's first
+   unassigned one, where its cursor stood. *)
+let deep_rows_reach () =
+  let big = ref 0 and runs = ref 0 and rewinds = ref 0 in
+  for seed = 0 to 9 do
+    let w = rows_lockstep ~nsources:3 ~fuel:400 ~deep:true (deep_problem seed) Core.Hybrid seed in
+    big := !big + w.big_rows;
+    runs := !runs + w.tight_runs;
+    rewinds := !rewinds + w.rewinds
+  done;
+  if !big < 15 then Alcotest.failf "only %d rows of 8 or more members in 10 walks" !big;
+  if !runs < 20 then Alcotest.failf "only %d backjumps after several tight fixpoints" !runs;
+  if !rewinds < 20 then Alcotest.failf "only %d backjumps rewound a tight row" !rewinds
 
 (* --- per-mode population sanity -------------------------------------------- *)
 
@@ -373,4 +481,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_rows_lockstep;
     Alcotest.test_case "cut-row lockstep reaches its walk" `Quick rows_lockstep_walks;
     QCheck_alcotest.to_alcotest qcheck_many_rows_lockstep;
+    QCheck_alcotest.to_alcotest qcheck_deep_rows_lockstep;
+    Alcotest.test_case "deep cut-row walks reach many members and rewinds" `Quick
+      deep_rows_reach;
   ]

@@ -70,12 +70,41 @@ let upper_cut_at_zero () =
   | Constr.Trivial_false -> ()
   | Constr.Trivial_true | Constr.Constr _ -> Alcotest.fail "upper 0 admits nothing"
 
+(* Costs that share factors, so dropping the variables of [K] often
+   changes the gcd of what is left: the filtered row must divide by the
+   new gcd, not the objective's. *)
+let shared_factor_problem seed =
+  let rng = Random.State.make [| seed; 0x9cd |] in
+  let nvars = 7 in
+  let b = Problem.Builder.create ~nvars () in
+  for _ = 1 to 5 do
+    let lits =
+      List.init (2 + Random.State.int rng 4) (fun _ -> Lit.pos (Random.State.int rng nvars))
+    in
+    Problem.Builder.add_cardinality b lits (1 + Random.State.int rng 2)
+  done;
+  let factors = [| 2; 3; 4; 6; 9; 12 |] in
+  Problem.Builder.set_objective b
+    (List.init nvars (fun v ->
+         factors.(Random.State.int rng (Array.length factors)), Lit.pos v));
+  Problem.Builder.build b
+
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+let gcd_of = List.fold_left (fun g (c, _) -> gcd g c) 0
+
 (* The prepared rows give, at every bound, exactly the cuts of the
    direct definition: [V] by sorting the costs inside [K], the
-   outside-[K] terms by list membership, and a full normalization. *)
+   outside-[K] terms by list membership, and a full normalization.  The
+   proof checker's rows ({!Proof.cardinality_cut}) give the same cuts. *)
 let rows_match_definition () =
-  for seed = 0 to 81 do
-    let problem = if seed mod 2 = 0 then Gen.problem seed else Gen.covering seed in
+  let gcd_changes = ref 0 in
+  for seed = 0 to 122 do
+    let problem =
+      match seed mod 3 with
+      | 0 -> Gen.problem seed
+      | 1 -> Gen.covering seed
+      | _ -> shared_factor_problem seed
+    in
     let terms = match Problem.objective problem with None -> [||] | Some o -> o.cost_terms in
     let raw ts = List.map (fun (ct : Problem.cost_term) -> ct.cost, ct.lit) ts in
     let direct_cardinality cid c ~upper =
@@ -94,6 +123,8 @@ let rows_match_definition () =
             (fun (ct : Problem.cost_term) -> not (List.mem (Lit.var ct.lit) in_k))
             (Array.to_list terms)
         in
+        if upper = 0 && gcd_of (raw outside) <> gcd_of (raw (Array.to_list terms)) then
+          incr gcd_changes;
         Some (cid, List.hd (Constr.of_relation (raw outside) Constr.Le (upper - 1 - v)))
       end
     in
@@ -121,11 +152,20 @@ let rows_match_definition () =
       in
       if not (List.length direct = List.length prepared && List.for_all2 same direct prepared) then
         Alcotest.failf "seed %d upper %d: cardinality rows differ from the definition" seed upper;
+      let checker =
+        List.filter_map
+          (fun cid -> Option.map (fun n -> cid, n) (Proof.cardinality_cut problem ~cid ~upper))
+          (List.init (Array.length (Problem.constraints problem)) Fun.id)
+      in
+      if not (List.length checker = List.length prepared && List.for_all2 same checker prepared)
+      then Alcotest.failf "seed %d upper %d: checker rows differ from the solver's" seed upper;
       let knap = List.hd (Constr.of_relation (raw (Array.to_list terms)) Constr.Le (upper - 1)) in
       if not (same (0, knap) (0, upper_cut problem ~upper)) then
         Alcotest.failf "seed %d upper %d: knapsack row differs from the definition" seed upper
     done
-  done
+  done;
+  if !gcd_changes < 20 then
+    Alcotest.failf "only %d rows drop terms that change the gcd" !gcd_changes
 
 let suite =
   [

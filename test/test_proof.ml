@@ -998,6 +998,89 @@ let portfolio_import_proof () =
       Alcotest.(check string) "checkproof verifies it" ("OPTIMAL " ^ string_of_int opt)
         (check_ok problem text).verdict)
 
+(* --- objective costs at the limits ------------------------------------------ *)
+
+(* Every problem the builder accepts solves and checks without an
+   exception escaping, up to the cost limits: costs near and beyond
+   [Constr.coefficient_limit], both signs, repeated variables, sums near
+   [Constr.degree_limit].  An objective beyond the limits is refused by
+   [set_objective] itself, before any incumbent cut is built.  Accepted
+   instances must reach the brute-force optimum under the default, MIS
+   and PBS options, their proofs must check, and so must a log holding
+   just the optimum as an [s] step. *)
+let qcheck_extreme_costs =
+  let limit = Constr.coefficient_limit in
+  let magnitudes = [| 1; 3; 1 lsl 20; limit / 2; limit - 1; limit; limit; limit + 1; 1 lsl 50 |] in
+  QCheck2.Test.make ~name:"no exception escapes solve or check at extreme costs" ~count:150
+    QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed; 0xc057 |] in
+      let nvars = 6 in
+      let b = Problem.Builder.create ~nvars () in
+      for _ = 1 to 3 do
+        let lits = List.init (2 + Random.State.int rng 3) (fun _ -> Gen.lit_of rng nvars) in
+        Problem.Builder.add_cardinality b lits (1 + Random.State.int rng 2)
+      done;
+      (* and one that forces many costs at once, so that incumbents can
+         cost more than [Constr.degree_limit] *)
+      Problem.Builder.add_cardinality b
+        (List.init nvars Lit.pos)
+        (1 + Random.State.int rng (nvars - 1));
+      let term v =
+        let c = magnitudes.(Random.State.int rng (Array.length magnitudes)) in
+        (if Random.State.int rng 5 = 0 then -c else c), Lit.make v (Random.State.int rng 5 > 0)
+      in
+      (* most variables get a cost, a few get two that merge *)
+      let raw =
+        List.concat
+          (List.init nvars (fun v ->
+               match Random.State.int rng 8 with
+               | 0 -> []
+               | 1 -> [ term v; term v ]
+               | _ -> [ term v ]))
+      in
+      match Problem.Builder.set_objective b raw with
+      | exception Invalid_argument msg ->
+        if msg <> "Problem.Builder.set_objective: cost too large" then
+          QCheck2.Test.fail_reportf "unexpected refusal %S" msg;
+        true
+      | () ->
+        let problem = Problem.Builder.build b in
+        let expected = Option.map snd (Bsolo.Exhaustive.optimum problem) in
+        List.iter
+          (fun (name, options) ->
+            let o, text = solve_with_proof ~options problem in
+            if Bsolo.Outcome.best_cost o <> expected then
+              QCheck2.Test.fail_reportf "%s: optimum differs from brute force" name;
+            match Proof.Check.check_string problem text with
+            | Ok s -> verdict_matches o s
+            | Error msg -> QCheck2.Test.fail_reportf "%s: proof rejected: %s" name msg)
+          [
+            "default", Bsolo.Options.default;
+            "mis", Bsolo.Options.with_lb Bsolo.Options.Mis;
+            "pbs", Bsolo.Options.pbs;
+          ];
+        (match Bsolo.Exhaustive.optimum problem with
+        | None -> ()
+        | Some (m, cost) ->
+          let bits = String.init nvars (fun v -> if Model.value m v then '1' else '0') in
+          let text =
+            Printf.sprintf "p bsolo-pbp 1\nf %d\ns %d %s\n"
+              (Array.length (Problem.constraints problem))
+              cost bits
+          in
+          (* no conclusion line, so an [Error]; what matters is that it
+             is a value, not an exception *)
+          ignore (Proof.Check.check_string problem text));
+        true)
+
+let huge_cost_refused () =
+  let b = Problem.Builder.create ~nvars:2 () in
+  Problem.Builder.add_ge b [ 1, Lit.pos 0; 1, Lit.pos 1 ] 1;
+  Alcotest.check_raises "cost 2^50"
+    (Invalid_argument "Problem.Builder.set_objective: cost too large") (fun () ->
+      Problem.Builder.set_objective b [ 1 lsl 50, Lit.pos 0; 1, Lit.pos 1 ])
+
 let suite =
   [
     Alcotest.test_case "random instances round-trip" `Quick roundtrip_random;
@@ -1028,4 +1111,6 @@ let suite =
     Alcotest.test_case "parallel portfolio proof stitches" `Quick (portfolio_proof 2);
     Alcotest.test_case "imported optimum checks in the importer's section" `Quick
       portfolio_import_proof;
+    Alcotest.test_case "objective cost beyond the limit refused" `Quick huge_cost_refused;
+    QCheck_alcotest.to_alcotest qcheck_extreme_costs;
   ]
