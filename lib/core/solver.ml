@@ -194,7 +194,7 @@ let add_incumbent_cuts st =
         | Constr.Constr c ->
           Lowerbound.Instr.add src.cuts 1;
           let row, added = Core.add_cut st.engine ?row:src.erow c in
-          src.erow <- Some row;
+          src.erow <- row;
           (match conflict, added with
           | (Some _ as found), _ -> found
           | None, Some ci -> Some (`Cid ci)

@@ -101,17 +101,74 @@ let division_recipe (cid : int) (c : Constr.t) w divisor =
    large outside coefficients at their floor multiples of the divisor,
    which the same division turns into integer lifting coefficients. *)
 
-(* The greedy cover of terms [ts]: [idx] is sorted by [by_value], which
-   compares the terms' LP values (cheapest first), and [incover] marks a
-   minimal cover.  Returns its largest coefficient, the divisor, or 0
-   when the knapsack of capacity [cap] has no cover. *)
-let greedy_cover (ts : Constr.term array) cap idx by_value incover =
+(* [Array.sort (fun i j -> compare keys.(i) keys.(j)) a] without the
+   closure: the same heap sort step for step, so equal keys come out in
+   the same order. *)
+exception Bottom of int
+
+let[@inline] key_cmp (keys : float array) i j =
+  let x = Array.unsafe_get keys i and y = Array.unsafe_get keys j in
+  if x < y then -1 else if x > y then 1 else if x = y then 0 else Float.compare x y
+
+let maxson keys a l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let x = if key_cmp keys a.(i31) a.(i31 + 1) < 0 then i31 + 1 else i31 in
+    if key_cmp keys a.(x) a.(i31 + 2) < 0 then i31 + 2 else x
+  end
+  else if i31 + 1 < l && key_cmp keys a.(i31) a.(i31 + 1) < 0 then i31 + 1
+  else if i31 < l then i31
+  else raise_notrace (Bottom i)
+
+let rec trickledown keys a l i e =
+  let j = maxson keys a l i in
+  if key_cmp keys a.(j) e > 0 then begin
+    a.(i) <- a.(j);
+    trickledown keys a l j e
+  end
+  else a.(i) <- e
+
+let rec bubbledown keys a l i =
+  let j = maxson keys a l i in
+  a.(i) <- a.(j);
+  bubbledown keys a l j
+
+let rec trickleup keys a i e =
+  let father = (i - 1) / 3 in
+  if key_cmp keys a.(father) e < 0 then begin
+    a.(i) <- a.(father);
+    if father > 0 then trickleup keys a father e else a.(0) <- e
+  end
+  else a.(i) <- e
+
+let sort_by_key keys a =
+  let l = Array.length a in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    let e = a.(i) in
+    try trickledown keys a l i e with Bottom j -> a.(j) <- e
+  done;
+  for i = l - 1 downto 2 do
+    let e = a.(i) in
+    a.(i) <- a.(0);
+    trickleup keys a (try bubbledown keys a i 0 with Bottom i -> i) e
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
+(* The greedy cover of terms [ts]: [idx] is sorted by the terms' LP
+   values [v] (cheapest first), and [incover] marks a minimal cover.
+   Returns its largest coefficient, the divisor, or 0 when the knapsack
+   of capacity [cap] has no cover. *)
+let greedy_cover (ts : Constr.term array) cap idx v incover =
   let n = Array.length ts in
   for i = 0 to n - 1 do
     idx.(i) <- i;
     incover.(i) <- false
   done;
-  Array.sort by_value idx;
+  sort_by_key v idx;
   let weight = ref 0 in
   let k = ref 0 in
   while !weight <= cap && !k < n do
@@ -172,7 +229,7 @@ let cover_cut xval (cid, (c : Constr.t)) =
   else begin
     let v = Array.map (fun (t : Constr.term) -> lit_value xval t.Constr.lit) ts in
     let idx = Array.make n 0 and incover = Array.make n false in
-    match greedy_cover ts cap idx (fun i j -> compare v.(i) v.(j)) incover with
+    match greedy_cover ts cap idx v incover with
     | 0 -> None
     | divisor ->
       Option.map
@@ -307,7 +364,6 @@ type source = {
   v : float array;
   idx : int array;
   incover : bool array;
-  by_value : int -> int -> int;
   members : bool array;
   mutable divisor : int;
   mutable variants : candidate list;
@@ -324,7 +380,6 @@ let prepare sources =
       let covers = n >= 2 && cap > 0 in
       if clique = None && not covers then None
       else begin
-        let v = Array.make n 0. in
         Some
           {
             cid;
@@ -333,10 +388,9 @@ let prepare sources =
             clique;
             covers;
             x = Array.make n 0.;
-            v;
+            v = Array.make n 0.;
             idx = Array.make n 0;
             incover = Array.make n false;
-            by_value = (fun i j -> compare v.(i) v.(j));
             members = Array.make n false;
             divisor = 0;
             variants = [];
@@ -353,38 +407,54 @@ let prepare sources =
    both, so when it is below [min_violation] by more than the rounding
    of these sums neither variant is built.  A member set equal to the
    last one derived from the source reuses its variants, and is skipped
-   once the pool has taken them all. *)
+   once the pool has taken them all.
+
+   That bound is known before the sort in a common case: when the terms
+   of value below 1 weigh at most [cap], the greedy cover's last term
+   [z], which minimalization keeps, has value at least 1, and so has
+   every term outside the greedy prefix.  A term minimalization drops
+   weighs less than [z] (the prefix less [z] fits in [cap]), so below
+   the divisor, and is never lifted; the lifted terms are outside the
+   prefix, with [1 - v_i <= 0].  The bound is then at most the
+   negative values' magnitude, LP round-off, and the cover is
+   rejected unsorted. *)
 let cover_at xval s =
   let ts = Constr.terms s.c in
   let n = Array.length ts in
+  let below_one = ref 0 and negative = ref 0. in
   for i = 0 to n - 1 do
-    s.v.(i) <- (if Lit.is_pos ts.(i).Constr.lit then s.x.(i) else 1. -. s.x.(i))
+    let v = if Lit.is_pos ts.(i).Constr.lit then s.x.(i) else 1. -. s.x.(i) in
+    s.v.(i) <- v;
+    if v < 1. then below_one := !below_one + ts.(i).Constr.coeff;
+    if v < 0. then negative := !negative -. v
   done;
-  match greedy_cover ts s.cap s.idx s.by_value s.incover with
-  | 0 -> None
-  | d ->
-    let u = ref 1. and f = ref 0 in
-    for i = 0 to n - 1 do
-      if s.incover.(i) then u := !u -. s.v.(i)
-      else if ts.(i).Constr.coeff >= d then begin
-        let fi = ts.(i).Constr.coeff / d in
-        f := !f + fi;
-        u := !u +. (float_of_int fi *. Float.max 0. (1. -. s.v.(i)))
+  if !below_one <= s.cap && !negative <= min_violation /. 2. then None
+  else
+    match greedy_cover ts s.cap s.idx s.v s.incover with
+    | 0 -> None
+    | d ->
+      let u = ref 1. and f = ref 0 in
+      for i = 0 to n - 1 do
+        if s.incover.(i) then u := !u -. s.v.(i)
+        else if ts.(i).Constr.coeff >= d then begin
+          let fi = ts.(i).Constr.coeff / d in
+          f := !f + fi;
+          u := !u +. (float_of_int fi *. Float.max 0. (1. -. s.v.(i)))
+        end
+      done;
+      if !u <= min_violation -. (rounding_margin *. (1. +. float_of_int (!f + n))) then None
+      else if s.divisor = d && s.members = s.incover then
+        if List.for_all (fun cand -> cand.offered) s.variants then None
+        else most_violated xval (fun cand -> cand.cut) s.variants
+      else begin
+        s.variants <-
+          List.map
+            (fun (r, w) -> candidate (r, division_recipe s.cid s.c w d))
+            (cover_variants s.c s.incover d);
+        s.divisor <- d;
+        Array.blit s.incover 0 s.members 0 n;
+        most_violated xval (fun cand -> cand.cut) s.variants
       end
-    done;
-    if !u <= min_violation -. (rounding_margin *. (1. +. float_of_int (!f + n))) then None
-    else if s.divisor = d && s.members = s.incover then
-      if List.for_all (fun cand -> cand.offered) s.variants then None
-      else most_violated xval (fun cand -> cand.cut) s.variants
-    else begin
-      s.variants <-
-        List.map
-          (fun (r, w) -> candidate (r, division_recipe s.cid s.c w d))
-          (cover_variants s.c s.incover d);
-      s.divisor <- d;
-      Array.blit s.incover 0 s.members 0 n;
-      most_violated xval (fun cand -> cand.cut) s.variants
-    end
 
 (* Read the point into [s.x]: true when it is the last visit's and
    that visit was settled. *)

@@ -48,22 +48,25 @@ type cstate = {
 
 type row = int  (* index into [rows] *)
 
-(* A cut row: one term block shared by every member, plus one lagged
-   sum of the coefficients of its non-false terms.  Each member is a
+(* A cut row: one term list shared by every member.  Each member is a
    constraint of its own (cid, arena block, activity, [Constr.t]) that
-   keeps only its degree; its slack is [rsum - degree].  Members are
-   kept in ascending degree, so a visit walks them from the tightest
-   down and stops at the first one that cannot act.  Every term before
-   [rcursor] is assigned while [rstamp] equals the engine's [pops]: no
-   backjump has popped an assignment since the cursor moved. *)
+   keeps only its degree.  Every row is the objective's normal form (the
+   knapsack row (10)) minus the terms of an excluded set K, divided by
+   one factor: the row's coefficient of a term times [rscale] is that
+   term's cost.  So the row's lagged sum is [(gsum - rx) / rscale],
+   where [gsum] (in the engine) is the cost of the objective's non-false
+   normal-form terms and [rx] that of the row's excluded ones, and its
+   terms are the normal form's positions that [rout] does not mark.
+   Members are kept in ascending degree, so a visit walks them from the
+   tightest down and stops at the first one that cannot act. *)
 type rowstate = {
-  rterms : int array;  (* (literal index, coefficient) pairs, decreasing coefficient *)
   rconstr : Constr.t;  (* every member's [Constr.t] shares its term array *)
+  rout : Bytes.t;  (* per position of the normal form: non-zero iff excluded *)
   rmax : int;
-  mutable rsum : int;
+  rscale : int;
+  mutable rx : int;
+  mutable rskip : int;  (* the engine's [ndequeues] when an excluded literal was last dequeued *)
   rmembers : int Vec.t;  (* stride 2: (arena base, degree) of each member *)
-  mutable rstamp : int;
-  mutable rcursor : int;
 }
 
 (* Search counters, declared once against the run's telemetry registry so
@@ -139,9 +142,29 @@ type t = {
   mutable arena : int array;
   mutable arena_top : int;
   occs : int Vec.t array;
-  (* per literal index, stride 2: (base, coeff) of counting constraints,
-     and (-1 - row index, coeff) of live cut rows *)
+  (* per literal index, stride 2: (base, coeff) of counting constraints *)
   rows : rowstate Vec.t;
+  (* The state every row reads, built at the first row: [obase] is the
+     objective's normal form as (literal index, cost) pairs in term
+     order, [gsum] the cost of its terms that are not lagged-false,
+     [excl] the rows that exclude each literal, and [rkeys] each row's
+     key: the row is tight (its tightest member's slack is below its
+     largest coefficient) exactly when its key is above [gsum].  Every
+     position of [obase] before [bcursor] is assigned; [bmarks] says at
+     which levels: each mark is a position where the level of that
+     prefix may first exceed the marks before it, with that level and
+     the number of the decision that opened it ([btop] is the last
+     mark's level, 0 without marks).  A backjump that closes a marked
+     level cuts the cursor back to the mark's position, and no
+     further. *)
+  mutable obase : int array;
+  mutable bcursor : int;
+  bmarks : int Vec.t;
+  mutable btop : int;
+  mutable gsum : int;
+  mutable excl : int list array;
+  mutable rkeys : int array;
+  mutable ndequeues : int;  (* objective dequeues: stamps the rows a dequeue skips *)
   watches : int Vec.t array;
   (* per literal index: packed [base lsl wshift lor term_idx] entries of
      watched constraints — one word per watch keeps the visit and
@@ -155,7 +178,8 @@ type t = {
      current dequeue whose final slack fell below maxcoeff, or for a
      cut-row member below its row's c*; acted on in ascending arena
      order after all decrements are in *)
-  mutable pops : int;  (* backjumps that popped assignments: stamps row cursors *)
+  level_ids : int Vec.t;  (* per open decision level: the number of the decision that opened it *)
+  mutable ndecisions : int;
   mutable nlearned : int;  (* constraints with [learned] set *)
   lit_cost : int array;  (* per literal index *)
   mutable path : int;
@@ -165,6 +189,7 @@ type t = {
   seen : bool array;  (* analysis scratch, always cleared afterwards *)
   alits : Lit.t Vec.t;  (* analysis input: the initial conflict clause *)
   learnt : Lit.t Vec.t;  (* analysis scratch: marked lower-level literals *)
+  lbuf : int Vec.t;  (* analysis scratch: the learned clause's literal indices *)
   to_clear : Lit.var Vec.t;  (* analysis scratch: variables marked seen *)
   omega_marks : Bytes.t;  (* per literal index: explanation scratch, all zero between calls *)
   mutable omega_lo : int;
@@ -206,13 +231,13 @@ let dummy_cstate =
 
 let dummy_row =
   {
-    rterms = [||];
     rconstr = dummy_cstate.constr;
+    rout = Bytes.empty;
     rmax = 0;
-    rsum = 0;
+    rscale = 1;
+    rx = 0;
+    rskip = 0;
     rmembers = Vec.create ~capacity:1 ~dummy:0 ();
-    rstamp = 0;
-    rcursor = 0;
   }
 
 (* --- arena layout ---------------------------------------------------------
@@ -411,11 +436,31 @@ let unassign t l =
   t.path <- t.path - t.lit_cost.(Lit.to_index l);
   Idheap.insert t.heap v
 
+(* Move the excluded sums of rows [rs] by [delta], their keys with them,
+   and mark the rows as skipped by the current dequeue (a restore's mark
+   is stale by the next dequeue). *)
+let rec shift_excluded t delta = function
+  | [] -> ()
+  | ri :: rest ->
+    let r = Vec.unsafe_get t.rows ri in
+    r.rx <- r.rx + delta;
+    t.rkeys.(ri) <- t.rkeys.(ri) + delta;
+    r.rskip <- t.ndequeues;
+    shift_excluded t delta rest
+
+(* Move the rows' shared sum, and the excluded sums of the rows that
+   exclude [qi], by [delta]: a term of cost [-delta] was falsified, or
+   [delta] came back. *)
+let shift_rows t qi delta =
+  t.gsum <- t.gsum + delta;
+  shift_excluded t delta t.excl.(qi)
+
 (* Revert the dequeue-time decrements of falsified literal [q]: counting
    slacks through its occ list, watch-set slacks through its watch
-   list.  Watch entries dropped since the decrement never re-appear
-   here, matching the fact that an unwatched term contributes nothing
-   to wslack in either direction. *)
+   list, and the rows' sums when [q] is an objective term.  Watch
+   entries dropped since the decrement never re-appear here, matching
+   the fact that an unwatched term contributes nothing to wslack in
+   either direction. *)
 let restore_falsified t q =
   let a = t.arena in
   let qi = Lit.to_index q in
@@ -424,14 +469,11 @@ let restore_falsified t q =
   let i = ref 0 in
   while !i < on do
     let base = Vec.unsafe_get olist !i in
-    let coeff = Vec.unsafe_get olist (!i + 1) in
-    if base >= 0 then a.(base + h_slack) <- a.(base + h_slack) + coeff
-    else begin
-      let r = Vec.unsafe_get t.rows (-1 - base) in
-      r.rsum <- r.rsum + coeff
-    end;
+    a.(base + h_slack) <- a.(base + h_slack) + Vec.unsafe_get olist (!i + 1);
     i := !i + 2
   done;
+  let cost = t.lit_cost.(Lit.to_index (Lit.negate q)) in
+  if cost > 0 && Vec.size t.rows > 0 then shift_rows t qi cost;
   let wlist = t.watches.(qi) in
   let wn = Vec.size wlist in
   let j = ref 0 in
@@ -458,8 +500,8 @@ let backjump_to t lvl =
       end
     in
     pop ();
-    t.pops <- t.pops + 1;
     Vec.shrink t.trail_lim lvl;
+    Vec.shrink t.level_ids lvl;
     t.qhead <- Vec.size t.trail
   end
 
@@ -470,6 +512,8 @@ let restart t =
 let decide t l =
   Telemetry.Counter.incr t.stats.decisions;
   Vec.push t.trail_lim (Vec.size t.trail);
+  t.ndecisions <- t.ndecisions + 1;
+  Vec.push t.level_ids t.ndecisions;
   Telemetry.Histogram.observe t.stats.depth (decision_level t);
   assign t l Decision
 
@@ -502,54 +546,150 @@ let scan_implications_arena t base s =
   let a = t.arena in
   ignore (scan_terms t a (base + hdr_size) a.(base + h_n) a.(base + h_cid) s 0)
 
-(* A member acts through its row's term block under its own cid. *)
-let scan_member t r base s i0 =
-  scan_terms t r.rterms 0 (Array.length r.rterms / 2) t.arena.(base + h_cid) s i0
+(* Level [lvl] is still the one the decision numbered [id] opened.  A
+   level closed or reopened since has lost every assignment made on it
+   then, and so have the levels above it. *)
+let level_open t lvl id = lvl <= decision_level t && Vec.unsafe_get t.level_ids (lvl - 1) = id
 
-(* The row's first unassigned term (its size when every term is
-   assigned), found by moving the cursor on from where it stopped.
-   Assignments only accumulate between the backjumps that pop them, so
-   a cursor stamped with the current [pops] never has to look back. *)
-let row_cursor t r =
-  if r.rstamp <> t.pops then begin
-    r.rstamp <- t.pops;
-    r.rcursor <- 0
-  end;
-  let terms = r.rterms in
-  let n = Array.length terms / 2 in
-  let i = ref r.rcursor in
-  while
-    !i < n && not (Value.equal (value_lit t (Lit.of_index terms.(2 * !i))) Value.Unknown)
-  do
-    incr i
+(* The number of words of [bmarks] whose levels are still open.  Level
+   0 is never closed, and the positions before the first closed mark
+   are of levels still open. *)
+let open_marks t =
+  let m = t.bmarks in
+  let k = ref (Vec.size m) in
+  while !k > 0 && not (level_open t (Vec.unsafe_get m (!k - 2)) (Vec.unsafe_get m (!k - 1))) do
+    k := !k - 3
   done;
-  r.rcursor <- !i;
+  !k
+
+(* The normal form's first unassigned position (its length when every
+   term is assigned), found by cutting the cursor back to the first
+   mark whose level was closed, if any, and moving it on from there.
+   Every row reads it: a row's first unassigned term is at or after
+   it. *)
+let base_cursor t =
+  let m = t.bmarks in
+  let k = open_marks t in
+  if k < Vec.size m then begin
+    t.bcursor <- Vec.unsafe_get m k;
+    Vec.shrink m k;
+    t.btop <- (if k = 0 then 0 else Vec.unsafe_get m (k - 2))
+  end;
+  let base = t.obase in
+  let n = Array.length base / 2 in
+  let i = ref t.bcursor and walking = ref true in
+  while !walking && !i < n do
+    let v = Lit.var (Lit.of_index base.(2 * !i)) in
+    if Value.equal t.value.(v) Value.Unknown then walking := false
+    else begin
+      let lv = t.var_level.(v) in
+      if lv > t.btop then begin
+        Vec.push m !i;
+        Vec.push m lv;
+        Vec.push m (Vec.unsafe_get t.level_ids (lv - 1));
+        t.btop <- lv
+      end;
+      incr i
+    end
+  done;
+  t.bcursor <- !i;
   !i
 
-(* Visit of a row on the dequeue of one of its literals: one decrement
-   of the shared sum, then the members that can act join the actors —
-   the tightest first.  Terms are in decreasing coefficient, so a
-   member whose slack is at least c*, the coefficient of the first
-   unassigned term, implies nothing: every heavier term is assigned.
-   Negative slack is below c*, so every conflict is still seen.  c*
-   only falls while phase 2 assigns, so the c* read here is a safe
-   bound for the phase 2 that follows.  When no member is below
-   maxcoeff the cursor is left alone. *)
-let visit_row t ri coeff =
-  Telemetry.Counter.incr t.bstats.b_visits;
-  let r = Vec.unsafe_get t.rows ri in
-  let sum = r.rsum - coeff in
-  r.rsum <- sum;
+(* The row's first unassigned term, as a position of the normal form
+   (its length when there is none), from [from] on: every position
+   before [from] is assigned. *)
+let row_first t r from =
+  let base = t.obase in
+  let n = Array.length base / 2 in
+  let j = ref from in
+  while
+    !j < n
+    && (Bytes.unsafe_get r.rout !j <> '\000'
+       || not (Value.equal t.value.(Lit.var (Lit.of_index base.(2 * !j))) Value.Unknown))
+  do
+    incr j
+  done;
+  !j
+
+(* A member, of slack [s], acts through its row's terms under its own
+   cid: terms are in decreasing coefficient, so it implies each one
+   from the shared cursor on until the first whose coefficient is at
+   most [s].  Every term before the cursor is assigned, so this assigns
+   exactly what a scan from the first term would, in the same order.
+   [s * rscale] compares costs without a division. *)
+let scan_member t r mbase s =
+  let ci = t.arena.(mbase + h_cid) in
+  let base = t.obase in
+  let n = Array.length base / 2 in
+  let limit = s * r.rscale in
+  let rec go j =
+    if j < n then
+      if Bytes.unsafe_get r.rout j <> '\000' then go (j + 1)
+      else if base.((2 * j) + 1) > limit then begin
+        let lit = Lit.of_index base.(2 * j) in
+        if Value.equal (value_lit t lit) Value.Unknown then begin
+          Telemetry.Counter.incr t.bstats.b_props;
+          assign t lit (Implied ci)
+        end;
+        go (j + 1)
+      end
+  in
+  go t.bcursor
+
+let row_sum t r = (t.gsum - r.rx) / r.rscale
+
+(* A row's key: [gsum] is below it exactly when the row's tightest
+   member has a slack below [rmax], i.e. [(gsum - rx) / rscale - dmax <
+   rmax] for the largest member degree [dmax]; [gsum - rx] is a
+   multiple of [rscale], so the division is exact.  A memberless row's
+   key is far below any [gsum] (which is never negative) and stays so
+   as [rx] moves. *)
+let no_members = -(1 lsl 61)
+
+let row_key r =
   let m = r.rmembers in
+  if Vec.size m = 0 then r.rx + no_members
+  else r.rx + (r.rscale * (Vec.get m (Vec.size m - 1) + r.rmax))
+
+(* Visit of a tight row: the members that can act join the actors, the
+   tightest first.  Terms are in decreasing coefficient, so a member
+   whose slack is at least c*, the coefficient of the first unassigned
+   term, implies nothing: every heavier term is assigned.  Negative
+   slack is below c*, so every conflict is still seen.  c* only falls
+   while phase 2 assigns, so the c* read here is a safe bound for the
+   phase 2 that follows. *)
+let visit_tight_row t r from =
+  Telemetry.Counter.incr t.bstats.b_visits;
+  let sum = row_sum t r in
+  let m = r.rmembers in
+  let j = row_first t r from in
+  let cstar = if 2 * j < Array.length t.obase then t.obase.((2 * j) + 1) / r.rscale else 0 in
   let k = ref (Vec.size m - 2) in
-  if !k >= 0 && sum - Vec.unsafe_get m (!k + 1) < r.rmax then begin
-    let i = row_cursor t r in
-    let cstar = if 2 * i < Array.length r.rterms then r.rterms.((2 * i) + 1) else 0 in
-    while !k >= 0 && sum - Vec.unsafe_get m (!k + 1) < cstar do
-      Vec.push t.actors (Vec.unsafe_get m !k);
-      k := !k - 2
-    done
-  end
+  while !k >= 0 && sum - Vec.unsafe_get m (!k + 1) < cstar do
+    Vec.push t.actors (Vec.unsafe_get m !k);
+    k := !k - 2
+  done
+
+(* The dequeue of objective term [qi] of cost [cost]: every row's sum
+   falls by [cost / rscale] except those of the rows that exclude it,
+   which keep theirs.  Of the rows whose sum fell, only the tight ones
+   are visited — as a row that listed [qi] among its counting
+   occurrences would be; the rows that kept their sum are not visited
+   at all, tight or not. *)
+let dequeue_rows t qi cost =
+  t.ndequeues <- t.ndequeues + 1;
+  shift_rows t qi (-cost);
+  let g = t.gsum and keys = t.rkeys and stamp = t.ndequeues in
+  let from = ref (-1) in
+  for ri = 0 to Vec.size t.rows - 1 do
+    if Array.unsafe_get keys ri > g then begin
+      let r = Vec.unsafe_get t.rows ri in
+      if r.rskip <> stamp then begin
+        if !from < 0 then from := base_cursor t;
+        visit_tight_row t r !from
+      end
+    end
+  done
 
 (* Candidates of one dequeue must be examined in ascending arena-base
    (= constraint id) order in every mode, or the modes would enqueue
@@ -597,8 +737,10 @@ let degrade_to_watch_all t base =
    simply retires [q]; otherwise the set is extended with unwatched
    non-false terms until it covers maxcoeff again, and when that is
    impossible the constraint degrades to watch-all, at which point
-   wslack is the exact lagged slack.  Constraints whose final slack fell
-   below maxcoeff are collected.
+   wslack is the exact lagged slack.  When [q] is an objective term it
+   also moves the cut rows' sums ([dequeue_rows]).  Constraints whose
+   final slack fell below maxcoeff, and the members of tight rows that
+   can act, are collected.
 
    Phase 2 acts on the collected constraints in ascending arena order —
    the first with negative slack is the conflict, the rest propagate —
@@ -617,14 +759,13 @@ let process_falsified t q conflict =
     let ob = Vec.unsafe_get olist !oi in
     let coeff = Vec.unsafe_get olist (!oi + 1) in
     oi := !oi + 2;
-    if ob >= 0 then begin
-      Telemetry.Counter.incr t.bstats.b_visits;
-      let s = a.(ob + h_slack) - coeff in
-      a.(ob + h_slack) <- s;
-      if s < a.(ob + h_max) then Vec.push actors ob
-    end
-    else visit_row t (-1 - ob) coeff
+    Telemetry.Counter.incr t.bstats.b_visits;
+    let s = a.(ob + h_slack) - coeff in
+    a.(ob + h_slack) <- s;
+    if s < a.(ob + h_max) then Vec.push actors ob
   done;
+  let cost = t.lit_cost.(Lit.to_index (Lit.negate q)) in
+  if cost > 0 && Vec.size t.rows > 0 then dequeue_rows t qi cost;
   (* phase 1b: watch entries, compacting retirements in place *)
   let wn = Vec.size wlist in
   let wi = ref 0 and wkeep = ref 0 in
@@ -726,15 +867,11 @@ let process_falsified t q conflict =
       let flags = a.(base + h_flags) in
       if flags land flag_member <> 0 then begin
         let r = Vec.unsafe_get t.rows a.(base + h_slack) in
-        let s = r.rsum - a.(base + h_deg) in
+        let s = row_sum t r - a.(base + h_deg) in
         if s < 0 then conflict := Some a.(base + h_cid)
         else
-          (* [visit_row] stamped the cursor in phase 1 and every term
-             before it is assigned, so scanning from the cursor assigns
-             exactly what a scan from term 0 would, in the same order:
-             a looser member stops at the cursor at once, a tighter one
-             carries on from it. *)
-          r.rcursor <- scan_member t r base s r.rcursor
+          (* [dequeue_rows] moved the shared cursor on in phase 1 *)
+          scan_member t r base s
       end
       else begin
         let s = if flags land flag_watched <> 0 then a.(base + h_wslack) else a.(base + h_slack) in
@@ -886,39 +1023,91 @@ let add_constraint_dynamic t c =
 
 (* --- cut rows ----------------------------------------------------------------- *)
 
-let new_row t c =
-  let terms = Constr.terms c in
-  assert (Array.length terms <= wmask);
-  let rterms = Array.make (2 * Array.length terms) 0 in
-  Array.iteri
-    (fun i { Constr.coeff; lit } ->
-      rterms.(2 * i) <- Lit.to_index lit;
-      rterms.((2 * i) + 1) <- coeff)
-    terms;
-  Vec.push t.rows
-    {
-      rterms;
-      rconstr = c;
-      rmax = Constr.max_coeff c;
-      rsum = 0;
-      rmembers = Vec.create ~capacity:8 ~dummy:0 ();
-      rstamp = 0;
-      rcursor = 0;
-    };
-  Vec.size t.rows - 1
+(* The objective's normal form as (literal index, cost) pairs: each cost
+   literal negated, by decreasing cost and then ascending variable —
+   the term order of the knapsack row (10) and, since dividing by a
+   common factor keeps it, of every row cut from it.  Built at the
+   first cut; empty for a satisfaction problem. *)
+let row_base t =
+  if Array.length t.excl = 0 then begin
+    let costs =
+      match Problem.objective t.problem with
+      | None -> [||]
+      | Some o -> Array.copy o.cost_terms
+    in
+    Array.sort
+      (fun (x : Problem.cost_term) (y : Problem.cost_term) ->
+        if x.cost <> y.cost then compare y.cost x.cost else compare (Lit.var x.lit) (Lit.var y.lit))
+      costs;
+    t.obase <- Array.make (2 * Array.length costs) 0;
+    Array.iteri
+      (fun i (ct : Problem.cost_term) ->
+        t.obase.(2 * i) <- Lit.to_index (Lit.negate ct.lit);
+        t.obase.((2 * i) + 1) <- ct.cost)
+      costs;
+    t.excl <- Array.make (Array.length t.lit_cost) []
+  end;
+  t.obase
 
-(* A row is on the occurrence lists exactly while it has members; its
-   sum is seeded like a counting slack. *)
-let register_row t ri =
-  let r = Vec.get t.rows ri in
-  let sum = ref 0 in
-  for i = 0 to (Array.length r.rterms / 2) - 1 do
-    let li = r.rterms.(2 * i) and coeff = r.rterms.((2 * i) + 1) in
-    if not (lagged_false t (Lit.of_index li)) then sum := !sum + coeff;
-    Vec.push t.occs.(li) (-1 - ri);
-    Vec.push t.occs.(li) coeff
-  done;
-  r.rsum <- !sum
+(* [c] as a row: its terms must be those of the objective's normal form
+   minus some excluded terms, in the same order, each coefficient the
+   term's cost over one factor.  Returns that factor and the excluded
+   positions of the normal form. *)
+let row_shape t c =
+  let base = row_base t in
+  let terms = Constr.terms c in
+  let n = Array.length terms in
+  let rec go i j scale excluded =
+    if 2 * i = Array.length base then if j = n && scale > 0 then Some (scale, excluded) else None
+    else begin
+      let li = base.(2 * i) and cost = base.((2 * i) + 1) in
+      if j < n && Lit.to_index terms.(j).Constr.lit = li then begin
+        let coeff = terms.(j).Constr.coeff in
+        if cost mod coeff <> 0 || (scale > 0 && cost / coeff <> scale) then None
+        else go (i + 1) (j + 1) (cost / coeff) excluded
+      end
+      else go (i + 1) j scale (i :: excluded)
+    end
+  in
+  go 0 0 0 []
+
+let new_row t c scale excluded =
+  let base = t.obase in
+  let ri = Vec.size t.rows in
+  (* [gsum] is kept from the first row on *)
+  if ri = 0 then
+    for i = 0 to (Array.length base / 2) - 1 do
+      if not (lagged_false t (Lit.of_index base.(2 * i))) then t.gsum <- t.gsum + base.((2 * i) + 1)
+    done;
+  let rout = Bytes.make (Array.length base / 2) '\000' in
+  let rx =
+    List.fold_left
+      (fun acc i ->
+        let li = base.(2 * i) in
+        Bytes.set rout i '\001';
+        t.excl.(li) <- ri :: t.excl.(li);
+        if lagged_false t (Lit.of_index li) then acc else acc + base.((2 * i) + 1))
+      0 excluded
+  in
+  let r =
+    {
+      rconstr = c;
+      rout;
+      rmax = Constr.max_coeff c;
+      rscale = scale;
+      rx;
+      rskip = 0;
+      rmembers = Vec.create ~capacity:8 ~dummy:0 ();
+    }
+  in
+  Vec.push t.rows r;
+  if ri >= Array.length t.rkeys then begin
+    let keys = Array.make (max 8 (2 * ri)) 0 in
+    Array.blit t.rkeys 0 keys 0 ri;
+    t.rkeys <- keys
+  end;
+  t.rkeys.(ri) <- row_key r;
+  ri
 
 (* [c]'s terms are the row's; its stored form shares the row's array. *)
 let add_member t ri c =
@@ -942,7 +1131,6 @@ let add_member t ri c =
   Vec.push t.constrs { constr; learned = true; cactivity = { act = 0. }; base };
   t.nlearned <- t.nlearned + 1;
   let m = r.rmembers in
-  if Vec.size m = 0 then register_row t ri;
   (* insert in ascending degree; cuts tighten, so this is an append *)
   Vec.push m 0;
   Vec.push m 0;
@@ -954,26 +1142,32 @@ let add_member t ri c =
   done;
   Vec.set m !k base;
   Vec.set m (!k + 1) degree;
-  let s = r.rsum - degree in
+  t.rkeys.(ri) <- row_key r;
+  let s = row_sum t r - degree in
   if s < 0 then begin
     if decision_level t = 0 then t.unsat <- true;
     Some ci
   end
   else begin
-    if s < r.rmax then r.rcursor <- scan_member t r base s (row_cursor t r);
+    if s < r.rmax then begin
+      ignore (base_cursor t);
+      scan_member t r base s
+    end;
     None
   end
 
 let add_cut t ?row c =
-  let ri =
-    match row with
-    | Some ri
-      when let rc = (Vec.get t.rows ri).rconstr in
-           Constr.terms rc == Constr.terms c || Constr.terms rc = Constr.terms c ->
-      ri
-    | Some _ | None -> new_row t c
-  in
-  ri, add_member t ri c
+  match row with
+  | Some ri
+    when let rc = (Vec.get t.rows ri).rconstr in
+         Constr.terms rc == Constr.terms c || Constr.terms rc = Constr.terms c ->
+    row, add_member t ri c
+  | Some _ | None -> (
+    match row_shape t c with
+    | Some (scale, excluded) ->
+      let ri = new_row t c scale excluded in
+      Some ri, add_member t ri c
+    | None -> None, add_constraint_dynamic t c)
 
 (* --- activities ----------------------------------------------------------- *)
 
@@ -1166,15 +1360,18 @@ let analyze_false_clause t =
           counter := !counter + mark_implication t dl ci p
       end
     done;
-    (* The clause keeps the literals of [learnt] that are not redundant,
-       last marked first, behind the asserting literal. *)
+    (* The clause is the asserting literal and the literals of [learnt]
+       that are not redundant; the proof log lists them last marked
+       first, behind the asserting literal. *)
     let asserting = Lit.negate !uip in
-    let minimized = ref [] and size = ref 1 and back_level = ref 0 in
+    let lbuf = t.lbuf in
+    Vec.clear lbuf;
+    Vec.push lbuf (Lit.to_index asserting);
+    let back_level = ref 0 in
     for i = 0 to Vec.size t.learnt - 1 do
       let l = Vec.get t.learnt i in
       if not (redundant t l) then begin
-        minimized := l :: !minimized;
-        incr size;
+        Vec.push lbuf (Lit.to_index l);
         let lv = t.var_level.(Lit.var l) in
         if lv > !back_level then back_level := lv
       end
@@ -1185,41 +1382,48 @@ let analyze_false_clause t =
     Vec.clear t.to_clear;
     Vec.clear t.learnt;
     let back_level = !back_level in
-    let clause = asserting :: !minimized in
+    let size = Vec.size lbuf in
+    let logged =
+      match t.on_learned with
+      | None -> []
+      | Some _ ->
+        let rec collect i acc =
+          if i = size then acc else collect (i + 1) (Lit.of_index (Vec.get lbuf i) :: acc)
+        in
+        asserting :: collect 1 []
+    in
     Telemetry.Histogram.observe t.stats.backjump_len (dl - back_level);
     backjump_to t back_level;
-    (match Constr.clause clause with
-    | Constr.Constr c ->
-      Telemetry.Counter.incr t.stats.learned_total;
-      Telemetry.Histogram.observe t.stats.learned_size !size;
-      let terms = Constr.terms c in
-      let ci =
-        if Array.length terms < 2 || t.bcp = Counting then fst (attach_counting t ~learned:true c)
-        else begin
-          (* watch the asserting literal and a literal of the backjump
-             level: both become unassigned together on any later
-             backjump, preserving the watch invariant *)
-          let wa = ref 0 in
-          while not (Lit.equal terms.(!wa).Constr.lit asserting) do
-            incr wa
-          done;
-          let wb = ref 0 in
-          while
-            let l = terms.(!wb).Constr.lit in
-            Lit.equal l asserting || t.var_level.(Lit.var l) <> back_level
-          do
-            incr wb
-          done;
-          attach_learned_clause t c ~w1:!wa ~w2:!wb
-        end
-      in
-      bump_cla_activity t ci;
-      (match t.on_learned with Some f -> f clause | None -> ());
-      assign t asserting (Implied ci)
-    | Constr.Trivial_true | Constr.Trivial_false ->
-      (* A learned clause with distinct variables and degree 1 is always a
-         proper clause. *)
-      assert false);
+    (* The seen marks keep the variables distinct, so the literals in
+       ascending order are the clause's normal form. *)
+    Vec.sort_int lbuf;
+    let c = Constr.clause_init size (fun i -> Lit.of_index (Vec.unsafe_get lbuf i)) in
+    Telemetry.Counter.incr t.stats.learned_total;
+    Telemetry.Histogram.observe t.stats.learned_size size;
+    let terms = Constr.terms c in
+    let ci =
+      if size < 2 || t.bcp = Counting then fst (attach_counting t ~learned:true c)
+      else begin
+        (* watch the asserting literal and a literal of the backjump
+           level: both become unassigned together on any later
+           backjump, preserving the watch invariant *)
+        let wa = ref 0 in
+        while not (Lit.equal terms.(!wa).Constr.lit asserting) do
+          incr wa
+        done;
+        let wb = ref 0 in
+        while
+          let l = terms.(!wb).Constr.lit in
+          Lit.equal l asserting || t.var_level.(Lit.var l) <> back_level
+        do
+          incr wb
+        done;
+        attach_learned_clause t c ~w1:!wa ~w2:!wb
+      end
+    in
+    bump_cla_activity t ci;
+    (match t.on_learned with Some f -> f logged | None -> ());
+    assign t asserting (Implied ci);
     Backjump { level = back_level; asserting = Some asserting }
   end
 
@@ -1407,8 +1611,8 @@ let reduce_db t =
   (* Members leave their rows with their constraints; the survivors'
      entries hold their old cid until the arena has been compacted. *)
   let a = t.arena in
-  Vec.iter
-    (fun r ->
+  Vec.iteri
+    (fun ri r ->
       let m = r.rmembers in
       let keep = ref 0 in
       let k = ref 0 in
@@ -1421,7 +1625,8 @@ let reduce_db t =
         end;
         k := !k + 2
       done;
-      Vec.shrink m !keep)
+      Vec.shrink m !keep;
+      t.rkeys.(ri) <- row_key r)
     t.rows;
   let remap = Array.make n (-1) in
   let kept = Vec.create ~dummy:dummy_cstate () in
@@ -1554,7 +1759,6 @@ let reduce_db t =
         else register_fresh_watched cs
       end)
     t.constrs;
-  Vec.iteri (fun ri r -> if Vec.size r.rmembers > 0 then register_row t ri) t.rows;
   Telemetry.Counter.set t.bstats.b_nwatched !nwatched;
   Telemetry.Counter.set t.bstats.b_ncounting !ncounting;
   Telemetry.Counter.set t.bstats.b_nwatchall !nwatchall;
@@ -1596,10 +1800,19 @@ let create ?telemetry ?(bcp = Hybrid) p =
       arena_top = 0;
       occs = Array.init (2 * nvars) (fun _ -> Vec.create ~dummy:0 ());
       rows = Vec.create ~dummy:dummy_row ();
+      obase = [||];
+      bcursor = 0;
+      bmarks = Vec.create ~dummy:0 ();
+      btop = 0;
+      gsum = 0;
+      excl = [||];
+      rkeys = [||];
+      ndequeues = 0;
       watches = Array.init (2 * nvars) (fun _ -> Vec.create ~dummy:0 ());
       lfalse = Bytes.make (2 * nvars) '\000';
       actors = Vec.create ~dummy:0 ();
-      pops = 0;
+      level_ids = Vec.create ~dummy:0 ();
+      ndecisions = 0;
       nlearned = 0;
       lit_cost = Array.make (2 * nvars) 0;
       path = 0;
@@ -1609,6 +1822,7 @@ let create ?telemetry ?(bcp = Hybrid) p =
       seen = Array.make nvars false;
       alits = Vec.create ~dummy:dummy_lit ();
       learnt = Vec.create ~dummy:dummy_lit ();
+      lbuf = Vec.create ~dummy:0 ();
       to_clear = Vec.create ~dummy:0 ();
       omega_marks = Bytes.make (2 * nvars) '\000';
       omega_lo = max_int;
@@ -1942,26 +2156,75 @@ let check_invariants t =
             ci !ws a.(base + h_max)
       end)
     t.constrs;
-  (* Rows: a live row's sum is its lagged recomputation, and its member
-     list names exactly its members, in ascending degree. *)
-  let listed = ref 0 in
+  (* Rows: the shared sum and every row's excluded sum and key are their
+     lagged recomputations, a row is the objective's normal form minus
+     exactly the terms its exclusion lists and marks name, over one
+     factor, its key is above the shared sum exactly when it is tight,
+     and its member list names exactly its members, in ascending
+     degree.  No position before the shared cursor, as the marks cut it
+     back, is unassigned or of a level above its mark's. *)
+  let listed = ref 0 and nexcluded = ref 0 in
+  let weight li cost = if lagged_false t (Lit.of_index li) then 0 else cost in
+  let nbase = Array.length t.obase / 2 in
+  if Vec.size t.rows > 0 then begin
+    let g = ref 0 in
+    for i = 0 to nbase - 1 do
+      g := !g + weight t.obase.(2 * i) t.obase.((2 * i) + 1)
+    done;
+    if t.gsum <> !g then fail "rows: shared sum %d, lagged recompute %d" t.gsum !g
+  end;
+  let m = t.bmarks in
+  if t.btop <> (if Vec.size m = 0 then 0 else Vec.get m (Vec.size m - 2)) then
+    fail "rows: top mark level %d" t.btop;
+  let open_marks = open_marks t in
+  let cursor = if open_marks < Vec.size m then Vec.get m open_marks else t.bcursor in
+  let level = ref 0 and next = ref 0 in
+  for i = 0 to cursor - 1 do
+    while !next < open_marks && Vec.get m !next <= i do
+      level := Vec.get m (!next + 1);
+      next := !next + 3
+    done;
+    let v = Lit.var (Lit.of_index t.obase.(2 * i)) in
+    if Value.equal t.value.(v) Value.Unknown then
+      fail "rows: term %d before the cursor %d is unassigned" i cursor
+    else if t.var_level.(v) > !level then
+      fail "rows: term %d before the cursor is of level %d, above its mark's %d" i
+        t.var_level.(v) !level
+  done;
   Vec.iteri
     (fun ri r ->
       let m = r.rmembers in
       listed := !listed + (Vec.size m / 2);
-      if Vec.size m > 0 then begin
-        let sum = ref 0 in
-        for i = 0 to (Array.length r.rterms / 2) - 1 do
-          if not (lagged_false t (Lit.of_index r.rterms.(2 * i))) then
-            sum := !sum + r.rterms.((2 * i) + 1)
-        done;
-        if r.rsum <> !sum then fail "row %d: sum %d, lagged recompute %d" ri r.rsum !sum
-      end;
-      if r.rstamp = t.pops then
-        for i = 0 to r.rcursor - 1 do
-          if Value.equal (value_lit t (Lit.of_index r.rterms.(2 * i))) Value.Unknown then
-            fail "row %d: term %d before the cursor %d is unassigned" ri i r.rcursor
-        done;
+      let terms = Constr.terms r.rconstr in
+      let sum = ref 0 and x = ref 0 and j = ref 0 in
+      for i = 0 to nbase - 1 do
+        let li = t.obase.(2 * i) and cost = t.obase.((2 * i) + 1) in
+        if !j < Array.length terms && Lit.to_index terms.(!j).Constr.lit = li then begin
+          let coeff = terms.(!j).Constr.coeff in
+          if coeff * r.rscale <> cost then
+            fail "row %d: term %d is not its cost over %d" ri li r.rscale;
+          if Bytes.get r.rout i <> '\000' then fail "row %d: term %d marked excluded" ri li;
+          sum := !sum + weight li coeff;
+          incr j
+        end
+        else begin
+          incr nexcluded;
+          x := !x + weight li cost;
+          if Bytes.get r.rout i = '\000' then fail "row %d: excluded %d not marked" ri li;
+          if not (List.mem ri t.excl.(li)) then fail "row %d: excluded %d is not listed" ri li
+        end
+      done;
+      if !j <> Array.length terms then fail "row %d: terms off the objective's order" ri;
+      if r.rx <> !x then fail "row %d: excluded sum %d, lagged recompute %d" ri r.rx !x;
+      if t.gsum - r.rx <> r.rscale * !sum then
+        fail "row %d: shared sum less excluded %d, row sum %d over %d" ri (t.gsum - r.rx) !sum
+          r.rscale;
+      if t.rkeys.(ri) <> row_key r then
+        fail "row %d: key %d, recomputed %d" ri t.rkeys.(ri) (row_key r);
+      let tight = Vec.size m > 0 && !sum - Vec.get m (Vec.size m - 1) < r.rmax in
+      if tight <> (t.rkeys.(ri) > t.gsum) then
+        fail "row %d: key %d against shared sum %d, but the row is%s tight" ri t.rkeys.(ri) t.gsum
+          (if tight then "" else " not");
       let k = ref 0 in
       while !k < Vec.size m do
         let base = Vec.get m !k and degree = Vec.get m (!k + 1) in
@@ -1973,6 +2236,9 @@ let check_invariants t =
       done)
     t.rows;
   if !listed <> !nmembers then fail "rows list %d members, store has %d" !listed !nmembers;
+  let nlisted = Array.fold_left (fun acc l -> acc + List.length l) 0 t.excl in
+  if nlisted <> !nexcluded then
+    fail "exclusion lists hold %d rows, rows exclude %d" nlisted !nexcluded;
   if t.nlearned <> !nlearned then fail "learned count %d, store has %d" t.nlearned !nlearned;
   (* The population counters, against a recount (this needs the engine
      to own its registry's bcp.* counters). *)

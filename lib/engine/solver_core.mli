@@ -160,24 +160,31 @@ val add_constraint_dynamic : t -> Constr.t -> cid option
 (** {1 Cut rows}
 
     The incumbent cuts (eqs. 10-13) are, per source, one fixed term list
-    whose degree rises with every new incumbent.  A {e row} stores that
-    term list once with one lagged sum of its non-false coefficients;
-    each cut is a {e member} of the row that keeps only its degree.
-    Propagation visits a row once per dequeue of one of its literals and
-    derives every member's slack from the shared sum.  A member is
-    otherwise an ordinary learned constraint — its own cid, activity and
-    [Constr.t] (sharing the row's term array) — so reasons, conflicts,
-    analysis and {!reduce_db} treat it exactly as the same constraint
-    added with {!add_constraint_dynamic}, and the search is identical. *)
+    whose degree rises with every new incumbent: the objective's normal
+    form (the knapsack row (10)) minus the terms of an excluded set K,
+    divided by one factor.  A {e row} stores that term list once; each
+    cut is a {e member} of the row that keeps only its degree.  Every
+    row reads one lagged sum, the cost of the objective's non-false
+    normal-form terms, less the cost of its own non-false excluded
+    terms, so the dequeue of an objective literal moves one sum and
+    the excluded sums of the few rows that exclude it, and visits only
+    the rows whose tightest member can act.  A member is otherwise an
+    ordinary learned constraint — its own cid, activity and [Constr.t]
+    (sharing the row's term array) — so reasons, conflicts, analysis
+    and {!reduce_db} treat it exactly as the same constraint added with
+    {!add_constraint_dynamic}, and the search is identical. *)
 
 type row
 
-val add_cut : t -> ?row:row -> Constr.t -> row * cid option
+val add_cut : t -> ?row:row -> Constr.t -> row option * cid option
 (** [add_cut s ?row c] adds [c] as a member of [row] when [c]'s terms
     are the row's, and otherwise (or without [row]) as the first member
-    of a new row; returns the row [c] joined.  The result is the same
-    contract as {!add_constraint_dynamic} (not in the lower-bounding
-    view): [Some cid] when [c] is conflicting. *)
+    of a new row when its terms are the objective's normal form minus
+    some terms over one factor; returns the row [c] joined.  Any other
+    [c] (a saturated cut, say) is added with {!add_constraint_dynamic}
+    and the row is [None].  The result is the same contract as
+    {!add_constraint_dynamic} (not in the lower-bounding view):
+    [Some cid] when [c] is conflicting. *)
 
 val backjump_to : t -> int -> unit
 (** Undo decisions above the given level (for restarts; analysis
@@ -359,9 +366,13 @@ val check_invariants : t -> (unit, string) result
     covers maxcoeff, or every non-false term is watched, or a watched
     falsified term marks an allowed transient state), trail levels are
     monotone, and the path cost matches the assigned cost literals.
-    Cut rows: a live row's sum matches its lagged recomputation, its
-    member list names exactly its members, in ascending degree, and no
-    term before a row cursor stamped since the last popping backjump is
-    unassigned.  {!num_learned} and the [bcp.constrs_*] populations
-    match a recount (so the engine must own its registry's [bcp.*]
+    Cut rows: the shared objective sum and every row's excluded sum
+    and key match their lagged recomputation, a row's key is above the
+    shared sum exactly when the row is tight, every row is the
+    objective's normal form minus exactly the terms its exclusion lists
+    name, its member list names exactly its members, in ascending
+    degree, and no term of the normal form before the shared cursor (as
+    its level marks cut it back) is unassigned or of a level above its
+    mark's.  {!num_learned} and the [bcp.constrs_*] populations match a
+    recount (so the engine must own its registry's [bcp.*]
     counters). *)

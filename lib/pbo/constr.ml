@@ -194,6 +194,7 @@ let clause lits =
   if !distinct then Constr { terms = Array.map (fun lit -> { coeff = 1; lit }) a; degree = 1 }
   else make_ge (List.map (fun l -> 1, l) lits) 1
 
+let clause_init n lit = { terms = Array.init n (fun i -> { coeff = 1; lit = lit i }); degree = 1 }
 let cardinality lits k = make_ge (List.map (fun l -> 1, l) lits) k
 let terms c = c.terms
 let degree c = c.degree

@@ -86,6 +86,11 @@ val with_degree : t -> int -> t
 val clause : Lit.t list -> norm
 (** [clause lits] is the propositional clause "at least one of [lits]". *)
 
+val clause_init : int -> (int -> Lit.t) -> t
+(** [clause_init n lit] is the clause over [lit 0], ..., [lit (n - 1)],
+    which must ascend over pairwise distinct variables: they are then
+    its normal form, the constraint {!clause} would build from them. *)
+
 val cardinality : Lit.t list -> int -> norm
 (** [cardinality lits k] requires at least [k] of [lits] to be true. *)
 

@@ -57,7 +57,8 @@ let covering ?(nvars = 10) ?(nclauses = 14) seed =
    literals with general coefficients, and its degree is at most the
    weight a hidden random model gives it.  Rich in implications, failed
    literals and ties in cost/weight ratios. *)
-let planted ?(nvars = 16) ?(nconstrs = 30) ?(max_arity = 5) ?(max_coeff = 5) seed =
+let planted ?(nvars = 16) ?(nconstrs = 30) ?(max_arity = 5) ?(max_coeff = 5)
+    ?(cost = fun rng -> 1 + Random.State.int rng 5) seed =
   let rng = Random.State.make [| seed; 0x57e9 |] in
   let model = Array.init nvars (fun _ -> Random.State.bool rng) in
   let b = Problem.Builder.create ~nvars () in
@@ -74,7 +75,7 @@ let planted ?(nvars = 16) ?(nconstrs = 30) ?(max_arity = 5) ?(max_coeff = 5) see
     if weight > 0 then Problem.Builder.add_ge b terms (1 + Random.State.int rng weight)
   done;
   Problem.Builder.set_objective b
-    (List.init nvars (fun v -> 1 + Random.State.int rng 5, Lit.pos v));
+    (List.init nvars (fun v -> cost rng, Lit.pos v));
   Problem.Builder.build b
 
 (* --- portfolio members for the import tests --------------------------------- *)

@@ -221,7 +221,14 @@ let cross_mode_replay () =
    bound.  Random propagations, decisions, backjumps, cut additions and
    [reduce_db] calls then run on both for [fuel] steps; at every step
    the trails (with reasons), conflict cids, analyses and the engine
-   invariants (row sums and cursors included) must agree.
+   invariants (the rows' sums, keys and cursor included) must agree.
+
+   [~mixed:true] adds the sources of the objective's terms whose costs
+   2, 3 and 4 divide, starts every source's bound just below its own
+   sum, so each cuts from the start, first saturated, and adds a
+   source whose terms repeat a variable: its family is [Raw] and its
+   cuts are not the objective's normal form minus some terms, so engine
+   B must take them as plain constraints.
 
    [~deep:true] first gives every source [members] cuts at the root and
    then walks without [reduce_db] and with rarer backjumps, so rows keep
@@ -231,15 +238,21 @@ let cross_mode_replay () =
    outside: a row is tight at a fixpoint when its tightest member's
    slack is below its largest coefficient, and a backjump rewinds a
    tight row when it unassigns a term before the row's first
-   unassigned one. *)
+   unassigned one.  A row's excluded terms are the objective's terms
+   it lacks; a backjump reverts one when it unassigns a cost literal
+   that was true (its normal-form term false). *)
 type walk = {
   walked : bool;  (* the instance was not refuted at the root *)
   big_rows : int;  (* rows given at least [members] members, [reduce_db] aside *)
   tight_runs : int;  (* backjumps after two or more tight fixpoints *)
   rewinds : int;  (* backjumps that unassigned a term before a tight row's first unassigned one *)
+  scaled_rows : int;  (* rows whose exclusion changed the objective's gcd *)
+  excluded_reverts : int;  (* (backjump, row) pairs: the backjump reverted a false excluded term *)
+  plain_cuts : int;  (* cuts engine B took as plain constraints *)
 }
 
-let rows_lockstep ?(nsources = 2) ?(fuel = 120) ?(deep = false) ?(members = 8) problem bcp seed =
+let rows_lockstep ?(nsources = 2) ?(fuel = 120) ?(deep = false) ?(members = 8) ?(mixed = false)
+    problem bcp seed =
   let rng = Random.State.make [| seed; 0x70ad |] in
   let cost_terms =
     match Problem.objective problem with
@@ -250,12 +263,34 @@ let rows_lockstep ?(nsources = 2) ?(fuel = 120) ?(deep = false) ?(members = 8) p
   let parts =
     List.init (nsources - 1) (fun _ -> List.filter (fun _ -> Random.State.bool rng) cost_terms)
   in
+  let parts =
+    match cost_terms with
+    | (c, l) :: _ when mixed ->
+      (* the terms whose cost [k] divides: excluding the rest changes the gcd *)
+      let multiples k = List.filter (fun (c, _) -> c mod k = 0) cost_terms in
+      parts
+      @ List.filter (fun part -> part <> []) [ multiples 2; multiples 3; multiples 4 ]
+      @ [ (1, Lit.negate l) :: (c, l) :: cost_terms ]
+    | _ -> parts
+  in
   let sources = Array.of_list (List.map Constr.family (cost_terms :: parts)) in
   let sum terms = List.fold_left (fun acc (c, _) -> acc + c) 0 terms in
   let bounds =
     Array.of_list
-      (List.map (fun terms -> ref (sum (if deep then terms else cost_terms))) (cost_terms :: parts))
+      (List.map
+         (fun terms ->
+           if mixed then
+             ref (sum terms - (List.fold_left (fun acc (c, _) -> max acc c) 0 terms / 2))
+           else ref (sum (if deep then terms else cost_terms)))
+         (cost_terms :: parts))
   in
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  let cost_of = Hashtbl.create 16 in
+  List.iter (fun (c, l) -> Hashtbl.replace cost_of (Lit.negate l) c) cost_terms;
+  let objective_gcd = List.fold_left (fun acc (c, _) -> gcd acc c) 0 cost_terms in
+  let scaled_rows = ref 0 and excluded_reverts = ref 0 and plain_cuts = ref 0 in
+  (* per row: the cost literals of its excluded terms *)
+  let excluded = Hashtbl.create 8 in
   let rows = Array.map (fun _ -> ref None) sources in
   (* engine B's rows as the test sees them: terms, the tightest member's
      degree and the number of members *)
@@ -301,7 +336,14 @@ let rows_lockstep ?(nsources = 2) ?(fuel = 120) ?(deep = false) ?(members = 8) p
   in
   let around_backjump f =
     if !tight_fixpoints >= 2 then incr tight_runs;
+    let true_now lits = List.filter (fun l -> Value.equal (Core.value_lit b l) Value.True) lits in
+    let before = Hashtbl.fold (fun _ lits acc -> true_now lits :: acc) excluded [] in
     f ();
+    List.iter
+      (fun lits ->
+        if List.exists (fun l -> Value.equal (Core.value_lit b l) Value.Unknown) lits then
+          incr excluded_reverts)
+      before;
     Hashtbl.iter
       (fun row first ->
         let terms, _, _ = Hashtbl.find seen_rows row in
@@ -331,12 +373,24 @@ let rows_lockstep ?(nsources = 2) ?(fuel = 120) ?(deep = false) ?(members = 8) p
     | Constr.Constr c ->
       let ra = Core.add_constraint_dynamic a c in
       let row, rb = Core.add_cut b ?row:!(rows.(i)) c in
-      rows.(i) := Some row;
-      (match Hashtbl.find_opt seen_rows row with
-      | Some (_, degree, count) ->
-        degree := max !degree (Constr.degree c);
-        incr count
-      | None -> Hashtbl.add seen_rows row (Constr.terms c, ref (Constr.degree c), ref 1));
+      rows.(i) := row;
+      (match row with
+      | None -> incr plain_cuts
+      | Some row -> (
+        match Hashtbl.find_opt seen_rows row with
+        | Some (_, degree, count) ->
+          degree := max !degree (Constr.degree c);
+          incr count
+        | None ->
+          let terms = Constr.terms c in
+          Hashtbl.add seen_rows row (terms, ref (Constr.degree c), ref 1);
+          let t0 = terms.(0) in
+          if Hashtbl.find cost_of t0.lit / t0.coeff <> objective_gcd then incr scaled_rows;
+          let in_row l =
+            Array.exists (fun (t : Constr.term) -> Lit.equal t.lit (Lit.negate l)) terms
+          in
+          Hashtbl.add excluded row
+            (List.filter_map (fun (_, l) -> if in_row l then None else Some l) cost_terms)));
       same "after cut";
       (match ra, rb with
       | None, None -> ()
@@ -382,7 +436,15 @@ let rows_lockstep ?(nsources = 2) ?(fuel = 120) ?(deep = false) ?(members = 8) p
   in
   let walked = walk fuel < fuel in
   Hashtbl.iter (fun _ (_, _, count) -> if !count >= members then incr big_rows) seen_rows;
-  { walked; big_rows = !big_rows; tight_runs = !tight_runs; rewinds = !rewinds }
+  {
+    walked;
+    big_rows = !big_rows;
+    tight_runs = !tight_runs;
+    rewinds = !rewinds;
+    scaled_rows = !scaled_rows;
+    excluded_reverts = !excluded_reverts;
+    plain_cuts = !plain_cuts;
+  }
 
 let qcheck_rows_lockstep =
   QCheck2.Test.make ~name:"cut rows propagate like plain constraints in every mode" ~count:60
@@ -449,6 +511,44 @@ let deep_rows_reach () =
   if !runs < 20 then Alcotest.failf "only %d backjumps after several tight fixpoints" !runs;
   if !rewinds < 20 then Alcotest.failf "only %d backjumps rewound a tight row" !rewinds
 
+(* Costs with shared factors, so that a row's exclusion often changes
+   the gcd and the row's coefficients are its costs over a factor above
+   the objective's; and a source whose terms repeat a variable. *)
+let scaled_problem seed =
+  Gen.planted ~nvars:12 ~nconstrs:12
+    ~cost:(fun rng -> [| 2; 4; 6; 8; 12; 3 |].(Random.State.int rng 6))
+    seed
+
+let qcheck_scaled_rows_lockstep =
+  QCheck2.Test.make ~name:"rows over a changed gcd and raw cuts propagate like plain constraints"
+    ~count:40
+    QCheck2.Gen.(int_bound 100_000)
+    (fun seed ->
+      let problem = scaled_problem seed in
+      List.iter
+        (fun (m, _) -> ignore (rows_lockstep ~nsources:3 ~fuel:300 ~mixed:true problem m seed))
+        modes;
+      true)
+
+(* The scaled walk must see what it is there for: rows whose exclusion
+   changed the gcd, backjumps that revert a false excluded term of a
+   row (counted per row), and cuts (saturated or raw) that take the plain path (measured
+   over these 10 walks: 33, 279 and 234). *)
+let scaled_rows_reach () =
+  let scaled = ref 0 and reverts = ref 0 and plain = ref 0 in
+  for seed = 0 to 9 do
+    let w =
+      rows_lockstep ~nsources:3 ~fuel:300 ~mixed:true (scaled_problem seed) Core.Hybrid seed
+    in
+    scaled := !scaled + w.scaled_rows;
+    reverts := !reverts + w.excluded_reverts;
+    plain := !plain + w.plain_cuts
+  done;
+  if !scaled < 20 then Alcotest.failf "only %d rows changed the gcd in 10 walks" !scaled;
+  if !reverts < 100 then
+    Alcotest.failf "only %d (backjump, row) pairs reverted an excluded term" !reverts;
+  if !plain < 100 then Alcotest.failf "only %d cuts took the plain path" !plain
+
 (* --- per-mode population sanity -------------------------------------------- *)
 
 (* Forced modes must register every (multi-literal) constraint in their
@@ -484,4 +584,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_deep_rows_lockstep;
     Alcotest.test_case "deep cut-row walks reach many members and rewinds" `Quick
       deep_rows_reach;
+    QCheck_alcotest.to_alcotest qcheck_scaled_rows_lockstep;
+    Alcotest.test_case "scaled cut-row walks reach gcd rows, reverts and plain cuts" `Quick
+      scaled_rows_reach;
   ]

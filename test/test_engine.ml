@@ -204,6 +204,84 @@ let dynamic_conflicting_constraint () =
     | None -> Alcotest.fail "should conflict")
   | Constr.Trivial_true | Constr.Trivial_false -> Alcotest.fail "clause"
 
+(* --- cut rows ----------------------------------------------------------------- *)
+
+let constr_of = function
+  | Constr.Constr c -> c
+  | Constr.Trivial_true | Constr.Trivial_false -> Alcotest.fail "trivial cut"
+
+let invariant where engine =
+  match Core.check_invariants engine with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: %s" where e
+
+(* Objective 6x0 + 4x1 + 2x2 + 3x3.  Its cut [sum <= r] is a row while
+   it does not saturate; excluding x3 leaves 6x0 + 4x1 + 2x2, whose
+   normal form 3~x0 + 2~x1 + ~x2 is the objective's over the factor 2.
+   A saturated cut is not the objective's normal form minus some terms
+   over one factor, nor is any cut of a problem without objective: those
+   are plain constraints.  Each case must leave the same trail as the
+   same cut added with [add_constraint_dynamic]. *)
+let cut_rows_and_plain_cuts () =
+  let costs = [ 6, Lit.pos 0; 4, Lit.pos 1; 2, Lit.pos 2; 3, Lit.pos 3 ] in
+  let build objective =
+    let b = Problem.Builder.create ~nvars:5 () in
+    Problem.Builder.add_clause b [ Lit.pos 4; Lit.neg 3 ];
+    if objective then Problem.Builder.set_objective b costs;
+    Problem.Builder.build b
+  in
+  let objective = Constr.family costs in
+  let without_x3 = Constr.family_without objective (fun v -> v = 3) in
+  let pair objective =
+    let p = build objective in
+    Core.create p, Core.create p
+  in
+  let same where (a, b) =
+    invariant where a;
+    invariant where b;
+    if Core.trail a <> Core.trail b then Alcotest.failf "%s: trails differ" where
+  in
+  let add where (a, b) ?row c ~expect_row =
+    let ra = Core.add_constraint_dynamic a c in
+    let row, rb = Core.add_cut b ?row c in
+    if (row <> None) <> expect_row then
+      Alcotest.failf "%s: %s" where (if expect_row then "not a row" else "a row");
+    if (ra = None) <> (rb = None) then Alcotest.failf "%s: conflict verdicts differ" where;
+    ignore (Core.propagate a);
+    ignore (Core.propagate b);
+    same where (a, b);
+    row
+  in
+  (* 6 - 2 = 4 of the x3-less costs may be paid: [3~x0 + 2~x1 + ~x2 >= 4],
+     and deciding x3 (an excluded term's literal) leaves the row's sum
+     alone; x1 then leaves slack 0 and forces ~x0 and ~x2 *)
+  let engines = pair true in
+  let row =
+    add "x3-less row" engines (constr_of (Constr.family_at without_x3 4)) ~expect_row:true
+  in
+  List.iter
+    (fun l ->
+      Core.decide (fst engines) l;
+      Core.decide (snd engines) l;
+      ignore (Core.propagate (fst engines));
+      ignore (Core.propagate (snd engines));
+      same "after a decision" engines)
+    [ Lit.pos 3; Lit.pos 1 ];
+  if not (Value.equal (Core.value_var (snd engines) 0) Value.False) then
+    Alcotest.fail "the row did not force ~x0";
+  Core.backjump_to (fst engines) 1;
+  Core.backjump_to (snd engines) 1;
+  same "after popping x1" engines;
+  Core.backjump_to (fst engines) 0;
+  Core.backjump_to (snd engines) 0;
+  same "after popping x3" engines;
+  (* the objective's own cut at 9 is a row; at 13 - 10 = 3 < 6 it saturates *)
+  let knapsack r = constr_of (Constr.family_at objective r) in
+  ignore (add "knapsack row" engines ?row (knapsack 9) ~expect_row:true);
+  ignore (add "saturated cut" engines ?row (knapsack 12) ~expect_row:false);
+  (* no objective: no cut is a row *)
+  ignore (add "no objective" (pair false) (knapsack 9) ~expect_row:false)
+
 let reduce_db_preserves_solving () =
   (* run bsolo with DB reduction on and check agreement with brute force *)
   for seed = 50 to 70 do
@@ -227,6 +305,7 @@ let suite =
     Alcotest.test_case "dynamic constraint propagates" `Quick dynamic_constraint_propagates;
     Alcotest.test_case "dynamic conflicting constraint" `Quick dynamic_conflicting_constraint;
     Alcotest.test_case "reduce_db preserves solving" `Quick reduce_db_preserves_solving;
+    Alcotest.test_case "cut rows and plain cuts" `Quick cut_rows_and_plain_cuts;
   ]
 
 let printers_do_not_raise () =
