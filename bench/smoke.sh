@@ -21,9 +21,7 @@
 # recordings (--jobs 2
 # and --jobs 1, whose forensics accounting must reconcile); pbs and
 # galena recordings replay and reconcile the same way, and so do runs
-# under non-default search flags.  The
-# three --bcp propagation modes must produce identical optima and a
-# hybrid recording must replay cleanly under all three.
+# under non-default search flags.
 # Exits non-zero on the first failure.
 #
 # With --proof, each smoke instance is additionally solved under
@@ -201,6 +199,23 @@ rc=0
 [ "$rc" = 2 ] && grep -q '^c error: --trace was removed: use --record' "$tmpdir/old-trace.out" \
   && [ ! -e "$tmpdir/old-trace.jsonl" ] && ! grep -q '^s ' "$tmpdir/old-trace.out" || {
   echo "FAIL: old --trace flag: exit $rc"; cat "$tmpdir/old-trace.out"; exit 1;
+}
+
+echo "== the removed --bcp flag is refused =="
+# There is one propagation scheme: solve and replay reject the old flag
+# as an unknown option (cmdliner's exit 124), solving nothing.
+rc=0
+./_build/default/bin/bsolo_main.exe benchmarks/synth-s1.opb --bcp watched \
+  >"$tmpdir/old-bcp.out" 2>&1 || rc=$?
+[ "$rc" = 124 ] && grep -q "unknown option '--bcp'" "$tmpdir/old-bcp.out" \
+  && ! grep -q '^s ' "$tmpdir/old-bcp.out" || {
+  echo "FAIL: old --bcp flag on solve: exit $rc"; cat "$tmpdir/old-bcp.out"; exit 1;
+}
+rc=0
+./_build/default/bin/bsolo_main.exe replay benchmarks/synth-s1.opb "$tmpdir/old-bcp.out" \
+  --bcp hybrid >"$tmpdir/old-bcp-replay.out" 2>&1 || rc=$?
+[ "$rc" = 124 ] && grep -q "unknown option '--bcp'" "$tmpdir/old-bcp-replay.out" || {
+  echo "FAIL: old --bcp flag on replay: exit $rc"; cat "$tmpdir/old-bcp-replay.out"; exit 1;
 }
 
 echo "== unwritable --metrics path is rejected before the solve =="
@@ -571,81 +586,57 @@ timeout -s TERM 0.2 "$bsolo" benchmarks/synth-s2.opb \
 }
 echo "ring tail: $(sed -n '4p' "$tmpdir/ring-forensics.out")"
 
-echo "== BCP modes agree (watched / counting / hybrid) =="
-# All three propagation modes must find the same optimum, and a run
-# recorded under one mode must replay byte-identically under the other
-# two — the lagged-slack discipline makes the event stream mode-invariant.
-for mode in watched counting hybrid; do
-  timeout 120 "$bsolo" benchmarks/synth-s1.opb --timeout 60 --bcp "$mode" \
-    >"$tmpdir/bcp-$mode.out" 2>&1 || {
-    echo "FAIL: --bcp $mode solve failed"; cat "$tmpdir/bcp-$mode.out"; exit 1;
-  }
-  grep -E '^[so] ' "$tmpdir/bcp-$mode.out" >"$tmpdir/bcp-$mode.opt"
-done
-for mode in counting hybrid; do
-  cmp -s "$tmpdir/bcp-watched.opt" "$tmpdir/bcp-$mode.opt" || {
-    echo "FAIL: --bcp $mode optimum differs from watched";
-    diff "$tmpdir/bcp-watched.opt" "$tmpdir/bcp-$mode.opt" || true; exit 1;
-  }
-done
-timeout 120 "$bsolo" benchmarks/synth-s2.opb --timeout 60 --bcp hybrid \
-  --record "$tmpdir/bcp.rec" >/dev/null 2>&1 || {
-  echo "FAIL: recorded --bcp hybrid solve failed"; exit 1;
+echo "== a synth-s2 recording replays =="
+# A recorded run must replay byte-identically under replay --check.
+timeout 120 "$bsolo" benchmarks/synth-s2.opb --timeout 60 \
+  --record "$tmpdir/s2.rec" >/dev/null 2>&1 || {
+  echo "FAIL: recorded synth-s2 solve failed"; exit 1;
 }
-for mode in watched counting hybrid; do
-  timeout 120 "$bsolo" replay benchmarks/synth-s2.opb "$tmpdir/bcp.rec" \
-    --check --bcp "$mode" >"$tmpdir/bcp-replay-$mode.out" 2>&1 || {
-    echo "FAIL: replay --check --bcp $mode diverged from the hybrid recording";
-    cat "$tmpdir/bcp-replay-$mode.out"; exit 1;
-  }
-  grep -q '^s REPLAY OK' "$tmpdir/bcp-replay-$mode.out" || {
-    echo "FAIL: no REPLAY OK verdict under --bcp $mode"; exit 1;
-  }
-done
-echo "bcp modes: identical optima, cross-mode replay OK"
+timeout 120 "$bsolo" replay benchmarks/synth-s2.opb "$tmpdir/s2.rec" \
+  --check >"$tmpdir/s2-replay.out" 2>&1 || {
+  echo "FAIL: replay --check diverged from the synth-s2 recording";
+  cat "$tmpdir/s2-replay.out"; exit 1;
+}
+grep -q '^s REPLAY OK' "$tmpdir/s2-replay.out" || {
+  echo "FAIL: no REPLAY OK verdict for the synth-s2 recording"; exit 1;
+}
+echo "synth-s2 recording: REPLAY OK"
 
 echo "== pinned search tree (genpb synth --scale 1 --seed 1) =="
 # The search tree is deterministic: a propagation or cut-storage change
 # that is meant to be invisible must leave these counters exactly as
-# they are, in every BCP mode.  A deliberate tree change updates them.
+# they are.  A deliberate tree change updates them.
 ./_build/default/bin/genpb.exe synth --scale 1 --seed 1 -o "$tmpdir/synth1.opb" >/dev/null
 pinned='1274 decisions, 958 conflicts, 721 bound conflicts, 1689 lb calls'
-for mode in hybrid watched counting; do
-  timeout 120 "$bsolo" "$tmpdir/synth1.opb" --timeout 60 --stats --bcp "$mode" \
-    >"$tmpdir/pinned-$mode.out" 2>&1 || {
-    echo "FAIL: pinned synth@1 solve failed under --bcp $mode"
-    cat "$tmpdir/pinned-$mode.out"; exit 1;
+timeout 120 "$bsolo" "$tmpdir/synth1.opb" --timeout 60 --stats \
+  >"$tmpdir/pinned.out" 2>&1 || {
+  echo "FAIL: pinned synth@1 solve failed"; cat "$tmpdir/pinned.out"; exit 1;
+}
+grep -q "^c OPTIMAL cost=5511 (.*s, $pinned)\$" "$tmpdir/pinned.out" || {
+  echo "FAIL: synth@1 seed 1 left the pinned tree ($pinned)";
+  grep '^c OPTIMAL\|^c UNKNOWN' "$tmpdir/pinned.out" || true; exit 1;
+}
+# the LP path of the same run, which a pivot-identical simplex change keeps
+for counter in 'simplex.iterations +2960' 'simplex.pivots +1758' 'lpr.warm_hits +1200'; do
+  grep -Eq "^c   $counter\$" "$tmpdir/pinned.out" || {
+    echo "FAIL: synth@1 seed 1 left the pinned LP path (want $counter)";
+    grep '^c   simplex\.\|^c   lpr\.' "$tmpdir/pinned.out" || true; exit 1;
   }
-  grep -q "^c OPTIMAL cost=5511 (.*s, $pinned)\$" "$tmpdir/pinned-$mode.out" || {
-    echo "FAIL: synth@1 seed 1 under --bcp $mode left the pinned tree ($pinned)";
-    grep '^c OPTIMAL\|^c UNKNOWN' "$tmpdir/pinned-$mode.out" || true; exit 1;
-  }
-  # the LP path of the same run, which a pivot-identical simplex change keeps
-  for counter in 'simplex.iterations +2960' 'simplex.pivots +1758' 'lpr.warm_hits +1200'; do
-    grep -Eq "^c   $counter\$" "$tmpdir/pinned-$mode.out" || {
-      echo "FAIL: synth@1 seed 1 under --bcp $mode left the pinned LP path (want $counter)";
-      grep '^c   simplex\.\|^c   lpr\.' "$tmpdir/pinned-$mode.out" || true; exit 1;
-    }
-  done
 done
 echo "pinned tree: $pinned; simplex.iterations 2960, simplex.pivots 1758, lpr.warm_hits 1200"
 
 echo "== pinned PBS tree (benchmarks/synth-s1.opb --engine pbs) =="
 # PBS has no lower bound: the knapsack cut (10), stored as a cut row,
-# is its only pruning, so this pins the cut rows' propagation in every
-# BCP mode.
+# is its only pruning, so this pins the cut rows' propagation.
 pinned_pbs='3906 decisions, 3256 conflicts, 0 bound conflicts, 0 lb calls'
-for mode in hybrid watched counting; do
-  timeout 120 "$bsolo" benchmarks/synth-s1.opb --engine pbs --timeout 60 --bcp "$mode" \
-    >"$tmpdir/pbs-$mode.out" 2>&1 || {
-    echo "FAIL: pinned PBS synth-s1 solve failed under --bcp $mode"
-    cat "$tmpdir/pbs-$mode.out"; exit 1;
-  }
-  grep -q "^c OPTIMAL cost=3675 (.*s, $pinned_pbs)\$" "$tmpdir/pbs-$mode.out" || {
-    echo "FAIL: PBS on synth-s1 under --bcp $mode left the pinned tree ($pinned_pbs)";
-    grep '^c OPTIMAL\|^c UNKNOWN' "$tmpdir/pbs-$mode.out" || true; exit 1;
-  }
-done
+timeout 120 "$bsolo" benchmarks/synth-s1.opb --engine pbs --timeout 60 \
+  >"$tmpdir/pbs.out" 2>&1 || {
+  echo "FAIL: pinned PBS synth-s1 solve failed"; cat "$tmpdir/pbs.out"; exit 1;
+}
+grep -q "^c OPTIMAL cost=3675 (.*s, $pinned_pbs)\$" "$tmpdir/pbs.out" || {
+  echo "FAIL: PBS on synth-s1 left the pinned tree ($pinned_pbs)";
+  grep '^c OPTIMAL\|^c UNKNOWN' "$tmpdir/pbs.out" || true; exit 1;
+}
 echo "pinned PBS tree: $pinned_pbs"
 
 echo "== pinned LP path (genpb mcnc --scale 2 --seed 1) =="

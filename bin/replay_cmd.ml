@@ -3,7 +3,7 @@
 
 open Cmdliner
 
-let replay_run problem_path rec_path check proof_out bcp =
+let replay_run problem_path rec_path check proof_out =
   let error msg =
     Printf.eprintf "bsolo replay: %s\n" msg;
     2
@@ -18,7 +18,7 @@ let replay_run problem_path rec_path check proof_out bcp =
     | Ok rc -> (
       if rc.Telemetry.Recorder.r_truncated then
         print_endline "c recording has a torn tail: replaying the surviving prefix";
-      match Bsolo.Replay.run ?proof_out ?bcp problem rc with
+      match Bsolo.Replay.run ?proof_out problem rc with
       | Error msg -> error msg
       | Ok rep ->
         Printf.printf "c replayed outcome: %s\n"
@@ -93,14 +93,6 @@ let cmd =
     in
     Arg.(value & opt (some string) None & info [ "proof" ] ~docv:"FILE" ~doc)
   in
-  let replay_bcp_arg =
-    let doc =
-      "Propagation strategy for the replaying engine.  Recordings carry no mode — every \
-       $(b,--bcp) mode emits the identical event stream — so replaying under a different \
-       mode must still match byte for byte."
-    in
-    Arg.(value & opt (some (enum Bsolo.Options.bcp_modes)) None & info [ "bcp" ] ~doc)
-  in
   Cmd.v (Cmd.info "replay" ~doc)
-    Term.(const replay_run $ problem_arg $ rec_arg $ check_arg $ proof_arg $ replay_bcp_arg)
+    Term.(const replay_run $ problem_arg $ rec_arg $ check_arg $ proof_arg)
 

@@ -510,14 +510,6 @@ let options_term =
     setting_arg O.lb_methods "lb" ~docv:"METHOD"
       ~doc:"Lower-bound procedure: plain, mis, lgr or lpr." (fun o -> o.lb_method)
   in
-  let bcp =
-    setting_arg O.bcp_modes "bcp" ~docv:"MODE"
-      ~doc:
-        "Boolean constraint propagation strategy: hybrid (per-constraint watched/counting \
-         selection), watched, or counting.  All three explore the identical search tree; \
-         only propagation throughput differs."
-      (fun o -> o.bcp)
-  in
   let cuts =
     setting_arg O.cuts_modes "cuts" ~docv:"MODE"
       ~doc:
@@ -535,20 +527,19 @@ let options_term =
     let doc = "Conflict limit." in
     Arg.(value & opt (some int) None & info [ "conflicts" ] ~doc)
   in
-  let make (engine, (preset : O.t)) lb bcp cuts time_limit conflict_limit edit =
+  let make (engine, (preset : O.t)) lb cuts time_limit conflict_limit edit =
     let pick v default = Option.value v ~default in
     ( engine,
       edit
         {
           preset with
           lb_method = pick lb preset.lb_method;
-          bcp = pick bcp preset.bcp;
           cuts = pick cuts preset.cuts;
           time_limit;
           conflict_limit;
         } )
   in
-  Term.(const make $ engine $ lb $ bcp $ cuts $ time_limit $ conflict_limit $ switch_flags)
+  Term.(const make $ engine $ lb $ cuts $ time_limit $ conflict_limit $ switch_flags)
 
 (* --- the other solve flags -------------------------------------------------- *)
 

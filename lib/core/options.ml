@@ -16,7 +16,6 @@ type learning =
 
 type t = {
   lb_method : lb_method;
-  bcp : Engine.Solver_core.bcp_mode;
   bound_conflict_learning : bool;
   knapsack_cuts : bool;
   cardinality_inference : bool;
@@ -44,7 +43,6 @@ type t = {
 let default =
   {
     lb_method = Lpr;
-    bcp = Engine.Solver_core.Hybrid;
     bound_conflict_learning = true;
     knapsack_cuts = true;
     cardinality_inference = true;
@@ -89,13 +87,6 @@ let galena = { pbs with learning = Cardinality }
 
 let name table v = fst (List.find (fun (_, v') -> v' = v) table)
 let lb_methods = [ "plain", Plain; "mis", Mis; "lgr", Lgr; "lpr", Lpr ]
-
-let bcp_modes =
-  [
-    "hybrid", Engine.Solver_core.Hybrid;
-    "watched", Engine.Solver_core.Watched;
-    "counting", Engine.Solver_core.Counting;
-  ]
 
 let cuts_modes = [ "off", Cuts_off; "root", Cuts_root; "tree", Cuts_tree ]
 

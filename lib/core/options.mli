@@ -38,10 +38,6 @@ type learning =
 
 type t = {
   lb_method : lb_method;
-  bcp : Engine.Solver_core.bcp_mode;
-      (** propagation strategy: per-constraint hybrid watched/counting
-          (the default) or a forced uniform mode; all three produce
-          identical search behaviour, only throughput differs *)
   bound_conflict_learning : bool;
       (** when false, bound conflicts use the all-decisions explanation,
           which degenerates to chronological backtracking (ablation A) *)
@@ -155,9 +151,6 @@ val name : (string * 'a) list -> 'a -> string
 val lb_methods : (string * lb_method) list
 (** ["plain" | "mis" | "lgr" | "lpr"]: the [--lb] values and the
     recording header's lower-bound name. *)
-
-val bcp_modes : (string * Engine.Solver_core.bcp_mode) list
-(** The [--bcp] values. *)
 
 val cuts_modes : (string * cuts_mode) list
 (** ["off" | "root" | "tree"]: the [--cuts] values. *)

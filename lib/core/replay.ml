@@ -106,7 +106,7 @@ let normalize = function
 
 let show ev = Telemetry.Json.to_string (R.to_json ev)
 
-let run ?proof_out ?bcp problem (rc : R.recording) =
+let run ?proof_out problem (rc : R.recording) =
   match validate problem rc with
   | Error _ as e -> e
   | Ok h when proof_out <> None && h.h_flags land flag_proof = 0 ->
@@ -115,13 +115,6 @@ let run ?proof_out ?bcp problem (rc : R.recording) =
     match options_of_header h with
     | Error _ as e -> e
     | Ok options ->
-      (* The propagation strategy is not recorded: all --bcp modes emit
-         the identical event stream, so a recording made under any mode
-         replays under any other.  An explicit override lets CI prove
-         exactly that. *)
-      let options =
-        match bcp with None -> options | Some bcp -> { options with Options.bcp }
-      in
       let expected = Array.of_list rc.r_events in
       let total = Array.length expected in
       (* A complete recording ends with its fin line; a truncated one

@@ -55,17 +55,10 @@ type report = {
 
 val run :
   ?proof_out:string ->
-  ?bcp:Engine.Solver_core.bcp_mode ->
   Pbo.Problem.t ->
   Telemetry.Recorder.recording ->
   (report, string) result
-(** [bcp] overrides the propagation strategy of the replaying engine
-    (default: the header reconstruction, i.e. hybrid).  Every mode
-    emits the identical event stream, so replaying a recording under a
-    different mode must still match byte for byte — the cross-mode
-    determinism check.
-
-    [Error] for recordings that cannot be replayed at all (wrong
+(** [Error] for recordings that cannot be replayed at all (wrong
     engine, ring or stitched recording, an LPR recording made
     under the removed cold LP path, problem dimensions that do not
     match the header).  Divergence during replay is not an

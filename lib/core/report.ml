@@ -45,7 +45,6 @@ let options_json (o : Options.t) =
   Json.Obj
     ([
        "lb_method", Json.String (Options.lb_method_name o.lb_method);
-       "bcp", Json.String (Options.name Options.bcp_modes o.bcp);
        "cuts", Json.String (Options.name Options.cuts_modes o.cuts);
        "learning", Json.String (Options.name Options.learnings o.learning);
        "lgr_iters", Json.Int o.lgr_iters;

@@ -607,7 +607,7 @@ let solve ?(options = Options.default) problem =
           r.Preprocess.reduced)
     else problem
   in
-  let engine = Core.create ~telemetry:tel ~bcp:options.bcp problem in
+  let engine = Core.create ~telemetry:tel problem in
   Option.iter (Core.set_interrupt engine) options.should_stop;
   (* the learned-clause hook serves both consumers: proof logging and the
      flight recorder ([level] is the level the clause was learned at,

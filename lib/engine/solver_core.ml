@@ -13,17 +13,6 @@ type reason =
   | Decision
   | Implied of cid
 
-(* Propagation strategy, fixed per engine.  [Hybrid] picks a mode per
-   constraint at attach time (and re-evaluates learned constraints when
-   the database is reduced); the pure modes force every constraint one
-   way, for A/B runs and equivalence testing.  All three produce the
-   same assignments, reasons and conflicts in the same order, so the
-   recorder event stream is byte-identical across modes. *)
-type bcp_mode =
-  | Watched
-  | Counting
-  | Hybrid
-
 (* Hot data (terms, slacks, watch bits) lives in one flat int arena —
    see the layout constants below.  The cstate keeps only the cold
    per-constraint facts plus the boxed [Constr.t] used by conflict
@@ -86,15 +75,14 @@ type stats = {
 }
 
 (* BCP-specific counters ("bcp.*"): propagation micro-behaviour that the
-   engine.* family is too coarse to show.  Mode population counters are
+   engine.* family is too coarse to show.  The population counters are
    absolute values maintained with [set]. *)
 type bcp_stats = {
   b_props : Telemetry.Counter.t;  (* implied assignments: the run's one propagation count *)
   b_visits : Telemetry.Counter.t;  (* constraint examinations during propagation *)
   b_moves : Telemetry.Counter.t;  (* falsified watches retired from a watch set *)
   b_extends : Telemetry.Counter.t;  (* literals added to a watch set *)
-  b_nwatched : Telemetry.Counter.t;  (* constraints currently in watched mode *)
-  b_ncounting : Telemetry.Counter.t;  (* constraints currently in counting mode *)
+  b_nwatched : Telemetry.Counter.t;  (* watched constraints: all but cut-row members *)
   b_nwatchall : Telemetry.Counter.t;  (* watched constraints now in watch-all *)
 }
 
@@ -106,7 +94,6 @@ let bcp_stats_of_registry reg =
     b_moves = c "bcp.watch_moves";
     b_extends = c "bcp.watch_extends";
     b_nwatched = c "bcp.constrs_watched";
-    b_ncounting = c "bcp.constrs_counting";
     b_nwatchall = c "bcp.constrs_watch_all";
   }
 
@@ -135,14 +122,11 @@ type t = {
   trail_lim : int Vec.t;  (* trail size at each decision level start *)
   mutable qhead : int;
   constrs : cstate Vec.t;
-  bcp : bcp_mode;
   (* One flat arena holding every constraint's hot block: header words
-     followed by (literal-index, coefficient) pairs.  Occ and watch
-     lists index into it; propagation never chases a pointer. *)
+     followed by (literal-index, coefficient) pairs.  Watch lists index
+     into it; propagation never chases a pointer. *)
   mutable arena : int array;
   mutable arena_top : int;
-  occs : int Vec.t array;
-  (* per literal index, stride 2: (base, coeff) of counting constraints *)
   rows : rowstate Vec.t;
   (* The state every row reads, built at the first row: [obase] is the
      objective's normal form as (literal index, cost) pairs in term
@@ -244,35 +228,35 @@ let dummy_row =
 
    Each constraint owns one block:
 
-     [cid] [nterms] [degree] [maxcoeff] [slack] [wslack] [flags]
+     [cid] [nterms] [degree] [maxcoeff] [cursor/row] [wslack] [flags]
      (lit_index, coeff)*
 
    Term order is the constraint's (decreasing coefficient).  Bit 62 of a
    coefficient word marks the term as watched; coefficients are bounded
-   far below that (Constr caps them at 2^40).  [slack] is the counting
-   mode's lagged slack, [wslack] the watched mode's watch-set slack —
-   both count a falsified literal only once its assignment has been
-   *dequeued* by [propagate] (or, symmetrically, until the backjump that
-   pops a dequeued assignment).  Lagging makes the examined slack depend
-   only on which literal is being dequeued, never on how earlier
-   candidates of the same dequeue reacted, which is what keeps the three
-   BCP modes byte-identical.
+   far below that (Constr caps them at 2^40).  [wslack] is the weight of
+   the watched terms minus the degree, counting a falsified literal only
+   once its assignment has been *dequeued* by [propagate] (or,
+   symmetrically, until the backjump that pops a dequeued assignment).
+   Lagging makes the examined slack depend only on which literal is
+   being dequeued, never on how earlier candidates of the same dequeue
+   reacted, so a dequeue can apply all its decrements before acting
+   (see [process_falsified]).  [cursor/row] is where the next watch
+   extension starts its search.
 
    A cut-row member's block is the header alone ([nterms] is 0): its
-   terms are the row's, [slack] holds the row index and [flags] is
+   terms are the row's, [cursor/row] holds the row index and [flags] is
    [flag_member]. *)
 
 let h_cid = 0
 let h_n = 1
 let h_deg = 2
 let h_max = 3
-let h_slack = 4
+let h_cursor_or_row = 4
 let h_wslack = 5
 let h_flags = 6
 let hdr_size = 7
-let flag_watched = 1
-let flag_watch_all = 2
-let flag_member = 4
+let flag_watch_all = 1
+let flag_member = 2
 
 (* Watch entries pack (arena base, term index) into one word; term
    indices are bounded by [wshift] bits (checked at allocation — a
@@ -294,8 +278,8 @@ let arena_ensure t need =
     t.arena <- a
   end
 
-(* Allocate and fill a block for [c]; slack fields and flags start at 0
-   and are set by the attach path that picks the constraint's mode. *)
+(* Allocate and fill a block for [c]; the cursor, slack and flags start
+   at 0 and are set by the attach path. *)
 let arena_alloc t ci c =
   let terms = Constr.terms c in
   let n = Array.length terms in
@@ -308,7 +292,7 @@ let arena_alloc t ci c =
   a.(base + h_n) <- n;
   a.(base + h_deg) <- Constr.degree c;
   a.(base + h_max) <- (if n = 0 then 0 else Constr.max_coeff c);
-  a.(base + h_slack) <- 0;
+  a.(base + h_cursor_or_row) <- 0;
   a.(base + h_wslack) <- 0;
   a.(base + h_flags) <- 0;
   for i = 0 to n - 1 do
@@ -333,7 +317,6 @@ let all_assigned t = Vec.size t.trail = t.nvars
 let path_cost t = t.path
 let cost_of_lit t l = t.lit_cost.(Lit.to_index l)
 let stats t = t.stats
-let bcp_stats t = t.bstats
 let telemetry t = t.tel
 let trail_epoch t = t.epoch
 
@@ -396,13 +379,6 @@ let model t =
 let lagged_false t l =
   Value.equal (value_lit t l) Value.False && t.var_pos.(Lit.var l) < t.qhead
 
-(* Lagged slack of a constraint that is not (yet) in the arena:
-   coefficient sum over non-lagged-false literals minus the degree. *)
-let lagged_slack_now t c =
-  Array.fold_left
-    (fun acc { Constr.coeff; lit } -> if lagged_false t lit then acc else acc + coeff)
-    (-Constr.degree c) (Constr.terms c)
-
 (* Assigning a literal no longer touches any slack: decrements are
    applied lazily when [propagate] dequeues the assignment, so [assign]
    is a handful of stores regardless of occurrence-list length. *)
@@ -455,23 +431,14 @@ let shift_rows t qi delta =
   t.gsum <- t.gsum + delta;
   shift_excluded t delta t.excl.(qi)
 
-(* Revert the dequeue-time decrements of falsified literal [q]: counting
-   slacks through its occ list, watch-set slacks through its watch
-   list, and the rows' sums when [q] is an objective term.  Watch
-   entries dropped since the decrement never re-appear here, matching
-   the fact that an unwatched term contributes nothing to wslack in
-   either direction. *)
+(* Revert the dequeue-time decrements of falsified literal [q]:
+   watch-set slacks through its watch list, and the rows' sums when [q]
+   is an objective term.  Watch entries dropped since the decrement
+   never re-appear here, matching the fact that an unwatched term
+   contributes nothing to wslack in either direction. *)
 let restore_falsified t q =
   let a = t.arena in
   let qi = Lit.to_index q in
-  let olist = t.occs.(qi) in
-  let on = Vec.size olist in
-  let i = ref 0 in
-  while !i < on do
-    let base = Vec.unsafe_get olist !i in
-    a.(base + h_slack) <- a.(base + h_slack) + Vec.unsafe_get olist (!i + 1);
-    i := !i + 2
-  done;
   let cost = t.lit_cost.(Lit.to_index (Lit.negate q)) in
   if cost > 0 && Vec.size t.rows > 0 then shift_rows t qi cost;
   let wlist = t.watches.(qi) in
@@ -522,8 +489,8 @@ let decide t l =
 (* Scan the block at [base] from term [i0] for implied literals under
    slack [s]: terms are sorted by decreasing coefficient, so stop at the
    first coefficient <= s, and return its index.  Callers only pass a
-   slack equal to the lagged slack of the constraint, so this acts
-   identically in every mode. *)
+   slack below maxcoeff, which the watch invariant makes the exact
+   lagged slack of the constraint. *)
 let scan_terms t terms off n ci s i0 =
   let rec go i =
     if i >= n then i
@@ -673,9 +640,8 @@ let visit_tight_row t r from =
 (* The dequeue of objective term [qi] of cost [cost]: every row's sum
    falls by [cost / rscale] except those of the rows that exclude it,
    which keep theirs.  Of the rows whose sum fell, only the tight ones
-   are visited — as a row that listed [qi] among its counting
-   occurrences would be; the rows that kept their sum are not visited
-   at all, tight or not. *)
+   are visited; the rows that kept their sum are not visited at all,
+   tight or not. *)
 let dequeue_rows t qi cost =
   t.ndequeues <- t.ndequeues + 1;
   shift_rows t qi (-cost);
@@ -691,27 +657,26 @@ let dequeue_rows t qi cost =
     end
   done
 
-(* Candidates of one dequeue must be examined in ascending arena-base
-   (= constraint id) order in every mode, or the modes would enqueue
-   implications in different trail orders.  Rather than keeping watch
-   lists sorted under watch moves, visits run in two phases: phase 1
-   applies every slack decrement and all watch maintenance (which never
-   touches the event stream) in whatever order the lists are in, and
-   collects the few constraints whose final slack fell below maxcoeff;
-   phase 2 sorts that (almost always tiny) set and acts — conflicts and
-   implications — in ascending arena order.  Lagged slacks make the two
-   orders equivalent: a constraint's examined slack depends only on
-   which literal is being dequeued, never on when in the dequeue it is
-   read. *)
+(* Candidates of one dequeue are examined in ascending arena-base
+   (= constraint id) order, so the trail order of the implications does
+   not depend on the order of the watch lists, which watch moves
+   shuffle.  Visits run in two phases: phase 1 applies every slack
+   decrement and all watch maintenance (which never touches the event
+   stream) in whatever order the lists are in, and collects the few
+   constraints whose final slack fell below maxcoeff; phase 2 sorts that
+   (almost always tiny) set and acts — conflicts and implications — in
+   ascending arena order.  Lagged slacks make the two orders equivalent:
+   a constraint's examined slack depends only on which literal is being
+   dequeued, never on when in the dequeue it is read. *)
 let push_watch t li base ti = Vec.push t.watches.(li) ((base lsl wshift) lor ti)
 
 (* Put every term of the block on watch (including lagged-false ones,
    which contribute nothing to wslack but must be tracked so a backjump
    that revives them restores their weight).  After this the watch-set
-   slack equals the lagged slack exactly: the constraint behaves as
-   counting-through-watch-lists.  The state is transient — once a
-   backjump restores enough weight that the set covers maxcoeff, visits
-   shed watches again and clear the flag (see [process_falsified]). *)
+   slack equals the lagged slack exactly.  The state is transient once
+   a backjump restores enough weight that the set covers maxcoeff:
+   visits shed watches again and clear the flag (see
+   [process_falsified]). *)
 let degrade_to_watch_all t base =
   let a = t.arena in
   a.(base + h_flags) <- a.(base + h_flags) lor flag_watch_all;
@@ -731,13 +696,12 @@ let degrade_to_watch_all t base =
 
 (* Process the dequeue of falsified literal [q].
 
-   Phase 1 decrements the slack of every counting occurrence and the
-   watch-set slack of every watch entry, doing watch maintenance as it
-   goes: a watched visit whose remaining set still covers maxcoeff
-   simply retires [q]; otherwise the set is extended with unwatched
-   non-false terms until it covers maxcoeff again, and when that is
-   impossible the constraint degrades to watch-all, at which point
-   wslack is the exact lagged slack.  When [q] is an objective term it
+   Phase 1 decrements the watch-set slack of every watch entry, doing
+   watch maintenance as it goes: a visit whose remaining set still
+   covers maxcoeff simply retires [q]; otherwise the set is extended
+   with unwatched non-false terms until it covers maxcoeff again, and
+   when that is impossible the constraint degrades to watch-all, at
+   which point wslack is the exact lagged slack.  When [q] is an objective term it
    also moves the cut rows' sums ([dequeue_rows]).  Constraints whose
    final slack fell below maxcoeff, and the members of tight rows that
    can act, are collected.
@@ -749,24 +713,11 @@ let degrade_to_watch_all t base =
 let process_falsified t q conflict =
   let a = t.arena in
   let qi = Lit.to_index q in
-  let olist = t.occs.(qi) in
   let wlist = t.watches.(qi) in
   let actors = t.actors in
-  (* phase 1a: counting occurrences *)
-  let on = Vec.size olist in
-  let oi = ref 0 in
-  while !oi < on do
-    let ob = Vec.unsafe_get olist !oi in
-    let coeff = Vec.unsafe_get olist (!oi + 1) in
-    oi := !oi + 2;
-    Telemetry.Counter.incr t.bstats.b_visits;
-    let s = a.(ob + h_slack) - coeff in
-    a.(ob + h_slack) <- s;
-    if s < a.(ob + h_max) then Vec.push actors ob
-  done;
   let cost = t.lit_cost.(Lit.to_index (Lit.negate q)) in
   if cost > 0 && Vec.size t.rows > 0 then dequeue_rows t qi cost;
-  (* phase 1b: watch entries, compacting retirements in place *)
+  (* phase 1: watch entries, compacting retirements in place *)
   let wn = Vec.size wlist in
   let wi = ref 0 and wkeep = ref 0 in
   let retain packed =
@@ -787,7 +738,7 @@ let process_falsified t q conflict =
         (* a backjump restored enough weight that the rest of the set
            covers maxcoeff again: shed this watch and leave watch-all,
            so the set recovers toward a covering prefix instead of
-           emulating counting mode forever *)
+           visiting every term forever *)
         a.(wb + hdr_size + (2 * ti) + 1) <- coeff;
         a.(wb + h_flags) <- a.(wb + h_flags) land lnot flag_watch_all;
         Telemetry.Counter.add t.bstats.b_nwatchall (-1);
@@ -823,11 +774,11 @@ let process_falsified t q conflict =
            it the exact lagged slack) turns each of those dequeues into
            an O(1) watch-all visit instead of a fresh failing scan.
 
-           The search resumes where the last one stopped — [h_slack] is
-           dead storage in watched mode and holds the circular cursor —
-           so repeated visits don't rescan the watched-or-false prefix;
-           which replacement is picked never affects the event stream. *)
-        let start = a.(wb + h_slack) in
+           The search resumes where the last one stopped, at the
+           circular cursor, so repeated visits don't rescan the
+           watched-or-false prefix; which replacement is picked never
+           affects the event stream. *)
+        let start = a.(wb + h_cursor_or_row) in
         let start = if start >= n then 0 else start in
         let j = ref start and steps = ref n in
         while !ws' < mc && !steps > 0 do
@@ -839,7 +790,7 @@ let process_falsified t q conflict =
           incr j;
           if !j = n then j := 0
         done;
-        a.(wb + h_slack) <- !j;
+        a.(wb + h_cursor_or_row) <- !j;
         a.(wb + h_wslack) <- !ws';
         if !ws' >= mc then begin
           a.(wb + hdr_size + (2 * ti) + 1) <- coeff;
@@ -864,9 +815,8 @@ let process_falsified t q conflict =
     while !conflict = None && !k < na do
       let base = Vec.unsafe_get actors !k in
       incr k;
-      let flags = a.(base + h_flags) in
-      if flags land flag_member <> 0 then begin
-        let r = Vec.unsafe_get t.rows a.(base + h_slack) in
+      if a.(base + h_flags) land flag_member <> 0 then begin
+        let r = Vec.unsafe_get t.rows a.(base + h_cursor_or_row) in
         let s = row_sum t r - a.(base + h_deg) in
         if s < 0 then conflict := Some a.(base + h_cid)
         else
@@ -874,7 +824,7 @@ let process_falsified t q conflict =
           scan_member t r base s
       end
       else begin
-        let s = if flags land flag_watched <> 0 then a.(base + h_wslack) else a.(base + h_slack) in
+        let s = a.(base + h_wslack) in
         if s < 0 then conflict := Some a.(base + h_cid)
         else scan_implications_arena t base s
       end
@@ -905,32 +855,6 @@ let propagate t =
 
 (* --- storing constraints -------------------------------------------------- *)
 
-(* Mode-selection heuristic (Müssig-Johannsen style).  Clauses always
-   pay off as watched sets (they degenerate to the classical two-watched
-   scheme).  A general PB constraint is watched when the minimal
-   decreasing-coefficient prefix covering degree + maxcoeff — the size
-   its watch set starts at — is at most half its arity; flat or tight
-   constraints, where the watch set would cover most of the terms
-   anyway, stay in counting mode.  Pure modes force the choice. *)
-let wants_watched t c =
-  let n = Constr.size c in
-  n >= 2
-  &&
-  match t.bcp with
-  | Counting -> false
-  | Watched -> true
-  | Hybrid ->
-    Constr.is_clause c
-    ||
-    let terms = Constr.terms c in
-    let need = Constr.degree c + Constr.max_coeff c in
-    let sum = ref 0 and k = ref 0 in
-    while !k < n && !sum < need do
-      sum := !sum + terms.(!k).Constr.coeff;
-      incr k
-    done;
-    !sum >= need && 2 * !k <= n
-
 let push_cstate t ~learned c =
   let ci = Vec.size t.constrs in
   let base = arena_alloc t ci c in
@@ -938,30 +862,14 @@ let push_cstate t ~learned c =
   if learned then t.nlearned <- t.nlearned + 1;
   (ci, base)
 
-(* Counting attach: register every term on its occ list and seed the
-   lagged slack.  Returns the slack the caller should act on. *)
-let attach_counting t ~learned c =
-  let ci, base = push_cstate t ~learned c in
+(* Watch the minimal decreasing-coefficient prefix of non-lagged-false
+   terms of the unwatched block at [base] whose weight covers degree +
+   maxcoeff.  When no such prefix exists the constraint goes to
+   watch-all, where wslack is the exact lagged slack (a single-term
+   constraint always does).  Returns wslack: a lower bound on the
+   lagged slack that is only below maxcoeff when it is exact. *)
+let watch_prefix t base =
   let a = t.arena in
-  a.(base + h_slack) <- lagged_slack_now t c;
-  Array.iter
-    (fun { Constr.coeff; lit } ->
-      Vec.push t.occs.(Lit.to_index lit) base;
-      Vec.push t.occs.(Lit.to_index lit) coeff)
-    (Constr.terms c);
-  Telemetry.Counter.incr t.bstats.b_ncounting;
-  (ci, a.(base + h_slack))
-
-(* Watched attach: watch the minimal decreasing-coefficient prefix of
-   non-lagged-false terms whose weight covers degree + maxcoeff.  When
-   no such prefix exists the constraint starts in watch-all, where
-   wslack is the exact lagged slack.  The returned slack is wslack —
-   a lower bound on the lagged slack that is only below maxcoeff when
-   it is exact, so acting on it matches counting mode. *)
-let attach_watched t ~learned c =
-  let ci, base = push_cstate t ~learned c in
-  let a = t.arena in
-  a.(base + h_flags) <- flag_watched;
   let n = a.(base + h_n) in
   let mc = a.(base + h_max) in
   let ws = ref (-a.(base + h_deg)) in
@@ -977,9 +885,13 @@ let attach_watched t ~learned c =
     incr i
   done;
   a.(base + h_wslack) <- !ws;
-  Telemetry.Counter.incr t.bstats.b_nwatched;
   if !ws < mc then degrade_to_watch_all t base;
-  (ci, a.(base + h_wslack))
+  a.(base + h_wslack)
+
+let attach_watched t ~learned c =
+  let ci, base = push_cstate t ~learned c in
+  Telemetry.Counter.incr t.bstats.b_nwatched;
+  (ci, watch_prefix t base)
 
 (* Learned asserting clauses skip the prefix rule: watch the asserting
    literal plus a literal of the backjump level.  Every other literal is
@@ -991,7 +903,6 @@ let attach_learned_clause t c ~w1 ~w2 =
   assert (Constr.is_clause c && Array.length (Constr.terms c) >= 2 && w1 <> w2);
   let ci, base = push_cstate t ~learned:true c in
   let a = t.arena in
-  a.(base + h_flags) <- flag_watched;
   let ws = ref (-a.(base + h_deg)) in
   let put i =
     let lit = Lit.of_index a.(base + hdr_size + (2 * i)) in
@@ -1007,10 +918,7 @@ let attach_learned_clause t c ~w1 ~w2 =
   ci
 
 let add_constraint_dynamic t c =
-  let ci, s =
-    if wants_watched t c then attach_watched t ~learned:true c
-    else attach_counting t ~learned:true c
-  in
+  let ci, s = attach_watched t ~learned:true c in
   if s < 0 then begin
     if decision_level t = 0 then t.unsat <- true;
     Some ci
@@ -1125,7 +1033,7 @@ let add_member t ri c =
   a.(base + h_n) <- 0;
   a.(base + h_deg) <- degree;
   a.(base + h_max) <- r.rmax;
-  a.(base + h_slack) <- ri;
+  a.(base + h_cursor_or_row) <- ri;
   a.(base + h_wslack) <- 0;
   a.(base + h_flags) <- flag_member;
   Vec.push t.constrs { constr; learned = true; cactivity = { act = 0. }; base };
@@ -1402,7 +1310,7 @@ let analyze_false_clause t =
     Telemetry.Histogram.observe t.stats.learned_size size;
     let terms = Constr.terms c in
     let ci =
-      if size < 2 || t.bcp = Counting then fst (attach_counting t ~learned:true c)
+      if size < 2 then fst (attach_watched t ~learned:true c)
       else begin
         (* watch the asserting literal and a literal of the backjump
            level: both become unassigned together on any later
@@ -1662,30 +1570,13 @@ let reduce_db t =
         k := !k + 2
       done)
     t.rows;
-  Array.iter Vec.clear t.occs;
   Array.iter Vec.clear t.watches;
-  (* Re-register every constraint, re-evaluating the BCP mode of the
-     learned database as we go: a surviving watched constraint keeps its
-     (still valid) watch set, but one that degraded to watch-all gets a
-     fresh chance at a covering prefix — and is demoted to counting mode
-     when none exists, rather than paying watch-list overhead to emulate
-     counting.  Demoted constraints are re-promoted the same way once a
-     prefix covers degree + maxcoeff again. *)
-  let nwatched = ref 0 and ncounting = ref 0 and nwatchall = ref 0 in
-  let register_counting cs =
-    let base = cs.base in
-    a.(base + h_flags) <- 0;
-    a.(base + h_slack) <- lagged_slack_now t cs.constr;
-    Array.iter
-      (fun { Constr.coeff; lit } ->
-        Vec.push t.occs.(Lit.to_index lit) base;
-        Vec.push t.occs.(Lit.to_index lit) coeff)
-      (Constr.terms cs.constr);
-    incr ncounting
-  in
-  let register_watch_bits cs =
+  (* Re-register every constraint: a surviving watched constraint keeps
+     its (still valid) watch set, but one that degraded to watch-all
+     gets a fresh chance at a covering prefix. *)
+  let nwatched = ref 0 and nwatchall = ref 0 in
+  let register_watch_bits base =
     (* keep the current watch set; recompute its slack from the bits *)
-    let base = cs.base in
     let nterms = a.(base + h_n) in
     let ws = ref (-a.(base + h_deg)) in
     for i = 0 to nterms - 1 do
@@ -1696,71 +1587,26 @@ let reduce_db t =
         if not (lagged_false t lit) then ws := !ws + (cw land coeff_mask)
       end
     done;
-    a.(base + h_wslack) <- !ws;
-    incr nwatched;
-    if a.(base + h_flags) land flag_watch_all <> 0 then incr nwatchall
+    a.(base + h_wslack) <- !ws
   in
-  let register_fresh_watched cs =
-    (* clear stale bits, then retry the covering-prefix selection —
-       committing nothing until we know whether a prefix covers mc *)
-    let base = cs.base in
-    let nterms = a.(base + h_n) in
-    for i = 0 to nterms - 1 do
+  let register_fresh base =
+    for i = 0 to a.(base + h_n) - 1 do
       a.(base + hdr_size + (2 * i) + 1) <- a.(base + hdr_size + (2 * i) + 1) land coeff_mask
     done;
-    let mc = a.(base + h_max) in
-    let ws = ref (-a.(base + h_deg)) in
-    let k = ref 0 in
-    let i = ref 0 in
-    while !ws < mc && !i < nterms do
-      if not (lagged_false t (Lit.of_index a.(base + hdr_size + (2 * !i)))) then begin
-        ws := !ws + a.(base + hdr_size + (2 * !i) + 1);
-        k := !i + 1
-      end;
-      incr i
-    done;
-    if !ws >= mc || t.bcp = Watched then begin
-      let watch j =
-        let cw = a.(base + hdr_size + (2 * j) + 1) in
-        if cw land watch_bit = 0 then begin
-          a.(base + hdr_size + (2 * j) + 1) <- cw lor watch_bit;
-          push_watch t a.(base + hdr_size + (2 * j)) base j
-        end
-      in
-      if !ws >= mc then begin
-        a.(base + h_flags) <- flag_watched;
-        for j = 0 to !k - 1 do
-          if not (lagged_false t (Lit.of_index a.(base + hdr_size + (2 * j)))) then watch j
-        done
-      end
-      else begin
-        (* forced watched mode with no covering prefix: watch-all *)
-        a.(base + h_flags) <- flag_watched lor flag_watch_all;
-        for j = 0 to nterms - 1 do
-          watch j
-        done;
-        incr nwatchall
-      end;
-      a.(base + h_wslack) <- !ws;
-      incr nwatched
-    end
-    else
-      (* no covering prefix: cheaper as a counting constraint *)
-      register_counting cs
+    a.(base + h_flags) <- 0;
+    ignore (watch_prefix t base)
   in
   Vec.iter
     (fun cs ->
-      if a.(cs.base + h_flags) land flag_member <> 0 then ()
-      else if not (wants_watched t cs.constr) then register_counting cs
-      else begin
-        let flags = a.(cs.base + h_flags) in
-        if flags land flag_watched <> 0 && flags land flag_watch_all = 0 then
-          register_watch_bits cs
-        else register_fresh_watched cs
+      let base = cs.base in
+      let flags = a.(base + h_flags) in
+      if flags land flag_member = 0 then begin
+        if flags land flag_watch_all = 0 then register_watch_bits base else register_fresh base;
+        incr nwatched;
+        if a.(base + h_flags) land flag_watch_all <> 0 then incr nwatchall
       end)
     t.constrs;
   Telemetry.Counter.set t.bstats.b_nwatched !nwatched;
-  Telemetry.Counter.set t.bstats.b_ncounting !ncounting;
   Telemetry.Counter.set t.bstats.b_nwatchall !nwatchall;
   for v = 0 to t.nvars - 1 do
     match t.var_reason.(v) with
@@ -1775,7 +1621,7 @@ let reduce_db t =
 
 (* --- creation ----------------------------------------------------------------- *)
 
-let create ?telemetry ?(bcp = Hybrid) p =
+let create ?telemetry p =
   let tel = match telemetry with Some tel -> tel | None -> Telemetry.Ctx.silent () in
   let nvars = max (Problem.nvars p) 1 in
   let arena_guess =
@@ -1795,10 +1641,8 @@ let create ?telemetry ?(bcp = Hybrid) p =
       trail_lim = Vec.create ~dummy:0 ();
       qhead = 0;
       constrs = Vec.create ~dummy:dummy_cstate ();
-      bcp;
       arena = Array.make arena_guess 0;
       arena_top = 0;
-      occs = Array.init (2 * nvars) (fun _ -> Vec.create ~dummy:0 ());
       rows = Vec.create ~dummy:dummy_row ();
       obase = [||];
       bcursor = 0;
@@ -1853,13 +1697,10 @@ let create ?telemetry ?(bcp = Hybrid) p =
     Idheap.insert t.heap v
   done;
   let load c =
-    let ci, s =
-      if wants_watched t c then attach_watched t ~learned:false c
-      else attach_counting t ~learned:false c
-    in
+    let ci, s = attach_watched t ~learned:false c in
     (* the lagged slack ignores units still pending in the load queue;
        checking the value-based slack too keeps [root_unsat] exact right
-       after [create], as it was with eager counting *)
+       after [create] *)
     if s < 0 || Constr.slack_under (value_lit t) c < 0 then t.unsat <- true
     else if s < Constr.max_coeff c then
       scan_implications_arena t (Vec.get t.constrs ci).base s
@@ -1905,9 +1746,9 @@ let probe t ~stop ~failed ~implied =
 let decisions t =
   List.init (decision_level t) (fun lvl -> Vec.get t.trail (Vec.get t.trail_lim lvl))
 
-(* Value-based slack, identical in every BCP mode (the arena keeps
-   *lagged* slacks, which only coincide with this at propagation
-   fixpoints).  Cold path: conflict resolution and tests. *)
+(* Value-based slack.  The arena keeps *lagged* watch-set slacks: at a
+   propagation fixpoint one is at most this, and equal to it when it is
+   below maxcoeff.  Cold path: conflict resolution and tests. *)
 let slack_of t ci = Constr.slack_under (value_lit t) (Vec.get t.constrs ci).constr
 
 let rec resolve_conflict t ci =
@@ -2088,11 +1929,11 @@ let check_invariants t =
   let error = ref None in
   let fail fmt = Printf.ksprintf (fun s -> if !error = None then error := Some s) fmt in
   let a = t.arena in
-  (* Arena bookkeeping, valid at every moment: counting slacks and
-     watch-set slacks must equal their lagged recomputation, and the
-     header must agree with the boxed constraint. *)
+  (* Arena bookkeeping, valid at every moment: watch-set slacks must
+     equal their lagged recomputation, and the header must agree with
+     the boxed constraint. *)
   let nmembers = ref 0 and nlearned = ref 0 in
-  let nwatched = ref 0 and ncounting = ref 0 and nwatchall = ref 0 in
+  let nwatched = ref 0 and nwatchall = ref 0 in
   Vec.iteri
     (fun ci cs ->
       let base = cs.base in
@@ -2100,16 +1941,14 @@ let check_invariants t =
       let n = a.(base + h_n) in
       let flags = a.(base + h_flags) in
       if cs.learned then incr nlearned;
-      if flags land flag_member = 0 then
-        if flags land flag_watched = 0 then incr ncounting
-        else begin
-          incr nwatched;
-          if flags land flag_watch_all <> 0 then incr nwatchall
-        end;
+      if flags land flag_member = 0 then begin
+        incr nwatched;
+        if flags land flag_watch_all <> 0 then incr nwatchall
+      end;
       if a.(base + h_cid) <> ci then fail "constraint %d: arena cid %d" ci a.(base + h_cid);
-      if a.(base + h_flags) land flag_member <> 0 then begin
+      if flags land flag_member <> 0 then begin
         incr nmembers;
-        let ri = a.(base + h_slack) in
+        let ri = a.(base + h_cursor_or_row) in
         if ri < 0 || ri >= Vec.size t.rows then fail "member %d: row %d" ci ri
         else begin
           let r = Vec.get t.rows ri in
@@ -2120,11 +1959,6 @@ let check_invariants t =
         end
       end
       else if n <> Array.length terms then fail "constraint %d: arena nterms %d" ci n
-      else if a.(base + h_flags) land flag_watched = 0 then begin
-        if a.(base + h_slack) <> lagged_slack_now t cs.constr then
-          fail "constraint %d: slack %d, lagged recompute %d" ci
-            a.(base + h_slack) (lagged_slack_now t cs.constr)
-      end
       else begin
         (* wslack bookkeeping: weight of watched non-lagged-false terms *)
         let ws = ref (-a.(base + h_deg)) in
@@ -2138,7 +1972,7 @@ let check_invariants t =
             if lf then watched_false := true else ws := !ws + (cw land coeff_mask)
           end
           else begin
-            if a.(base + h_flags) land flag_watch_all <> 0 then
+            if flags land flag_watch_all <> 0 then
               fail "constraint %d: watch-all with unwatched term %d" ci i;
             if not lf then uncovered := true
           end
@@ -2228,7 +2062,7 @@ let check_invariants t =
       let k = ref 0 in
       while !k < Vec.size m do
         let base = Vec.get m !k and degree = Vec.get m (!k + 1) in
-        if a.(base + h_flags) land flag_member = 0 || a.(base + h_slack) <> ri then
+        if a.(base + h_flags) land flag_member = 0 || a.(base + h_cursor_or_row) <> ri then
           fail "row %d: entry %d is not its member" ri (!k / 2)
         else if a.(base + h_deg) <> degree then fail "row %d: entry %d degree" ri (!k / 2);
         if !k > 0 && Vec.get m (!k - 1) > degree then fail "row %d: degrees not ascending" ri;
@@ -2248,7 +2082,6 @@ let check_invariants t =
         fail "bcp.%s reads %d, store has %d" name (Telemetry.Counter.get c) n)
     [
       "constrs_watched", t.bstats.b_nwatched, !nwatched;
-      "constrs_counting", t.bstats.b_ncounting, !ncounting;
       "constrs_watch_all", t.bstats.b_nwatchall, !nwatchall;
     ];
   (* trail levels are monotone and values consistent *)

@@ -10,7 +10,12 @@ open Pbo
 
     Propagation rule for a normalized constraint [sum a_i l_i >= d] with
     slack [s = sum of a_i over non-false l_i - d]: [s < 0] is a conflict,
-    and any unassigned [l_i] with [a_i > s] is implied true. *)
+    and any unassigned [l_i] with [a_i > s] is implied true.  Every
+    constraint but a cut-row member (below) propagates through a watched
+    set: non-false terms whose weight covers [d] plus the largest
+    coefficient (at first the shortest such decreasing-coefficient
+    prefix), or, when there are not enough (a single-term constraint,
+    say), all its terms. *)
 
 type t
 
@@ -26,19 +31,7 @@ type analysis =
           (** literal asserted by the learned clause, when one exists *)
     }
 
-(** Boolean constraint propagation strategy.  [Hybrid] (the default)
-    picks watched-set or counting-mode propagation per constraint at
-    attach time and re-evaluates learned constraints when the database
-    is reduced; [Watched] and [Counting] force a uniform mode.  All
-    three modes produce identical assignments, reasons, conflicts and
-    decisions — the recorder event stream of a run is byte-identical
-    across modes. *)
-type bcp_mode =
-  | Watched
-  | Counting
-  | Hybrid
-
-val create : ?telemetry:Telemetry.Ctx.t -> ?bcp:bcp_mode -> Problem.t -> t
+val create : ?telemetry:Telemetry.Ctx.t -> Problem.t -> t
 (** Loads every problem constraint.  Check {!root_unsat} before searching:
     it is set when the problem is trivially unsatisfiable.  Search
     counters are registered against the telemetry context's registry
@@ -261,7 +254,11 @@ val reduce_db : t -> unit
 
     Counters are handles into the run's telemetry registry (names
     ["engine.*"]); incrementing one is a single store.  A run's outcome
-    carries the registry's snapshot under these names. *)
+    carries the registry's snapshot under these names.  The engine also
+    keeps the ["bcp.*"] counters: implied assignments
+    ([bcp.propagations], the run's one propagation count), constraint
+    examinations, watch moves and extensions, and the watched and
+    watch-all populations. *)
 
 type stats = {
   decisions : Telemetry.Counter.t;
@@ -276,24 +273,6 @@ type stats = {
 }
 
 val stats : t -> stats
-
-(** BCP micro-counters (names ["bcp.*"]): implied assignments
-    ([bcp.propagations], the run's one propagation count), constraint
-    examinations, watch moves and extensions, and the per-mode constraint
-    population ([constrs_watch_all] counts the watched constraints that
-    are now degraded to watching every literal; it is a subset of
-    [constrs_watched]). *)
-type bcp_stats = {
-  b_props : Telemetry.Counter.t;
-  b_visits : Telemetry.Counter.t;
-  b_moves : Telemetry.Counter.t;
-  b_extends : Telemetry.Counter.t;
-  b_nwatched : Telemetry.Counter.t;
-  b_ncounting : Telemetry.Counter.t;
-  b_nwatchall : Telemetry.Counter.t;
-}
-
-val bcp_stats : t -> bcp_stats
 
 val telemetry : t -> Telemetry.Ctx.t
 (** The telemetry context the engine was created with. *)
@@ -360,9 +339,9 @@ val derive_pb_resolvent : t -> cid -> Constr.t option
     (size or coefficient blow-up).  The engine state is not modified. *)
 
 val check_invariants : t -> (unit, string) result
-(** Expensive self-check for tests and debugging: lagged counting slacks
-    match recomputation, watch-set slacks match the weight of their
-    watched non-false terms, the watch invariant holds (the watch set
+(** Expensive self-check for tests and debugging: watch-set slacks
+    match the weight of their watched non-false terms, the watch
+    invariant holds (the watch set
     covers maxcoeff, or every non-false term is watched, or a watched
     falsified term marks an allowed transient state), trail levels are
     monotone, and the path cost matches the assigned cost literals.
@@ -373,6 +352,6 @@ val check_invariants : t -> (unit, string) result
     name, its member list names exactly its members, in ascending
     degree, and no term of the normal form before the shared cursor (as
     its level marks cut it back) is unassigned or of a level above its
-    mark's.  {!num_learned} and the [bcp.constrs_*] populations match a
-    recount (so the engine must own its registry's [bcp.*]
-    counters). *)
+    mark's.  {!num_learned} and the [bcp.constrs_watched] and
+    [bcp.constrs_watch_all] populations match a recount (so the engine
+    must own its registry's [bcp.*] counters). *)

@@ -222,21 +222,13 @@ let render_tree_shape json =
 
 let render_bcp json =
   let c = counter json in
-  let mode =
-    Option.value ~default:"?"
-      (Option.bind
-         (Option.bind (Json.member "options" json) (Json.member "bcp"))
-         Json.to_string_opt)
-  in
-  let visits = c "bcp.visits" in
   [
-    Printf.sprintf "%-22s %s" "mode" mode;
     Printf.sprintf "%-22s %d" "implied assignments" (c "bcp.propagations");
-    Printf.sprintf "%-22s %d" "constraint visits" visits;
+    Printf.sprintf "%-22s %d" "constraint visits" (c "bcp.visits");
     Printf.sprintf "%-22s %d moves, %d extends" "watch updates" (c "bcp.watch_moves")
       (c "bcp.watch_extends");
-    Printf.sprintf "%-22s %d watched (%d watch-all), %d counting" "constraint modes"
-      (c "bcp.constrs_watched") (c "bcp.constrs_watch_all") (c "bcp.constrs_counting");
+    Printf.sprintf "%-22s %d (%d watch-all)" "watched constraints" (c "bcp.constrs_watched")
+      (c "bcp.constrs_watch_all");
   ]
 
 let render_cuts json =

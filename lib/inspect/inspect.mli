@@ -69,8 +69,10 @@ val render_timeline : ?max_lines:int -> (float * int) list -> string list
 val render_tree_shape : Json.t -> string list
 
 val render_bcp : Json.t -> string list
-(** Propagation-engine summary from a run report: selected [--bcp] mode,
-    the [bcp.*] micro-counters and the per-mode constraint population. *)
+(** Propagation-engine summary from a run report: the [bcp.*]
+    micro-counters and the watched / watch-all constraint population.
+    A report of an older build renders too; its propagation-mode option
+    and counting-mode census are ignored. *)
 
 val render_cuts : Json.t -> string list
 (** Cut-pool table from a run report: per-family

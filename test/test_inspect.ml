@@ -214,6 +214,32 @@ let test_trace_summary () =
   Alcotest.(check (list string)) "empty recording" [ "0 events over 0.000s" ]
     (Inspect.trace_summary (recording []))
 
+(* --- propagation core -------------------------------------------------------- *)
+
+(* A report of a build that still had a --bcp option: it names the
+   mode in its options and counts the counting-mode population.  Both
+   are ignored; the rest renders. *)
+let older_report =
+  {|{"schema":"bsolo-run-report/1","options":{"lb_method":"LPR","bcp":"hybrid","cuts":"tree"},
+     "counters":{"bcp.propagations":1289,"bcp.visits":5021,"bcp.watch_moves":811,
+                 "bcp.watch_extends":97,"bcp.constrs_watched":40,"bcp.constrs_watch_all":3,
+                 "bcp.constrs_counting":12}}|}
+
+let test_bcp_older_report () =
+  let json =
+    match Json.of_string older_report with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "fixture does not parse: %s" e
+  in
+  Alcotest.(check (list string)) "counters rendered, mode and counting dropped"
+    [
+      "implied assignments    1289";
+      "constraint visits      5021";
+      "watch updates          811 moves, 97 extends";
+      "watched constraints    40 (3 watch-all)";
+    ]
+    (Inspect.render_bcp json)
+
 let suite =
   [
     Alcotest.test_case "tightness per-mille" `Quick test_tightness_pm;
@@ -224,4 +250,5 @@ let suite =
     Alcotest.test_case "diff below threshold" `Quick test_diff_below_threshold;
     Alcotest.test_case "diff noise floor" `Quick test_diff_noise_floor;
     Alcotest.test_case "trace summary" `Quick test_trace_summary;
+    Alcotest.test_case "propagation core of an older report" `Quick test_bcp_older_report;
   ]

@@ -580,7 +580,6 @@ let test_report_options_complete () =
     d
     :: List.map (fun (s : O.switch) -> s.set d (not (s.get d))) O.switches
     @ others O.lb_methods (fun o -> o.O.lb_method) (fun lb_method -> { d with lb_method })
-    @ others O.bcp_modes (fun o -> o.O.bcp) (fun bcp -> { d with bcp })
     @ others O.cuts_modes (fun o -> o.O.cuts) (fun cuts -> { d with cuts })
     @ others O.learnings (fun o -> o.O.learning) (fun learning -> { d with learning })
     @ [ { d with lgr_iters = d.lgr_iters + 1 } ]
